@@ -8,47 +8,6 @@
 
 use pde_euler::dataset::{paper_dataset, DataSet};
 
-/// One row of the kernel-throughput baseline (`BENCH_kernels.json`).
-pub struct KernelEntry {
-    /// Full benchmark id, e.g. `gemm/packed/layer2-16x150x4096`.
-    pub id: String,
-    /// Mean wall-clock seconds per iteration.
-    pub mean_s: f64,
-    /// Derived sustained GFLOP/s.
-    pub gflops: f64,
-}
-
-/// Merges kernel-bench results into the committed `BENCH_kernels.json`
-/// baseline at the workspace root.
-///
-/// The file is a flat JSON array with one object per line. Each bench binary
-/// owns the ids under its `prefix` (`"gemm/"`, `"conv/"`): existing rows with
-/// that prefix are replaced, rows written by the other bench are preserved,
-/// so `cargo bench --bench kernel_gemm --bench kernel_conv` in any order
-/// produces the same file.
-pub fn merge_kernel_baseline(prefix: &str, entries: &[KernelEntry]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let mut rows: Vec<String> = std::fs::read_to_string(path)
-        .map(|text| {
-            text.lines()
-                .filter(|l| l.trim_start().starts_with("{\"id\": \""))
-                .filter(|l| !l.contains(&format!("{{\"id\": \"{prefix}")))
-                .map(|l| l.trim_end_matches(',').to_string())
-                .collect()
-        })
-        .unwrap_or_default();
-    for e in entries {
-        rows.push(format!(
-            "  {{\"id\": \"{}\", \"mean_s\": {:.6e}, \"gflops\": {:.3}}}",
-            e.id, e.mean_s, e.gflops
-        ));
-    }
-    rows.sort();
-    std::fs::write(path, format!("[\n{}\n]\n", rows.join(",\n")))
-        .expect("write BENCH_kernels.json");
-    println!("wrote {path}");
-}
-
 /// A small, deterministically generated dataset shared by several benches.
 pub fn bench_dataset(grid: usize, snapshots: usize) -> DataSet {
     paper_dataset(grid, snapshots)

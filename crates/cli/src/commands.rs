@@ -108,20 +108,7 @@ pub fn train(args: &Args) -> Result<(), String> {
     cfg.window = window;
     cfg.seed = args.get_or("seed", 0x5EED_u64)?;
     cfg.lr = args.get_or("lr", cfg.lr)?;
-    if let Some(t) = args.get("threads-per-rank") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| format!("--threads-per-rank: not a number: {t}"))?;
-        let cores = pde_tensor::pool::available_cores();
-        if t == 0 || t > cores {
-            return Err(format!(
-                "--threads-per-rank {t} is invalid: pick 1..={cores} \
-                 (this machine has {cores} core(s); omit the flag to \
-                 auto-size as cores / ranks)"
-            ));
-        }
-        cfg.threads_per_rank = Some(t);
-    }
+    cfg.threads_per_rank = threads_per_rank_from_args(args)?;
     let train_pairs: usize = args.get_or("train-pairs", data.pair_count() * 2 / 3)?;
     let (c, h, w) = data.shape();
     println!(
@@ -257,16 +244,10 @@ pub fn infer(args: &Args) -> Result<(), String> {
     let (meta, mut inf) = load_fleet(&model_dir)?;
     let policy = halo_policy_from_args(args)?;
     inf = inf.with_halo_policy(policy);
-    if let Some(spec) = args.get("fault") {
-        if policy == HaloPolicy::Strict {
-            return Err(
-                "--fault with --halo-policy strict would hang on the first lost halo; \
-                 pick zero-fill or last-known"
-                    .into(),
-            );
-        }
-        // parse_for also rejects plans naming ranks this fleet doesn't have.
-        inf = inf.with_fault_plan(FaultPlan::parse_for(spec, meta.partition.rank_count())?);
+    if let Some(plan) =
+        crate::fleet::fault_plan_from_args(args, policy, meta.partition.rank_count())?
+    {
+        inf = inf.with_fault_plan(plan);
     }
     let default_start = data.len().saturating_sub(steps + 1).max(meta.window - 1);
     let start: usize = args.get_or("start", default_start)?;
@@ -352,8 +333,8 @@ pub fn infer(args: &Args) -> Result<(), String> {
 }
 
 /// Nearest-rank percentile of an ascending-sorted latency list, or `None`
-/// when the list is empty — a `--requests 0` run must report "n/a"/`null`,
-/// not panic on the `len() - 1` underflow or smuggle NaN into `--out` JSON.
+/// when the list is empty — a `--requests 0` run must report "n/a", not
+/// panic on the `len() - 1` underflow.
 ///
 /// The index rule is [`pde_telemetry::nearest_rank`] — the same one the
 /// histogram quantile uses — so a p99.9 printed by serve-bench and a
@@ -371,13 +352,48 @@ pub(crate) fn fmt_ms(v: Option<f64>) -> String {
     v.map_or_else(|| "n/a".into(), |v| format!("{v:.2}"))
 }
 
-/// JSON rendering of an optional metric: a finite number or `null` (JSON
-/// has no NaN/inf, and a 0-request run has no latencies to report).
-pub(crate) fn json_num(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{v:.4}"),
-        _ => "null".into(),
+/// Parses `--transport` (default: the in-process channel mesh).
+pub(crate) fn transport_from_args(args: &Args) -> Result<pde_commsim::TransportKind, String> {
+    use pde_commsim::TransportKind;
+    args.get("transport")
+        .map_or(Ok(TransportKind::default()), TransportKind::parse)
+}
+
+/// Parses `--threads-per-rank`; an explicit budget is rejected, never
+/// clamped, when it is 0 or exceeds the machine's cores.
+fn threads_per_rank_from_args(args: &Args) -> Result<Option<usize>, String> {
+    let Some(t) = args.get("threads-per-rank") else {
+        return Ok(None);
+    };
+    let t: usize = t
+        .parse()
+        .map_err(|_| format!("--threads-per-rank: not a number: {t}"))?;
+    let cores = pde_tensor::pool::available_cores();
+    if t == 0 || t > cores {
+        return Err(format!(
+            "--threads-per-rank {t} is invalid: pick 1..={cores} \
+             (this machine has {cores} core(s); omit the flag to \
+             auto-size as cores / ranks)"
+        ));
     }
+    Ok(Some(t))
+}
+
+/// Brings up the telemetry exporter on `--metrics-addr`, if given.
+pub(crate) fn start_exporter(
+    args: &Args,
+    health: &std::sync::Arc<pde_telemetry::health::HealthModel>,
+) -> Result<Option<pde_telemetry::exporter::Exporter>, String> {
+    let Some(addr) = args.get("metrics-addr") else {
+        return Ok(None);
+    };
+    let exporter = pde_telemetry::exporter::serve(addr, health.clone())
+        .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
+    println!(
+        "metrics: http://{}/metrics (also /healthz, /readyz)",
+        exporter.local_addr()
+    );
+    Ok(Some(exporter))
 }
 
 /// Sleeps out `--hold-ms` (so a scraper can catch the endpoint after the
@@ -395,10 +411,11 @@ pub(crate) fn hold_and_stop_exporter(
     }
 }
 
-/// `pdeml serve-bench` — the serving case for the persistent engine: drive
-/// N requests through one warm [`InferEngine`] (threads + models resident)
-/// and the same N through cold per-request [`ParallelInference`] worlds,
-/// and print requests/sec with p50/p99/p99.9 latency for each.
+/// `pdeml serve-bench` — the smoke drive for the persistent engine: N
+/// requests through one warm [`InferEngine`] (threads + models resident),
+/// printing requests/sec with p50/p99/p99.9 latency, under whatever faults,
+/// kills and observers the flags arm. Its numbers are a sanity readout; the
+/// measured ones are `BENCHMARK.json`'s `rollout_*` workloads.
 ///
 /// `--quick` trains the tiny test net on the built-in dataset with the
 /// zero-padding strategy — the communication-free configuration, so warm
@@ -409,18 +426,13 @@ pub(crate) fn hold_and_stop_exporter(
 /// recorder, which dumps a Chrome-trace + metrics snapshot whenever a
 /// request breaks `--slo-ms` or a rank panics.
 pub fn serve_bench(args: &Args) -> Result<(), String> {
-    use pde_telemetry::health::{CheckStatus, HealthModel};
-    use std::sync::atomic::Ordering;
+    use pde_telemetry::health::HealthModel;
     use std::sync::Arc;
 
-    let quick = args.flag("quick");
     let requests: usize = args.get_or("requests", 32)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
-    let transport = match args.get("transport") {
-        Some(spec) => pde_commsim::TransportKind::parse(spec)?,
-        None => pde_commsim::TransportKind::default(),
-    };
+    let transport = transport_from_args(args)?;
     let trace_path = args.get("trace").map(PathBuf::from);
     let flight_dir = args.get("flight-dir").map(PathBuf::from);
     if trace_path.is_some() && flight_dir.is_some() {
@@ -431,32 +443,8 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     }
     let slo_ms: f64 = args.get_or("slo-ms", 0.0)?;
     let hold_ms: u64 = args.get_or("hold-ms", 0)?;
-    // Rank-validated parses (parse_for) happen below, once the fleet is
-    // loaded and the world size is known; here we only gate on policy.
-    let fault_spec = args.get("fault");
-    if fault_spec.is_some() && policy == HaloPolicy::Strict {
-        return Err(
-            "--fault with --halo-policy strict would hang on the first lost halo; \
-             pick zero-fill or last-known"
-                .into(),
-        );
-    }
-    let self_heal = args.flag("self-heal");
+    let self_heal = crate::fleet::self_heal_from_args(args, policy)?;
     let kill_spec = args.get("kill-rank-at");
-    if kill_spec.is_some() && !self_heal {
-        return Err(
-            "--kill-rank-at kills a rank mid-batch, which only ends well with \
-             --self-heal (otherwise the world poisons and the bench aborts)"
-                .into(),
-        );
-    }
-    if self_heal && !matches!(policy, HaloPolicy::Degrade { .. }) {
-        return Err(
-            "--self-heal serves the kill-to-respawn gap with fallback halos, which needs \
-             --halo-policy zero-fill or last-known"
-                .into(),
-        );
-    }
 
     // Exporter and health model come up before any training/loading so a
     // scraper pointed at --metrics-addr sees /healthz from the start.
@@ -466,58 +454,12 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         "Trace spans dropped to per-thread ring overflow",
         pde_trace::dropped_spans_total,
     );
-    let mut exporter = match args.get("metrics-addr") {
-        Some(addr) => {
-            let e = pde_telemetry::exporter::serve(addr, health.clone())
-                .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
-            println!(
-                "metrics: http://{}/metrics (also /healthz, /readyz)",
-                e.local_addr()
-            );
-            Some(e)
-        }
-        None => None,
-    };
+    let mut exporter = start_exporter(args, &health)?;
 
-    let (inf, initial, source) = if quick {
-        let data = pde_euler::dataset::paper_dataset(16, 8);
-        let arch = ArchSpec::tiny();
-        let outcome = ParallelTrainer::new(
-            arch.clone(),
-            PaddingStrategy::ZeroPad,
-            TrainConfig::quick_test(),
-        )
-        .train_view(&data, 6, 4)
-        .map_err(|e| e.to_string())?;
-        let inf = ParallelInference::from_outcome(arch, PaddingStrategy::ZeroPad, &outcome);
-        let initial = data.snapshot(0).clone();
-        (
-            inf,
-            initial,
-            "built-in 16x16 paper pulse (--quick)".to_string(),
-        )
-    } else {
-        let data_path = PathBuf::from(args.require("data")?);
-        let model_dir = PathBuf::from(args.require("model")?);
-        let data = DataSet::load(&data_path)
-            .map_err(|e| format!("cannot load {}: {e}", data_path.display()))?;
-        let (meta, inf) = load_fleet(&model_dir)?;
-        if meta.window != 1 {
-            return Err(format!(
-                "serve-bench drives single-state requests but the model was trained with a \
-                 window of {} — retrain with --window 1 (or use --quick)",
-                meta.window
-            ));
-        }
-        let initial = data.snapshot(data.len() - 1).clone();
-        (inf, initial, data_path.display().to_string())
-    };
-    let mut inf = inf.with_halo_policy(policy).with_transport(transport);
+    let (inf, initial, source) = crate::fleet::fleet_from_args(args, "serve-bench", 4)?;
+    let inf = inf.with_halo_policy(policy);
     let ranks = inf.partition().rank_count();
-    let fault_plan = match fault_spec {
-        Some(spec) => Some(FaultPlan::parse_for(spec, ranks)?),
-        None => None,
-    };
+    let fault_plan = crate::fleet::fault_plan_from_args(args, policy, ranks)?;
     // `--kill-rank-at RANK:REQUEST[:STEP]` — the deterministic chaos plan:
     // that rank's serving thread dies at that point, and the self-healing
     // engine must respawn it and re-serve the batch.
@@ -528,26 +470,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         )?),
         None => None,
     };
-    if let Some(plan) = &fault_plan {
-        inf = inf.with_fault_plan(plan.clone());
-    }
-    let threads_per_rank = match args.get("threads-per-rank") {
-        Some(t) => {
-            let t: usize = t
-                .parse()
-                .map_err(|_| format!("--threads-per-rank: not a number: {t}"))?;
-            let cores = pde_tensor::pool::available_cores();
-            if t == 0 || t > cores {
-                return Err(format!(
-                    "--threads-per-rank {t} is invalid: pick 1..={cores} \
-                     (this machine has {cores} core(s); omit the flag to \
-                     auto-size as cores / ranks)"
-                ));
-            }
-            Some(t)
-        }
-        None => None,
-    };
+    let threads_per_rank = threads_per_rank_from_args(args)?;
     let (c, h, w) = initial.shape();
     println!(
         "serve-bench: {requests} requests x {steps} steps on {source} \
@@ -566,74 +489,25 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     // loop, keeping the hot path allocation-free.
     let mut engine_cfg = EngineConfig::new(ranks).with_transport(transport);
     engine_cfg.threads_per_rank = threads_per_rank;
-    if let Some(plan) = &fault_plan {
-        engine_cfg = engine_cfg.with_fault_plan(plan.clone());
+    if let Some(plan) = fault_plan {
+        engine_cfg = engine_cfg.with_fault_plan(plan);
     }
     if self_heal {
         engine_cfg = engine_cfg.with_self_heal();
     }
-    if let Some(plan) = &chaos_plan {
-        engine_cfg = engine_cfg.with_chaos_plan(plan.clone());
+    if let Some(plan) = chaos_plan {
+        engine_cfg = engine_cfg.with_chaos_plan(plan);
     }
     let mut engine = InferEngine::with_config(engine_cfg);
-    engine
-        .register("serve", inf.clone())
-        .expect("register serve model");
+    engine.register("serve", inf).expect("register serve model");
     engine
         .rollout("serve", &initial, steps)
         .map_err(|e| format!("cannot serve this rollout: {e}"))?;
 
     // Health checks read state the engine already maintains; they stay live
     // through the run and the --hold-ms window.
-    {
-        let poisoned = engine.poisoned_flag();
-        health.register("world_poisoned", move || {
-            if poisoned.load(Ordering::Acquire) {
-                CheckStatus::Failed("a rank panicked; the world is poisoned".into())
-            } else {
-                CheckStatus::Ok
-            }
-        });
-        let alive = engine.alive_flags();
-        health.register("ranks_alive", move || {
-            let dead: Vec<String> = alive
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.load(Ordering::Acquire))
-                .map(|(r, _)| r.to_string())
-                .collect();
-            if dead.is_empty() {
-                CheckStatus::Ok
-            } else {
-                CheckStatus::Failed(format!("dead ranks: {}", dead.join(",")))
-            }
-        });
-        // The same registry entries core::infer/commsim record into — the
-        // lookup is idempotent by name.
-        let attempts = pde_telemetry::counter(
-            "pdeml_halo_recv_attempts_total",
-            "Timed halo receives attempted, per rank",
-        );
-        let zero = pde_telemetry::counter(
-            "pdeml_halos_zero_filled_total",
-            "Lost halos replaced with zeros, per rank",
-        );
-        let stale = pde_telemetry::counter(
-            "pdeml_halos_stale_total",
-            "Lost halos replaced with the previous step's strip, per rank",
-        );
-        health.register("halo_fallback_rate", move || {
-            let total = attempts.total();
-            let fell_back = zero.total() + stale.total();
-            if total > 0 && fell_back * 2 > total {
-                CheckStatus::Degraded(format!(
-                    "{fell_back}/{total} halo receives fell back to zero-fill/stale"
-                ))
-            } else {
-                CheckStatus::Ok
-            }
-        });
-    }
+    crate::fleet::register_engine_health(&health, "world_poisoned", std::slice::from_ref(&engine));
+    crate::fleet::register_halo_fallback_check(&health);
 
     let mut flight = match &flight_dir {
         Some(dir) => Some(
@@ -695,7 +569,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     let lost_after: u64 = engine.traffic().iter().map(|t| t.halos_lost).sum();
     let halo_lost_per_request = (lost_after - lost_before) as f64 / requests.max(1) as f64;
     // `last` is None on a 0-request run — every per-request statistic below
-    // degrades to "n/a"/`null` instead of panicking.
+    // degrades to "n/a" instead of panicking.
     let steady_allocs: Option<u64> = last
         .as_ref()
         .map(|r| r.rank_perf.iter().map(|p| p.allocs).max().unwrap_or(0));
@@ -710,22 +584,8 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         }
     }
 
-    // Cold: a fresh world (thread spawn + model restore) per request.
-    let mut cold_ms = Vec::with_capacity(requests);
-    let cold_t0 = std::time::Instant::now();
-    for _ in 0..requests {
-        let t = std::time::Instant::now();
-        inf.rollout(&initial, steps)
-            .map_err(|e| format!("cannot serve this rollout: {e}"))?;
-        cold_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let cold_s = cold_t0.elapsed().as_secs_f64();
-
     warm_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    cold_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let warm_rps = requests as f64 / warm_s;
-    let cold_rps = requests as f64 / cold_s;
-    let speedup = (cold_rps > 0.0).then(|| warm_rps / cold_rps);
     println!(
         "warm: {requests} requests in {warm_s:.3} s — {warm_rps:.1} req/s, \
          p50 {} ms, p99 {} ms, p99.9 {} ms, {} steady-state allocs/request",
@@ -734,14 +594,6 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         fmt_ms(percentile(&warm_ms, 99.9)),
         steady_allocs.map_or_else(|| "n/a".into(), |a| a.to_string())
     );
-    println!(
-        "cold: {requests} requests in {cold_s:.3} s — {cold_rps:.1} req/s, \
-         p50 {} ms, p99 {} ms, p99.9 {} ms",
-        fmt_ms(percentile(&cold_ms, 50.0)),
-        fmt_ms(percentile(&cold_ms, 99.0)),
-        fmt_ms(percentile(&cold_ms, 99.9))
-    );
-    println!("speedup: {}x requests/sec warm over cold", fmt_ms(speedup));
     let final_health = health.report();
     println!(
         "health: {} ({:.4} halos lost per warm request)",
@@ -749,12 +601,10 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         halo_lost_per_request
     );
     if self_heal {
-        let respawns = pde_telemetry::counter(
-            "pdeml_rank_respawns_total",
-            "Dead ranks brought back by a supervisor, per rank",
-        )
-        .total();
-        println!("self-heal: {respawns} rank respawn(s) during the warm loop");
+        println!(
+            "self-heal: {} rank respawn(s) during the warm loop",
+            engine.respawned_ranks().len()
+        );
     }
     if let Some(f) = &flight {
         println!(
@@ -764,33 +614,6 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         );
     }
 
-    if let Some(out) = args.get("out") {
-        let json = format!(
-            "{{\n  \"shape\": {{ \"channels\": {c}, \"grid_h\": {h}, \"grid_w\": {w}, \
-             \"ranks\": {ranks}, \"steps\": {steps}, \"requests\": {requests}, \
-             \"transport\": \"{}\" }},\n  \
-             \"warm\": {{ \"requests_per_sec\": {warm_rps:.2}, \"p50_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {}, \
-             \"steady_state_allocs_per_request\": {} }},\n  \
-             \"cold\": {{ \"requests_per_sec\": {cold_rps:.2}, \"p50_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {} }},\n  \
-             \"warm_over_cold\": {},\n  \
-             \"halo_lost_per_request\": {halo_lost_per_request:.4},\n  \
-             \"final_health\": \"{}\"\n}}\n",
-            transport.label(),
-            json_num(percentile(&warm_ms, 50.0)),
-            json_num(percentile(&warm_ms, 99.0)),
-            json_num(percentile(&warm_ms, 99.9)),
-            steady_allocs.map_or_else(|| "null".into(), |a| a.to_string()),
-            json_num(percentile(&cold_ms, 50.0)),
-            json_num(percentile(&cold_ms, 99.0)),
-            json_num(percentile(&cold_ms, 99.9)),
-            json_num(speedup),
-            final_health.overall.as_str()
-        );
-        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
-    }
     hold_and_stop_exporter(&mut exporter, hold_ms);
     Ok(())
 }
@@ -909,14 +732,8 @@ mod tests {
     }
 
     #[test]
-    fn missing_metrics_render_as_na_and_json_null() {
-        // NaN and infinity must never reach the --out JSON: it has no
-        // representation for them, and a NaN row poisons downstream tooling.
+    fn missing_latencies_render_as_na() {
         assert_eq!(fmt_ms(None), "n/a");
         assert_eq!(fmt_ms(Some(12.345)), "12.35");
-        assert_eq!(json_num(None), "null");
-        assert_eq!(json_num(Some(f64::NAN)), "null");
-        assert_eq!(json_num(Some(f64::INFINITY)), "null");
-        assert_eq!(json_num(Some(1.0)), "1.0000");
     }
 }

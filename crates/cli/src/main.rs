@@ -14,6 +14,7 @@
 
 mod args;
 mod commands;
+mod fleet;
 mod meta;
 mod node;
 mod serve;
@@ -42,19 +43,15 @@ USAGE:
                  [--self-heal] [--kill-rank-at RANK:REQUEST[:STEP]]
                  [--metrics-addr HOST:PORT] [--slo-ms N] [--flight-dir DIR]
                  [--hold-ms N] [--threads-per-rank T] [--trace OUT.json]
-                 [--out BENCH.json]
   pdeml serve    [--quick | --data FILE --model DIR] [--addr HOST:PORT]
                  [--sub-worlds N] [--queue-depth N] [--max-models N]
                  [--slo-ms N] [--transport channel|tcp] [--ranks-per-world R]
                  [--access-log PATH] [--access-log-sample N] [--trace-out PATH]
-  pdeml serve --saturation [--quick | --data FILE --model DIR]
-                 [--sub-worlds-list 1,2,4] [--requests N] [--steps K]
-                 [--queue-depth N] [--transport channel|tcp] [--out BENCH.json]
   pdeml world-node --launch [--ranks N] [--requests N] [--steps K]
                  [--halo-policy strict|zero-fill|last-known] [--halo-timeout-ms N]
                  [--fault drop:SRC-DST|loss:RATE:SEED|delay:SRC-DST:MS]
                  [--self-heal] [--kill-rank-at RANK:REQUEST] [--restore DIR]
-                 [--metrics-addr HOST:PORT] [--hold-ms N] [--out BENCH.json]
+                 [--metrics-addr HOST:PORT] [--hold-ms N]
                  [--connect-timeout-ms N] [--trace-dir DIR]
   pdeml world-node --rank R --peers HOST:PORT,HOST:PORT,…
                  [--requests N] [--steps K] [--halo-policy …] [--fault …]
@@ -71,16 +68,17 @@ of states; GET /v1/example prints a ready-to-POST body. Every rollout
 response echoes X-PDEML-Request-Id and a Server-Timing phase split
 (queue/dispatch/rollout); `--access-log PATH` appends one JSON line per
 sampled request and `--trace-out PATH` writes a request-id-tagged Chrome
-trace on shutdown. `serve --saturation` sweeps offered load vs p99.9,
-queue-wait p50/p99 and rejection rate across sub-world counts.
+trace on shutdown.
+`serve-bench` drives N requests through one warm in-process engine and
+prints a latency readout; `--transport tcp` keeps every rank in-process but
+moves all messages over loopback sockets.
 `world-node --launch` runs an N-rank world as N OS processes over localhost
-TCP (rank 0 stays in the driver process), verifies the rollouts bitwise
-against the in-process channel transport, and reports channel-vs-TCP serve
-latency next to the perfmodel projection; `--trace-dir DIR` makes every
+TCP (rank 0 stays in the driver process) and verifies the rollouts bitwise
+against the in-process channel transport; `--trace-dir DIR` makes every
 process dump a Chrome-trace shard and the launcher merge them into
 DIR/merged_trace.json, one timeline with a process group per rank.
-`serve-bench --transport tcp` keeps every rank in-process but moves all
-messages over loopback sockets.
+Performance numbers (latency under load, warm vs cold, channel vs TCP) come
+from `bash benchmark/run.sh`, not from these commands.
 `--trace OUT.json` records a per-rank timeline (Chrome trace format; open in
 Perfetto or chrome://tracing) and prints a per-rank metrics table.
 `--metrics-addr` serves live Prometheus metrics plus /healthz and /readyz

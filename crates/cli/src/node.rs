@@ -15,10 +15,8 @@
 //! equivalence check behind DESIGN.md §4h.
 //!
 //! `--launch` is the driver: it picks N loopback ports, spawns ranks 1..N
-//! as child processes of the current executable, runs rank 0 in-process
-//! (so `--metrics-addr` scrapes the driver), then re-measures the
-//! channel-vs-TCP serve latency and the perfmodel projection for
-//! EXPERIMENTS.md.
+//! as child processes of the current executable and runs rank 0 in-process
+//! (so `--metrics-addr` scrapes the driver).
 //!
 //! `--trace-dir DIR` turns on cross-process tracing: every process records
 //! its serving loop under a trace session and dumps a Chrome-trace *shard*
@@ -27,9 +25,8 @@
 //! timeline with a process group per rank.
 
 use crate::args::Args;
-use crate::commands::{
-    fmt_ms, halo_policy_from_args, hold_and_stop_exporter, json_num, percentile,
-};
+use crate::commands::{halo_policy_from_args, hold_and_stop_exporter, start_exporter};
+use crate::fleet::{fault_plan_from_args, quick_fleet, require_window_1, self_heal_from_args};
 use pde_commsim::{connect_tcp_world, record_recovery, CartComm, TrafficReport};
 use pde_ml_core::prelude::*;
 use pde_tensor::Tensor3;
@@ -65,89 +62,52 @@ pub fn world_node(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Deterministically trains the built-in quick fleet every process of the
-/// world builds identically: paper dataset, tiny arch, neighbor-pad (so
-/// rollouts actually exchange halos), fixed seed. Same binary + same
-/// inputs ⇒ bitwise-identical weights in every process, no broadcast.
-fn quick_fleet(
-    n_ranks: usize,
-    policy: HaloPolicy,
-    fault: Option<&FaultPlan>,
-) -> Result<(Tensor3, ParallelInference), String> {
-    let data = pde_euler::dataset::paper_dataset(16, 8);
-    let arch = ArchSpec::tiny();
-    let outcome = ParallelTrainer::new(
-        arch.clone(),
-        PaddingStrategy::NeighborPad,
-        TrainConfig::quick_test(),
-    )
-    .train_view(&data, 6, n_ranks)
-    .map_err(|e| e.to_string())?;
-    let mut inf = ParallelInference::from_outcome(arch, PaddingStrategy::NeighborPad, &outcome)
-        .with_halo_policy(policy);
-    if let Some(plan) = fault {
-        inf = inf.with_fault_plan(plan.clone());
-    }
-    Ok((data.snapshot(0).clone(), inf))
-}
-
-/// Restores the fleet from a `pdeml train` checkpoint directory instead of
-/// retraining. Every process of the world — including a *respawned*
-/// replacement rank — restores from the same files, so a rejoin costs a
-/// weight load, not a retrain; the initial state is regenerated
-/// deterministically from the solver so all processes still agree bitwise.
-fn restore_fleet(
-    dir: &std::path::Path,
-    n_ranks: usize,
-    policy: HaloPolicy,
-    fault: Option<&FaultPlan>,
-) -> Result<(Tensor3, ParallelInference), String> {
-    let (meta, inf) = crate::commands::load_fleet(dir)?;
-    if meta.partition.rank_count() != n_ranks {
-        return Err(format!(
-            "--restore {}: checkpoint is partitioned over {} ranks but this world has \
-             {n_ranks} — pass --ranks {}",
-            dir.display(),
-            meta.partition.rank_count(),
-            meta.partition.rank_count()
-        ));
-    }
-    if meta.window != 1 {
-        return Err(format!(
-            "--restore {}: world-node drives single-state requests but the checkpoint was \
-             trained with a window of {} — retrain with --window 1",
-            dir.display(),
-            meta.window
-        ));
-    }
-    let (gh, gw) = (meta.partition.global_h(), meta.partition.global_w());
-    if gh != gw {
-        return Err(format!(
-            "--restore {}: checkpoint covers a {gh}x{gw} grid; world-node regenerates its \
-             initial state from the square built-in solver and needs gh == gw",
-            dir.display()
-        ));
-    }
-    let initial = pde_euler::dataset::paper_dataset(gh, 2).snapshot(0).clone();
-    let mut inf = inf.with_halo_policy(policy);
-    if let Some(plan) = fault {
-        inf = inf.with_fault_plan(plan.clone());
-    }
-    Ok((initial, inf))
-}
-
-/// The fleet every process of the world serves: `--restore DIR` loads a
-/// checkpoint, otherwise the deterministic quick fleet is retrained.
+/// The fleet every process of the world serves, and the state requests
+/// start from. `--restore DIR` loads a `pdeml train` checkpoint — every
+/// process, including a *respawned* replacement rank, restores from the
+/// same files, so a rejoin costs a weight load, not a retrain, and the
+/// initial state is regenerated deterministically from the solver so all
+/// processes still agree bitwise. Otherwise every process retrains the
+/// deterministic quick fleet with neighbor padding, so rollouts actually
+/// exchange halos.
 fn fleet_from_args(
     args: &Args,
     n_ranks: usize,
     policy: HaloPolicy,
     fault: Option<&FaultPlan>,
 ) -> Result<(Tensor3, ParallelInference), String> {
-    match args.get("restore") {
-        Some(dir) => restore_fleet(std::path::Path::new(dir), n_ranks, policy, fault),
-        None => quick_fleet(n_ranks, policy, fault),
+    let (inf, initial) = match args.get("restore") {
+        None => quick_fleet(n_ranks, PaddingStrategy::NeighborPad)?,
+        Some(dir) => {
+            let dir = std::path::Path::new(dir);
+            let (meta, inf) = crate::commands::load_fleet(dir)?;
+            if meta.partition.rank_count() != n_ranks {
+                return Err(format!(
+                    "--restore {}: checkpoint is partitioned over {} ranks but this world has \
+                     {n_ranks} — pass --ranks {}",
+                    dir.display(),
+                    meta.partition.rank_count(),
+                    meta.partition.rank_count()
+                ));
+            }
+            require_window_1("world-node", dir, &meta)?;
+            let (gh, gw) = (meta.partition.global_h(), meta.partition.global_w());
+            if gh != gw {
+                return Err(format!(
+                    "--restore {}: checkpoint covers a {gh}x{gw} grid; world-node regenerates \
+                     its initial state from the square built-in solver and needs gh == gw",
+                    dir.display()
+                ));
+            }
+            let initial = pde_euler::dataset::paper_dataset(gh, 2).snapshot(0).clone();
+            (inf, initial)
+        }
+    };
+    let mut inf = inf.with_halo_policy(policy);
+    if let Some(plan) = fault {
+        inf = inf.with_fault_plan(plan.clone());
     }
+    Ok((initial, inf))
 }
 
 /// What rank 0 learns about one lockstep world run.
@@ -158,12 +118,21 @@ struct WorldRun {
     /// [`ParallelInference::rollout_from_history`]'s: reset + steps +
     /// quiesce, alignment barriers excluded).
     traffic: Vec<TrafficReport>,
-    /// Per-request wall latency at rank 0 — the loop is lockstep, so rank
-    /// 0's request time is the world's.
-    latencies_ms: Vec<f64>,
 }
 
-fn traffic_to_f64(t: &TrafficReport) -> [f64; 6] {
+/// A peer-supplied `f64` that must be a non-negative whole number — how
+/// every count travels over the all-`f64` collectives.
+fn count_from_f64(v: f64, what: &str) -> Result<u64, String> {
+    // 2^53: above it an f64 no longer holds every integer.
+    if (0.0..=9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0 {
+        Ok(v as u64)
+    } else {
+        Err(format!("{what} {v} is not a count"))
+    }
+}
+
+/// Wire form of a [`TrafficReport`] for the end-of-run gather.
+fn encode_traffic(t: &TrafficReport) -> [f64; 6] {
     [
         t.msgs_sent as f64,
         t.bytes_sent as f64,
@@ -174,14 +143,82 @@ fn traffic_to_f64(t: &TrafficReport) -> [f64; 6] {
     ]
 }
 
-fn traffic_from_f64(v: &[f64]) -> TrafficReport {
-    TrafficReport {
-        msgs_sent: v[0] as u64,
-        bytes_sent: v[1] as u64,
-        msgs_received: v[2] as u64,
-        halos_lost: v[3] as u64,
-        halos_zero_filled: v[4] as u64,
-        halos_stale: v[5] as u64,
+fn decode_traffic(payload: &[f64]) -> Result<TrafficReport, String> {
+    let [sent, bytes, received, lost, zero_filled, stale] = payload else {
+        return Err(format!(
+            "traffic report has {} values, expected 6",
+            payload.len()
+        ));
+    };
+    let count = |v: &f64| count_from_f64(*v, "traffic counter");
+    Ok(TrafficReport {
+        msgs_sent: count(sent)?,
+        bytes_sent: count(bytes)?,
+        msgs_received: count(received)?,
+        halos_lost: count(lost)?,
+        halos_zero_filled: count(zero_filled)?,
+        halos_stale: count(stale)?,
+    })
+}
+
+/// Rank 0's membership verdict, broadcast at the top of every request of a
+/// self-healing world.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// Every peer is alive; serve the request.
+    Healthy,
+    /// `dead` ranks are gone: every rank rebuilds the mesh on loopback
+    /// `fresh_ports` (one per rank, dead ones included) under the next
+    /// epoch. A whole fresh set, because the old ports sit in TIME_WAIT.
+    Heal {
+        dead: Vec<usize>,
+        fresh_ports: Vec<u16>,
+    },
+}
+
+impl Verdict {
+    /// `[0]`, or `[1, n_dead, dead…, fresh ports…]`.
+    fn encode(&self) -> Vec<f64> {
+        match self {
+            Verdict::Healthy => vec![0.0],
+            Verdict::Heal { dead, fresh_ports } => [1.0, dead.len() as f64]
+                .into_iter()
+                .chain(dead.iter().map(|&r| r as f64))
+                .chain(fresh_ports.iter().map(|&p| f64::from(p)))
+                .collect(),
+        }
+    }
+
+    /// Decodes a verdict for a world of `n_ranks`. The payload arrived over
+    /// the network, so its length, tag and every index are checked.
+    fn decode(payload: &[f64], n_ranks: usize) -> Result<Verdict, String> {
+        let values: Vec<u64> = payload
+            .iter()
+            .map(|&v| count_from_f64(v, "verdict value"))
+            .collect::<Result<_, _>>()?;
+        let n = n_ranks as u64;
+        match values.as_slice() {
+            [0] => Ok(Verdict::Healthy),
+            [1, n_dead, rest @ ..]
+                if (1..=n).contains(n_dead) && rest.len() as u64 == n_dead + n =>
+            {
+                let (dead, ports) = rest.split_at(*n_dead as usize);
+                if let Some(r) = dead.iter().find(|&&r| r >= n) {
+                    return Err(format!("dead rank {r} is outside a {n}-rank world"));
+                }
+                let fresh_ports = ports
+                    .iter()
+                    .map(|&p| u16::try_from(p).map_err(|_| format!("port {p} exceeds 16 bits")))
+                    .collect::<Result<_, _>>()?;
+                Ok(Verdict::Heal {
+                    dead: dead.iter().map(|&r| r as usize).collect(),
+                    fresh_ports,
+                })
+            }
+            _ => Err(format!(
+                "{payload:?} is neither [0] nor [1, n_dead, dead…, ports…] for {n} ranks"
+            )),
+        }
     }
 }
 
@@ -213,23 +250,6 @@ fn parse_peers(spec: &str) -> Result<Vec<SocketAddr>, String> {
         return Err("--peers needs at least two comma-separated addresses".into());
     }
     Ok(peers)
-}
-
-/// `--fault` with the strict-policy guard shared by serve-bench.
-fn fault_from_args(args: &Args, policy: HaloPolicy) -> Result<Option<FaultPlan>, String> {
-    match args.get("fault") {
-        Some(spec) => {
-            if policy == HaloPolicy::Strict {
-                return Err(
-                    "--fault with --halo-policy strict would hang on the first lost halo; \
-                     pick zero-fill or last-known"
-                        .into(),
-                );
-            }
-            Ok(Some(FaultPlan::parse(spec)?))
-        }
-        None => Ok(None),
-    }
 }
 
 /// Per-rank serving parameters shared by worker and launch modes.
@@ -282,7 +302,7 @@ fn reserve_loopback_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
 /// Start/Next/Abort epoch handshake is the reference shape):
 ///
 /// 1. rank 0 inspects its transport's per-peer aliveness and broadcasts a
-///    verdict — `[0]` (healthy) or `[1, n_dead, dead…, fresh ports…]`;
+///    [`Verdict`];
 /// 2. on a heal verdict, rank 0 forks replacement processes (via the
 ///    [`HealDriver`]), then **every** rank drops its old mesh and
 ///    rendezvouses on the fresh addresses under the next epoch's
@@ -306,31 +326,30 @@ fn membership_round(
     heal: &mut Option<HealDriver<'_>>,
 ) -> Result<bool, String> {
     let n = part.rank_count();
-    let mut verdict = vec![0.0];
+    let mut verdict = Verdict::Healthy;
     let mut detect_t0 = None;
     if rank == 0 {
         let dead = cart.comm().dead_peers();
         if !dead.is_empty() {
             detect_t0 = Some(Instant::now());
-            let fresh = reserve_loopback_ports(n)?;
-            verdict = Vec::with_capacity(2 + dead.len() + n);
-            verdict.push(1.0);
-            verdict.push(dead.len() as f64);
-            verdict.extend(dead.iter().map(|&r| r as f64));
-            verdict.extend(fresh.iter().map(|a| f64::from(a.port())));
+            let fresh_ports = reserve_loopback_ports(n)?
+                .iter()
+                .map(SocketAddr::port)
+                .collect();
+            verdict = Verdict::Heal { dead, fresh_ports };
         }
     }
     // Root-to-all, so a dead non-root peer cannot break the broadcast
     // (writes to the dead are swallowed by the transport).
-    let verdict = cart.comm_mut().broadcast(0, verdict);
-    if verdict[0] == 0.0 {
+    let payload = cart.comm_mut().broadcast(0, verdict.encode());
+    let verdict = Verdict::decode(&payload, n)
+        .map_err(|e| format!("rank {rank}: bad membership verdict from rank 0: {e}"))?;
+    let Verdict::Heal { dead, fresh_ports } = verdict else {
         return Ok(false);
-    }
-    let n_dead = verdict[1] as usize;
-    let dead: Vec<usize> = verdict[2..2 + n_dead].iter().map(|&v| v as usize).collect();
-    let fresh: Vec<SocketAddr> = verdict[2 + n_dead..2 + n_dead + n]
+    };
+    let fresh: Vec<SocketAddr> = fresh_ports
         .iter()
-        .map(|&p| SocketAddr::from(([127, 0, 0, 1], p as u16)))
+        .map(|&p| SocketAddr::from(([127, 0, 0, 1], p)))
         .collect();
     *epoch += 1;
     if *epoch > MAX_RECOVERY_EPOCHS {
@@ -387,11 +406,10 @@ fn membership_round(
 /// requests of `steps` steps each. Returns the gathered [`WorldRun`] on
 /// rank 0, `None` elsewhere.
 ///
-/// The request protocol mirrors the warm engine's: an alignment barrier,
-/// a fresh monotonic generation, reset + steps, and (under a degrade
-/// policy) a quiesce barrier — with the traffic snapshot window starting
-/// *after* the alignment barrier so the per-request counters are
-/// comparable 1:1 with an in-process rollout's. With `opts.self_heal` a
+/// Each request is an alignment barrier, a fresh monotonic generation, and
+/// then [`RankRolloutState::serve_request`] — the same per-rank protocol
+/// the in-process drivers run, so its traffic window (which excludes the
+/// alignment barrier) is comparable 1:1 with theirs. With `opts.self_heal` a
 /// [`membership_round`] precedes every request; a healed world restarts
 /// the batch from request 0, so the evidence rank 0 gathers at the end is
 /// always from full-strength, bitwise-deterministic serves.
@@ -415,12 +433,11 @@ fn run_rank(
             part.rank_count()
         ));
     }
-    let window = inf.window();
     let history = [initial.clone()];
     inf.validate_history(&history).map_err(|e| e.to_string())?;
     let locals = inf.scatter_history(&history);
-    let degrade = matches!(inf.halo_policy(), HaloPolicy::Degrade { .. }) && inf.input_halo() > 0;
-    if opts.self_heal && !degrade {
+    let mut st = inf.rank_state(rank);
+    if opts.self_heal && !st.quiesces() {
         return Err(
             "--self-heal serves the kill-to-respawn gap with fallback halos, which needs \
              --halo-policy zero-fill or last-known (and a halo-exchanging fleet)"
@@ -432,7 +449,6 @@ fn run_rank(
     let comm = connect_tcp_world(rank, peers, epoch_base(epoch), opts.connect_timeout, fault)
         .map_err(|e| format!("rank {rank}: TCP rendezvous failed: {e}"))?;
     let mut cart = CartComm::new(comm, part.py(), part.px(), false);
-    let mut st = inf.rank_state(rank);
     // Survivors keep serving through the kill-to-respawn gap: a dead
     // neighbor degrades to the fallback strip instead of aborting the rank
     // (the degraded serves are discarded when the healed batch restarts).
@@ -455,15 +471,14 @@ fn run_rank(
 
     let requests = opts.requests;
     let steps = opts.steps;
-    let mut latencies_ms = Vec::with_capacity(requests);
     let mut req0_delta = TrafficReport::default();
     let mut req0_traj: Vec<Tensor3> = Vec::new();
+    let mut trajectory: Vec<Tensor3> = Vec::new();
     // A heal restarts the WHOLE batch: the degraded serves between the kill
     // and the detection are discarded, so every request in the evidence —
     // including the request-0 trajectory gathered below — was served by a
     // full-strength world and stays bitwise-deterministic.
     'batch: loop {
-        latencies_ms.clear();
         let mut req = 0;
         while req < requests {
             if opts.kill_at == Some(req) {
@@ -478,27 +493,17 @@ fn run_rank(
                 continue 'batch;
             }
             cart.comm_mut().barrier(); // alignment — outside the traffic window
-            let before = cart.comm().stats().report();
             cart.comm_mut()
                 .set_generation(epoch_base(epoch) | (req as u32 + 1));
-            st.reset(&locals[rank]);
             let t0 = Instant::now();
-            let mut produced = vec![st.latest().clone()];
-            for step in 0..steps {
-                produced.push(st.step(&mut cart, (step * window) as u32).clone());
-            }
-            if degrade {
-                cart.comm_mut().barrier(); // quiesce, same as the in-process rollout
-            }
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            latencies_ms.push(ms);
+            let served = st.serve_request(&mut cart, &locals[rank], steps, &mut trajectory, |_| {});
             if let Some((reqs, lat)) = live_requests {
                 reqs.inc(pde_telemetry::DRIVER);
-                lat.record((ms * 1e3) as u64);
+                lat.record(t0.elapsed().as_micros() as u64);
             }
             if req == 0 {
-                req0_delta = cart.comm().stats().report().since(&before);
-                req0_traj = produced;
+                req0_delta = served.traffic;
+                req0_traj.clone_from(&trajectory);
             }
             req += 1;
         }
@@ -520,7 +525,7 @@ fn run_rank(
         .flat_map(|t| t.as_slice().iter().copied())
         .collect();
     let gathered_traj = cart.comm_mut().gather(0, &flat);
-    let gathered_traffic = cart.comm_mut().gather(0, &traffic_to_f64(&req0_delta));
+    let gathered_traffic = cart.comm_mut().gather(0, &encode_traffic(&req0_delta));
     let Some(trajs) = gathered_traj else {
         return Ok(None); // worker ranks are done; Drop sends the FIN
     };
@@ -547,10 +552,14 @@ fn run_rank(
                 .collect(),
         );
     }
+    let traffic = reports
+        .iter()
+        .enumerate()
+        .map(|(r, v)| decode_traffic(v).map_err(|e| format!("rank {r}: {e}")))
+        .collect::<Result<_, String>>()?;
     Ok(Some(WorldRun {
         states: inf.stitch_states(initial, &histories, steps),
-        traffic: reports.iter().map(|v| traffic_from_f64(v)).collect(),
-        latencies_ms,
+        traffic,
     }))
 }
 
@@ -610,7 +619,7 @@ fn worker(args: &Args) -> Result<(), String> {
     let requests: usize = args.get_or("requests", 8)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
-    let fault_plan = fault_from_args(args, policy)?;
+    let fault_plan = fault_plan_from_args(args, policy, peers.len())?;
     let connect_ms: u64 = args.get_or("connect-timeout-ms", 30_000)?;
     let respawn = args.flag("respawn");
     let start_epoch: u32 = args.get_or("epoch", 0)?;
@@ -689,10 +698,10 @@ fn launch(args: &Args) -> Result<(), String> {
     let requests: usize = args.get_or("requests", 8)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
-    let fault_plan = fault_from_args(args, policy)?;
+    let fault_plan = fault_plan_from_args(args, policy, n)?;
     let connect_ms: u64 = args.get_or("connect-timeout-ms", 30_000)?;
     let hold_ms: u64 = args.get_or("hold-ms", 0)?;
-    let self_heal = args.flag("self-heal");
+    let self_heal = self_heal_from_args(args, policy)?;
 
     // `--kill-rank-at RANK:REQ` — chaos: child RANK exits abruptly at the
     // top of request REQ; the membership protocol must detect, respawn and
@@ -710,13 +719,6 @@ fn launch(args: &Args) -> Result<(), String> {
                 .trim()
                 .parse()
                 .map_err(|_| format!("--kill-rank-at request '{q}' is not a request index"))?;
-            if !self_heal {
-                return Err(
-                    "--kill-rank-at kills a rank mid-batch, which only ends well with \
-                     --self-heal (otherwise the survivors hang or abort)"
-                        .into(),
-                );
-            }
             if rank == 0 || rank >= n {
                 return Err(format!(
                     "--kill-rank-at rank {rank} must be a child rank (1..={})",
@@ -766,18 +768,7 @@ fn launch(args: &Args) -> Result<(), String> {
             }
         });
     }
-    let mut exporter = match args.get("metrics-addr") {
-        Some(addr) => {
-            let e = pde_telemetry::exporter::serve(addr, health.clone())
-                .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
-            println!(
-                "metrics: http://{}/metrics (also /healthz, /readyz)",
-                e.local_addr()
-            );
-            Some(e)
-        }
-        None => None,
-    };
+    let mut exporter = start_exporter(args, &health)?;
 
     // Pick N free loopback ports by binding ephemeral listeners, recording
     // the assigned addresses and releasing them — the usual pre-fork
@@ -958,86 +949,6 @@ fn launch(args: &Args) -> Result<(), String> {
          counters identical"
     );
 
-    // Channel comparison: the same fleet behind the warm in-process engine,
-    // one unmeasured warm-up to pay residency costs.
-    let mut engine_cfg = EngineConfig::new(n);
-    if let Some(plan) = fault_plan.clone() {
-        engine_cfg = engine_cfg.with_fault_plan(plan);
-    }
-    let mut engine = InferEngine::with_config(engine_cfg);
-    engine
-        .register("serve", inf.clone())
-        .expect("register serve model");
-    engine
-        .rollout("serve", &initial, steps)
-        .map_err(|e| format!("channel warm-up failed: {e}"))?;
-    let mut channel_ms = Vec::with_capacity(requests);
-    let channel_t0 = Instant::now();
-    for _ in 0..requests {
-        let t = Instant::now();
-        engine
-            .rollout("serve", &initial, steps)
-            .map_err(|e| format!("channel request failed: {e}"))?;
-        channel_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let channel_s = channel_t0.elapsed().as_secs_f64();
-
-    // Perfmodel projection: per-step halo exchange on the modeled cluster
-    // network (x strips are h×halo×c values each way, y strips span the
-    // padded width), times `steps` exchanges per request.
-    let part = *inf.partition();
-    let halo = inf.input_halo();
-    let block = part.block_of_rank(0);
-    let (c, _, _) = initial.shape();
-    let x_bytes = c * block.h * halo * 8;
-    let y_bytes = c * (block.w + 2 * halo) * halo * 8;
-    let projected_ms = pde_perfmodel::NetworkModel::cluster_default()
-        .halo_exchange(x_bytes, y_bytes)
-        * steps as f64
-        * 1e3;
-
-    let mut tcp_ms = run.latencies_ms.clone();
-    tcp_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    channel_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let tcp_s: f64 = run.latencies_ms.iter().sum::<f64>() / 1e3;
-    let tcp_rps = requests as f64 / tcp_s.max(1e-12);
-    let channel_rps = requests as f64 / channel_s.max(1e-12);
-    println!(
-        "tcp ({n} processes): {tcp_rps:.1} req/s, p50 {} ms, p99 {} ms",
-        fmt_ms(percentile(&tcp_ms, 50.0)),
-        fmt_ms(percentile(&tcp_ms, 99.0)),
-    );
-    println!(
-        "channel (warm engine, in-process): {channel_rps:.1} req/s, p50 {} ms, p99 {} ms",
-        fmt_ms(percentile(&channel_ms, 50.0)),
-        fmt_ms(percentile(&channel_ms, 99.0)),
-    );
-    println!(
-        "perfmodel: projected halo traffic {projected_ms:.4} ms/request on the modeled \
-         cluster network ({steps} exchanges)"
-    );
-
-    if let Some(out) = args.get("out") {
-        let json = format!(
-            "{{\n  \"world\": {{ \"ranks\": {n}, \"requests\": {requests}, \"steps\": {steps}, \
-             \"grid_h\": {}, \"grid_w\": {} }},\n  \
-             \"bitwise_match_vs_channel\": true,\n  \
-             \"traffic_counters_equal\": true,\n  \
-             \"tcp_multiprocess\": {{ \"requests_per_sec\": {tcp_rps:.2}, \"p50_ms\": {}, \
-             \"p99_ms\": {} }},\n  \
-             \"channel_warm\": {{ \"requests_per_sec\": {channel_rps:.2}, \"p50_ms\": {}, \
-             \"p99_ms\": {} }},\n  \
-             \"perfmodel_projected_comm_ms_per_request\": {projected_ms:.4}\n}}\n",
-            part.global_h(),
-            part.global_w(),
-            json_num(percentile(&tcp_ms, 50.0)),
-            json_num(percentile(&tcp_ms, 99.0)),
-            json_num(percentile(&channel_ms, 50.0)),
-            json_num(percentile(&channel_ms, 99.0)),
-        );
-        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
-    }
     hold_and_stop_exporter(&mut exporter, hold_ms);
     Ok(())
 }
@@ -1067,6 +978,76 @@ mod tests {
             halos_zero_filled: 2,
             halos_stale: 1,
         };
-        assert_eq!(traffic_from_f64(&traffic_to_f64(&t)), t);
+        assert_eq!(decode_traffic(&encode_traffic(&t)), Ok(t));
+    }
+
+    #[test]
+    fn malformed_traffic_reports_are_errors_not_panics() {
+        assert!(decode_traffic(&[]).is_err(), "empty");
+        assert!(decode_traffic(&[1.0; 5]).is_err(), "short");
+        assert!(decode_traffic(&[1.0; 7]).is_err(), "long");
+        for bad in [0.5, -1.0, f64::NAN, f64::INFINITY, 1e300] {
+            let mut payload = [1.0; 6];
+            payload[3] = bad;
+            assert!(decode_traffic(&payload).is_err(), "{bad} is not a count");
+        }
+    }
+
+    #[test]
+    fn verdicts_round_trip() {
+        for verdict in [
+            Verdict::Healthy,
+            Verdict::Heal {
+                dead: vec![2],
+                fresh_ports: vec![40_000, 40_001, 40_002, 65_535],
+            },
+            Verdict::Heal {
+                dead: vec![1, 3],
+                fresh_ports: vec![1, 2, 3, 4],
+            },
+        ] {
+            assert_eq!(Verdict::decode(&verdict.encode(), 4), Ok(verdict));
+        }
+    }
+
+    #[test]
+    fn malformed_verdicts_are_errors_not_panics() {
+        let heal = Verdict::Heal {
+            dead: vec![2],
+            fresh_ports: vec![40_000, 40_001, 40_002, 40_003],
+        }
+        .encode();
+        assert!(Verdict::decode(&heal, 4).is_ok());
+        let mutated = |at: usize, v: f64| {
+            let mut p = heal.clone();
+            p[at] = v;
+            p
+        };
+        for (what, payload) in [
+            ("empty", vec![]),
+            ("unknown tag", vec![2.0]),
+            ("NaN tag", vec![f64::NAN]),
+            ("healthy with trailing values", vec![0.0, 1.0]),
+            ("heal with nothing else", vec![1.0]),
+            ("one port short", heal[..heal.len() - 1].to_vec()),
+            ("one value long", [heal.as_slice(), &[1.0]].concat()),
+            ("dead count larger than the payload", mutated(1, 3.0)),
+            ("dead count larger than the world", mutated(1, 9.0)),
+            ("zero dead ranks", vec![1.0, 0.0, 1.0, 2.0, 3.0, 4.0]),
+            ("fractional dead count", mutated(1, 1.5)),
+            ("negative dead count", mutated(1, -1.0)),
+            ("dead rank outside the world", mutated(2, 4.0)),
+            ("fractional dead rank", mutated(2, 0.5)),
+            ("port over 16 bits", mutated(3, 65_536.0)),
+            ("negative port", mutated(4, -1.0)),
+            ("NaN port", mutated(5, f64::NAN)),
+        ] {
+            assert!(Verdict::decode(&payload, 4).is_err(), "{what}: {payload:?}");
+        }
+        // The payload must fit the world it is decoded for.
+        assert!(
+            Verdict::decode(&heal, 3).is_err(),
+            "ports for 4 ranks, world of 3"
+        );
     }
 }

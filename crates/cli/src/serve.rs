@@ -1,12 +1,14 @@
 //! `pdeml serve` — the HTTP inference front end over the concurrent
-//! scheduler, plus the `--saturation` sweep that measures it under load.
+//! scheduler.
 //!
 //! The server splits one persistent world into `--sub-worlds` disjoint
 //! sub-worlds ([`pde_commsim::World::split_even`]), wraps each in an
 //! engine and fans requests out through
 //! [`pde_ml_core::schedule::Scheduler`] — bounded queue, LRU residency,
-//! SLO-aware admission. The listener is the same std-only pattern as the
-//! telemetry exporter, extended to read `Content-Length` bodies.
+//! SLO-aware admission. The listener, request reader, response framing and
+//! the `/metrics` `/healthz` `/readyz` routes are [`pde_telemetry::http`] —
+//! the same code the metrics exporter runs; this file adds the inference
+//! routes.
 //!
 //! Wire format (plain text, one token stream per line):
 //!
@@ -22,8 +24,7 @@
 //! included), or a typed failure: `400` malformed request, `404` unknown
 //! model, `429` shed by admission (queue full / SLO breach), `503`
 //! unhealthy. `GET /v1/example` returns a ready-to-POST request body for
-//! the registered model; `/metrics`, `/healthz`, `/readyz` behave exactly
-//! like the exporter's; `POST /shutdown` stops the server (for CI).
+//! the registered model; `POST /shutdown` stops the server (for CI).
 //!
 //! Every `/v1/rollout` response — success or rejection — carries the
 //! request id allocated at ingress (`X-PDEML-Request-Id`) and a
@@ -36,24 +37,14 @@
 
 use crate::args::Args;
 use pde_commsim::{TransportKind, World};
-use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::prelude::*;
+use pde_telemetry::health::HealthModel;
+use pde_telemetry::http::{ops_route, Listener, Request, Response, StopHandle, MAX_REQUEST_BODY};
 use pde_tensor::Tensor3;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Largest request head (line + headers) we will buffer.
-const MAX_REQUEST_HEAD: usize = 4096;
-/// Largest request body we will buffer — a window of states for a big
-/// grid is ~1 MB; 16 MB leaves headroom without letting a rogue client
-/// exhaust memory.
-const MAX_REQUEST_BODY: usize = 16 << 20;
-/// Per-connection read budget.
-const REQUEST_DEADLINE: Duration = Duration::from_millis(2000);
+use std::time::Instant;
 
 /// Sampled JSONL access log for `/v1/rollout`: one line per kept request
 /// with the request id and the phase-latency split, so a slow request can
@@ -143,41 +134,6 @@ fn server_timing(phases: &RequestPhases) -> String {
     )
 }
 
-/// Builds the model this server registers: `--quick` trains the tiny test
-/// net, otherwise `--model` loads a checkpoint directory.
-fn build_model(args: &Args) -> Result<(ParallelInference, Tensor3, String), String> {
-    if args.flag("quick") {
-        let ranks: usize = args.get_or("ranks-per-world", 2)?;
-        let data = pde_euler::dataset::paper_dataset(16, 8);
-        let arch = ArchSpec::tiny();
-        let outcome = ParallelTrainer::new(
-            arch.clone(),
-            PaddingStrategy::ZeroPad,
-            TrainConfig::quick_test(),
-        )
-        .train_view(&data, 6, ranks)
-        .map_err(|e| e.to_string())?;
-        let inf = ParallelInference::from_outcome(arch, PaddingStrategy::ZeroPad, &outcome);
-        let initial = data.snapshot(0).clone();
-        Ok((inf, initial, "built-in 16x16 paper pulse (--quick)".into()))
-    } else {
-        let model_dir = PathBuf::from(args.require("model")?);
-        let (meta, inf) = crate::commands::load_fleet(&model_dir)?;
-        let data_path = PathBuf::from(args.require("data")?);
-        let data = pde_euler::DataSet::load(&data_path)
-            .map_err(|e| format!("cannot load {}: {e}", data_path.display()))?;
-        if meta.window != 1 {
-            return Err(format!(
-                "serve drives single-state requests but the model was trained with a \
-                 window of {} — retrain with --window 1 (or use --quick)",
-                meta.window
-            ));
-        }
-        let initial = data.snapshot(data.len() - 1).clone();
-        Ok((inf, initial, model_dir.display().to_string()))
-    }
-}
-
 /// Splits a fresh world into sub-worlds, wires per-sub-world health
 /// checks, and brings up the scheduler with the model registered.
 fn build_scheduler(
@@ -185,56 +141,16 @@ fn build_scheduler(
     sub_worlds: usize,
     transport: TransportKind,
     cfg: SchedulerConfig,
-    health: &Arc<pde_telemetry::health::HealthModel>,
+    health: &Arc<HealthModel>,
 ) -> Result<Scheduler, String> {
     let ranks = inf.partition().rank_count();
-    let subs = World::new(ranks * sub_worlds)
+    let engines: Vec<InferEngine> = World::new(ranks * sub_worlds)
         .with_transport(transport)
-        .split_even(sub_worlds)?;
-    let mut poisoned = Vec::new();
-    let mut alive = Vec::new();
-    let engines: Vec<InferEngine> = subs
+        .split_even(sub_worlds)?
         .into_iter()
-        .map(|sub| {
-            let engine = InferEngine::from_world(sub, EngineConfig::new(0));
-            poisoned.push(engine.poisoned_flag());
-            alive.push(engine.alive_flags());
-            engine
-        })
+        .map(|sub| InferEngine::from_world(sub, EngineConfig::new(0)))
         .collect();
-    health.register("sub_worlds_alive", move || {
-        use pde_telemetry::health::CheckStatus;
-        let dead = poisoned
-            .iter()
-            .filter(|p| p.load(Ordering::Acquire))
-            .count();
-        if dead == 0 {
-            CheckStatus::Ok
-        } else if dead < poisoned.len() {
-            CheckStatus::Degraded(format!("{dead}/{} sub-worlds poisoned", poisoned.len()))
-        } else {
-            CheckStatus::Failed("every sub-world is poisoned".into())
-        }
-    });
-    health.register("ranks_alive", move || {
-        use pde_telemetry::health::CheckStatus;
-        let dead: Vec<String> = alive
-            .iter()
-            .enumerate()
-            .flat_map(|(sw, flags)| {
-                flags
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| !a.load(Ordering::Acquire))
-                    .map(move |(r, _)| format!("{sw}.{r}"))
-            })
-            .collect();
-        if dead.is_empty() {
-            CheckStatus::Ok
-        } else {
-            CheckStatus::Failed(format!("dead ranks (sub-world.rank): {}", dead.join(",")))
-        }
-    });
+    crate::fleet::register_engine_health(health, "sub_worlds_alive", &engines);
     let sched = Scheduler::new(engines, cfg.with_health(health.clone()));
     sched
         .register("serve", inf.clone())
@@ -242,19 +158,13 @@ fn build_scheduler(
     Ok(sched)
 }
 
-/// `pdeml serve` — dispatches to the saturation sweep or the HTTP server.
+/// `pdeml serve` — the HTTP server.
 pub fn serve(args: &Args) -> Result<(), String> {
-    if args.flag("saturation") {
-        return saturation(args);
-    }
     let sub_worlds: usize = args.get_or("sub-worlds", 2)?;
     let queue_depth: usize = args.get_or("queue-depth", 32)?;
     let max_models: usize = args.get_or("max-models", 8)?;
     let slo_ms: u64 = args.get_or("slo-ms", 0)?;
-    let transport = match args.get("transport") {
-        Some(spec) => TransportKind::parse(spec)?,
-        None => TransportKind::default(),
-    };
+    let transport = crate::commands::transport_from_args(args)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
     let access_log = match args.get("access-log") {
         Some(path) => {
@@ -263,10 +173,10 @@ pub fn serve(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let access_log = Arc::new(access_log);
     let trace_out = args.get("trace-out").map(str::to_string);
 
-    let (inf, initial, source) = build_model(args)?;
+    let (inf, initial, source) =
+        crate::fleet::fleet_from_args(args, "serve", args.get_or("ranks-per-world", 2)?)?;
     let ranks = inf.partition().rank_count();
     let mut cfg = SchedulerConfig::default()
         .with_queue_depth(queue_depth)
@@ -279,8 +189,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // rank jobs of every request they dispatch, which is how serve-path
     // spans (tagged with the request id) end up in this trace.
     let trace = trace_out.as_ref().map(|_| pde_trace::begin());
-    let health = Arc::new(pde_telemetry::health::HealthModel::new());
-    let sched = Arc::new(build_scheduler(&inf, sub_worlds, transport, cfg, &health)?);
+    let health = Arc::new(HealthModel::new());
+    let sched = build_scheduler(&inf, sub_worlds, transport, cfg, &health)?;
     // Unmeasured warm-up requests pay residency costs (model restore,
     // scratch sizing) before traffic arrives. Sequential on purpose: a
     // tiny --queue-depth must not shed the server's own warm-up.
@@ -292,14 +202,12 @@ pub fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("warm-up request failed: {e}"))?;
     }
 
-    let listener = TcpListener::bind(addr).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("no local addr: {e}"))?;
+    let listener = Listener::bind(addr).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     println!(
-        "serving on http://{local} — model 'serve' from {source} \
+        "serving on http://{} — model 'serve' from {source} \
          ({sub_worlds} sub-world(s) x {ranks} ranks, {} transport, \
          queue {queue_depth}, slo {})",
+        listener.local_addr(),
         transport.label(),
         if slo_ms > 0 {
             format!("{slo_ms} ms")
@@ -309,37 +217,19 @@ pub fn serve(args: &Args) -> Result<(), String> {
     );
     println!("POST /v1/rollout (GET /v1/example for a request body); /metrics /healthz /readyz; POST /shutdown to stop");
 
-    let stop = Arc::new(AtomicBool::new(false));
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let sched = sched.clone();
-        let health = health.clone();
-        let stop = stop.clone();
-        let initial = initial.clone();
-        let access_log = access_log.clone();
-        let window = inf.window();
-        // Thread-per-connection: request handling blocks on the scheduler
-        // (possibly for a whole queued rollout), and admission control —
-        // not connection count — is the concurrency limiter.
-        std::thread::spawn(move || {
-            let _ = handle_conn(
-                stream,
-                &sched,
-                &health,
-                &stop,
-                &initial,
-                window,
-                &access_log,
-            );
-        });
-    }
-    drop(listener);
-    println!("shutdown requested; draining scheduler…");
-    // Dropping the scheduler joins its dispatchers after the queue drains.
-    drop(sched);
+    let server = Server {
+        sched,
+        health,
+        stop: listener.stop_handle(),
+        initial,
+        window: inf.window(),
+        access_log,
+    };
+    // Returns once /shutdown was answered and every connection has closed;
+    // dropping the server's scheduler then joins its dispatchers after the
+    // queue drains.
+    listener.run(move |request| server.route(&request));
+    println!("shutdown requested; scheduler drained");
     if let (Some(path), Some(handle)) = (trace_out, trace) {
         let json = handle.finish().chrome_json();
         std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -348,193 +238,81 @@ pub fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads one HTTP request: head to `\r\n\r\n`, then `Content-Length`
-/// bytes of body (the exporter's reader stops at the head; an inference
-/// request *is* its body, so this one keeps going).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, Vec<u8>)> {
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_REQUEST_HEAD || Instant::now() > deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request head too large or too slow",
-            ));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-head",
-                ))
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
-            Err(e) => return Err(e),
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-    let content_length = head
-        .lines()
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > MAX_REQUEST_BODY {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
-    }
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        if Instant::now() > deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "request body too slow",
-            ));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    body.truncate(content_length);
-    Ok((head, body))
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn respond(stream: &mut TcpStream, status: &str, body: &str) -> std::io::Result<()> {
-    respond_with(stream, status, "", body)
-}
-
-/// Like [`respond`] with extra header lines (each `\r\n`-terminated) —
-/// the rollout route uses this for `X-PDEML-Request-Id`/`Server-Timing`.
-fn respond_with(
-    stream: &mut TcpStream,
-    status: &str,
-    extra_headers: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; charset=utf-8\r\n\
-         Content-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_conn(
-    mut stream: TcpStream,
-    sched: &Scheduler,
-    health: &pde_telemetry::health::HealthModel,
-    stop: &AtomicBool,
-    initial: &Tensor3,
+/// Everything a connection thread needs to answer a request.
+struct Server {
+    sched: Scheduler,
+    health: Arc<HealthModel>,
+    stop: StopHandle,
+    initial: Tensor3,
     window: usize,
-    access_log: &Option<AccessLog>,
-) -> std::io::Result<()> {
-    let (head, body) = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = respond(&mut stream, "400 Bad Request", &format!("{e}\n"));
-            return Ok(());
+    access_log: Option<AccessLog>,
+}
+
+impl Server {
+    fn route(&self, request: &Request) -> Response {
+        if let Some(response) = ops_route(request, &self.health) {
+            return response;
         }
-    };
-    let mut first = head.lines().next().unwrap_or("").split_whitespace();
-    let method = first.next().unwrap_or("");
-    let path = first.next().unwrap_or("/");
-    match (method, path) {
-        ("GET", "/metrics") => respond(&mut stream, "200 OK", &pde_telemetry::render_prometheus()),
-        ("GET", "/healthz") => {
-            let report = health.report();
-            let status = if report.overall != pde_telemetry::health::Health::Unhealthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            respond(&mut stream, status, &report.describe())
-        }
-        ("GET", "/readyz") => {
-            let report = health.report();
-            let status = if report.overall == pde_telemetry::health::Health::Healthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            respond(&mut stream, status, &report.describe())
-        }
-        ("GET", "/v1/example") => {
-            let mut body = String::from("model serve\nsteps 2\n");
-            for _ in 0..window {
-                body.push_str(&encode_state(initial));
-            }
-            respond(&mut stream, "200 OK", &body)
-        }
-        ("POST", "/v1/rollout") => {
-            let text = String::from_utf8_lossy(&body);
-            let (model, steps, history) = match parse_rollout_request(&text) {
-                Ok(parsed) => parsed,
-                Err(e) => return respond(&mut stream, "400 Bad Request", &format!("{e}\n")),
-            };
-            // The request id is allocated at ingress, before admission, so
-            // even a shed request has an id its 429 can be correlated by.
-            let id = RequestId::fresh();
-            let ingress = Instant::now();
-            // Admission happens inside submit; the wait happens here, on
-            // this connection's thread.
-            let (result, phases) = match sched.submit_with_id(id, &model, &history, steps) {
-                Ok(ticket) => ticket.wait_traced(),
-                Err(e) => (Err(e), RequestPhases::default()),
-            };
-            let total_us = ingress.elapsed().as_micros() as u64;
-            let (status, body_out) = match result {
-                Ok(rollout) => {
-                    let mut b = format!("steps {}\n", rollout.states.len() - 1);
-                    for state in &rollout.states {
-                        b.push_str(&encode_state(state));
-                    }
-                    ("200 OK", b)
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/v1/example") => {
+                let mut body = String::from("model serve\nsteps 2\n");
+                for _ in 0..self.window {
+                    body.push_str(&encode_state(&self.initial));
                 }
-                Err(e) => (status_for(&e), format!("{e}\n")),
-            };
-            if let Some(log) = access_log {
-                let ts_ms = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_millis() as u64)
-                    .unwrap_or(0);
-                log.record(&access_log_line(
-                    ts_ms, id, &model, steps, status, &phases, total_us,
-                ));
+                Response::text("200 OK", body)
             }
-            let headers = format!(
+            ("POST", "/v1/rollout") => self.rollout(&request.body),
+            ("POST", "/shutdown") => {
+                self.stop.stop();
+                Response::text("200 OK", "shutting down\n")
+            }
+            _ => Response::text("404 Not Found", "unknown route\n"),
+        }
+    }
+
+    fn rollout(&self, body: &[u8]) -> Response {
+        let text = String::from_utf8_lossy(body);
+        let (model, steps, history) = match parse_rollout_request(&text) {
+            Ok(parsed) => parsed,
+            Err(e) => return Response::text("400 Bad Request", format!("{e}\n")),
+        };
+        // The request id is allocated at ingress, before admission, so
+        // even a shed request has an id its 429 can be correlated by.
+        let id = RequestId::fresh();
+        let ingress = Instant::now();
+        // Admission happens inside submit; the wait happens here, on
+        // this connection's thread.
+        let (result, phases) = match self.sched.submit_with_id(id, &model, &history, steps) {
+            Ok(ticket) => ticket.wait_traced(),
+            Err(e) => (Err(e), RequestPhases::default()),
+        };
+        let total_us = ingress.elapsed().as_micros() as u64;
+        let (status, body_out) = match result {
+            Ok(rollout) => {
+                let mut b = format!("steps {}\n", rollout.states.len() - 1);
+                for state in &rollout.states {
+                    b.push_str(&encode_state(state));
+                }
+                ("200 OK", b)
+            }
+            Err(e) => (status_for(&e), format!("{e}\n")),
+        };
+        if let Some(log) = &self.access_log {
+            let ts_ms = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_millis() as u64)
+                .unwrap_or(0);
+            log.record(&access_log_line(
+                ts_ms, id, &model, steps, status, &phases, total_us,
+            ));
+        }
+        Response {
+            extra_headers: format!(
                 "X-PDEML-Request-Id: {id}\r\nServer-Timing: {}\r\n",
                 server_timing(&phases)
-            );
-            respond_with(&mut stream, status, &headers, &body_out)
+            ),
+            ..Response::text(status, body_out)
         }
-        ("POST", "/shutdown") => {
-            stop.store(true, Ordering::Release);
-            let r = respond(&mut stream, "200 OK", "shutting down\n");
-            // Poke the accept loop awake so it observes the stop flag.
-            if let Ok(addr) = stream.local_addr() {
-                let _ = TcpStream::connect(addr);
-            }
-            r
-        }
-        _ => respond(&mut stream, "404 Not Found", "unknown route\n"),
     }
 }
 
@@ -635,217 +413,244 @@ fn parse_rollout_request(text: &str) -> Result<(String, usize, Vec<Tensor3>), St
     Ok((model, steps, history))
 }
 
-/// One measured point of the saturation sweep.
-struct LoadPoint {
-    sub_worlds: usize,
-    offered_rps: f64,
-    served: usize,
-    rejected: usize,
-    p999_ms: Option<f64>,
-    /// Queue-wait percentiles over served requests — how much of the tail
-    /// is waiting versus computing at this offered load.
-    queue_p50_ms: Option<f64>,
-    queue_p99_ms: Option<f64>,
-}
-
-/// `pdeml serve --saturation` — open-loop offered-load sweep against the
-/// scheduler (no HTTP in the measured path), at 1/2/4 sub-worlds. Each
-/// request is submitted at its scheduled arrival time from its own thread,
-/// so a saturated scheduler sheds (bounded queue) instead of the load
-/// generator slowing down — that is what makes "offered" load offered.
-fn saturation(args: &Args) -> Result<(), String> {
-    let steps: usize = args.get_or("steps", 2)?;
-    let queue_depth: usize = args.get_or("queue-depth", 8)?;
-    let per_point: usize = args.get_or("requests", 96)?;
-    let transport = match args.get("transport") {
-        Some(spec) => TransportKind::parse(spec)?,
-        None => TransportKind::default(),
-    };
-    let sub_world_counts: Vec<usize> = args
-        .get("sub-worlds-list")
-        .unwrap_or("1,2,4")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("--sub-worlds-list: not a number: {t}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let (inf, initial, source) = build_model(args)?;
-    let ranks = inf.partition().rank_count();
-
-    // Calibrate: closed-loop serial throughput of one sub-world sets the
-    // sweep's unit of offered load, so the ladder lands around saturation
-    // on any machine.
-    let health = Arc::new(pde_telemetry::health::HealthModel::new());
-    let base_rps = {
-        let sched = build_scheduler(
-            &inf,
-            1,
-            transport,
-            SchedulerConfig::default().with_queue_depth(queue_depth),
-            &health,
-        )?;
-        let n = 24usize;
-        // First request pays residency; excluded from the measured window.
-        sched
-            .submit("serve", std::slice::from_ref(&initial), steps)
-            .map_err(|e| e.to_string())?
-            .wait()
-            .map_err(|e| e.to_string())?;
-        let t0 = Instant::now();
-        for _ in 0..n {
-            sched
-                .submit("serve", std::slice::from_ref(&initial), steps)
-                .map_err(|e| e.to_string())?
-                .wait()
-                .map_err(|e| e.to_string())?;
-        }
-        n as f64 / t0.elapsed().as_secs_f64()
-    };
-    println!(
-        "saturation: {source} ({ranks} ranks/sub-world, {} transport, steps {steps}, \
-         queue {queue_depth}); single sub-world closed-loop {base_rps:.1} req/s",
-        transport.label()
-    );
-    println!(
-        "{:>10} {:>12} {:>8} {:>9} {:>10} {:>9} {:>9} {:>9}",
-        "sub-worlds",
-        "offered r/s",
-        "served",
-        "rejected",
-        "p99.9 ms",
-        "q p50 ms",
-        "q p99 ms",
-        "rej rate"
-    );
-
-    let ladder = [0.5, 1.0, 1.5, 2.0, 3.0];
-    let mut points: Vec<LoadPoint> = Vec::new();
-    for &sub_worlds in &sub_world_counts {
-        let health = Arc::new(pde_telemetry::health::HealthModel::new());
-        let sched = Arc::new(build_scheduler(
-            &inf,
-            sub_worlds,
-            transport,
-            SchedulerConfig::default().with_queue_depth(queue_depth),
-            &health,
-        )?);
-        // Warm every sub-world before measuring.
-        let warm: Vec<Ticket> = (0..sub_worlds * 2)
-            .map(|_| {
-                sched
-                    .submit("serve", std::slice::from_ref(&initial), steps)
-                    .map_err(|e| e.to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        for t in warm {
-            t.wait().map_err(|e| e.to_string())?;
-        }
-        for &mult in &ladder {
-            let offered = base_rps * mult;
-            let interval = Duration::from_secs_f64(1.0 / offered);
-            let t0 = Instant::now() + Duration::from_millis(20);
-            let handles: Vec<_> = (0..per_point)
-                .map(|k| {
-                    let sched = sched.clone();
-                    let initial = initial.clone();
-                    std::thread::spawn(move || {
-                        let due = t0 + interval * k as u32;
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let submitted = Instant::now();
-                        match sched.submit("serve", std::slice::from_ref(&initial), steps) {
-                            Ok(ticket) => {
-                                let (result, phases) = ticket.wait_traced();
-                                match result {
-                                    Ok(_) => Ok((
-                                        submitted.elapsed().as_secs_f64() * 1e3,
-                                        phases.queue_us as f64 / 1e3,
-                                    )),
-                                    Err(e) => Err(e),
-                                }
-                            }
-                            Err(e) => Err(e),
-                        }
-                    })
-                })
-                .collect();
-            let mut latencies = Vec::new();
-            let mut queue_waits = Vec::new();
-            let mut rejected = 0usize;
-            for h in handles {
-                match h.join().expect("load thread") {
-                    Ok((ms, queue_ms)) => {
-                        latencies.push(ms);
-                        queue_waits.push(queue_ms);
-                    }
-                    Err(InferError::Rejected { .. }) => rejected += 1,
-                    Err(e) => return Err(format!("saturation request failed: {e}")),
-                }
-            }
-            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            queue_waits.sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
-            let p999 = crate::commands::percentile(&latencies, 99.9);
-            let queue_p50 = crate::commands::percentile(&queue_waits, 50.0);
-            let queue_p99 = crate::commands::percentile(&queue_waits, 99.0);
-            let rate = rejected as f64 / per_point as f64;
-            println!(
-                "{sub_worlds:>10} {offered:>12.1} {:>8} {rejected:>9} {:>10} {:>9} {:>9} {rate:>9.3}",
-                latencies.len(),
-                crate::commands::fmt_ms(p999),
-                crate::commands::fmt_ms(queue_p50),
-                crate::commands::fmt_ms(queue_p99),
-            );
-            points.push(LoadPoint {
-                sub_worlds,
-                offered_rps: offered,
-                served: latencies.len(),
-                rejected,
-                p999_ms: p999,
-                queue_p50_ms: queue_p50,
-                queue_p99_ms: queue_p99,
-            });
-        }
-    }
-
-    if let Some(out) = args.get("out") {
-        let rows: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{ \"sub_worlds\": {}, \"offered_rps\": {:.1}, \"served\": {}, \
-                     \"rejected\": {}, \"p999_ms\": {}, \"queue_p50_ms\": {}, \
-                     \"queue_p99_ms\": {}, \"rejection_rate\": {:.4} }}",
-                    p.sub_worlds,
-                    p.offered_rps,
-                    p.served,
-                    p.rejected,
-                    crate::commands::json_num(p.p999_ms),
-                    crate::commands::json_num(p.queue_p50_ms),
-                    crate::commands::json_num(p.queue_p99_ms),
-                    p.rejected as f64 / per_point as f64
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"base_rps\": {base_rps:.1},\n  \"steps\": {steps},\n  \
-             \"queue_depth\": {queue_depth},\n  \"requests_per_point\": {per_point},\n  \
-             \"transport\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
-            transport.label(),
-            rows.join(",\n")
-        );
-        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pde_telemetry::http::{MAX_REQUEST_HEAD, REQUEST_DEADLINE};
+    use std::io::Read;
+    use std::net::{Shutdown, SocketAddr, TcpStream};
+    use std::time::Duration;
+
+    /// Runs `check` against `pdeml serve`'s router over a quick
+    /// one-sub-world scheduler, listening on an ephemeral port.
+    fn on_serve_listener(check: impl Fn(&str, SocketAddr)) {
+        let health = Arc::new(HealthModel::new());
+        let (inf, initial) = crate::fleet::quick_fleet(2, PaddingStrategy::ZeroPad).unwrap();
+        let sched = build_scheduler(
+            &inf,
+            1,
+            TransportKind::Channel,
+            SchedulerConfig::default(),
+            &health,
+        )
+        .unwrap();
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let stop = listener.stop_handle();
+        let server = Server {
+            sched,
+            health,
+            stop: stop.clone(),
+            initial,
+            window: inf.window(),
+            access_log: None,
+        };
+        let accept_loop =
+            std::thread::spawn(move || listener.run(move |request| server.route(&request)));
+        check("serve", addr);
+        stop.stop();
+        accept_loop.join().unwrap();
+    }
+
+    /// Runs `check` against both listeners built on `pde_telemetry::http`:
+    /// the metrics exporter, then `pdeml serve`.
+    fn on_both_listeners(check: impl Fn(&str, SocketAddr)) {
+        let exporter =
+            pde_telemetry::exporter::serve("127.0.0.1:0", Arc::new(HealthModel::new())).unwrap();
+        check("exporter", exporter.local_addr());
+        drop(exporter);
+        on_serve_listener(check);
+    }
+
+    /// Sends `request`, half-closes, and returns everything the server
+    /// answers before it closes.
+    fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    fn status_line(response: &str) -> &str {
+        response.lines().next().unwrap_or("")
+    }
+
+    #[test]
+    fn a_request_split_into_one_byte_segments_still_routes() {
+        on_both_listeners(|who, addr| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            for byte in b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nhi" {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            assert!(status_line(&response).contains("200"), "{who}: {response}");
+            assert!(
+                response.ends_with("overall: healthy\n"),
+                "{who}: {response}"
+            );
+        });
+    }
+
+    #[test]
+    fn requests_outside_the_bounds_are_refused_from_what_was_read() {
+        // A head of `len` bytes before the blank line.
+        let head = |len: usize| {
+            let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(len, b'a');
+            head
+        };
+        let terminated = |len: usize| [head(len).as_slice(), b"\r\n\r\n"].concat();
+        let post = |length: &str, body: &str| {
+            format!("POST /v1/rollout HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{body}")
+                .into_bytes()
+        };
+        // Parses as a complete rollout request on its own, so only the
+        // unmet Content-Length can refuse it.
+        let short_body = "model serve\nsteps 0\nstate 1 1 1 0.0\n";
+        let cases = [
+            ("200", "overall: healthy", terminated(MAX_REQUEST_HEAD)),
+            (
+                "400",
+                "request head too large",
+                terminated(MAX_REQUEST_HEAD + 1),
+            ),
+            ("400", "request head too large", head(MAX_REQUEST_HEAD + 4)),
+            (
+                "400",
+                "request body too large",
+                post(&(MAX_REQUEST_BODY + 1).to_string(), ""),
+            ),
+            ("400", "Content-Length is not a number", post("lots", "")),
+            (
+                "400",
+                "connection closed mid-request",
+                post(&(short_body.len() + 1).to_string(), short_body),
+            ),
+        ];
+        on_both_listeners(|who, addr| {
+            for (status, why, request) in &cases {
+                let t0 = Instant::now();
+                let response = exchange(addr, request);
+                assert!(status_line(&response).contains(status), "{who}: {response}");
+                assert!(response.contains(why), "{who}: {response}");
+                assert!(
+                    t0.elapsed() < REQUEST_DEADLINE / 2,
+                    "{who}: '{why}' is decided from the bytes read, not by the deadline"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn a_slow_writer_gets_one_deadline_for_head_and_body() {
+        // ~60 head bytes at one per 25 ms spend most of the budget on the
+        // head; the body then trickles on. The cut-off must come one
+        // REQUEST_DEADLINE after the connect, not one after the head.
+        let request = [
+            b"POST /v1/rollout HTTP/1.1\r\nHost: slow\r\nContent-Length: 4000\r\n\r\n".as_slice(),
+            &[b'x'; 4000],
+        ]
+        .concat();
+        on_both_listeners(|who, addr| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let connected = Instant::now();
+            stream.set_nodelay(true).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(25)))
+                .unwrap();
+            let mut response = Vec::new();
+            let mut chunk = [0u8; 1024];
+            for byte in &request {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                // Doubles as the pacing sleep: blocks 25 ms unless the
+                // server has answered.
+                if let Ok(n) = stream.read(&mut chunk) {
+                    response.extend_from_slice(&chunk[..n]);
+                    break;
+                }
+            }
+            let answered = connected.elapsed();
+            let response = String::from_utf8_lossy(&response);
+            assert!(status_line(&response).contains("400"), "{who}: {response}");
+            assert!(response.contains("request too slow"), "{who}: {response}");
+            assert!(
+                answered >= REQUEST_DEADLINE && answered < REQUEST_DEADLINE * 3 / 2,
+                "{who}: cut off after {answered:?}, deadline is {REQUEST_DEADLINE:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn a_rollout_200_matches_the_pre_merge_server_byte_for_byte() {
+        // Golden bytes captured from the server as it was before the HTTP
+        // merge (`serve.rs::respond_with`), for a zero-step rollout — which
+        // echoes the request's state, so the response is independent of the
+        // trained weights — with the two per-request header values masked.
+        let sent = [
+            "0",
+            "-0",
+            "1",
+            "-2.5e-17",
+            "0.1",
+            "1e300",
+            "2.2250738585072014e-308",
+            "3",
+        ];
+        let echoed = [
+            "0.00000000000000000e0",
+            "-0.00000000000000000e0",
+            "1.00000000000000000e0",
+            "-2.49999999999999995e-17",
+            "1.00000000000000006e-1",
+            "1.00000000000000005e300",
+            "2.22507385850720138e-308",
+            "3.00000000000000000e0",
+        ];
+        let state_line = |values: &[&str]| {
+            let mut line = String::from("state 4 16 16");
+            for i in 0..4 * 16 * 16 {
+                line.push(' ');
+                line.push_str(values[i % values.len()]);
+            }
+            line.push('\n');
+            line
+        };
+        let body = format!("model serve\nsteps 0\n{}", state_line(&sent));
+        let expected = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 23830\r\nX-PDEML-Request-Id: *\r\nServer-Timing: *\r\n\
+             Connection: close\r\n\r\nsteps 0\n{}",
+            state_line(&echoed)
+        );
+        on_serve_listener(|_, addr| {
+            let response = exchange(
+                addr,
+                format!(
+                    "POST /v1/rollout HTTP/1.1\r\nHost: golden\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            );
+            let masked: String = response
+                .split_inclusive("\r\n")
+                .map(|line| {
+                    match ["X-PDEML-Request-Id: ", "Server-Timing: "]
+                        .iter()
+                        .find(|name| line.starts_with(**name))
+                    {
+                        Some(name) => format!("{name}*\r\n"),
+                        None => line.to_string(),
+                    }
+                })
+                .collect();
+            assert_eq!(masked, expected);
+        });
+    }
 
     #[test]
     fn state_lines_round_trip_bitwise() {

@@ -6,80 +6,61 @@
 //! own relaxed `fetch_add`s. Zero allocations after registration, which is
 //! what lets `Comm::send`/`recv` stay on the zero-alloc request path.
 
-use pde_telemetry::{Counter, Gauge, Histogram};
-use std::sync::OnceLock;
+use pde_telemetry::live_metric;
 
-macro_rules! live_counter {
-    ($fn_name:ident, $metric:literal, $help:literal) => {
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static C: OnceLock<&'static Counter> = OnceLock::new();
-            C.get_or_init(|| pde_telemetry::counter($metric, $help))
-        }
-    };
-}
-
-live_counter!(
-    sends,
+live_metric!(
+    pub(crate) counter sends,
     "pdeml_comm_sends_total",
     "Point-to-point messages sent, per rank"
 );
-live_counter!(
-    send_bytes,
+live_metric!(
+    pub(crate) counter send_bytes,
     "pdeml_comm_send_bytes_total",
     "Payload bytes sent (8 per f64 value), per rank"
 );
-live_counter!(
-    recvs,
+live_metric!(
+    pub(crate) counter recvs,
     "pdeml_comm_recvs_total",
     "Point-to-point messages matched by a receive, per rank"
 );
-live_counter!(
-    barriers,
+live_metric!(
+    pub(crate) counter barriers,
     "pdeml_comm_barriers_total",
     "Barrier entries, per rank"
 );
-live_counter!(
-    halos_lost,
+live_metric!(
+    pub(crate) counter halos_lost,
     "pdeml_halos_lost_total",
     "Halo receives that timed out (strip presumed lost), per rank"
 );
-live_counter!(
-    halo_recv_attempts,
+live_metric!(
+    pub(crate) counter halo_recv_attempts,
     "pdeml_halo_recv_attempts_total",
     "Timed halo receives attempted, per rank"
 );
-live_counter!(
-    rank_panics,
+live_metric!(
+    pub(crate) counter rank_panics,
     "pdeml_rank_panics_total",
     "Rank jobs that panicked (world poisons), per rank"
 );
-live_counter!(
-    generations,
+live_metric!(
+    pub(crate) counter generations,
     "pdeml_generations_total",
     "Job generations allocated on persistent worlds"
 );
-live_counter!(
-    respawns,
+live_metric!(
+    pub(crate) counter respawns,
     "pdeml_rank_respawns_total",
     "Dead ranks brought back by a supervisor, per rank"
 );
 
-pub(crate) fn recovery_ms() -> &'static Histogram {
-    static H: OnceLock<&'static Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        pde_telemetry::histogram(
-            "pdeml_recovery_ms",
-            "Wall-clock milliseconds from dead-rank detection to a rebuilt world",
-        )
-    })
-}
-
-pub(crate) fn mailbox_depth() -> &'static Gauge {
-    static G: OnceLock<&'static Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        pde_telemetry::gauge(
-            "pdeml_mailbox_depth",
-            "Jobs enqueued but not yet completed, per rank mailbox",
-        )
-    })
-}
+live_metric!(
+    pub(crate) histogram recovery_ms,
+    "pdeml_recovery_ms",
+    "Wall-clock milliseconds from dead-rank detection to a rebuilt world"
+);
+live_metric!(
+    pub(crate) gauge mailbox_depth,
+    "pdeml_mailbox_depth",
+    "Jobs enqueued but not yet completed, per rank mailbox"
+);

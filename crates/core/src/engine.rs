@@ -33,7 +33,7 @@ use pde_commsim::{
     CartComm, ChaosPlan, FaultPlan, PersistentWorld, RankContext, Supervisor, TrafficReport,
     TransportKind, World,
 };
-use pde_tensor::{perf, PerfCounters, Tensor3};
+use pde_tensor::{PerfCounters, Tensor3};
 use std::collections::BTreeMap;
 
 /// How to build an [`InferEngine`]: rank count plus an optional fault plan
@@ -195,12 +195,11 @@ impl std::error::Error for EngineError {}
 struct EngineRankState {
     cart: CartComm,
     models: BTreeMap<String, crate::infer::RankRolloutState>,
-    /// Resident trajectory buffer the request loop records into, regrown
-    /// only when the served model's local shape or the step count changes.
-    /// Steps copy into it and the outgoing result is cloned from it *after*
-    /// the perf window closes, which is what keeps a warm request's
-    /// measured [`PerfCounters::allocs`] at zero steady-state (for a
-    /// communication-free model; sends inherently allocate payloads).
+    /// Resident trajectory buffer handed to
+    /// [`crate::infer::RankRolloutState::serve_request`] — kept across
+    /// requests so a steady-state warm request measures zero
+    /// [`PerfCounters::allocs`] (for a communication-free model; sends
+    /// inherently allocate payloads).
     trajectory: Vec<Tensor3>,
 }
 
@@ -258,6 +257,8 @@ pub struct InferEngine {
     /// Requests served across the engine's lifetime — the request index a
     /// [`ChaosPlan`] kill matches against.
     request_base: usize,
+    /// Every rank this engine's supervisor brought back, in heal order.
+    respawned: Vec<usize>,
 }
 
 impl InferEngine {
@@ -315,6 +316,7 @@ impl InferEngine {
             chaos: cfg.chaos,
             self_heal: cfg.self_heal,
             request_base: 0,
+            respawned: Vec::new(),
         }
     }
 
@@ -339,6 +341,13 @@ impl InferEngine {
     /// dies), shared for health checks.
     pub fn alive_flags(&self) -> std::sync::Arc<Vec<std::sync::atomic::AtomicBool>> {
         self.world.alive_flags()
+    }
+
+    /// Ranks this engine's supervisor has respawned so far, in heal order
+    /// (a rank healed twice appears twice). Unlike the process-global
+    /// `pdeml_rank_respawns_total` series, this counts only this engine.
+    pub fn respawned_ranks(&self) -> &[usize] {
+        &self.respawned
     }
 
     /// Cumulative per-rank traffic snapshots of the engine's world.
@@ -552,9 +561,6 @@ impl InferEngine {
         // [request][rank][slot] normalized local windows.
         let scattered: Vec<Vec<Vec<Tensor3>>> =
             histories.iter().map(|h| inf.scatter_history(h)).collect();
-        let window = inf.window();
-        let quiesce =
-            matches!(inf.halo_policy(), HaloPolicy::Degrade { .. }) && inf.input_halo() > 0;
         let chaos = self.chaos.clone();
         let request_base = self.request_base;
         // With self-healing on, a rank death mid-batch triggers supervisor
@@ -584,44 +590,20 @@ impl InferEngine {
                     // its serving id (0 = untraced, the tag stays unset).
                     pde_trace::set_request(req_ids.get(i).copied().unwrap_or(0));
                     cart.comm_mut().set_generation(base + i as u32);
-                    st.reset(&request[rank]);
-                    let (c, h, w) = st.latest().shape();
-                    if trajectory.len() != n_steps + 1
-                        || trajectory.first().map(Tensor3::shape) != Some((c, h, w))
-                    {
-                        *trajectory = (0..=n_steps).map(|_| Tensor3::zeros(c, h, w)).collect();
-                    }
-                    let traffic0 = cart.comm().stats().report();
-                    let perf0 = perf::snapshot();
-                    trajectory[0]
-                        .as_mut_slice()
-                        .copy_from_slice(st.latest().as_slice());
-                    for step in 0..n_steps {
-                        if let Some(plan) = &chaos {
-                            if plan.should_kill(rank, request_base + i, step) {
-                                panic!(
-                                    "chaos: killed rank {rank} at request {} step {step}",
-                                    request_base + i
-                                );
+                    let window =
+                        st.serve_request(cart, &request[rank], n_steps, trajectory, |step| {
+                            if let Some(plan) = &chaos {
+                                if plan.should_kill(rank, request_base + i, step) {
+                                    panic!(
+                                        "chaos: killed rank {rank} at request {} step {step}",
+                                        request_base + i
+                                    );
+                                }
                             }
-                        }
-                        let next = st.step(cart, (step * window) as u32);
-                        trajectory[step + 1]
-                            .as_mut_slice()
-                            .copy_from_slice(next.as_slice());
-                    }
-                    // Same quiesce rule as the cold path: under Degrade a
-                    // rank can finish steps ahead of a timed-out neighbor,
-                    // and here it would otherwise race ahead into the *next*
-                    // request. The barrier (fault-exempt, dead-tolerant)
-                    // holds it back. Not needed under Strict, where every
-                    // receive blocks until matched.
-                    if quiesce {
-                        cart.comm_mut().barrier();
-                    }
-                    let spent = perf::snapshot().since(&perf0);
-                    let moved = cart.comm().stats().report().since(&traffic0);
-                    per_request.push((trajectory.clone(), spent, moved));
+                        });
+                    // Cloned after the window closed, so the copy handed to
+                    // the driver is not billed to the request.
+                    per_request.push((trajectory.clone(), window));
                 }
                 pde_trace::set_request(0);
                 per_request
@@ -678,6 +660,9 @@ impl InferEngine {
                     ers.cart = cart;
                 }
             });
+            if let Some(report) = &healed {
+                self.respawned.extend(&report.respawned);
+            }
             if healed.is_none() || attempt + 1 == MAX_SERVE_ATTEMPTS {
                 return Err(InferError::Recovering {
                     attempts: attempt + 1,
@@ -696,11 +681,11 @@ impl InferEngine {
             let mut traffic: Vec<TrafficReport> = Vec::with_capacity(per_rank.len());
             let mut rank_perf: Vec<PerfCounters> = Vec::with_capacity(per_rank.len());
             for it in &mut per_rank {
-                let (produced, perf, report) =
+                let (produced, window) =
                     it.next().expect("every rank returns one entry per request");
                 rank_histories.push(produced);
-                rank_perf.push(perf);
-                traffic.push(report);
+                rank_perf.push(window.perf);
+                traffic.push(window.traffic);
             }
             let initial = history.last().expect("window >= 1");
             results.push(RolloutResult {

@@ -501,38 +501,27 @@ impl ParallelInference {
         let initial = history.last().expect("window >= 1");
         let part = self.part;
         let per_rank_history = self.scatter_history(history);
-        let halo = self.strategy.input_halo(self.arch.halo());
-        let window = self.window;
-        let policy = self.halo_policy;
 
         let mut world = World::new(part.rank_count()).with_transport(self.transport);
         if let Some(plan) = &self.fault_plan {
             world = world.with_fault_plan(plan.clone());
         }
-        let (outs, traffic) = world.run_with_stats(|comm| {
+        let outs = world.run(|comm| {
             let rank = comm.rank();
             let mut cart = CartComm::new(comm, part.py(), part.px(), false);
-            let mut st = self.rank_state(rank);
-            st.reset(&per_rank_history[rank]);
-            let perf0 = perf::snapshot();
-            let mut produced = Vec::with_capacity(n_steps + 1);
-            produced.push(st.latest().clone());
-            for step in 0..n_steps {
-                let next = st.step(&mut cart, (step * window) as u32);
-                produced.push(next.clone());
-            }
-            // Quiesce under Degrade: a healthy rank can run several steps
-            // ahead of a neighbor that is waiting out timeouts; exiting
-            // (dropping the Comm) would make that neighbor's remaining
-            // receives read as peer death. The barrier (fault-exempt, like
-            // every collective) keeps each rank alive until all are done.
-            if matches!(policy, HaloPolicy::Degrade { .. }) && halo > 0 {
-                cart.comm_mut().barrier();
-            }
-            (produced, perf::snapshot().since(&perf0))
+            let mut trajectory = Vec::new();
+            let window = self.rank_state(rank).serve_request(
+                &mut cart,
+                &per_rank_history[rank],
+                n_steps,
+                &mut trajectory,
+                |_| {},
+            );
+            (trajectory, window)
         });
-        let (histories, rank_perf): (Vec<Vec<Tensor3>>, Vec<PerfCounters>) =
+        let (histories, windows): (Vec<Vec<Tensor3>>, Vec<RequestWindow>) =
             outs.into_iter().unzip();
+        let (rank_perf, traffic) = windows.into_iter().map(|w| (w.perf, w.traffic)).unzip();
 
         Ok(RolloutResult {
             states: self.stitch_states(initial, &histories, n_steps),
@@ -615,6 +604,16 @@ impl ParallelInference {
         }
         states
     }
+}
+
+/// What one request cost one rank: counter deltas over
+/// [`RankRolloutState::serve_request`]'s steps and quiesce barrier.
+#[derive(Clone, Copy, Debug)]
+pub struct RequestWindow {
+    /// FLOPs, GEMM calls and heap allocations on the rank thread.
+    pub perf: PerfCounters,
+    /// Messages, bytes and halo-resilience counters of the rank's `Comm`.
+    pub traffic: TrafficReport,
 }
 
 /// One rank's resident rollout machine — the old ~150-line rollout closure
@@ -737,6 +736,69 @@ impl RankRolloutState {
         }
         for cache in &mut self.caches {
             *cache = HaloCache::default();
+        }
+    }
+
+    /// Whether a request must end in a barrier. Under
+    /// [`HaloPolicy::Degrade`] a healthy rank can run several steps ahead
+    /// of a neighbor that is waiting out timeouts; finishing early — a cold
+    /// rank dropping its `Comm`, a warm one starting the next request —
+    /// would read as peer death, or bleed into the wrong request, on that
+    /// neighbor. Not needed under Strict, where every receive blocks until
+    /// matched, nor without halos, where nothing is received at all.
+    pub fn quiesces(&self) -> bool {
+        matches!(self.policy, HaloPolicy::Degrade { .. }) && self.halo > 0
+    }
+
+    /// Serves one request on this rank — the protocol every driver (cold
+    /// rollout, warm engine, multi-process world node) runs:
+    /// [`reset`](Self::reset) to `history`, `n_steps` ×
+    /// [`step`](Self::step), then the quiesce barrier (fault-exempt and
+    /// dead-tolerant, like every collective) when [`Self::quiesces`].
+    ///
+    /// `trajectory` receives the `n_steps + 1` local states, initial first.
+    /// It is the caller's buffer, regrown only when the step count or the
+    /// local shape changes, so a warm caller that keeps it resident serves
+    /// without touching the heap. `before_step(step)` runs at the top of
+    /// every step; the engine injects chaos kills there.
+    ///
+    /// The returned [`RequestWindow`] spans steps + barrier and nothing
+    /// else: `reset` and the buffer regrow sit before it, so a steady-state
+    /// request on a communication-free model measures zero allocations.
+    pub fn serve_request(
+        &mut self,
+        cart: &mut CartComm,
+        history: &[Tensor3],
+        n_steps: usize,
+        trajectory: &mut Vec<Tensor3>,
+        mut before_step: impl FnMut(usize),
+    ) -> RequestWindow {
+        self.reset(history);
+        let (c, h, w) = self.latest().shape();
+        if trajectory.len() != n_steps + 1
+            || trajectory.first().map(Tensor3::shape) != Some((c, h, w))
+        {
+            *trajectory = (0..=n_steps).map(|_| Tensor3::zeros(c, h, w)).collect();
+        }
+        let traffic0 = cart.comm().stats().report();
+        let perf0 = perf::snapshot();
+        trajectory[0]
+            .as_mut_slice()
+            .copy_from_slice(self.latest().as_slice());
+        let window = self.window;
+        for step in 0..n_steps {
+            before_step(step);
+            let next = self.step(cart, (step * window) as u32);
+            trajectory[step + 1]
+                .as_mut_slice()
+                .copy_from_slice(next.as_slice());
+        }
+        if self.quiesces() {
+            cart.comm_mut().barrier();
+        }
+        RequestWindow {
+            perf: perf::snapshot().since(&perf0),
+            traffic: cart.comm().stats().report().since(&traffic0),
         }
     }
 

@@ -6,45 +6,36 @@
 //! relaxed atomics only and stays on the zero-alloc request path.
 
 use crate::infer::RejectReason;
-use pde_telemetry::{Counter, Gauge, Histogram};
+use pde_telemetry::{live_metric, Counter};
 use std::sync::OnceLock;
 
-macro_rules! live_counter {
-    ($fn_name:ident, $metric:literal, $help:literal) => {
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static C: OnceLock<&'static Counter> = OnceLock::new();
-            C.get_or_init(|| pde_telemetry::counter($metric, $help))
-        }
-    };
-}
-
-live_counter!(
-    halo_bytes_out,
+live_metric!(
+    pub(crate) counter halo_bytes_out,
     "pdeml_halo_bytes_out_total",
     "Halo strip bytes posted to neighbors, per rank"
 );
-live_counter!(
-    halo_bytes_in,
+live_metric!(
+    pub(crate) counter halo_bytes_in,
     "pdeml_halo_bytes_in_total",
     "Halo strip bytes received from neighbors, per rank"
 );
-live_counter!(
-    halos_zero_filled,
+live_metric!(
+    pub(crate) counter halos_zero_filled,
     "pdeml_halos_zero_filled_total",
     "Lost halos replaced with zeros, per rank"
 );
-live_counter!(
-    halos_stale,
+live_metric!(
+    pub(crate) counter halos_stale,
     "pdeml_halos_stale_total",
     "Lost halos replaced with the previous step's strip, per rank"
 );
-live_counter!(
-    requests,
+live_metric!(
+    pub(crate) counter requests,
     "pdeml_requests_total",
     "Rollout requests served by the warm engine"
 );
-live_counter!(
-    train_epochs,
+live_metric!(
+    pub(crate) counter train_epochs,
     "pdeml_train_epochs_total",
     "Training epochs completed"
 );
@@ -66,39 +57,27 @@ pub(crate) fn requests_rejected(reason: RejectReason) -> &'static Counter {
     })
 }
 
-/// Requests currently executing on some sub-world (admitted, not finished).
-pub(crate) fn requests_inflight() -> &'static Gauge {
-    static G: OnceLock<&'static Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        pde_telemetry::gauge(
-            "pdeml_requests_inflight",
-            "Requests currently executing on a sub-world",
-        )
-    })
-}
+live_metric!(
+    /// Requests currently executing on some sub-world (admitted, not finished).
+    pub(crate) gauge requests_inflight,
+    "pdeml_requests_inflight",
+    "Requests currently executing on a sub-world"
+);
 
-/// Requests admitted but not yet picked up by a sub-world dispatcher.
-pub(crate) fn request_queue_depth() -> &'static Gauge {
-    static G: OnceLock<&'static Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        pde_telemetry::gauge(
-            "pdeml_request_queue_depth",
-            "Admitted requests waiting for an idle sub-world",
-        )
-    })
-}
+live_metric!(
+    /// Requests admitted but not yet picked up by a sub-world dispatcher.
+    pub(crate) gauge request_queue_depth,
+    "pdeml_request_queue_depth",
+    "Admitted requests waiting for an idle sub-world"
+);
 
-/// Warm-engine per-request latency in microseconds. Driver-recorded, so a
-/// single shared bucket array (not rank shards) is the right shape.
-pub(crate) fn request_latency_us() -> &'static Histogram {
-    static H: OnceLock<&'static Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        pde_telemetry::histogram(
-            "pdeml_request_latency_us",
-            "Warm rollout request latency in microseconds",
-        )
-    })
-}
+live_metric!(
+    /// Warm-engine per-request latency in microseconds. Driver-recorded, so a
+    /// single shared bucket array (not rank shards) is the right shape.
+    pub(crate) histogram request_latency_us,
+    "pdeml_request_latency_us",
+    "Warm rollout request latency in microseconds"
+);
 
 // Phase breakdown of the total request latency (DESIGN.md §4k): the time a
 // request spent admitted-but-waiting, the driver-side scatter/stitch around
@@ -106,36 +85,24 @@ pub(crate) fn request_latency_us() -> &'static Histogram {
 // the scheduler's dispatcher, the other two by the engine — so direct
 // engine callers still populate dispatch/rollout.
 
-/// Time from admission to a dispatcher picking the request up (µs).
-pub(crate) fn request_queue_wait_us() -> &'static Histogram {
-    static H: OnceLock<&'static Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        pde_telemetry::histogram(
-            "pdeml_request_queue_wait_us",
-            "Admitted-request queue wait before dispatch, microseconds",
-        )
-    })
-}
+live_metric!(
+    /// Time from admission to a dispatcher picking the request up (µs).
+    pub(crate) histogram request_queue_wait_us,
+    "pdeml_request_queue_wait_us",
+    "Admitted-request queue wait before dispatch, microseconds"
+);
 
-/// Driver-side request handling outside the rank jobs: history validation,
-/// scatter, generation allocation, stitch/transpose (µs).
-pub(crate) fn request_dispatch_us() -> &'static Histogram {
-    static H: OnceLock<&'static Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        pde_telemetry::histogram(
-            "pdeml_request_dispatch_us",
-            "Driver-side dispatch work around the rank jobs, microseconds",
-        )
-    })
-}
+live_metric!(
+    /// Driver-side request handling outside the rank jobs: history validation,
+    /// scatter, generation allocation, stitch/transpose (µs).
+    pub(crate) histogram request_dispatch_us,
+    "pdeml_request_dispatch_us",
+    "Driver-side dispatch work around the rank jobs, microseconds"
+);
 
-/// Rank-job wall time of the request: reset + steps + quiesce (µs).
-pub(crate) fn request_rollout_us() -> &'static Histogram {
-    static H: OnceLock<&'static Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        pde_telemetry::histogram(
-            "pdeml_request_rollout_us",
-            "Rank-side rollout wall time per request, microseconds",
-        )
-    })
-}
+live_metric!(
+    /// Rank-job wall time of the request: reset + steps + quiesce (µs).
+    pub(crate) histogram request_rollout_us,
+    "pdeml_request_rollout_us",
+    "Rank-side rollout wall time per request, microseconds"
+);

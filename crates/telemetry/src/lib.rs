@@ -19,13 +19,15 @@
 //!   `pde_trace::dropped_spans_total`).
 //!
 //! The registry renders the Prometheus text exposition format
-//! ([`render_prometheus`]); [`exporter`] serves it over a hand-rolled
-//! std-only HTTP listener together with `/healthz` + `/readyz` driven by the
-//! explicit [`health`] model. No dependencies, by design: the exporter must
-//! keep working when everything else is on fire.
+//! ([`render_prometheus`]); [`http`] is the workspace's one std-only HTTP
+//! server, which [`exporter`] runs on a background thread to serve the
+//! registry together with `/healthz` + `/readyz` driven by the explicit
+//! [`health`] model. No dependencies, by design: the exporter must keep
+//! working when everything else is on fire.
 
 pub mod exporter;
 pub mod health;
+pub mod http;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -391,6 +393,45 @@ fn registry() -> &'static Mutex<Vec<Metric>> {
 // The only panic under the registry lock is the kind-mismatch check, which
 // fires before any mutation — so a poisoned lock still guards a valid Vec
 // and every lock site recovers with `unwrap_or_else(|e| e.into_inner())`.
+
+/// Defines a cached accessor for one live metric:
+///
+/// ```
+/// pde_telemetry::live_metric!(
+///     /// Requests seen.
+///     pub counter requests_seen, "doc_requests_seen_total", "Requests seen"
+/// );
+/// requests_seen().inc(pde_telemetry::DRIVER);
+/// ```
+///
+/// The first call registers the metric (registry lock + allocation, once
+/// per process) and caches the `&'static` handle in a `OnceLock`; every
+/// later call — the hot path — is one atomic load, so instrumented code
+/// stays on the zero-allocation request path. The kind is `counter`,
+/// `gauge` or `histogram`.
+#[macro_export]
+macro_rules! live_metric {
+    (@accessor $(#[$meta:meta])* $vis:vis $fn_name:ident, $kind:ty, $register:path,
+     $metric:literal, $help:literal) => {
+        $(#[$meta])*
+        $vis fn $fn_name() -> &'static $kind {
+            static HANDLE: ::std::sync::OnceLock<&'static $kind> = ::std::sync::OnceLock::new();
+            HANDLE.get_or_init(|| $register($metric, $help))
+        }
+    };
+    ($(#[$meta:meta])* $vis:vis counter $fn_name:ident, $metric:literal, $help:literal) => {
+        $crate::live_metric!(@accessor $(#[$meta])* $vis $fn_name,
+            $crate::Counter, $crate::counter, $metric, $help);
+    };
+    ($(#[$meta:meta])* $vis:vis gauge $fn_name:ident, $metric:literal, $help:literal) => {
+        $crate::live_metric!(@accessor $(#[$meta])* $vis $fn_name,
+            $crate::Gauge, $crate::gauge, $metric, $help);
+    };
+    ($(#[$meta:meta])* $vis:vis histogram $fn_name:ident, $metric:literal, $help:literal) => {
+        $crate::live_metric!(@accessor $(#[$meta])* $vis $fn_name,
+            $crate::Histogram, $crate::histogram, $metric, $help);
+    };
+}
 
 /// Registers (or finds) the counter `name`. Registration takes the registry
 /// lock and allocates; later calls for the same name return the same

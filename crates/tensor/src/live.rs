@@ -7,8 +7,7 @@
 //! call — cheap enough to leave on unconditionally, matching the policy of
 //! the other `live` modules in the workspace.
 
-use pde_telemetry::{Counter, Gauge};
-use std::sync::OnceLock;
+use pde_telemetry::live_metric;
 
 /// Telemetry shard for the current thread's rank tag.
 fn rank() -> usize {
@@ -20,45 +19,26 @@ fn rank() -> usize {
     }
 }
 
-fn gflops_gauge() -> &'static Gauge {
-    static G: OnceLock<&'static Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        pde_telemetry::gauge(
-            "pdeml_kernel_gflops",
-            "Most recent GEMM driver throughput per rank (GFLOP/s)",
-        )
-    })
-}
-
-fn threads_gauge() -> &'static Gauge {
-    static G: OnceLock<&'static Gauge> = OnceLock::new();
-    G.get_or_init(|| {
-        pde_telemetry::gauge(
-            "pdeml_kernel_threads_active",
-            "Configured intra-rank kernel thread budget per rank",
-        )
-    })
-}
-
-fn flops_total() -> &'static Counter {
-    static C: OnceLock<&'static Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        pde_telemetry::counter(
-            "pdeml_kernel_flops_total",
-            "Floating-point operations issued by the GEMM kernels",
-        )
-    })
-}
-
-fn time_ns_total() -> &'static Counter {
-    static C: OnceLock<&'static Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        pde_telemetry::counter(
-            "pdeml_kernel_time_ns_total",
-            "Wall-clock nanoseconds spent inside the GEMM driver",
-        )
-    })
-}
+live_metric!(
+    gauge gflops_gauge,
+    "pdeml_kernel_gflops",
+    "Most recent GEMM driver throughput per rank (GFLOP/s)"
+);
+live_metric!(
+    gauge threads_gauge,
+    "pdeml_kernel_threads_active",
+    "Configured intra-rank kernel thread budget per rank"
+);
+live_metric!(
+    counter flops_total,
+    "pdeml_kernel_flops_total",
+    "Floating-point operations issued by the GEMM kernels"
+);
+live_metric!(
+    counter time_ns_total,
+    "pdeml_kernel_time_ns_total",
+    "Wall-clock nanoseconds spent inside the GEMM driver"
+);
 
 /// Publishes one GEMM driver invocation. The gauge stores whole GFLOP/s:
 /// `flops / ns` is exact in those units (1e9 cancels).

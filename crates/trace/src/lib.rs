@@ -29,7 +29,7 @@ pub use metrics::RankMetrics;
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -135,8 +135,6 @@ pub struct TraceEvent {
 
 /// Session ids start at 1; 0 means "no session" everywhere.
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
-/// Ring capacity for rings created after the most recent [`begin`].
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 /// Process-lifetime total of ring-overflow drops across all sessions — the
 /// live counterpart of the per-session `dropped_by_rank` accounting, so a
 /// metrics scrape can watch drops accumulate while a trace is still armed.
@@ -153,6 +151,10 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 struct SessionSink {
     events: Vec<TraceEvent>,
     dropped_by_rank: HashMap<u32, u64>,
+    /// Capacity of rings that threads create while recording into this
+    /// session. Per session, not process-wide: two sessions begun
+    /// concurrently must not size each other's rings.
+    ring_capacity: usize,
 }
 
 fn collector() -> &'static Mutex<HashMap<u64, SessionSink>> {
@@ -251,7 +253,15 @@ fn record(mut ev: TraceEvent) {
     ev.req = REQ.with(|r| r.get());
     RING.with(|r| {
         let mut r = r.borrow_mut();
-        let ring = r.get_or_insert_with(|| Ring::new(RING_CAPACITY.load(Ordering::Relaxed)));
+        // Once per thread: a ring outlives the session that created it.
+        let ring = r.get_or_insert_with(|| {
+            let sinks = collector().lock().unwrap();
+            Ring::new(
+                sinks
+                    .get(&session)
+                    .map_or(DEFAULT_RING_CAPACITY, |sink| sink.ring_capacity),
+            )
+        });
         if ring.session != session {
             // First event after a session switch: deliver leftovers, rebind.
             flush_ring(ring);
@@ -284,13 +294,13 @@ pub fn begin() -> TraceHandle {
 /// collected until [`TraceHandle::finish`].
 pub fn begin_with_capacity(ring_capacity: usize) -> TraceHandle {
     EPOCH.get_or_init(Instant::now);
-    RING_CAPACITY.store(ring_capacity.max(1), Ordering::Relaxed);
     let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
     collector().lock().unwrap().insert(
         session,
         SessionSink {
             events: Vec::new(),
             dropped_by_rank: HashMap::new(),
+            ring_capacity: ring_capacity.max(1),
         },
     );
     let prev_ctx = CTX.with(|c| c.replace(session));

@@ -15,14 +15,23 @@ fn calibrated_model_predicts_real_runs() {
     cfg.epochs = 4;
     let epochs = cfg.epochs;
 
-    // Measure at three subdomain sizes.
+    // Measure at three subdomain sizes. Each point is the fastest of fifteen
+    // runs: sibling tests of this binary (one trains on four rank threads)
+    // and the shared host only ever add time, and a single inflated point
+    // lands in the fitted overhead term, which the efficiency assertions
+    // below then read as a scaling cliff.
     let mut samples = Vec::new();
     for side in [16usize, 24, 32] {
         let data = paper_dataset(side, 10);
-        let out = SequentialTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg.clone())
-            .train(&data, 8)
-            .expect("calibration");
-        samples.push(((side * side) as f64, out.seconds / epochs as f64));
+        let seconds = (0..15)
+            .map(|_| {
+                SequentialTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg.clone())
+                    .train(&data, 8)
+                    .expect("calibration")
+                    .seconds
+            })
+            .fold(f64::INFINITY, f64::min);
+        samples.push(((side * side) as f64, seconds / epochs as f64));
     }
     let cost = CostModel::calibrate(&samples);
     assert!(cost.rate_s_per_cell > 0.0);
