@@ -4,11 +4,22 @@
 //! Two forward implementations are provided: a direct seven-loop kernel
 //! (trivially auditable, used as the test oracle) and the im2col+GEMM
 //! lowering (the fast path used by `pde-nn`). Both share [`Conv2dSpec`].
+//!
+//! The lowering is **cache-blocked**: no pass ever holds a sample's whole
+//! `rows × n_cols` column matrix (25× the activation it came from at a 5×5
+//! kernel), let alone a mini-batch of them. Each pass walks the `n_cols`
+//! output positions one L2-sized column panel at a time — lower the panel,
+//! multiply it while it is cache-hot, move on — through the strided GEMM
+//! kernels of [`crate::gemm`], with the panel order chosen per pass so that
+//! every result is bit-for-bit what one whole-matrix product would give
+//! (see the three `conv2d_*` passes and `DESIGN.md` §4c).
 
-use crate::gemm::{gemm_batch, gemm_nt_batch, gemm_tn_batch};
-use crate::im2col::{col2im, im2col, ConvGeom};
+use crate::gemm::{gemm_strided, panel_cols, record_product, with_packed_a, CView, Trans};
+use crate::im2col::{col2im_panel, im2col_panel, ConvGeom};
 use crate::pool::{self, SendPtr};
 use crate::Tensor4;
+use std::cell::RefCell;
+use std::time::Instant;
 
 /// Static description of a convolution layer's arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,29 +162,108 @@ pub fn conv2d(input: &Tensor4, weight: &Tensor4, bias: &[f64], spec: &Conv2dSpec
     out
 }
 
-/// Scratch buffers reused across im2col convolution calls to avoid
-/// per-sample allocation in the training loop.
+thread_local! {
+    /// The column panel of whichever thread runs a conv chunk when the pass
+    /// fans out over the pool (like the GEMM's `B_BUF`: one per executing
+    /// thread, grown during warm-up, reused ever after).
+    static PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Workspace reused across im2col convolution calls: **one column panel** —
+/// `rows × L` values, `rows = in_c·kh·kw`, `L` =
+/// [`panel_cols`](crate::gemm) — that each pass lowers into and multiplies
+/// out of while it is cache-hot. Its size is set by the layer's geometry
+/// alone (about 1 MiB at the paper's shapes, exactly `rows × out_h·out_w`
+/// when the whole column matrix is smaller than that) and never by the
+/// batch size.
 #[derive(Default, Clone)]
 pub struct ConvScratch {
-    cols: Vec<f64>,
+    panel: Vec<f64>,
 }
 
 impl ConvScratch {
-    /// New empty scratch (buffers grow on first use).
+    /// New empty scratch (the panel grows on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The batch-wide column buffer: `samples` consecutive per-sample column
-    /// matrices. Grows monotonically, so a buffer that has seen the largest
-    /// layer × batch combination never reallocates again.
-    fn cols_for_batch(&mut self, g: &ConvGeom, samples: usize) -> &mut [f64] {
-        let need = samples * g.col_rows() * g.col_cols();
-        if self.cols.len() < need {
-            self.cols.resize(need, 0.0);
-        }
-        &mut self.cols[..need]
+    /// Bytes of workspace this scratch holds (its capacity, not just the
+    /// part the last call used).
+    pub fn bytes(&self) -> usize {
+        self.panel.capacity() * std::mem::size_of::<f64>()
     }
+
+    /// The panel, at least `len` long. Grows monotonically and exactly, so a
+    /// scratch that has seen its largest layer never reallocates again.
+    fn panel(&mut self, len: usize) -> &mut [f64] {
+        if self.panel.len() < len {
+            self.panel.reserve_exact(len - self.panel.len());
+            self.panel.resize(len, 0.0);
+        }
+        &mut self.panel[..len]
+    }
+}
+
+/// How a pass walks one sample's `n_cols` output positions: `count` panels
+/// of `width` columns, the last one possibly shorter.
+#[derive(Clone, Copy)]
+struct Panels {
+    rows: usize,
+    n_cols: usize,
+    width: usize,
+    count: usize,
+}
+
+impl Panels {
+    fn of(g: &ConvGeom) -> Self {
+        let (rows, n_cols) = (g.col_rows(), g.col_cols());
+        let width = panel_cols(rows, n_cols);
+        Self {
+            rows,
+            n_cols,
+            width,
+            count: n_cols.div_ceil(width),
+        }
+    }
+
+    /// Column range `q0..q1` of panel `i`.
+    fn range(&self, i: usize) -> (usize, usize) {
+        (i * self.width, ((i + 1) * self.width).min(self.n_cols))
+    }
+
+    /// Elements of a full panel.
+    fn len(&self) -> usize {
+        self.rows * self.width
+    }
+}
+
+/// Runs `f(chunk, panel)` for every chunk, handing each call a `len`-element
+/// column panel it may overwrite. With a thread budget of 1 (or a single
+/// chunk) everything runs inline on `scratch`'s panel; otherwise the chunks
+/// fan out over the pool and each executing thread uses its own
+/// thread-local panel. Chunks must write disjoint data.
+fn run_with_panel(
+    scratch: &mut ConvScratch,
+    len: usize,
+    chunks: usize,
+    f: &(dyn Fn(usize, &mut [f64]) + Sync),
+) {
+    if pool::thread_budget() <= 1 || chunks <= 1 {
+        let panel = scratch.panel(len);
+        for i in 0..chunks {
+            f(i, panel);
+        }
+        return;
+    }
+    pool::run(chunks, &|i| {
+        PANEL.with(|p| {
+            let mut p = p.borrow_mut();
+            if p.len() < len {
+                p.resize(len, 0.0);
+            }
+            f(i, &mut p[..len]);
+        });
+    });
 }
 
 /// im2col + GEMM forward pass — the fast path. Identical results to
@@ -191,9 +281,14 @@ pub fn conv2d_im2col(
 }
 
 /// [`conv2d_im2col`] writing into a caller-owned output tensor (resized in
-/// place), with the whole mini-batch lowered at once: every sample's columns
-/// land in one batch-wide buffer and a single batched GEMM computes all
-/// samples, sharing one packed copy of the weight matrix.
+/// place). The weight matrix is packed once; then, one column panel at a
+/// time, a sample's receptive fields are lowered into the panel and
+/// multiplied straight into the matching column range of the output.
+///
+/// Panels partition the output's columns, and each runs the GEMM's full
+/// ascending KC-block chain onto its bias-initialised columns, so the result
+/// does not depend on the panel width or order — (sample, panel) pairs are
+/// the pool's chunks.
 pub fn conv2d_im2col_into(
     input: &Tensor4,
     weight: &Tensor4,
@@ -210,23 +305,33 @@ pub fn conv2d_im2col_into(
     );
     let (n, _, h, w) = input.shape();
     let g = spec.geom(h, w);
-    g.validate();
     let (oh, ow) = (g.out_h(), g.out_w());
-    let (rows, n_cols) = (g.col_rows(), g.col_cols());
-    out.resize(n, spec.out_c, oh, ow);
-
-    let cols = scratch.cols_for_batch(&g, n);
-    im2col_batch(input, &g, cols, rows * n_cols);
-    let y = out.as_mut_slice();
-    if bias.is_empty() {
-        y.fill(0.0);
-    } else {
-        for (oc, chunk) in y.chunks_exact_mut(n_cols).enumerate() {
-            chunk.fill(bias[oc % spec.out_c]);
-        }
+    let panels = Panels::of(&g);
+    let (rows, n_cols, out_c) = (panels.rows, panels.n_cols, spec.out_c);
+    out.resize(n, out_c, oh, ow);
+    if n == 0 {
+        return;
     }
+
+    let t0 = Instant::now();
     // Per sample: (out_c × rows) · (rows × n_cols) += into (out_c × n_cols).
-    gemm_batch(n, spec.out_c, rows, n_cols, weight.as_slice(), cols, y);
+    let y = CView::new(out.as_mut_slice(), n_cols);
+    with_packed_a(Trans::N, out_c, rows, weight.as_slice(), rows, |wp| {
+        run_with_panel(scratch, panels.len(), n * panels.count, &|i, panel| {
+            let (s, (q0, q1)) = (i / panels.count, panels.range(i % panels.count));
+            let pl = q1 - q0;
+            let panel = &mut panel[..rows * pl];
+            im2col_panel(input.sample(s), &g, q0, q1, panel);
+            let y = y.at(s * out_c * n_cols + q0);
+            // SAFETY: this chunk alone writes columns `q0..q1` of sample
+            // `s`'s output, which `y` now starts at.
+            unsafe {
+                y.fill(out_c, pl, |oc| bias.get(oc).copied().unwrap_or(0.0));
+                wp.sweep(Trans::N, panel, pl, y, 0, pl);
+            }
+        });
+    });
+    record_product(t0, n, Trans::N, out_c, rows, n_cols);
 }
 
 /// Gradient of the loss w.r.t. the convolution *input*.
@@ -248,8 +353,15 @@ pub fn conv2d_backward_input(
 }
 
 /// [`conv2d_backward_input`] writing into a caller-owned tensor (resized in
-/// place), batch-fused: one batched GEMM produces every sample's column
-/// gradients against a single packed copy of the weight matrix.
+/// place). The transposed weight matrix is packed once; per sample (the
+/// pool's chunks), one column panel of the column gradient is computed from
+/// the matching columns of `grad_out` and scattered onto the input gradient
+/// at once.
+///
+/// Neighbouring panels scatter onto overlapping input rows, so their order
+/// is part of the result: panels are taken in **descending** column order,
+/// which is the order [`col2im`](crate::im2col::col2im) adds one input
+/// pixel's taps in (see [`col2im_panel`]).
 pub fn conv2d_backward_input_into(
     grad_out: &Tensor4,
     weight: &Tensor4,
@@ -268,60 +380,53 @@ pub fn conv2d_backward_input_into(
         (oh, ow),
         "backward_input: geometry mismatch"
     );
-    let (rows, n_cols) = (g.col_rows(), g.col_cols());
+    let panels = Panels::of(&g);
+    let (rows, n_cols, out_c) = (panels.rows, panels.n_cols, spec.out_c);
     grad_in.resize(n, spec.in_c, in_h, in_w);
     grad_in.as_mut_slice().fill(0.0);
+    if n == 0 {
+        return;
+    }
 
-    // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
-    let cols = scratch.cols_for_batch(&g, n);
-    cols.fill(0.0);
-    gemm_tn_batch(
-        n,
-        rows,
-        spec.out_c,
-        n_cols,
-        weight.as_slice(),
-        grad_out.as_slice(),
-        cols,
-    );
-    // Per-sample scatters write disjoint samples of grad_in — one pool
-    // chunk each, same per-sample operation order as the sequential loop.
+    let t0 = Instant::now();
     let sample_len = spec.in_c * in_h * in_w;
-    let stride_len = rows * n_cols;
-    let cols: &[f64] = cols;
     let gi = SendPtr(grad_in.as_mut_slice().as_mut_ptr());
-    pool::run(n, &|s| {
-        // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
-        #[allow(clippy::redundant_locals)]
-        let gi = gi;
-        // SAFETY: chunk `s` owns sample `s`'s disjoint grad_in region.
-        let out = unsafe { std::slice::from_raw_parts_mut(gi.0.add(s * sample_len), sample_len) };
-        col2im(&cols[s * stride_len..][..stride_len], &g, out);
+    // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
+    with_packed_a(Trans::T, rows, out_c, weight.as_slice(), rows, |wp| {
+        run_with_panel(scratch, panels.len(), n, &|s, panel| {
+            // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
+            #[allow(clippy::redundant_locals)]
+            let gi = gi;
+            // SAFETY: chunk `s` owns sample `s`'s disjoint grad_in region.
+            let gin =
+                unsafe { std::slice::from_raw_parts_mut(gi.0.add(s * sample_len), sample_len) };
+            let go = grad_out.sample(s);
+            for (q0, q1) in (0..panels.count).rev().map(|i| panels.range(i)) {
+                let pl = q1 - q0;
+                let panel = &mut panel[..rows * pl];
+                panel.fill(0.0);
+                // SAFETY: the panel is this chunk's alone for the call.
+                unsafe { wp.sweep(Trans::N, &go[q0..], n_cols, CView::new(panel, pl), 0, pl) };
+                col2im_panel(panel, &g, q0, q1, gin);
+            }
+        });
     });
-}
-
-/// Lowers every sample of `input` into its slot of the batch-wide column
-/// buffer, one pool chunk per sample (disjoint `stride_len`-sized slots).
-fn im2col_batch(input: &Tensor4, g: &ConvGeom, cols: &mut [f64], stride_len: usize) {
-    let n = input.n();
-    let dst = SendPtr(cols.as_mut_ptr());
-    pool::run(n, &|s| {
-        // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
-        #[allow(clippy::redundant_locals)]
-        let dst = dst;
-        // SAFETY: chunk `s` owns cols slot `s` exclusively.
-        let slot = unsafe { std::slice::from_raw_parts_mut(dst.0.add(s * stride_len), stride_len) };
-        im2col(input.sample(s), g, slot);
-    });
+    record_product(t0, n, Trans::N, rows, out_c, n_cols);
 }
 
 /// Gradient of the loss w.r.t. the convolution *weights* and *bias*.
 ///
 /// Accumulates into `grad_weight` (shape `(out_c, in_c, kh, kw)`) and
 /// `grad_bias` (length `out_c`, or empty to skip), matching the convention
-/// that gradients are summed over a mini-batch. Batch-fused: the whole
-/// mini-batch is lowered once and a single batched GEMM accumulates every
-/// sample's contribution into the shared gradient tile.
+/// that gradients are summed over a mini-batch. Samples in order, and per
+/// sample one column panel at a time: lower it, then add
+/// `grad_out[:, panel] · panelᵀ` into the shared gradient tile.
+///
+/// Here the panel is the product's *shared* dimension, so how it is cut is
+/// part of the result: every panel but the last is a whole number of the
+/// GEMM's KC blocks ([`panel_cols`](crate::gemm)) and panels are taken in
+/// ascending order, which makes the sequence of per-block FMA chains and
+/// `+=` into the tile exactly that of one product over all columns.
 pub fn conv2d_backward_weight(
     input: &Tensor4,
     grad_out: &Tensor4,
@@ -348,24 +453,35 @@ pub fn conv2d_backward_weight(
         (n, spec.out_c, oh, ow),
         "backward_weight: grad_out shape"
     );
-    let (rows, n_cols) = (g.col_rows(), g.col_cols());
+    let panels = Panels::of(&g);
+    let (rows, n_cols, out_c) = (panels.rows, panels.n_cols, spec.out_c);
 
-    let cols = scratch.cols_for_batch(&g, n);
-    im2col_batch(input, &g, cols, rows * n_cols);
     // grad_W (out_c × rows) += Σ_s grad_out_s (out_c × n_cols) · cols_sᵀ.
-    gemm_nt_batch(
-        n,
-        spec.out_c,
-        n_cols,
-        rows,
-        grad_out.as_slice(),
-        cols,
-        grad_weight.as_mut_slice(),
-    );
-    if !grad_bias.is_empty() {
-        for s in 0..n {
-            let go = grad_out.sample(s);
-            for oc in 0..spec.out_c {
+    let gw = CView::new(grad_weight.as_mut_slice(), rows);
+    let panel = scratch.panel(panels.len());
+    for s in 0..n {
+        let t0 = Instant::now();
+        let go = grad_out.sample(s);
+        for (q0, q1) in (0..panels.count).map(|i| panels.range(i)) {
+            let pl = q1 - q0;
+            let panel = &mut panel[..rows * pl];
+            im2col_panel(input.sample(s), &g, q0, q1, panel);
+            gemm_strided(
+                Trans::N,
+                Trans::T,
+                out_c,
+                pl,
+                rows,
+                &go[q0..],
+                n_cols,
+                panel,
+                pl,
+                gw,
+            );
+        }
+        record_product(t0, 1, Trans::T, out_c, n_cols, rows);
+        if !grad_bias.is_empty() {
+            for oc in 0..out_c {
                 grad_bias[oc] += go[oc * n_cols..(oc + 1) * n_cols].iter().sum::<f64>();
             }
         }
@@ -545,6 +661,35 @@ mod tests {
         let x = Tensor4::zeros(1, 2, 4, 4);
         let w = Tensor4::zeros(3, 2, 5, 5);
         let _ = conv2d(&x, &w, &[], &spec);
+    }
+
+    // A 5x5 kernel on a 3x3 input: `h + 2·pad − kh` used to wrap in a
+    // release build (no overflow checks) for every entry point but the
+    // forward pass, and the next resize aborted on a ~2⁶⁴-element request.
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn out_dims_rejects_oversized_kernel() {
+        let _ = Conv2dSpec::square(1, 1, 5, 0).out_dims(3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn backward_input_rejects_oversized_kernel() {
+        let spec = Conv2dSpec::square(1, 1, 5, 0);
+        let go = Tensor4::zeros(1, 1, 1, 1);
+        let w = Tensor4::zeros(1, 1, 5, 5);
+        let _ = conv2d_backward_input(&go, &w, &spec, 3, 3, &mut ConvScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn backward_weight_rejects_oversized_kernel() {
+        let spec = Conv2dSpec::square(1, 1, 5, 0);
+        let x = Tensor4::zeros(1, 1, 3, 3);
+        let go = Tensor4::zeros(1, 1, 1, 1);
+        let mut gw = Tensor4::zeros(1, 1, 5, 5);
+        conv2d_backward_weight(&x, &go, &spec, &mut gw, &mut [], &mut ConvScratch::new());
     }
 
     #[test]

@@ -11,18 +11,25 @@
 //!   (whose `f64::mul_add` chains the repo-level `.cargo/config.toml`
 //!   lowers to FMA). `PDEML_KERNEL=scalar|simd` selects for A/B runs;
 //!   [`force_kernel_path`] overrides for benches.
-//! * **Thread level** — the driver's macro-loops fan out over
-//!   [`crate::pool`]: batched calls chunk per sample, single-sample calls
-//!   chunk per [`NC`]-column block. Each C element is written by exactly
-//!   one chunk with a fixed operation order, so results are bit-for-bit
-//!   identical at every thread budget.
+//! * **Thread level** — the driver fans out over [`crate::pool`], one chunk
+//!   per [`NC`]-column block of C (the convolution passes in
+//!   [`crate::conv`] fan out over samples and column panels instead and
+//!   call [`PackedA::sweep`] from inside their chunks). Each C element is
+//!   written by exactly one chunk with a fixed operation order, so results
+//!   are bit-for-bit identical at every thread budget.
+//!
+//! Every operand carries its own row stride (`lda` / `ldb` / `ldc`), so a
+//! convolution pass can multiply one cache-sized column panel straight into
+//! — or out of — a column range of a larger matrix with no staging copy.
 //!
 //! Operand handling depends on the layout: row-major B (`Trans::N`) is read
 //! **in place** by the SIMD paths and by the dedicated small-`m` scalar edge
 //! kernel (packing B costs as much as the FMA work at our shapes), while
 //! `Trans::T` operands keep the classic packed-strip scheme — the
 //! transposition happens for free during packing. A is always packed into
-//! `mr`-interleaved row panels ([`KC`]-blocked, L2-resident).
+//! `mr`-interleaved row panels, [`KC`] block after [`KC`] block, once per
+//! product (once per *pass* when a convolution shares its weights across
+//! samples and panels).
 //!
 //! **Accumulation-order contract:** every path computes each C element as a
 //! `p`-ascending fused-multiply-add chain from 0.0 within a KC block, added
@@ -34,9 +41,9 @@
 //!
 //! Pack buffers live in thread-local storage and are reused across calls,
 //! so steady-state GEMM performs no heap allocation — including on pool
-//! workers, each of which owns its own pack buffers. Every driver call
-//! records FLOPs, call counts, kernel nanoseconds and packing traffic in
-//! [`crate::perf`].
+//! workers, each of which owns its own pack buffers. Every product records
+//! FLOPs, call counts, kernel nanoseconds and packing traffic in
+//! [`crate::perf`] ([`record_product`]).
 
 use crate::{perf, pool, Matrix};
 use std::cell::RefCell;
@@ -56,6 +63,23 @@ const KC: usize = 256;
 /// (`KC × NC` ≤ 512 KiB stays L2-resident; 256 is a multiple of every
 /// tile width, so chunk boundaries never split a tile).
 const NC: usize = 256;
+/// Bytes of one im2col column panel in [`crate::conv`]: half of a 2 MiB L2,
+/// so a panel is still cache-resident when the product that follows its
+/// lowering reads it, with the other half left for the packed weights, the
+/// C tile and the input rows being gathered. A constant, not an option: the
+/// only inputs are the cache size and the `f64` width, and results are
+/// bit-identical for every value (only speed changes).
+const PANEL_BYTES: usize = 1 << 20;
+
+/// Columns per im2col panel for a column matrix of `rows × n_cols`:
+/// [`PANEL_BYTES`] worth, rounded down to a multiple of [`KC`] (a panel is
+/// the shared dimension of the weight-gradient product, so panel boundaries
+/// must be KC-block boundaries), at least one block, and never more than the
+/// matrix has — small layers get exactly one panel of exactly their size.
+pub(crate) fn panel_cols(rows: usize, n_cols: usize) -> usize {
+    let budget = PANEL_BYTES / std::mem::size_of::<f64>() / rows.max(1);
+    (budget / KC * KC).max(KC).min(n_cols)
+}
 
 thread_local! {
     /// Packed-A scratch, owned by the driver thread for the whole call.
@@ -198,25 +222,91 @@ fn panel_rows(path: KernelPath, m: usize) -> usize {
 /// Operand layout: `N` means the slice stores the logical matrix row-major,
 /// `T` means it stores the transpose (so packing walks it column-wise).
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Trans {
+pub(crate) enum Trans {
     N,
     T,
 }
 
+/// The output operand as the kernels see it: a base pointer, the number of
+/// elements valid from it, and the row stride. A raw pointer rather than a
+/// `&mut` slice because concurrent pool chunks own disjoint column ranges of
+/// the same rows; `len` exists so every kernel can `debug_assert!` the last
+/// element it may touch.
+#[derive(Clone, Copy)]
+pub(crate) struct CView {
+    pub(crate) ptr: *mut f64,
+    pub(crate) len: usize,
+    pub(crate) ld: usize,
+}
+
+// SAFETY: a `CView` is only a description of memory; every use site that
+// shares one across pool chunks documents the disjoint region each chunk
+// writes (same discipline as `pool::SendPtr`).
+unsafe impl Send for CView {}
+unsafe impl Sync for CView {}
+
+impl CView {
+    /// A view of all of `c` with row stride `ld`.
+    pub(crate) fn new(c: &mut [f64], ld: usize) -> Self {
+        Self {
+            ptr: c.as_mut_ptr(),
+            len: c.len(),
+            ld,
+        }
+    }
+
+    /// The same rows starting `offset` elements further on (a later sample,
+    /// a later column, or both).
+    pub(crate) fn at(self, offset: usize) -> Self {
+        assert!(offset <= self.len, "CView::at: offset past the end");
+        Self {
+            // SAFETY: `offset <= len`, so the result stays inside (or one
+            // past) the allocation `ptr` came from.
+            ptr: unsafe { self.ptr.add(offset) },
+            len: self.len - offset,
+            ld: self.ld,
+        }
+    }
+
+    /// Sets columns `..width` of every row `r < m` to `value(r)` — how a
+    /// convolution initialises the C tile it is about to accumulate into
+    /// (bias, or zero) while that tile is the next thing touched.
+    ///
+    /// # Safety
+    /// Those elements must lie inside the view and no other thread may
+    /// touch them during the call.
+    pub(crate) unsafe fn fill(self, m: usize, width: usize, value: impl Fn(usize) -> f64) {
+        assert!(self.holds(m, width), "CView::fill: tile outside the view");
+        for r in 0..m {
+            // SAFETY: inside the view (asserted above), exclusively owned
+            // (caller contract).
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.ld), width) }
+                .fill(value(r));
+        }
+    }
+
+    /// Whether rows `0..m`, columns `..j_hi` lie inside the view.
+    #[inline]
+    pub(crate) fn holds(&self, m: usize, j_hi: usize) -> bool {
+        m == 0 || (m - 1) * self.ld + j_hi <= self.len
+    }
+}
+
 /// Packs every `mr`-row panel of the logical `m × k` matrix A for the
 /// shared-dimension block `p0 .. p0+kc` into `buf`, zero-padding the last
-/// panel. Layout: panel `ip` at `buf[ip*kc*mr..]`, element `(p, r)` at
-/// `p*mr + r`. Full 8-row `Trans::N` panels on the AVX-512 path transpose
-/// in registers ([`crate::simd::pack_a8_n_512`]); packing is pure data
-/// movement either way, so the layout (and every downstream result) is
-/// identical.
+/// panel. `lda` is the row stride of the *stored* matrix (`m × k` for
+/// `Trans::N`, `k × m` for `Trans::T`). Layout: panel `ip` at
+/// `buf[ip*kc*mr..]`, element `(p, r)` at `p*mr + r`. Full 8-row `Trans::N`
+/// panels on the AVX-512 path transpose in registers
+/// ([`crate::simd::pack_a8_n_512`]); packing is pure data movement either
+/// way, so the layout (and every downstream result) is identical.
 #[allow(clippy::too_many_arguments)]
 fn pack_a_block(
     path: KernelPath,
     op: Trans,
     a: &[f64],
+    lda: usize,
     m: usize,
-    k: usize,
     p0: usize,
     kc: usize,
     mr: usize,
@@ -233,26 +323,26 @@ fn pack_a_block(
                 if path == KernelPath::Avx512 && mr == 8 && mr_eff == 8 {
                     // SAFETY: AVX-512 is the selected (detected) path and
                     // the panel is full, so all 8 source rows exist.
-                    unsafe { crate::simd::pack_a8_n_512(a, k, i0, p0, kc, panel) };
+                    unsafe { crate::simd::pack_a8_n_512(a, lda, i0, p0, kc, panel) };
                     continue;
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 let _ = path;
-                // a[(i0+r)*k + p0+p] → panel[p*mr + r]
+                // a[(i0+r)*lda + p0+p] → panel[p*mr + r]
                 if mr_eff < mr {
                     panel.fill(0.0);
                 }
                 for r in 0..mr_eff {
-                    let row = &a[(i0 + r) * k + p0..][..kc];
+                    let row = &a[(i0 + r) * lda + p0..][..kc];
                     for (p, &v) in row.iter().enumerate() {
                         panel[p * mr + r] = v;
                     }
                 }
             }
             Trans::T => {
-                // a stored k × m: a[(p0+p)*m + i0+r] → panel[p*mr + r]
+                // a stored k × m: a[(p0+p)*lda + i0+r] → panel[p*mr + r]
                 for p in 0..kc {
-                    let src = &a[(p0 + p) * m + i0..][..mr_eff];
+                    let src = &a[(p0 + p) * lda + i0..][..mr_eff];
                     let dst = &mut panel[p * mr..][..mr];
                     dst[..mr_eff].copy_from_slice(src);
                     dst[mr_eff..].fill(0.0);
@@ -265,7 +355,7 @@ fn pack_a_block(
 /// Packs a chunk of B — columns `jc .. jc+nc_eff`, shared rows
 /// `p0 .. p0+kc` — into `buf` as `ceil(nc_eff / NR)` NR-interleaved strips
 /// (strip `js` at `buf[js*kc*NR..]`, element `(p, c)` at `p*NR + c`), zero-
-/// padding the last strip.
+/// padding the last strip. `ldb` is the row stride of the stored matrix.
 ///
 /// For `Trans::N` (`k × n` slice) each source row contributes one contiguous
 /// `nc_eff`-wide run (`copy_from_slice`, i.e. vector moves), scattered
@@ -275,8 +365,7 @@ fn pack_a_block(
 fn pack_b_chunk(
     op: Trans,
     b: &[f64],
-    k: usize,
-    n: usize,
+    ldb: usize,
     p0: usize,
     kc: usize,
     jc: usize,
@@ -287,9 +376,9 @@ fn pack_b_chunk(
     let rem = nc_eff % NR;
     match op {
         Trans::N => {
-            // b[(p0+p)*n + jc+c] → strip[c/NR][p*NR + c%NR]
+            // b[(p0+p)*ldb + jc+c] → strip[c/NR][p*NR + c%NR]
             for p in 0..kc {
-                let src = &b[(p0 + p) * n + jc..][..nc_eff];
+                let src = &b[(p0 + p) * ldb + jc..][..nc_eff];
                 for js in 0..full {
                     let dst = &mut buf[js * kc * NR + p * NR..][..NR];
                     dst.copy_from_slice(&src[js * NR..][..NR]);
@@ -302,12 +391,12 @@ fn pack_b_chunk(
             }
         }
         Trans::T => {
-            // b stored n × k: b[(jc+c)*k + p0+p] → strip[c/NR][p*NR + c%NR]
+            // b stored n × k: b[(jc+c)*ldb + p0+p] → strip[c/NR][p*NR + c%NR]
             if rem > 0 {
                 buf[full * kc * NR..][..kc * NR].fill(0.0);
             }
             for c in 0..nc_eff {
-                let col = &b[(jc + c) * k + p0..][..kc];
+                let col = &b[(jc + c) * ldb + p0..][..kc];
                 let (js, cr) = (c / NR, c % NR);
                 let strip = &mut buf[js * kc * NR..][..kc * NR];
                 for (p, &v) in col.iter().enumerate() {
@@ -319,25 +408,27 @@ fn pack_b_chunk(
 }
 
 /// Accumulator write-back: adds the live `mr_eff × nr_eff` corner of the
-/// register tile into C (base pointer + row stride, so concurrent chunks
-/// can write disjoint column ranges without materializing overlapping
-/// `&mut` slices).
+/// register tile into C at rows `i0..`, columns `j0..`.
 ///
 /// # Safety
-/// `c` must be valid for the rows/columns addressed, and no other thread
-/// may concurrently touch those elements.
+/// `c` must be valid for the rows/columns addressed (row stride `c.ld`),
+/// and no other thread may concurrently touch those elements.
 #[inline(always)]
 unsafe fn write_back(
     acc: &[[f64; NR]; MR],
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
-    ldc: usize,
 ) {
+    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff), "write_back: C tile");
     for (r, acc_row) in acc.iter().enumerate().take(mr_eff) {
-        let row = unsafe { std::slice::from_raw_parts_mut(c.add((i0 + r) * ldc + j0), nr_eff) };
+        // SAFETY: row `i0 + r`, columns `j0..j0+nr_eff` end at or before
+        // `(i0+mr_eff-1)·ld + j0+nr_eff ≤ c.len` (asserted above); the
+        // caller owns them exclusively.
+        let row =
+            unsafe { std::slice::from_raw_parts_mut(c.ptr.add((i0 + r) * c.ld + j0), nr_eff) };
         for (dst, &v) in row.iter_mut().zip(&acc_row[..nr_eff]) {
             *dst += v;
         }
@@ -353,16 +444,14 @@ unsafe fn write_back(
 /// # Safety
 /// See [`write_back`].
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn micro_kernel(
     ap: &[f64],
     bp: &[f64],
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
-    ldc: usize,
 ) {
     let mut acc = [[0.0f64; NR]; MR];
     // `chunks_exact` + `zip` lets the compiler drop every bounds check in the
@@ -380,7 +469,8 @@ unsafe fn micro_kernel(
             }
         }
     }
-    unsafe { write_back(&acc, c, i0, j0, mr_eff, nr_eff, ldc) };
+    // SAFETY: forwarded caller contract.
+    unsafe { write_back(&acc, c, i0, j0, mr_eff, nr_eff) };
 }
 
 /// Dedicated scalar edge kernel for `m ≤ MR` against row-major B (the
@@ -391,19 +481,20 @@ unsafe fn micro_kernel(
 /// GFLOP/s. The accumulation chain is identical to [`micro_kernel`]'s.
 ///
 /// # Safety
-/// See [`write_back`]; `b` must hold the sample's `k × n` matrix.
+/// See [`write_back`]. `b` starts at B's block row (element `(p, j)` of the
+/// block at `b[p*ldb + j]`); the slice indexing below checks its bounds.
 #[allow(clippy::too_many_arguments)]
 unsafe fn scalar_edge_block(
     m: usize,
-    n: usize,
     ap: &[f64],
     kc: usize,
     b: &[f64],
-    p0: usize,
-    c: *mut f64,
+    ldb: usize,
+    c: CView,
     j_lo: usize,
     j_hi: usize,
 ) {
+    debug_assert!(c.holds(m, j_hi), "scalar_edge_block: C columns");
     let mut j0 = j_lo;
     while j0 < j_hi {
         let nr_eff = NR.min(j_hi - j0);
@@ -411,7 +502,7 @@ unsafe fn scalar_edge_block(
         if nr_eff == NR {
             for (p, a_col) in ap.chunks_exact(MR).take(kc).enumerate() {
                 let a_col: &[f64; MR] = a_col.try_into().unwrap();
-                let b_row: &[f64; NR] = b[(p0 + p) * n + j0..][..NR].try_into().unwrap();
+                let b_row: &[f64; NR] = b[p * ldb + j0..][..NR].try_into().unwrap();
                 for r in 0..MR {
                     let av = a_col[r];
                     for j in 0..NR {
@@ -421,7 +512,7 @@ unsafe fn scalar_edge_block(
             }
         } else {
             for (p, a_col) in ap.chunks_exact(MR).take(kc).enumerate() {
-                let b_row = &b[(p0 + p) * n + j0..][..nr_eff];
+                let b_row = &b[p * ldb + j0..][..nr_eff];
                 for r in 0..MR {
                     let av = a_col[r];
                     for (j, &bv) in b_row.iter().enumerate() {
@@ -430,34 +521,38 @@ unsafe fn scalar_edge_block(
                 }
             }
         }
-        unsafe { write_back(&acc, c, 0, j0, m, nr_eff, n) };
+        // SAFETY: forwarded caller contract (rows `0..m`, columns
+        // `j0..j0+nr_eff ⊂ j_lo..j_hi`).
+        unsafe { write_back(&acc, c, 0, j0, m, nr_eff) };
         j0 += NR;
     }
 }
 
-/// Packed-strip sweep of C columns `j_lo .. j_hi` for one sample and one KC
-/// block: B chunks are packed [`NC`] columns at a time into *this thread's*
-/// pack buffer (caller or pool worker alike), then swept strip by strip by
-/// every A panel while cache-hot.
+/// Packed-strip sweep of C columns `j_lo .. j_hi` for one KC block: B chunks
+/// are packed [`NC`] columns at a time into *this thread's* pack buffer
+/// (caller or pool worker alike), then swept strip by strip by every A panel
+/// while cache-hot.
 ///
 /// # Safety
-/// See [`write_back`]; `abuf` must hold `ceil(m/mr)` packed panels.
+/// See [`write_back`]; `abuf` must hold `ceil(m/mr)` packed panels. `b` is
+/// the whole stored operand (row stride `ldb`); packing indexes it through
+/// checked slices.
 #[allow(clippy::too_many_arguments)]
 unsafe fn packed_block(
     path: KernelPath,
     op_b: Trans,
     m: usize,
-    k: usize,
-    n: usize,
     abuf: &[f64],
     mr: usize,
     kc: usize,
     p0: usize,
     b: &[f64],
-    c: *mut f64,
+    ldb: usize,
+    c: CView,
     j_lo: usize,
     j_hi: usize,
 ) {
+    debug_assert!(c.holds(m, j_hi), "packed_block: C columns");
     let m_panels = m.div_ceil(mr);
     B_BUF.with(|bb| {
         let mut bbuf = bb.borrow_mut();
@@ -467,7 +562,7 @@ unsafe fn packed_block(
         }
         for jc in (j_lo..j_hi).step_by(NC) {
             let nc_eff = NC.min(j_hi - jc);
-            pack_b_chunk(op_b, b, k, n, p0, kc, jc, nc_eff, &mut bbuf);
+            pack_b_chunk(op_b, b, ldb, p0, kc, jc, nc_eff, &mut bbuf);
             for js in 0..nc_eff.div_ceil(NR) {
                 let strip = &bbuf[js * kc * NR..][..kc * NR];
                 let j0 = jc + js * NR;
@@ -476,22 +571,21 @@ unsafe fn packed_block(
                     let ap = &abuf[ip * kc * mr..][..kc * mr];
                     let (i0, mr_eff) = (ip * mr, mr.min(m - ip * mr));
                     match path {
-                        // SAFETY (all arms): disjoint C tiles, panels sized
-                        // by the driver, SIMD paths feature-checked at
-                        // selection time.
+                        // SAFETY (all arms): disjoint C tiles inside the
+                        // columns asserted above, panels sized by the
+                        // driver, SIMD paths feature-checked at selection
+                        // time.
                         KernelPath::Scalar => unsafe {
-                            micro_kernel(ap, strip, c, i0, j0, mr_eff, nr_eff, n)
+                            micro_kernel(ap, strip, c, i0, j0, mr_eff, nr_eff)
                         },
                         #[cfg(target_arch = "x86_64")]
                         KernelPath::Avx2 => unsafe {
-                            crate::simd::packed_strip_avx2(
-                                ap, strip, kc, c, i0, j0, mr_eff, nr_eff, n,
-                            )
+                            crate::simd::packed_strip_avx2(ap, strip, kc, c, i0, j0, mr_eff, nr_eff)
                         },
                         #[cfg(target_arch = "x86_64")]
                         KernelPath::Avx512 => unsafe {
                             crate::simd::packed_strip_512(
-                                ap, mr, strip, kc, c, i0, j0, mr_eff, nr_eff, n,
+                                ap, mr, strip, kc, c, i0, j0, mr_eff, nr_eff,
                             )
                         },
                         #[cfg(not(target_arch = "x86_64"))]
@@ -503,166 +597,176 @@ unsafe fn packed_block(
     });
 }
 
-/// One sample × one KC block × one column range, dispatched to the selected
-/// kernel family. This is the unit of work a pool chunk executes.
-///
-/// # Safety
-/// `c` must point at the sample's `m × n` output and no other thread may
-/// write columns `j_lo .. j_hi` of it; `abuf` must be packed with `mr`-row
-/// panels for this block; SIMD paths require their CPU features (guaranteed
-/// by [`kernel_path`]).
-#[allow(clippy::too_many_arguments)]
-unsafe fn sample_block(
+/// A packed once for the whole shared dimension: the `ceil(m/mr)` panels of
+/// KC block 0, then those of block 1, … (block `p0` starts at
+/// `ceil(m/mr)·mr·p0`). Borrowed from the packing thread's `A_BUF`; pool
+/// chunks on any thread read it.
+pub(crate) struct PackedA<'a> {
     path: KernelPath,
-    op_b: Trans,
+    mr: usize,
     m: usize,
     k: usize,
-    n: usize,
-    abuf: &[f64],
-    mr: usize,
-    kc: usize,
-    p0: usize,
-    b: &[f64],
-    c: *mut f64,
-    j_lo: usize,
-    j_hi: usize,
-) {
-    match op_b {
-        Trans::N => match path {
-            KernelPath::Scalar if m <= MR => unsafe {
-                scalar_edge_block(m, n, abuf, kc, b, p0, c, j_lo, j_hi)
-            },
-            KernelPath::Scalar => unsafe {
-                packed_block(path, op_b, m, k, n, abuf, mr, kc, p0, b, c, j_lo, j_hi)
-            },
-            #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2 => unsafe {
-                crate::simd::direct_block_avx2(
-                    abuf,
-                    m,
-                    kc,
-                    b.as_ptr().add(p0 * n),
-                    n,
-                    c,
-                    j_lo,
-                    j_hi,
-                )
-            },
-            #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx512 => unsafe {
-                crate::simd::direct_block_512(
-                    abuf,
-                    mr,
-                    m,
-                    kc,
-                    b.as_ptr().add(p0 * n),
-                    n,
-                    c,
-                    j_lo,
-                    j_hi,
-                )
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("SIMD kernel paths are x86_64-only"),
-        },
-        Trans::T => unsafe {
-            packed_block(path, op_b, m, k, n, abuf, mr, kc, p0, b, c, j_lo, j_hi)
-        },
+    buf: &'a [f64],
+}
+
+impl PackedA<'_> {
+    /// `C[.., j_lo..j_hi] += A · op_b(B)[.., j_lo..j_hi]` over the whole
+    /// shared dimension: the ascending-`p0` KC-block chain of the
+    /// accumulation-order contract, one `+=` into C per block. This is the
+    /// unit of work a pool chunk executes; it never fans out itself.
+    ///
+    /// `b` is the stored operand with row stride `ldb` — `k × n` for
+    /// `Trans::N`, `n × k` for `Trans::T` — and may be a window into a wider
+    /// matrix (`ldb` larger than the window), as may `c`.
+    ///
+    /// # Safety
+    /// No other thread may touch rows `0..m`, columns `j_lo..j_hi` of `c`
+    /// during the call, and those elements must lie inside `c`
+    /// (`(m−1)·c.ld + j_hi ≤ c.len`; checked by `debug_assert!` here and at
+    /// every kernel). `b` is a slice, so its bounds are checked where it is
+    /// indexed and `debug_assert!`ed where the SIMD kernels take raw
+    /// pointers into it (`(kc−1)·ldb + j_hi ≤ b.len()` per block).
+    pub(crate) unsafe fn sweep(
+        &self,
+        op_b: Trans,
+        b: &[f64],
+        ldb: usize,
+        c: CView,
+        j_lo: usize,
+        j_hi: usize,
+    ) {
+        debug_assert!(c.holds(self.m, j_hi), "sweep: C columns");
+        let (path, m, mr) = (self.path, self.m, self.mr);
+        let m_panels = m.div_ceil(mr);
+        for p0 in (0..self.k).step_by(KC) {
+            let kc = KC.min(self.k - p0);
+            let abuf = &self.buf[m_panels * mr * p0..][..m_panels * kc * mr];
+            // Row-major B is read in place, from its block row on, by the
+            // SIMD paths and the small-`m` scalar edge kernel; everything
+            // else (transposed B, scalar with several A panels) packs strips.
+            // SAFETY (all arms): the caller's ownership of C columns
+            // `j_lo..j_hi`, forwarded; `abuf` holds this block's
+            // `ceil(m/mr)` panels; SIMD paths are feature-checked at
+            // selection time.
+            match (op_b, path) {
+                (Trans::N, KernelPath::Scalar) if m <= MR => unsafe {
+                    scalar_edge_block(m, abuf, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
+                },
+                #[cfg(target_arch = "x86_64")]
+                (Trans::N, KernelPath::Avx2) => unsafe {
+                    crate::simd::direct_block_avx2(abuf, m, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
+                },
+                #[cfg(target_arch = "x86_64")]
+                (Trans::N, KernelPath::Avx512) => unsafe {
+                    crate::simd::direct_block_512(
+                        abuf,
+                        mr,
+                        m,
+                        kc,
+                        &b[p0 * ldb..],
+                        ldb,
+                        c,
+                        j_lo,
+                        j_hi,
+                    )
+                },
+                _ => unsafe {
+                    packed_block(path, op_b, m, abuf, mr, kc, p0, b, ldb, c, j_lo, j_hi)
+                },
+            }
+        }
     }
 }
 
-use crate::pool::SendPtr;
-
-/// Shared driver behind every public entry point.
-///
-/// Computes `C_s += op_a(A) · op_b(B_s)` for `samples` consecutive
-/// `k × n` / `m × n` operand pairs in `b_all` / `c_all`, sharing one packed
-/// copy of A across all samples. The batched conv path uses `samples > 1` to
-/// amortize A packing over a whole mini-batch; the plain entry points pass
-/// `samples == 1`.
-///
-/// Loop order: the shared dimension is blocked by [`KC`] and A packed once
-/// per block. Inside the block the work fans out over [`crate::pool`]:
-/// batched calls run one chunk per sample, single-sample calls one chunk
-/// per [`NC`]-column range — both partitions write disjoint C regions, and
-/// the per-element operation order is independent of the partition, so
-/// every thread budget produces identical bits.
-#[allow(clippy::too_many_arguments)]
-fn gemm_driver(
+/// Packs `op_a(A)` (`m × k`, stored with row stride `lda`) into this
+/// thread's `A_BUF`, every KC block of it, and hands the result to `f`.
+/// The convolution passes call this once per pass and [`PackedA::sweep`]
+/// many times inside `f`; `f` must not start another product on this thread
+/// (the buffer is borrowed for its whole duration).
+pub(crate) fn with_packed_a<R>(
     op_a: Trans,
-    op_b: Trans,
-    samples: usize,
     m: usize,
     k: usize,
-    n: usize,
     a: &[f64],
-    b_all: &[f64],
-    c_all: &mut [f64],
-) {
-    if samples == 0 || m == 0 || n == 0 {
-        return;
-    }
-    let t0 = Instant::now();
+    lda: usize,
+    f: impl FnOnce(&PackedA<'_>) -> R,
+) -> R {
     let path = kernel_path();
     let mr = panel_rows(path, m);
     let m_panels = m.div_ceil(mr);
     A_BUF.with(|ab| {
         let mut abuf = ab.borrow_mut();
+        let need = m_panels * mr * k;
+        if abuf.len() < need {
+            abuf.resize(need, 0.0);
+        }
         for p0 in (0..k).step_by(KC) {
             let kc = KC.min(k - p0);
-            if abuf.len() < m_panels * kc * mr {
-                abuf.resize(m_panels * kc * mr, 0.0);
-            }
-            pack_a_block(path, op_a, a, m, k, p0, kc, mr, &mut abuf);
-            let abuf: &[f64] = &abuf[..m_panels * kc * mr];
-            let c_base = SendPtr(c_all.as_mut_ptr());
-            if samples > 1 {
-                pool::run(samples, &|s| {
-                    // Bind the wrapper whole so closure capture keeps the
-                    // `Send + Sync` `SendPtr`, not its raw-pointer field.
-                    #[allow(clippy::redundant_locals)]
-                    let c_base = c_base;
-                    let b = &b_all[s * k * n..][..k * n];
-                    // SAFETY: chunk `s` owns sample `s`'s C region.
-                    unsafe {
-                        sample_block(
-                            path,
-                            op_b,
-                            m,
-                            k,
-                            n,
-                            abuf,
-                            mr,
-                            kc,
-                            p0,
-                            b,
-                            c_base.0.add(s * m * n),
-                            0,
-                            n,
-                        )
-                    };
-                });
-            } else {
-                pool::run(n.div_ceil(NC), &|ci| {
-                    // Whole-value rebind for disjoint capture (see above).
-                    #[allow(clippy::redundant_locals)]
-                    let c_base = c_base;
-                    let j_lo = ci * NC;
-                    let j_hi = (j_lo + NC).min(n);
-                    // SAFETY: chunk `ci` owns columns `j_lo..j_hi` alone.
-                    unsafe {
-                        sample_block(
-                            path, op_b, m, k, n, abuf, mr, kc, p0, b_all, c_base.0, j_lo, j_hi,
-                        )
-                    };
-                });
-            }
+            let block = &mut abuf[m_panels * mr * p0..][..m_panels * kc * mr];
+            pack_a_block(path, op_a, a, lda, m, p0, kc, mr, block);
         }
+        f(&PackedA {
+            path,
+            mr,
+            m,
+            k,
+            buf: &abuf[..need],
+        })
+    })
+}
+
+/// The driver behind every product: `C += op_a(A) · op_b(B)` with a row
+/// stride per operand. A is packed once, then the work fans out over
+/// [`crate::pool`], one chunk per [`NC`]-column range of C — chunks write
+/// disjoint columns and the per-element operation order does not depend on
+/// the partition, so every thread budget produces identical bits. Books
+/// nothing in [`crate::perf`]; callers follow up with [`record_product`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_strided(
+    op_a: Trans,
+    op_b: Trans,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: CView,
+) {
+    assert!(c.holds(m, n), "gemm: C view too short for {m} x {n}");
+    if m == 0 || n == 0 {
+        return;
+    }
+    with_packed_a(op_a, m, k, a, lda, |pa| {
+        pool::run(n.div_ceil(NC), &|ci| {
+            let j_lo = ci * NC;
+            let j_hi = (j_lo + NC).min(n);
+            // SAFETY: chunk `ci` owns columns `j_lo..j_hi` alone, and they
+            // lie inside `c` (asserted above).
+            unsafe { pa.sweep(op_b, b, ldb, c, j_lo, j_hi) };
+        });
     });
+}
+
+/// Books one product in [`crate::perf`] — `samples` multiplications of
+/// `m × k` by `k × n` that shared one packed A and started at `t0` — as a
+/// single GEMM call (and a single trace instant). The convolution forward
+/// and input-gradient passes record once per mini-batch, the weight-gradient
+/// pass once per sample, however many column panels they walked.
+pub(crate) fn record_product(
+    t0: Instant,
+    samples: usize,
+    op_b: Trans,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let path = kernel_path();
+    let mr = panel_rows(path, m);
     let flops = 2 * (samples as u64) * (m as u64) * (k as u64) * (n as u64);
-    let mut packed_elems = (m_panels * mr * k) as u64;
-    let packs_b = op_b == Trans::T || (path == KernelPath::Scalar && m > MR);
-    if packs_b {
+    let mut packed_elems = (m.div_ceil(mr) * mr * k) as u64;
+    if op_b == Trans::T || (path == KernelPath::Scalar && m > MR) {
         packed_elems += (samples as u64) * (n.div_ceil(NR) * NR * k) as u64;
     }
     perf::record_gemm(
@@ -671,6 +775,30 @@ fn gemm_driver(
         t0.elapsed().as_nanos() as u64,
         path != KernelPath::Scalar,
     );
+}
+
+/// One timed, recorded product on whole (unstrided) operands.
+#[allow(clippy::too_many_arguments)]
+fn gemm_recorded(
+    op_a: Trans,
+    op_b: Trans,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let t0 = Instant::now();
+    let (lda, ldb) = (
+        if op_a == Trans::N { k } else { m },
+        if op_b == Trans::N { n } else { k },
+    );
+    gemm_strided(op_a, op_b, m, k, n, a, lda, b, ldb, CView::new(c, n));
+    record_product(t0, 1, op_b, m, k, n);
 }
 
 /// `C += A * B` on flat row-major buffers.
@@ -684,7 +812,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "gemm: A length");
     assert_eq!(b.len(), k * n, "gemm: B length");
     assert_eq!(c.len(), m * n, "gemm: C length");
-    gemm_driver(Trans::N, Trans::N, 1, m, k, n, a, b, c);
+    gemm_recorded(Trans::N, Trans::N, m, k, n, a, b, c);
 }
 
 /// `C += Aᵀ * B` on flat row-major buffers, without materializing `Aᵀ`.
@@ -695,7 +823,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(a.len(), k * m, "gemm_tn: A length");
     assert_eq!(b.len(), k * n, "gemm_tn: B length");
     assert_eq!(c.len(), m * n, "gemm_tn: C length");
-    gemm_driver(Trans::T, Trans::N, 1, m, k, n, a, b, c);
+    gemm_recorded(Trans::T, Trans::N, m, k, n, a, b, c);
 }
 
 /// `C += A * Bᵀ` on flat row-major buffers, without materializing `Bᵀ`.
@@ -706,79 +834,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(a.len(), m * k, "gemm_nt: A length");
     assert_eq!(b.len(), n * k, "gemm_nt: B length");
     assert_eq!(c.len(), m * n, "gemm_nt: C length");
-    gemm_driver(Trans::N, Trans::T, 1, m, k, n, a, b, c);
-}
-
-/// Batched `C_s += A * B_s` sharing one packed copy of A across the batch.
-///
-/// `a` is `m × k`; `b_all` holds `samples` consecutive `k × n` matrices and
-/// `c_all` the matching `m × n` outputs. Used by the batch-fused convolution
-/// forward pass: one call per layer per mini-batch.
-pub fn gemm_batch(
-    samples: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b_all: &[f64],
-    c_all: &mut [f64],
-) {
-    assert_eq!(a.len(), m * k, "gemm_batch: A length");
-    assert_eq!(b_all.len(), samples * k * n, "gemm_batch: B length");
-    assert_eq!(c_all.len(), samples * m * n, "gemm_batch: C length");
-    gemm_driver(Trans::N, Trans::N, samples, m, k, n, a, b_all, c_all);
-}
-
-/// Batched `C_s += Aᵀ * B_s` sharing one packed copy of A across the batch.
-///
-/// `a` is `k × m`; `b_all` / `c_all` as in [`gemm_batch`]. Used by the
-/// batch-fused convolution input-gradient pass.
-pub fn gemm_tn_batch(
-    samples: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b_all: &[f64],
-    c_all: &mut [f64],
-) {
-    assert_eq!(a.len(), k * m, "gemm_tn_batch: A length");
-    assert_eq!(b_all.len(), samples * k * n, "gemm_tn_batch: B length");
-    assert_eq!(c_all.len(), samples * m * n, "gemm_tn_batch: C length");
-    gemm_driver(Trans::T, Trans::N, samples, m, k, n, a, b_all, c_all);
-}
-
-/// Batched `C += Σ_s A_s * B_sᵀ`: all samples accumulate into one shared C.
-///
-/// `a_all` holds `samples` consecutive `m × k` matrices, `b_all` the matching
-/// `n × k` matrices, `c` the single shared `m × n` accumulator. Used by the
-/// batch-fused convolution weight-gradient pass, where every sample
-/// contributes to the same gradient tile.
-pub fn gemm_nt_batch(
-    samples: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a_all: &[f64],
-    b_all: &[f64],
-    c: &mut [f64],
-) {
-    assert_eq!(a_all.len(), samples * m * k, "gemm_nt_batch: A length");
-    assert_eq!(b_all.len(), samples * n * k, "gemm_nt_batch: B length");
-    assert_eq!(c.len(), m * n, "gemm_nt_batch: C length");
-    for s in 0..samples {
-        gemm_driver(
-            Trans::N,
-            Trans::T,
-            1,
-            m,
-            k,
-            n,
-            &a_all[s * m * k..][..m * k],
-            &b_all[s * n * k..][..n * k],
-            c,
-        );
-    }
+    gemm_recorded(Trans::N, Trans::T, m, k, n, a, b, c);
 }
 
 /// Convenience wrapper: full product of two [`Matrix`] values.
@@ -909,55 +965,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_variants_match_per_sample_calls() {
-        let (samples, m, k, n) = (3, 5, 13, 9);
-        let a = det_fill(m * k, 11);
-        let a_t = det_fill(k * m, 12);
-        let b_all = det_fill(samples * k * n, 13);
-        let bt_all = det_fill(samples * n * k, 14);
-
-        // gemm_batch vs per-sample gemm.
-        let mut c_batch = vec![0.0; samples * m * n];
-        gemm_batch(samples, m, k, n, &a, &b_all, &mut c_batch);
-        for s in 0..samples {
-            let mut c_one = vec![0.0; m * n];
-            gemm(m, k, n, &a, &b_all[s * k * n..][..k * n], &mut c_one);
-            assert_eq!(
-                &c_batch[s * m * n..][..m * n],
-                &c_one[..],
-                "gemm_batch sample {s}"
-            );
-        }
-
-        // gemm_tn_batch vs per-sample gemm_tn.
-        let mut c_batch = vec![0.0; samples * m * n];
-        gemm_tn_batch(samples, m, k, n, &a_t, &b_all, &mut c_batch);
-        for s in 0..samples {
-            let mut c_one = vec![0.0; m * n];
-            gemm_tn(m, k, n, &a_t, &b_all[s * k * n..][..k * n], &mut c_one);
-            assert_eq!(
-                &c_batch[s * m * n..][..m * n],
-                &c_one[..],
-                "gemm_tn_batch sample {s}"
-            );
-        }
-
-        // gemm_nt_batch vs accumulating per-sample gemm_nt.
-        let a_all = det_fill(samples * m * k, 15);
-        let mut c_shared = vec![0.0; m * n];
-        gemm_nt_batch(samples, m, k, n, &a_all, &bt_all, &mut c_shared);
-        let mut c_ref = vec![0.0; m * n];
-        for s in 0..samples {
-            gemm_nt(
-                m,
-                k,
-                n,
-                &a_all[s * m * k..][..m * k],
-                &bt_all[s * n * k..][..n * k],
-                &mut c_ref,
-            );
-        }
-        assert_eq!(c_shared, c_ref, "gemm_nt_batch vs per-sample accumulation");
+    fn panel_width_follows_the_budget_rule() {
+        // The Table-I layers (rows = C_in·25): 1 MiB / 8 B / rows, rounded
+        // down to whole KC blocks.
+        assert_eq!(panel_cols(100, 37_520), 1280);
+        assert_eq!(panel_cols(150, 36_432), 768);
+        assert_eq!(panel_cols(400, 35_360), 256);
+        // Never less than one KC block, however tall the matrix...
+        assert_eq!(panel_cols(5000, 10_000), KC);
+        // ...and never wider than the matrix: small layers are one panel.
+        assert_eq!(panel_cols(36, 256), 256);
+        assert_eq!(panel_cols(400, 144), 144);
+        assert_eq!(panel_cols(400, 257), 256);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! a matrix so the convolution becomes a single GEMM — the classic lowering
 //! used by CPU deep-learning frameworks. `col2im` is its adjoint and is the
 //! core of the input-gradient pass.
+//!
+//! The convolution passes never hold the whole column matrix: they lower and
+//! multiply one *panel* of columns `q0..q1` at a time ([`im2col_panel`],
+//! [`col2im_panel`]; a column index is an output position `q = oi·ow + oj`).
+//! The whole-matrix forms are the same code over the full column range and
+//! are what the tests build their reference from.
 
 /// Geometry of a 2-D convolution over one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,14 +32,24 @@ pub struct ConvGeom {
 
 impl ConvGeom {
     /// Output height.
+    ///
+    /// # Panics
+    /// As [`ConvGeom::validate`] — in particular on a kernel larger than the
+    /// padded input, where the unchecked subtraction would wrap in a release
+    /// build and the next allocation abort.
     #[inline]
     pub fn out_h(&self) -> usize {
+        self.validate();
         (self.h + 2 * self.pad - self.kh) / self.stride + 1
     }
 
     /// Output width.
+    ///
+    /// # Panics
+    /// As [`ConvGeom::out_h`].
     #[inline]
     pub fn out_w(&self) -> usize {
+        self.validate();
         (self.w + 2 * self.pad - self.kw) / self.stride + 1
     }
 
@@ -50,6 +66,7 @@ impl ConvGeom {
     }
 
     /// Validates that the geometry produces at least one output pixel.
+    #[inline]
     pub fn validate(&self) {
         assert!(self.stride >= 1, "ConvGeom: stride must be >= 1");
         assert!(
@@ -61,6 +78,59 @@ impl ConvGeom {
             self.w + 2 * self.pad
         );
     }
+
+    /// The input row that output row `oi` reads through tap row `ki`, or
+    /// `None` when that row is padding.
+    #[inline]
+    fn input_row(&self, oi: usize, ki: usize) -> Option<usize> {
+        (oi * self.stride + ki)
+            .checked_sub(self.pad)
+            .filter(|&ii| ii < self.h)
+    }
+
+    /// For tap column `kj` at stride 1: the contiguous run of output columns
+    /// `oj_lo..oj_hi` whose input column `jj = oj + kj - pad` lies in
+    /// `[0, w)` — every other output column reads padding.
+    fn valid_run(&self, kj: usize, ow: usize) -> (usize, usize) {
+        let oj_lo = self.pad.saturating_sub(kj).min(ow);
+        let oj_hi = (self.w + self.pad).saturating_sub(kj).min(ow).max(oj_lo);
+        (oj_lo, oj_hi)
+    }
+}
+
+/// Output rows `oi_from..oi_to`, each restricted to output columns
+/// `lo..hi`.
+type RowSegment = (usize, usize, usize, usize);
+
+/// Columns `q0..q1` of the column matrix (`q = oi·ow + oj`, `q0 < q1`) as at
+/// most three runs of output rows in ascending `q`: a partial first row, the
+/// whole rows in between, a partial last row. The per-row loops of the
+/// lowering then carry no per-row clipping — a panel that covers the whole
+/// matrix is one segment of whole rows.
+fn row_segments(ow: usize, q0: usize, q1: usize) -> ([RowSegment; 3], usize) {
+    let (first, last) = (q0 / ow, (q1 - 1) / ow);
+    let (lo, hi) = (q0 - first * ow, q1 - last * ow);
+    let mut segs = [(0, 0, 0, 0); 3];
+    let mut n = 0;
+    let mut push = |seg: RowSegment| {
+        segs[n] = seg;
+        n += 1;
+    };
+    if first == last {
+        push((first, first + 1, lo, hi));
+    } else {
+        if lo > 0 {
+            push((first, first + 1, lo, ow));
+        }
+        let whole = (first + usize::from(lo > 0), last + usize::from(hi == ow));
+        if whole.0 < whole.1 {
+            push((whole.0, whole.1, 0, ow));
+        }
+        if hi < ow {
+            push((last, last + 1, 0, hi));
+        }
+    }
+    (segs, n)
 }
 
 /// Unrolls one `(C, H, W)` sample into the `(c*kh*kw) × (out_h*out_w)`
@@ -68,62 +138,77 @@ impl ConvGeom {
 ///
 /// Out-of-bounds (padding) positions contribute zeros.
 pub fn im2col(input: &[f64], g: &ConvGeom, cols: &mut [f64]) {
-    g.validate();
-    assert_eq!(input.len(), g.c * g.h * g.w, "im2col: input length");
-    assert_eq!(
-        cols.len(),
-        g.col_rows() * g.col_cols(),
-        "im2col: cols length"
-    );
+    im2col_panel(input, g, 0, g.col_cols(), cols);
+}
 
+/// Columns `q0..q1` of [`im2col`]'s matrix as a dense
+/// `(c*kh*kw) × (q1-q0)` panel (row stride `q1 - q0`), any stride and
+/// padding. Pure data movement: element `(row, q - q0)` of the panel is
+/// bit-for-bit element `(row, q)` of the whole matrix.
+pub fn im2col_panel(input: &[f64], g: &ConvGeom, q0: usize, q1: usize, panel: &mut [f64]) {
+    assert_eq!(input.len(), g.c * g.h * g.w, "im2col: input length");
     let (oh, ow) = (g.out_h(), g.out_w());
-    let n_cols = oh * ow;
+    assert!(q0 <= q1 && q1 <= oh * ow, "im2col: column range");
+    let pl = q1 - q0;
+    assert_eq!(panel.len(), g.col_rows() * pl, "im2col: cols length");
+    if pl == 0 {
+        return;
+    }
+    let (segs, n_segs) = row_segments(ow, q0, q1);
     for c in 0..g.c {
         let plane = &input[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let out_row = &mut cols[row * n_cols..(row + 1) * n_cols];
-                if g.stride == 1 {
-                    // Stride 1 (every conv layer in the paper's network): for
-                    // a fixed tap, valid output columns form one contiguous
-                    // run `oj_lo..oj_hi` (`jj = oj + kj - pad ∈ [0, w)`), so
-                    // each output row is zeros / one bulk copy / zeros —
-                    // vector moves instead of a branch per element. Pure
-                    // data movement: bit-identical to the general path.
-                    let oj_lo = g.pad.saturating_sub(kj).min(ow);
-                    let oj_hi = (g.w + g.pad).saturating_sub(kj).min(ow).max(oj_lo);
-                    let jj0 = (oj_lo + kj).saturating_sub(g.pad).min(g.w);
-                    for oi in 0..oh {
-                        let ii = (oi + ki) as isize - g.pad as isize;
-                        let base = oi * ow;
-                        if ii < 0 || ii >= g.h as isize {
-                            out_row[base..base + ow].fill(0.0);
-                            continue;
+                let out_row = &mut panel[row * pl..(row + 1) * pl];
+                let (run_lo, run_hi) = g.valid_run(kj, ow);
+                let input_row = |oi| Some(&plane[g.input_row(oi, ki)? * g.w..][..g.w]);
+                for &(oi_from, oi_to, lo, hi) in &segs[..n_segs] {
+                    let seg = &mut out_row[oi_from * ow + lo - q0..];
+                    let rows = seg.chunks_mut(ow).zip(oi_from..oi_to);
+                    if g.stride != 1 {
+                        for (dst, oi) in rows {
+                            let dst = &mut dst[..hi - lo];
+                            let Some(src_row) = input_row(oi) else {
+                                dst.fill(0.0);
+                                continue;
+                            };
+                            for (d, oj) in dst.iter_mut().zip(lo..hi) {
+                                let jj = (oj * g.stride + kj).checked_sub(g.pad);
+                                *d = jj.and_then(|jj| src_row.get(jj)).copied().unwrap_or(0.0);
+                            }
                         }
-                        let src_row = &plane[ii as usize * g.w..(ii as usize + 1) * g.w];
-                        out_row[base..base + oj_lo].fill(0.0);
-                        out_row[base + oj_lo..base + oj_hi]
-                            .copy_from_slice(&src_row[jj0..jj0 + (oj_hi - oj_lo)]);
-                        out_row[base + oj_hi..base + ow].fill(0.0);
-                    }
-                    continue;
-                }
-                for oi in 0..oh {
-                    let ii = (oi * g.stride + ki) as isize - g.pad as isize;
-                    let base = oi * ow;
-                    if ii < 0 || ii >= g.h as isize {
-                        out_row[base..base + ow].fill(0.0);
                         continue;
                     }
-                    let src_row = &plane[ii as usize * g.w..(ii as usize + 1) * g.w];
-                    for oj in 0..ow {
-                        let jj = (oj * g.stride + kj) as isize - g.pad as isize;
-                        out_row[base + oj] = if jj < 0 || jj >= g.w as isize {
-                            0.0
-                        } else {
-                            src_row[jj as usize]
+                    // Stride 1 (every conv layer in the paper's network):
+                    // for a fixed tap, valid output columns form one
+                    // contiguous run `a..b`, so each output row is zeros /
+                    // one bulk copy / zeros — vector moves instead of a
+                    // branch per element.
+                    let (a, b) = (run_lo.clamp(lo, hi), run_hi.clamp(lo, hi));
+                    let src0 = (a + kj).saturating_sub(g.pad).min(g.w);
+                    if a == lo && b == hi {
+                        // No padding in the window: the copy alone. (Its own
+                        // loop because at 8-column toy rows even an empty
+                        // `fill` call is a tenth of the row.)
+                        for (dst, oi) in rows {
+                            let dst = &mut dst[..hi - lo];
+                            match input_row(oi) {
+                                Some(src_row) => dst.copy_from_slice(&src_row[src0..][..b - a]),
+                                None => dst.fill(0.0),
+                            }
+                        }
+                        continue;
+                    }
+                    for (dst, oi) in rows {
+                        let dst = &mut dst[..hi - lo];
+                        let Some(src_row) = input_row(oi) else {
+                            dst.fill(0.0);
+                            continue;
                         };
+                        dst[..a - lo].fill(0.0);
+                        dst[a - lo..b - lo].copy_from_slice(&src_row[src0..][..b - a]);
+                        dst[b - lo..].fill(0.0);
                     }
                 }
             }
@@ -135,56 +220,66 @@ pub fn im2col(input: &[f64], g: &ConvGeom, cols: &mut [f64]) {
 /// the `(C, H, W)` sample buffer. `output` is *accumulated into*, callers
 /// must zero it when they want a plain adjoint.
 pub fn col2im(cols: &[f64], g: &ConvGeom, output: &mut [f64]) {
-    g.validate();
-    assert_eq!(output.len(), g.c * g.h * g.w, "col2im: output length");
-    assert_eq!(
-        cols.len(),
-        g.col_rows() * g.col_cols(),
-        "col2im: cols length"
-    );
+    col2im_panel(cols, g, 0, g.col_cols(), output);
+}
 
+/// Adjoint of [`im2col_panel`]: accumulates the `(c*kh*kw) × (q1-q0)` panel
+/// holding columns `q0..q1` onto `output`, visiting rows in `(c, ki, kj)`
+/// order and columns in ascending `q` — the order [`col2im`] visits the same
+/// elements in.
+///
+/// One `output` element receives its taps in ascending `(ki, kj)`, which is
+/// strictly *descending* `q` (a later tap reaches the same input pixel from
+/// an earlier output position). Scattering a column matrix panel by panel
+/// therefore reproduces [`col2im`]'s floating-point sums exactly when the
+/// panels are taken in descending `q` order (ascending order would add the
+/// taps of a pixel that two panels share the other way round).
+pub fn col2im_panel(panel: &[f64], g: &ConvGeom, q0: usize, q1: usize, output: &mut [f64]) {
+    assert_eq!(output.len(), g.c * g.h * g.w, "col2im: output length");
     let (oh, ow) = (g.out_h(), g.out_w());
-    let n_cols = oh * ow;
+    assert!(q0 <= q1 && q1 <= oh * ow, "col2im: column range");
+    let pl = q1 - q0;
+    assert_eq!(panel.len(), g.col_rows() * pl, "col2im: cols length");
+    if pl == 0 {
+        return;
+    }
+    let (segs, n_segs) = row_segments(ow, q0, q1);
     for c in 0..g.c {
         let plane = &mut output[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let in_row = &cols[row * n_cols..(row + 1) * n_cols];
-                if g.stride == 1 {
-                    // Same contiguous-run structure as the im2col fast path:
-                    // the scatter becomes one dense `+=` sweep per row. The
-                    // accumulation order over (ki, kj, oi, oj) is unchanged,
-                    // so results stay bit-identical to the general path.
-                    let oj_lo = g.pad.saturating_sub(kj).min(ow);
-                    let oj_hi = (g.w + g.pad).saturating_sub(kj).min(ow).max(oj_lo);
-                    let jj0 = (oj_lo + kj).saturating_sub(g.pad).min(g.w);
-                    for oi in 0..oh {
-                        let ii = (oi + ki) as isize - g.pad as isize;
-                        if ii < 0 || ii >= g.h as isize {
-                            continue;
+                let in_row = &panel[row * pl..(row + 1) * pl];
+                let (run_lo, run_hi) = g.valid_run(kj, ow);
+                for &(oi_from, oi_to, lo, hi) in &segs[..n_segs] {
+                    if g.stride != 1 {
+                        for oi in oi_from..oi_to {
+                            let Some(ii) = g.input_row(oi, ki) else {
+                                continue;
+                            };
+                            let dst_row = &mut plane[ii * g.w..][..g.w];
+                            let src = &in_row[oi * ow + lo - q0..][..hi - lo];
+                            for (&s, oj) in src.iter().zip(lo..hi) {
+                                let jj = (oj * g.stride + kj).checked_sub(g.pad);
+                                if let Some(d) = jj.and_then(|jj| dst_row.get_mut(jj)) {
+                                    *d += s;
+                                }
+                            }
                         }
-                        let dst_row = &mut plane[ii as usize * g.w..(ii as usize + 1) * g.w];
-                        let base = oi * ow;
-                        let dst = &mut dst_row[jj0..jj0 + (oj_hi - oj_lo)];
-                        let src = &in_row[base + oj_lo..base + oj_hi];
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
-                    continue;
-                }
-                for oi in 0..oh {
-                    let ii = (oi * g.stride + ki) as isize - g.pad as isize;
-                    if ii < 0 || ii >= g.h as isize {
                         continue;
                     }
-                    let dst_row = &mut plane[ii as usize * g.w..(ii as usize + 1) * g.w];
-                    let base = oi * ow;
-                    for oj in 0..ow {
-                        let jj = (oj * g.stride + kj) as isize - g.pad as isize;
-                        if jj >= 0 && jj < g.w as isize {
-                            dst_row[jj as usize] += in_row[base + oj];
+                    // Same contiguous-run structure as the im2col fast path:
+                    // at stride 1 the scatter is one dense `+=` sweep per row.
+                    let (a, b) = (run_lo.clamp(lo, hi), run_hi.clamp(lo, hi));
+                    let dst0 = (a + kj).saturating_sub(g.pad).min(g.w);
+                    for oi in oi_from..oi_to {
+                        let Some(ii) = g.input_row(oi, ki) else {
+                            continue;
+                        };
+                        let dst = &mut plane[ii * g.w + dst0..][..b - a];
+                        let src = &in_row[oi * ow + a - q0..][..b - a];
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d += s;
                         }
                     }
                 }
@@ -333,6 +428,67 @@ mod tests {
         im2col(&input, &g, &mut cols);
         // Tap (0,0) picks the even-even positions.
         assert_eq!(&cols[0..4], &[0.0, 2.0, 8.0, 10.0]);
+    }
+
+    #[test]
+    fn panels_tile_the_whole_matrix() {
+        // Every column range of two small geometries — so ranges that start
+        // and end mid-row, lie inside one row, or sit wholly in a tap's
+        // padding — at stride 1 (bulk-copy path, padding on every side,
+        // once wider than the valid run) and stride 2 (per-element path).
+        for (k, pad, stride) in [(3, 1, 1), (5, 2, 1), (3, 1, 2)] {
+            let g = ConvGeom {
+                c: 2,
+                h: 7,
+                w: 6,
+                kh: k,
+                kw: k,
+                stride,
+                pad,
+            };
+            let (rows, n) = (g.col_rows(), g.col_cols());
+            let x: Vec<f64> = (0..g.c * g.h * g.w).map(|i| i as f64 + 1.0).collect();
+            let mut whole = vec![0.0; rows * n];
+            im2col(&x, &g, &mut whole);
+            let mut back_whole = vec![0.0; x.len()];
+            col2im(&whole, &g, &mut back_whole);
+
+            for q0 in 0..=n {
+                for q1 in q0..=n {
+                    let pl = q1 - q0;
+                    let mut panel = vec![f64::NAN; rows * pl];
+                    im2col_panel(&x, &g, q0, q1, &mut panel);
+                    for r in 0..rows {
+                        assert_eq!(panel[r * pl..][..pl], whole[r * n + q0..r * n + q1]);
+                    }
+                    // Scatter the two halves `0..q0`, `q0..q1` and the rest:
+                    // integer-valued data, so the sums are exact in any order.
+                    let mut back = vec![0.0; x.len()];
+                    col2im_panel(&panel, &g, q0, q1, &mut back);
+                    for (p0, p1) in [(0, q0), (q1, n)] {
+                        let mut rest = vec![0.0; rows * (p1 - p0)];
+                        im2col_panel(&x, &g, p0, p1, &mut rest);
+                        col2im_panel(&rest, &g, p0, p1, &mut back);
+                    }
+                    assert_eq!(back, back_whole, "k={k} stride={stride} {q0}..{q1}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn out_dims_reject_oversized_kernel() {
+        let g = ConvGeom {
+            c: 1,
+            h: 2,
+            w: 9,
+            kh: 5,
+            kw: 5,
+            stride: 1,
+            pad: 0,
+        };
+        let _ = g.out_h();
     }
 
     #[test]

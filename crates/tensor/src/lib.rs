@@ -40,10 +40,7 @@ pub mod tensor3;
 pub mod tensor4;
 
 pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_im2col, Conv2dSpec};
-pub use gemm::{
-    force_kernel_path, gemm, gemm_batch, gemm_nt, gemm_nt_batch, gemm_tn, gemm_tn_batch,
-    kernel_path, KernelPath,
-};
+pub use gemm::{force_kernel_path, gemm, gemm_nt, gemm_tn, kernel_path, KernelPath};
 pub use grid::Grid2;
 pub use matrix::Matrix;
 pub use pad::PadMode;

@@ -30,9 +30,9 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Records one GEMM driver invocation: its FLOP count, packed-panel
-/// traffic, wall-clock nanoseconds inside the driver, and whether an
-/// explicit-SIMD kernel path ran.
+/// Records one product — a plain GEMM call, or a convolution pass however
+/// many column panels it walked: its FLOP count, packed-panel traffic,
+/// wall-clock nanoseconds, and whether an explicit-SIMD kernel path ran.
 #[inline]
 pub(crate) fn record_gemm(flops: u64, bytes_packed: u64, ns: u64, simd: bool) {
     FLOPS.with(|c| c.set(c.get() + flops));
@@ -43,7 +43,7 @@ pub(crate) fn record_gemm(flops: u64, bytes_packed: u64, ns: u64, simd: bool) {
         SIMD_CALLS.with(|c| c.set(c.get() + 1));
     }
     crate::live::record_kernel(flops, ns);
-    // One instant per driver call; when no trace session is active this is
+    // One instant per product; when no trace session is active this is
     // a single thread-local read (see `pde_trace::instant`).
     pde_trace::instant(
         pde_trace::Category::Kernel,
@@ -58,13 +58,16 @@ pub(crate) fn record_gemm(flops: u64, bytes_packed: u64, ns: u64, simd: bool) {
 pub struct PerfCounters {
     /// Floating-point operations issued by the GEMM kernels (2·m·k·n each).
     pub flops: u64,
-    /// Number of GEMM driver calls (a batched call counts once).
+    /// Number of products: plain GEMM calls, plus one per convolution
+    /// forward / input-gradient pass (the whole mini-batch) and one per
+    /// sample of a weight-gradient pass.
     pub gemm_calls: u64,
     /// Bytes copied into packed panels by the GEMM drivers.
     pub bytes_packed: u64,
-    /// Wall-clock nanoseconds spent inside the GEMM driver (packing +
-    /// micro-kernels, including time on pool worker threads it fanned out
-    /// to — the driver blocks until every chunk completes).
+    /// Wall-clock nanoseconds spent inside those products: packing +
+    /// micro-kernels and, for a convolution pass, the panel-by-panel
+    /// lowering fused into it — including time on pool worker threads the
+    /// product fanned out to (it blocks until every chunk completes).
     pub kernel_ns: u64,
     /// GEMM driver calls that ran an explicit-SIMD kernel path.
     pub simd_calls: u64,
@@ -95,7 +98,7 @@ impl PerfCounters {
         }
     }
 
-    /// GFLOP/s over the nanoseconds actually spent inside the GEMM driver
+    /// GFLOP/s over the nanoseconds actually spent inside the products
     /// (excludes everything the caller did between kernel calls).
     pub fn kernel_gflops(&self) -> f64 {
         if self.kernel_ns > 0 {

@@ -24,13 +24,19 @@
 //! produce bit-identical results. `tests/kernel_paths.rs` asserts exact
 //! equality.
 //!
-//! C is addressed through a raw base pointer plus row stride rather than
-//! `&mut` slices, so concurrent pool chunks — which own disjoint column
-//! ranges of the same sample — never materialize overlapping mutable
-//! references.
+//! C is addressed through a [`CView`] (raw base pointer, valid length, row
+//! stride) rather than `&mut` slices, so concurrent pool chunks — which own
+//! disjoint column ranges of the same rows — never materialize overlapping
+//! mutable references. B and C each carry their own row stride (`ldb`,
+//! `c.ld`): either may be a column window of a wider matrix, which is how
+//! the convolution passes multiply one im2col panel straight into a column
+//! range of the output. Every kernel `debug_assert!`s the last B and C
+//! element it may touch, so the test profile (debug assertions on) checks
+//! the stride arithmetic over every ragged shape the suites run.
 
 #![cfg(target_arch = "x86_64")]
 
+use crate::gemm::CView;
 use std::arch::x86_64::*;
 
 /// Columns per full AVX-512 direct tile (two zmm vectors).
@@ -81,26 +87,28 @@ unsafe fn transpose8x8(r: [__m512d; 8]) -> [__m512d; 8] {
 
 /// Vectorized A packing for one *full* 8-row `Trans::N` panel: rows
 /// `i0..i0+8`, shared columns `p0..p0+kc` of the row-major matrix `a`
-/// (row stride `k`), written `p`-major into `panel` (element `(p, r)` at
+/// (row stride `lda`), written `p`-major into `panel` (element `(p, r)` at
 /// `p*8 + r`). 8×8 blocks transpose in registers; the `kc % 8` tail falls
 /// back to scalar stores. Pure data movement — bit-identical to the scalar
 /// packer.
 ///
 /// # Safety
-/// Requires AVX-512F. All 8 source rows must exist (`i0 + 8 ≤ m`) and
-/// `panel` must hold at least `kc * 8` elements.
+/// Requires AVX-512F. All 8 source rows must exist
+/// (`(i0+7)·lda + p0 + kc ≤ a.len()`) and `panel` must hold at least
+/// `kc * 8` elements; both are `debug_assert!`ed.
 #[target_feature(enable = "avx512f")]
 pub(crate) unsafe fn pack_a8_n_512(
     a: &[f64],
-    k: usize,
+    lda: usize,
     i0: usize,
     p0: usize,
     kc: usize,
     panel: &mut [f64],
 ) {
     debug_assert!(panel.len() >= kc * 8);
-    debug_assert!((i0 + 7) * k + p0 + kc <= a.len());
-    let base = unsafe { a.as_ptr().add(i0 * k + p0) };
+    debug_assert!((i0 + 7) * lda + p0 + kc <= a.len());
+    // SAFETY: in bounds by the assertion above.
+    let base = unsafe { a.as_ptr().add(i0 * lda + p0) };
     let out = panel.as_mut_ptr();
     let mut p = 0;
     while p + 8 <= kc {
@@ -108,13 +116,13 @@ pub(crate) unsafe fn pack_a8_n_512(
         unsafe {
             let rows = [
                 _mm512_loadu_pd(base.add(p)),
-                _mm512_loadu_pd(base.add(k + p)),
-                _mm512_loadu_pd(base.add(2 * k + p)),
-                _mm512_loadu_pd(base.add(3 * k + p)),
-                _mm512_loadu_pd(base.add(4 * k + p)),
-                _mm512_loadu_pd(base.add(5 * k + p)),
-                _mm512_loadu_pd(base.add(6 * k + p)),
-                _mm512_loadu_pd(base.add(7 * k + p)),
+                _mm512_loadu_pd(base.add(lda + p)),
+                _mm512_loadu_pd(base.add(2 * lda + p)),
+                _mm512_loadu_pd(base.add(3 * lda + p)),
+                _mm512_loadu_pd(base.add(4 * lda + p)),
+                _mm512_loadu_pd(base.add(5 * lda + p)),
+                _mm512_loadu_pd(base.add(6 * lda + p)),
+                _mm512_loadu_pd(base.add(7 * lda + p)),
             ];
             let cols = transpose8x8(rows);
             _mm512_storeu_pd(out.add(p * 8), cols[0]);
@@ -130,7 +138,7 @@ pub(crate) unsafe fn pack_a8_n_512(
     }
     while p < kc {
         for r in 0..8 {
-            panel[p * 8 + r] = a[(i0 + r) * k + p0 + p];
+            panel[p * 8 + r] = a[(i0 + r) * lda + p0 + p];
         }
         p += 1;
     }
@@ -141,29 +149,38 @@ pub(crate) unsafe fn pack_a8_n_512(
 // ---------------------------------------------------------------------------
 
 /// Direct-B full tile: `MR` rows × [`TILE_512`] columns, B read in place.
-/// `b` points at B's block row (`b[p*n + j]` is element `(p0+p, j)`).
+/// `b` starts at B's block row (`b[p*ldb + j]` is element `(p0+p, j)`).
 ///
 /// # Safety
-/// Requires AVX-512F; `ap` holds a `kc × MR` panel; B columns `j0..j0+16`
-/// exist; C rows `i0..i0+mr_eff`, columns `j0..j0+16` are exclusively owned.
+/// Requires AVX-512F; `ap` holds a `kc × MR` panel. Stride contract: B rows
+/// are `ldb` apart and C rows `c.ld` apart, the tile reads
+/// `b[p·ldb + j0 .. +16]` for `p < kc` and updates
+/// `c[(i0+r)·c.ld + j0 .. +16]` for `r < mr_eff`, so
+/// `(kc−1)·ldb + j0+16 ≤ b.len()` and `(i0+mr_eff−1)·c.ld + j0+16 ≤ c.len`
+/// must hold (both `debug_assert!`ed); the C tile is exclusively owned.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn direct_full_512<const MR: usize>(
     ap: &[f64],
-    b: *const f64,
-    n: usize,
+    b: &[f64],
+    ldb: usize,
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
 ) {
+    debug_assert!(ap.len() >= kc * MR);
+    debug_assert!(kc == 0 || (kc - 1) * ldb + j0 + TILE_512 <= b.len());
+    debug_assert!(c.holds(i0 + mr_eff, j0 + TILE_512));
     let mut acc0 = [_mm512_setzero_pd(); MR];
     let mut acc1 = [_mm512_setzero_pd(); MR];
     let mut a = ap.as_ptr();
-    let mut bp = unsafe { b.add(j0) };
+    let mut bp = b.as_ptr().wrapping_add(j0);
     for _ in 0..kc {
-        // SAFETY: caller bounds; the r-loop unrolls fully (MR is const).
+        // SAFETY: row `p` of the tile ends at `p·ldb + j0+16 ≤ b.len()`
+        // (asserted above); `ap` holds `kc` steps of `MR`; the r-loop
+        // unrolls fully (MR is const).
         unsafe {
             let bv0 = _mm512_loadu_pd(bp);
             let bv1 = _mm512_loadu_pd(bp.add(8));
@@ -173,13 +190,14 @@ unsafe fn direct_full_512<const MR: usize>(
                 acc1[r] = _mm512_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.wrapping_add(ldb);
         }
     }
     for r in 0..mr_eff {
-        // SAFETY: this tile owns C rows i0..i0+mr_eff, columns j0..j0+16.
+        // SAFETY: this tile owns C rows i0..i0+mr_eff, columns j0..j0+16,
+        // all inside `c` (asserted above).
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.ptr.add((i0 + r) * c.ld + j0);
             _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), acc0[r]));
             _mm512_storeu_pd(
                 cp.add(8),
@@ -193,20 +211,26 @@ unsafe fn direct_full_512<const MR: usize>(
 /// loads/stores — no scalar remainder loop, no out-of-bounds touches.
 ///
 /// # Safety
-/// As [`direct_full_512`], with B/C columns `j0..j0+nr_eff` in bounds.
+/// As [`direct_full_512`] with `nr_eff` in place of 16: the masks keep every
+/// access inside columns `j0..j0+nr_eff`, so
+/// `(kc−1)·ldb + j0+nr_eff ≤ b.len()` and
+/// `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len` (both `debug_assert!`ed).
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn direct_edge_512<const MR: usize>(
     ap: &[f64],
-    b: *const f64,
-    n: usize,
+    b: &[f64],
+    ldb: usize,
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
 ) {
+    debug_assert!(ap.len() >= kc * MR);
+    debug_assert!(kc == 0 || (kc - 1) * ldb + j0 + nr_eff <= b.len());
+    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
     let w0 = nr_eff.min(8);
     let w1 = nr_eff - w0;
     let m0: __mmask8 = (1u16 << w0).wrapping_sub(1) as __mmask8;
@@ -214,9 +238,10 @@ unsafe fn direct_edge_512<const MR: usize>(
     let mut acc0 = [_mm512_setzero_pd(); MR];
     let mut acc1 = [_mm512_setzero_pd(); MR];
     let mut a = ap.as_ptr();
-    let mut bp = unsafe { b.add(j0) };
+    let mut bp = b.as_ptr().wrapping_add(j0);
     for _ in 0..kc {
-        // SAFETY: masked lanes never touch memory beyond column j0+nr_eff.
+        // SAFETY: masked lanes never touch memory beyond column j0+nr_eff,
+        // which is inside `b` for every row of the block (asserted above).
         unsafe {
             let bv0 = _mm512_maskz_loadu_pd(m0, bp);
             let bv1 = if w1 > 0 {
@@ -230,13 +255,14 @@ unsafe fn direct_edge_512<const MR: usize>(
                 acc1[r] = _mm512_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.wrapping_add(ldb);
         }
     }
     for r in 0..mr_eff {
-        // SAFETY: masked read-modify-write of the owned C edge tile.
+        // SAFETY: masked read-modify-write of the owned C edge tile, inside
+        // `c` (asserted above).
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.ptr.add((i0 + r) * c.ld + j0);
             let prev0 = _mm512_maskz_loadu_pd(m0, cp);
             _mm512_mask_storeu_pd(cp, m0, _mm512_add_pd(prev0, acc0[r]));
             if w1 > 0 {
@@ -247,14 +273,17 @@ unsafe fn direct_edge_512<const MR: usize>(
     }
 }
 
-/// Direct-B sweep of C columns `j_lo..j_hi` for one sample / KC block on the
-/// AVX-512 path: full 16-wide tiles, then one masked edge column group. `mr`
-/// is the packed panel height (8, or 4 for small-`m` shapes).
+/// Direct-B sweep of C columns `j_lo..j_hi` for one KC block on the AVX-512
+/// path: full 16-wide tiles, then one masked edge column group. `mr` is the
+/// packed panel height (8, or 4 for small-`m` shapes).
 ///
 /// # Safety
-/// Requires AVX-512F; `abuf` holds `ceil(m/mr)` packed `kc × mr` panels;
-/// `b` points at B's block row with row stride `n`; the caller owns C
-/// columns `j_lo..j_hi` (row stride `n`) exclusively.
+/// Requires AVX-512F; `abuf` holds `ceil(m/mr)` packed `kc × mr` panels.
+/// Stride contract: `b` starts at B's block row with rows `ldb` apart, C
+/// rows are `c.ld` apart, and the last elements touched are
+/// `b[(kc−1)·ldb + j_hi − 1]` and `c[(m−1)·c.ld + j_hi − 1]` — both must be
+/// in bounds (`debug_assert!`ed); the caller owns C columns `j_lo..j_hi`
+/// exclusively.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn direct_block_512(
@@ -262,25 +291,28 @@ pub(crate) unsafe fn direct_block_512(
     mr: usize,
     m: usize,
     kc: usize,
-    b: *const f64,
-    n: usize,
-    c: *mut f64,
+    b: &[f64],
+    ldb: usize,
+    c: CView,
     j_lo: usize,
     j_hi: usize,
 ) {
     debug_assert!(mr == 8 || mr == 4);
+    debug_assert!(kc == 0 || (kc - 1) * ldb + j_hi <= b.len());
+    debug_assert!(c.holds(m, j_hi));
     let m_panels = m.div_ceil(mr);
     let mut j0 = j_lo;
     while j0 + TILE_512 <= j_hi {
         for ip in 0..m_panels {
             let ap = &abuf[ip * kc * mr..][..kc * mr];
             let (i0, mr_eff) = (ip * mr, mr.min(m - ip * mr));
-            // SAFETY: per-tile bounds established above.
+            // SAFETY: `j0 + 16 ≤ j_hi` and `i0 + mr_eff ≤ m`, so the tile
+            // is inside the block bounds asserted above.
             unsafe {
                 if mr == 8 {
-                    direct_full_512::<8>(ap, b, n, kc, c, i0, j0, mr_eff);
+                    direct_full_512::<8>(ap, b, ldb, kc, c, i0, j0, mr_eff);
                 } else {
-                    direct_full_512::<4>(ap, b, n, kc, c, i0, j0, mr_eff);
+                    direct_full_512::<4>(ap, b, ldb, kc, c, i0, j0, mr_eff);
                 }
             }
         }
@@ -294,9 +326,9 @@ pub(crate) unsafe fn direct_block_512(
             // SAFETY: masked edge stays within columns j0..j_hi.
             unsafe {
                 if mr == 8 {
-                    direct_edge_512::<8>(ap, b, n, kc, c, i0, j0, mr_eff, nr_eff);
+                    direct_edge_512::<8>(ap, b, ldb, kc, c, i0, j0, mr_eff, nr_eff);
                 } else {
-                    direct_edge_512::<4>(ap, b, n, kc, c, i0, j0, mr_eff, nr_eff);
+                    direct_edge_512::<4>(ap, b, ldb, kc, c, i0, j0, mr_eff, nr_eff);
                 }
             }
         }
@@ -314,21 +346,24 @@ pub(crate) unsafe fn direct_block_512(
 ///
 /// # Safety
 /// Requires AVX-512F; `ap` is a `kc × MR` panel, `strip` a `kc × 8` packed
-/// strip; the caller owns the addressed C tile (row stride `ldc`)
-/// exclusively.
+/// strip (both `debug_assert!`ed). Stride contract: C rows are `c.ld` apart
+/// and the tile updates `c[(i0+r)·c.ld + j0 .. +nr_eff]` for `r < mr_eff`,
+/// so `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len` (`debug_assert!`ed); the
+/// caller owns that tile exclusively.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 unsafe fn packed_micro_512<const MR: usize>(
     ap: &[f64],
     strip: &[f64],
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
-    ldc: usize,
 ) {
+    debug_assert!(ap.len() >= kc * MR && strip.len() >= kc * 8);
+    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
     let mut acc = [_mm512_setzero_pd(); MR];
     let mut a = ap.as_ptr();
     let mut bp = strip.as_ptr();
@@ -346,9 +381,9 @@ unsafe fn packed_micro_512<const MR: usize>(
     }
     if nr_eff == 8 {
         for r in 0..mr_eff {
-            // SAFETY: full-width owned C tile.
+            // SAFETY: full-width owned C tile, inside `c` (asserted above).
             unsafe {
-                let cp = c.add((i0 + r) * ldc + j0);
+                let cp = c.ptr.add((i0 + r) * c.ld + j0);
                 _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), acc[r]));
             }
         }
@@ -357,7 +392,7 @@ unsafe fn packed_micro_512<const MR: usize>(
         for r in 0..mr_eff {
             // SAFETY: masked lanes stay within the owned C edge.
             unsafe {
-                let cp = c.add((i0 + r) * ldc + j0);
+                let cp = c.ptr.add((i0 + r) * c.ld + j0);
                 let prev = _mm512_maskz_loadu_pd(mask, cp);
                 _mm512_mask_storeu_pd(cp, mask, _mm512_add_pd(prev, acc[r]));
             }
@@ -376,20 +411,19 @@ pub(crate) unsafe fn packed_strip_512(
     mr: usize,
     strip: &[f64],
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
-    ldc: usize,
 ) {
     debug_assert!(mr == 8 || mr == 4);
     // SAFETY: forwarded caller contract.
     unsafe {
         if mr == 8 {
-            packed_micro_512::<8>(ap, strip, kc, c, i0, j0, mr_eff, nr_eff, ldc);
+            packed_micro_512::<8>(ap, strip, kc, c, i0, j0, mr_eff, nr_eff);
         } else {
-            packed_micro_512::<4>(ap, strip, kc, c, i0, j0, mr_eff, nr_eff, ldc);
+            packed_micro_512::<4>(ap, strip, kc, c, i0, j0, mr_eff, nr_eff);
         }
     }
 }
@@ -411,30 +445,36 @@ unsafe fn mask4(w: usize) -> __m256i {
 }
 
 /// Direct-B full tile on AVX2: 4 rows × [`TILE_AVX2`] columns (two ymm
-/// accumulator columns), B read in place with row stride `n`.
+/// accumulator columns), B read in place with row stride `ldb`.
 ///
 /// # Safety
-/// Requires AVX2+FMA; `ap` holds a `kc × 4` panel; B columns `j0..j0+8`
-/// exist; C rows `i0..i0+mr_eff`, columns `j0..j0+8` are exclusively owned.
+/// Requires AVX2+FMA; `ap` holds a `kc × 4` panel. Stride contract as
+/// [`direct_full_512`] at 8 columns: `(kc−1)·ldb + j0+8 ≤ b.len()` and
+/// `(i0+mr_eff−1)·c.ld + j0+8 ≤ c.len` (both `debug_assert!`ed); the C tile
+/// is exclusively owned.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn direct_full_avx2(
     ap: &[f64],
-    b: *const f64,
-    n: usize,
+    b: &[f64],
+    ldb: usize,
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
 ) {
     const MR: usize = 4;
+    debug_assert!(ap.len() >= kc * MR);
+    debug_assert!(kc == 0 || (kc - 1) * ldb + j0 + TILE_AVX2 <= b.len());
+    debug_assert!(c.holds(i0 + mr_eff, j0 + TILE_AVX2));
     let mut acc0 = [_mm256_setzero_pd(); MR];
     let mut acc1 = [_mm256_setzero_pd(); MR];
     let mut a = ap.as_ptr();
-    let mut bp = unsafe { b.add(j0) };
+    let mut bp = b.as_ptr().wrapping_add(j0);
     for _ in 0..kc {
-        // SAFETY: caller bounds.
+        // SAFETY: row `p` of the tile ends at `p·ldb + j0+8 ≤ b.len()`
+        // (asserted above); `ap` holds `kc` steps of 4.
         unsafe {
             let bv0 = _mm256_loadu_pd(bp);
             let bv1 = _mm256_loadu_pd(bp.add(4));
@@ -444,13 +484,13 @@ unsafe fn direct_full_avx2(
                 acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.wrapping_add(ldb);
         }
     }
     for r in 0..mr_eff {
-        // SAFETY: owned C tile.
+        // SAFETY: owned C tile, inside `c` (asserted above).
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.ptr.add((i0 + r) * c.ld + j0);
             _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc0[r]));
             _mm256_storeu_pd(
                 cp.add(4),
@@ -464,30 +504,37 @@ unsafe fn direct_full_avx2(
 /// `maskload`/`maskstore`.
 ///
 /// # Safety
-/// As [`direct_full_avx2`], with B/C columns `j0..j0+nr_eff` in bounds.
+/// As [`direct_full_avx2`] with `nr_eff` in place of 8: the masks keep every
+/// access inside columns `j0..j0+nr_eff`, so
+/// `(kc−1)·ldb + j0+nr_eff ≤ b.len()` and
+/// `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len` (both `debug_assert!`ed).
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn direct_edge_avx2(
     ap: &[f64],
-    b: *const f64,
-    n: usize,
+    b: &[f64],
+    ldb: usize,
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
 ) {
     const MR: usize = 4;
+    debug_assert!(ap.len() >= kc * MR);
+    debug_assert!(kc == 0 || (kc - 1) * ldb + j0 + nr_eff <= b.len());
+    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
     let w0 = nr_eff.min(4);
     let w1 = nr_eff - w0;
     let m0 = unsafe { mask4(w0) };
     let mut acc0 = [_mm256_setzero_pd(); MR];
     let mut acc1 = [_mm256_setzero_pd(); MR];
     let mut a = ap.as_ptr();
-    let mut bp = unsafe { b.add(j0) };
+    let mut bp = b.as_ptr().wrapping_add(j0);
     for _ in 0..kc {
-        // SAFETY: masked lanes never read beyond column j0+nr_eff.
+        // SAFETY: masked lanes never read beyond column j0+nr_eff, which is
+        // inside `b` for every row of the block (asserted above).
         unsafe {
             let bv0 = _mm256_maskload_pd(bp, m0);
             let bv1 = if w1 > 0 {
@@ -501,13 +548,14 @@ unsafe fn direct_edge_avx2(
                 acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.wrapping_add(ldb);
         }
     }
     for r in 0..mr_eff {
-        // SAFETY: masked read-modify-write of the owned C edge.
+        // SAFETY: masked read-modify-write of the owned C edge, inside `c`
+        // (asserted above).
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.ptr.add((i0 + r) * c.ld + j0);
             let prev0 = _mm256_maskload_pd(cp, m0);
             _mm256_maskstore_pd(cp, m0, _mm256_add_pd(prev0, acc0[r]));
             if w1 > 0 {
@@ -523,30 +571,35 @@ unsafe fn direct_edge_avx2(
 /// 8-wide tiles, masked edge).
 ///
 /// # Safety
-/// Requires AVX2+FMA; `abuf` holds `ceil(m/4)` packed `kc × 4` panels; `b`
-/// points at B's block row with row stride `n`; the caller owns C columns
-/// `j_lo..j_hi` (row stride `n`) exclusively.
+/// Requires AVX2+FMA; `abuf` holds `ceil(m/4)` packed `kc × 4` panels.
+/// Stride contract as [`direct_block_512`]: `b` starts at B's block row with
+/// rows `ldb` apart, C rows are `c.ld` apart, and
+/// `(kc−1)·ldb + j_hi ≤ b.len()`, `(m−1)·c.ld + j_hi ≤ c.len` (both
+/// `debug_assert!`ed); the caller owns C columns `j_lo..j_hi` exclusively.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn direct_block_avx2(
     abuf: &[f64],
     m: usize,
     kc: usize,
-    b: *const f64,
-    n: usize,
-    c: *mut f64,
+    b: &[f64],
+    ldb: usize,
+    c: CView,
     j_lo: usize,
     j_hi: usize,
 ) {
     const MR: usize = 4;
+    debug_assert!(kc == 0 || (kc - 1) * ldb + j_hi <= b.len());
+    debug_assert!(c.holds(m, j_hi));
     let m_panels = m.div_ceil(MR);
     let mut j0 = j_lo;
     while j0 + TILE_AVX2 <= j_hi {
         for ip in 0..m_panels {
             let ap = &abuf[ip * kc * MR..][..kc * MR];
-            // SAFETY: per-tile bounds established above.
+            // SAFETY: `j0 + 8 ≤ j_hi` and the panel's rows are below `m`,
+            // so the tile is inside the block bounds asserted above.
             unsafe {
-                direct_full_avx2(ap, b, n, kc, c, ip * MR, j0, MR.min(m - ip * MR));
+                direct_full_avx2(ap, b, ldb, kc, c, ip * MR, j0, MR.min(m - ip * MR));
             }
         }
         j0 += TILE_AVX2;
@@ -557,7 +610,7 @@ pub(crate) unsafe fn direct_block_avx2(
             let ap = &abuf[ip * kc * MR..][..kc * MR];
             // SAFETY: masked edge stays within columns j0..j_hi.
             unsafe {
-                direct_edge_avx2(ap, b, n, kc, c, ip * MR, j0, MR.min(m - ip * MR), nr_eff);
+                direct_edge_avx2(ap, b, ldb, kc, c, ip * MR, j0, MR.min(m - ip * MR), nr_eff);
             }
         }
     }
@@ -568,22 +621,24 @@ pub(crate) unsafe fn direct_block_avx2(
 ///
 /// # Safety
 /// Requires AVX2+FMA; `ap` is a `kc × 4` panel, `strip` a `kc × 8` packed
-/// strip; the caller owns the addressed C tile (row stride `ldc`)
-/// exclusively.
+/// strip (both `debug_assert!`ed). Stride contract as
+/// [`packed_micro_512`]: `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len`
+/// (`debug_assert!`ed); the caller owns that C tile exclusively.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn packed_strip_avx2(
     ap: &[f64],
     strip: &[f64],
     kc: usize,
-    c: *mut f64,
+    c: CView,
     i0: usize,
     j0: usize,
     mr_eff: usize,
     nr_eff: usize,
-    ldc: usize,
 ) {
     const MR: usize = 4;
+    debug_assert!(ap.len() >= kc * MR && strip.len() >= kc * 8);
+    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
     let mut acc0 = [_mm256_setzero_pd(); MR];
     let mut acc1 = [_mm256_setzero_pd(); MR];
     let mut a = ap.as_ptr();
@@ -604,9 +659,9 @@ pub(crate) unsafe fn packed_strip_avx2(
     }
     if nr_eff == 8 {
         for r in 0..mr_eff {
-            // SAFETY: full-width owned C tile.
+            // SAFETY: full-width owned C tile, inside `c` (asserted above).
             unsafe {
-                let cp = c.add((i0 + r) * ldc + j0);
+                let cp = c.ptr.add((i0 + r) * c.ld + j0);
                 _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc0[r]));
                 _mm256_storeu_pd(
                     cp.add(4),
@@ -620,7 +675,7 @@ pub(crate) unsafe fn packed_strip_avx2(
         for r in 0..mr_eff {
             // SAFETY: masked read-modify-write of the owned C edge.
             unsafe {
-                let cp = c.add((i0 + r) * ldc + j0);
+                let cp = c.ptr.add((i0 + r) * c.ld + j0);
                 let m0 = mask4(w0);
                 let prev0 = _mm256_maskload_pd(cp, m0);
                 _mm256_maskstore_pd(cp, m0, _mm256_add_pd(prev0, acc0[r]));

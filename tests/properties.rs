@@ -115,28 +115,6 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-10, "gemm_nt {m}x{k}x{n}: {x} vs {y}");
         }
     }
-
-    /// The batched entry points equal per-sample calls of the plain ones —
-    /// bitwise, since the driver accumulates KC blocks in the same order.
-    #[test]
-    fn batched_gemm_equals_per_sample(
-        m in arb_dim(),
-        k in arb_dim(),
-        n in arb_dim(),
-        samples in 1usize..4,
-        a in arb_mat(33 * 33),
-        b in arb_mat(3 * 33 * 33),
-    ) {
-        let a = &a[..m * k];
-        let b_all = &b[..samples * k * n];
-        let mut c_batch = vec![0.0; samples * m * n];
-        pde_tensor::gemm_batch(samples, m, k, n, a, b_all, &mut c_batch);
-        for s in 0..samples {
-            let mut c_one = vec![0.0; m * n];
-            pde_tensor::gemm(m, k, n, a, &b_all[s * k * n..][..k * n], &mut c_one);
-            prop_assert_eq!(&c_batch[s * m * n..][..m * n], &c_one[..]);
-        }
-    }
 }
 
 proptest! {

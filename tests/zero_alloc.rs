@@ -94,30 +94,41 @@ fn many_epochs_stay_allocation_free() {
 
 /// The threaded kernel path stays allocation-free on the submitting thread
 /// once warm: publishing a job to the worker pool is a pointer store plus a
-/// condvar signal, chunk claiming is an atomic fetch-add, and the packed-B
-/// scratch each executing thread uses is thread-local and grown during
+/// condvar signal, chunk claiming is an atomic fetch-add, and the scratch
+/// each executing thread uses — its packed-B buffer, and its im2col column
+/// panel when a convolution fans out — is thread-local and grown during
 /// warm-up. The allocation counters are thread-local, so this measures the
 /// driver thread exactly; worker-side scratch is covered by the warm-up
 /// pass touching every worker once (chunks outnumber threads).
 #[test]
 fn threaded_gemm_steady_state_allocates_nothing_on_driver() {
-    let (s, m, k, n) = (8, 16, 150, 320); // n > NC: column chunks too
+    use pde_tensor::conv::{conv2d_im2col_into, ConvScratch};
+    use pde_tensor::{Conv2dSpec, Tensor4};
+    let (m, k, n) = (16, 150, 320); // n > NC: column chunks
     let a = vec![0.5; m * k];
-    let b_all = vec![0.25; s * k * n];
-    let mut c_all = vec![0.0; s * m * n];
+    let b = vec![0.25; k * n];
+    let mut c = vec![0.0; m * n];
+    // Eight samples of a 6 -> 16 channel 5x5 layer: (sample, panel) chunks.
+    let spec = Conv2dSpec::square(6, 16, 5, 0);
+    let x = Tensor4::full(8, 6, 20, 24, 0.25);
+    let w = Tensor4::full(16, 6, 5, 5, 0.5);
+    let mut scratch = ConvScratch::new();
+    let mut y = Tensor4::zeros(0, 0, 0, 0);
 
     pde_tensor::pool::set_thread_budget(3);
-    // Warm-up: spawns the pool, grows packed-A/B scratch on every thread
-    // (8 sample chunks over 3 threads → each worker packs at least once).
+    // Warm-up: spawns the pool, grows packed-A/B scratch and the column
+    // panel on every thread (8 chunks over 3 threads → each worker runs at
+    // least one).
     for _ in 0..2 {
-        pde_tensor::gemm_batch(s, m, k, n, &a, &b_all, &mut c_all);
+        conv2d_im2col_into(&x, &w, &[], &spec, &mut scratch, &mut y);
+        pde_tensor::gemm(m, k, n, &a, &b, &mut c);
     }
 
     let before = perf::snapshot();
     for _ in 0..3 {
-        pde_tensor::gemm_batch(s, m, k, n, &a, &b_all, &mut c_all);
-        // Single-sample wide-n form: the intra-sample column-chunk path.
-        pde_tensor::gemm(m, k, n, &a, &b_all[..k * n], &mut c_all[..m * n]);
+        conv2d_im2col_into(&x, &w, &[], &spec, &mut scratch, &mut y);
+        // Single wide-n product: the column-chunk path.
+        pde_tensor::gemm(m, k, n, &a, &b, &mut c);
     }
     let spent = perf::snapshot().since(&before);
     pde_tensor::pool::set_thread_budget(1);
