@@ -51,6 +51,7 @@ pub mod metrics;
 pub mod norm;
 pub mod observe;
 pub mod padding;
+mod placement;
 pub mod report;
 pub mod schedule;
 pub mod train;

@@ -565,6 +565,7 @@ impl ParallelTrainer {
         let norm_ref = &norm;
         let results = world.run(|comm| {
             let rank = comm.rank();
+            crate::placement::start_on_own_cpu(rank);
             // Install this rank's kernel thread budget before any GEMM/conv
             // runs: explicit config > PDEML_THREADS_PER_RANK > cores/ranks.
             pde_tensor::pool::set_thread_budget(pde_tensor::pool::resolve_budget(

@@ -53,17 +53,28 @@ impl Layer for LeakyReLu {
     }
 
     fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        if train {
-            match &mut self.cached_input {
-                Some(t) => t.copy_from(input),
-                None => self.cached_input = Some(input.clone()),
-            }
-        }
         let eps = self.epsilon;
+        let act = |x: f64| if x >= 0.0 { x } else { eps * x };
         let (n, c, h, w) = input.shape();
         out.resize(n, c, h, w);
-        for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *o = if x >= 0.0 { x } else { eps * x };
+        let out = out.as_mut_slice().iter_mut();
+        if train {
+            // One walk over the input fills the cached copy and the output:
+            // the layer is memory-bound, and a `copy_from` followed by a
+            // second pass would read every value twice.
+            let cache = self
+                .cached_input
+                .get_or_insert_with(|| Tensor4::zeros(0, 0, 0, 0));
+            cache.resize(n, c, h, w);
+            let cache = cache.as_mut_slice().iter_mut();
+            for ((o, k), &x) in out.zip(cache).zip(input.as_slice()) {
+                *k = x;
+                *o = act(x);
+            }
+        } else {
+            for (o, &x) in out.zip(input.as_slice()) {
+                *o = act(x);
+            }
         }
     }
 
@@ -71,7 +82,7 @@ impl Layer for LeakyReLu {
         let input = self
             .cached_input
             .as_ref()
-            .expect("LeakyReLu::backward before forward");
+            .expect("LeakyReLu::backward before forward (or forward with train=false)");
         assert_eq!(
             input.shape(),
             grad_out.shape(),

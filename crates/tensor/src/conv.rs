@@ -2,23 +2,37 @@
 //! forward, input-gradient and weight-gradient kernels.
 //!
 //! Two forward implementations are provided: a direct seven-loop kernel
-//! (trivially auditable, used as the test oracle) and the im2col+GEMM
-//! lowering (the fast path used by `pde-nn`). Both share [`Conv2dSpec`].
+//! ([`conv2d`], trivially auditable, used as a test oracle) and the fast
+//! path used by `pde-nn` ([`conv2d_im2col_into`] and the two backward
+//! passes). All share [`Conv2dSpec`].
 //!
-//! The lowering is **cache-blocked**: no pass ever holds a sample's whole
-//! `rows × n_cols` column matrix (25× the activation it came from at a 5×5
-//! kernel), let alone a mini-batch of them. Each pass walks the `n_cols`
-//! output positions one L2-sized column panel at a time — lower the panel,
-//! multiply it while it is cache-hot, move on — through the strided GEMM
-//! kernels of [`crate::gemm`], with the panel order chosen per pass so that
-//! every result is bit-for-bit what one whole-matrix product would give
-//! (see the three `conv2d_*` passes and `DESIGN.md` §4c).
+//! The fast path is **zero-lowering**: at stride 1 a run of output columns
+//! reads a run of input columns, so all three passes read `x` / `grad_out`
+//! in place and never build a column matrix — no im2col panel, no
+//! transposing pack, no col2im scatter. What they keep from the
+//! im2col + GEMM formulation they replace is its arithmetic, element for
+//! element (the accumulation-order contract of [`crate::gemm`], restated per
+//! pass on the three entry points and in `DESIGN.md` §4c), so every result
+//! is bit-for-bit what `im2col` + `gemm*` (+ `col2im`) over whole matrices
+//! gives — `tests/kernel_paths.rs` asserts it with `to_bits()`.
+//!
+//! Each pass has two kernels with the identical chain: an AVX-512 one in
+//! [`crate::simd`] and a portable `f64::mul_add` one here, which is the
+//! [`KernelPath::Scalar`] and [`KernelPath::Avx2`] route and the general
+//! case for shapes the vector layout does not cover (`kw > 8` in the weight
+//! gradient). `pad > 0` is served by the same kernels — forward and weight
+//! gradient through a zero-bordered copy of one sample (1× the activation,
+//! where a column matrix is `kh·kw`×), input gradient through lane masks.
+//! `stride ≠ 1`, which no network in the workspace builds, takes the
+//! whole-matrix `im2col`/`col2im` + `gemm*` route.
 
-use crate::gemm::{gemm_strided, panel_cols, record_product, with_packed_a, CView, Trans};
-use crate::im2col::{col2im_panel, im2col_panel, ConvGeom};
-use crate::pool::{self, SendPtr};
+use crate::gemm::{
+    gemm, gemm_nt, gemm_tn, grown, kernel_path, pack_a, record_product, scalar_direct_tile, CView,
+    KernelPath, Trans, KC, MR, NR,
+};
+use crate::im2col::{col2im, im2col, ConvGeom};
+use crate::pool;
 use crate::Tensor4;
-use std::cell::RefCell;
 use std::time::Instant;
 
 /// Static description of a convolution layer's arithmetic.
@@ -162,27 +176,35 @@ pub fn conv2d(input: &Tensor4, weight: &Tensor4, bias: &[f64], spec: &Conv2dSpec
     out
 }
 
-thread_local! {
-    /// The column panel of whichever thread runs a conv chunk when the pass
-    /// fans out over the pool (like the GEMM's `B_BUF`: one per executing
-    /// thread, grown during warm-up, reused ever after).
-    static PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
+/// Output (forward) or input (input gradient) rows per pool chunk. Every
+/// element of those passes is computed independently of its neighbours, so
+/// the band height only sets the fan-out grain, never a result.
+const ROW_BAND: usize = 32;
+/// Most output channels one weight-gradient tile accumulates at once.
+pub(crate) const BWD_WEIGHT_GROUP: usize = 4;
+/// Most kernel rows one weight-gradient tile accumulates at once
+/// (`BWD_WEIGHT_GROUP × BWD_WEIGHT_ROWS` vector accumulators).
+pub(crate) const BWD_WEIGHT_ROWS: usize = 5;
+/// Input-channel tile widths of the input-gradient kernels: four channels
+/// fill the narrow tile exactly, anything wider is cut into wide ones (the
+/// last zero-padded, its spare rows computed but never stored).
+const BWD_INPUT_TILES: (usize, usize) = (4, 6);
 
-/// Workspace reused across im2col convolution calls: **one column panel** —
-/// `rows × L` values, `rows = in_c·kh·kw`, `L` =
-/// [`panel_cols`](crate::gemm) — that each pass lowers into and multiplies
-/// out of while it is cache-hot. Its size is set by the layer's geometry
-/// alone (about 1 MiB at the paper's shapes, exactly `rows × out_h·out_w`
-/// when the whole column matrix is smaller than that) and never by the
-/// batch size.
+/// Workspace reused across convolution calls. It holds what a pass derives
+/// from the layer alone — the weights in the layout its kernel reads and the
+/// forward pass's tap-offset table — plus, for `pad > 0`, one sample's
+/// zero-bordered copy. All three grow once, to sizes set by the layer's
+/// geometry and never by the batch size (a few KiB to a few tens of KiB at
+/// the paper's shapes, against the 1 MiB column panel this replaced).
 #[derive(Default, Clone)]
 pub struct ConvScratch {
-    panel: Vec<f64>,
+    weights: Vec<f64>,
+    taps: Vec<usize>,
+    padded: Vec<f64>,
 }
 
 impl ConvScratch {
-    /// New empty scratch (the panel grows on first use).
+    /// New empty scratch (its buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
@@ -190,84 +212,69 @@ impl ConvScratch {
     /// Bytes of workspace this scratch holds (its capacity, not just the
     /// part the last call used).
     pub fn bytes(&self) -> usize {
-        self.panel.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// The panel, at least `len` long. Grows monotonically and exactly, so a
-    /// scratch that has seen its largest layer never reallocates again.
-    fn panel(&mut self, len: usize) -> &mut [f64] {
-        if self.panel.len() < len {
-            self.panel.reserve_exact(len - self.panel.len());
-            self.panel.resize(len, 0.0);
-        }
-        &mut self.panel[..len]
+        (self.weights.capacity() + self.padded.capacity()) * std::mem::size_of::<f64>()
+            + self.taps.capacity() * std::mem::size_of::<usize>()
     }
 }
 
-/// How a pass walks one sample's `n_cols` output positions: `count` panels
-/// of `width` columns, the last one possibly shorter.
+/// The part size that cuts `n` into the fewest parts of at most `max`, as
+/// evenly as possible (at least 1, so it can be a step).
+fn even_part(n: usize, max: usize) -> usize {
+    n.div_ceil(n.div_ceil(max).max(1)).max(1)
+}
+
+/// How the stride-1 forward and weight-gradient kernels see one sample:
+/// channel planes of `rows × ld` values — the sample itself at `pad == 0`,
+/// its zero-bordered copy otherwise — in which tap `(ki, kj)` of output
+/// `(oi, oj)` is element `(oi + ki, oj + kj)`.
 #[derive(Clone, Copy)]
-struct Panels {
+struct Planes {
     rows: usize,
-    n_cols: usize,
-    width: usize,
-    count: usize,
+    ld: usize,
 }
 
-impl Panels {
+impl Planes {
     fn of(g: &ConvGeom) -> Self {
-        let (rows, n_cols) = (g.col_rows(), g.col_cols());
-        let width = panel_cols(rows, n_cols);
         Self {
-            rows,
-            n_cols,
-            width,
-            count: n_cols.div_ceil(width),
+            rows: g.h + 2 * g.pad,
+            ld: g.w + 2 * g.pad,
         }
     }
 
-    /// Column range `q0..q1` of panel `i`.
-    fn range(&self, i: usize) -> (usize, usize) {
-        (i * self.width, ((i + 1) * self.width).min(self.n_cols))
-    }
-
-    /// Elements of a full panel.
-    fn len(&self) -> usize {
-        self.rows * self.width
-    }
-}
-
-/// Runs `f(chunk, panel)` for every chunk, handing each call a `len`-element
-/// column panel it may overwrite. With a thread budget of 1 (or a single
-/// chunk) everything runs inline on `scratch`'s panel; otherwise the chunks
-/// fan out over the pool and each executing thread uses its own
-/// thread-local panel. Chunks must write disjoint data.
-fn run_with_panel(
-    scratch: &mut ConvScratch,
-    len: usize,
-    chunks: usize,
-    f: &(dyn Fn(usize, &mut [f64]) + Sync),
-) {
-    if pool::thread_budget() <= 1 || chunks <= 1 {
-        let panel = scratch.panel(len);
-        for i in 0..chunks {
-            f(i, panel);
+    /// One sample in this layout: `sample` itself without padding, else its
+    /// copy into `buf` with a `pad`-wide zero border around every channel.
+    fn view<'a>(&self, g: &ConvGeom, sample: &'a [f64], buf: &'a mut Vec<f64>) -> &'a [f64] {
+        if g.pad == 0 {
+            return sample;
         }
-        return;
-    }
-    pool::run(chunks, &|i| {
-        PANEL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < len {
-                p.resize(len, 0.0);
+        let dst = grown(buf, g.c * self.rows * self.ld);
+        let border = g.pad * self.ld + g.pad;
+        for (src, dst) in sample
+            .chunks_exact(g.h * g.w)
+            .zip(dst.chunks_exact_mut(self.rows * self.ld))
+        {
+            // Top border + left border of the first row, then per row the
+            // values followed by its right border and the next row's left
+            // border, then what is left of the bottom border.
+            dst[..border].fill(0.0);
+            let mut at = border;
+            for row in src.chunks_exact(g.w) {
+                dst[at..at + g.w].copy_from_slice(row);
+                dst[at + g.w..at + self.ld].fill(0.0);
+                at += self.ld;
             }
-            f(i, &mut p[..len]);
-        });
-    });
+            dst[at..].fill(0.0);
+        }
+        dst
+    }
 }
 
-/// im2col + GEMM forward pass — the fast path. Identical results to
-/// [`conv2d`] up to floating-point association order.
+// ---------------------------------------------------------------------------
+// Forward
+// ---------------------------------------------------------------------------
+
+/// Forward pass — the fast path. Identical results to [`conv2d`] up to
+/// floating-point association order.
 pub fn conv2d_im2col(
     input: &Tensor4,
     weight: &Tensor4,
@@ -281,14 +288,17 @@ pub fn conv2d_im2col(
 }
 
 /// [`conv2d_im2col`] writing into a caller-owned output tensor (resized in
-/// place). The weight matrix is packed once; then, one column panel at a
-/// time, a sample's receptive fields are lowered into the panel and
-/// multiplied straight into the matching column range of the output.
+/// place). The name is pinned by the callers and the benchmark; the pass no
+/// longer lowers anything: the weight matrix is packed once
+/// ([`pack_a`]), a tap-offset table `off[(c,ki,kj)] = c·H·W + ki·W + kj`
+/// stands in for the column matrix, and the GEMM register tile reads B row
+/// `p` of output row `oi` at `x[off[p] + oi·W + oj ..]`.
 ///
-/// Panels partition the output's columns, and each runs the GEMM's full
-/// ascending KC-block chain onto its bias-initialised columns, so the result
-/// does not depend on the panel width or order — (sample, panel) pairs are
-/// the pool's chunks.
+/// **Order contract:** each output element is `bias`, then per [`KC`] block
+/// of taps `p = (c, ki, kj)` ascending one FMA chain from 0.0 over the
+/// block, added once — `gemm`'s chain on `im2col`'s matrix, so the results
+/// are bit-identical to it. Elements are independent of each other, so
+/// (sample, row band) pairs are the pool's chunks.
 pub fn conv2d_im2col_into(
     input: &Tensor4,
     weight: &Tensor4,
@@ -306,33 +316,147 @@ pub fn conv2d_im2col_into(
     let (n, _, h, w) = input.shape();
     let g = spec.geom(h, w);
     let (oh, ow) = (g.out_h(), g.out_w());
-    let panels = Panels::of(&g);
-    let (rows, n_cols, out_c) = (panels.rows, panels.n_cols, spec.out_c);
+    let (rows, n_cols, out_c) = (g.col_rows(), g.col_cols(), spec.out_c);
     out.resize(n, out_c, oh, ow);
     if n == 0 {
         return;
     }
+    if g.stride != 1 {
+        // Per sample: (out_c × rows) · (rows × n_cols) += into (out_c × n_cols).
+        let mut cols = vec![0.0; rows * n_cols];
+        for s in 0..n {
+            im2col(input.sample(s), &g, &mut cols);
+            let y = out.sample_mut(s);
+            for (oc, row) in y.chunks_exact_mut(n_cols).enumerate() {
+                row.fill(bias.get(oc).copied().unwrap_or(0.0));
+            }
+            gemm(out_c, rows, n_cols, weight.as_slice(), &cols, y);
+        }
+        return;
+    }
 
     let t0 = Instant::now();
-    // Per sample: (out_c × rows) · (rows × n_cols) += into (out_c × n_cols).
+    let path = kernel_path();
+    let planes = Planes::of(&g);
+    let ConvScratch {
+        weights,
+        taps,
+        padded,
+    } = scratch;
+    let mr = pack_a(
+        path,
+        Trans::N,
+        out_c,
+        rows,
+        weight.as_slice(),
+        rows,
+        weights,
+    );
+    let wp: &[f64] = weights;
+    let off = grown(taps, rows);
+    for (row, off) in off.chunks_exact_mut(g.kw.max(1)).enumerate() {
+        let (c, ki) = (row / g.kh, row % g.kh);
+        for (kj, off) in off.iter_mut().enumerate() {
+            *off = (c * planes.rows + ki) * planes.ld + kj;
+        }
+    }
+    let off: &[usize] = off;
+
+    let bands = oh.div_ceil(ROW_BAND);
     let y = CView::new(out.as_mut_slice(), n_cols);
-    with_packed_a(Trans::N, out_c, rows, weight.as_slice(), rows, |wp| {
-        run_with_panel(scratch, panels.len(), n * panels.count, &|i, panel| {
-            let (s, (q0, q1)) = (i / panels.count, panels.range(i % panels.count));
-            let pl = q1 - q0;
-            let panel = &mut panel[..rows * pl];
-            im2col_panel(input.sample(s), &g, q0, q1, panel);
-            let y = y.at(s * out_c * n_cols + q0);
-            // SAFETY: this chunk alone writes columns `q0..q1` of sample
-            // `s`'s output, which `y` now starts at.
-            unsafe {
-                y.fill(out_c, pl, |oc| bias.get(oc).copied().unwrap_or(0.0));
-                wp.sweep(Trans::N, panel, pl, y, 0, pl);
+    let run_band = |s: usize, x: &[f64], band: usize| {
+        let (oi_lo, oi_hi) = (band * ROW_BAND, ((band + 1) * ROW_BAND).min(oh));
+        let y = y.at(s * out_c * n_cols);
+        // SAFETY: this chunk alone writes output rows `oi_lo..oi_hi` of
+        // sample `s`, which `y` now starts at; `x` is that sample in the
+        // layout `off` was built for; AVX-512 is feature-checked at path
+        // selection.
+        unsafe {
+            match path {
+                #[cfg(target_arch = "x86_64")]
+                KernelPath::Avx512 => crate::simd::conv_fwd_rows_512(
+                    wp, mr, out_c, off, x, planes.ld, bias, y, ow, oi_lo, oi_hi,
+                ),
+                _ => conv_fwd_rows(wp, mr, out_c, off, x, planes.ld, bias, y, ow, oi_lo, oi_hi),
             }
+        }
+    };
+    if g.pad == 0 {
+        pool::run(n * bands, &|i| {
+            run_band(i / bands, input.sample(i / bands), i % bands)
         });
-    });
-    record_product(t0, n, Trans::N, out_c, rows, n_cols);
+    } else {
+        // One zero-bordered sample at a time, its bands fanned out.
+        for s in 0..n {
+            let x = planes.view(&g, input.sample(s), padded);
+            pool::run(bands, &|band| run_band(s, x, band));
+        }
+    }
+    record_product(t0, n, out_c, rows, n_cols, out_c.div_ceil(mr) * mr * rows);
 }
+
+/// The portable forward kernel: [`crate::simd::conv_fwd_rows_512`]'s chain
+/// on `MR × NR` tiles of `f64::mul_add`.
+///
+/// # Safety
+/// As [`crate::simd::conv_fwd_rows_512`] without the CPU requirement: `wp`
+/// is packed at panel height `mr == MR`; `off` is ascending and the reads
+/// span `x[off[0] + oi_lo·ld_x]` ..= `x[off[k−1] + (oi_hi−1)·ld_x + ow−1]`
+/// (slice-indexed, so checked); the caller owns columns
+/// `oi_lo·ow .. oi_hi·ow` of every channel of `y` exclusively, ending at
+/// `y[(out_c−1)·y.ld + oi_hi·ow − 1]` (`debug_assert!`ed).
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_fwd_rows(
+    wp: &[f64],
+    mr: usize,
+    out_c: usize,
+    off: &[usize],
+    x: &[f64],
+    ld_x: usize,
+    bias: &[f64],
+    y: CView,
+    ow: usize,
+    oi_lo: usize,
+    oi_hi: usize,
+) {
+    let k = off.len();
+    let m_panels = out_c.div_ceil(MR);
+    assert_eq!(mr, MR, "portable conv kernels read MR-row weight panels");
+    debug_assert!(wp.len() >= m_panels * MR * k);
+    debug_assert!(k == 0 || off[k - 1] + (oi_hi - 1) * ld_x + ow <= x.len());
+    debug_assert!(y.holds(out_c, oi_hi * ow));
+    for oi in oi_lo..oi_hi {
+        let x_row = &x[oi * ld_x..];
+        for j0 in (0..ow).step_by(NR) {
+            let nr = NR.min(ow - j0);
+            for ip in 0..m_panels {
+                let (i0, mr_eff) = (ip * MR, MR.min(out_c - ip * MR));
+                for p0 in (0..k).step_by(KC) {
+                    let kc = KC.min(k - p0);
+                    let ap = &wp[m_panels * MR * p0 + ip * kc * MR..][..kc * MR];
+                    let off = &off[p0..p0 + kc];
+                    let acc = scalar_direct_tile(ap, kc, |p| &x_row[off[p] + j0..], nr);
+                    for (r, acc) in acc.iter().enumerate().take(mr_eff) {
+                        // SAFETY: `nr` owned columns of output row `oi`,
+                        // channel `i0 + r`, inside `y` (asserted above).
+                        let row = unsafe {
+                            let at = (i0 + r) * y.ld + oi * ow + j0;
+                            std::slice::from_raw_parts_mut(y.ptr.add(at), nr)
+                        };
+                        let b = bias.get(i0 + r).copied().unwrap_or(0.0);
+                        for (dst, &v) in row.iter_mut().zip(acc) {
+                            *dst = if p0 == 0 { b } else { *dst } + v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Input gradient
+// ---------------------------------------------------------------------------
 
 /// Gradient of the loss w.r.t. the convolution *input*.
 ///
@@ -353,15 +477,21 @@ pub fn conv2d_backward_input(
 }
 
 /// [`conv2d_backward_input`] writing into a caller-owned tensor (resized in
-/// place). The transposed weight matrix is packed once; per sample (the
-/// pool's chunks), one column panel of the column gradient is computed from
-/// the matching columns of `grad_out` and scattered onto the input gradient
-/// at once.
+/// place). Gather form: every input-gradient element is computed once, in
+/// registers, from the `grad_out` values its taps reach, and written once —
+/// there is no column gradient and no scatter. The weights are repacked once
+/// per call as `[ic tile][tap][oc][ic]`.
 ///
-/// Neighbouring panels scatter onto overlapping input rows, so their order
-/// is part of the result: panels are taken in **descending** column order,
-/// which is the order [`col2im`](crate::im2col::col2im) adds one input
-/// pixel's taps in (see [`col2im_panel`]).
+/// **Order contract:** `gin[ic,ii,jj] = Σ_(ki,kj) ascending t` from 0.0,
+/// where `t` is one FMA chain from 0.0 over `oc` ascending of
+/// `W[oc,ic,ki,kj] · go[oc, ii+pad−ki, jj+pad−kj]` and taps outside
+/// `grad_out` are skipped. That is `col2im` applied to `gemm_tn(W, go)`:
+/// the product's shared dimension is `oc` (one chain per column-gradient
+/// element) and `col2im` adds the elements that land on one pixel in
+/// ascending row order `(ki, kj)`, skipping padding. Bit-identical, and
+/// elements are independent, so (sample, row band) pairs are the pool's
+/// chunks. (`out_c >` [`KC`] would split `t` into block chains; such a layer
+/// takes the whole-matrix route, like `stride ≠ 1`.)
 pub fn conv2d_backward_input_into(
     grad_out: &Tensor4,
     weight: &Tensor4,
@@ -380,53 +510,184 @@ pub fn conv2d_backward_input_into(
         (oh, ow),
         "backward_input: geometry mismatch"
     );
-    let panels = Panels::of(&g);
-    let (rows, n_cols, out_c) = (panels.rows, panels.n_cols, spec.out_c);
+    let (rows, n_cols, out_c) = (g.col_rows(), g.col_cols(), spec.out_c);
     grad_in.resize(n, spec.in_c, in_h, in_w);
-    grad_in.as_mut_slice().fill(0.0);
     if n == 0 {
+        return;
+    }
+    if g.stride != 1 || out_c > KC {
+        // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
+        grad_in.as_mut_slice().fill(0.0);
+        let mut cols = vec![0.0; rows * n_cols];
+        for s in 0..n {
+            cols.fill(0.0);
+            gemm_tn(
+                rows,
+                out_c,
+                n_cols,
+                weight.as_slice(),
+                grad_out.sample(s),
+                &mut cols,
+            );
+            col2im(&cols, &g, grad_in.sample_mut(s));
+        }
         return;
     }
 
     let t0 = Instant::now();
-    let sample_len = spec.in_c * in_h * in_w;
-    let gi = SendPtr(grad_in.as_mut_slice().as_mut_ptr());
-    // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
-    with_packed_a(Trans::T, rows, out_c, weight.as_slice(), rows, |wp| {
-        run_with_panel(scratch, panels.len(), n, &|s, panel| {
-            // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
-            #[allow(clippy::redundant_locals)]
-            let gi = gi;
-            // SAFETY: chunk `s` owns sample `s`'s disjoint grad_in region.
-            let gin =
-                unsafe { std::slice::from_raw_parts_mut(gi.0.add(s * sample_len), sample_len) };
-            let go = grad_out.sample(s);
-            for (q0, q1) in (0..panels.count).rev().map(|i| panels.range(i)) {
-                let pl = q1 - q0;
-                let panel = &mut panel[..rows * pl];
-                panel.fill(0.0);
-                // SAFETY: the panel is this chunk's alone for the call.
-                unsafe { wp.sweep(Trans::N, &go[q0..], n_cols, CView::new(panel, pl), 0, pl) };
-                col2im_panel(panel, &g, q0, q1, gin);
+    let path = kernel_path();
+    let (narrow, wide) = BWD_INPUT_TILES;
+    let ti = if g.c <= narrow { narrow } else { wide };
+    let taps = g.kh * g.kw;
+    let wt = grown(&mut scratch.weights, g.c.div_ceil(ti) * taps * out_c * ti);
+    for (tile, wt) in wt.chunks_exact_mut(taps * out_c * ti).enumerate() {
+        for (at, wt) in wt.iter_mut().enumerate() {
+            let (tap, oc, ic) = (at / (out_c * ti), at / ti % out_c, tile * ti + at % ti);
+            *wt = if ic < g.c {
+                weight.as_slice()[(oc * g.c + ic) * taps + tap]
+            } else {
+                0.0
+            };
+        }
+    }
+    let wt: &[f64] = wt;
+
+    let bands = in_h.div_ceil(ROW_BAND);
+    let sample_len = g.c * in_h * in_w;
+    let gi = CView::new(grad_in.as_mut_slice(), in_h * in_w);
+    pool::run(n * bands, &|i| {
+        let (s, band) = (i / bands, i % bands);
+        let (ii_lo, ii_hi) = (band * ROW_BAND, ((band + 1) * ROW_BAND).min(in_h));
+        let (go, gi) = (grad_out.sample(s), gi.at(s * sample_len));
+        // SAFETY: this chunk alone writes input rows `ii_lo..ii_hi` of
+        // sample `s`, which `gi` now starts at; AVX-512 is feature-checked
+        // at path selection.
+        unsafe {
+            match path {
+                #[cfg(target_arch = "x86_64")]
+                KernelPath::Avx512 => crate::simd::conv_bwd_input_rows_512(
+                    wt,
+                    ti,
+                    &g,
+                    out_c,
+                    go,
+                    (oh, ow),
+                    gi,
+                    ii_lo,
+                    ii_hi,
+                ),
+                _ => conv_bwd_input_rows(wt, ti, &g, out_c, go, (oh, ow), gi, ii_lo, ii_hi),
             }
-        });
+        }
     });
-    record_product(t0, n, Trans::N, rows, out_c, n_cols);
+    record_product(t0, n, rows, out_c, n_cols, wt.len());
 }
+
+/// The lanes `lo..hi` of an `nr`-wide input-gradient tile whose tap column
+/// `kj` lands inside `grad_out`: lane `l` reads output column
+/// `shift + l − kj` (`shift` = the tile's first input column + `pad`), which
+/// must lie in `0..ow`. Empty when `lo ≥ hi`.
+#[inline]
+pub(crate) fn tap_lanes(shift: usize, kj: usize, ow: usize, nr: usize) -> (usize, usize) {
+    (
+        kj.saturating_sub(shift),
+        (ow + kj).saturating_sub(shift).min(nr),
+    )
+}
+
+/// The portable input-gradient kernel:
+/// [`crate::simd::conv_bwd_input_rows_512`]'s two-level sum on `ti × NR`
+/// tiles of `f64::mul_add`.
+///
+/// # Safety
+/// As [`crate::simd::conv_bwd_input_rows_512`] without the CPU requirement:
+/// `wt` and `go` are slices (checked where indexed; `go` spans
+/// `go[0] ..= go[out_c·oh·ow − 1]`); the caller owns rows `ii_lo..ii_hi` of
+/// every channel of `gin` exclusively, ending at
+/// `gin[(in_c−1)·gin.ld + ii_hi·w − 1]` (`debug_assert!`ed).
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_bwd_input_rows(
+    wt: &[f64],
+    ti: usize,
+    g: &ConvGeom,
+    out_c: usize,
+    go: &[f64],
+    (oh, ow): (usize, usize),
+    gin: CView,
+    ii_lo: usize,
+    ii_hi: usize,
+) {
+    let taps = g.kh * g.kw;
+    assert!(ti <= BWD_INPUT_TILES.1);
+    debug_assert!(go.len() == out_c * oh * ow);
+    debug_assert!(gin.ld == g.h * g.w && gin.holds(g.c, ii_hi * g.w));
+    for ii in ii_lo..ii_hi {
+        for jj0 in (0..g.w).step_by(NR) {
+            let nr = NR.min(g.w - jj0);
+            let shift = jj0 + g.pad;
+            for (wt, ic0) in wt.chunks_exact(taps * out_c * ti).zip((0..g.c).step_by(ti)) {
+                let mut sum = [[0.0f64; NR]; BWD_INPUT_TILES.1];
+                for ki in 0..g.kh {
+                    let Some(oi) = (ii + g.pad).checked_sub(ki).filter(|&oi| oi < oh) else {
+                        continue;
+                    };
+                    for kj in 0..g.kw {
+                        let (lo, hi) = tap_lanes(shift, kj, ow, nr);
+                        if lo >= hi {
+                            continue;
+                        }
+                        let mut t = [[0.0f64; NR]; BWD_INPUT_TILES.1];
+                        let wt = wt[(ki * g.kw + kj) * out_c * ti..].chunks_exact(ti);
+                        for (oc, w) in wt.take(out_c).enumerate() {
+                            let g_row = &go[(oc * oh + oi) * ow + shift + lo - kj..][..hi - lo];
+                            for (t, &wv) in t.iter_mut().zip(w) {
+                                for (t, &gv) in t[lo..hi].iter_mut().zip(g_row) {
+                                    *t = wv.mul_add(gv, *t);
+                                }
+                            }
+                        }
+                        for (sum, t) in sum.iter_mut().zip(&t) {
+                            for l in lo..hi {
+                                sum[l] += t[l];
+                            }
+                        }
+                    }
+                }
+                for (i, sum) in sum.iter().enumerate().take(ti.min(g.c - ic0)) {
+                    // SAFETY: `nr` owned columns of input row `ii`, channel
+                    // `ic0 + i`, inside `gin` (asserted above).
+                    let row = unsafe {
+                        let at = (ic0 + i) * gin.ld + ii * g.w + jj0;
+                        std::slice::from_raw_parts_mut(gin.ptr.add(at), nr)
+                    };
+                    row.copy_from_slice(&sum[..nr]);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Weight gradient
+// ---------------------------------------------------------------------------
 
 /// Gradient of the loss w.r.t. the convolution *weights* and *bias*.
 ///
 /// Accumulates into `grad_weight` (shape `(out_c, in_c, kh, kw)`) and
 /// `grad_bias` (length `out_c`, or empty to skip), matching the convention
-/// that gradients are summed over a mini-batch. Samples in order, and per
-/// sample one column panel at a time: lower it, then add
-/// `grad_out[:, panel] · panelᵀ` into the shared gradient tile.
+/// that gradients are summed over a mini-batch. The register tile is
+/// (a group of ≤ 4 output channels) × (≤ 5 kernel rows) of one input
+/// channel, its vector lanes the `kw` taps of a kernel row — which are
+/// contiguous in `x`, so nothing is lowered or transposed — with `go[oc,q]`
+/// broadcast.
 ///
-/// Here the panel is the product's *shared* dimension, so how it is cut is
-/// part of the result: every panel but the last is a whole number of the
-/// GEMM's KC blocks ([`panel_cols`](crate::gemm)) and panels are taken in
-/// ascending order, which makes the sequence of per-block FMA chains and
-/// `+=` into the tile exactly that of one product over all columns.
+/// **Order contract:** samples ascending; per sample and weight, per [`KC`]
+/// block of output positions `q = oi·ow + oj` (blocks start at `q = 0`) one
+/// FMA chain from 0.0 over `q` ascending of `go[oc,q] · x[c, oi+ki, oj+kj]`,
+/// added onto the gradient once — `gemm_nt(go, im2col(x))`'s chain, whose
+/// shared dimension is `q`. Bit-identical; weights are independent of each
+/// other, so (input channel, output-channel group) tiles are the pool's
+/// chunks.
 pub fn conv2d_backward_weight(
     input: &Tensor4,
     grad_out: &Tensor4,
@@ -453,36 +714,139 @@ pub fn conv2d_backward_weight(
         (n, spec.out_c, oh, ow),
         "backward_weight: grad_out shape"
     );
-    let panels = Panels::of(&g);
-    let (rows, n_cols, out_c) = (panels.rows, panels.n_cols, spec.out_c);
+    let (rows, n_cols, out_c) = (g.col_rows(), g.col_cols(), spec.out_c);
 
-    // grad_W (out_c × rows) += Σ_s grad_out_s (out_c × n_cols) · cols_sᵀ.
-    let gw = CView::new(grad_weight.as_mut_slice(), rows);
-    let panel = scratch.panel(panels.len());
+    let path = kernel_path();
+    let planes = Planes::of(&g);
+    // Output channels in equal groups of at most 4, kernel rows in equal
+    // runs of at most 5 (6 → 3 + 3, not 4 + 2).
+    let group = even_part(out_c, BWD_WEIGHT_GROUP);
+    let groups = out_c.div_ceil(group);
+    let run = even_part(g.kh, BWD_WEIGHT_ROWS);
+    let mut cols = Vec::new();
     for s in 0..n {
-        let t0 = Instant::now();
         let go = grad_out.sample(s);
-        for (q0, q1) in (0..panels.count).map(|i| panels.range(i)) {
-            let pl = q1 - q0;
-            let panel = &mut panel[..rows * pl];
-            im2col_panel(input.sample(s), &g, q0, q1, panel);
-            gemm_strided(
-                Trans::N,
-                Trans::T,
-                out_c,
-                pl,
-                rows,
-                &go[q0..],
-                n_cols,
-                panel,
-                pl,
-                gw,
-            );
+        if g.stride != 1 {
+            // grad_W (out_c × rows) += grad_out_s (out_c × n_cols) · cols_sᵀ.
+            cols.resize(rows * n_cols, 0.0);
+            im2col(input.sample(s), &g, &mut cols);
+            gemm_nt(out_c, n_cols, rows, go, &cols, grad_weight.as_mut_slice());
+        } else {
+            let t0 = Instant::now();
+            let x = planes.view(&g, input.sample(s), &mut scratch.padded);
+            let gw = CView::new(grad_weight.as_mut_slice(), rows);
+            pool::run(g.c * groups, &|tile| {
+                let (c, oc0) = (tile / groups, tile % groups * group);
+                let x = &x[c * planes.rows * planes.ld..][..planes.rows * planes.ld];
+                let group = group.min(out_c - oc0);
+                for ki0 in (0..g.kh).step_by(run) {
+                    let run = run.min(g.kh - ki0);
+                    let gw_col = (c * g.kh + ki0) * g.kw;
+                    // SAFETY: this chunk alone updates the weights of input
+                    // channel `c`, output channels `oc0..oc0+group`; `x` is
+                    // that channel's plane in the `planes` layout; AVX-512
+                    // is feature-checked at path selection.
+                    unsafe {
+                        match path {
+                            #[cfg(target_arch = "x86_64")]
+                            KernelPath::Avx512 if g.kw <= 8 => crate::simd::conv_bwd_weight_512(
+                                x,
+                                planes.ld,
+                                ki0,
+                                run,
+                                go,
+                                oc0,
+                                group,
+                                (oh, ow),
+                                g.kw,
+                                gw,
+                                gw_col,
+                            ),
+                            _ => conv_bwd_weight_tile(
+                                x,
+                                planes.ld,
+                                ki0,
+                                run,
+                                go,
+                                oc0,
+                                group,
+                                (oh, ow),
+                                g.kw,
+                                gw,
+                                gw_col,
+                            ),
+                        }
+                    }
+                }
+            });
+            record_product(t0, 1, out_c, n_cols, rows, 0);
         }
-        record_product(t0, 1, Trans::T, out_c, n_cols, rows);
         if !grad_bias.is_empty() {
             for oc in 0..out_c {
                 grad_bias[oc] += go[oc * n_cols..(oc + 1) * n_cols].iter().sum::<f64>();
+            }
+        }
+    }
+}
+
+/// The portable weight-gradient tile: [`crate::simd::conv_bwd_weight_512`]'s
+/// chain in `f64::mul_add`, for any `kw` (taps in lane groups of `NR`).
+///
+/// # Safety
+/// As [`crate::simd::conv_bwd_weight_512`] without the CPU and `kw ≤ 8`
+/// requirements: `x` (one channel's plane, rows `ld_x` apart, read from
+/// `x[ki0·ld_x]` to `x[(ki0+rows−1 + oh−1)·ld_x + ow−1 + kw−1]`) and `go`
+/// (read from `go[oc0·oh·ow]` to `go[(oc0+group)·oh·ow − 1]`) are slices,
+/// checked where indexed; the caller owns columns
+/// `gw_col .. gw_col + rows·kw` of rows `oc0 .. oc0+group` of `gw`
+/// exclusively (`debug_assert!`ed to lie inside it).
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_bwd_weight_tile(
+    x: &[f64],
+    ld_x: usize,
+    ki0: usize,
+    rows: usize,
+    go: &[f64],
+    oc0: usize,
+    group: usize,
+    (oh, ow): (usize, usize),
+    kw: usize,
+    gw: CView,
+    gw_col: usize,
+) {
+    assert!(rows <= BWD_WEIGHT_ROWS && group <= BWD_WEIGHT_GROUP);
+    debug_assert!(gw.holds(oc0 + group, gw_col + rows * kw));
+    let n_cols = oh * ow;
+    for kj0 in (0..kw).step_by(NR) {
+        let lanes = NR.min(kw - kj0);
+        for q0 in (0..n_cols).step_by(KC) {
+            let q1 = (q0 + KC).min(n_cols);
+            let mut acc = [[[0.0f64; NR]; BWD_WEIGHT_ROWS]; BWD_WEIGHT_GROUP];
+            for q in q0..q1 {
+                let (oi, oj) = (q / ow, q % ow);
+                for ki in 0..rows {
+                    let xv = &x[(ki0 + ki + oi) * ld_x + oj + kj0..][..lanes];
+                    for (o, acc) in acc.iter_mut().enumerate().take(group) {
+                        let gv = go[(oc0 + o) * n_cols + q];
+                        for (a, &xv) in acc[ki].iter_mut().zip(xv) {
+                            *a = gv.mul_add(xv, *a);
+                        }
+                    }
+                }
+            }
+            for (o, acc) in acc.iter().enumerate().take(group) {
+                for (ki, acc) in acc.iter().enumerate().take(rows) {
+                    // SAFETY: `lanes` owned weights of kernel row
+                    // `ki0 + ki`, output channel `oc0 + o`, inside `gw`
+                    // (asserted above).
+                    let row = unsafe {
+                        let at = (oc0 + o) * gw.ld + gw_col + ki * kw + kj0;
+                        std::slice::from_raw_parts_mut(gw.ptr.add(at), lanes)
+                    };
+                    for (dst, &v) in row.iter_mut().zip(acc) {
+                        *dst += v;
+                    }
+                }
             }
         }
     }

@@ -1,9 +1,14 @@
 //! Packed, register-tiled general matrix–matrix multiply with runtime-
 //! selected SIMD micro-kernels and intra-rank threading.
 //!
-//! The kernels here are the single hot spot of the whole training pipeline:
-//! every convolution forward/backward pass lowers to one of them (see
-//! [`crate::im2col`]). The architecture is two-level (ISSUE 6):
+//! This module owns the kernel-path selection, the accumulation-order
+//! contract and the perf bookkeeping that the convolution passes in
+//! [`crate::conv`] share. The passes themselves no longer lower to a product
+//! — they read their activations in place and keep this module's chains
+//! element for element — so the products here are the whole-matrix oracle
+//! the equivalence tests compare against, the `stride ≠ 1` convolution
+//! route, and the bare-GEMM rows of the benchmark. The architecture is
+//! two-level (ISSUE 6):
 //!
 //! * **Instruction level** — a [`KernelPath`] chosen once per process
 //!   ([`kernel_path`]): explicit AVX-512 or AVX2+FMA micro-kernels from
@@ -12,15 +17,9 @@
 //!   lowers to FMA). `PDEML_KERNEL=scalar|simd` selects for A/B runs;
 //!   [`force_kernel_path`] overrides for benches.
 //! * **Thread level** — the driver fans out over [`crate::pool`], one chunk
-//!   per [`NC`]-column block of C (the convolution passes in
-//!   [`crate::conv`] fan out over samples and column panels instead and
-//!   call [`PackedA::sweep`] from inside their chunks). Each C element is
-//!   written by exactly one chunk with a fixed operation order, so results
-//!   are bit-for-bit identical at every thread budget.
-//!
-//! Every operand carries its own row stride (`lda` / `ldb` / `ldc`), so a
-//! convolution pass can multiply one cache-sized column panel straight into
-//! — or out of — a column range of a larger matrix with no staging copy.
+//!   per [`NC`]-column block of C. Each C element is written by exactly one
+//!   chunk with a fixed operation order, so results are bit-for-bit
+//!   identical at every thread budget.
 //!
 //! Operand handling depends on the layout: row-major B (`Trans::N`) is read
 //! **in place** by the SIMD paths and by the dedicated small-`m` scalar edge
@@ -28,8 +27,8 @@
 //! `Trans::T` operands keep the classic packed-strip scheme — the
 //! transposition happens for free during packing. A is always packed into
 //! `mr`-interleaved row panels, [`KC`] block after [`KC`] block, once per
-//! product (once per *pass* when a convolution shares its weights across
-//! samples and panels).
+//! product ([`pack_a`]; the convolution forward pass packs its weights with
+//! the same function, once per pass).
 //!
 //! **Accumulation-order contract:** every path computes each C element as a
 //! `p`-ascending fused-multiply-add chain from 0.0 within a KC block, added
@@ -43,7 +42,8 @@
 //! so steady-state GEMM performs no heap allocation — including on pool
 //! workers, each of which owns its own pack buffers. Every product records
 //! FLOPs, call counts, kernel nanoseconds and packing traffic in
-//! [`crate::perf`] ([`record_product`]).
+//! [`crate::perf`] ([`record_product`]); a convolution pass books itself as
+//! the product it replaced, through the same function.
 
 use crate::{perf, pool, Matrix};
 use std::cell::RefCell;
@@ -52,34 +52,18 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Scalar micro-tile rows: how many rows of C the scalar micro-kernel owns.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Micro-tile columns; also the packed B strip width for every path.
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Shared-dimension block: one packed A panel (`KC × mr`) stays L1/L2
-/// resident. Identical across kernel paths — KC blocking is part of the
-/// accumulation-order contract.
-const KC: usize = 256;
+/// resident. Identical across kernel paths — and across the convolution
+/// passes, which block their chains the same way — because KC blocking is
+/// part of the accumulation-order contract.
+pub(crate) const KC: usize = 256;
 /// Column block: unit of B packing *and* of intra-rank column chunking
 /// (`KC × NC` ≤ 512 KiB stays L2-resident; 256 is a multiple of every
 /// tile width, so chunk boundaries never split a tile).
 const NC: usize = 256;
-/// Bytes of one im2col column panel in [`crate::conv`]: half of a 2 MiB L2,
-/// so a panel is still cache-resident when the product that follows its
-/// lowering reads it, with the other half left for the packed weights, the
-/// C tile and the input rows being gathered. A constant, not an option: the
-/// only inputs are the cache size and the `f64` width, and results are
-/// bit-identical for every value (only speed changes).
-const PANEL_BYTES: usize = 1 << 20;
-
-/// Columns per im2col panel for a column matrix of `rows × n_cols`:
-/// [`PANEL_BYTES`] worth, rounded down to a multiple of [`KC`] (a panel is
-/// the shared dimension of the weight-gradient product, so panel boundaries
-/// must be KC-block boundaries), at least one block, and never more than the
-/// matrix has — small layers get exactly one panel of exactly their size.
-pub(crate) fn panel_cols(rows: usize, n_cols: usize) -> usize {
-    let budget = PANEL_BYTES / std::mem::size_of::<f64>() / rows.max(1);
-    (budget / KC * KC).max(KC).min(n_cols)
-}
 
 thread_local! {
     /// Packed-A scratch, owned by the driver thread for the whole call.
@@ -241,7 +225,7 @@ pub(crate) struct CView {
 
 // SAFETY: a `CView` is only a description of memory; every use site that
 // shares one across pool chunks documents the disjoint region each chunk
-// writes (same discipline as `pool::SendPtr`).
+// writes.
 unsafe impl Send for CView {}
 unsafe impl Sync for CView {}
 
@@ -265,23 +249,6 @@ impl CView {
             ptr: unsafe { self.ptr.add(offset) },
             len: self.len - offset,
             ld: self.ld,
-        }
-    }
-
-    /// Sets columns `..width` of every row `r < m` to `value(r)` — how a
-    /// convolution initialises the C tile it is about to accumulate into
-    /// (bias, or zero) while that tile is the next thing touched.
-    ///
-    /// # Safety
-    /// Those elements must lie inside the view and no other thread may
-    /// touch them during the call.
-    pub(crate) unsafe fn fill(self, m: usize, width: usize, value: impl Fn(usize) -> f64) {
-        assert!(self.holds(m, width), "CView::fill: tile outside the view");
-        for r in 0..m {
-            // SAFETY: inside the view (asserted above), exclusively owned
-            // (caller contract).
-            unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.ld), width) }
-                .fill(value(r));
         }
     }
 
@@ -473,16 +440,54 @@ unsafe fn micro_kernel(
     unsafe { write_back(&acc, c, i0, j0, mr_eff, nr_eff) };
 }
 
+/// The scalar direct-B register tile: `MR` rows × `nr ≤ NR` columns, one
+/// `mul_add` chain per element from 0.0 over `kc` shared steps, B read in
+/// place — `b_row(p)` is B's row `p` from the tile's first column on (at
+/// least `nr` long). The tile lives in locals across the whole KC block;
+/// the chain is identical to [`micro_kernel`]'s. Shared by the GEMM's
+/// small-`m` edge kernel and the portable convolution forward kernel, which
+/// differ only in where row `p` lives and in their write-back.
+#[inline(always)]
+pub(crate) fn scalar_direct_tile<'a>(
+    ap: &[f64],
+    kc: usize,
+    b_row: impl Fn(usize) -> &'a [f64],
+    nr: usize,
+) -> [[f64; NR]; MR] {
+    let mut acc = [[0.0f64; NR]; MR];
+    let a_cols = ap.chunks_exact(MR).take(kc).enumerate();
+    if nr == NR {
+        // Fixed-size operands: the tile update unrolls into straight-line
+        // packed FMA.
+        for (p, a_col) in a_cols {
+            let a_col: &[f64; MR] = a_col.try_into().unwrap();
+            let b_row: &[f64; NR] = b_row(p)[..NR].try_into().unwrap();
+            for r in 0..MR {
+                for j in 0..NR {
+                    acc[r][j] = a_col[r].mul_add(b_row[j], acc[r][j]);
+                }
+            }
+        }
+    } else {
+        for (p, a_col) in a_cols {
+            let b_row = &b_row(p)[..nr];
+            for r in 0..MR {
+                for (j, &bv) in b_row.iter().enumerate() {
+                    acc[r][j] = a_col[r].mul_add(bv, acc[r][j]);
+                }
+            }
+        }
+    }
+    acc
+}
+
 /// Dedicated scalar edge kernel for `m ≤ MR` against row-major B (the
 /// layer-3 shape): B is read in place — with a single A panel there is no
-/// packing to amortize — and the C tile is held in *registers* across the
-/// whole KC block, unlike the old `small_m_kernel`, which streamed C
-/// through L1 once per shared-dimension step and capped layer 3 at ~6
-/// GFLOP/s. The accumulation chain is identical to [`micro_kernel`]'s.
+/// packing to amortize — through [`scalar_direct_tile`].
 ///
 /// # Safety
 /// See [`write_back`]. `b` starts at B's block row (element `(p, j)` of the
-/// block at `b[p*ldb + j]`); the slice indexing below checks its bounds.
+/// block at `b[p*ldb + j]`); slice indexing checks its bounds.
 #[allow(clippy::too_many_arguments)]
 unsafe fn scalar_edge_block(
     m: usize,
@@ -495,36 +500,12 @@ unsafe fn scalar_edge_block(
     j_hi: usize,
 ) {
     debug_assert!(c.holds(m, j_hi), "scalar_edge_block: C columns");
-    let mut j0 = j_lo;
-    while j0 < j_hi {
+    for j0 in (j_lo..j_hi).step_by(NR) {
         let nr_eff = NR.min(j_hi - j0);
-        let mut acc = [[0.0f64; NR]; MR];
-        if nr_eff == NR {
-            for (p, a_col) in ap.chunks_exact(MR).take(kc).enumerate() {
-                let a_col: &[f64; MR] = a_col.try_into().unwrap();
-                let b_row: &[f64; NR] = b[p * ldb + j0..][..NR].try_into().unwrap();
-                for r in 0..MR {
-                    let av = a_col[r];
-                    for j in 0..NR {
-                        acc[r][j] = av.mul_add(b_row[j], acc[r][j]);
-                    }
-                }
-            }
-        } else {
-            for (p, a_col) in ap.chunks_exact(MR).take(kc).enumerate() {
-                let b_row = &b[p * ldb + j0..][..nr_eff];
-                for r in 0..MR {
-                    let av = a_col[r];
-                    for (j, &bv) in b_row.iter().enumerate() {
-                        acc[r][j] = av.mul_add(bv, acc[r][j]);
-                    }
-                }
-            }
-        }
+        let acc = scalar_direct_tile(ap, kc, |p| &b[p * ldb + j0..], nr_eff);
         // SAFETY: forwarded caller contract (rows `0..m`, columns
         // `j0..j0+nr_eff ⊂ j_lo..j_hi`).
         unsafe { write_back(&acc, c, 0, j0, m, nr_eff) };
-        j0 += NR;
     }
 }
 
@@ -597,189 +578,126 @@ unsafe fn packed_block(
     });
 }
 
-/// A packed once for the whole shared dimension: the `ceil(m/mr)` panels of
-/// KC block 0, then those of block 1, … (block `p0` starts at
-/// `ceil(m/mr)·mr·p0`). Borrowed from the packing thread's `A_BUF`; pool
-/// chunks on any thread read it.
-pub(crate) struct PackedA<'a> {
-    path: KernelPath,
-    mr: usize,
-    m: usize,
-    k: usize,
-    buf: &'a [f64],
-}
-
-impl PackedA<'_> {
-    /// `C[.., j_lo..j_hi] += A · op_b(B)[.., j_lo..j_hi]` over the whole
-    /// shared dimension: the ascending-`p0` KC-block chain of the
-    /// accumulation-order contract, one `+=` into C per block. This is the
-    /// unit of work a pool chunk executes; it never fans out itself.
-    ///
-    /// `b` is the stored operand with row stride `ldb` — `k × n` for
-    /// `Trans::N`, `n × k` for `Trans::T` — and may be a window into a wider
-    /// matrix (`ldb` larger than the window), as may `c`.
-    ///
-    /// # Safety
-    /// No other thread may touch rows `0..m`, columns `j_lo..j_hi` of `c`
-    /// during the call, and those elements must lie inside `c`
-    /// (`(m−1)·c.ld + j_hi ≤ c.len`; checked by `debug_assert!` here and at
-    /// every kernel). `b` is a slice, so its bounds are checked where it is
-    /// indexed and `debug_assert!`ed where the SIMD kernels take raw
-    /// pointers into it (`(kc−1)·ldb + j_hi ≤ b.len()` per block).
-    pub(crate) unsafe fn sweep(
-        &self,
-        op_b: Trans,
-        b: &[f64],
-        ldb: usize,
-        c: CView,
-        j_lo: usize,
-        j_hi: usize,
-    ) {
-        debug_assert!(c.holds(self.m, j_hi), "sweep: C columns");
-        let (path, m, mr) = (self.path, self.m, self.mr);
-        let m_panels = m.div_ceil(mr);
-        for p0 in (0..self.k).step_by(KC) {
-            let kc = KC.min(self.k - p0);
-            let abuf = &self.buf[m_panels * mr * p0..][..m_panels * kc * mr];
-            // Row-major B is read in place, from its block row on, by the
-            // SIMD paths and the small-`m` scalar edge kernel; everything
-            // else (transposed B, scalar with several A panels) packs strips.
-            // SAFETY (all arms): the caller's ownership of C columns
-            // `j_lo..j_hi`, forwarded; `abuf` holds this block's
-            // `ceil(m/mr)` panels; SIMD paths are feature-checked at
-            // selection time.
-            match (op_b, path) {
-                (Trans::N, KernelPath::Scalar) if m <= MR => unsafe {
-                    scalar_edge_block(m, abuf, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
-                },
-                #[cfg(target_arch = "x86_64")]
-                (Trans::N, KernelPath::Avx2) => unsafe {
-                    crate::simd::direct_block_avx2(abuf, m, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
-                },
-                #[cfg(target_arch = "x86_64")]
-                (Trans::N, KernelPath::Avx512) => unsafe {
-                    crate::simd::direct_block_512(
-                        abuf,
-                        mr,
-                        m,
-                        kc,
-                        &b[p0 * ldb..],
-                        ldb,
-                        c,
-                        j_lo,
-                        j_hi,
-                    )
-                },
-                _ => unsafe {
-                    packed_block(path, op_b, m, abuf, mr, kc, p0, b, ldb, c, j_lo, j_hi)
-                },
-            }
-        }
+/// `buf[..len]`, growing `buf` exactly when it is shorter — so a scratch
+/// buffer that has seen its largest operand never reallocates again and
+/// holds no amortisation slack.
+pub(crate) fn grown<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, T::default());
     }
+    &mut buf[..len]
 }
 
-/// Packs `op_a(A)` (`m × k`, stored with row stride `lda`) into this
-/// thread's `A_BUF`, every KC block of it, and hands the result to `f`.
-/// The convolution passes call this once per pass and [`PackedA::sweep`]
-/// many times inside `f`; `f` must not start another product on this thread
-/// (the buffer is borrowed for its whole duration).
-pub(crate) fn with_packed_a<R>(
+/// Packs the whole of `op_a(A)` (`m × k`, stored with row stride `lda`) into
+/// `buf`, KC block after KC block — the `ceil(m/mr)` panels of block 0, then
+/// those of block 1, … so block `p0` starts at `ceil(m/mr)·mr·p0` — and
+/// returns the panel height `mr` it chose for `path`. `buf` grows (exactly)
+/// to the largest operand it has seen and is never shrunk.
+pub(crate) fn pack_a(
+    path: KernelPath,
     op_a: Trans,
     m: usize,
     k: usize,
     a: &[f64],
     lda: usize,
-    f: impl FnOnce(&PackedA<'_>) -> R,
-) -> R {
-    let path = kernel_path();
+    buf: &mut Vec<f64>,
+) -> usize {
     let mr = panel_rows(path, m);
     let m_panels = m.div_ceil(mr);
-    A_BUF.with(|ab| {
-        let mut abuf = ab.borrow_mut();
-        let need = m_panels * mr * k;
-        if abuf.len() < need {
-            abuf.resize(need, 0.0);
-        }
-        for p0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - p0);
-            let block = &mut abuf[m_panels * mr * p0..][..m_panels * kc * mr];
-            pack_a_block(path, op_a, a, lda, m, p0, kc, mr, block);
-        }
-        f(&PackedA {
-            path,
-            mr,
-            m,
-            k,
-            buf: &abuf[..need],
-        })
-    })
+    let buf = grown(buf, m_panels * mr * k);
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let block = &mut buf[m_panels * mr * p0..][..m_panels * kc * mr];
+        pack_a_block(path, op_a, a, lda, m, p0, kc, mr, block);
+    }
+    mr
 }
 
-/// The driver behind every product: `C += op_a(A) · op_b(B)` with a row
-/// stride per operand. A is packed once, then the work fans out over
-/// [`crate::pool`], one chunk per [`NC`]-column range of C — chunks write
-/// disjoint columns and the per-element operation order does not depend on
-/// the partition, so every thread budget produces identical bits. Books
-/// nothing in [`crate::perf`]; callers follow up with [`record_product`].
+/// `C[.., j_lo..j_hi] += A · op_b(B)[.., j_lo..j_hi]` over the whole shared
+/// dimension: the ascending-`p0` KC-block chain of the accumulation-order
+/// contract, one `+=` into C per block. This is the unit of work a pool
+/// chunk executes. `abuf` is [`pack_a`]'s output for panel height `mr`.
+///
+/// # Safety
+/// No other thread may touch rows `0..m`, columns `j_lo..j_hi` of `c` during
+/// the call, and those elements must lie inside `c`
+/// (`(m−1)·c.ld + j_hi ≤ c.len`; checked by `debug_assert!` here and at
+/// every kernel). `b` is a slice, so its bounds are checked where it is
+/// indexed and `debug_assert!`ed where the SIMD kernels take raw pointers
+/// into it (`(kc−1)·ldb + j_hi ≤ b.len()` per block).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_strided(
-    op_a: Trans,
+unsafe fn sweep(
+    path: KernelPath,
     op_b: Trans,
     m: usize,
     k: usize,
-    n: usize,
-    a: &[f64],
-    lda: usize,
+    abuf: &[f64],
+    mr: usize,
     b: &[f64],
     ldb: usize,
     c: CView,
+    j_lo: usize,
+    j_hi: usize,
 ) {
-    assert!(c.holds(m, n), "gemm: C view too short for {m} x {n}");
-    if m == 0 || n == 0 {
-        return;
+    debug_assert!(c.holds(m, j_hi), "sweep: C columns");
+    let m_panels = m.div_ceil(mr);
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let abuf = &abuf[m_panels * mr * p0..][..m_panels * kc * mr];
+        // Row-major B is read in place, from its block row on, by the SIMD
+        // paths and the small-`m` scalar edge kernel; everything else
+        // (transposed B, scalar with several A panels) packs strips.
+        // SAFETY (all arms): the caller's ownership of C columns
+        // `j_lo..j_hi`, forwarded; `abuf` holds this block's `ceil(m/mr)`
+        // panels; SIMD paths are feature-checked at selection time.
+        match (op_b, path) {
+            (Trans::N, KernelPath::Scalar) if m <= MR => unsafe {
+                scalar_edge_block(m, abuf, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
+            },
+            #[cfg(target_arch = "x86_64")]
+            (Trans::N, KernelPath::Avx2) => unsafe {
+                crate::simd::direct_block_avx2(abuf, m, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
+            },
+            #[cfg(target_arch = "x86_64")]
+            (Trans::N, KernelPath::Avx512) => unsafe {
+                crate::simd::direct_block_512(abuf, mr, m, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
+            },
+            _ => unsafe { packed_block(path, op_b, m, abuf, mr, kc, p0, b, ldb, c, j_lo, j_hi) },
+        }
     }
-    with_packed_a(op_a, m, k, a, lda, |pa| {
-        pool::run(n.div_ceil(NC), &|ci| {
-            let j_lo = ci * NC;
-            let j_hi = (j_lo + NC).min(n);
-            // SAFETY: chunk `ci` owns columns `j_lo..j_hi` alone, and they
-            // lie inside `c` (asserted above).
-            unsafe { pa.sweep(op_b, b, ldb, c, j_lo, j_hi) };
-        });
-    });
 }
 
 /// Books one product in [`crate::perf`] — `samples` multiplications of
-/// `m × k` by `k × n` that shared one packed A and started at `t0` — as a
-/// single GEMM call (and a single trace instant). The convolution forward
-/// and input-gradient passes record once per mini-batch, the weight-gradient
-/// pass once per sample, however many column panels they walked.
+/// `m × k` by `k × n` that started at `t0` and copied `packed_elems` values
+/// into kernel layout — as a single GEMM call (and a single trace instant).
+/// The convolution passes book themselves as the products they replaced:
+/// forward and input-gradient once per mini-batch, weight-gradient once per
+/// sample.
 pub(crate) fn record_product(
     t0: Instant,
     samples: usize,
-    op_b: Trans,
     m: usize,
     k: usize,
     n: usize,
+    packed_elems: usize,
 ) {
-    let path = kernel_path();
-    let mr = panel_rows(path, m);
-    let flops = 2 * (samples as u64) * (m as u64) * (k as u64) * (n as u64);
-    let mut packed_elems = (m.div_ceil(mr) * mr * k) as u64;
-    if op_b == Trans::T || (path == KernelPath::Scalar && m > MR) {
-        packed_elems += (samples as u64) * (n.div_ceil(NR) * NR * k) as u64;
-    }
     perf::record_gemm(
-        flops,
-        packed_elems * std::mem::size_of::<f64>() as u64,
+        2 * (samples as u64) * (m as u64) * (k as u64) * (n as u64),
+        (packed_elems * std::mem::size_of::<f64>()) as u64,
         t0.elapsed().as_nanos() as u64,
-        path != KernelPath::Scalar,
+        kernel_path() != KernelPath::Scalar,
     );
 }
 
-/// One timed, recorded product on whole (unstrided) operands.
+/// The driver behind every public product: `C += op_a(A) · op_b(B)` on whole
+/// row-major operands, timed and recorded. A is packed once into this
+/// thread's `A_BUF`, then the work fans out over [`crate::pool`], one chunk
+/// per [`NC`]-column range of C — chunks write disjoint columns and the
+/// per-element operation order does not depend on the partition, so every
+/// thread budget produces identical bits.
 #[allow(clippy::too_many_arguments)]
-fn gemm_recorded(
+fn gemm_driver(
     op_a: Trans,
     op_b: Trans,
     m: usize,
@@ -793,12 +711,29 @@ fn gemm_recorded(
         return;
     }
     let t0 = Instant::now();
+    let path = kernel_path();
     let (lda, ldb) = (
         if op_a == Trans::N { k } else { m },
         if op_b == Trans::N { n } else { k },
     );
-    gemm_strided(op_a, op_b, m, k, n, a, lda, b, ldb, CView::new(c, n));
-    record_product(t0, 1, op_b, m, k, n);
+    let c = CView::new(c, n);
+    A_BUF.with(|ab| {
+        let mut abuf = ab.borrow_mut();
+        let mr = pack_a(path, op_a, m, k, a, lda, &mut abuf);
+        let abuf: &[f64] = &abuf;
+        pool::run(n.div_ceil(NC), &|ci| {
+            let j_lo = ci * NC;
+            let j_hi = (j_lo + NC).min(n);
+            // SAFETY: chunk `ci` owns columns `j_lo..j_hi` alone, and they
+            // lie inside `c` (the public entry points assert its length).
+            unsafe { sweep(path, op_b, m, k, abuf, mr, b, ldb, c, j_lo, j_hi) };
+        });
+        // A always; B when it is transposed or the scalar path sees more
+        // than one A panel (`sweep`'s packed-strip arm).
+        let packs_b = op_b == Trans::T || (path == KernelPath::Scalar && m > MR);
+        let packed = m.div_ceil(mr) * mr * k + usize::from(packs_b) * n.div_ceil(NR) * NR * k;
+        record_product(t0, 1, m, k, n, packed);
+    });
 }
 
 /// `C += A * B` on flat row-major buffers.
@@ -812,7 +747,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "gemm: A length");
     assert_eq!(b.len(), k * n, "gemm: B length");
     assert_eq!(c.len(), m * n, "gemm: C length");
-    gemm_recorded(Trans::N, Trans::N, m, k, n, a, b, c);
+    gemm_driver(Trans::N, Trans::N, m, k, n, a, b, c);
 }
 
 /// `C += Aᵀ * B` on flat row-major buffers, without materializing `Aᵀ`.
@@ -823,7 +758,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(a.len(), k * m, "gemm_tn: A length");
     assert_eq!(b.len(), k * n, "gemm_tn: B length");
     assert_eq!(c.len(), m * n, "gemm_tn: C length");
-    gemm_recorded(Trans::T, Trans::N, m, k, n, a, b, c);
+    gemm_driver(Trans::T, Trans::N, m, k, n, a, b, c);
 }
 
 /// `C += A * Bᵀ` on flat row-major buffers, without materializing `Bᵀ`.
@@ -834,7 +769,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(a.len(), m * k, "gemm_nt: A length");
     assert_eq!(b.len(), n * k, "gemm_nt: B length");
     assert_eq!(c.len(), m * n, "gemm_nt: C length");
-    gemm_recorded(Trans::N, Trans::T, m, k, n, a, b, c);
+    gemm_driver(Trans::N, Trans::T, m, k, n, a, b, c);
 }
 
 /// Convenience wrapper: full product of two [`Matrix`] values.
@@ -962,21 +897,6 @@ mod tests {
         let mut c = vec![0.0; m * n];
         gemm_nt(m, k, n, &a, &b, &mut c);
         crate::assert_slice_close(&c, &r, 1e-10, 1e-10, "gemm_nt");
-    }
-
-    #[test]
-    fn panel_width_follows_the_budget_rule() {
-        // The Table-I layers (rows = C_in·25): 1 MiB / 8 B / rows, rounded
-        // down to whole KC blocks.
-        assert_eq!(panel_cols(100, 37_520), 1280);
-        assert_eq!(panel_cols(150, 36_432), 768);
-        assert_eq!(panel_cols(400, 35_360), 256);
-        // Never less than one KC block, however tall the matrix...
-        assert_eq!(panel_cols(5000, 10_000), KC);
-        // ...and never wider than the matrix: small layers are one panel.
-        assert_eq!(panel_cols(36, 256), 256);
-        assert_eq!(panel_cols(400, 144), 144);
-        assert_eq!(panel_cols(400, 257), 256);
     }
 
     #[test]

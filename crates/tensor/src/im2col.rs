@@ -3,13 +3,15 @@
 //! `im2col` unrolls every receptive field of a convolution into one column of
 //! a matrix so the convolution becomes a single GEMM — the classic lowering
 //! used by CPU deep-learning frameworks. `col2im` is its adjoint and is the
-//! core of the input-gradient pass.
+//! core of the lowered input-gradient pass.
 //!
-//! The convolution passes never hold the whole column matrix: they lower and
-//! multiply one *panel* of columns `q0..q1` at a time ([`im2col_panel`],
-//! [`col2im_panel`]; a column index is an output position `q = oi·ow + oj`).
-//! The whole-matrix forms are the same code over the full column range and
-//! are what the tests build their reference from.
+//! The convolution passes in [`crate::conv`] no longer lower anything at
+//! stride 1: they read the activation in place and only keep this
+//! formulation's arithmetic. What remains here is the whole-matrix form, in
+//! three roles: the oracle the equivalence tests build their reference from
+//! (`im2col` + `gemm*` (+ `col2im`) defines what "bit-identical" means), the
+//! `stride ≠ 1` route of the three passes, and the lowering-bandwidth row of
+//! the benchmark. [`ConvGeom`] is the geometry all of them share.
 
 /// Geometry of a 2-D convolution over one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,118 +100,54 @@ impl ConvGeom {
     }
 }
 
-/// Output rows `oi_from..oi_to`, each restricted to output columns
-/// `lo..hi`.
-type RowSegment = (usize, usize, usize, usize);
-
-/// Columns `q0..q1` of the column matrix (`q = oi·ow + oj`, `q0 < q1`) as at
-/// most three runs of output rows in ascending `q`: a partial first row, the
-/// whole rows in between, a partial last row. The per-row loops of the
-/// lowering then carry no per-row clipping — a panel that covers the whole
-/// matrix is one segment of whole rows.
-fn row_segments(ow: usize, q0: usize, q1: usize) -> ([RowSegment; 3], usize) {
-    let (first, last) = (q0 / ow, (q1 - 1) / ow);
-    let (lo, hi) = (q0 - first * ow, q1 - last * ow);
-    let mut segs = [(0, 0, 0, 0); 3];
-    let mut n = 0;
-    let mut push = |seg: RowSegment| {
-        segs[n] = seg;
-        n += 1;
-    };
-    if first == last {
-        push((first, first + 1, lo, hi));
-    } else {
-        if lo > 0 {
-            push((first, first + 1, lo, ow));
-        }
-        let whole = (first + usize::from(lo > 0), last + usize::from(hi == ow));
-        if whole.0 < whole.1 {
-            push((whole.0, whole.1, 0, ow));
-        }
-        if hi < ow {
-            push((last, last + 1, 0, hi));
-        }
-    }
-    (segs, n)
-}
-
 /// Unrolls one `(C, H, W)` sample into the `(c*kh*kw) × (out_h*out_w)`
 /// column matrix, writing into `cols` (which must be exactly that size).
-///
-/// Out-of-bounds (padding) positions contribute zeros.
+/// Row `(c, ki, kj)`, column `q = oi·ow + oj` holds the input value tap
+/// `(ki, kj)` of output `(oi, oj)` reads; out-of-bounds (padding) positions
+/// contribute zeros.
 pub fn im2col(input: &[f64], g: &ConvGeom, cols: &mut [f64]) {
-    im2col_panel(input, g, 0, g.col_cols(), cols);
-}
-
-/// Columns `q0..q1` of [`im2col`]'s matrix as a dense
-/// `(c*kh*kw) × (q1-q0)` panel (row stride `q1 - q0`), any stride and
-/// padding. Pure data movement: element `(row, q - q0)` of the panel is
-/// bit-for-bit element `(row, q)` of the whole matrix.
-pub fn im2col_panel(input: &[f64], g: &ConvGeom, q0: usize, q1: usize, panel: &mut [f64]) {
     assert_eq!(input.len(), g.c * g.h * g.w, "im2col: input length");
     let (oh, ow) = (g.out_h(), g.out_w());
-    assert!(q0 <= q1 && q1 <= oh * ow, "im2col: column range");
-    let pl = q1 - q0;
-    assert_eq!(panel.len(), g.col_rows() * pl, "im2col: cols length");
-    if pl == 0 {
+    let n_cols = oh * ow;
+    assert_eq!(cols.len(), g.col_rows() * n_cols, "im2col: cols length");
+    if n_cols == 0 {
         return;
     }
-    let (segs, n_segs) = row_segments(ow, q0, q1);
     for c in 0..g.c {
         let plane = &input[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let out_row = &mut panel[row * pl..(row + 1) * pl];
-                let (run_lo, run_hi) = g.valid_run(kj, ow);
+                let out_row = &mut cols[row * n_cols..(row + 1) * n_cols];
                 let input_row = |oi| Some(&plane[g.input_row(oi, ki)? * g.w..][..g.w]);
-                for &(oi_from, oi_to, lo, hi) in &segs[..n_segs] {
-                    let seg = &mut out_row[oi_from * ow + lo - q0..];
-                    let rows = seg.chunks_mut(ow).zip(oi_from..oi_to);
-                    if g.stride != 1 {
-                        for (dst, oi) in rows {
-                            let dst = &mut dst[..hi - lo];
-                            let Some(src_row) = input_row(oi) else {
-                                dst.fill(0.0);
-                                continue;
-                            };
-                            for (d, oj) in dst.iter_mut().zip(lo..hi) {
-                                let jj = (oj * g.stride + kj).checked_sub(g.pad);
-                                *d = jj.and_then(|jj| src_row.get(jj)).copied().unwrap_or(0.0);
-                            }
-                        }
-                        continue;
-                    }
-                    // Stride 1 (every conv layer in the paper's network):
-                    // for a fixed tap, valid output columns form one
-                    // contiguous run `a..b`, so each output row is zeros /
-                    // one bulk copy / zeros — vector moves instead of a
-                    // branch per element.
-                    let (a, b) = (run_lo.clamp(lo, hi), run_hi.clamp(lo, hi));
-                    let src0 = (a + kj).saturating_sub(g.pad).min(g.w);
-                    if a == lo && b == hi {
-                        // No padding in the window: the copy alone. (Its own
-                        // loop because at 8-column toy rows even an empty
-                        // `fill` call is a tenth of the row.)
-                        for (dst, oi) in rows {
-                            let dst = &mut dst[..hi - lo];
-                            match input_row(oi) {
-                                Some(src_row) => dst.copy_from_slice(&src_row[src0..][..b - a]),
-                                None => dst.fill(0.0),
-                            }
-                        }
-                        continue;
-                    }
+                let rows = out_row.chunks_exact_mut(ow).zip(0..oh);
+                if g.stride != 1 {
                     for (dst, oi) in rows {
-                        let dst = &mut dst[..hi - lo];
                         let Some(src_row) = input_row(oi) else {
                             dst.fill(0.0);
                             continue;
                         };
-                        dst[..a - lo].fill(0.0);
-                        dst[a - lo..b - lo].copy_from_slice(&src_row[src0..][..b - a]);
-                        dst[b - lo..].fill(0.0);
+                        for (d, oj) in dst.iter_mut().zip(0..ow) {
+                            let jj = (oj * g.stride + kj).checked_sub(g.pad);
+                            *d = jj.and_then(|jj| src_row.get(jj)).copied().unwrap_or(0.0);
+                        }
                     }
+                    continue;
+                }
+                // Stride 1 (every conv layer in the paper's network): for a
+                // fixed tap, valid output columns form one contiguous run
+                // `a..b`, so each output row is zeros / one bulk copy / zeros
+                // — vector moves instead of a branch per element.
+                let (a, b) = g.valid_run(kj, ow);
+                let src0 = (a + kj).saturating_sub(g.pad).min(g.w);
+                for (dst, oi) in rows {
+                    let Some(src_row) = input_row(oi) else {
+                        dst.fill(0.0);
+                        continue;
+                    };
+                    dst[..a].fill(0.0);
+                    dst[a..b].copy_from_slice(&src_row[src0..][..b - a]);
+                    dst[b..].fill(0.0);
                 }
             }
         }
@@ -219,68 +157,44 @@ pub fn im2col_panel(input: &[f64], g: &ConvGeom, q0: usize, q1: usize, panel: &m
 /// Adjoint of [`im2col`]: scatters (accumulates) the column matrix back onto
 /// the `(C, H, W)` sample buffer. `output` is *accumulated into*, callers
 /// must zero it when they want a plain adjoint.
-pub fn col2im(cols: &[f64], g: &ConvGeom, output: &mut [f64]) {
-    col2im_panel(cols, g, 0, g.col_cols(), output);
-}
-
-/// Adjoint of [`im2col_panel`]: accumulates the `(c*kh*kw) × (q1-q0)` panel
-/// holding columns `q0..q1` onto `output`, visiting rows in `(c, ki, kj)`
-/// order and columns in ascending `q` — the order [`col2im`] visits the same
-/// elements in.
 ///
-/// One `output` element receives its taps in ascending `(ki, kj)`, which is
-/// strictly *descending* `q` (a later tap reaches the same input pixel from
-/// an earlier output position). Scattering a column matrix panel by panel
-/// therefore reproduces [`col2im`]'s floating-point sums exactly when the
-/// panels are taken in descending `q` order (ascending order would add the
-/// taps of a pixel that two panels share the other way round).
-pub fn col2im_panel(panel: &[f64], g: &ConvGeom, q0: usize, q1: usize, output: &mut [f64]) {
+/// Rows are visited in `(c, ki, kj)` order and columns in ascending `q`, so
+/// one `output` element receives its taps in ascending `(ki, kj)` — the
+/// order [`crate::conv::conv2d_backward_input_into`] reproduces in registers.
+pub fn col2im(cols: &[f64], g: &ConvGeom, output: &mut [f64]) {
     assert_eq!(output.len(), g.c * g.h * g.w, "col2im: output length");
     let (oh, ow) = (g.out_h(), g.out_w());
-    assert!(q0 <= q1 && q1 <= oh * ow, "col2im: column range");
-    let pl = q1 - q0;
-    assert_eq!(panel.len(), g.col_rows() * pl, "col2im: cols length");
-    if pl == 0 {
+    let n_cols = oh * ow;
+    assert_eq!(cols.len(), g.col_rows() * n_cols, "col2im: cols length");
+    if n_cols == 0 {
         return;
     }
-    let (segs, n_segs) = row_segments(ow, q0, q1);
     for c in 0..g.c {
         let plane = &mut output[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let in_row = &panel[row * pl..(row + 1) * pl];
-                let (run_lo, run_hi) = g.valid_run(kj, ow);
-                for &(oi_from, oi_to, lo, hi) in &segs[..n_segs] {
+                let in_row = &cols[row * n_cols..(row + 1) * n_cols];
+                // Same contiguous-run structure as the im2col fast path: at
+                // stride 1 the scatter is one dense `+=` sweep per row.
+                let (a, b) = g.valid_run(kj, ow);
+                let dst0 = (a + kj).saturating_sub(g.pad).min(g.w);
+                for (src, oi) in in_row.chunks_exact(ow).zip(0..oh) {
+                    let Some(ii) = g.input_row(oi, ki) else {
+                        continue;
+                    };
+                    let dst_row = &mut plane[ii * g.w..][..g.w];
                     if g.stride != 1 {
-                        for oi in oi_from..oi_to {
-                            let Some(ii) = g.input_row(oi, ki) else {
-                                continue;
-                            };
-                            let dst_row = &mut plane[ii * g.w..][..g.w];
-                            let src = &in_row[oi * ow + lo - q0..][..hi - lo];
-                            for (&s, oj) in src.iter().zip(lo..hi) {
-                                let jj = (oj * g.stride + kj).checked_sub(g.pad);
-                                if let Some(d) = jj.and_then(|jj| dst_row.get_mut(jj)) {
-                                    *d += s;
-                                }
+                        for (&s, oj) in src.iter().zip(0..ow) {
+                            let jj = (oj * g.stride + kj).checked_sub(g.pad);
+                            if let Some(d) = jj.and_then(|jj| dst_row.get_mut(jj)) {
+                                *d += s;
                             }
                         }
                         continue;
                     }
-                    // Same contiguous-run structure as the im2col fast path:
-                    // at stride 1 the scatter is one dense `+=` sweep per row.
-                    let (a, b) = (run_lo.clamp(lo, hi), run_hi.clamp(lo, hi));
-                    let dst0 = (a + kj).saturating_sub(g.pad).min(g.w);
-                    for oi in oi_from..oi_to {
-                        let Some(ii) = g.input_row(oi, ki) else {
-                            continue;
-                        };
-                        let dst = &mut plane[ii * g.w + dst0..][..b - a];
-                        let src = &in_row[oi * ow + a - q0..][..b - a];
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
+                    for (d, &s) in dst_row[dst0..][..b - a].iter_mut().zip(&src[a..b]) {
+                        *d += s;
                     }
                 }
             }
@@ -428,52 +342,6 @@ mod tests {
         im2col(&input, &g, &mut cols);
         // Tap (0,0) picks the even-even positions.
         assert_eq!(&cols[0..4], &[0.0, 2.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn panels_tile_the_whole_matrix() {
-        // Every column range of two small geometries — so ranges that start
-        // and end mid-row, lie inside one row, or sit wholly in a tap's
-        // padding — at stride 1 (bulk-copy path, padding on every side,
-        // once wider than the valid run) and stride 2 (per-element path).
-        for (k, pad, stride) in [(3, 1, 1), (5, 2, 1), (3, 1, 2)] {
-            let g = ConvGeom {
-                c: 2,
-                h: 7,
-                w: 6,
-                kh: k,
-                kw: k,
-                stride,
-                pad,
-            };
-            let (rows, n) = (g.col_rows(), g.col_cols());
-            let x: Vec<f64> = (0..g.c * g.h * g.w).map(|i| i as f64 + 1.0).collect();
-            let mut whole = vec![0.0; rows * n];
-            im2col(&x, &g, &mut whole);
-            let mut back_whole = vec![0.0; x.len()];
-            col2im(&whole, &g, &mut back_whole);
-
-            for q0 in 0..=n {
-                for q1 in q0..=n {
-                    let pl = q1 - q0;
-                    let mut panel = vec![f64::NAN; rows * pl];
-                    im2col_panel(&x, &g, q0, q1, &mut panel);
-                    for r in 0..rows {
-                        assert_eq!(panel[r * pl..][..pl], whole[r * n + q0..r * n + q1]);
-                    }
-                    // Scatter the two halves `0..q0`, `q0..q1` and the rest:
-                    // integer-valued data, so the sums are exact in any order.
-                    let mut back = vec![0.0; x.len()];
-                    col2im_panel(&panel, &g, q0, q1, &mut back);
-                    for (p0, p1) in [(0, q0), (q1, n)] {
-                        let mut rest = vec![0.0; rows * (p1 - p0)];
-                        im2col_panel(&x, &g, p0, p1, &mut rest);
-                        col2im_panel(&rest, &g, p0, p1, &mut back);
-                    }
-                    assert_eq!(back, back_whole, "k={k} stride={stride} {q0}..{q1}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -30,9 +30,10 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Records one product — a plain GEMM call, or a convolution pass however
-/// many column panels it walked: its FLOP count, packed-panel traffic,
-/// wall-clock nanoseconds, and whether an explicit-SIMD kernel path ran.
+/// Records one product — a plain GEMM call, or a convolution pass booked as
+/// the product it replaced: its FLOP count, the bytes it copied into kernel
+/// layout, wall-clock nanoseconds, and whether an explicit-SIMD kernel path
+/// ran.
 #[inline]
 pub(crate) fn record_gemm(flops: u64, bytes_packed: u64, ns: u64, simd: bool) {
     FLOPS.with(|c| c.set(c.get() + flops));
@@ -62,12 +63,17 @@ pub struct PerfCounters {
     /// forward / input-gradient pass (the whole mini-batch) and one per
     /// sample of a weight-gradient pass.
     pub gemm_calls: u64,
-    /// Bytes copied into packed panels by the GEMM drivers.
+    /// Bytes copied into kernel layout: the packed A (and, where a path
+    /// packs it, B) panels of a GEMM; for a convolution pass only its
+    /// re-laid-out weights — the passes read activations in place, so no
+    /// lowered or transposed copy of them is counted (or made).
     pub bytes_packed: u64,
     /// Wall-clock nanoseconds spent inside those products: packing +
-    /// micro-kernels and, for a convolution pass, the panel-by-panel
-    /// lowering fused into it — including time on pool worker threads the
-    /// product fanned out to (it blocks until every chunk completes).
+    /// micro-kernels — for a convolution pass the weight re-layout, the
+    /// zero-bordered sample copy of a padded layer and the kernels; there is
+    /// no lowering left to include — with time on pool worker threads the
+    /// product fanned out to counted once (it blocks until every chunk
+    /// completes).
     pub kernel_ns: u64,
     /// GEMM driver calls that ran an explicit-SIMD kernel path.
     pub simd_calls: u64,

@@ -139,17 +139,6 @@ pub fn run(n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// A raw `f64` base pointer made shareable with pool chunks. The wrapper
-/// exists because chunk closures need `Sync` captures; it is only sound
-/// when every chunk writes a disjoint region, which each call site
-/// documents. Bind it whole inside the closure (`let p = ptr;`) so edition
-/// 2021's disjoint capture doesn't capture the bare field.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub(crate) *mut f64);
-// SAFETY: see above — disjoint-region discipline at every call site.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 /// Job published to the workers: a lifetime-erased wide pointer. Sound
 /// because [`Pool::run`] does not return until every worker has finished
 /// the epoch, so the pointee outlives every dereference.
@@ -342,30 +331,26 @@ mod tests {
         // Each chunk owns slot i and writes a value derived from i alone;
         // any cross-thread interference or double execution would corrupt
         // the comparison against the inline (budget-1) reference.
-        let compute = |out: &mut [f64]| {
-            let ptr = SendPtr(out.as_mut_ptr());
+        let compute = || {
+            let out: Vec<AtomicU64> = (0..129).map(|_| AtomicU64::new(0)).collect();
             run(out.len(), &|i| {
-                // Bind whole so closure capture keeps the Sync wrapper.
-                let ptr = &ptr;
-                let cell = unsafe { &mut *ptr.0.add(i) };
                 let mut v = i as f64 + 1.0;
                 for _ in 0..1000 {
                     v = v.mul_add(1.000_1, -0.5);
                 }
-                *cell = v;
+                out[i].store(v.to_bits(), Ordering::Relaxed);
             });
+            out.into_iter()
+                .map(AtomicU64::into_inner)
+                .collect::<Vec<_>>()
         };
         set_thread_budget(1);
-        let mut seq = vec![0.0; 129];
-        compute(&mut seq);
+        let seq = compute();
         for budget in [2, 3, 4] {
             set_thread_budget(budget);
-            let mut par = vec![0.0; 129];
-            compute(&mut par);
-            assert!(
-                seq.iter()
-                    .zip(&par)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            assert_eq!(
+                seq,
+                compute(),
                 "budget {budget} diverged from inline execution"
             );
         }

@@ -1,5 +1,6 @@
-//! Scalar-vs-SIMD equivalence for the GEMM kernel layer, and panel-vs-whole
-//! equivalence for the convolution passes built on it.
+//! Scalar-vs-SIMD equivalence for the GEMM kernel layer, and equivalence of
+//! the zero-lowering convolution passes with the im2col + GEMM products they
+//! replaced.
 //!
 //! The contract (see `DESIGN.md` §4c) is *bitwise*: every kernel path
 //! accumulates each C element from 0.0 per KC block in ascending-p order
@@ -172,19 +173,19 @@ fn threaded_matches_unthreaded_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
-// Convolution passes: panel-by-panel lowering vs the whole-matrix reference
+// Convolution passes: activations read in place vs the whole-matrix reference
 // ---------------------------------------------------------------------------
 //
-// The three passes in `pde_tensor::conv` lower and multiply one column panel
-// at a time. The reference below does what they replaced — materialise a
-// sample's whole column matrix, then one product over all of it — out of the
-// public pieces (`im2col` + `gemm`; `gemm_tn` + `col2im`; `im2col` +
-// `gemm_nt`). Equality is `to_bits()`: panel width, panel order, strides,
-// kernel path and thread budget must all be invisible in the result.
-//
-// A panel is 1 MiB worth of columns rounded down to a multiple of KC = 256
-// (at least 256, at most `n_cols`), so `rows = in_c·k·k > 256` gives panels
-// of exactly 256 columns — the cheapest way to many panels in a test.
+// The three passes in `pde_tensor::conv` read `x` / `grad_out` in place and
+// build no column matrix. The reference below does what they replaced —
+// materialise a sample's whole column matrix, then one product over all of it
+// — out of the public pieces (`im2col` + `gemm`; `gemm_tn` + `col2im`;
+// `im2col` + `gemm_nt`). Equality is `to_bits()`: register tile, lane masks,
+// row bands, kernel path and thread budget must all be invisible in the
+// result, which pins each pass's per-element order — the forward's KC blocks
+// over taps (`rows > 256`), the input gradient's tap order, the weight
+// gradient's KC blocks over output positions starting at `q = 0`
+// (`n_cols > 256`, not a multiple of `ow`).
 
 use pde_tensor::conv::{
     conv2d_backward_input_into, conv2d_backward_weight, conv2d_im2col_into, ConvScratch,
@@ -233,35 +234,18 @@ impl ConvCase {
 
     /// The three passes as `pde-nn` calls them: one scratch per layer.
     fn run(&self, scratch: &mut ConvScratch) -> ConvResults {
-        let (_, _, h, w) = self.x.shape();
+        self.run_on(&self.x, &self.grad_out, scratch)
+    }
+
+    /// [`ConvCase::run`] on another copy of the input and output gradient.
+    fn run_on(&self, x: &Tensor4, grad_out: &Tensor4, scratch: &mut ConvScratch) -> ConvResults {
+        let (_, _, h, w) = x.shape();
         let mut y = Tensor4::zeros(0, 0, 0, 0);
-        conv2d_im2col_into(
-            &self.x,
-            &self.weight,
-            &self.bias,
-            &self.spec,
-            scratch,
-            &mut y,
-        );
+        conv2d_im2col_into(x, &self.weight, &self.bias, &self.spec, scratch, &mut y);
         let mut gi = Tensor4::zeros(0, 0, 0, 0);
-        conv2d_backward_input_into(
-            &self.grad_out,
-            &self.weight,
-            &self.spec,
-            h,
-            w,
-            scratch,
-            &mut gi,
-        );
+        conv2d_backward_input_into(grad_out, &self.weight, &self.spec, h, w, scratch, &mut gi);
         let (mut gw, mut gb) = (self.gw0.clone(), self.gb0.clone());
-        conv2d_backward_weight(
-            &self.x,
-            &self.grad_out,
-            &self.spec,
-            &mut gw,
-            &mut gb,
-            scratch,
-        );
+        conv2d_backward_weight(x, grad_out, &self.spec, &mut gw, &mut gb, scratch);
         (
             y.as_slice().to_vec(),
             gi.as_slice().to_vec(),
@@ -340,6 +324,13 @@ impl ConvCase {
     }
 }
 
+/// The process's own path (`PDEML_KERNEL`, else detection), read while no
+/// other test has one forced.
+fn default_path() -> KernelPath {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    kernel_path()
+}
+
 fn supported_paths() -> Vec<KernelPath> {
     [KernelPath::Scalar, KernelPath::Avx2, KernelPath::Avx512]
         .into_iter()
@@ -358,23 +349,23 @@ fn conv_spec(in_c: usize, out_c: usize, k: usize, pad: usize, stride: usize) -> 
     }
 }
 
-/// The panel regimes by hand: exactly one panel of exactly `L` columns, one
-/// column more than that, three panels with a ragged last one (same-padded
-/// and strided too), a matrix narrower than one KC block, and a single
-/// output position.
+/// The blocking regimes by hand: exactly one KC block of output positions,
+/// one tile more than that, three blocks with a ragged last one (same-padded
+/// and strided too), `rows > KC` taps, a layer smaller than one block, and a
+/// single output position.
 #[test]
-fn conv_panels_match_whole_matrix_on_edge_geometries() {
+fn conv_passes_match_whole_matrix_on_edge_geometries() {
     for &(in_c, out_c, k, pad, stride, h, w, batch) in &[
         (
             11usize, 5usize, 5usize, 0usize, 1usize, 20usize, 20usize, 2usize,
-        ), // 256 = L
-        (11, 5, 5, 0, 1, 20, 21, 2), // 272 = L + 16: second panel is one tile
+        ), // 256 output positions = KC
+        (11, 5, 5, 0, 1, 20, 21, 2), // 272 = KC + 16: second block is one tile
         (11, 9, 5, 0, 1, 28, 28, 3), // 576 = 256 + 256 + 64
         (11, 4, 5, 2, 1, 23, 25, 2), // 575 with padding rows and columns
-        (11, 6, 5, 2, 2, 47, 49, 2), // stride 2: 24 x 25 = 600
-        (29, 3, 3, 1, 1, 26, 27, 1), // 3x3, rows = 261, 702 columns
-        (4, 6, 5, 0, 1, 16, 16, 4),  // the toy layer: 144 < KC, one panel
-        (3, 17, 3, 0, 2, 9, 7, 2),   // 12 columns, m > 16
+        (11, 6, 5, 2, 2, 47, 49, 2), // stride 2 (whole-matrix route): 24 x 25 = 600
+        (29, 3, 3, 1, 1, 26, 27, 1), // 3x3, rows = 261 > KC taps, 702 positions
+        (4, 6, 5, 0, 1, 16, 16, 4),  // the toy layer: 144 < KC, one block
+        (3, 17, 3, 0, 2, 9, 7, 2),   // 12 positions, out_c > 16, stride 2
         (2, 2, 5, 0, 1, 5, 5, 3),    // a single output position
     ] {
         ConvCase::new(conv_spec(in_c, out_c, k, pad, stride), batch, h, w)
@@ -385,12 +376,12 @@ fn conv_panels_match_whole_matrix_on_edge_geometries() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random geometry in two regimes: small layers (one panel, every tile
-    /// remainder) and `rows > 256` layers whose 256-column panels split
+    /// Random geometry in two regimes: small layers (one KC block, every tile
+    /// remainder) and `rows > 256` layers whose 256-position blocks split
     /// output rows at arbitrary places.
     #[test]
-    fn conv_panels_match_whole_matrix_on_random_geometries(
-        many_panels in 0usize..2,
+    fn conv_passes_match_whole_matrix_on_random_geometries(
+        many_blocks in 0usize..2,
         in_c in 1usize..=6,
         out_c in 1usize..=9,
         k in prop::sample::select(vec![1usize, 3, 5]),
@@ -400,7 +391,7 @@ proptest! {
         w in 5usize..=14,
         batch in 1usize..=3,
     ) {
-        let (in_c, k, h, w) = if many_panels == 1 {
+        let (in_c, k, h, w) = if many_blocks == 1 {
             (in_c + 10, 5, 2 * h + stride * 8, 2 * w + stride * 8)
         } else {
             (in_c, k, h, w)
@@ -413,7 +404,8 @@ proptest! {
 
 /// The paper's four Table-I layers at the benchmark's rank-0 block (a
 /// 272x144 halo-padded input, pad 0), each with the input size
-/// `train_paper` runs it at: 30 to 135 panels a sample.
+/// `train_paper` runs it at: 135 to 147 KC blocks of output positions a
+/// sample, two KC blocks of taps in layer 3.
 fn table1_layers() -> Vec<(Conv2dSpec, usize, usize)> {
     let (mut h, mut w) = (272, 144);
     [4usize, 6, 16, 6, 4]
@@ -428,41 +420,191 @@ fn table1_layers() -> Vec<(Conv2dSpec, usize, usize)> {
 }
 
 #[test]
-fn conv_panels_match_whole_matrix_on_table1_layers() {
+fn conv_passes_match_whole_matrix_on_table1_layers() {
     for (spec, h, w) in table1_layers() {
-        ConvCase::new(spec, 2, h, w).check(&[kernel_path()], &[1, 2]);
+        ConvCase::new(spec, 2, h, w).check(&[default_path()], &[1, 2]);
+    }
+}
+
+/// The new kernels' own edges, one axis at a time around a small base layer:
+/// output widths either side of the 16-column tile, kernel widths up to the
+/// 8-lane tap load and past it (9 takes the portable weight-gradient kernel
+/// on every path), channel counts around the 4/6/8-row tiles and the
+/// 4-channel weight-gradient group, each unpadded and same-padded.
+#[test]
+fn conv_passes_match_whole_matrix_on_tile_edges() {
+    let paths = supported_paths();
+    let check = |in_c, out_c, k: usize, pad, h, w| {
+        ConvCase::new(conv_spec(in_c, out_c, k, pad, 1), 2, h, w).check(&paths, &[1, 2, 3]);
+    };
+    for ow in [1usize, 15, 16, 17, 33] {
+        check(3, 5, 3, 0, 6, ow + 2);
+        check(3, 5, 3, 1, 6, ow);
+    }
+    for k in [1usize, 3, 5, 7, 9] {
+        check(3, 5, k, 0, k + 2, k + 18);
+        check(3, 5, k, k / 2, 6, 19);
+    }
+    for ch in [1usize, 3, 5, 7, 9, 17] {
+        check(ch, 4, 3, 0, 7, 21);
+        check(4, ch, 3, 0, 7, 21);
+        check(ch, ch, 3, 1, 5, 18);
+    }
+    // Non-square kernels: rows and taps-per-row differ (7 rows split 4 + 3).
+    for (kh, kw) in [(7usize, 2usize), (2, 7), (1, 8), (6, 3)] {
+        let spec = Conv2dSpec {
+            in_c: 2,
+            out_c: 3,
+            kh,
+            kw,
+            stride: 1,
+            pad: 0,
+        };
+        ConvCase::new(spec, 2, kh + 3, kw + 17).check(&paths, &[1, 2]);
+    }
+}
+
+/// A tensor whose last element is the last 8 bytes before an inaccessible
+/// page, so that a load reaching past the end of the buffer faults instead
+/// of silently reading a neighbouring allocation.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod guarded {
+    use pde_tensor::Tensor4;
+    use std::ffi::c_void;
+    use std::mem::ManuallyDrop;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+    const PAGE: usize = 4096;
+    const PROT_NONE: i32 = 0;
+    const PROT_READ_WRITE: i32 = 1 | 2;
+    const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+
+    pub struct Guarded {
+        map: *mut c_void,
+        map_len: usize,
+        /// Never dropped: its storage belongs to the mapping, not the heap.
+        tensor: ManuallyDrop<Tensor4>,
+    }
+
+    impl Guarded {
+        pub fn copy_of(t: &Tensor4) -> Self {
+            let bytes = t.len() * 8;
+            let map_len = bytes.div_ceil(PAGE) * PAGE + PAGE;
+            // SAFETY: a fresh private mapping; the values go at the end of
+            // its accessible part (8-byte aligned: `bytes` is a multiple of
+            // 8), the page after them is made inaccessible, and the Vec
+            // built over them is never dropped or grown.
+            unsafe {
+                let map = mmap(
+                    std::ptr::null_mut(),
+                    map_len,
+                    PROT_READ_WRITE,
+                    MAP_PRIVATE_ANONYMOUS,
+                    -1,
+                    0,
+                );
+                assert!(!map.is_null() && map as isize != -1, "mmap failed");
+                let guard = (map as *mut u8).add(map_len - PAGE);
+                assert_eq!(mprotect(guard.cast(), PAGE, PROT_NONE), 0, "mprotect");
+                let data = guard.sub(bytes).cast::<f64>();
+                std::ptr::copy_nonoverlapping(t.as_slice().as_ptr(), data, t.len());
+                let (n, c, h, w) = t.shape();
+                let values = Vec::from_raw_parts(data, t.len(), t.len());
+                Self {
+                    map,
+                    map_len,
+                    tensor: ManuallyDrop::new(Tensor4::from_vec(n, c, h, w, values)),
+                }
+            }
+        }
+
+        pub fn tensor(&self) -> &Tensor4 {
+            &self.tensor
+        }
+    }
+
+    impl Drop for Guarded {
+        fn drop(&mut self) {
+            // SAFETY: the mapping made in `copy_of`; `tensor` is not dropped.
+            unsafe { munmap(self.map, self.map_len) };
+        }
+    }
+}
+
+/// No pass reads past the end of `x` or `grad_out`: the weight gradient's
+/// 8-lane tap load (`kw` lanes live), the forward's last 16-column tile and
+/// the input gradient's shifted row loads all end exactly at the buffers'
+/// last element, which here is followed by an inaccessible page.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn conv_passes_stop_at_the_end_of_their_inputs() {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (k, pad, h, w) in [
+        (5usize, 0usize, 9usize, 21usize),
+        (3, 1, 6, 17),
+        (7, 0, 8, 23),
+    ] {
+        let case = ConvCase::new(conv_spec(2, 3, k, pad, 1), 2, h, w);
+        let want = case.run(&mut ConvScratch::new());
+        let (x, grad_out) = (
+            guarded::Guarded::copy_of(&case.x),
+            guarded::Guarded::copy_of(&case.grad_out),
+        );
+        for path in supported_paths() {
+            force_kernel_path(Some(path));
+            let got = case.run_on(x.tensor(), grad_out.tensor(), &mut ConvScratch::new());
+            assert!(got == want, "{} differs on guarded inputs", path.label());
+        }
+        force_kernel_path(None);
     }
 }
 
 /// The workspace bound behind `train_paper`'s peak RSS: after a forward and
-/// both backward passes at one kernel thread (the benchmark's setting; extra
-/// pool workers bring their own thread-local panel), a layer's scratch holds
-/// one column panel — at most 4 MiB, the same at batch 1 and batch 4 — where
-/// it used to hold `batch x rows x n_cols` values (110 MB a sample for layer
-/// 3). A layer smaller than a panel holds exactly its column matrix.
+/// both backward passes, a layer's scratch holds its weights in kernel
+/// layout and the forward tap table — under 64 KiB for every Table-I layer,
+/// the same at batch 1 and batch 4 — where it used to hold a 1 MiB column
+/// panel, and before that `batch x rows x n_cols` values (110 MB a sample
+/// for layer 3). A same-padded layer adds one zero-bordered sample.
 #[test]
-fn conv_workspace_is_one_panel_whatever_the_batch() {
+fn conv_workspace_is_independent_of_the_batch() {
     pde_tensor::pool::set_thread_budget(1);
+    let bytes_at = |spec, batch, h, w| {
+        let mut scratch = ConvScratch::new();
+        ConvCase::new(spec, batch, h, w).run(&mut scratch);
+        scratch.bytes()
+    };
     for (spec, h, w) in table1_layers() {
-        let bytes = [1usize, 4].map(|batch| {
-            let mut scratch = ConvScratch::new();
-            ConvCase::new(spec, batch, h, w).run(&mut scratch);
-            scratch.bytes()
-        });
+        let bytes = [1usize, 4].map(|batch| bytes_at(spec, batch, h, w));
         assert_eq!(
             bytes[0], bytes[1],
             "{spec:?}: workspace grew with the batch"
         );
         assert!(
-            (1..=4 << 20).contains(&bytes[1]),
+            (1..=64 << 10).contains(&bytes[1]),
             "{spec:?}: {} bytes of workspace",
             bytes[1]
         );
     }
-    // The toy network's first layer on a 16x16 grid: 36 x 256 values.
+    // The toy network's first layer on a 16x16 grid: one 4 x 18 x 18 padded
+    // sample on top of the weights and taps.
     let toy = Conv2dSpec::same(4, 6, 3);
-    let g = toy.geom(16, 16);
-    let mut scratch = ConvScratch::new();
-    ConvCase::new(toy, 4, 16, 16).run(&mut scratch);
-    assert_eq!(scratch.bytes(), g.col_rows() * g.col_cols() * 8);
+    let bytes = [1usize, 4].map(|batch| bytes_at(toy, batch, 16, 16));
+    assert_eq!(bytes[0], bytes[1], "{toy:?}: workspace grew with the batch");
+    let padded_sample = 4 * 18 * 18 * 8;
+    assert!(
+        (padded_sample..=padded_sample + (4 << 10)).contains(&bytes[1]),
+        "{toy:?}: {} bytes of workspace",
+        bytes[1]
+    );
 }
