@@ -7,7 +7,7 @@
 
 use crate::padding::PaddingStrategy;
 use pde_nn::init::{init_conv, Init};
-use pde_nn::{Conv2d, ConvTranspose2d, LeakyReLu, Sequential};
+use pde_nn::{Conv2d, ConvTranspose2d, ReLu, Sequential};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -129,8 +129,11 @@ impl ArchSpec {
     /// unpadded convolutions (the neighbor-padding / inner-crop strategies —
     /// each layer shrinks by `kernel − 1`).
     ///
-    /// The final layer has no activation (linear regression head); all
-    /// earlier layers are followed by leaky ReLU.
+    /// The final layer has no activation (linear regression head); every
+    /// earlier stage is one [`Conv2d`] with the leaky ReLU fused into its
+    /// write-back ([`Conv2d::leaky`]) — except at `leak == 0`, whose stages
+    /// stay a `Conv2d` followed by a [`ReLu`] layer (a ReLU's output does
+    /// not carry the sign its backward needs).
     pub fn build(&self, internally_padded: bool, seed: u64) -> Sequential {
         self.validate();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -150,9 +153,13 @@ impl ArchSpec {
                 },
                 &mut rng,
             );
+            let hidden = l + 1 < n;
+            if hidden && self.leak > 0.0 {
+                conv = conv.leaky(self.leak);
+            }
             net.push_boxed(Box::new(conv));
-            if l + 1 < n {
-                net.push_boxed(Box::new(LeakyReLu::new(self.leak)));
+            if hidden && self.leak == 0.0 {
+                net.push_boxed(Box::new(ReLu::new()));
             }
         }
         net
@@ -285,9 +292,19 @@ mod tests {
 
     #[test]
     fn activation_count_is_layers_minus_one() {
+        // 4 convs, the 3 hidden ones carrying their activation.
         let net = ArchSpec::paper().build(true, 0);
-        // 4 convs + 3 activations.
+        assert_eq!(net.len(), 4);
+        assert_eq!(net.summary().matches("+ LeakyReLU(eps=0.01)").count(), 3);
+        assert!(net.summary().contains("conv2: Conv2d(6→16, 5x5"));
+        // Plain ReLU cannot be fused: 4 convs + 3 activation layers.
+        let relu = ArchSpec {
+            leak: 0.0,
+            ..ArchSpec::paper()
+        };
+        let net = relu.build(true, 0);
         assert_eq!(net.len(), 7);
+        assert_eq!(net.summary().matches("ReLU").count(), 3);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl DataParallelTrainer {
                         let y = full.targets().select(chunk);
                         let pred = net.forward(&x, true);
                         let (l, grad) = loss.value_and_grad(&pred, &y);
-                        let _ = net.backward(&grad);
+                        net.backward_params(&grad);
                         opt.step(&mut net.param_groups());
                         sum += l;
                         batches += 1;

@@ -324,7 +324,7 @@ impl TrainOutcome {
 
 /// Reusable state of the training hot loop: the optimizer, the loss, and
 /// every buffer a per-batch step touches (epoch order, the two mini-batch
-/// tensors, prediction, loss gradient, input gradient).
+/// tensors, prediction, loss gradient).
 ///
 /// All buffers grow monotonically: after the first epoch has warmed them —
 /// together with the network's own workspace and the optimizer's moment
@@ -339,7 +339,6 @@ pub struct TrainSession {
     y: Tensor4,
     pred: Tensor4,
     grad: Tensor4,
-    grad_in: Tensor4,
 }
 
 impl TrainSession {
@@ -354,7 +353,6 @@ impl TrainSession {
             y: Tensor4::zeros(0, 0, 0, 0),
             pred: Tensor4::zeros(0, 0, 0, 0),
             grad: Tensor4::zeros(0, 0, 0, 0),
-            grad_in: Tensor4::zeros(0, 0, 0, 0),
         }
     }
 
@@ -386,7 +384,7 @@ impl TrainSession {
             let l = self
                 .loss
                 .value_and_grad_into(&self.pred, &self.y, &mut self.grad);
-            net.backward_into(&self.grad, &mut self.grad_in);
+            net.backward_params(&self.grad);
             if let Some(max_norm) = cfg.grad_clip {
                 let norm = pde_nn::optim::gradient_norm_of(net);
                 if norm > max_norm {

@@ -3,10 +3,31 @@
 //! The paper uses leaky ReLU with ε = 0.01 (its Eq. (2)); plain ReLU and
 //! tanh are provided for the activation ablation.
 
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::{InputGrad, Layer, ParamGroup};
+use pde_tensor::conv::{leaky_relu, leaky_relu_grad};
 use pde_tensor::Tensor4;
 
+/// LeakyReLU's backward, in place: `x_to_grad` holds the layer's input `x`
+/// (or, for a slope `> 0`, its output — same sign) and is overwritten with
+/// [`leaky_relu_grad`] of it and `grad_out`.
+pub(crate) fn leaky_backward_in_place(x_to_grad: &mut Tensor4, grad_out: &Tensor4, slope: f64) {
+    assert_eq!(
+        x_to_grad.shape(),
+        grad_out.shape(),
+        "LeakyReLu::backward: shape mismatch"
+    );
+    for (x, &go) in x_to_grad.as_mut_slice().iter_mut().zip(grad_out.as_slice()) {
+        *x = leaky_relu_grad(slope, *x, go);
+    }
+}
+
 /// Leaky rectified linear unit: `x` for `x ≥ 0`, `ε·x` otherwise.
+///
+/// As a layer of its own it is one more pass over the activation in each
+/// direction; `Conv2d::leaky` folds the same function into the convolution's
+/// write-back instead, which is how `ArchSpec::build` builds the paper's
+/// network. This layer remains for `ε = 0` (whose sign cannot be read back
+/// from the output) and for stacks assembled by hand.
 pub struct LeakyReLu {
     epsilon: f64,
     cached_input: Option<Tensor4>,
@@ -53,29 +74,12 @@ impl Layer for LeakyReLu {
     }
 
     fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        let eps = self.epsilon;
-        let act = |x: f64| if x >= 0.0 { x } else { eps * x };
-        let (n, c, h, w) = input.shape();
-        out.resize(n, c, h, w);
-        let out = out.as_mut_slice().iter_mut();
         if train {
-            // One walk over the input fills the cached copy and the output:
-            // the layer is memory-bound, and a `copy_from` followed by a
-            // second pass would read every value twice.
-            let cache = self
-                .cached_input
-                .get_or_insert_with(|| Tensor4::zeros(0, 0, 0, 0));
-            cache.resize(n, c, h, w);
-            let cache = cache.as_mut_slice().iter_mut();
-            for ((o, k), &x) in out.zip(cache).zip(input.as_slice()) {
-                *k = x;
-                *o = act(x);
-            }
-        } else {
-            for (o, &x) in out.zip(input.as_slice()) {
-                *o = act(x);
-            }
+            self.cached_input
+                .get_or_insert_with(|| Tensor4::zeros(0, 0, 0, 0))
+                .copy_from(input);
         }
+        self.forward_chain(input, out);
     }
 
     fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
@@ -83,24 +87,27 @@ impl Layer for LeakyReLu {
             .cached_input
             .as_ref()
             .expect("LeakyReLu::backward before forward (or forward with train=false)");
-        assert_eq!(
-            input.shape(),
-            grad_out.shape(),
-            "LeakyReLu::backward: shape mismatch"
-        );
+        grad_in.copy_from(input);
+        leaky_backward_in_place(grad_in, grad_out, self.epsilon);
+    }
+
+    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
         let eps = self.epsilon;
-        let (n, c, h, w) = grad_out.shape();
-        grad_in.resize(n, c, h, w);
-        for ((gi, &go), &xv) in grad_in
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_out.as_slice())
-            .zip(input.as_slice())
-        {
-            // The subgradient at exactly 0 is taken from the positive side,
-            // matching the forward convention x >= 0 → identity.
-            *gi = if xv < 0.0 { eps * go } else { go };
+        let (n, c, h, w) = input.shape();
+        out.resize(n, c, h, w);
+        for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *o = leaky_relu(eps, x);
         }
+    }
+
+    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
+        let slope = match want {
+            InputGrad::Skip => return,
+            InputGrad::Plain => self.epsilon,
+            // Two LeakyReLUs on one value share its sign.
+            InputGrad::Leaky(upstream) => upstream * self.epsilon,
+        };
+        leaky_backward_in_place(act, grad_out, slope);
     }
 
     fn zero_grad(&mut self) {}
@@ -149,6 +156,12 @@ impl Layer for ReLu {
     }
     fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
         self.0.backward_into(grad_out, grad_in);
+    }
+    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
+        self.0.forward_chain(input, out);
+    }
+    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
+        self.0.backward_chain(act, grad_out, want);
     }
     fn zero_grad(&mut self) {}
     fn param_groups(&mut self) -> Vec<ParamGroup<'_>> {

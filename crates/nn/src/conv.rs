@@ -1,20 +1,46 @@
-//! The 2-D convolution layer (cross-correlation + bias), the paper's only
-//! parameterized layer type (Table I uses four of them).
+//! The 2-D convolution layer (cross-correlation + bias, optionally with a
+//! LeakyReLU folded into its write-back), the paper's only parameterized
+//! layer type (Table I uses four of them).
+//!
+//! In a [`crate::Sequential`] the layer holds no activation at all: the
+//! stack lends it its input for both passes ([`Layer::forward_chain`] /
+//! [`Layer::backward_chain`]) and the input gradient is written over that
+//! input. The standalone [`Layer::forward_into`] / [`Layer::backward_into`]
+//! pair copies what it needs and then runs the very same methods.
 
-use crate::layer::{Layer, ParamGroup};
+use crate::activation::leaky_backward_in_place;
+use crate::layer::{InputGrad, Layer, ParamGroup};
 use pde_tensor::conv::{
-    conv2d_backward_input_into, conv2d_backward_weight, conv2d_im2col_into, ConvScratch,
+    conv2d_backward_input_into, conv2d_backward_input_leaky, conv2d_backward_weight,
+    conv2d_forward_into, ConvScratch,
 };
 use pde_tensor::{Conv2dSpec, Tensor4};
 
-/// A learnable 2-D convolution with per-output-channel bias.
+/// A learnable 2-D convolution with per-output-channel bias and, after
+/// [`Conv2d::leaky`], a fused LeakyReLU: `y = act(bias + W ⋆ x)` leaves the
+/// kernel's registers once, activated — the pre-activation is never stored.
+///
+/// A fused layer's backward therefore reads the activation's sign off the
+/// *stored output*: `y < 0.0 ⇔ z < 0.0` for every slope in `(0, 1)`, with
+/// one documented exception — a negative subnormal pre-activation `z` with
+/// `|z| < 2⁻¹⁰⁷⁵ / slope` (for the paper's 0.01, `|z| ≲ 2.5e-322`) rounds to
+/// `y = −0.0`, which is "not negative", so that element's gradient gets slope
+/// 1 where the unfused `Conv2d` + `LeakyReLu` pair gives `slope`. Everything
+/// else, ±0.0 and NaN included, is bit-for-bit the unfused pair. Slope 0
+/// (plain ReLU) is not offered fused: its output has no sign to recover.
 pub struct Conv2d {
     spec: Conv2dSpec,
     weight: Tensor4,
     bias: Vec<f64>,
     grad_weight: Tensor4,
     grad_bias: Vec<f64>,
+    leak: Option<f64>,
+    /// Standalone training only: the input of the last `forward_into`.
     cached_input: Option<Tensor4>,
+    /// Standalone training of a fused layer only: its output, whose sign the
+    /// layer's own backward needs; `backward_into` takes it and turns it into
+    /// the pre-activation gradient, so one forward serves one backward.
+    cached_output: Option<Tensor4>,
     scratch: ConvScratch,
     name: String,
 }
@@ -30,7 +56,9 @@ impl Conv2d {
             bias: vec![0.0; oc],
             grad_weight: Tensor4::zeros(oc, ic, kh, kw),
             grad_bias: vec![0.0; oc],
+            leak: None,
             cached_input: None,
+            cached_output: None,
             scratch: ConvScratch::new(),
             name: "conv".to_string(),
         }
@@ -44,6 +72,22 @@ impl Conv2d {
     /// Sets the diagnostic name (e.g. `"conv1"`); returns `self` for chaining.
     pub fn named(mut self, name: &str) -> Self {
         self.name = name.to_string();
+        self
+    }
+
+    /// Fuses a LeakyReLU with negative-side slope `slope` into the layer
+    /// (see the type's docs); returns `self` for chaining.
+    ///
+    /// # Panics
+    /// Unless `0 < slope < 1`: at slope 0 the stored output loses the sign
+    /// the backward pass needs — follow the layer with a
+    /// [`crate::LeakyReLu`] instead.
+    pub fn leaky(mut self, slope: f64) -> Self {
+        assert!(
+            slope > 0.0 && slope < 1.0,
+            "Conv2d::leaky: slope must be in (0, 1), got {slope}"
+        );
+        self.leak = Some(slope);
         self
     }
 
@@ -97,46 +141,68 @@ impl Layer for Conv2d {
     }
 
     fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
+        self.forward_chain(input, out);
         if train {
-            // Copy into the persistent cache instead of re-cloning: after
-            // the first batch this never touches the heap.
-            match &mut self.cached_input {
-                Some(t) => t.copy_from(input),
-                None => self.cached_input = Some(input.clone()),
+            self.cached_input
+                .get_or_insert_with(|| Tensor4::zeros(0, 0, 0, 0))
+                .copy_from(input);
+            self.cached_output = self.leak.map(|_| out.clone());
+        }
+    }
+
+    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
+        const UNARMED: &str = "Conv2d::backward before forward (or forward with train=false)";
+        grad_in.copy_from(self.cached_input.as_ref().expect(UNARMED));
+        match self.leak {
+            None => self.backward_chain(grad_in, grad_out, InputGrad::Plain),
+            Some(slope) => {
+                // Nobody downstream resolves a standalone layer's own
+                // activation: do it here, on the kept copy of the output.
+                let mut grad_z = self.cached_output.take().expect(UNARMED);
+                leaky_backward_in_place(&mut grad_z, grad_out, slope);
+                self.backward_chain(grad_in, &grad_z, InputGrad::Plain);
             }
         }
-        conv2d_im2col_into(
+    }
+
+    fn fused_slope(&self) -> Option<f64> {
+        self.leak
+    }
+
+    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
+        conv2d_forward_into(
             input,
             &self.weight,
             &self.bias,
             &self.spec,
+            self.leak,
             &mut self.scratch,
             out,
         );
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward before forward (or forward with train=false)");
+    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
+        // The weight gradient first: it reads the input the input gradient
+        // is about to overwrite.
         conv2d_backward_weight(
-            input,
+            act,
             grad_out,
             &self.spec,
             &mut self.grad_weight,
             &mut self.grad_bias,
             &mut self.scratch,
         );
-        conv2d_backward_input_into(
-            grad_out,
-            &self.weight,
-            &self.spec,
-            input.h(),
-            input.w(),
-            &mut self.scratch,
-            grad_in,
-        );
+        let (weight, spec, scratch) = (&self.weight, &self.spec, &mut self.scratch);
+        match want {
+            InputGrad::Skip => {}
+            InputGrad::Plain => {
+                let (h, w) = (act.h(), act.w());
+                conv2d_backward_input_into(grad_out, weight, spec, h, w, scratch, act);
+            }
+            InputGrad::Leaky(slope) => {
+                conv2d_backward_input_leaky(grad_out, weight, spec, slope, scratch, act);
+            }
+        }
     }
 
     fn zero_grad(&mut self) {
@@ -188,8 +254,11 @@ impl Layer for Conv2d {
     }
 
     fn describe(&self) -> String {
+        let act = self
+            .leak
+            .map_or(String::new(), |slope| format!(" + LeakyReLU(eps={slope})"));
         format!(
-            "{}: Conv2d({}→{}, {}x{}, stride={}, pad={}) [{} params]",
+            "{}: Conv2d({}→{}, {}x{}, stride={}, pad={}){act} [{} params]",
             self.name,
             self.spec.in_c,
             self.spec.out_c,

@@ -16,14 +16,52 @@ pub struct ParamGroup<'a> {
     pub name: &'a str,
 }
 
+/// What a [`Layer::backward_chain`] call leaves in the activation it was
+/// handed.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum InputGrad {
+    /// Nothing: nobody reads the gradient w.r.t. this input (the network
+    /// input during training). The tensor's contents are unspecified after.
+    Skip,
+    /// `∂L/∂input`.
+    Plain,
+    /// The input is the stored output of a LeakyReLU with this negative-side
+    /// slope (an upstream layer's [`Layer::fused_slope`]): leave the gradient
+    /// w.r.t. that layer's *pre-activation* — `∂L/∂input`, times the slope
+    /// where the stored activation is `< 0.0`.
+    Leaky(f64),
+}
+
+impl InputGrad {
+    /// Overwrites `act` with what `self` asks for, given the plain
+    /// `∂L/∂input` in `grad` (same shape).
+    pub fn store(self, act: &mut Tensor4, grad: &Tensor4) {
+        match self {
+            InputGrad::Skip => {}
+            InputGrad::Plain => act.copy_from(grad),
+            InputGrad::Leaky(slope) => crate::activation::leaky_backward_in_place(act, grad, slope),
+        }
+    }
+}
+
 /// A differentiable network building block with explicit backprop.
 ///
-/// The contract:
+/// The contract has two forms. **Standalone** — the layer keeps what its
+/// backward pass needs:
 /// * `forward` consumes a batch, caches whatever `backward` will need, and
 ///   returns the output batch;
 /// * `backward` consumes `dL/d(output)` for the *most recent* forward call
 ///   and returns `dL/d(input)`, accumulating parameter gradients internally;
 /// * `zero_grad` clears the accumulated parameter gradients.
+///
+/// **In a chain** — a [`crate::Sequential`] in training owns every
+/// activation once and lends them out: [`Layer::forward_chain`] caches
+/// nothing because the stack keeps `input` alive, and
+/// [`Layer::backward_chain`] gets that input back as `&mut` and writes the
+/// gradient over it. Both have defaults built on the standalone methods, so
+/// a layer that overrides neither still works in a stack; the layers on the
+/// hot path override both, and their standalone methods are thin wrappers
+/// around the same kernels.
 ///
 /// Calling `backward` without a preceding `forward` panics.
 pub trait Layer: Send {
@@ -47,6 +85,35 @@ pub trait Layer: Send {
     /// falls back to the allocating `backward`.
     fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
         *grad_in = self.backward(grad_out);
+    }
+
+    /// The slope of a LeakyReLU this layer applies to its own output inside
+    /// its forward pass, when that activation's backward is left to whoever
+    /// computes the gradient w.r.t. the output (see [`InputGrad::Leaky`]):
+    /// [`Layer::backward_chain`] then takes the gradient w.r.t. the
+    /// *pre-activation*.
+    fn fused_slope(&self) -> Option<f64> {
+        None
+    }
+
+    /// Training forward inside a chain: the caller keeps `input` unchanged
+    /// until the matching [`Layer::backward_chain`] and hands it back there,
+    /// so the layer need not copy it.
+    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
+        self.forward_into(input, true, out);
+    }
+
+    /// Backward inside a chain. `act` holds the input the matching
+    /// [`Layer::forward_chain`] read and is overwritten with what `want`
+    /// names; `grad_out` is `∂L/∂output` — w.r.t. the pre-activation when
+    /// [`Layer::fused_slope`] is `Some`. Parameter gradients accumulate as in
+    /// `backward`. One call per `forward_chain`: the input is gone after.
+    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
+        match want {
+            // `backward_into` reads the layer's own cache, never `act`.
+            InputGrad::Skip | InputGrad::Plain => self.backward_into(grad_out, act),
+            InputGrad::Leaky(_) => want.store(act, &self.backward(grad_out)),
+        }
     }
 
     /// Clears accumulated parameter gradients.

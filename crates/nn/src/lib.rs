@@ -14,8 +14,11 @@
 //! * All parameters and gradients are exposed as flat `&mut [f64]` groups via
 //!   [`Layer::param_groups`]; optimizers keep per-group state keyed by the
 //!   (stable) group order.
-//! * `forward` caches whatever the layer needs for `backward`; a training
-//!   step is `forward → loss → backward → optimizer.step`.
+//! * A training step is `forward → loss → backward → optimizer.step`. A
+//!   layer used on its own caches what its `backward` needs; inside a
+//!   [`Sequential`] the stack owns every activation once and lends it to the
+//!   layers, which write their gradients over it (see [`Layer`],
+//!   [`Sequential`] and `DESIGN.md` §4c).
 //! * Nothing here is thread-aware: parallelism happens one level up, where
 //!   each MPI-like rank owns one whole network (the paper's scheme).
 
@@ -34,7 +37,7 @@ pub mod serialize;
 pub use activation::{LeakyReLu, ReLu, Tanh};
 pub use conv::Conv2d;
 pub use deconv::ConvTranspose2d;
-pub use layer::{Layer, ParamGroup};
+pub use layer::{InputGrad, Layer, ParamGroup};
 pub use loss::{Huber, Loss, Mae, Mape, Mse};
 pub use lr::LrSchedule;
 pub use optim::{Adam, AdamW, Optimizer, OptimizerState, RmsProp, Sgd};

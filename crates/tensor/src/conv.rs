@@ -3,8 +3,9 @@
 //!
 //! Two forward implementations are provided: a direct seven-loop kernel
 //! ([`conv2d`], trivially auditable, used as a test oracle) and the fast
-//! path used by `pde-nn` ([`conv2d_im2col_into`] and the two backward
-//! passes). All share [`Conv2dSpec`].
+//! path used by `pde-nn` ([`conv2d_forward_into`] — [`conv2d_im2col_into`]
+//! is its pinned name without an activation — and the two backward passes).
+//! All share [`Conv2dSpec`].
 //!
 //! The fast path is **zero-lowering**: at stride 1 a run of output columns
 //! reads a run of input columns, so all three passes read `x` / `grad_out`
@@ -15,6 +16,14 @@
 //! pass on the three entry points and in `DESIGN.md` §4c), so every result
 //! is bit-for-bit what `im2col` + `gemm*` (+ `col2im`) over whole matrices
 //! gives — `tests/kernel_paths.rs` asserts it with `to_bits()`.
+//!
+//! Two passes also carry an **epilogue**, so that a network's LeakyReLU
+//! costs no pass over memory of its own: the forward write-back that
+//! completes an output element can apply the layer's activation
+//! ([`conv2d_forward_into`]'s `leak`), and the input gradient's write-back
+//! can apply the *upstream* activation's backward, reading the sign from the
+//! activation it is overwriting ([`conv2d_backward_input_leaky`]). Each is
+//! the unfused result followed by the elementwise function, bit for bit.
 //!
 //! Each pass has two kernels with the identical chain: an AVX-512 one in
 //! [`crate::simd`] and a portable `f64::mul_add` one here, which is the
@@ -288,8 +297,40 @@ pub fn conv2d_im2col(
 }
 
 /// [`conv2d_im2col`] writing into a caller-owned output tensor (resized in
-/// place). The name is pinned by the callers and the benchmark; the pass no
-/// longer lowers anything: the weight matrix is packed once
+/// place): [`conv2d_forward_into`] with no activation. The name is pinned by
+/// the callers and the benchmark; the pass no longer lowers anything.
+pub fn conv2d_im2col_into(
+    input: &Tensor4,
+    weight: &Tensor4,
+    bias: &[f64],
+    spec: &Conv2dSpec,
+    scratch: &mut ConvScratch,
+    out: &mut Tensor4,
+) {
+    conv2d_forward_into(input, weight, bias, spec, None, scratch, out);
+}
+
+/// Packed weight-panel height of the forward pass: on the AVX-512 path the
+/// one of {8, 6, 4} that pads `out_c` with the fewest zero rows, ties to the
+/// taller (6 → 6, 16 → 8, 4 → 4, 12 → 6); the portable kernels read
+/// [`MR`]-row panels. The height only changes which rows share a register
+/// tile, never a chain.
+fn forward_panel_rows(path: KernelPath, out_c: usize) -> usize {
+    match path {
+        KernelPath::Avx512 => [8, 6, 4]
+            .into_iter()
+            .min_by_key(|mr| out_c.next_multiple_of(*mr))
+            .expect("three candidates"),
+        _ => MR,
+    }
+}
+
+/// The forward pass, `out = act(bias + W ⋆ input)` with `out` resized in
+/// place: `act` is the identity for `leak = None` and LeakyReLU with
+/// negative-side slope `s` for `Some(s)` — `z` for `z ≥ 0`, else `s·z`,
+/// exactly `pde-nn`'s `LeakyReLu::forward` — applied in the write-back that
+/// completes an output element, so a fused layer stores its activation once
+/// and its pre-activation never. The weight matrix is packed once
 /// ([`pack_a`]), a tap-offset table `off[(c,ki,kj)] = c·H·W + ki·W + kj`
 /// stands in for the column matrix, and the GEMM register tile reads B row
 /// `p` of output row `oi` at `x[off[p] + oi·W + oj ..]`.
@@ -297,13 +338,15 @@ pub fn conv2d_im2col(
 /// **Order contract:** each output element is `bias`, then per [`KC`] block
 /// of taps `p = (c, ki, kj)` ascending one FMA chain from 0.0 over the
 /// block, added once — `gemm`'s chain on `im2col`'s matrix, so the results
-/// are bit-identical to it. Elements are independent of each other, so
-/// (sample, row band) pairs are the pool's chunks.
-pub fn conv2d_im2col_into(
+/// are bit-identical to it — and `act` of that, on the last block only.
+/// Elements are independent of each other, so (sample, row band) pairs are
+/// the pool's chunks.
+pub fn conv2d_forward_into(
     input: &Tensor4,
     weight: &Tensor4,
     bias: &[f64],
     spec: &Conv2dSpec,
+    leak: Option<f64>,
     scratch: &mut ConvScratch,
     out: &mut Tensor4,
 ) {
@@ -331,6 +374,11 @@ pub fn conv2d_im2col_into(
                 row.fill(bias.get(oc).copied().unwrap_or(0.0));
             }
             gemm(out_c, rows, n_cols, weight.as_slice(), &cols, y);
+            if let Some(slope) = leak {
+                for z in y {
+                    *z = leaky_relu(slope, *z);
+                }
+            }
         }
         return;
     }
@@ -343,13 +391,15 @@ pub fn conv2d_im2col_into(
         taps,
         padded,
     } = scratch;
-    let mr = pack_a(
+    let mr = forward_panel_rows(path, out_c);
+    pack_a(
         path,
         Trans::N,
         out_c,
         rows,
         weight.as_slice(),
         rows,
+        mr,
         weights,
     );
     let wp: &[f64] = weights;
@@ -375,9 +425,11 @@ pub fn conv2d_im2col_into(
             match path {
                 #[cfg(target_arch = "x86_64")]
                 KernelPath::Avx512 => crate::simd::conv_fwd_rows_512(
-                    wp, mr, out_c, off, x, planes.ld, bias, y, ow, oi_lo, oi_hi,
+                    wp, mr, out_c, off, x, planes.ld, bias, leak, y, ow, oi_lo, oi_hi,
                 ),
-                _ => conv_fwd_rows(wp, mr, out_c, off, x, planes.ld, bias, y, ow, oi_lo, oi_hi),
+                _ => conv_fwd_rows(
+                    wp, mr, out_c, off, x, planes.ld, bias, leak, y, ow, oi_lo, oi_hi,
+                ),
             }
         }
     };
@@ -395,8 +447,34 @@ pub fn conv2d_im2col_into(
     record_product(t0, n, out_c, rows, n_cols, out_c.div_ceil(mr) * mr * rows);
 }
 
+/// LeakyReLU with negative-side slope `slope`, the one definition every
+/// forward epilogue here and `pde-nn`'s standalone layer share: the
+/// comparison is `≥`, so −0.0 and +0.0 pass through and NaN takes the
+/// product.
+#[inline]
+pub fn leaky_relu(slope: f64, z: f64) -> f64 {
+    if z >= 0.0 {
+        z
+    } else {
+        slope * z
+    }
+}
+
+/// [`leaky_relu`]'s backward: `grad`, times `slope` where the layer's input
+/// `x` (or, for a positive slope, its output — same sign) is `< 0.0`. The
+/// subgradient at ±0.0 is taken from the positive side, matching the forward
+/// convention, and NaN keeps slope 1.
+#[inline]
+pub fn leaky_relu_grad(slope: f64, x: f64, grad: f64) -> f64 {
+    if x < 0.0 {
+        slope * grad
+    } else {
+        grad
+    }
+}
+
 /// The portable forward kernel: [`crate::simd::conv_fwd_rows_512`]'s chain
-/// on `MR × NR` tiles of `f64::mul_add`.
+/// and epilogue on `MR × NR` tiles of `f64::mul_add`.
 ///
 /// # Safety
 /// As [`crate::simd::conv_fwd_rows_512`] without the CPU requirement: `wp`
@@ -414,6 +492,7 @@ unsafe fn conv_fwd_rows(
     x: &[f64],
     ld_x: usize,
     bias: &[f64],
+    leak: Option<f64>,
     y: CView,
     ow: usize,
     oi_lo: usize,
@@ -436,6 +515,9 @@ unsafe fn conv_fwd_rows(
                     let ap = &wp[m_panels * MR * p0 + ip * kc * MR..][..kc * MR];
                     let off = &off[p0..p0 + kc];
                     let acc = scalar_direct_tile(ap, kc, |p| &x_row[off[p] + j0..], nr);
+                    // The activation belongs to the block that completes
+                    // the element.
+                    let leak = leak.filter(|_| p0 + kc == k);
                     for (r, acc) in acc.iter().enumerate().take(mr_eff) {
                         // SAFETY: `nr` owned columns of output row `oi`,
                         // channel `i0 + r`, inside `y` (asserted above).
@@ -445,7 +527,8 @@ unsafe fn conv_fwd_rows(
                         };
                         let b = bias.get(i0 + r).copied().unwrap_or(0.0);
                         for (dst, &v) in row.iter_mut().zip(acc) {
-                            *dst = if p0 == 0 { b } else { *dst } + v;
+                            let z = if p0 == 0 { b } else { *dst } + v;
+                            *dst = leak.map_or(z, |slope| leaky_relu(slope, z));
                         }
                     }
                 }
@@ -501,9 +584,52 @@ pub fn conv2d_backward_input_into(
     scratch: &mut ConvScratch,
     grad_in: &mut Tensor4,
 ) {
+    grad_in.resize(grad_out.n(), spec.in_c, in_h, in_w);
+    backward_input(grad_out, weight, spec, None, scratch, grad_in);
+}
+
+/// The input gradient of a convolution whose input is the output of a
+/// LeakyReLU with negative-side slope `leak`, written **over** that input:
+/// `act` holds the activation `x` the forward pass read (it fixes the input
+/// shape) and comes back holding `∂L/∂z`, the gradient w.r.t. the upstream
+/// pre-activation — [`conv2d_backward_input_into`]'s element where
+/// `x ≥ 0`, `leak` times it where `x < 0.0`. The sign is read from the stored
+/// activation, which for `leak > 0` is the pre-activation's (`-0.0` and NaN
+/// are "not negative", as in `pde-nn`'s `LeakyReLu::backward`); each `x` is
+/// read once, by the write-back that replaces it, so no second buffer and
+/// no mask pass exist. Run [`conv2d_backward_weight`] first: it needs `x`.
+///
+/// Same order contract as [`conv2d_backward_input_into`], then one multiply.
+pub fn conv2d_backward_input_leaky(
+    grad_out: &Tensor4,
+    weight: &Tensor4,
+    spec: &Conv2dSpec,
+    leak: f64,
+    scratch: &mut ConvScratch,
+    act: &mut Tensor4,
+) {
+    assert_eq!(
+        (act.n(), act.c()),
+        (grad_out.n(), spec.in_c),
+        "backward_input: activation shape"
+    );
+    backward_input(grad_out, weight, spec, Some(leak), scratch, act);
+}
+
+/// Both input-gradient entry points: `dst` already has the input's shape
+/// and, with `leak` given, its values.
+fn backward_input(
+    grad_out: &Tensor4,
+    weight: &Tensor4,
+    spec: &Conv2dSpec,
+    leak: Option<f64>,
+    scratch: &mut ConvScratch,
+    dst: &mut Tensor4,
+) {
     spec.check_weights(weight);
     let (n, oc, oh, ow) = grad_out.shape();
     assert_eq!(oc, spec.out_c, "backward_input: grad_out channels");
+    let (in_h, in_w) = (dst.h(), dst.w());
     let g = spec.geom(in_h, in_w);
     assert_eq!(
         (g.out_h(), g.out_w()),
@@ -511,14 +637,13 @@ pub fn conv2d_backward_input_into(
         "backward_input: geometry mismatch"
     );
     let (rows, n_cols, out_c) = (g.col_rows(), g.col_cols(), spec.out_c);
-    grad_in.resize(n, spec.in_c, in_h, in_w);
     if n == 0 {
         return;
     }
     if g.stride != 1 || out_c > KC {
         // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
-        grad_in.as_mut_slice().fill(0.0);
         let mut cols = vec![0.0; rows * n_cols];
+        let mut plain = vec![0.0; dst.len() / n];
         for s in 0..n {
             cols.fill(0.0);
             gemm_tn(
@@ -529,7 +654,11 @@ pub fn conv2d_backward_input_into(
                 grad_out.sample(s),
                 &mut cols,
             );
-            col2im(&cols, &g, grad_in.sample_mut(s));
+            plain.fill(0.0);
+            col2im(&cols, &g, &mut plain);
+            for (x, &gv) in dst.sample_mut(s).iter_mut().zip(&plain) {
+                *x = leak.map_or(gv, |slope| leaky_relu_grad(slope, *x, gv));
+            }
         }
         return;
     }
@@ -554,14 +683,14 @@ pub fn conv2d_backward_input_into(
 
     let bands = in_h.div_ceil(ROW_BAND);
     let sample_len = g.c * in_h * in_w;
-    let gi = CView::new(grad_in.as_mut_slice(), in_h * in_w);
+    let gi = CView::new(dst.as_mut_slice(), in_h * in_w);
     pool::run(n * bands, &|i| {
         let (s, band) = (i / bands, i % bands);
         let (ii_lo, ii_hi) = (band * ROW_BAND, ((band + 1) * ROW_BAND).min(in_h));
         let (go, gi) = (grad_out.sample(s), gi.at(s * sample_len));
-        // SAFETY: this chunk alone writes input rows `ii_lo..ii_hi` of
-        // sample `s`, which `gi` now starts at; AVX-512 is feature-checked
-        // at path selection.
+        // SAFETY: this chunk alone reads and writes input rows
+        // `ii_lo..ii_hi` of sample `s`, which `gi` now starts at; AVX-512
+        // is feature-checked at path selection.
         unsafe {
             match path {
                 #[cfg(target_arch = "x86_64")]
@@ -573,10 +702,11 @@ pub fn conv2d_backward_input_into(
                     go,
                     (oh, ow),
                     gi,
+                    leak,
                     ii_lo,
                     ii_hi,
                 ),
-                _ => conv_bwd_input_rows(wt, ti, &g, out_c, go, (oh, ow), gi, ii_lo, ii_hi),
+                _ => conv_bwd_input_rows(wt, ti, &g, out_c, go, (oh, ow), gi, leak, ii_lo, ii_hi),
             }
         }
     });
@@ -596,15 +726,16 @@ pub(crate) fn tap_lanes(shift: usize, kj: usize, ow: usize, nr: usize) -> (usize
 }
 
 /// The portable input-gradient kernel:
-/// [`crate::simd::conv_bwd_input_rows_512`]'s two-level sum on `ti × NR`
-/// tiles of `f64::mul_add`.
+/// [`crate::simd::conv_bwd_input_rows_512`]'s two-level sum and epilogue on
+/// `ti × NR` tiles of `f64::mul_add`.
 ///
 /// # Safety
 /// As [`crate::simd::conv_bwd_input_rows_512`] without the CPU requirement:
 /// `wt` and `go` are slices (checked where indexed; `go` spans
 /// `go[0] ..= go[out_c·oh·ow − 1]`); the caller owns rows `ii_lo..ii_hi` of
 /// every channel of `gin` exclusively, ending at
-/// `gin[(in_c−1)·gin.ld + ii_hi·w − 1]` (`debug_assert!`ed).
+/// `gin[(in_c−1)·gin.ld + ii_hi·w − 1]` (`debug_assert!`ed), and with `leak`
+/// given they hold the upstream activation.
 #[allow(clippy::too_many_arguments)]
 unsafe fn conv_bwd_input_rows(
     wt: &[f64],
@@ -614,6 +745,7 @@ unsafe fn conv_bwd_input_rows(
     go: &[f64],
     (oh, ow): (usize, usize),
     gin: CView,
+    leak: Option<f64>,
     ii_lo: usize,
     ii_hi: usize,
 ) {
@@ -660,7 +792,9 @@ unsafe fn conv_bwd_input_rows(
                         let at = (ic0 + i) * gin.ld + ii * g.w + jj0;
                         std::slice::from_raw_parts_mut(gin.ptr.add(at), nr)
                     };
-                    row.copy_from_slice(&sum[..nr]);
+                    for (x, &gv) in row.iter_mut().zip(&sum[..nr]) {
+                        *x = leak.map_or(gv, |slope| leaky_relu_grad(slope, *x, gv));
+                    }
                 }
             }
         }
@@ -781,10 +915,28 @@ pub fn conv2d_backward_weight(
             });
             record_product(t0, 1, out_c, n_cols, rows, 0);
         }
-        if !grad_bias.is_empty() {
-            for oc in 0..out_c {
-                grad_bias[oc] += go[oc * n_cols..(oc + 1) * n_cols].iter().sum::<f64>();
-            }
+        add_plane_sums(go, n_cols, grad_bias);
+    }
+}
+
+/// `sums[oc] += Σ_q go[oc·n_cols + q]`, each sum one chain over `q`
+/// ascending, added once — `iter().sum()` per plane (which starts at −0.0),
+/// bit for bit — with up to four channels' chains advancing together: a lone
+/// chain waits out the add latency at every element.
+fn add_plane_sums(go: &[f64], n_cols: usize, sums: &mut [f64]) {
+    for (sums, planes) in sums.chunks_mut(4).zip(go.chunks(4 * n_cols)) {
+        // A short last group sums its last plane again, into lanes it drops.
+        let [a, b, c, d] =
+            std::array::from_fn(|i| &planes[i.min(sums.len() - 1) * n_cols..][..n_cols]);
+        let mut acc = [-0.0f64; 4];
+        for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+            acc[0] += a;
+            acc[1] += b;
+            acc[2] += c;
+            acc[3] += d;
+        }
+        for (sum, acc) in sums.iter_mut().zip(acc) {
+            *sum += acc;
         }
     }
 }

@@ -590,10 +590,11 @@ pub(crate) fn grown<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T
 }
 
 /// Packs the whole of `op_a(A)` (`m × k`, stored with row stride `lda`) into
-/// `buf`, KC block after KC block — the `ceil(m/mr)` panels of block 0, then
-/// those of block 1, … so block `p0` starts at `ceil(m/mr)·mr·p0` — and
-/// returns the panel height `mr` it chose for `path`. `buf` grows (exactly)
-/// to the largest operand it has seen and is never shrunk.
+/// `buf` at panel height `mr`, KC block after KC block — the `ceil(m/mr)`
+/// panels of block 0, then those of block 1, … so block `p0` starts at
+/// `ceil(m/mr)·mr·p0`. `buf` grows (exactly) to the largest operand it has
+/// seen and is never shrunk.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a(
     path: KernelPath,
     op_a: Trans,
@@ -601,9 +602,9 @@ pub(crate) fn pack_a(
     k: usize,
     a: &[f64],
     lda: usize,
+    mr: usize,
     buf: &mut Vec<f64>,
-) -> usize {
-    let mr = panel_rows(path, m);
+) {
     let m_panels = m.div_ceil(mr);
     let buf = grown(buf, m_panels * mr * k);
     for p0 in (0..k).step_by(KC) {
@@ -611,7 +612,6 @@ pub(crate) fn pack_a(
         let block = &mut buf[m_panels * mr * p0..][..m_panels * kc * mr];
         pack_a_block(path, op_a, a, lda, m, p0, kc, mr, block);
     }
-    mr
 }
 
 /// `C[.., j_lo..j_hi] += A · op_b(B)[.., j_lo..j_hi]` over the whole shared
@@ -719,7 +719,8 @@ fn gemm_driver(
     let c = CView::new(c, n);
     A_BUF.with(|ab| {
         let mut abuf = ab.borrow_mut();
-        let mr = pack_a(path, op_a, m, k, a, lda, &mut abuf);
+        let mr = panel_rows(path, m);
+        pack_a(path, op_a, m, k, a, lda, mr, &mut abuf);
         let abuf: &[f64] = &abuf;
         pool::run(n.div_ceil(NC), &|ci| {
             let j_lo = ci * NC;

@@ -11,8 +11,9 @@
 //!   columns alike through lane masks; `m ≤ 4` shapes run it at 4 rows so
 //!   the register file is not wasted on zero padding (the old scalar
 //!   `small_m` cliff, ISSUE 6 satellite 1). The three convolution passes
-//!   live here too: the forward pass *is* that tile with B rows addressed
-//!   through a tap-offset table, and the two gradient passes have register
+//!   live here too: the forward pass *is* that tile (at 8, 6 or 4 rows)
+//!   with B rows addressed through a tap-offset table and an optional
+//!   LeakyReLU in its last write-back, and the two gradient passes have register
 //!   tiles of their own ([`conv_bwd_input_rows_512`],
 //!   [`conv_bwd_weight_512`]) that read `grad_out` / `x` in place.
 //! * **AVX2+FMA** — compatibility fallback for the GEMM with the same
@@ -164,17 +165,34 @@ fn tile_masks(nr: usize) -> (__mmask8, __mmask8) {
     (m as __mmask8, (m >> 8) as __mmask8)
 }
 
+/// How a direct tile leaves its block sum `acc` in C. The GEMM accumulates
+/// ([`WriteBack::ADD`]); the convolution forward pass starts an output row
+/// from its bias on the first KC block and applies the layer's LeakyReLU on
+/// the last (one and the same block when all taps fit in [`KC`]).
+#[derive(Clone, Copy)]
+pub(crate) struct WriteBack<'a> {
+    /// `None`: `C + acc`. `Some(v)`: `v[r] + acc` for tile row `r` (0.0 where
+    /// `v` is shorter than the tile), C not read.
+    init: Option<&'a [f64]>,
+    /// `Some(s)`: store `z` for `z ≥ 0`, else `s·z` (NaN takes the product,
+    /// as `if z >= 0.0 { z } else { s * z }` does), `z` being the sum above.
+    leak: Option<f64>,
+}
+
+impl WriteBack<'_> {
+    pub(crate) const ADD: Self = Self {
+        init: None,
+        leak: None,
+    };
+}
+
 /// The direct-B register tile: `MR` rows × up to [`TILE_512`] columns, one
 /// FMA chain per element from 0.0 over `kc` shared steps, B read in place.
 /// `b_row(p)` is the address of B's element `(p, j0)` — `b + p·ldb + j0` for
 /// the GEMM, `x + off[p] + oi·ld_x + j0` for the convolution forward pass —
 /// and `masks` select the live columns (all sixteen, `FULL`, for a full
 /// tile), so edge tiles run the same code with no scalar remainder and no
-/// out-of-bounds touch.
-///
-/// Write-back: `C += acc` when `init` is `None`; `C = init[r] + acc` (0.0
-/// where `init` is shorter than the tile) when it is given — how the
-/// convolution's first KC block starts an output row from its bias.
+/// out-of-bounds touch. `wb` says how the sums reach C.
 ///
 /// # Safety
 /// Requires AVX-512F; `ap` holds a `kc × MR` panel (`debug_assert!`ed).
@@ -192,7 +210,7 @@ unsafe fn direct_tile_512<const MR: usize, const FULL: bool>(
     c: *mut f64,
     ldc: usize,
     mr_eff: usize,
-    init: Option<&[f64]>,
+    wb: WriteBack,
 ) {
     debug_assert!(ap.len() >= kc * MR && mr_eff <= MR);
     // A full tile's masks are compile-time all-ones, which turns every
@@ -223,12 +241,19 @@ unsafe fn direct_tile_512<const MR: usize, const FULL: bool>(
             a = a.add(MR);
         }
     }
+    let leaky = |z: __m512d| match wb.leak {
+        Some(s) => {
+            let not_ge = _mm512_cmp_pd_mask::<_CMP_NGE_UQ>(z, _mm512_setzero_pd());
+            _mm512_mask_mul_pd(z, not_ge, _mm512_set1_pd(s), z)
+        }
+        None => z,
+    };
     for r in 0..mr_eff {
         // SAFETY: masked read-modify-write (or plain write) of the owned C
         // tile's live columns (caller contract).
         unsafe {
             let cp = c.add(r * ldc);
-            let (prev0, prev1) = match init {
+            let (prev0, prev1) = match wb.init {
                 Some(v) => {
                     let v = _mm512_set1_pd(v.get(r).copied().unwrap_or(0.0));
                     (v, v)
@@ -242,9 +267,9 @@ unsafe fn direct_tile_512<const MR: usize, const FULL: bool>(
                     },
                 ),
             };
-            _mm512_mask_storeu_pd(cp, m0, _mm512_add_pd(prev0, acc0[r]));
+            _mm512_mask_storeu_pd(cp, m0, leaky(_mm512_add_pd(prev0, acc0[r])));
             if m1 != 0 {
-                _mm512_mask_storeu_pd(cp.add(8), m1, _mm512_add_pd(prev1, acc1[r]));
+                _mm512_mask_storeu_pd(cp.add(8), m1, leaky(_mm512_add_pd(prev1, acc1[r])));
             }
         }
     }
@@ -253,7 +278,7 @@ unsafe fn direct_tile_512<const MR: usize, const FULL: bool>(
 /// Panel-height dispatch for [`direct_tile_512`].
 ///
 /// # Safety
-/// As [`direct_tile_512`]; `mr` must be 8 or 4 and match `ap`'s layout.
+/// As [`direct_tile_512`]; `mr` must be 8, 6 or 4 and match `ap`'s layout.
 /// Full tiles (all sixteen columns live) take the `FULL` instantiation.
 #[inline]
 #[target_feature(enable = "avx512f")]
@@ -267,16 +292,18 @@ unsafe fn direct_tile_mr_512(
     c: *mut f64,
     ldc: usize,
     mr_eff: usize,
-    init: Option<&[f64]>,
+    wb: WriteBack,
 ) {
-    debug_assert!(mr == 8 || mr == 4);
     // SAFETY: forwarded caller contract.
     unsafe {
-        match (mr == 8, masks == (0xFF, 0xFF)) {
-            (true, true) => direct_tile_512::<8, true>(ap, kc, b_row, masks, c, ldc, mr_eff, init),
-            (true, _) => direct_tile_512::<8, false>(ap, kc, b_row, masks, c, ldc, mr_eff, init),
-            (false, true) => direct_tile_512::<4, true>(ap, kc, b_row, masks, c, ldc, mr_eff, init),
-            (false, _) => direct_tile_512::<4, false>(ap, kc, b_row, masks, c, ldc, mr_eff, init),
+        match (mr, masks == (0xFF, 0xFF)) {
+            (8, true) => direct_tile_512::<8, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
+            (8, _) => direct_tile_512::<8, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
+            (6, true) => direct_tile_512::<6, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
+            (6, _) => direct_tile_512::<6, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
+            (4, true) => direct_tile_512::<4, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
+            (4, _) => direct_tile_512::<4, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
+            _ => unreachable!("direct tiles are 8, 6 or 4 rows high"),
         }
     }
 }
@@ -319,7 +346,7 @@ pub(crate) unsafe fn direct_block_512(
             unsafe {
                 let cp = c.ptr.add(i0 * c.ld + j0);
                 let b_row = |p: usize| b0.wrapping_add(p * ldb);
-                direct_tile_mr_512(mr, ap, kc, b_row, masks, cp, c.ld, mr_eff, None);
+                direct_tile_mr_512(mr, ap, kc, b_row, masks, cp, c.ld, mr_eff, WriteBack::ADD);
             }
         }
     }
@@ -427,11 +454,12 @@ pub(crate) unsafe fn packed_strip_512(
 /// `x[off[p] + oi·ld_x + oj ..]` instead of out of a lowered column matrix.
 /// Per output element: `bias`, then per KC block of taps `p` ascending one
 /// FMA chain from 0.0, added once — the chain `gemm` runs on `im2col`'s
-/// matrix.
+/// matrix — and, with `leak = Some(s)`, LeakyReLU(`s`) of that sum in the
+/// last block's write-back, so the pre-activation never reaches memory.
 ///
 /// # Safety
 /// Requires AVX-512F. `wp` is [`crate::gemm::pack_a`]'s packing of the
-/// `out_c × off.len()` weight matrix at panel height `mr` (length
+/// `out_c × off.len()` weight matrix at panel height `mr ∈ {4, 6, 8}` (length
 /// `debug_assert!`ed). Offset contract: `off` is ascending, so the reads
 /// span `x[off[0] + oi_lo·ld_x]` ..= `x[off[k−1] + (oi_hi−1)·ld_x + ow−1]`,
 /// which must lie inside `x`. `y` is the sample's `out_c × (oh·ow)` output
@@ -449,6 +477,7 @@ pub(crate) unsafe fn conv_fwd_rows_512(
     x: &[f64],
     ld_x: usize,
     bias: &[f64],
+    leak: Option<f64>,
     y: CView,
     ow: usize,
     oi_lo: usize,
@@ -473,14 +502,17 @@ pub(crate) unsafe fn conv_fwd_rows_512(
                     let kc = KC.min(k - p0);
                     let ap = &wp[m_panels * mr * p0 + ip * kc * mr..][..kc * mr];
                     let off = &off[p0..p0 + kc];
-                    let init = (p0 == 0).then(|| bias.get(i0..).unwrap_or(&[]));
+                    let wb = WriteBack {
+                        init: (p0 == 0).then(|| bias.get(i0..).unwrap_or(&[])),
+                        leak: leak.filter(|_| p0 + kc == k),
+                    };
                     // SAFETY: live columns `j0..` of output row `oi` for
                     // channels `i0..i0+mr_eff`, and the taps they read, all
                     // inside the ranges asserted above.
                     unsafe {
                         let yp = y.ptr.add(i0 * y.ld + oi * ow + j0);
                         let b_row = |p: usize| x0.wrapping_add(*off.get_unchecked(p));
-                        direct_tile_mr_512(mr, ap, kc, b_row, masks, yp, y.ld, mr_eff, init);
+                        direct_tile_mr_512(mr, ap, kc, b_row, masks, yp, y.ld, mr_eff, wb);
                     }
                 }
             }
@@ -495,13 +527,19 @@ pub(crate) unsafe fn conv_fwd_rows_512(
 /// `(ki, kj)` ascending order, taps that fall outside `grad_out` skipped per
 /// lane — the order `col2im` adds the columns of `Wᵀ·grad_out` in.
 ///
+/// With `leak = Some(s)` the tile's destination holds, on entry, the
+/// activation `x` the upstream LeakyReLU(`s`) stored, and the write-back
+/// folds that layer's backward in: lanes with `x < 0.0` store `s·sum`, the
+/// others (±0.0 and NaN included) `sum` — each `x` is read once, by the
+/// store that replaces it.
+///
 /// # Safety
 /// Requires AVX-512F. `wt` is this channel tile's `[tap][oc][TI]` weights
 /// (`kh·kw·out_c·TI` values), `go` one sample's `out_c × oh × ow` gradient;
 /// lanes whose tap lies outside it are masked off, never loaded. `gin`
 /// points at input-gradient element `(ic0, ii, jj0)` with channel stride
 /// `g.h·g.w`; the `nr` columns from there on must be exclusively owned for
-/// `ic_eff ≤ TI` channels.
+/// `ic_eff ≤ TI` channels (and initialised when `leak` is given).
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -516,6 +554,7 @@ unsafe fn conv_bwd_input_tile_512<const TI: usize>(
     nr: usize,
     gin: *mut f64,
     ic_eff: usize,
+    leak: Option<f64>,
 ) {
     let mut sum = [[_mm512_setzero_pd(); 2]; TI];
     let shift = jj0 + g.pad;
@@ -564,11 +603,34 @@ unsafe fn conv_bwd_input_tile_512<const TI: usize>(
         // SAFETY: the tile's `nr` owned columns of channel `ic0 + i`.
         unsafe {
             let p = gin.add(i * g.h * g.w);
-            _mm512_mask_storeu_pd(p, s0, s[0]);
+            store_grad_512(p, s0, s[0], leak);
             if s1 != 0 {
-                _mm512_mask_storeu_pd(p.add(8), s1, s[1]);
+                store_grad_512(p.add(8), s1, s[1], leak);
             }
         }
+    }
+}
+
+/// Stores the `live` lanes of an input-gradient vector `v` at `p`; with
+/// `leak = Some(s)`, lanes whose previous value there is `< 0.0` store `s·v`.
+///
+/// # Safety
+/// Requires AVX-512F; the `live` lanes at `p` must be exclusively owned,
+/// writable and (when `leak` is given) initialised.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn store_grad_512(p: *mut f64, live: __mmask8, v: __m512d, leak: Option<f64>) {
+    // SAFETY: masked lanes touch no memory, live ones are the caller's.
+    unsafe {
+        let v = match leak {
+            Some(s) => {
+                let x = _mm512_maskz_loadu_pd(live, p);
+                let neg = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(x, _mm512_setzero_pd());
+                _mm512_mask_mul_pd(v, neg, _mm512_set1_pd(s), v)
+            }
+            None => v,
+        };
+        _mm512_mask_storeu_pd(p, live, v);
     }
 }
 
@@ -585,7 +647,8 @@ unsafe fn conv_bwd_input_tile_512<const TI: usize>(
 /// (`debug_assert!`ed; reads outside a row are masked off). `gin` is the
 /// sample's `in_c × h × w` input gradient with channel stride `gin.ld`; the
 /// caller owns rows `ii_lo..ii_hi` of every channel exclusively, ending at
-/// `gin[(in_c−1)·gin.ld + ii_hi·w − 1]` (`debug_assert!`ed).
+/// `gin[(in_c−1)·gin.ld + ii_hi·w − 1]` (`debug_assert!`ed), and with
+/// `leak` given they hold the upstream activation.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn conv_bwd_input_rows_512(
@@ -596,6 +659,7 @@ pub(crate) unsafe fn conv_bwd_input_rows_512(
     go: &[f64],
     (oh, ow): (usize, usize),
     gin: CView,
+    leak: Option<f64>,
     ii_lo: usize,
     ii_hi: usize,
 ) {
@@ -616,31 +680,14 @@ pub(crate) unsafe fn conv_bwd_input_rows_512(
                     let wt = wt.as_ptr().add(tile * taps * out_c * ti);
                     let gp = gin.ptr.add(ic0 * gin.ld + ii * g.w + jj0);
                     let go = go.as_ptr();
+                    let dims = (oh, ow);
                     if ti == 6 {
                         conv_bwd_input_tile_512::<6>(
-                            wt,
-                            g,
-                            out_c,
-                            go,
-                            (oh, ow),
-                            ii,
-                            jj0,
-                            nr,
-                            gp,
-                            ic_eff,
+                            wt, g, out_c, go, dims, ii, jj0, nr, gp, ic_eff, leak,
                         );
                     } else {
                         conv_bwd_input_tile_512::<4>(
-                            wt,
-                            g,
-                            out_c,
-                            go,
-                            (oh, ow),
-                            ii,
-                            jj0,
-                            nr,
-                            gp,
-                            ic_eff,
+                            wt, g, out_c, go, dims, ii, jj0, nr, gp, ic_eff, leak,
                         );
                     }
                 }

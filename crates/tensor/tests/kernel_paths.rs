@@ -188,7 +188,8 @@ fn threaded_matches_unthreaded_bitwise() {
 // (`n_cols > 256`, not a multiple of `ow`).
 
 use pde_tensor::conv::{
-    conv2d_backward_input_into, conv2d_backward_weight, conv2d_im2col_into, ConvScratch,
+    conv2d_backward_input_into, conv2d_backward_input_leaky, conv2d_backward_weight,
+    conv2d_forward_into, conv2d_im2col_into, ConvScratch,
 };
 use pde_tensor::im2col::{col2im, im2col};
 use pde_tensor::{Conv2dSpec, Tensor4};
@@ -445,7 +446,9 @@ fn conv_passes_match_whole_matrix_on_tile_edges() {
         check(3, 5, k, 0, k + 2, k + 18);
         check(3, 5, k, k / 2, 6, 19);
     }
-    for ch in [1usize, 3, 5, 7, 9, 17] {
+    // Output channels 4 / 5, 6, 12 / 7, 8, 16 pack into 4- / 6- / 8-row
+    // forward panels on the AVX-512 path.
+    for ch in [1usize, 3, 5, 6, 7, 8, 9, 12, 16, 17] {
         check(ch, 4, 3, 0, 7, 21);
         check(4, ch, 3, 0, 7, 21);
         check(ch, ch, 3, 1, 5, 18);
@@ -532,6 +535,11 @@ mod guarded {
         pub fn tensor(&self) -> &Tensor4 {
             &self.tensor
         }
+
+        /// For passes that write in place; resizing would leave the mapping.
+        pub fn tensor_mut(&mut self) -> &mut Tensor4 {
+            &mut self.tensor
+        }
     }
 
     impl Drop for Guarded {
@@ -578,6 +586,8 @@ fn conv_passes_stop_at_the_end_of_their_inputs() {
 /// for layer 3). A same-padded layer adds one zero-bordered sample.
 #[test]
 fn conv_workspace_is_independent_of_the_batch() {
+    // The packed panel height (hence the byte count) depends on the path.
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pde_tensor::pool::set_thread_budget(1);
     let bytes_at = |spec, batch, h, w| {
         let mut scratch = ConvScratch::new();
@@ -607,4 +617,240 @@ fn conv_workspace_is_independent_of_the_batch() {
         "{toy:?}: {} bytes of workspace",
         bytes[1]
     );
+}
+
+// ---------------------------------------------------------------------------
+// Fused epilogues: LeakyReLU in the forward write-back, its backward in the
+// input gradient's
+// ---------------------------------------------------------------------------
+//
+// `conv2d_forward_into(.., Some(s), ..)` must be `conv2d_im2col_into` followed
+// by LeakyReLU, and `conv2d_backward_input_leaky` must be
+// `conv2d_backward_input_into` followed by LeakyReLU's backward on the stored
+// activation — bit for bit, on every path and budget. The comparisons are the
+// standalone layer's (`>=` forward, `<` backward), restated here because this
+// crate sits below `pde-nn`, whose own suite repeats the check against the
+// real layer. Flipping either comparison, or applying the forward epilogue
+// on a KC block that is not the last, fails these.
+
+fn leaky_forward(slope: f64, z: f64) -> f64 {
+    if z >= 0.0 {
+        z
+    } else {
+        slope * z
+    }
+}
+
+fn leaky_backward(slope: f64, x: f64, grad: f64) -> f64 {
+    if x < 0.0 {
+        slope * grad
+    } else {
+        grad
+    }
+}
+
+fn assert_same_bits(what: &str, got: &[f64], want: &[f64], case: &ConvCase, path: KernelPath) {
+    let bad = got
+        .iter()
+        .zip(want)
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    assert!(
+        got.len() == want.len() && bad == 0,
+        "{what} of {:?} on {:?} differs at {bad} of {} elements ({})",
+        case.spec,
+        case.x.shape(),
+        want.len(),
+        path.label(),
+    );
+}
+
+/// ±0.0 and NaN at fixed places, so that every special value meets both
+/// epilogues whatever the random fill produced.
+fn plant_specials(t: &mut Tensor4) {
+    let v = t.as_mut_slice();
+    let n = v.len();
+    for (at, special) in [(0, -0.0), (n / 3, 0.0), (n / 2, f64::NAN), (n - 1, -0.0)] {
+        v[at] = special;
+    }
+}
+
+impl ConvCase {
+    /// Fused forward against forward-then-activation, and the in-place
+    /// masked input gradient against gradient-then-mask, for every
+    /// (path, budget) pair.
+    fn check_epilogues(&self, slope: f64, paths: &[KernelPath], budgets: &[usize]) {
+        let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (_, _, h, w) = self.x.shape();
+        let mut x = self.x.clone();
+        plant_specials(&mut x);
+        for &path in paths {
+            force_kernel_path(Some(path));
+            for &budget in budgets {
+                pde_tensor::pool::set_thread_budget(budget);
+                let scratch = &mut ConvScratch::new();
+                let (weight, bias, spec) = (&self.weight, &self.bias, &self.spec);
+
+                let mut want = Tensor4::zeros(0, 0, 0, 0);
+                conv2d_im2col_into(&x, weight, bias, spec, scratch, &mut want);
+                want.map_inplace(|z| leaky_forward(slope, z));
+                let mut got = Tensor4::zeros(0, 0, 0, 0);
+                conv2d_forward_into(&x, weight, bias, spec, Some(slope), scratch, &mut got);
+                assert_same_bits("fused forward", got.as_slice(), want.as_slice(), self, path);
+
+                let mut want = Tensor4::zeros(0, 0, 0, 0);
+                conv2d_backward_input_into(&self.grad_out, weight, spec, h, w, scratch, &mut want);
+                for (g, &xv) in want.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *g = leaky_backward(slope, xv, *g);
+                }
+                let mut got = x.clone();
+                conv2d_backward_input_leaky(&self.grad_out, weight, spec, slope, scratch, &mut got);
+                assert_same_bits(
+                    "masked input gradient",
+                    got.as_slice(),
+                    want.as_slice(),
+                    self,
+                    path,
+                );
+                pde_tensor::pool::set_thread_budget(1);
+            }
+        }
+        force_kernel_path(None);
+    }
+}
+
+/// Edge geometries and the ones the epilogues add: same-padding, a tap
+/// dimension of 400 > KC = 256 (two blocks: the activation belongs to the
+/// second only — a pre-activation that changes sign between them would
+/// otherwise be scaled twice or not at all), every forward panel height, and
+/// the whole-matrix routes (stride 2).
+#[test]
+fn conv_epilogues_match_unfused_on_edge_geometries() {
+    let paths = supported_paths();
+    for &(in_c, out_c, k, pad, stride, h, w, batch) in &[
+        (
+            11usize, 5usize, 5usize, 0usize, 1usize, 20usize, 20usize, 2usize,
+        ),
+        (11, 4, 5, 2, 1, 23, 25, 2), // pad = k/2
+        (16, 6, 5, 0, 1, 9, 21, 2),  // 400 taps: two KC blocks, 6-row panel
+        (16, 7, 5, 2, 1, 8, 19, 1),  // 400 taps, padded, 8-row panel, ragged
+        (29, 3, 3, 1, 1, 26, 27, 1), // 261 taps
+        (4, 6, 5, 0, 1, 16, 16, 4),  // the toy layer
+        (11, 6, 5, 2, 2, 47, 49, 2), // stride 2
+        (2, 2, 5, 0, 1, 5, 5, 3),    // a single output position
+        (3, 5, 3, 1, 1, 6, 33, 2),   // two full tiles and one column
+    ] {
+        ConvCase::new(conv_spec(in_c, out_c, k, pad, stride), batch, h, w).check_epilogues(
+            0.01,
+            &paths,
+            &[1, 2, 3],
+        );
+    }
+    for out_c in [4usize, 5, 6, 7, 8, 12, 16] {
+        ConvCase::new(conv_spec(3, out_c, 3, 1, 1), 2, 7, 21).check_epilogues(
+            0.3,
+            &paths,
+            &[1, 2, 3],
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn conv_epilogues_match_unfused_on_random_geometries(
+        in_c in 1usize..=7,
+        out_c in 1usize..=17,
+        k in prop::sample::select(vec![1usize, 3, 5]),
+        same_pad in 0usize..2,
+        h in 5usize..=14,
+        w in 5usize..=40,
+        batch in 1usize..=3,
+        slope in prop::sample::select(vec![0.01f64, 0.2, 0.99]),
+    ) {
+        let pad = same_pad * (k / 2);
+        ConvCase::new(conv_spec(in_c, out_c, k, pad, 1), batch, h, w)
+            .check_epilogues(slope, &supported_paths(), &[1, 2, 3]);
+    }
+}
+
+#[test]
+fn conv_epilogues_match_unfused_on_table1_layers() {
+    for (spec, h, w) in table1_layers() {
+        ConvCase::new(spec, 2, h, w).check_epilogues(0.01, &[default_path()], &[1, 2]);
+    }
+}
+
+/// The in-place input gradient reads the activation it replaces and nothing
+/// after it: here the activation's last element (a `-0.0`) is the last 8
+/// bytes before an inaccessible page, and the fused forward reads its input
+/// up to the same edge.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn conv_epilogues_stop_at_the_end_of_the_activation() {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (k, pad, h, w) in [
+        (5usize, 0usize, 9usize, 21usize),
+        (3, 1, 6, 17),
+        (7, 0, 8, 23),
+    ] {
+        let case = ConvCase::new(conv_spec(2, 3, k, pad, 1), 2, h, w);
+        let mut x = case.x.clone();
+        plant_specials(&mut x);
+        let (weight, spec, slope) = (&case.weight, &case.spec, 0.01);
+        let scratch = &mut ConvScratch::new();
+        let mut want = Tensor4::zeros(0, 0, 0, 0);
+        conv2d_backward_input_into(&case.grad_out, weight, spec, h, w, scratch, &mut want);
+        for (g, &xv) in want.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *g = leaky_backward(slope, xv, *g);
+        }
+        let mut want_y = Tensor4::zeros(0, 0, 0, 0);
+        conv2d_forward_into(
+            &x,
+            weight,
+            &case.bias,
+            spec,
+            Some(slope),
+            scratch,
+            &mut want_y,
+        );
+        for path in supported_paths() {
+            force_kernel_path(Some(path));
+            let mut act = guarded::Guarded::copy_of(&x);
+            let mut y = Tensor4::zeros(0, 0, 0, 0);
+            conv2d_forward_into(
+                act.tensor(),
+                weight,
+                &case.bias,
+                spec,
+                Some(slope),
+                scratch,
+                &mut y,
+            );
+            assert_same_bits(
+                "guarded fused forward",
+                y.as_slice(),
+                want_y.as_slice(),
+                &case,
+                path,
+            );
+            conv2d_backward_input_leaky(
+                &case.grad_out,
+                weight,
+                spec,
+                slope,
+                scratch,
+                act.tensor_mut(),
+            );
+            assert_same_bits(
+                "guarded masked input gradient",
+                act.tensor().as_slice(),
+                want.as_slice(),
+                &case,
+                path,
+            );
+        }
+        force_kernel_path(None);
+    }
 }

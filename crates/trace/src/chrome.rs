@@ -26,7 +26,7 @@ fn arg_keys(name: &str) -> (&'static str, &'static str) {
             ("src", "bytes")
         }
         names::EPOCH | names::BATCH | names::STEP | names::ASSEMBLE => ("index", "a1"),
-        names::FWD | names::BWD => ("layer", "a1"),
+        names::FWD | names::BWD => ("layer", "fused_act"),
         names::GEMM => ("flops", "bytes_packed"),
         _ => ("a0", "a1"),
     }
