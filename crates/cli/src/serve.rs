@@ -144,12 +144,8 @@ fn build_scheduler(
     health: &Arc<HealthModel>,
 ) -> Result<Scheduler, String> {
     let ranks = inf.partition().rank_count();
-    let engines: Vec<InferEngine> = World::new(ranks * sub_worlds)
-        .with_transport(transport)
-        .split_even(sub_worlds)?
-        .into_iter()
-        .map(|sub| InferEngine::from_world(sub, EngineConfig::new(0)))
-        .collect();
+    let world = World::new(ranks * sub_worlds).with_transport(transport);
+    let engines = InferEngine::over_sub_worlds(world, sub_worlds)?;
     crate::fleet::register_engine_health(health, "sub_worlds_alive", &engines);
     let sched = Scheduler::new(engines, cfg.with_health(health.clone()));
     sched

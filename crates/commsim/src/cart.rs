@@ -336,37 +336,6 @@ impl CartComm {
         self.exchange_axis(to_down, to_up, Direction::Down, Direction::Up, tag)
     }
 
-    /// Loss-tolerant [`CartComm::exchange_x`]: `(from_left, from_right)`
-    /// as [`HaloRecv`] outcomes.
-    pub fn exchange_x_timeout(
-        &mut self,
-        to_left: Option<Vec<f64>>,
-        to_right: Option<Vec<f64>>,
-        tag: Tag,
-        timeout: Duration,
-    ) -> (Option<HaloRecv>, Option<HaloRecv>) {
-        self.exchange_axis_timeout(
-            to_left,
-            to_right,
-            Direction::Left,
-            Direction::Right,
-            tag,
-            timeout,
-        )
-    }
-
-    /// Loss-tolerant [`CartComm::exchange_y`]: `(from_down, from_up)` as
-    /// [`HaloRecv`] outcomes.
-    pub fn exchange_y_timeout(
-        &mut self,
-        to_down: Option<Vec<f64>>,
-        to_up: Option<Vec<f64>>,
-        tag: Tag,
-        timeout: Duration,
-    ) -> (Option<HaloRecv>, Option<HaloRecv>) {
-        self.exchange_axis_timeout(to_down, to_up, Direction::Down, Direction::Up, tag, timeout)
-    }
-
     fn post_axis_sends(
         &mut self,
         to_neg: Option<Vec<f64>>,
@@ -406,25 +375,6 @@ impl CartComm {
         let from_pos = self
             .neighbor(pos)
             .map(|nb| self.comm.recv(nb, encode_tag(tag, pos)));
-        (from_neg, from_pos)
-    }
-
-    fn exchange_axis_timeout(
-        &mut self,
-        to_neg: Option<Vec<f64>>,
-        to_pos: Option<Vec<f64>>,
-        neg: Direction,
-        pos: Direction,
-        tag: Tag,
-        timeout: Duration,
-    ) -> (Option<HaloRecv>, Option<HaloRecv>) {
-        self.post_axis_sends(to_neg, to_pos, neg, pos, tag);
-        let from_neg = self
-            .neighbor(neg)
-            .map(|nb| self.recv_halo(nb, encode_tag(tag, neg), timeout));
-        let from_pos = self
-            .neighbor(pos)
-            .map(|nb| self.recv_halo(nb, encode_tag(tag, pos), timeout));
         (from_neg, from_pos)
     }
 }

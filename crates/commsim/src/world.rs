@@ -716,7 +716,13 @@ impl PersistentWorld {
         F: Fn(RankContext<'_>) -> T + Send + Sync,
     {
         let results = self.run_collect(gen, f);
-        let mut out = Vec::with_capacity(self.size);
+        self.unwrap_or_poison(results)
+    }
+
+    /// The values of a finished job in rank order; if any rank panicked,
+    /// poisons the world and resumes the lowest such rank's panic instead.
+    fn unwrap_or_poison<T>(&self, results: Vec<std::thread::Result<T>>) -> Vec<T> {
+        let mut out = Vec::with_capacity(results.len());
         let mut first_panic: Option<Box<dyn Any + Send>> = None;
         for r in results {
             match r {
@@ -905,16 +911,7 @@ impl PersistentWorld {
         for flag in self.alive.iter() {
             flag.store(true, Ordering::Release);
         }
-        let mut first_panic: Option<Box<dyn Any + Send>> = None;
-        for r in results {
-            if let Err(e) = r {
-                self.poisoned.store(true, Ordering::Release);
-                first_panic.get_or_insert(e);
-            }
-        }
-        if let Some(p) = first_panic {
-            resume_unwind(p);
-        }
+        self.unwrap_or_poison(results);
         dead
     }
 

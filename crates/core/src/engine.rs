@@ -283,8 +283,34 @@ impl InferEngine {
     /// caller partitioned one big world and hands each piece its own
     /// engine. Only `cfg.threads_per_rank`, `cfg.chaos` and `cfg.self_heal`
     /// apply here; the world itself (rank count, fault plan, transport) was
-    /// fixed when it was spawned.
-    pub fn from_world(mut world: PersistentWorld, cfg: EngineConfig) -> Self {
+    /// fixed when it was spawned. The default kernel budget assumes this
+    /// world has the machine to itself; sub-worlds that share it come from
+    /// [`InferEngine::over_sub_worlds`].
+    pub fn from_world(world: PersistentWorld, cfg: EngineConfig) -> Self {
+        let ranks = world.size();
+        Self::from_world_among(world, cfg, ranks)
+    }
+
+    /// Splits `world` into `sub_worlds` equal groups and builds one engine
+    /// over each. Every rank's default kernel budget is sized from the
+    /// **whole** world's rank count — the sub-worlds serve concurrently, so
+    /// together they must not oversubscribe the machine.
+    pub fn over_sub_worlds(world: World, sub_worlds: usize) -> Result<Vec<Self>, String> {
+        let machine_ranks = world.size();
+        Ok(world
+            .split_even(sub_worlds)?
+            .into_iter()
+            .map(|sub| Self::from_world_among(sub, EngineConfig::new(0), machine_ranks))
+            .collect())
+    }
+
+    /// [`InferEngine::from_world`] for a world that shares the machine with
+    /// others: `machine_ranks` ranks in total compete for its cores.
+    fn from_world_among(
+        mut world: PersistentWorld,
+        cfg: EngineConfig,
+        machine_ranks: usize,
+    ) -> Self {
         assert!(
             cfg.n_ranks == 0 || cfg.n_ranks == world.size(),
             "from_world: config says {} ranks but the world has {}",
@@ -305,7 +331,7 @@ impl InferEngine {
                  PDEML_THREADS_PER_RANK, not the config"
             );
         }
-        let budget = pde_tensor::pool::resolve_budget(cfg.threads_per_rank, world.size());
+        let budget = pde_tensor::pool::resolve_budget(cfg.threads_per_rank, machine_ranks);
         // One throwaway job pins the budget on every resident rank thread
         // before the first model registers.
         world.run(|_ctx| pde_tensor::pool::set_thread_budget(budget));
@@ -358,11 +384,6 @@ impl InferEngine {
     /// Registered model names, sorted.
     pub fn model_names(&self) -> Vec<&str> {
         self.models.keys().map(String::as_str).collect()
-    }
-
-    /// Whether `name` is registered.
-    pub fn is_registered(&self, name: &str) -> bool {
-        self.models.contains_key(name)
     }
 
     /// Registers `inf` under `name`, loading each rank's network **on its
@@ -952,6 +973,20 @@ mod tests {
                 assert_eq!(g.msgs_sent, w.msgs_sent);
                 assert_eq!(g.bytes_sent, w.bytes_sent);
             }
+        }
+    }
+
+    #[test]
+    fn sub_world_engines_size_their_kernel_budget_from_the_whole_world() {
+        // 2 sub-worlds × 2 ranks serve concurrently: each rank gets the
+        // share of a 4-rank world, not of its own 2-rank sub-world.
+        let want = pde_tensor::pool::resolve_budget(None, 4);
+        let engines = InferEngine::over_sub_worlds(World::new(4), 2).unwrap();
+        assert_eq!(engines.len(), 2);
+        for mut engine in engines {
+            assert_eq!(engine.size(), 2);
+            let budgets = engine.world.run(|_ctx| pde_tensor::pool::thread_budget());
+            assert_eq!(budgets, vec![want; 2]);
         }
     }
 }

@@ -38,7 +38,7 @@
 //! evicted; if every resident model is busy the registration fails with
 //! [`EngineError::ResidencyFull`] instead.
 
-use crate::engine::{EngineConfig, EngineError, InferEngine};
+use crate::engine::{EngineError, InferEngine};
 use crate::infer::{InferError, ParallelInference, RejectReason, RolloutResult};
 use pde_commsim::World;
 use pde_telemetry::health::{Health, HealthModel};
@@ -384,11 +384,7 @@ impl Scheduler {
         sub_worlds: usize,
         cfg: SchedulerConfig,
     ) -> Result<Self, String> {
-        let engines = world
-            .split_even(sub_worlds)?
-            .into_iter()
-            .map(|sub| InferEngine::from_world(sub, EngineConfig::new(0)))
-            .collect();
+        let engines = InferEngine::over_sub_worlds(world, sub_worlds)?;
         Ok(Self::new(engines, cfg))
     }
 
@@ -591,22 +587,6 @@ impl Scheduler {
     fn reject(&self, reason: RejectReason) -> InferError {
         crate::live::requests_rejected(reason).inc(DRIVER);
         InferError::Rejected { reason }
-    }
-
-    /// The rolling p99.9 (ms) the SLO gate currently sees.
-    pub fn rolling_p999_ms(&self) -> Option<u64> {
-        self.shared.state.lock().unwrap().p999_ms()
-    }
-
-    /// Requests admitted and waiting (not yet picked up).
-    pub fn queue_len(&self) -> usize {
-        self.shared.state.lock().unwrap().queue.len()
-    }
-
-    /// Sub-worlds still serving (dispatchers retire when their engine's
-    /// world is poisoned by a rank panic).
-    pub fn live_sub_worlds(&self) -> usize {
-        self.shared.state.lock().unwrap().live_workers
     }
 }
 

@@ -19,16 +19,6 @@
 
 use crate::layer::{Layer, ParamGroup};
 
-/// Global L2 norm of all gradients in the groups.
-pub fn gradient_norm(groups: &[ParamGroup<'_>]) -> f64 {
-    groups
-        .iter()
-        .flat_map(|g| g.grad.iter())
-        .map(|v| v * v)
-        .sum::<f64>()
-        .sqrt()
-}
-
 /// Global L2 norm of all gradients of a network, computed through the
 /// allocation-free [`Layer::visit_param_groups`] visitor.
 pub fn gradient_norm_of(net: &mut dyn Layer) -> f64 {

@@ -23,10 +23,7 @@ static PATH_LOCK: Mutex<()> = Mutex::new(());
 /// Runs `check` under every supported kernel path and thread budgets 1/2/3.
 fn on_every_path_and_budget(check: impl Fn(&str)) {
     let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for path in [KernelPath::Scalar, KernelPath::Avx2, KernelPath::Avx512] {
-        if !path.supported() {
-            continue;
-        }
+    for path in KernelPath::ALL.into_iter().filter(|p| p.supported()) {
         force_kernel_path(Some(path));
         for budget in [1, 2, 3] {
             pde_tensor::pool::set_thread_budget(budget);

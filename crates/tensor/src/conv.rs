@@ -27,11 +27,11 @@
 //!
 //! Each pass has two kernels with the identical chain: an AVX-512 one in
 //! [`crate::simd`] and a portable `f64::mul_add` one here, which is the
-//! [`KernelPath::Scalar`] and [`KernelPath::Avx2`] route and the general
-//! case for shapes the vector layout does not cover (`kw > 8` in the weight
-//! gradient). `pad > 0` is served by the same kernels — forward and weight
-//! gradient through a zero-bordered copy of one sample (1× the activation,
-//! where a column matrix is `kh·kw`×), input gradient through lane masks.
+//! [`KernelPath::Scalar`] route and the general case for shapes the vector
+//! layout does not cover (`kw > 8` in the weight gradient). `pad > 0` is
+//! served by the same kernels — forward and weight gradient through a
+//! zero-bordered copy of one sample (1× the activation, where a column
+//! matrix is `kh·kw`×), input gradient through lane masks.
 //! `stride ≠ 1`, which no network in the workspace builds, takes the
 //! whole-matrix `im2col`/`col2im` + `gemm*` route.
 

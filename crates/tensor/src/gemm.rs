@@ -11,11 +11,12 @@
 //! two-level (ISSUE 6):
 //!
 //! * **Instruction level** — a [`KernelPath`] chosen once per process
-//!   ([`kernel_path`]): explicit AVX-512 or AVX2+FMA micro-kernels from
-//!   [`crate::simd`], or the portable scalar micro-kernel in this module
-//!   (whose `f64::mul_add` chains the repo-level `.cargo/config.toml`
-//!   lowers to FMA). `PDEML_KERNEL=scalar|simd` selects for A/B runs;
-//!   [`force_kernel_path`] overrides for benches.
+//!   ([`kernel_path`]): the explicit AVX-512 micro-kernels from
+//!   [`crate::simd`] where the CPU has them, else the portable scalar
+//!   micro-kernel in this module (whose `f64::mul_add` chains the
+//!   repo-level `.cargo/config.toml` lowers to FMA).
+//!   `PDEML_KERNEL=scalar|simd|avx512` selects for A/B runs;
+//!   [`force_kernel_path`] overrides for the equivalence tests.
 //! * **Thread level** — the driver fans out over [`crate::pool`], one chunk
 //!   per [`NC`]-column block of C. Each C element is written by exactly one
 //!   chunk with a fixed operation order, so results are bit-for-bit
@@ -34,9 +35,7 @@
 //! `p`-ascending fused-multiply-add chain from 0.0 within a KC block, added
 //! into C once per block. Tile shape, packing, threading and vector width
 //! all preserve that per-element chain, so *all* paths agree bitwise —
-//! asserted by `tests/kernel_paths.rs`. (The documented fallback, a ≤1e-12
-//! relative tolerance, is retained in the test helper for future kernels
-//! that reassociate; today nothing needs it.)
+//! asserted by `tests/kernel_paths.rs`.
 //!
 //! Pack buffers live in thread-local storage and are reused across calls,
 //! so steady-state GEMM performs no heap allocation — including on pool
@@ -45,7 +44,7 @@
 //! [`crate::perf`] ([`record_product`]); a convolution pass books itself as
 //! the product it replaced, through the same function.
 
-use crate::{perf, pool, Matrix};
+use crate::{perf, pool};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -83,18 +82,19 @@ pub enum KernelPath {
     /// Portable Rust micro-kernel (auto-vectorized under `-C
     /// target-cpu=native`, plain f64 otherwise).
     Scalar,
-    /// Explicit AVX2+FMA intrinsics (4-row tiles).
-    Avx2,
     /// Explicit AVX-512F intrinsics (8-row tiles, masked edges).
     Avx512,
 }
 
 impl KernelPath {
+    /// Every path, reference first; the equivalence suites run each case
+    /// once per [`supported`](Self::supported) entry.
+    pub const ALL: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Avx512];
+
     /// Stable lowercase label, as printed in CLI headers and bench rows.
     pub fn label(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Avx2 => "avx2",
             KernelPath::Avx512 => "avx512",
         }
     }
@@ -105,9 +105,6 @@ impl KernelPath {
         {
             match self {
                 KernelPath::Scalar => true,
-                KernelPath::Avx2 => {
-                    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-                }
                 KernelPath::Avx512 => is_x86_feature_detected!("avx512f"),
             }
         }
@@ -122,44 +119,42 @@ impl KernelPath {
 fn best_supported() -> KernelPath {
     if KernelPath::Avx512.supported() {
         KernelPath::Avx512
-    } else if KernelPath::Avx2.supported() {
-        KernelPath::Avx2
     } else {
         KernelPath::Scalar
     }
 }
 
-/// Parses `PDEML_KERNEL` (+ runtime feature detection), once per process.
-fn detect() -> KernelPath {
-    match std::env::var("PDEML_KERNEL").as_deref() {
-        Err(_) | Ok("simd") => best_supported(),
-        Ok("scalar") => KernelPath::Scalar,
-        Ok(explicit @ ("avx2" | "avx512")) => {
-            let path = if explicit == "avx2" {
-                KernelPath::Avx2
-            } else {
-                KernelPath::Avx512
-            };
-            assert!(
-                path.supported(),
-                "PDEML_KERNEL={explicit} requested but this CPU does not support it; \
-                 use PDEML_KERNEL=simd to auto-select the best available path"
-            );
-            path
-        }
-        Ok(other) => panic!(
-            "PDEML_KERNEL={other:?} is not a kernel path; \
-             valid values: scalar, simd (auto), avx2, avx512"
+/// The path a `PDEML_KERNEL` value (`None` = unset) selects on a CPU whose
+/// best supported path is `best`.
+fn parse_kernel_path(value: Option<&str>, best: KernelPath) -> Result<KernelPath, String> {
+    match value {
+        None | Some("simd") => Ok(best),
+        Some("scalar") => Ok(KernelPath::Scalar),
+        Some("avx512") if best == KernelPath::Avx512 => Ok(KernelPath::Avx512),
+        Some("avx512") => Err(
+            "PDEML_KERNEL=avx512 requested but this CPU does not support it; \
+             use PDEML_KERNEL=simd to auto-select the best available path"
+                .to_string(),
         ),
+        Some(other) => Err(format!(
+            "PDEML_KERNEL={other:?} is not a kernel path; \
+             valid values: scalar, simd (auto), avx512"
+        )),
     }
 }
 
-/// Bench/test override: 0 = none, else `KernelPath as u8 + 1`.
+/// Reads `PDEML_KERNEL` (+ runtime feature detection), once per process.
+fn detect() -> KernelPath {
+    let value = std::env::var("PDEML_KERNEL").ok();
+    parse_kernel_path(value.as_deref(), best_supported()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Test override: 0 = none, else `KernelPath as u8 + 1`.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
-/// Overrides the kernel path process-wide (benches and the path-equivalence
-/// tests use this to compare paths inside one process, where the
-/// `PDEML_KERNEL` choice is already frozen). `None` restores the detected
+/// Overrides the kernel path process-wide (the path-equivalence tests use
+/// this to compare paths inside one process, where the `PDEML_KERNEL`
+/// choice is already frozen). `None` restores the detected
 /// path. Safe at any time: all paths produce bit-identical results, so
 /// switching mid-run only changes speed.
 ///
@@ -184,8 +179,7 @@ pub fn force_kernel_path(path: Option<KernelPath>) {
 pub fn kernel_path() -> KernelPath {
     match FORCED.load(Ordering::Acquire) {
         1 => KernelPath::Scalar,
-        2 => KernelPath::Avx2,
-        3 => KernelPath::Avx512,
+        2 => KernelPath::Avx512,
         _ => *{
             static DETECTED: OnceLock<KernelPath> = OnceLock::new();
             DETECTED.get_or_init(detect)
@@ -560,10 +554,6 @@ unsafe fn packed_block(
                             micro_kernel(ap, strip, c, i0, j0, mr_eff, nr_eff)
                         },
                         #[cfg(target_arch = "x86_64")]
-                        KernelPath::Avx2 => unsafe {
-                            crate::simd::packed_strip_avx2(ap, strip, kc, c, i0, j0, mr_eff, nr_eff)
-                        },
-                        #[cfg(target_arch = "x86_64")]
                         KernelPath::Avx512 => unsafe {
                             crate::simd::packed_strip_512(
                                 ap, mr, strip, kc, c, i0, j0, mr_eff, nr_eff,
@@ -654,10 +644,6 @@ unsafe fn sweep(
         match (op_b, path) {
             (Trans::N, KernelPath::Scalar) if m <= MR => unsafe {
                 scalar_edge_block(m, abuf, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
-            },
-            #[cfg(target_arch = "x86_64")]
-            (Trans::N, KernelPath::Avx2) => unsafe {
-                crate::simd::direct_block_avx2(abuf, m, kc, &b[p0 * ldb..], ldb, c, j_lo, j_hi)
             },
             #[cfg(target_arch = "x86_64")]
             (Trans::N, KernelPath::Avx512) => unsafe {
@@ -771,24 +757,6 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(b.len(), n * k, "gemm_nt: B length");
     assert_eq!(c.len(), m * n, "gemm_nt: C length");
     gemm_driver(Trans::N, Trans::T, m, k, n, a, b, c);
-}
-
-/// Convenience wrapper: full product of two [`Matrix`] values.
-///
-/// # Panics
-/// If the inner dimensions disagree.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dimension mismatch");
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm(
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-    );
-    c
 }
 
 #[cfg(test)]
@@ -926,18 +894,22 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity() {
-        let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
-        let id = Matrix::identity(4);
-        assert_eq!(matmul(&a, &id), a);
-        assert_eq!(matmul(&id, &a), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn matmul_rejects_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = matmul(&a, &b);
+    fn kernel_env_values_resolve_against_the_best_supported_path() {
+        use KernelPath::{Avx512, Scalar};
+        for best in KernelPath::ALL {
+            assert_eq!(parse_kernel_path(None, best), Ok(best));
+            assert_eq!(parse_kernel_path(Some("simd"), best), Ok(best));
+            assert_eq!(parse_kernel_path(Some("scalar"), best), Ok(Scalar));
+            for bad in ["avx2", "AVX512", ""] {
+                let err = parse_kernel_path(Some(bad), best).unwrap_err();
+                assert!(
+                    err.ends_with("valid values: scalar, simd (auto), avx512"),
+                    "{bad:?}: {err}"
+                );
+            }
+        }
+        assert_eq!(parse_kernel_path(Some("avx512"), Avx512), Ok(Avx512));
+        let err = parse_kernel_path(Some("avx512"), Scalar).unwrap_err();
+        assert!(err.contains("this CPU does not support it"), "{err}");
     }
 }

@@ -4,9 +4,9 @@
 //! rest of the workspace.
 //!
 //! The crate deliberately offers a small set of *fixed-rank* types instead of
-//! a fully general N-dimensional array:
+//! a fully general N-dimensional array (matrix products take flat row-major
+//! slices, see [`gemm`]):
 //!
-//! * [`Matrix`] — row-major 2-D matrix with a blocked GEMM kernel,
 //! * [`Grid2`] — a scalar field on a 2-D structured grid (solver state),
 //! * [`Tensor3`] — one sample in `(C, H, W)` layout (a multi-channel snapshot),
 //! * [`Tensor4`] — a batch in `(N, C, H, W)` layout (the NN workhorse).
@@ -20,7 +20,7 @@
 //! in [`pad`].
 //!
 //! The kernel layer is two-level: a runtime-selected [`KernelPath`]
-//! (explicit AVX-512 / AVX2+FMA intrinsics or the portable scalar tile —
+//! (explicit AVX-512 intrinsics or the portable scalar tile —
 //! `PDEML_KERNEL` selects, see [`gemm`]) times an intra-rank thread budget
 //! ([`pool`], `PDEML_THREADS_PER_RANK`). All combinations produce
 //! bit-identical results; only throughput changes.
@@ -30,7 +30,6 @@ pub mod gemm;
 pub mod grid;
 pub mod im2col;
 mod live;
-pub mod matrix;
 pub mod pad;
 pub mod perf;
 pub mod pool;
@@ -42,7 +41,6 @@ pub mod tensor4;
 pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_im2col, Conv2dSpec};
 pub use gemm::{force_kernel_path, gemm, gemm_nt, gemm_tn, kernel_path, KernelPath};
 pub use grid::Grid2;
-pub use matrix::Matrix;
 pub use pad::PadMode;
 pub use perf::PerfCounters;
 pub use tensor3::Tensor3;

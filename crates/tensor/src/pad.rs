@@ -89,11 +89,6 @@ pub fn pad_tensor3(
     out
 }
 
-/// Pads every sample of a batch symmetrically by `p` cells on each side.
-pub fn pad_tensor4(t: &Tensor4, p: usize, mode: PadMode) -> Tensor4 {
-    pad_tensor4_asym(t, p, p, p, p, mode)
-}
-
 /// Pads every sample of a batch by independent margins per side.
 pub fn pad_tensor4_asym(
     t: &Tensor4,

@@ -91,14 +91,21 @@ pub fn thread_budget() -> usize {
     BUDGET.with(Cell::get).or_else(env_budget).unwrap_or(1)
 }
 
+/// The ISSUE-6 composition rule: `ranks` ranks sharing `cores` cores get
+/// `max(1, cores / ranks)` kernel threads each, so a full world never
+/// oversubscribes the machine.
+fn fair_share(cores: usize, ranks: usize) -> usize {
+    (cores / ranks.max(1)).max(1)
+}
+
 /// The budget a rank should install: an explicit configuration value wins,
-/// then the `PDEML_THREADS_PER_RANK` env var, then the ISSUE-6 composition
-/// rule `max(1, cores / ranks)` so a full world never oversubscribes the
-/// machine.
+/// then the `PDEML_THREADS_PER_RANK` env var, then this machine's
+/// `fair_share` among `ranks` — every rank that computes at the same time,
+/// across all sub-worlds.
 pub fn resolve_budget(explicit: Option<usize>, ranks: usize) -> usize {
     explicit
         .or_else(env_budget)
-        .unwrap_or_else(|| (available_cores() / ranks.max(1)).max(1))
+        .unwrap_or_else(|| fair_share(available_cores(), ranks))
 }
 
 /// Runs `f(chunk)` for every `chunk in 0..n_chunks`, spreading chunks over
@@ -420,5 +427,15 @@ mod tests {
         // Default rule: cores/ranks, floored at 1. With `ranks` larger than
         // any machine this always lands on the floor.
         assert_eq!(resolve_budget(None, 1 << 20), 1);
+    }
+
+    #[test]
+    fn fair_share_divides_the_cores_among_every_rank_on_the_machine() {
+        // 2 sub-worlds × 2 ranks on 8 cores: 2 threads a rank, 8 in all —
+        // not the 4 a rank would get counting only its own sub-world.
+        assert_eq!(fair_share(8, 2 * 2), 2);
+        assert_eq!(fair_share(8, 2), 4);
+        assert_eq!(fair_share(2, 4), 1);
+        assert_eq!(fair_share(8, 0), 8);
     }
 }

@@ -1,24 +1,20 @@
-//! Explicit SIMD micro-kernels for the GEMM driver and the convolution
-//! passes (`x86_64` only).
+//! Explicit AVX-512 micro-kernels for the GEMM driver and the convolution
+//! passes (`x86_64` only), selected at runtime by [`crate::gemm`]; a CPU
+//! without AVX-512 runs the portable kernels of [`crate::gemm`] and
+//! [`crate::conv`].
 //!
-//! Two instruction-set tiers, selected at runtime by [`crate::gemm`]:
-//!
-//! * **AVX-512** — the primary path. Row-major B (`Trans::N`) is consumed
-//!   *in place* ("direct-B"): profiling showed packing B costs as much as
-//!   all the FMA work at this workspace's shapes (m ≤ 16), so the micro-
-//!   kernel reads 16-column B rows straight from the operand and only A is
-//!   packed. One `8 × 16` tile (16 zmm accumulators) serves full and edge
-//!   columns alike through lane masks; `m ≤ 4` shapes run it at 4 rows so
-//!   the register file is not wasted on zero padding (the old scalar
-//!   `small_m` cliff, ISSUE 6 satellite 1). The three convolution passes
-//!   live here too: the forward pass *is* that tile (at 8, 6 or 4 rows)
-//!   with B rows addressed through a tap-offset table and an optional
-//!   LeakyReLU in its last write-back, and the two gradient passes have register
-//!   tiles of their own ([`conv_bwd_input_rows_512`],
-//!   [`conv_bwd_weight_512`]) that read `grad_out` / `x` in place.
-//! * **AVX2+FMA** — compatibility fallback for the GEMM with the same
-//!   structure at `4 × 8` tiles and `maskload`/`maskstore` edges; its
-//!   convolution passes run the portable kernels of [`crate::conv`].
+//! Row-major B (`Trans::N`) is consumed *in place* ("direct-B"): profiling
+//! showed packing B costs as much as all the FMA work at this workspace's
+//! shapes (m ≤ 16), so the micro-kernel reads 16-column B rows straight from
+//! the operand and only A is packed. One `8 × 16` tile (16 zmm accumulators)
+//! serves full and edge columns alike through lane masks; `m ≤ 4` shapes run
+//! it at 4 rows so the register file is not wasted on zero padding (the old
+//! scalar `small_m` cliff, ISSUE 6 satellite 1). The three convolution
+//! passes live here too: the forward pass *is* that tile (at 8, 6 or 4 rows)
+//! with B rows addressed through a tap-offset table and an optional
+//! LeakyReLU in its last write-back, and the two gradient passes have
+//! register tiles of their own ([`conv_bwd_input_rows_512`],
+//! [`conv_bwd_weight_512`]) that read `grad_out` / `x` in place.
 //!
 //! Transposed B (`Trans::T`) keeps the packed-strip scheme — packing *is*
 //! the transpose — with SIMD kernels consuming one `NR`-interleaved strip
@@ -49,8 +45,6 @@ use std::arch::x86_64::*;
 
 /// Columns per full AVX-512 direct tile (two zmm vectors).
 pub(crate) const TILE_512: usize = 16;
-/// Columns per full AVX2 direct tile (two ymm vectors).
-pub(crate) const TILE_AVX2: usize = 8;
 
 // ---------------------------------------------------------------------------
 // AVX-512: packing
@@ -819,267 +813,6 @@ pub(crate) unsafe fn conv_bwd_weight_512(
             4 => conv_bwd_weight_tile_512::<4>(x, ld_x, go, group, dims, kw, gwp, gw.ld),
             5 => conv_bwd_weight_tile_512::<5>(x, ld_x, go, group, dims, kw, gwp, gw.ld),
             _ => unreachable!("weight-gradient tiles hold at most 5 kernel rows"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 + FMA
-// ---------------------------------------------------------------------------
-
-/// Lane mask for `_mm256_maskload_pd`/`_mm256_maskstore_pd`: the first
-/// `w ∈ 1..=4` lanes active.
-#[target_feature(enable = "avx2")]
-unsafe fn mask4(w: usize) -> __m256i {
-    match w {
-        1 => _mm256_setr_epi64x(-1, 0, 0, 0),
-        2 => _mm256_setr_epi64x(-1, -1, 0, 0),
-        3 => _mm256_setr_epi64x(-1, -1, -1, 0),
-        _ => _mm256_setr_epi64x(-1, -1, -1, -1),
-    }
-}
-
-/// Direct-B full tile on AVX2: 4 rows × [`TILE_AVX2`] columns (two ymm
-/// accumulator columns), B read in place with row stride `ldb`.
-///
-/// # Safety
-/// Requires AVX2+FMA; `ap` holds a `kc × 4` panel. Stride contract as
-/// [`direct_full_512`] at 8 columns: `(kc−1)·ldb + j0+8 ≤ b.len()` and
-/// `(i0+mr_eff−1)·c.ld + j0+8 ≤ c.len` (both `debug_assert!`ed); the C tile
-/// is exclusively owned.
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_full_avx2(
-    ap: &[f64],
-    b: &[f64],
-    ldb: usize,
-    kc: usize,
-    c: CView,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-) {
-    const MR: usize = 4;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!(kc == 0 || (kc - 1) * ldb + j0 + TILE_AVX2 <= b.len());
-    debug_assert!(c.holds(i0 + mr_eff, j0 + TILE_AVX2));
-    let mut acc0 = [_mm256_setzero_pd(); MR];
-    let mut acc1 = [_mm256_setzero_pd(); MR];
-    let mut a = ap.as_ptr();
-    let mut bp = b.as_ptr().wrapping_add(j0);
-    for _ in 0..kc {
-        // SAFETY: row `p` of the tile ends at `p·ldb + j0+8 ≤ b.len()`
-        // (asserted above); `ap` holds `kc` steps of 4.
-        unsafe {
-            let bv0 = _mm256_loadu_pd(bp);
-            let bv1 = _mm256_loadu_pd(bp.add(4));
-            for r in 0..MR {
-                let av = _mm256_set1_pd(*a.add(r));
-                acc0[r] = _mm256_fmadd_pd(av, bv0, acc0[r]);
-                acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
-            }
-            a = a.add(MR);
-            bp = bp.wrapping_add(ldb);
-        }
-    }
-    for r in 0..mr_eff {
-        // SAFETY: owned C tile, inside `c` (asserted above).
-        unsafe {
-            let cp = c.ptr.add((i0 + r) * c.ld + j0);
-            _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc0[r]));
-            _mm256_storeu_pd(
-                cp.add(4),
-                _mm256_add_pd(_mm256_loadu_pd(cp.add(4)), acc1[r]),
-            );
-        }
-    }
-}
-
-/// Direct-B edge tile on AVX2: 4 rows × `nr_eff < 8` columns via
-/// `maskload`/`maskstore`.
-///
-/// # Safety
-/// As [`direct_full_avx2`] with `nr_eff` in place of 8: the masks keep every
-/// access inside columns `j0..j0+nr_eff`, so
-/// `(kc−1)·ldb + j0+nr_eff ≤ b.len()` and
-/// `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len` (both `debug_assert!`ed).
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_edge_avx2(
-    ap: &[f64],
-    b: &[f64],
-    ldb: usize,
-    kc: usize,
-    c: CView,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    const MR: usize = 4;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!(kc == 0 || (kc - 1) * ldb + j0 + nr_eff <= b.len());
-    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
-    let w0 = nr_eff.min(4);
-    let w1 = nr_eff - w0;
-    let m0 = unsafe { mask4(w0) };
-    let mut acc0 = [_mm256_setzero_pd(); MR];
-    let mut acc1 = [_mm256_setzero_pd(); MR];
-    let mut a = ap.as_ptr();
-    let mut bp = b.as_ptr().wrapping_add(j0);
-    for _ in 0..kc {
-        // SAFETY: masked lanes never read beyond column j0+nr_eff, which is
-        // inside `b` for every row of the block (asserted above).
-        unsafe {
-            let bv0 = _mm256_maskload_pd(bp, m0);
-            let bv1 = if w1 > 0 {
-                _mm256_maskload_pd(bp.add(4), mask4(w1))
-            } else {
-                _mm256_setzero_pd()
-            };
-            for r in 0..MR {
-                let av = _mm256_set1_pd(*a.add(r));
-                acc0[r] = _mm256_fmadd_pd(av, bv0, acc0[r]);
-                acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
-            }
-            a = a.add(MR);
-            bp = bp.wrapping_add(ldb);
-        }
-    }
-    for r in 0..mr_eff {
-        // SAFETY: masked read-modify-write of the owned C edge, inside `c`
-        // (asserted above).
-        unsafe {
-            let cp = c.ptr.add((i0 + r) * c.ld + j0);
-            let prev0 = _mm256_maskload_pd(cp, m0);
-            _mm256_maskstore_pd(cp, m0, _mm256_add_pd(prev0, acc0[r]));
-            if w1 > 0 {
-                let m1 = mask4(w1);
-                let prev1 = _mm256_maskload_pd(cp.add(4), m1);
-                _mm256_maskstore_pd(cp.add(4), m1, _mm256_add_pd(prev1, acc1[r]));
-            }
-        }
-    }
-}
-
-/// Direct-B sweep of C columns `j_lo..j_hi` on the AVX2 path (4-row panels,
-/// 8-wide tiles, masked edge).
-///
-/// # Safety
-/// Requires AVX2+FMA; `abuf` holds `ceil(m/4)` packed `kc × 4` panels.
-/// Stride contract as [`direct_block_512`]: `b` starts at B's block row with
-/// rows `ldb` apart, C rows are `c.ld` apart, and
-/// `(kc−1)·ldb + j_hi ≤ b.len()`, `(m−1)·c.ld + j_hi ≤ c.len` (both
-/// `debug_assert!`ed); the caller owns C columns `j_lo..j_hi` exclusively.
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn direct_block_avx2(
-    abuf: &[f64],
-    m: usize,
-    kc: usize,
-    b: &[f64],
-    ldb: usize,
-    c: CView,
-    j_lo: usize,
-    j_hi: usize,
-) {
-    const MR: usize = 4;
-    debug_assert!(kc == 0 || (kc - 1) * ldb + j_hi <= b.len());
-    debug_assert!(c.holds(m, j_hi));
-    let m_panels = m.div_ceil(MR);
-    let mut j0 = j_lo;
-    while j0 + TILE_AVX2 <= j_hi {
-        for ip in 0..m_panels {
-            let ap = &abuf[ip * kc * MR..][..kc * MR];
-            // SAFETY: `j0 + 8 ≤ j_hi` and the panel's rows are below `m`,
-            // so the tile is inside the block bounds asserted above.
-            unsafe {
-                direct_full_avx2(ap, b, ldb, kc, c, ip * MR, j0, MR.min(m - ip * MR));
-            }
-        }
-        j0 += TILE_AVX2;
-    }
-    if j0 < j_hi {
-        let nr_eff = j_hi - j0;
-        for ip in 0..m_panels {
-            let ap = &abuf[ip * kc * MR..][..kc * MR];
-            // SAFETY: masked edge stays within columns j0..j_hi.
-            unsafe {
-                direct_edge_avx2(ap, b, ldb, kc, c, ip * MR, j0, MR.min(m - ip * MR), nr_eff);
-            }
-        }
-    }
-}
-
-/// Packed-strip tile on AVX2: 4 rows × one NR=8-wide packed strip (two ymm
-/// strip loads per shared step).
-///
-/// # Safety
-/// Requires AVX2+FMA; `ap` is a `kc × 4` panel, `strip` a `kc × 8` packed
-/// strip (both `debug_assert!`ed). Stride contract as
-/// [`packed_micro_512`]: `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len`
-/// (`debug_assert!`ed); the caller owns that C tile exclusively.
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn packed_strip_avx2(
-    ap: &[f64],
-    strip: &[f64],
-    kc: usize,
-    c: CView,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    const MR: usize = 4;
-    debug_assert!(ap.len() >= kc * MR && strip.len() >= kc * 8);
-    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
-    let mut acc0 = [_mm256_setzero_pd(); MR];
-    let mut acc1 = [_mm256_setzero_pd(); MR];
-    let mut a = ap.as_ptr();
-    let mut bp = strip.as_ptr();
-    for _ in 0..kc {
-        // SAFETY: panel and strip both hold kc steps.
-        unsafe {
-            let bv0 = _mm256_loadu_pd(bp);
-            let bv1 = _mm256_loadu_pd(bp.add(4));
-            for r in 0..MR {
-                let av = _mm256_set1_pd(*a.add(r));
-                acc0[r] = _mm256_fmadd_pd(av, bv0, acc0[r]);
-                acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
-            }
-            a = a.add(MR);
-            bp = bp.add(8);
-        }
-    }
-    if nr_eff == 8 {
-        for r in 0..mr_eff {
-            // SAFETY: full-width owned C tile, inside `c` (asserted above).
-            unsafe {
-                let cp = c.ptr.add((i0 + r) * c.ld + j0);
-                _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc0[r]));
-                _mm256_storeu_pd(
-                    cp.add(4),
-                    _mm256_add_pd(_mm256_loadu_pd(cp.add(4)), acc1[r]),
-                );
-            }
-        }
-    } else {
-        let w0 = nr_eff.min(4);
-        let w1 = nr_eff - w0;
-        for r in 0..mr_eff {
-            // SAFETY: masked read-modify-write of the owned C edge.
-            unsafe {
-                let cp = c.ptr.add((i0 + r) * c.ld + j0);
-                let m0 = mask4(w0);
-                let prev0 = _mm256_maskload_pd(cp, m0);
-                _mm256_maskstore_pd(cp, m0, _mm256_add_pd(prev0, acc0[r]));
-                if w1 > 0 {
-                    let m1 = mask4(w1);
-                    let prev1 = _mm256_maskload_pd(cp.add(4), m1);
-                    _mm256_maskstore_pd(cp.add(4), m1, _mm256_add_pd(prev1, acc1[r]));
-                }
-            }
         }
     }
 }
