@@ -4,6 +4,7 @@
 //! `key = value` lines.
 
 use pde_domain::GridPartition;
+use pde_ml_cli::wire::push_f64_17e;
 use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::norm::ChannelNorm;
 use pde_ml_core::padding::PaddingStrategy;
@@ -52,16 +53,14 @@ impl ModelMeta {
         let _ = writeln!(s, "global_w = {}", self.partition.global_w());
         let _ = writeln!(s, "py = {}", self.partition.py());
         let _ = writeln!(s, "px = {}", self.partition.px());
-        let _ = writeln!(
-            s,
-            "norm_scales = {}",
-            self.norm
-                .scales()
-                .iter()
-                .map(|v| format!("{v:.17e}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        s.push_str("norm_scales = ");
+        for (i, &v) in self.norm.scales().iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            push_f64_17e(&mut s, v);
+        }
+        s.push('\n');
         s
     }
 
@@ -183,7 +182,7 @@ mod tests {
         assert_eq!(back.window, 2);
         assert_eq!(back.partition, m.partition);
         for (a, b) in back.norm.scales().iter().zip(m.norm.scales()) {
-            assert_eq!(a, b, "scales must survive exactly (17 sig digits)");
+            assert_eq!(a, b, "scales must survive exactly (18 significant digits)");
         }
     }
 

@@ -434,7 +434,8 @@ fn run_rank(
         ));
     }
     let history = [initial.clone()];
-    inf.validate_history(&history).map_err(|e| e.to_string())?;
+    inf.validate_request(&history, opts.steps)
+        .map_err(|e| e.to_string())?;
     let locals = inf.scatter_history(&history);
     let mut st = inf.rank_state(rank);
     if opts.self_heal && !st.quiesces() {

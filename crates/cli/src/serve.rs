@@ -10,21 +10,15 @@
 //! the same code the metrics exporter runs; this file adds the inference
 //! routes.
 //!
-//! Wire format (plain text, one token stream per line):
-//!
-//! ```text
-//! POST /v1/rollout
-//!
-//! model serve
-//! steps 3
-//! state C H W v0 v1 … v(C*H*W-1)      ← window-many state lines
-//! ```
-//!
+//! `POST /v1/rollout` with a body in the text wire format of
+//! [`pde_ml_cli::wire`] (`model`, `steps`, then window-many `state` lines)
 //! yields `200` with `steps`/`state` lines for the rollout (initial state
-//! included), or a typed failure: `400` malformed request, `404` unknown
-//! model, `429` shed by admission (queue full / SLO breach), `503`
-//! unhealthy. `GET /v1/example` returns a ready-to-POST request body for
-//! the registered model; `POST /shutdown` stops the server (for CI).
+//! included), written into the listener's pooled reply buffer, or a typed
+//! failure: `400` malformed request (a step count whose answer would exceed
+//! the response bound among them), `404` unknown model, `429` shed by
+//! admission (queue full / SLO breach), `503` unhealthy. `GET /v1/example`
+//! returns a ready-to-POST request body for the registered model;
+//! `POST /shutdown` stops the server (for CI).
 //!
 //! Every `/v1/rollout` response — success or rejection — carries the
 //! request id allocated at ingress (`X-PDEML-Request-Id`) and a
@@ -37,11 +31,13 @@
 
 use crate::args::Args;
 use pde_commsim::{TransportKind, World};
+use pde_ml_cli::wire::{encode_state_into, parse_rollout_request};
 use pde_ml_core::prelude::*;
 use pde_telemetry::health::HealthModel;
-use pde_telemetry::http::{ops_route, Listener, Request, Response, StopHandle, MAX_REQUEST_BODY};
+use pde_telemetry::http::{ops_route, Listener, Request, Response, StopHandle};
 use pde_tensor::Tensor3;
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -224,7 +220,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // Returns once /shutdown was answered and every connection has closed;
     // dropping the server's scheduler then joins its dispatchers after the
     // queue drains.
-    listener.run(move |request| server.route(&request));
+    listener.run(move |request| server.route(request));
     println!("shutdown requested; scheduler drained");
     if let (Some(path), Some(handle)) = (trace_out, trace) {
         let json = handle.finish().chrome_json();
@@ -245,19 +241,23 @@ struct Server {
 }
 
 impl Server {
-    fn route(&self, request: &Request) -> Response {
+    fn route(&self, request: &mut Request) -> Response {
         if let Some(response) = ops_route(request, &self.health) {
             return response;
         }
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/v1/example") => {
-                let mut body = String::from("model serve\nsteps 2\n");
+                let mut body = std::mem::take(&mut request.reply);
+                body.push_str("model serve\nsteps 2\n");
                 for _ in 0..self.window {
-                    body.push_str(&encode_state(&self.initial));
+                    encode_state_into(&mut body, &self.initial);
                 }
                 Response::text("200 OK", body)
             }
-            ("POST", "/v1/rollout") => self.rollout(&request.body),
+            ("POST", "/v1/rollout") => {
+                let reply = std::mem::take(&mut request.reply);
+                self.rollout(request.body(), reply)
+            }
             ("POST", "/shutdown") => {
                 self.stop.stop();
                 Response::text("200 OK", "shutting down\n")
@@ -266,11 +266,17 @@ impl Server {
         }
     }
 
-    fn rollout(&self, body: &[u8]) -> Response {
+    /// Serves one `/v1/rollout` body; a `200` answer is written into
+    /// `reply`.
+    fn rollout(&self, body: &[u8], mut reply: String) -> Response {
         let text = String::from_utf8_lossy(body);
         let (model, steps, history) = match parse_rollout_request(&text) {
             Ok(parsed) => parsed,
-            Err(e) => return Response::text("400 Bad Request", format!("{e}\n")),
+            Err(e) => {
+                reply.push_str(&e);
+                reply.push('\n');
+                return Response::text("400 Bad Request", reply);
+            }
         };
         // The request id is allocated at ingress, before admission, so
         // even a shed request has an id its 429 can be correlated by.
@@ -283,15 +289,18 @@ impl Server {
             Err(e) => (Err(e), RequestPhases::default()),
         };
         let total_us = ingress.elapsed().as_micros() as u64;
-        let (status, body_out) = match result {
+        let status = match result {
             Ok(rollout) => {
-                let mut b = format!("steps {}\n", rollout.states.len() - 1);
+                let _ = writeln!(reply, "steps {}", rollout.states.len() - 1);
                 for state in &rollout.states {
-                    b.push_str(&encode_state(state));
+                    encode_state_into(&mut reply, state);
                 }
-                ("200 OK", b)
+                "200 OK"
             }
-            Err(e) => (status_for(&e), format!("{e}\n")),
+            Err(e) => {
+                let _ = writeln!(reply, "{e}");
+                status_for(&e)
+            }
         };
         if let Some(log) = &self.access_log {
             let ts_ms = std::time::SystemTime::now()
@@ -307,7 +316,7 @@ impl Server {
                 "X-PDEML-Request-Id: {id}\r\nServer-Timing: {}\r\n",
                 server_timing(&phases)
             ),
-            ..Response::text(status, body_out)
+            ..Response::text(status, reply)
         }
     }
 }
@@ -328,92 +337,11 @@ fn status_for(e: &InferError) -> &'static str {
     }
 }
 
-/// `state C H W v0 v1 …` — one line per state, whitespace-separated.
-fn encode_state(t: &Tensor3) -> String {
-    let (c, h, w) = t.shape();
-    let mut line = format!("state {c} {h} {w}");
-    for v in t.as_slice() {
-        line.push(' ');
-        // {:e} round-trips f64 exactly enough for serving (17 sig digits).
-        line.push_str(&format!("{v:.17e}"));
-    }
-    line.push('\n');
-    line
-}
-
-/// Parses a `/v1/rollout` body: `model NAME`, `steps K`, then one or more
-/// `state C H W floats…` lines forming the history window.
-fn parse_rollout_request(text: &str) -> Result<(String, usize, Vec<Tensor3>), String> {
-    let mut model = None;
-    let mut steps = None;
-    let mut history = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        match tokens.next() {
-            Some("model") => {
-                model = Some(
-                    tokens
-                        .next()
-                        .ok_or_else(|| format!("line {}: 'model' needs a name", lineno + 1))?
-                        .to_string(),
-                );
-            }
-            Some("steps") => {
-                let k: usize = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| format!("line {}: 'steps' needs a count", lineno + 1))?;
-                steps = Some(k);
-            }
-            Some("state") => {
-                let mut dim = || -> Result<usize, String> {
-                    tokens
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| format!("line {}: 'state' needs C H W dims", lineno + 1))
-                };
-                let (c, h, w) = (dim()?, dim()?, dim()?);
-                let want = c
-                    .checked_mul(h)
-                    .and_then(|x| x.checked_mul(w))
-                    .filter(|&x| x > 0 && x <= MAX_REQUEST_BODY)
-                    .ok_or_else(|| format!("line {}: bad state dims {c}x{h}x{w}", lineno + 1))?;
-                let data: Vec<f64> = tokens
-                    .map(|t| {
-                        t.parse::<f64>()
-                            .map_err(|_| format!("line {}: bad float '{t}'", lineno + 1))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if data.len() != want {
-                    return Err(format!(
-                        "line {}: state {c}x{h}x{w} needs {want} values, got {}",
-                        lineno + 1,
-                        data.len()
-                    ));
-                }
-                history.push(Tensor3::from_vec(c, h, w, data));
-            }
-            Some(other) => return Err(format!("line {}: unknown field '{other}'", lineno + 1)),
-            None => {}
-        }
-    }
-    let model = model.ok_or("missing 'model' line")?;
-    let steps = steps.ok_or("missing 'steps' line")?;
-    if history.is_empty() {
-        return Err("missing 'state' line(s)".into());
-    }
-    Ok((model, steps, history))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pde_telemetry::http::{MAX_REQUEST_HEAD, REQUEST_DEADLINE};
-    use std::io::Read;
+    use pde_telemetry::http::{MAX_REQUEST_BODY, MAX_REQUEST_HEAD, REQUEST_DEADLINE};
+    use std::io::{Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpStream};
     use std::time::Duration;
 
@@ -442,7 +370,7 @@ mod tests {
             access_log: None,
         };
         let accept_loop =
-            std::thread::spawn(move || listener.run(move |request| server.route(&request)));
+            std::thread::spawn(move || listener.run(move |request| server.route(request)));
         check("serve", addr);
         stop.stop();
         accept_loop.join().unwrap();
@@ -471,6 +399,12 @@ mod tests {
 
     fn status_line(response: &str) -> &str {
         response.lines().next().unwrap_or("")
+    }
+
+    fn encode_state(t: &Tensor3) -> String {
+        let mut line = String::new();
+        encode_state_into(&mut line, t);
+        line
     }
 
     #[test]
@@ -645,6 +579,36 @@ mod tests {
                 })
                 .collect();
             assert_eq!(masked, expected);
+        });
+    }
+
+    #[test]
+    fn a_hostile_step_count_is_a_400_and_serving_carries_on() {
+        let post = |body: &str| {
+            format!(
+                "POST /v1/rollout HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes()
+        };
+        on_serve_listener(|_, addr| {
+            let example = exchange(addr, b"GET /v1/example HTTP/1.1\r\n\r\n");
+            let body = example.split_once("\r\n\r\n").unwrap().1.to_string();
+            // u64::MAX made `n_steps + 1` wrap and panicked both ranks; 1e8
+            // would have asked for a ~800 GB trajectory.
+            for steps in [u64::MAX.to_string(), "100000000".into()] {
+                let hostile = body.replace("steps 2\n", &format!("steps {steps}\n"));
+                let response = exchange(addr, &post(&hostile));
+                assert!(status_line(&response).contains("400"), "{response}");
+                assert!(
+                    response.contains("more than one response carries"),
+                    "{response}"
+                );
+            }
+            let response = exchange(addr, &post(&body));
+            assert!(status_line(&response).contains("200"), "{response}");
+            let response = exchange(addr, b"GET /readyz HTTP/1.1\r\n\r\n");
+            assert!(status_line(&response).contains("200"), "{response}");
         });
     }
 

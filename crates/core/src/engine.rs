@@ -570,7 +570,7 @@ impl InferEngine {
                 name: name.to_string(),
             })?;
         for h in histories {
-            inf.validate_history(h)?;
+            inf.validate_request(h, n_steps)?;
         }
         if histories.is_empty() {
             return Ok((Vec::new(), EnginePhases::default()));
@@ -883,6 +883,29 @@ mod tests {
             }
         );
         assert!(engine.rollout("m", data.snapshot(0), 2).is_ok());
+    }
+
+    #[test]
+    fn an_unservable_step_count_is_refused_before_any_rank_runs() {
+        let (data, inf) = trained(PaddingStrategy::NeighborPad, 4);
+        let mut engine = InferEngine::new(4);
+        engine.register("m", inf.clone()).unwrap();
+        // `usize::MAX + 1` wraps; `usize::MAX / 2` states of 1024 values
+        // overflow the byte count.
+        for steps in [usize::MAX, usize::MAX / 2] {
+            let expected = InferError::StepsOutOfRange { steps };
+            assert_eq!(
+                engine.rollout("m", data.snapshot(0), steps).err(),
+                Some(expected.clone())
+            );
+            assert_eq!(inf.rollout(data.snapshot(0), steps).err(), Some(expected));
+        }
+        // Nothing ran, so nothing was poisoned: the same engine still serves.
+        let served = engine.rollout("m", data.snapshot(0), 2).unwrap();
+        assert_eq!(
+            served.states,
+            inf.rollout(data.snapshot(0), 2).unwrap().states
+        );
     }
 
     #[test]

@@ -49,6 +49,13 @@ pub enum InferError {
         /// Channels of the offending state.
         got: usize,
     },
+    /// The step count cannot be served at all: the trajectory it asks for —
+    /// `steps + 1` states of the model's shape — is not addressable
+    /// (`steps + 1` overflows, or its values exceed `isize::MAX` bytes).
+    StepsOutOfRange {
+        /// The step count requested.
+        steps: usize,
+    },
     /// The number of history states does not match the training window.
     WindowMismatch {
         /// The model's time-window width.
@@ -123,6 +130,11 @@ impl std::fmt::Display for InferError {
                  supplied — pass exactly {expected} consecutive states (oldest first) to \
                  rollout_from_history"
             ),
+            InferError::StepsOutOfRange { steps } => write!(
+                f,
+                "{steps} steps is more than one rollout can hold — its {steps} + 1 states \
+                 would not fit in memory; ask for fewer steps"
+            ),
             InferError::UnknownModel { name } => write!(
                 f,
                 "no model named '{name}' is registered with the engine — \
@@ -152,6 +164,10 @@ impl std::fmt::Display for InferError {
 }
 
 impl std::error::Error for InferError {}
+
+/// Why `n_steps + 1` cannot overflow past the request boundary.
+const STEPS_VALIDATED: &str =
+    "ParallelInference::validate_request refuses a step count whose n_steps + 1 overflows";
 
 /// What replaces a halo strip whose message was lost (under
 /// [`HaloPolicy::Degrade`]). A *dead peer* is never replaced — see
@@ -387,10 +403,20 @@ impl ParallelInference {
         &self.part
     }
 
-    /// Checks one request's history against the trained configuration —
-    /// the single validation path shared by [`ParallelInference::rollout`],
-    /// [`ParallelInference::rollout_from_history`] and the serving engine.
-    pub fn validate_history(&self, history: &[Tensor3]) -> Result<(), InferError> {
+    /// Checks one request — its history and its step count — against the
+    /// trained configuration: the single validation path shared by
+    /// [`ParallelInference::rollout`],
+    /// [`ParallelInference::rollout_from_history`], the serving engine and
+    /// the scheduler, so a bad request fails before any rank job runs.
+    pub fn validate_request(&self, history: &[Tensor3], n_steps: usize) -> Result<(), InferError> {
+        let state_len = self.norm.channels() * self.part.global_h() * self.part.global_w();
+        let trajectory_bytes = n_steps
+            .checked_add(1)
+            .and_then(|states| states.checked_mul(state_len))
+            .and_then(|values| values.checked_mul(std::mem::size_of::<f64>()));
+        if trajectory_bytes.is_none_or(|bytes| bytes > isize::MAX as usize) {
+            return Err(InferError::StepsOutOfRange { steps: n_steps });
+        }
         if history.len() != self.window {
             return Err(InferError::WindowMismatch {
                 expected: self.window,
@@ -461,7 +487,7 @@ impl ParallelInference {
         histories: &[Vec<Tensor3>],
         n_steps: usize,
     ) -> Vec<Tensor3> {
-        let mut states = Vec::with_capacity(n_steps + 1);
+        let mut states = Vec::with_capacity(n_steps.checked_add(1).expect(STEPS_VALIDATED));
         states.push(initial.clone());
         for k in 1..=n_steps {
             let step_locals: Vec<Tensor3> = histories.iter().map(|h| h[k].clone()).collect();
@@ -497,7 +523,7 @@ impl ParallelInference {
         history: &[Tensor3],
         n_steps: usize,
     ) -> Result<RolloutResult, InferError> {
-        self.validate_history(history)?;
+        self.validate_request(history, n_steps)?;
         let initial = history.last().expect("window >= 1");
         let part = self.part;
         let per_rank_history = self.scatter_history(history);
@@ -775,10 +801,9 @@ impl RankRolloutState {
     ) -> RequestWindow {
         self.reset(history);
         let (c, h, w) = self.latest().shape();
-        if trajectory.len() != n_steps + 1
-            || trajectory.first().map(Tensor3::shape) != Some((c, h, w))
-        {
-            *trajectory = (0..=n_steps).map(|_| Tensor3::zeros(c, h, w)).collect();
+        let states = n_steps.checked_add(1).expect(STEPS_VALIDATED);
+        if trajectory.len() != states || trajectory.first().map(Tensor3::shape) != Some((c, h, w)) {
+            *trajectory = (0..states).map(|_| Tensor3::zeros(c, h, w)).collect();
         }
         let traffic0 = cart.comm().stats().report();
         let perf0 = perf::snapshot();

@@ -546,7 +546,7 @@ impl Scheduler {
             .ok_or_else(|| InferError::UnknownModel {
                 name: name.to_string(),
             })?;
-        inf.validate_history(history)?;
+        inf.validate_request(history, n_steps)?;
         // Gate 2: every sub-world lost ⇒ nothing can serve.
         if st.live_workers == 0 {
             drop(st);
@@ -766,6 +766,10 @@ mod tests {
             .submit("m", std::slice::from_ref(&wrong), 1)
             .unwrap_err();
         assert!(matches!(err, InferError::ShapeMismatch { .. }));
+        let err = sched
+            .submit("m", std::slice::from_ref(data.snapshot(0)), usize::MAX)
+            .unwrap_err();
+        assert!(matches!(err, InferError::StepsOutOfRange { .. }));
         // Caller errors never charge the residency ledger.
         assert_eq!(
             sched.shared.state.lock().unwrap().residency.busy_count("m"),

@@ -49,7 +49,7 @@ pub fn serve(addr: &str, health: Arc<HealthModel>) -> std::io::Result<Exporter> 
         .name("pdeml-metrics".into())
         .spawn(move || {
             listener.run(move |request| {
-                ops_route(&request, &health).unwrap_or_else(|| {
+                ops_route(request, &health).unwrap_or_else(|| {
                     Response::text(
                         "404 Not Found",
                         "not found; try /metrics /healthz /readyz\n",

@@ -1,4 +1,6 @@
-//! Proof that the training hot path is allocation-free after warm-up.
+//! Proof that the training and serving hot paths are allocation-free after
+//! warm-up, and that the HTTP listener's buffer pool stays within its
+//! bounds.
 //!
 //! `pde-tensor` installs a counting `#[global_allocator]`
 //! ([`pde_tensor::perf::CountingAlloc`]), so the assertion below is not a
@@ -12,13 +14,19 @@
 
 use pde_domain::GridPartition;
 use pde_euler::dataset::paper_dataset;
+use pde_ml_cli::wire::encode_state_into;
 use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::data::SubdomainDataset;
 use pde_ml_core::norm::ChannelNorm;
 use pde_ml_core::padding::PaddingStrategy;
 use pde_ml_core::prelude::{InferEngine, ParallelInference, ParallelTrainer};
 use pde_ml_core::train::{TrainConfig, TrainSession};
-use pde_tensor::perf;
+use pde_telemetry::http::{BufferPool, Listener, Request, Response, MAX_POOLED_CAPACITY};
+use pde_tensor::{perf, Tensor3};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 #[test]
 fn training_epoch_after_warmup_allocates_nothing() {
@@ -183,4 +191,177 @@ fn second_warm_engine_request_allocates_nothing_on_rank_threads() {
             );
         }
     }
+}
+
+/// Serves `handler` on an ephemeral port for the duration of `check`, which
+/// gets the address and the listener's buffer pool.
+fn on_listener(
+    handler: impl Fn(&mut Request) -> Response + Send + Sync + 'static,
+    check: impl FnOnce(SocketAddr, &BufferPool),
+) {
+    let listener = Listener::bind("127.0.0.1:0").unwrap();
+    let (addr, pool, stop) = (
+        listener.local_addr(),
+        listener.buffer_pool(),
+        listener.stop_handle(),
+    );
+    let accept_loop = std::thread::spawn(move || listener.run(handler));
+    check(addr, &pool);
+    stop.stop();
+    accept_loop.join().unwrap();
+}
+
+/// One request on a fresh connection; the whole answer, head and body.
+fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+/// The connection thread hands its buffers back after the client has its
+/// answer; waits until the pool holds `sets` sets.
+fn pooled(pool: &BufferPool, sets: usize) -> Vec<usize> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let retained = pool.retained();
+        if retained.len() >= 2 * sets || Instant::now() > deadline {
+            return retained;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The serving response path: once one request has grown the listener's
+/// pooled reply buffer, encoding a three-state toy rollout (4×16×16 values
+/// from 1e-12 to 1e3, plus a few the exact encoder hands to std) into it on
+/// the connection thread performs zero heap allocations.
+#[test]
+fn encoding_a_toy_response_into_a_warm_pooled_buffer_allocates_nothing() {
+    let states: Vec<Tensor3> = (0..3)
+        .map(|s| {
+            let values = (0..4 * 16 * 16)
+                .map(|i| match i % 97 {
+                    0 => 1e300,
+                    1 => -f64::MIN_POSITIVE,
+                    _ => (1.0 + 0.37 * i as f64).sqrt() * 10f64.powi((i + s) % 16 - 12),
+                })
+                .collect();
+            Tensor3::from_vec(4, 16, 16, values)
+        })
+        .collect();
+    let allocs = Arc::new(Mutex::new(Vec::new()));
+    let seen = allocs.clone();
+    on_listener(
+        move |request| {
+            let mut body = std::mem::take(&mut request.reply);
+            let before = perf::snapshot();
+            body.push_str("steps 2\n");
+            for state in &states {
+                encode_state_into(&mut body, state);
+            }
+            seen.lock()
+                .unwrap()
+                .push(perf::snapshot().since(&before).allocs);
+            Response::text("200 OK", body)
+        },
+        |addr, pool| {
+            for _ in 0..3 {
+                let response = exchange(addr, b"GET /rollout HTTP/1.1\r\n\r\n");
+                assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+                // Sequential requests: the next one must find this one's set.
+                pooled(pool, 1);
+            }
+        },
+    );
+    let allocs = allocs.lock().unwrap();
+    assert!(allocs[0] > 0, "the first request grows the reply buffer");
+    assert_eq!(
+        allocs[1..],
+        [0, 0],
+        "warm requests allocated while encoding: {allocs:?}"
+    );
+}
+
+/// A request far past the pool's per-buffer cap — 8 MiB of body, echoed
+/// back so the reply is as large — leaves nothing over
+/// [`MAX_POOLED_CAPACITY`] resident, while an ordinary request's buffers are
+/// kept for the next connection.
+#[test]
+fn an_oversized_request_leaves_no_oversized_buffer_in_the_pool() {
+    on_listener(
+        |request| {
+            let mut body = std::mem::take(&mut request.reply);
+            body.push_str(&String::from_utf8_lossy(request.body()));
+            Response::text("200 OK", body)
+        },
+        |addr, pool| {
+            let small = exchange(addr, b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
+            assert!(small.ends_with("\r\n\r\nhello"), "{small}");
+            let kept = pooled(pool, 1);
+            assert!(
+                kept.len() == 2 && kept.iter().all(|&c| c > 0),
+                "a small request's two buffers are kept: {kept:?}"
+            );
+
+            let big = vec![b'x'; 8 << 20];
+            let request = [
+                format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", big.len()).as_bytes(),
+                &big,
+            ]
+            .concat();
+            let response = exchange(addr, &request);
+            assert!(response.len() > big.len(), "the 8 MiB body was echoed");
+            let retained = pooled(pool, 1);
+            assert!(
+                retained.iter().all(|&c| c <= MAX_POOLED_CAPACITY),
+                "retained {retained:?} after an 8 MiB request"
+            );
+        },
+    );
+}
+
+/// Two connections inside the handler at once hold two different buffer
+/// sets, even when the pool has one warm set to give — and both sets are
+/// pooled once they are done.
+#[test]
+fn two_concurrent_connections_never_share_a_buffer() {
+    let inside = Arc::new(Barrier::new(2));
+    let buffers = Arc::new(Mutex::new(Vec::new()));
+    let seen = buffers.clone();
+    on_listener(
+        move |request| {
+            let mut body = std::mem::take(&mut request.reply);
+            body.push_str("ok");
+            if request.path == "/pair" {
+                seen.lock()
+                    .unwrap()
+                    .push((request.body().as_ptr() as usize, body.as_ptr() as usize));
+                // Both connections are in here, holding their sets, before
+                // either answers.
+                inside.wait();
+            }
+            Response::text("200 OK", body)
+        },
+        |addr, pool| {
+            exchange(addr, b"POST /warm HTTP/1.1\r\nContent-Length: 1\r\n\r\na");
+            assert_eq!(pooled(pool, 1).len(), 2, "one warm set");
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    std::thread::spawn(move || {
+                        exchange(addr, b"POST /pair HTTP/1.1\r\nContent-Length: 1\r\n\r\na")
+                    })
+                })
+                .collect();
+            for client in clients {
+                assert!(client.join().unwrap().ends_with("ok"));
+            }
+            assert_eq!(pooled(pool, 2).len(), 4, "both sets come back");
+        },
+    );
+    let buffers = buffers.lock().unwrap();
+    assert_eq!(buffers.len(), 2);
+    assert_ne!(buffers[0].0, buffers[1].0, "shared a read buffer");
+    assert_ne!(buffers[0].1, buffers[1].1, "shared a reply buffer");
 }
