@@ -44,8 +44,8 @@ USAGE:
                  [--metrics-addr HOST:PORT] [--slo-ms N] [--flight-dir DIR]
                  [--hold-ms N] [--threads-per-rank T] [--trace OUT.json]
   pdeml serve    [--quick | --data FILE --model DIR] [--addr HOST:PORT]
-                 [--sub-worlds N] [--queue-depth N] [--max-models N]
-                 [--slo-ms N] [--transport channel|tcp] [--ranks-per-world R]
+                 [--sub-worlds N] [--ranks-per-world R] [--queue-depth N]
+                 [--slo-ms N] [--transport channel|tcp]
                  [--access-log PATH] [--access-log-sample N] [--trace-out PATH]
   pdeml world-node --launch [--ranks N] [--requests N] [--steps K]
                  [--halo-policy strict|zero-fill|last-known] [--halo-timeout-ms N]
@@ -60,10 +60,12 @@ USAGE:
   pdeml info
 
 `--quick` trains the tiny test net on a built-in dataset (no --data/--out).
-`serve` is the HTTP inference front end: it splits one world into
-`--sub-worlds` independent sub-worlds behind a bounded request queue with
-SLO-aware admission control (shed requests get 429/503, and count on
-pdeml_requests_rejected_total{reason=}). POST /v1/rollout serves a window
+`serve` is the HTTP inference front end for one model: it splits one world
+into `--sub-worlds` independent sub-worlds of `--ranks-per-world` ranks
+behind a bounded request queue of `--queue-depth` with SLO-aware admission
+control (shed requests get 429/503, and count on
+pdeml_requests_rejected_total{reason=}); each of the three sizes is at
+least 1. POST /v1/rollout serves a window
 of states; GET /v1/example prints a ready-to-POST body. Every rollout
 response echoes X-PDEML-Request-Id and a Server-Timing phase split
 (queue/dispatch/rollout); `--access-log PATH` appends one JSON line per

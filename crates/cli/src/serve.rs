@@ -4,8 +4,8 @@
 //! The server splits one persistent world into `--sub-worlds` disjoint
 //! sub-worlds ([`pde_commsim::World::split_even`]), wraps each in an
 //! engine and fans requests out through
-//! [`pde_ml_core::schedule::Scheduler`] — bounded queue, LRU residency,
-//! SLO-aware admission. The listener, request reader, response framing and
+//! [`pde_ml_core::schedule::Scheduler`] — bounded queue, SLO-aware
+//! admission. The listener, request reader, response framing and
 //! the `/metrics` `/healthz` `/readyz` routes are [`pde_telemetry::http`] —
 //! the same code the metrics exporter runs; this file adds the inference
 //! routes.
@@ -150,11 +150,38 @@ fn build_scheduler(
     Ok(sched)
 }
 
+/// Reads one of `serve`'s sizing flags, refusing 0: no sub-world, no rank
+/// or no queue slot can serve anything, so that is a typo, not a setting.
+fn sizing_flag(args: &Args, name: &str, default: usize, what: &str) -> Result<usize, String> {
+    match args.get_or(name, default)? {
+        0 => Err(format!(
+            "--{name} 0 leaves nothing to serve with: it is the number of {what}, at least 1 \
+             (default {default})"
+        )),
+        n => Ok(n),
+    }
+}
+
 /// `pdeml serve` — the HTTP server.
 pub fn serve(args: &Args) -> Result<(), String> {
-    let sub_worlds: usize = args.get_or("sub-worlds", 2)?;
-    let queue_depth: usize = args.get_or("queue-depth", 32)?;
-    let max_models: usize = args.get_or("max-models", 8)?;
+    let sub_worlds = sizing_flag(
+        args,
+        "sub-worlds",
+        2,
+        "worlds serving requests side by side",
+    )?;
+    let ranks_per_world = sizing_flag(
+        args,
+        "ranks-per-world",
+        2,
+        "ranks each sub-world splits the grid over",
+    )?;
+    let queue_depth = sizing_flag(
+        args,
+        "queue-depth",
+        32,
+        "admitted requests that may wait for a sub-world",
+    )?;
     let slo_ms: u64 = args.get_or("slo-ms", 0)?;
     let transport = crate::commands::transport_from_args(args)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
@@ -167,12 +194,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
     };
     let trace_out = args.get("trace-out").map(str::to_string);
 
-    let (inf, initial, source) =
-        crate::fleet::fleet_from_args(args, "serve", args.get_or("ranks-per-world", 2)?)?;
+    let (inf, initial, source) = crate::fleet::fleet_from_args(args, "serve", ranks_per_world)?;
     let ranks = inf.partition().rank_count();
-    let mut cfg = SchedulerConfig::default()
-        .with_queue_depth(queue_depth)
-        .with_max_models(max_models);
+    let mut cfg = SchedulerConfig::default().with_queue_depth(queue_depth);
     if slo_ms > 0 {
         cfg = cfg.with_slo_ms(slo_ms);
     }
@@ -655,6 +679,35 @@ mod tests {
             server_timing(&phases),
             "queue;dur=0.120, dispatch;dur=0.045, rollout;dur=9.800"
         );
+    }
+
+    /// `pdeml serve --quick FLAG 0` fails before training, with a hint.
+    fn assert_zero_refused(flag: &str, default: usize) {
+        let argv = ["--quick", flag, "0"].map(String::from);
+        let err = serve(&Args::parse(&argv).unwrap()).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{flag} 0 leaves nothing to serve")),
+            "{err}"
+        );
+        assert!(
+            err.contains(&format!("at least 1 (default {default})")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_sub_worlds_is_refused_with_a_hint() {
+        assert_zero_refused("--sub-worlds", 2);
+    }
+
+    #[test]
+    fn zero_ranks_per_world_is_refused_with_a_hint() {
+        assert_zero_refused("--ranks-per-world", 2);
+    }
+
+    #[test]
+    fn zero_queue_depth_is_refused_with_a_hint() {
+        assert_zero_refused("--queue-depth", 32);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! 2-D Cartesian process topology and neighbor halo exchange.
 //!
 //! Mirrors `MPI_Cart_create` / `MPI_Cart_shift`: ranks are laid out
-//! row-major on a `py × px` grid, each knows its four neighbors, and
-//! [`CartComm::exchange`] performs the fully point-to-point boundary-data
-//! swap the paper's inference phase relies on (§III).
+//! row-major on a `py × px` grid, each knows its four neighbors, and one
+//! axis at a time swaps boundary strips with them point to point — the
+//! exchange the paper's inference phase relies on (§III). The blocking
+//! round is [`CartComm::exchange_x`] / [`CartComm::exchange_y`]; the
+//! loss-tolerant one splits it into [`CartComm::post_x_sends`] /
+//! [`CartComm::post_y_sends`] and timed [`CartComm::recv_halo_dir`]
+//! receives.
 
 use crate::comm::{Comm, RecvError, Tag};
 use std::time::Duration;
@@ -51,49 +55,19 @@ impl Direction {
     }
 }
 
-/// Outcome classification of one directional halo receive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HaloStatus {
+/// One directional halo receive: the strip, or why it is missing.
+#[derive(Clone, Debug, PartialEq)]
+pub enum HaloRecv {
     /// The strip arrived.
-    Ok,
-    /// The receive timed out — the message is presumed lost; the peer is
-    /// (as far as we can tell) still alive. Recoverable by policy.
+    Ok(Vec<f64>),
+    /// Timed out — presumed lost; the peer is (as far as we can tell)
+    /// still alive. Recoverable by policy.
     Lost,
     /// The peer's thread is gone and nothing matching can ever arrive.
     /// NOT recoverable: a dead peer means its whole subdomain is missing,
     /// not one boundary strip, so every halo policy must treat this as
     /// fatal rather than mask it with fallback data.
     PeerDead,
-}
-
-/// One directional halo receive: the strip, or why it is missing.
-#[derive(Clone, Debug, PartialEq)]
-pub enum HaloRecv {
-    /// The strip arrived.
-    Ok(Vec<f64>),
-    /// Timed out — presumed lost (recoverable by policy).
-    Lost,
-    /// The peer is dead (fatal under every policy).
-    PeerDead,
-}
-
-impl HaloRecv {
-    /// The status classification without the payload.
-    pub fn status(&self) -> HaloStatus {
-        match self {
-            HaloRecv::Ok(_) => HaloStatus::Ok,
-            HaloRecv::Lost => HaloStatus::Lost,
-            HaloRecv::PeerDead => HaloStatus::PeerDead,
-        }
-    }
-
-    /// The payload, if the strip arrived.
-    pub fn into_data(self) -> Option<Vec<f64>> {
-        match self {
-            HaloRecv::Ok(buf) => Some(buf),
-            _ => None,
-        }
-    }
 }
 
 /// A communicator wrapped with 2-D Cartesian coordinates.
@@ -184,52 +158,31 @@ impl CartComm {
         Some(self.rank_at(row, col))
     }
 
-    /// Exchanges boundary buffers with all existing neighbors in one fully
-    /// point-to-point round: for each direction with a neighbor, sends
-    /// `outgoing[dir]` and receives that neighbor's buffer sent toward us.
+    /// One x-axis exchange round: sends `to_left`/`to_right` to the
+    /// respective neighbors and returns `(from_left, from_right)`, blocking
+    /// until both arrive. The buffers are moved to the peers, not cloned.
     ///
-    /// Returns the four incoming buffers indexed like [`Direction::ALL`]
-    /// (`None` where there is no neighbor). `tag` namespaces concurrent
-    /// exchanges (e.g. one per field or per time step).
-    pub fn exchange(
+    /// # Panics
+    /// If a buffer is supplied for a missing neighbor or vice versa (that
+    /// asymmetry would deadlock the matching rank).
+    pub fn exchange_x(
         &mut self,
-        mut outgoing: [Option<Vec<f64>>; 4],
+        to_left: Option<Vec<f64>>,
+        to_right: Option<Vec<f64>>,
         tag: Tag,
-    ) -> [Option<Vec<f64>>; 4] {
-        // Post all sends first (eager buffering ⇒ no deadlock), then recv.
-        self.post_sends(&mut outgoing, tag);
-        let mut incoming: [Option<Vec<f64>>; 4] = [None, None, None, None];
-        for dir in Direction::ALL {
-            if let Some(nb) = self.neighbor(dir) {
-                incoming[dir.index()] = Some(self.comm.recv(nb, encode_tag(tag, dir)));
-            }
-        }
-        incoming
+    ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+        self.exchange_axis(to_left, to_right, Direction::Left, Direction::Right, tag)
     }
 
-    /// Like [`CartComm::exchange`] but loss-tolerant: each directional
-    /// receive gives up after `timeout` and reports its outcome as a
-    /// [`HaloRecv`] instead of blocking forever (lost message) or panicking
-    /// (dead peer). Directions without a neighbor stay `None`.
-    ///
-    /// Timed-out receives bump this rank's `halos_lost` counter. A strip
-    /// that arrives *after* its receive timed out lingers in the inbox
-    /// harmlessly: every exchange uses a fresh tag, so it can never be
-    /// matched by a later step.
-    pub fn exchange_timeout(
+    /// One y-axis exchange round: sends `to_down`/`to_up` and returns
+    /// `(from_down, from_up)` (see [`CartComm::exchange_x`]).
+    pub fn exchange_y(
         &mut self,
-        mut outgoing: [Option<Vec<f64>>; 4],
+        to_down: Option<Vec<f64>>,
+        to_up: Option<Vec<f64>>,
         tag: Tag,
-        timeout: Duration,
-    ) -> [Option<HaloRecv>; 4] {
-        self.post_sends(&mut outgoing, tag);
-        let mut incoming: [Option<HaloRecv>; 4] = [None, None, None, None];
-        for dir in Direction::ALL {
-            if let Some(nb) = self.neighbor(dir) {
-                incoming[dir.index()] = Some(self.recv_halo(nb, encode_tag(tag, dir), timeout));
-            }
-        }
-        incoming
+    ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+        self.exchange_axis(to_down, to_up, Direction::Down, Direction::Up, tag)
     }
 
     /// The send half of a split-phase x-axis exchange: posts `to_left` /
@@ -255,85 +208,44 @@ impl CartComm {
         self.post_axis_sends(to_down, to_up, Direction::Down, Direction::Up, tag);
     }
 
-    /// The receive half of a split-phase exchange: one timed directional
-    /// receive classified as a [`HaloRecv`]; `None` when there is no
-    /// neighbor in `dir`. `tag` must match the value given to the
-    /// corresponding `post_*_sends` call.
+    /// The receive half of a split-phase exchange: one directional receive
+    /// that gives up after `timeout` and reports its outcome as a
+    /// [`HaloRecv`] instead of blocking forever (lost message) or panicking
+    /// (dead peer); `None` when there is no neighbor in `dir`. `tag` must
+    /// match the value given to the corresponding `post_*_sends` call.
+    ///
+    /// A timed-out receive bumps this rank's `halos_lost` counter. A strip
+    /// that arrives *after* its receive timed out lingers in the inbox
+    /// harmlessly: every exchange uses a fresh tag, so it can never be
+    /// matched by a later step.
     pub fn recv_halo_dir(
         &mut self,
         dir: Direction,
         tag: Tag,
         timeout: Duration,
     ) -> Option<HaloRecv> {
-        self.neighbor(dir)
-            .map(|nb| self.recv_halo(nb, encode_tag(tag, dir), timeout))
-    }
-
-    /// Moves each outgoing buffer (no payload clone) to its neighbor.
-    fn post_sends(&mut self, outgoing: &mut [Option<Vec<f64>>; 4], tag: Tag) {
-        for dir in Direction::ALL {
-            if let Some(nb) = self.neighbor(dir) {
-                // `take()` moves the caller's buffer out instead of cloning
-                // it — the payload allocation travels through the channel.
-                let buf = outgoing[dir.index()].take().unwrap_or_else(|| {
-                    panic!("exchange: neighbor in {dir:?} but no outgoing buffer")
-                });
-                // Tag encodes the direction *from the receiver's view* so
-                // concurrent opposite-direction messages can't be confused.
-                self.comm.send(nb, encode_tag(tag, dir.opposite()), buf);
-            }
-        }
-    }
-
-    /// One timed directional receive classified as a [`HaloRecv`].
-    fn recv_halo(&mut self, src: usize, tag: Tag, timeout: Duration) -> HaloRecv {
         use pde_trace::{names, Category};
+        let src = self.neighbor(dir)?;
         crate::live::halo_recv_attempts().inc(self.comm.rank());
         let mut span = pde_trace::span_args(Category::Comm, names::HALO_RECV, src as u64, 0);
-        match self.comm.recv_timeout(src, tag, timeout) {
-            Ok(buf) => {
-                span.set_args(src as u64, buf.len() as u64 * 8);
-                HaloRecv::Ok(buf)
-            }
-            Err(RecvError::Timeout) => {
-                self.comm.stats().note_halo_lost();
-                crate::live::halos_lost().inc(self.comm.rank());
-                pde_trace::instant(Category::Comm, names::HALO_LOST, src as u64, 0);
-                HaloRecv::Lost
-            }
-            Err(RecvError::Disconnected) => {
-                pde_trace::instant(Category::Comm, names::HALO_PEER_DEAD, src as u64, 0);
-                HaloRecv::PeerDead
-            }
-        }
-    }
-}
-
-impl CartComm {
-    /// One x-axis exchange round: sends `to_left`/`to_right` to the
-    /// respective neighbors and returns `(from_left, from_right)`.
-    ///
-    /// # Panics
-    /// If a buffer is supplied for a missing neighbor or vice versa (that
-    /// asymmetry would deadlock the matching rank).
-    pub fn exchange_x(
-        &mut self,
-        to_left: Option<Vec<f64>>,
-        to_right: Option<Vec<f64>>,
-        tag: Tag,
-    ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
-        self.exchange_axis(to_left, to_right, Direction::Left, Direction::Right, tag)
-    }
-
-    /// One y-axis exchange round: sends `to_down`/`to_up` and returns
-    /// `(from_down, from_up)`.
-    pub fn exchange_y(
-        &mut self,
-        to_down: Option<Vec<f64>>,
-        to_up: Option<Vec<f64>>,
-        tag: Tag,
-    ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
-        self.exchange_axis(to_down, to_up, Direction::Down, Direction::Up, tag)
+        Some(
+            match self.comm.recv_timeout(src, encode_tag(tag, dir), timeout) {
+                Ok(buf) => {
+                    span.set_args(src as u64, buf.len() as u64 * 8);
+                    HaloRecv::Ok(buf)
+                }
+                Err(RecvError::Timeout) => {
+                    self.comm.stats().note_halo_lost();
+                    crate::live::halos_lost().inc(self.comm.rank());
+                    pde_trace::instant(Category::Comm, names::HALO_LOST, src as u64, 0);
+                    HaloRecv::Lost
+                }
+                Err(RecvError::Disconnected) => {
+                    pde_trace::instant(Category::Comm, names::HALO_PEER_DEAD, src as u64, 0);
+                    HaloRecv::PeerDead
+                }
+            },
+        )
     }
 
     fn post_axis_sends(
@@ -351,7 +263,8 @@ impl CartComm {
                 "exchange_axis: buffer/neighbor mismatch in {dir:?}"
             );
         }
-        // Sends first (eager buffering), then receives.
+        // The tag encodes the direction *from the receiver's view*, so the
+        // two opposite-direction messages of one round cannot be confused.
         if let (Some(nb), Some(buf)) = (self.neighbor(neg), to_neg) {
             self.comm.send(nb, encode_tag(tag, pos), buf);
         }
@@ -368,6 +281,7 @@ impl CartComm {
         pos: Direction,
         tag: Tag,
     ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+        // Sends first (eager buffering ⇒ no deadlock), then receives.
         self.post_axis_sends(to_neg, to_pos, neg, pos, tag);
         let from_neg = self
             .neighbor(neg)
@@ -455,22 +369,16 @@ mod tests {
         let out = World::new(2).run(|comm| {
             let me = comm.rank() as f64;
             let mut cart = CartComm::new(comm, 1, 2, false);
-            let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-            if cart.neighbor(Direction::Right).is_some() {
-                outgoing[1] = Some(vec![me; 3]);
-            }
-            if cart.neighbor(Direction::Left).is_some() {
-                outgoing[0] = Some(vec![me; 3]);
-            }
-
-            cart.exchange(outgoing, 1)
+            let to_left = cart.neighbor(Direction::Left).map(|_| vec![me; 3]);
+            let to_right = cart.neighbor(Direction::Right).map(|_| vec![me; 3]);
+            cart.exchange_x(to_left, to_right, 1)
         });
         // Rank 0 received from its Right neighbor (rank 1).
-        assert_eq!(out[0][1].as_ref().unwrap(), &vec![1.0; 3]);
-        assert!(out[0][0].is_none());
+        assert_eq!(out[0].1.as_ref().unwrap(), &vec![1.0; 3]);
+        assert!(out[0].0.is_none());
         // Rank 1 received from its Left neighbor (rank 0).
-        assert_eq!(out[1][0].as_ref().unwrap(), &vec![0.0; 3]);
-        assert!(out[1][1].is_none());
+        assert_eq!(out[1].0.as_ref().unwrap(), &vec![0.0; 3]);
+        assert!(out[1].1.is_none());
     }
 
     #[test]
@@ -478,20 +386,20 @@ mod tests {
         let out = World::new(4).run(|comm| {
             let me = comm.rank() as f64;
             let mut cart = CartComm::new(comm, 2, 2, true);
-            let outgoing: [Option<Vec<f64>>; 4] = [
-                Some(vec![me, 0.0]),
-                Some(vec![me, 1.0]),
-                Some(vec![me, 2.0]),
-                Some(vec![me, 3.0]),
-            ];
-            let incoming = cart.exchange(outgoing, 2);
-            incoming.map(|o| o.unwrap()[0] as usize)
+            // Each strip carries (sender, direction it was sent in).
+            let (from_left, from_right) =
+                cart.exchange_x(Some(vec![me, 0.0]), Some(vec![me, 1.0]), 2);
+            let (from_down, from_up) = cart.exchange_y(Some(vec![me, 2.0]), Some(vec![me, 3.0]), 3);
+            [from_left, from_right, from_down, from_up].map(|o| {
+                let strip = o.unwrap();
+                (strip[0] as usize, strip[1] as usize)
+            })
         });
         // Rank 0 at (0,0) on a 2×2 torus: left & right neighbor both 1,
-        // down & up both 2.
-        assert_eq!(out[0], [1, 1, 2, 2]);
+        // down & up both 2. What arrives from the left was sent rightwards.
+        assert_eq!(out[0], [(1, 1), (1, 0), (2, 3), (2, 2)]);
         // Rank 3 at (1,1): left/right 2, down/up 1.
-        assert_eq!(out[3], [2, 2, 1, 1]);
+        assert_eq!(out[3], [(2, 1), (2, 0), (1, 3), (1, 2)]);
     }
 
     #[test]
@@ -499,18 +407,18 @@ mod tests {
         let out = World::new(2).run(|comm| {
             let me = comm.rank() as f64;
             let mut cart = CartComm::new(comm, 1, 2, false);
-            let dir = if cart.coords().1 == 0 { 1 } else { 0 };
-            let mk = |v: f64| {
-                let mut o: [Option<Vec<f64>>; 4] = [None, None, None, None];
-                o[dir] = Some(vec![v]);
-                o
+            let left_col = cart.coords().1 == 0;
+            let mut exchange = |v: f64, tag| {
+                let (from_left, from_right) = if left_col {
+                    cart.exchange_x(None, Some(vec![v]), tag)
+                } else {
+                    cart.exchange_x(Some(vec![v]), None, tag)
+                };
+                from_left.or(from_right).unwrap()[0]
             };
-            let first = cart.exchange(mk(me), 10);
-            let second = cart.exchange(mk(me + 100.0), 11);
-            (
-                first[dir].as_ref().unwrap()[0],
-                second[dir].as_ref().unwrap()[0],
-            )
+            let first = exchange(me, 10);
+            let second = exchange(me + 100.0, 11);
+            (first, second)
         });
         assert_eq!(out[0], (1.0, 101.0));
         assert_eq!(out[1], (0.0, 100.0));
@@ -526,26 +434,22 @@ mod tests {
 
     #[test]
     fn exchange_moves_outgoing_buffers_without_cloning() {
-        // Allocation parity: the Vec a rank hands to `exchange` must be the
+        // Allocation parity: the Vec a rank hands to `exchange_x` must be the
         // very allocation its neighbor receives. Each rank encodes its
         // buffer's own address in the payload; the receiver checks that the
-        // arrived Vec still lives at that address. A clone (the old
-        // behaviour) would be a different allocation and fail — the original
-        // is still alive inside `outgoing` for the whole call, so the
-        // allocator cannot have reused its address.
+        // arrived Vec still lives at that address. A clone would be
+        // allocated while the original is still alive, so it cannot share
+        // its address and the check fails.
         let out = World::new(2).run(|comm| {
             let mut cart = CartComm::new(comm, 1, 2, false);
-            let dir = if cart.coords().1 == 0 {
-                Direction::Right
-            } else {
-                Direction::Left
-            };
             let mut buf = vec![0.0; 64];
             buf[0] = buf.as_ptr() as usize as f64; // < 2^47 — exact in f64
-            let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-            outgoing[dir.index()] = Some(buf);
-            let incoming = cart.exchange(outgoing, 5);
-            let got = incoming[dir.index()].as_ref().unwrap();
+            let (from_left, from_right) = if cart.coords().1 == 0 {
+                cart.exchange_x(None, Some(buf), 5)
+            } else {
+                cart.exchange_x(Some(buf), None, 5)
+            };
+            let got = from_left.or(from_right).unwrap();
             got.as_ptr() as usize as f64 == got[0]
         });
         assert_eq!(out, vec![true, true], "payload was cloned, not moved");
@@ -554,29 +458,28 @@ mod tests {
     #[test]
     fn exchange_timeout_reports_lost_and_counts_it() {
         use crate::world::FaultPlan;
-        use std::time::Duration;
         let plan = FaultPlan::drop_edge(0, 1);
         let (out, traffic) = World::new(2).with_fault_plan(plan).run_with_stats(|comm| {
             let rank = comm.rank();
             let mut cart = CartComm::new(comm, 1, 2, false);
+            let strip = vec![rank as f64; 3];
             let dir = if rank == 0 {
+                cart.post_x_sends(None, Some(strip), 1);
                 Direction::Right
             } else {
+                cart.post_x_sends(Some(strip), None, 1);
                 Direction::Left
             };
-            let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-            outgoing[dir.index()] = Some(vec![rank as f64; 3]);
-            let incoming = cart.exchange_timeout(outgoing, 1, Duration::from_millis(40));
-            let status = incoming[dir.index()].as_ref().unwrap().status();
-            // Keep both ranks alive until both exchanges resolve: rank 0
+            let got = cart.recv_halo_dir(dir, 1, Duration::from_millis(40));
+            // Keep both ranks alive until both receives resolve: rank 0
             // finishing early would otherwise turn rank 1's in-progress
             // timeout into PeerDead. (Collectives are fault-exempt.)
             cart.comm_mut().barrier();
-            status
+            got.unwrap()
         });
         // The 1→0 edge is healthy; the 0→1 edge drops.
-        assert_eq!(out[0], HaloStatus::Ok);
-        assert_eq!(out[1], HaloStatus::Lost);
+        assert_eq!(out[0], HaloRecv::Ok(vec![1.0; 3]));
+        assert_eq!(out[1], HaloRecv::Lost);
         assert_eq!(traffic[0].halos_lost, 0);
         assert_eq!(traffic[1].halos_lost, 1);
     }
@@ -591,14 +494,12 @@ mod tests {
         let out = World::new(2).run(|comm| {
             let rank = comm.rank();
             if rank == 0 {
-                return HaloStatus::Ok; // dies immediately
+                return None; // dies immediately
             }
             let mut cart = CartComm::new(comm, 1, 2, false);
-            let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-            outgoing[Direction::Left.index()] = Some(vec![1.0; 3]);
-            let incoming = cart.exchange_timeout(outgoing, 2, test_timeout());
-            incoming[Direction::Left.index()].as_ref().unwrap().status()
+            cart.post_x_sends(Some(vec![1.0; 3]), None, 2);
+            cart.recv_halo_dir(Direction::Left, 2, test_timeout())
         });
-        assert_eq!(out[1], HaloStatus::PeerDead);
+        assert_eq!(out[1], Some(HaloRecv::PeerDead));
     }
 }

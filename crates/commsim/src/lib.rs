@@ -25,8 +25,8 @@
 //! deterministic seeded per-message probability ([`FaultPlan::loss_rate`]),
 //! or delay them ([`FaultPlan::delay_edge`]). Receivers observe loss
 //! through [`Comm::recv_timeout`] or the halo-level
-//! [`CartComm::exchange_timeout`] family, which classifies every
-//! directional receive as a [`HaloRecv`]: `Ok` (arrived), `Lost` (timed
+//! [`CartComm::recv_halo_dir`], which classifies every directional
+//! receive as a [`HaloRecv`]: `Ok` (arrived), `Lost` (timed
 //! out — recoverable by policy) or `PeerDead` (the peer thread is gone —
 //! fatal in an unrecovered world, because a dead rank's whole subdomain is
 //! missing, not one strip). The two failure modes are structurally
@@ -55,7 +55,7 @@ pub mod tcp;
 pub mod transport;
 pub mod world;
 
-pub use cart::{CartComm, Direction, HaloRecv, HaloStatus};
+pub use cart::{CartComm, Direction, HaloRecv};
 pub use comm::{Comm, CommStats, Message, RecvError, Tag, TrafficReport};
 pub use supervise::{record_recovery, ChaosPlan, KillSpec, RecoveryReport, Supervisor};
 pub use tcp::{connect_tcp_world, TcpTransport};

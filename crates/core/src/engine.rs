@@ -33,6 +33,7 @@ use pde_commsim::{
     CartComm, ChaosPlan, FaultPlan, PersistentWorld, RankContext, Supervisor, TrafficReport,
     TransportKind, World,
 };
+use pde_domain::GridPartition;
 use pde_tensor::{PerfCounters, Tensor3};
 use std::collections::BTreeMap;
 
@@ -143,14 +144,6 @@ pub enum EngineError {
         /// The layout fixed by the first registration.
         fixed: (usize, usize),
     },
-    /// The scheduler's resident-model cap is reached and every resident
-    /// model has requests pending or in flight — nothing can be evicted.
-    ResidencyFull {
-        /// The model name being registered.
-        model: String,
-        /// The configured resident-model cap.
-        cap: usize,
-    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -176,17 +169,62 @@ impl std::fmt::Display for EngineError {
                  topology was fixed at {fy}x{fx} by the first registration — serve it from a \
                  separate engine, or register it first"
             ),
-            EngineError::ResidencyFull { model, cap } => write!(
-                f,
-                "register('{model}'): resident-model cap {cap} reached and every resident \
-                 model has requests in flight — raise --max-models or retry once traffic \
-                 drains"
-            ),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+/// The rule every model registry over one world applies — the engine's, and
+/// the scheduler's over its equally sized sub-worlds: a model must span
+/// exactly the world's ranks, and decompose as the `(py, px)` layout the
+/// first registration fixed, because the resident `CartComm`s are built
+/// for that layout.
+pub(crate) struct Layout {
+    ranks: usize,
+    fixed: Option<(usize, usize)>,
+}
+
+impl Layout {
+    /// No layout fixed yet, over a world of `ranks` ranks.
+    pub(crate) fn new(ranks: usize) -> Self {
+        Layout { ranks, fixed: None }
+    }
+
+    /// The `(py, px)` fixed by the first registration, if any.
+    pub(crate) fn fixed(&self) -> Option<(usize, usize)> {
+        self.fixed
+    }
+
+    /// Checks model `name`'s partition against the rule and returns its
+    /// `(py, px)`; the first accepted partition fixes the layout. Nothing
+    /// changes on an error.
+    pub(crate) fn admit(
+        &mut self,
+        name: &str,
+        part: &GridPartition,
+    ) -> Result<(usize, usize), EngineError> {
+        if part.rank_count() != self.ranks {
+            return Err(EngineError::RankCountMismatch {
+                model: name.to_string(),
+                model_ranks: part.rank_count(),
+                world_ranks: self.ranks,
+            });
+        }
+        let layout = (part.py(), part.px());
+        match self.fixed {
+            Some(fixed) if fixed != layout => Err(EngineError::LayoutMismatch {
+                model: name.to_string(),
+                model_layout: layout,
+                fixed,
+            }),
+            _ => {
+                self.fixed = Some(layout);
+                Ok(layout)
+            }
+        }
+    }
+}
 
 /// What lives in each rank slot of the engine's world: the rank's Cartesian
 /// communicator (moved out of the slot on first registration, so it
@@ -246,10 +284,8 @@ pub struct InferEngine {
     /// normalization per model name. The rank-side twins (restored nets +
     /// scratch) live on the worker threads.
     models: BTreeMap<String, ParallelInference>,
-    /// The `(py, px)` Cartesian layout fixed by the first registration —
-    /// the resident `CartComm`s are built for it, so every later model
-    /// must decompose the same way.
-    layout: Option<(usize, usize)>,
+    /// The rank count and `(py, px)` layout every registered model shares.
+    layout: Layout,
     /// Deterministic kill schedule (see [`EngineConfig::chaos`]).
     chaos: Option<ChaosPlan>,
     /// Supervisor recovery on rank death (see [`EngineConfig::self_heal`]).
@@ -336,9 +372,9 @@ impl InferEngine {
         // before the first model registers.
         world.run(|_ctx| pde_tensor::pool::set_thread_budget(budget));
         InferEngine {
+            layout: Layout::new(world.size()),
             world,
             models: BTreeMap::new(),
-            layout: None,
             chaos: cfg.chaos,
             self_heal: cfg.self_heal,
             request_base: 0,
@@ -398,26 +434,7 @@ impl InferEngine {
     /// The blueprint's own fault plan is ignored here: the engine's
     /// transport was configured once via [`EngineConfig::with_fault_plan`].
     pub fn register(&mut self, name: &str, inf: ParallelInference) -> Result<(), EngineError> {
-        let part = inf.partition();
-        if part.rank_count() != self.world.size() {
-            return Err(EngineError::RankCountMismatch {
-                model: name.to_string(),
-                model_ranks: part.rank_count(),
-                world_ranks: self.world.size(),
-            });
-        }
-        let (py, px) = (part.py(), part.px());
-        match self.layout {
-            Some(fixed) if (py, px) != fixed => {
-                return Err(EngineError::LayoutMismatch {
-                    model: name.to_string(),
-                    model_layout: (py, px),
-                    fixed,
-                });
-            }
-            Some(_) => {}
-            None => self.layout = Some((py, px)),
-        }
+        let (py, px) = self.layout.admit(name, inf.partition())?;
         let mask_dead = survive_dead(self.self_heal, &inf);
         self.world.run(|mut ctx| {
             if ctx.state().is_none() {
@@ -458,23 +475,6 @@ impl InferEngine {
             name,
             ParallelInference::from_outcome(arch, strategy, outcome),
         )
-    }
-
-    /// Evicts the resident model `name`: drops its driver-side blueprint
-    /// and every rank's resident rollout state (restored net, window ring,
-    /// scratch). Returns whether the name was registered. The engine's
-    /// layout stays fixed — an evicted model's slot can be re-registered
-    /// any time the same `(py, px)` decomposition.
-    pub fn deregister(&mut self, name: &str) -> bool {
-        if self.models.remove(name).is_none() {
-            return false;
-        }
-        self.world.run(|mut ctx| {
-            if ctx.state().is_some() {
-                resident(&mut ctx).models.remove(name);
-            }
-        });
-        true
     }
 
     /// Serves one rollout request against the resident model `name`
@@ -653,6 +653,7 @@ impl InferEngine {
             let models = &self.models;
             let (py, px) = self
                 .layout
+                .fixed()
                 .expect("a served request implies at least one registration");
             let healed = Supervisor::heal(&mut self.world, |mut ctx, comm, was_dead| {
                 let rank = ctx.rank();
@@ -957,21 +958,30 @@ mod tests {
     }
 
     #[test]
-    fn deregister_evicts_rank_state_and_frees_the_name() {
-        let (data, inf) = trained(PaddingStrategy::ZeroPad, 4);
-        let mut engine = InferEngine::new(4);
-        engine.register("m", inf.clone()).unwrap();
-        let before = engine.rollout("m", data.snapshot(0), 2).unwrap();
-        assert!(engine.deregister("m"), "was registered");
-        assert!(!engine.deregister("m"), "second eviction is a no-op");
-        assert!(matches!(
-            engine.rollout("m", data.snapshot(0), 2),
-            Err(InferError::UnknownModel { .. })
-        ));
-        // Re-registration after eviction serves bitwise the same.
-        engine.register("m", inf).unwrap();
-        let after = engine.rollout("m", data.snapshot(0), 2).unwrap();
-        assert_eq!(after.states, before.states);
+    fn the_layout_rule_checks_ranks_then_keeps_the_first_decomposition() {
+        let mut layout = Layout::new(4);
+        let two_by_two = GridPartition::new(16, 16, 2, 2);
+        let one_by_four = GridPartition::new(16, 16, 1, 4);
+        assert_eq!(
+            layout.admit("small", &GridPartition::new(16, 16, 1, 2)),
+            Err(EngineError::RankCountMismatch {
+                model: "small".into(),
+                model_ranks: 2,
+                world_ranks: 4
+            })
+        );
+        assert_eq!(layout.fixed(), None, "a refused model fixes nothing");
+        assert_eq!(layout.admit("a", &two_by_two), Ok((2, 2)));
+        assert_eq!(
+            layout.admit("b", &one_by_four),
+            Err(EngineError::LayoutMismatch {
+                model: "b".into(),
+                model_layout: (1, 4),
+                fixed: (2, 2)
+            })
+        );
+        assert_eq!(layout.admit("c", &two_by_two), Ok((2, 2)));
+        assert_eq!(layout.fixed(), Some((2, 2)));
     }
 
     #[test]

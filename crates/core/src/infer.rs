@@ -201,8 +201,8 @@ pub enum HaloPolicy {
     /// are counted per rank in the [`TrafficReport`]. A dead *peer* is
     /// still fatal: its entire subdomain is gone, and silently zero-filling
     /// a missing quarter of the domain would corrupt the result without a
-    /// trace — that distinction (loss vs. death) is the reason
-    /// [`pde_commsim::HaloStatus`] exists.
+    /// trace — that distinction (loss vs. death) is why
+    /// [`pde_commsim::HaloRecv`] has separate `Lost` and `PeerDead` arms.
     Degrade {
         /// The budget one exchange phase's receives share before the
         /// stragglers are declared lost.
@@ -851,20 +851,15 @@ impl RankRolloutState {
             if self.halo == 0 {
                 dst.copy_from_slice(state.as_slice());
             } else {
-                let tag = tag_base + slot as u32;
-                let padded = match self.policy {
-                    HaloPolicy::Strict => assemble_halo_input(cart, state, self.halo, tag),
-                    HaloPolicy::Degrade { timeout, fallback } => assemble_halo_input_degraded(
-                        cart,
-                        state,
-                        self.halo,
-                        tag,
-                        timeout,
-                        fallback,
-                        self.survive_dead,
-                        &mut self.caches[slot],
-                    ),
-                };
+                let padded = assemble_halo_input_with(
+                    cart,
+                    state,
+                    self.halo,
+                    tag_base + slot as u32,
+                    self.policy,
+                    self.survive_dead,
+                    &mut self.caches[slot],
+                );
                 dst.copy_from_slice(padded.as_slice());
             }
         }
@@ -894,18 +889,60 @@ impl RankRolloutState {
 }
 
 /// Assembles the `(c, h+2halo, w+2halo)` padded input of one rank by the
-/// two-phase halo exchange. Physical-boundary halo cells stay zero
-/// (`PadMode::Zeros`, consistent with training-input construction).
-///
-/// Phase 1 swaps `h × halo` column strips with the x-neighbors; phase 2
-/// swaps `halo × (w+2halo)` row strips **of the partially assembled padded
-/// tensor**, so corner cells arrive from diagonal neighbors without any
-/// extra messages.
+/// two-phase halo exchange under [`HaloPolicy::Strict`] — the exchange
+/// every rollout runs unless it opts into degradation. See
+/// [`assemble_halo_input_with`].
 pub fn assemble_halo_input(
     cart: &mut CartComm,
     local: &Tensor3,
     halo: usize,
     step: u32,
+) -> Tensor3 {
+    assemble_halo_input_with(
+        cart,
+        local,
+        halo,
+        step,
+        HaloPolicy::Strict,
+        false,
+        &mut HaloCache::default(),
+    )
+}
+
+/// Assembles one rank's padded input by the two-phase halo exchange.
+/// Physical-boundary halo cells stay zero (`PadMode::Zeros`, consistent
+/// with training-input construction).
+///
+/// Phase 1 swaps `h × halo` column strips with the x-neighbors; phase 2
+/// swaps `halo × (w+2halo)` row strips **of the partially assembled padded
+/// tensor**, so corner cells arrive from diagonal neighbors without any
+/// extra messages.
+///
+/// Under [`HaloPolicy::Strict`] each phase is one blocking
+/// [`CartComm::exchange_x`] / [`CartComm::exchange_y`] round. Under
+/// [`HaloPolicy::Degrade`] each phase is *synchronized*: it posts its
+/// sends, crosses a barrier, and only then runs the timed receives. After
+/// the barrier every delivered strip is already in the inbox (sends
+/// enqueue before the sender can enter the barrier), so a timeout can only
+/// fire for a message the fault plan actually dropped (or delayed longer
+/// than `timeout`). That is what makes degraded rollouts deterministic:
+/// which strips are lost is a pure function of the fault plan, never of
+/// thread scheduling. A lost strip is replaced per the policy's fallback
+/// (`cache` holds the last-known strips) and the substitution is counted
+/// in this rank's [`TrafficReport`]. A **dead** neighbor panics unless
+/// `survive_dead` is set: its whole subdomain is missing, and no
+/// strip-level fallback can stand in for a quarter of the domain. (The
+/// per-phase barriers cost `2⌈log₂P⌉` extra empty messages per rank per
+/// assembly — the price of determinism, visible in `msgs_sent` but not in
+/// `bytes_sent`.) `survive_dead` and `cache` are unused under Strict.
+pub fn assemble_halo_input_with(
+    cart: &mut CartComm,
+    local: &Tensor3,
+    halo: usize,
+    step: u32,
+    policy: HaloPolicy,
+    survive_dead: bool,
+    cache: &mut HaloCache,
 ) -> Tensor3 {
     let (c, h, w) = local.shape();
     assert!(
@@ -918,19 +955,26 @@ pub fn assemble_halo_input(
         step as u64,
         0,
     );
+    let mut degrade = match policy {
+        HaloPolicy::Strict => None,
+        HaloPolicy::Degrade { timeout, fallback } => Some(Degrade {
+            timeout,
+            fallback,
+            survive_dead,
+            cache,
+        }),
+    };
     let mut padded = Tensor3::zeros(c, h + 2 * halo, w + 2 * halo);
     padded.set_window(halo, halo, local);
 
-    use pde_commsim::Direction::*;
-    let rank = cart.comm().rank();
+    use Direction::*;
     // Phase 1: x-axis (column strips from the raw interior).
     let to_left = cart.neighbor(Left).map(|_| pack_cols(local, 0, halo));
     let to_right = cart
         .neighbor(Right)
         .map(|_| pack_cols(local, w - halo, halo));
-    crate::live::halo_bytes_out().add(rank, strip_bytes(&to_left) + strip_bytes(&to_right));
-    let (from_left, from_right) = cart.exchange_x(to_left, to_right, step * 2);
-    crate::live::halo_bytes_in().add(rank, strip_bytes(&from_left) + strip_bytes(&from_right));
+    let (from_left, from_right) =
+        exchange_phase(cart, Axis::X, to_left, to_right, step * 2, degrade.as_mut());
     if let Some(buf) = from_left {
         let strip = Tensor3::from_vec(c, h, halo, buf);
         padded.set_window(halo, 0, &strip);
@@ -941,12 +985,19 @@ pub fn assemble_halo_input(
     }
 
     // Phase 2: y-axis (row strips from the partially padded tensor — they
-    // carry the freshly received x-halos, which become the corners).
+    // carry the freshly received x-halos, which become the corners; a
+    // zero-filled x-halo therefore propagates zeros into the corner it
+    // feeds, exactly as if that corner were a physical boundary).
     let to_down = cart.neighbor(Down).map(|_| pack_rows(&padded, halo, halo));
     let to_up = cart.neighbor(Up).map(|_| pack_rows(&padded, h, halo));
-    crate::live::halo_bytes_out().add(rank, strip_bytes(&to_down) + strip_bytes(&to_up));
-    let (from_down, from_up) = cart.exchange_y(to_down, to_up, step * 2 + 1);
-    crate::live::halo_bytes_in().add(rank, strip_bytes(&from_down) + strip_bytes(&from_up));
+    let (from_down, from_up) = exchange_phase(
+        cart,
+        Axis::Y,
+        to_down,
+        to_up,
+        step * 2 + 1,
+        degrade.as_mut(),
+    );
     if let Some(buf) = from_down {
         place_rows(&mut padded, 0, halo, &buf);
     }
@@ -954,6 +1005,69 @@ pub fn assemble_halo_input(
         place_rows(&mut padded, h + halo, halo, &buf);
     }
     padded
+}
+
+/// The axis one exchange phase runs along.
+#[derive(Clone, Copy)]
+enum Axis {
+    X,
+    Y,
+}
+
+/// What a [`HaloPolicy::Degrade`] assembly needs beyond the strips.
+struct Degrade<'a> {
+    timeout: Duration,
+    fallback: HaloFallback,
+    survive_dead: bool,
+    cache: &'a mut HaloCache,
+}
+
+/// One exchange phase: sends `(to_neg, to_pos)` along `axis` and returns
+/// the strips to place from the negative and positive side. Strict blocks
+/// until both arrive; degraded posts, crosses the barrier, then receives
+/// against one deadline for the whole phase.
+fn exchange_phase(
+    cart: &mut CartComm,
+    axis: Axis,
+    to_neg: Option<Vec<f64>>,
+    to_pos: Option<Vec<f64>>,
+    tag: u32,
+    degrade: Option<&mut Degrade<'_>>,
+) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+    let rank = cart.comm().rank();
+    crate::live::halo_bytes_out().add(rank, strip_bytes(&to_neg) + strip_bytes(&to_pos));
+    let Some(degrade) = degrade else {
+        let got = match axis {
+            Axis::X => cart.exchange_x(to_neg, to_pos, tag),
+            Axis::Y => cart.exchange_y(to_neg, to_pos, tag),
+        };
+        crate::live::halo_bytes_in().add(rank, strip_bytes(&got.0) + strip_bytes(&got.1));
+        return got;
+    };
+    let dirs = match axis {
+        Axis::X => {
+            cart.post_x_sends(to_neg, to_pos, tag);
+            [Direction::Left, Direction::Right]
+        }
+        Axis::Y => {
+            cart.post_y_sends(to_neg, to_pos, tag);
+            [Direction::Down, Direction::Up]
+        }
+    };
+    // After the barrier every delivered strip is in the inbox.
+    cart.comm_mut().barrier();
+    // One deadline for the whole phase, armed ONCE: the per-direction
+    // receives share the budget instead of each re-arming the full
+    // `timeout`, so losing both neighbors costs `timeout`, not 2×. A
+    // zero-remainder receive still drains the inbox non-blockingly, so
+    // sharing the budget can never misclassify a delivered strip as lost.
+    let deadline = Instant::now() + degrade.timeout;
+    let [from_neg, from_pos] = dirs.map(|dir| {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let recv = cart.recv_halo_dir(dir, tag, remaining)?;
+        resolve_halo(cart.comm(), recv, dir, degrade)
+    });
+    (from_neg, from_pos)
 }
 
 /// Payload bytes of an optional halo strip (8 per f64 value).
@@ -968,145 +1082,42 @@ pub struct HaloCache {
     strips: [Option<Vec<f64>>; 4],
 }
 
-/// Loss-tolerant [`assemble_halo_input`]: the same two-phase exchange, but
-/// *synchronized* — each phase posts its sends, crosses a barrier, and only
-/// then runs the timed receives. After the barrier every delivered strip is
-/// already in the inbox (sends enqueue before the sender can enter the
-/// barrier), so a timeout can only fire for a message the fault plan
-/// actually dropped (or delayed longer than `timeout`). That is what makes
-/// degraded rollouts deterministic: which strips are lost is a pure
-/// function of the fault plan, never of thread scheduling.
-///
-/// A lost strip is replaced per `fallback` and the substitution is counted
-/// in this rank's [`TrafficReport`]. A **dead** neighbor panics under every
-/// policy: its whole subdomain is missing, and no strip-level fallback can
-/// stand in for a quarter of the domain. (The per-phase barriers cost
-/// `2⌈log₂P⌉` extra empty messages per rank per assembly — the price of
-/// determinism, visible in `msgs_sent` but not in `bytes_sent`.)
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_halo_input_degraded(
-    cart: &mut CartComm,
-    local: &Tensor3,
-    halo: usize,
-    step: u32,
-    timeout: Duration,
-    fallback: HaloFallback,
-    survive_dead: bool,
-    cache: &mut HaloCache,
-) -> Tensor3 {
-    let (c, h, w) = local.shape();
-    assert!(
-        halo <= h && halo <= w,
-        "assemble_halo_input_degraded: halo {halo} exceeds local {h}x{w}"
-    );
-    let _span = pde_trace::span_args(
-        pde_trace::Category::Infer,
-        pde_trace::names::ASSEMBLE,
-        step as u64,
-        0,
-    );
-    let mut padded = Tensor3::zeros(c, h + 2 * halo, w + 2 * halo);
-    padded.set_window(halo, halo, local);
-
-    use Direction::*;
-    // Phase 1: x-axis (column strips from the raw interior).
-    let to_left = cart.neighbor(Left).map(|_| pack_cols(local, 0, halo));
-    let to_right = cart
-        .neighbor(Right)
-        .map(|_| pack_cols(local, w - halo, halo));
-    crate::live::halo_bytes_out().add(
-        cart.comm().rank(),
-        strip_bytes(&to_left) + strip_bytes(&to_right),
-    );
-    cart.post_x_sends(to_left, to_right, step * 2);
-    cart.comm_mut().barrier(); // delivered x strips are now all inboxed
-                               // One deadline for the whole phase, armed ONCE: the per-direction
-                               // receives share the budget instead of each re-arming the full
-                               // `timeout`, so losing both neighbors costs `timeout`, not 2×. Delivered
-                               // strips are already inboxed (post-barrier) and a zero-remainder receive
-                               // still drains the inbox non-blockingly, so sharing the budget can never
-                               // misclassify a delivered strip as lost.
-    let x_deadline = Instant::now() + timeout;
-    for dir in [Left, Right] {
-        let remaining = x_deadline.saturating_duration_since(Instant::now());
-        if let Some(recv) = cart.recv_halo_dir(dir, step * 2, remaining) {
-            if let Some(buf) = resolve_halo(cart.comm(), recv, dir, fallback, survive_dead, cache) {
-                let strip = Tensor3::from_vec(c, h, halo, buf);
-                let col = if dir == Left { 0 } else { w + halo };
-                padded.set_window(halo, col, &strip);
-            }
-        }
-    }
-
-    // Phase 2: y-axis (row strips of the partially padded tensor — they
-    // carry the x-halos just placed, which become the corners; a
-    // zero-filled x-halo therefore propagates zeros into the corner it
-    // feeds, exactly as if that corner were a physical boundary).
-    let to_down = cart.neighbor(Down).map(|_| pack_rows(&padded, halo, halo));
-    let to_up = cart.neighbor(Up).map(|_| pack_rows(&padded, h, halo));
-    crate::live::halo_bytes_out().add(
-        cart.comm().rank(),
-        strip_bytes(&to_down) + strip_bytes(&to_up),
-    );
-    cart.post_y_sends(to_down, to_up, step * 2 + 1);
-    cart.comm_mut().barrier(); // delivered y strips are now all inboxed
-    let y_deadline = Instant::now() + timeout; // fresh budget for phase 2
-    for dir in [Down, Up] {
-        let remaining = y_deadline.saturating_duration_since(Instant::now());
-        if let Some(recv) = cart.recv_halo_dir(dir, step * 2 + 1, remaining) {
-            if let Some(buf) = resolve_halo(cart.comm(), recv, dir, fallback, survive_dead, cache) {
-                let row = if dir == Down { 0 } else { h + halo };
-                place_rows(&mut padded, row, halo, &buf);
-            }
-        }
-    }
-    padded
-}
-
-/// Classifies one directional [`HaloRecv`] under `fallback`: the strip to
-/// place, or `None` to leave the (zeroed) halo cells alone. Maintains the
-/// last-known cache and the per-rank substitution counters.
+/// Classifies one directional [`HaloRecv`] under the degrade fallback: the
+/// strip to place, or `None` to leave the (zeroed) halo cells alone.
+/// Maintains the last-known cache and the per-rank substitution counters.
 fn resolve_halo(
     comm: &Comm,
     recv: HaloRecv,
     dir: Direction,
-    fallback: HaloFallback,
-    survive_dead: bool,
-    cache: &mut HaloCache,
+    degrade: &mut Degrade<'_>,
 ) -> Option<Vec<f64>> {
+    let cache = &mut degrade.cache.strips[dir.index()];
     match recv {
         HaloRecv::Ok(buf) => {
             crate::live::halo_bytes_in().add(comm.rank(), buf.len() as u64 * 8);
-            if fallback == HaloFallback::LastKnown {
-                cache.strips[dir.index()] = Some(buf.clone());
+            if degrade.fallback == HaloFallback::LastKnown {
+                *cache = Some(buf.clone());
             }
             Some(buf)
         }
-        HaloRecv::Lost => match fallback {
-            HaloFallback::ZeroFill => {
+        HaloRecv::Lost => match (degrade.fallback, cache) {
+            (HaloFallback::LastKnown, Some(buf)) => {
+                comm.stats().note_halo_stale();
+                crate::live::halos_stale().inc(comm.rank());
+                Some(buf.clone())
+            }
+            _ => {
                 comm.stats().note_halo_zero_filled();
                 crate::live::halos_zero_filled().inc(comm.rank());
                 None
             }
-            HaloFallback::LastKnown => match &cache.strips[dir.index()] {
-                Some(buf) => {
-                    comm.stats().note_halo_stale();
-                    crate::live::halos_stale().inc(comm.rank());
-                    Some(buf.clone())
-                }
-                None => {
-                    comm.stats().note_halo_zero_filled();
-                    crate::live::halos_zero_filled().inc(comm.rank());
-                    None
-                }
-            },
         },
         // Maskable only under a supervisor that will respawn the peer
         // (`survive_dead`): the gap is then served like a lost strip and
         // the retried request runs on the healed world. Otherwise
         // deliberately fatal: see `HaloPolicy::Degrade`.
-        HaloRecv::PeerDead if survive_dead => {
-            resolve_halo(comm, HaloRecv::Lost, dir, fallback, survive_dead, cache)
+        HaloRecv::PeerDead if degrade.survive_dead => {
+            resolve_halo(comm, HaloRecv::Lost, dir, degrade)
         }
         HaloRecv::PeerDead => panic!(
             "halo exchange: rank {}'s {dir:?} neighbor is dead — a lost subdomain is fatal \
@@ -1236,6 +1247,34 @@ mod tests {
             );
             assert!(!t.degraded(), "rank {rank} healthy strict rollout");
         }
+    }
+
+    #[test]
+    fn degraded_traffic_adds_only_empty_barrier_messages() {
+        let (data, inf) = trained(PaddingStrategy::NeighborPad, 4);
+        let steps = 3;
+        let strict = inf.rollout(data.snapshot(0), steps).unwrap();
+        let degraded = inf
+            .with_halo_policy(HaloPolicy::Degrade {
+                timeout: pde_commsim::test_timeout(),
+                fallback: HaloFallback::ZeroFill,
+            })
+            .rollout(data.snapshot(0), steps)
+            .unwrap();
+        // Per step each rank of the 2×2 grid sends its two strips plus a
+        // ⌈log₂4⌉ = 2-message barrier per exchange phase; the request ends
+        // in one more (quiesce) barrier.
+        let per_step = 2 + 2 * 2;
+        for (rank, (d, s)) in degraded.traffic.iter().zip(&strict.traffic).enumerate() {
+            assert_eq!(
+                d.msgs_sent,
+                (per_step * steps + 2) as u64,
+                "rank {rank} message count"
+            );
+            assert_eq!(d.bytes_sent, s.bytes_sent, "rank {rank} bytes");
+            assert!(!d.degraded(), "rank {rank} fault-free degraded rollout");
+        }
+        assert_eq!(degraded.states, strict.states);
     }
 
     #[test]
@@ -1385,13 +1424,15 @@ mod tests {
             let local = Tensor3::zeros(1, 4, 4);
             let mut cache = HaloCache::default();
             let t0 = Instant::now();
-            let padded = assemble_halo_input_degraded(
+            let padded = assemble_halo_input_with(
                 &mut cart,
                 &local,
                 1,
                 0,
-                timeout,
-                HaloFallback::ZeroFill,
+                HaloPolicy::Degrade {
+                    timeout,
+                    fallback: HaloFallback::ZeroFill,
+                },
                 false,
                 &mut cache,
             );

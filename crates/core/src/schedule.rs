@@ -1,5 +1,5 @@
-//! Concurrent serving: a bounded request queue feeding sub-world engines,
-//! LRU-bounded multi-tenant residency, and SLO-aware admission control.
+//! Concurrent serving: a bounded request queue feeding sub-world engines
+//! under SLO-aware admission control.
 //!
 //! [`crate::engine::InferEngine`] serves one request at a time — all of the
 //! SIMD throughput below it sits behind a single-file queue. The
@@ -20,27 +20,22 @@
 //!
 //! 1. **Unhealthy** — the configured [`HealthModel`] reports Degraded or
 //!    Failed: new traffic is refused while the stack recovers;
-//! 2. **SLO breach** — the rolling p99.9 over the last
-//!    `latency_window` served requests ([`LATENCY_WINDOW`] by default,
-//!    [`SchedulerConfig::with_latency_window`] to resize) exceeds
-//!    `slo_ms`: shedding now beats collapsing later;
+//! 2. **SLO breach** — the rolling p99.9 over the last [`LATENCY_WINDOW`]
+//!    served requests exceeds `slo_ms`, once at least [`SLO_MIN_SAMPLES`]
+//!    have been served: shedding now beats collapsing later;
 //! 3. **Queue full** — the bounded queue is at `queue_depth`.
 //!
 //! A shed request returns [`InferError::Rejected`] immediately and counts
 //! on `pdeml_requests_rejected_total{reason=…}`; it never touches a rank.
 //!
-//! ## Residency
+//! ## Registry
 //!
 //! Registered models are replicated on every sub-world (any sub-world can
-//! serve any request). [`Residency`] bounds how many stay resident:
-//! registering past `max_models` evicts the least-recently-used model that
-//! has **no pending or in-flight requests** — an in-flight model is never
-//! evicted; if every resident model is busy the registration fails with
-//! [`EngineError::ResidencyFull`] instead.
+//! serve any request) and stay resident for the scheduler's lifetime;
+//! `pdeml serve` registers its one model at start-up.
 
-use crate::engine::{EngineError, InferEngine};
+use crate::engine::{EngineError, InferEngine, Layout};
 use crate::infer::{InferError, ParallelInference, RejectReason, RolloutResult};
-use pde_commsim::World;
 use pde_telemetry::health::{Health, HealthModel};
 use pde_telemetry::DRIVER;
 use pde_tensor::Tensor3;
@@ -50,9 +45,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Rolling latency samples the SLO admission gate looks at, by default —
-/// [`SchedulerConfig::with_latency_window`] resizes the ring.
+/// Rolling served-request latency samples the SLO admission gate looks at.
 pub const LATENCY_WINDOW: usize = 256;
+
+/// Served requests the SLO gate waits for before it arms — a cold
+/// scheduler must not reject on one slow warm-up request.
+pub const SLO_MIN_SAMPLES: usize = 32;
 
 /// Process-unique id of one serving request, allocated at ingress (the
 /// HTTP front end, or [`RequestId::fresh`] for library callers) and
@@ -104,36 +102,24 @@ impl RequestPhases {
     }
 }
 
-/// How a [`Scheduler`] admits, queues and evicts.
+/// How a [`Scheduler`] admits and queues.
 #[derive(Clone)]
 pub struct SchedulerConfig {
     /// Admitted requests that may wait for an idle sub-world before
     /// admission starts refusing with `queue_full`.
     pub queue_depth: usize,
-    /// Resident-model cap across the registry (LRU eviction past it).
-    pub max_models: usize,
     /// Rolling-p99.9 objective in milliseconds; `None` disarms the gate.
     pub slo_ms: Option<u64>,
-    /// Served-request samples required before the SLO gate arms — a cold
-    /// scheduler must not reject on one slow warm-up request.
-    pub slo_min_samples: usize,
     /// Health model consulted at admission (Degraded/Failed ⇒ reject).
     pub health: Option<Arc<HealthModel>>,
-    /// Served-latency samples the rolling ring retains
-    /// ([`LATENCY_WINDOW`] by default). The SLO gate arms at
-    /// `slo_min_samples` regardless of the window size.
-    pub latency_window: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             queue_depth: 32,
-            max_models: 8,
             slo_ms: None,
-            slo_min_samples: 32,
             health: None,
-            latency_window: LATENCY_WINDOW,
         }
     }
 }
@@ -142,12 +128,6 @@ impl SchedulerConfig {
     /// Bounds the admitted-but-waiting queue.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Caps resident models (LRU eviction past the cap).
-    pub fn with_max_models(mut self, cap: usize) -> Self {
-        self.max_models = cap;
         self
     }
 
@@ -161,114 +141,6 @@ impl SchedulerConfig {
     pub fn with_health(mut self, health: Arc<HealthModel>) -> Self {
         self.health = Some(health);
         self
-    }
-
-    /// Resizes the rolling latency ring the p99.9 gate inspects (clamped
-    /// to ≥ 1). A smaller window reacts faster and forgets faster; the
-    /// arming threshold stays `slo_min_samples` either way.
-    pub fn with_latency_window(mut self, window: usize) -> Self {
-        self.latency_window = window.max(1);
-        self
-    }
-}
-
-/// Pure LRU residency bookkeeping: which models are resident, in what
-/// recency order, and how many requests each has pending or in flight.
-/// Factored out of the scheduler so the property suite can drive it
-/// against a naive model without threads.
-pub struct Residency {
-    cap: usize,
-    /// Resident names, least recently used first.
-    order: Vec<String>,
-    /// Pending + in-flight requests per resident model.
-    busy: BTreeMap<String, usize>,
-}
-
-impl Residency {
-    /// An empty residency with room for `cap` models.
-    ///
-    /// # Panics
-    /// If `cap` is 0 — a scheduler that can hold no model serves nothing.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1, "Residency: need room for at least one model");
-        Residency {
-            cap,
-            order: Vec::new(),
-            busy: BTreeMap::new(),
-        }
-    }
-
-    /// Resident names, least recently used first.
-    pub fn order(&self) -> &[String] {
-        &self.order
-    }
-
-    /// Whether `name` is resident.
-    pub fn is_resident(&self, name: &str) -> bool {
-        self.busy.contains_key(name)
-    }
-
-    /// Pending + in-flight requests charged to `name`.
-    pub fn busy_count(&self, name: &str) -> usize {
-        self.busy.get(name).copied().unwrap_or(0)
-    }
-
-    /// Makes `name` resident (most recently used), evicting the
-    /// least-recently-used **idle** model if the cap is exceeded. Returns
-    /// the evicted name, if any; errors when the cap is reached and every
-    /// resident model has requests pending or in flight.
-    pub fn admit(&mut self, name: &str) -> Result<Option<String>, EngineError> {
-        if self.is_resident(name) {
-            self.touch(name);
-            return Ok(None);
-        }
-        let mut evicted = None;
-        if self.order.len() >= self.cap {
-            let victim = self
-                .order
-                .iter()
-                .find(|m| self.busy[m.as_str()] == 0)
-                .cloned()
-                .ok_or_else(|| EngineError::ResidencyFull {
-                    model: name.to_string(),
-                    cap: self.cap,
-                })?;
-            self.order.retain(|m| m != &victim);
-            self.busy.remove(&victim);
-            evicted = Some(victim);
-        }
-        self.order.push(name.to_string());
-        self.busy.insert(name.to_string(), 0);
-        Ok(evicted)
-    }
-
-    /// Marks `name` most recently used.
-    ///
-    /// # Panics
-    /// If `name` is not resident.
-    pub fn touch(&mut self, name: &str) {
-        assert!(self.is_resident(name), "touch('{name}'): not resident");
-        self.order.retain(|m| m != name);
-        self.order.push(name.to_string());
-    }
-
-    /// Charges one pending/in-flight request to `name` (admission).
-    pub fn begin(&mut self, name: &str) {
-        *self
-            .busy
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("begin('{name}'): not resident")) += 1;
-    }
-
-    /// Releases one request from `name` and marks it most recently used.
-    pub fn finish(&mut self, name: &str) {
-        let n = self
-            .busy
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("finish('{name}'): not resident"));
-        assert!(*n > 0, "finish('{name}'): nothing in flight");
-        *n -= 1;
-        self.touch(name);
     }
 }
 
@@ -284,27 +156,25 @@ struct QueuedRequest {
     tx: mpsc::Sender<(Result<RolloutResult, InferError>, RequestPhases)>,
 }
 
-/// Registry maintenance shipped to a dispatcher, processed strictly before
+/// A model registration shipped to a dispatcher, processed strictly before
 /// it picks up queued requests — so a request admitted after `register`
 /// returned can never reach a sub-world that has not registered the model.
-enum Command {
-    Register(String, ParallelInference),
-    Evict(String),
+struct Registration {
+    name: String,
+    inf: ParallelInference,
 }
 
 struct SchedState {
     queue: VecDeque<QueuedRequest>,
-    /// Per-dispatcher command queues (FIFO each).
-    commands: Vec<VecDeque<Command>>,
-    residency: Residency,
+    /// Per-dispatcher registration queues (FIFO each).
+    registrations: Vec<VecDeque<Registration>>,
     /// Driver-side blueprints for request validation at admission.
     blueprints: BTreeMap<String, ParallelInference>,
-    /// `(py, px)` fixed by the first registration (see the engine's rule).
-    layout: Option<(usize, usize)>,
-    /// Rolling served-request latencies (ms) the SLO gate inspects.
+    /// The rank count and `(py, px)` every sub-world's engine enforces.
+    layout: Layout,
+    /// Rolling served-request latencies (ms) the SLO gate inspects, at
+    /// most [`LATENCY_WINDOW`] of them.
     latencies_ms: VecDeque<u64>,
-    /// Samples `latencies_ms` retains ([`SchedulerConfig::latency_window`]).
-    latency_window: usize,
     shutdown: bool,
     /// Dispatchers still alive (a panicked engine retires its dispatcher).
     live_workers: usize,
@@ -371,26 +241,15 @@ impl Ticket {
 pub struct Scheduler {
     shared: Arc<Shared>,
     cfg: SchedulerConfig,
-    sub_worlds: usize,
-    ranks_per_world: usize,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Scheduler {
-    /// Splits `world` into `sub_worlds` equal groups and schedules over
-    /// them. The common construction for `pdeml serve`.
-    pub fn over_world(
-        world: World,
-        sub_worlds: usize,
-        cfg: SchedulerConfig,
-    ) -> Result<Self, String> {
-        let engines = InferEngine::over_sub_worlds(world, sub_worlds)?;
-        Ok(Self::new(engines, cfg))
-    }
-
-    /// Schedules over caller-built engines (e.g. from [`World::split`] with
-    /// custom groups). Engines must be freshly built — same rank count
-    /// each, nothing registered yet; the scheduler owns the registry.
+    /// Schedules over caller-built engines — usually
+    /// [`InferEngine::over_sub_worlds`], or engines over
+    /// [`pde_commsim::World::split`] groups. Engines must be freshly built
+    /// — same rank count each, nothing registered yet; the scheduler owns
+    /// the registry.
     ///
     /// # Panics
     /// If `engines` is empty, rank counts differ, or a model is already
@@ -410,16 +269,13 @@ impl Scheduler {
             );
         }
         let sub_worlds = engines.len();
-        let latency_window = cfg.latency_window.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 queue: VecDeque::new(),
-                commands: (0..sub_worlds).map(|_| VecDeque::new()).collect(),
-                residency: Residency::new(cfg.max_models),
+                registrations: (0..sub_worlds).map(|_| VecDeque::new()).collect(),
                 blueprints: BTreeMap::new(),
-                layout: None,
-                latencies_ms: VecDeque::with_capacity(latency_window),
-                latency_window,
+                layout: Layout::new(ranks_per_world),
+                latencies_ms: VecDeque::with_capacity(LATENCY_WINDOW),
                 shutdown: false,
                 live_workers: sub_worlds,
             }),
@@ -447,60 +303,24 @@ impl Scheduler {
         Scheduler {
             shared,
             cfg,
-            sub_worlds,
-            ranks_per_world,
             workers,
         }
     }
 
-    /// Sub-worlds serving requests.
-    pub fn sub_worlds(&self) -> usize {
-        self.sub_worlds
-    }
-
-    /// Ranks per sub-world — the rank count registered models must match.
-    pub fn ranks_per_world(&self) -> usize {
-        self.ranks_per_world
-    }
-
     /// Registers `inf` on **every** sub-world (any of them can then serve
-    /// it), bounded by the resident-model cap: past it, the
-    /// least-recently-used idle model is evicted first. Validation
-    /// (rank count, layout) happens here, synchronously; the per-rank
-    /// network loading happens on each dispatcher before its next request.
+    /// it). Validation — the engines' own rank-count and layout rule —
+    /// happens here, synchronously; the per-rank network loading happens
+    /// on each dispatcher before its next request.
     pub fn register(&self, name: &str, inf: ParallelInference) -> Result<(), EngineError> {
-        let part = inf.partition();
-        if part.rank_count() != self.ranks_per_world {
-            return Err(EngineError::RankCountMismatch {
-                model: name.to_string(),
-                model_ranks: part.rank_count(),
-                world_ranks: self.ranks_per_world,
+        let mut st = self.shared.state.lock().unwrap();
+        st.layout.admit(name, inf.partition())?;
+        for queue in st.registrations.iter_mut() {
+            queue.push_back(Registration {
+                name: name.to_string(),
+                inf: inf.clone(),
             });
         }
-        let layout = (part.py(), part.px());
-        let mut st = self.shared.state.lock().unwrap();
-        match st.layout {
-            Some(fixed) if fixed != layout => {
-                return Err(EngineError::LayoutMismatch {
-                    model: name.to_string(),
-                    model_layout: layout,
-                    fixed,
-                });
-            }
-            Some(_) => {}
-            None => st.layout = Some(layout),
-        }
-        let evicted = st.residency.admit(name)?;
-        if let Some(victim) = &evicted {
-            st.blueprints.remove(victim);
-        }
-        st.blueprints.insert(name.to_string(), inf.clone());
-        for cmds in st.commands.iter_mut() {
-            if let Some(victim) = &evicted {
-                cmds.push_back(Command::Evict(victim.clone()));
-            }
-            cmds.push_back(Command::Register(name.to_string(), inf.clone()));
-        }
+        st.blueprints.insert(name.to_string(), inf);
         drop(st);
         self.shared.work.notify_all();
         Ok(())
@@ -554,7 +374,7 @@ impl Scheduler {
         }
         // Gate 3: rolling p99.9 vs the SLO.
         if let Some(slo) = self.cfg.slo_ms {
-            if st.latencies_ms.len() >= self.cfg.slo_min_samples {
+            if st.latencies_ms.len() >= SLO_MIN_SAMPLES {
                 if let Some(p999) = st.p999_ms() {
                     if p999 > slo {
                         drop(st);
@@ -568,7 +388,6 @@ impl Scheduler {
             drop(st);
             return Err(self.reject(RejectReason::QueueFull));
         }
-        st.residency.begin(name);
         let (tx, rx) = mpsc::channel();
         st.queue.push_back(QueuedRequest {
             id,
@@ -605,12 +424,12 @@ impl Drop for Scheduler {
 
 /// What one dispatcher iteration picked up under the lock.
 enum Work {
-    Cmd(Command),
+    Register(Registration),
     Req(QueuedRequest),
     Exit,
 }
 
-/// One sub-world's serving loop: drain registry commands first, then serve
+/// One sub-world's serving loop: drain registrations first, then serve
 /// queued requests until shutdown (the queue is drained before exit). A
 /// panicked request poisons this engine's world only — the dispatcher
 /// retires and the remaining sub-worlds keep serving.
@@ -619,8 +438,8 @@ fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
         let work = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if let Some(cmd) = st.commands[idx].pop_front() {
-                    break Work::Cmd(cmd);
+                if let Some(reg) = st.registrations[idx].pop_front() {
+                    break Work::Register(reg);
                 }
                 if let Some(req) = st.queue.pop_front() {
                     crate::live::request_queue_depth().set(DRIVER, st.queue.len() as i64);
@@ -634,13 +453,10 @@ fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
             }
         };
         match work {
-            Work::Cmd(Command::Register(name, inf)) => {
+            Work::Register(Registration { name, inf }) => {
                 engine
                     .register(&name, inf)
-                    .expect("scheduler validated the registration at admission");
-            }
-            Work::Cmd(Command::Evict(name)) => {
-                engine.deregister(&name);
+                    .expect("the scheduler applied the engines' layout rule at registration");
             }
             Work::Req(req) => {
                 let queue_us = req.submitted_at.elapsed().as_micros() as u64;
@@ -674,10 +490,9 @@ fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
                 let served = result.is_ok();
                 {
                     let mut st = shared.state.lock().unwrap();
-                    st.residency.finish(&req.name);
                     crate::live::requests_inflight().add(DRIVER, -1);
                     if served {
-                        while st.latencies_ms.len() >= st.latency_window {
+                        while st.latencies_ms.len() >= LATENCY_WINDOW {
                             st.latencies_ms.pop_front();
                         }
                         st.latencies_ms.push_back(elapsed_ms);
@@ -705,6 +520,7 @@ mod tests {
     use crate::arch::ArchSpec;
     use crate::padding::PaddingStrategy;
     use crate::train::{ParallelTrainer, TrainConfig};
+    use pde_commsim::World;
     use pde_euler::dataset::paper_dataset;
     use pde_telemetry::health::CheckStatus;
 
@@ -725,7 +541,8 @@ mod tests {
     }
 
     fn scheduler(sub_worlds: usize, cfg: SchedulerConfig) -> Scheduler {
-        Scheduler::over_world(World::new(2 * sub_worlds), sub_worlds, cfg).unwrap()
+        let engines = InferEngine::over_sub_worlds(World::new(2 * sub_worlds), sub_worlds);
+        Scheduler::new(engines.unwrap(), cfg)
     }
 
     #[test]
@@ -770,11 +587,34 @@ mod tests {
             .submit("m", std::slice::from_ref(data.snapshot(0)), usize::MAX)
             .unwrap_err();
         assert!(matches!(err, InferError::StepsOutOfRange { .. }));
-        // Caller errors never charge the residency ledger.
+        // Caller errors never reach the queue.
+        assert!(sched.shared.state.lock().unwrap().queue.is_empty());
+    }
+
+    #[test]
+    fn register_refuses_a_model_no_sub_world_can_serve() {
+        let (data, inf) = trained(2);
+        let (_, four_ranks) = trained(4);
+        let sched = scheduler(2, SchedulerConfig::default());
         assert_eq!(
-            sched.shared.state.lock().unwrap().residency.busy_count("m"),
-            0
+            sched.register("big", four_ranks).unwrap_err(),
+            EngineError::RankCountMismatch {
+                model: "big".into(),
+                model_ranks: 4,
+                world_ranks: 2
+            }
         );
+        let err = sched
+            .submit("big", std::slice::from_ref(data.snapshot(0)), 1)
+            .unwrap_err();
+        assert!(matches!(err, InferError::UnknownModel { .. }));
+        // The refusal reached no dispatcher: a fitting model still serves.
+        sched.register("m", inf).unwrap();
+        sched
+            .submit("m", std::slice::from_ref(data.snapshot(0)), 1)
+            .unwrap()
+            .wait()
+            .unwrap();
     }
 
     #[test]
@@ -798,15 +638,13 @@ mod tests {
     #[test]
     fn slo_breach_sheds_once_the_window_is_warm() {
         let (data, inf) = trained(2);
-        let cfg = SchedulerConfig::default().with_slo_ms(5);
-        let min = cfg.slo_min_samples;
-        let sched = scheduler(1, cfg);
+        let sched = scheduler(1, SchedulerConfig::default().with_slo_ms(5));
         sched.register("m", inf).unwrap();
         // Seed the rolling window past the arming threshold with samples
         // far over the 5 ms objective.
         {
             let mut st = sched.shared.state.lock().unwrap();
-            for _ in 0..min {
+            for _ in 0..SLO_MIN_SAMPLES {
                 st.latencies_ms.push_back(1000);
             }
         }
@@ -824,31 +662,27 @@ mod tests {
     #[test]
     fn slo_gate_arms_at_min_samples_regardless_of_window_size() {
         let (data, inf) = trained(2);
-        // A window far larger than the arming threshold: the gate must arm
-        // at `slo_min_samples` (32), not when the ring fills.
-        let cfg = SchedulerConfig::default()
-            .with_slo_ms(5)
-            .with_latency_window(512);
-        let min = cfg.slo_min_samples;
-        let sched = scheduler(1, cfg);
+        // The window is far larger than the arming threshold: the gate must
+        // arm at SLO_MIN_SAMPLES, not when the ring fills.
+        const { assert!(SLO_MIN_SAMPLES < LATENCY_WINDOW) };
+        let sched = scheduler(1, SchedulerConfig::default().with_slo_ms(5));
         sched.register("m", inf.clone()).unwrap();
         {
             let mut st = sched.shared.state.lock().unwrap();
-            assert_eq!(st.latency_window, 512);
-            for _ in 0..min - 1 {
+            for _ in 0..SLO_MIN_SAMPLES - 1 {
                 st.latencies_ms.push_back(1000);
             }
         }
         // One sample short of the threshold: admitted despite the breach.
         sched
             .submit("m", std::slice::from_ref(data.snapshot(0)), 1)
-            .expect("gate must stay disarmed below slo_min_samples")
+            .expect("gate must stay disarmed below SLO_MIN_SAMPLES")
             .wait()
             .unwrap();
         {
             let mut st = sched.shared.state.lock().unwrap();
             st.latencies_ms.clear();
-            for _ in 0..min {
+            for _ in 0..SLO_MIN_SAMPLES {
                 st.latencies_ms.push_back(1000);
             }
         }
@@ -860,24 +694,31 @@ mod tests {
             InferError::Rejected {
                 reason: RejectReason::SloBreach
             },
-            "gate arms at exactly slo_min_samples even in a 512-wide ring"
+            "gate arms at exactly SLO_MIN_SAMPLES even in a {LATENCY_WINDOW}-wide ring"
         );
 
-        // And a tiny window stays bounded: the ring never outgrows it.
-        let small = scheduler(1, SchedulerConfig::default().with_latency_window(4));
-        small.register("m", inf).unwrap();
+        // And a full ring stays bounded: served requests push the oldest
+        // samples out instead of growing it.
+        let full = scheduler(1, SchedulerConfig::default());
+        full.register("m", inf).unwrap();
+        full.shared.state.lock().unwrap().latencies_ms = vec![u64::MAX; LATENCY_WINDOW].into();
         for k in 0..6 {
-            small
-                .submit("m", std::slice::from_ref(data.snapshot(k)), 1)
+            full.submit("m", std::slice::from_ref(data.snapshot(k)), 1)
                 .unwrap()
                 .wait()
                 .unwrap();
         }
-        let st = small.shared.state.lock().unwrap();
+        let st = full.shared.state.lock().unwrap();
         assert!(
-            st.latencies_ms.len() <= 4,
-            "6 served requests, window 4 ⇒ at most 4 retained samples (got {})",
+            st.latencies_ms.len() <= LATENCY_WINDOW,
+            "6 requests served into a full ring ⇒ at most {LATENCY_WINDOW} retained samples \
+             (got {})",
             st.latencies_ms.len()
+        );
+        assert_eq!(
+            st.latencies_ms.iter().filter(|&&ms| ms == u64::MAX).count(),
+            LATENCY_WINDOW - 6,
+            "the six oldest samples made room"
         );
     }
 
@@ -936,56 +777,5 @@ mod tests {
         for t in admitted {
             assert!(t.wait().is_ok(), "admitted requests are always served");
         }
-    }
-
-    #[test]
-    fn residency_cap_evicts_lru_and_protects_busy_models() {
-        let mut r = Residency::new(2);
-        assert_eq!(r.admit("a").unwrap(), None);
-        assert_eq!(r.admit("b").unwrap(), None);
-        // "a" is LRU → evicted for "c".
-        assert_eq!(r.admit("c").unwrap(), Some("a".to_string()));
-        // Touch "b" (now MRU), admit "d": victim is "c".
-        r.touch("b");
-        assert_eq!(r.admit("d").unwrap(), Some("c".to_string()));
-        // A busy model is skipped: "b" is LRU but has work in flight.
-        r.begin("b");
-        assert_eq!(r.admit("e").unwrap(), Some("d".to_string()));
-        // Every resident busy → typed error.
-        r.begin("e");
-        assert_eq!(
-            r.admit("f").unwrap_err(),
-            EngineError::ResidencyFull {
-                model: "f".to_string(),
-                cap: 2
-            }
-        );
-        // Finishing unblocks admission again.
-        r.finish("e");
-        assert_eq!(r.admit("f").unwrap(), Some("e".to_string()));
-    }
-
-    #[test]
-    fn scheduler_register_past_cap_evicts_and_still_serves() {
-        let (data, inf) = trained(2);
-        let sched = scheduler(1, SchedulerConfig::default().with_max_models(1));
-        sched.register("first", inf.clone()).unwrap();
-        let want = sched
-            .submit("first", std::slice::from_ref(data.snapshot(0)), 2)
-            .unwrap()
-            .wait()
-            .unwrap();
-        // Registering a second model evicts "first" (cap 1, idle).
-        sched.register("second", inf).unwrap();
-        let err = sched
-            .submit("first", std::slice::from_ref(data.snapshot(0)), 2)
-            .unwrap_err();
-        assert!(matches!(err, InferError::UnknownModel { .. }));
-        let got = sched
-            .submit("second", std::slice::from_ref(data.snapshot(0)), 2)
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(got.states, want.states, "same weights, same rollout");
     }
 }

@@ -3,8 +3,10 @@
 //! subsystem degrades.
 //!
 //! The paper assumes a reliable MPI; these tests exercise the library's
-//! loss-tolerant halo layer ([`CartComm::exchange_timeout`] and the
-//! [`HaloPolicy`] machinery in `pde-ml-core`). Two invariants matter
+//! loss-tolerant halo layer — the split-phase axis exchange the degraded
+//! assembly runs ([`CartComm::post_x_sends`] then timed
+//! [`CartComm::recv_halo_dir`] receives), and the [`HaloPolicy`] machinery
+//! in `pde-ml-core` above it. Two invariants matter
 //! everywhere: a *lost message* (timeout) is recoverable by policy, while a
 //! *dead peer* (`PeerDead`) is fatal under every policy — the distinction
 //! the old test-only `pull_with_fallback` helper erased by matching
@@ -15,10 +17,26 @@
 //! lost on a loaded CI runner would make these tests flaky, while a
 //! genuinely dropped strip never arrives no matter how long we wait.
 
-use pde_commsim::{test_timeout, CartComm, Direction, FaultAction, FaultPlan, HaloStatus, World};
-use pde_ml_core::infer::{assemble_halo_input_degraded, HaloCache};
+use pde_commsim::{test_timeout, CartComm, Direction, FaultAction, FaultPlan, HaloRecv, World};
+use pde_ml_core::infer::{assemble_halo_input_with, HaloCache};
 use pde_ml_core::prelude::*;
 use pde_tensor::Tensor3;
+
+/// On a 1×2 grid, posts `strip` toward the other rank along x and waits
+/// out one timed receive from it — the halo layer's split-phase exchange —
+/// then keeps the rank alive until its peer's receive resolved too.
+fn timed_x_exchange(cart: &mut CartComm, strip: Vec<f64>, tag: u32) -> HaloRecv {
+    let dir = if cart.coords().1 == 0 {
+        cart.post_x_sends(None, Some(strip), tag);
+        Direction::Right
+    } else {
+        cart.post_x_sends(Some(strip), None, tag);
+        Direction::Left
+    };
+    let got = cart.recv_halo_dir(dir, tag, test_timeout());
+    cart.comm_mut().barrier();
+    got.expect("a 1×2 grid has an x-neighbor")
+}
 
 /// Builds a trained 4-rank inference fleet for the rollout-policy tests.
 fn trained_fleet(n_ranks: usize) -> (pde_euler::DataSet, ParallelInference) {
@@ -44,21 +62,10 @@ fn lost_halo_is_reported_lost_not_dead() {
     let (out, traffic) = World::new(2).with_fault_plan(plan).run_with_stats(|comm| {
         let rank = comm.rank();
         let mut cart = CartComm::new(comm, 1, 2, false);
-        let dir = if rank == 0 {
-            Direction::Right
-        } else {
-            Direction::Left
-        };
-        let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-        outgoing[dir.index()] = Some(vec![rank as f64; 6]);
-        let incoming = cart.exchange_timeout(outgoing, 7, test_timeout());
-        let status = incoming[dir.index()].as_ref().unwrap().status();
-        // Keep both ranks alive until both timed receives resolve.
-        cart.comm_mut().barrier();
-        status
+        timed_x_exchange(&mut cart, vec![rank as f64; 6], 7)
     });
-    assert_eq!(out[0], HaloStatus::Ok, "1→0 edge is healthy");
-    assert_eq!(out[1], HaloStatus::Lost, "0→1 edge drops — lost, not dead");
+    assert_eq!(out[0], HaloRecv::Ok(vec![1.0; 6]), "1→0 edge is healthy");
+    assert_eq!(out[1], HaloRecv::Lost, "0→1 edge drops — lost, not dead");
     assert_eq!(traffic[1].halos_lost, 1);
     assert_eq!(traffic[0].halos_lost, 0);
 }
@@ -80,13 +87,15 @@ fn dead_peer_is_fatal_under_every_policy() {
             let mut cart = CartComm::new(comm, 1, 2, false);
             let local = Tensor3::from_fn(1, 4, 4, |_, i, j| (i + j) as f64);
             let mut cache = HaloCache::default();
-            assemble_halo_input_degraded(
+            assemble_halo_input_with(
                 &mut cart,
                 &local,
                 1,
                 0,
-                test_timeout(),
-                HaloFallback::LastKnown,
+                HaloPolicy::Degrade {
+                    timeout: test_timeout(),
+                    fallback: HaloFallback::LastKnown,
+                },
                 false,
                 &mut cache,
             )
@@ -139,13 +148,15 @@ fn last_known_fallback_reuses_exact_prior_step_strip() {
             let timeout = std::time::Duration::from_millis(100);
             let padded: Vec<Tensor3> = (0..2)
                 .map(|step| {
-                    assemble_halo_input_degraded(
+                    assemble_halo_input_with(
                         &mut cart,
                         &state(step),
                         halo,
                         step as u32,
-                        timeout,
-                        HaloFallback::LastKnown,
+                        HaloPolicy::Degrade {
+                            timeout,
+                            fallback: HaloFallback::LastKnown,
+                        },
                         false,
                         &mut cache,
                     )
@@ -244,7 +255,7 @@ fn dropped_edge_rollout_records_loss_in_traffic_report() {
 fn delay_shorter_than_timeout_is_not_a_loss() {
     // A slow link is not a lossy link: a `delay:SRC-DST:MS` fault whose
     // delay is well under the halo timeout must deliver every strip as
-    // `HaloStatus::Ok` — no halos_lost, no fallback substitution, and a
+    // `HaloRecv::Ok` — no halos_lost, no fallback substitution, and a
     // rollout bitwise identical to the fault-free strict protocol.
     let (data, inf) = trained_fleet(4);
     let initial = data.snapshot(6).clone();
@@ -298,23 +309,14 @@ fn delayed_exchange_strip_arrives_ok_at_the_halo_layer() {
     let (out, traffic) = World::new(2).with_fault_plan(plan).run_with_stats(|comm| {
         let rank = comm.rank();
         let mut cart = CartComm::new(comm, 1, 2, false);
-        let dir = if rank == 0 {
-            Direction::Right
-        } else {
-            Direction::Left
-        };
-        let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-        outgoing[dir.index()] = Some(vec![rank as f64 + 0.25; 6]);
-        let mut incoming = cart.exchange_timeout(outgoing, 11, test_timeout());
-        let got = incoming[dir.index()].take().unwrap();
-        let status = got.status();
-        let payload = got.into_data();
-        cart.comm_mut().barrier();
-        (status, payload)
+        timed_x_exchange(&mut cart, vec![rank as f64 + 0.25; 6], 11)
     });
-    assert_eq!(out[1].0, HaloStatus::Ok, "delayed strip is Ok, not Lost");
-    assert_eq!(out[1].1.as_deref(), Some(&[0.25; 6][..]), "payload intact");
-    assert_eq!(out[0].0, HaloStatus::Ok);
+    assert_eq!(
+        out[1],
+        HaloRecv::Ok(vec![0.25; 6]),
+        "delayed strip is Ok, not Lost, with its payload intact"
+    );
+    assert_eq!(out[0], HaloRecv::Ok(vec![1.25; 6]));
     assert_eq!(traffic[0].halos_lost + traffic[1].halos_lost, 0);
 }
 
@@ -325,17 +327,21 @@ fn healthy_world_with_fault_plan_noise_everywhere_else_is_unaffected() {
     let plan = FaultPlan::drop_edge(3, 0);
     let out = World::new(4).with_fault_plan(plan).run(|comm| {
         let mut cart = CartComm::new(comm, 2, 2, false);
-        // Full 4-direction exchange on a 2×2 non-periodic grid: only the
-        // existing neighbors participate; edge (3,0) is diagonal and unused.
+        // Both axis exchanges on a 2×2 non-periodic grid: only the existing
+        // neighbors participate; edge (3,0) is diagonal and unused.
         let me = cart.comm().rank() as f64;
-        let mut outgoing: [Option<Vec<f64>>; 4] = [None, None, None, None];
-        for (idx, d) in Direction::ALL.iter().enumerate() {
-            if cart.neighbor(*d).is_some() {
-                outgoing[idx] = Some(vec![me; 2]);
-            }
-        }
-        let incoming = cart.exchange(outgoing, 3);
-        incoming.iter().filter(|x| x.is_some()).count()
+        let strip = |cart: &CartComm, d| cart.neighbor(d).map(|_| vec![me; 2]);
+        let (l, r) = (
+            strip(&cart, Direction::Left),
+            strip(&cart, Direction::Right),
+        );
+        let (from_left, from_right) = cart.exchange_x(l, r, 3);
+        let (d, u) = (strip(&cart, Direction::Down), strip(&cart, Direction::Up));
+        let (from_down, from_up) = cart.exchange_y(d, u, 4);
+        [from_left, from_right, from_down, from_up]
+            .iter()
+            .filter(|x| x.is_some())
+            .count()
     });
     // Every rank of a 2×2 grid has exactly 2 neighbors.
     assert_eq!(out, vec![2, 2, 2, 2]);

@@ -1,132 +1,10 @@
-//! Concurrent-serving invariants: the scheduler's LRU residency against a
-//! naive reference model, and the sub-world equivalence guarantee — N
+//! Concurrent-serving invariant: the sub-world equivalence guarantee — N
 //! requests fanned out over split sub-worlds are bitwise what a serial
 //! full-world engine serves, on both transports.
 
 use pde_commsim::{TransportKind, World};
 use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::prelude::*;
-use pde_ml_core::schedule::Residency;
-use proptest::prelude::*;
-
-/// Model-name universe for residency interleavings.
-const NAMES: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
-
-/// Naive reference: resident models in LRU order (front = least recently
-/// used) with their pending/in-flight counts — the transparently-correct
-/// spelling of the eviction rule the scheduler relies on.
-#[derive(Default)]
-struct NaiveLru {
-    entries: Vec<(String, usize)>,
-}
-
-impl NaiveLru {
-    fn position(&self, name: &str) -> Option<usize> {
-        self.entries.iter().position(|(n, _)| n == name)
-    }
-
-    /// `Ok(victim)` mirrors [`Residency::admit`]: evict the oldest idle
-    /// entry when at `cap`, never a busy one; `Err` when all are busy.
-    fn admit(&mut self, name: &str, cap: usize) -> Result<Option<String>, ()> {
-        if let Some(i) = self.position(name) {
-            let e = self.entries.remove(i);
-            self.entries.push(e);
-            return Ok(None);
-        }
-        let mut victim = None;
-        if self.entries.len() >= cap {
-            let i = self.entries.iter().position(|(_, busy)| *busy == 0);
-            match i {
-                Some(i) => victim = Some(self.entries.remove(i).0),
-                None => return Err(()),
-            }
-        }
-        self.entries.push((name.to_string(), 0));
-        Ok(victim)
-    }
-
-    fn begin(&mut self, name: &str) {
-        let i = self.position(name).expect("begin on resident");
-        self.entries[i].1 += 1;
-    }
-
-    fn finish(&mut self, name: &str) {
-        let i = self.position(name).expect("finish on resident");
-        self.entries[i].1 -= 1;
-        let e = self.entries.remove(i);
-        self.entries.push(e);
-    }
-
-    fn busy(&self, name: &str) -> usize {
-        self.position(name).map_or(0, |i| self.entries[i].1)
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Random register/rollout interleavings: the scheduler's residency
-    /// bookkeeping stays in lockstep with the naive reference — same
-    /// resident set, same LRU order, same eviction victims, same
-    /// ResidencyFull refusals — and an eviction victim NEVER has a request
-    /// pending or in flight.
-    #[test]
-    fn lru_residency_matches_naive_model_and_never_evicts_inflight(
-        cap in 1usize..4,
-        ops in prop::collection::vec((0u8..3, 0usize..NAMES.len()), 1..120),
-    ) {
-        let mut real = Residency::new(cap);
-        let mut naive = NaiveLru::default();
-        for (op, idx) in ops {
-            let name = NAMES[idx];
-            match op {
-                // Register: a rollout submission also lands here via
-                // touch-on-admit, so this covers both entry points.
-                0 => {
-                    let want = naive.admit(name, cap);
-                    let got = real.admit(name);
-                    match (&want, &got) {
-                        (Ok(w), Ok(g)) => {
-                            prop_assert_eq!(w, g, "eviction victims diverged");
-                            if let Some(victim) = g {
-                                prop_assert_eq!(
-                                    naive.busy(victim), 0,
-                                    "evicted '{}' while it had work in flight", victim
-                                );
-                            }
-                        }
-                        (Err(()), Err(EngineError::ResidencyFull { model, cap: c })) => {
-                            prop_assert_eq!(model.as_str(), name);
-                            prop_assert_eq!(*c, cap);
-                        }
-                        _ => prop_assert!(false, "admit('{}') diverged: naive {:?} vs real {:?}",
-                                          name, want.is_ok(), got.is_ok()),
-                    }
-                }
-                // Request admitted for a resident model.
-                1 if real.is_resident(name) => {
-                    naive.begin(name);
-                    real.begin(name);
-                }
-                // Request completed.
-                2 if real.busy_count(name) > 0 => {
-                    naive.finish(name);
-                    real.finish(name);
-                }
-                _ => {}
-            }
-            // Full-state lockstep after every operation.
-            let naive_order: Vec<&str> =
-                naive.entries.iter().map(|(n, _)| n.as_str()).collect();
-            let real_order: Vec<&str> =
-                real.order().iter().map(|s| s.as_str()).collect();
-            prop_assert_eq!(naive_order, real_order, "LRU order diverged");
-            for n in NAMES {
-                prop_assert_eq!(real.busy_count(n), naive.busy(n), "busy count for '{}'", n);
-            }
-        }
-    }
-}
 
 /// Trains the deterministic 2-rank fixture both sides of the equivalence
 /// serve.

@@ -263,7 +263,8 @@ fn request_id_follows_from_scheduler_submit_to_rank_spans_in_the_trace() {
     // Session first, scheduler second: the dispatchers adopt the session
     // active at construction — exactly what `pdeml serve --trace-out` does.
     let handle = pde_trace::begin();
-    let sched = Scheduler::over_world(World::new(2), 1, SchedulerConfig::default()).unwrap();
+    let engines = InferEngine::over_sub_worlds(World::new(2), 1).unwrap();
+    let sched = Scheduler::new(engines, SchedulerConfig::default());
     sched.register("m", inf).unwrap();
 
     let id = RequestId::fresh();
