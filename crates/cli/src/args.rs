@@ -64,6 +64,19 @@ impl Args {
                 .map_err(|_| format!("--{name}: cannot parse '{v}'")),
         }
     }
+
+    /// A count option that must be at least 1. Zero ranks, requests or
+    /// queue slots leave nothing to do, so 0 is a typo, not a setting: it
+    /// is refused with a hint naming `what` is counted, never clamped.
+    pub fn count(&self, name: &str, default: usize, what: &str) -> Result<usize, String> {
+        match self.get_or(name, default)? {
+            0 => Err(format!(
+                "--{name} 0 is out of range: it is the number of {what}, at least 1 \
+                 (default {default})"
+            )),
+            n => Ok(n),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -76,7 +76,8 @@ pub fn train(args: &Args) -> Result<(), String> {
     } else {
         Some(PathBuf::from(args.require("out")?))
     };
-    let window: usize = args.get_or("window", 1)?;
+    let window = args.count("window", 1, "snapshots each network input stacks")?;
+    let ranks = args.count("ranks", 4, "ranks the grid is split over")?;
     let strategy = strategy_from_str(args.get("strategy").unwrap_or("neighbor-pad"))?;
 
     let (data, arch, mut cfg, source) = if quick {
@@ -98,7 +99,6 @@ pub fn train(args: &Args) -> Result<(), String> {
         cfg.epochs = 20;
         (data, arch, cfg, data_path.display().to_string())
     };
-    let ranks: usize = args.get_or("ranks", 4)?;
     cfg.epochs = args.get_or("epochs", cfg.epochs)?;
     cfg.prediction =
         mode_from_str(
@@ -107,16 +107,28 @@ pub fn train(args: &Args) -> Result<(), String> {
         )?;
     cfg.window = window;
     cfg.seed = args.get_or("seed", 0x5EED_u64)?;
+    let default_lr = cfg.lr;
     cfg.lr = args.get_or("lr", cfg.lr)?;
+    if !(cfg.lr.is_finite() && cfg.lr > 0.0) {
+        return Err(format!(
+            "--lr {} is out of range: the learning rate is a positive, finite step size \
+             (default {default_lr})",
+            cfg.lr
+        ));
+    }
     cfg.threads_per_rank = threads_per_rank_from_args(args)?;
-    let train_pairs: usize = args.get_or("train-pairs", data.pair_count() * 2 / 3)?;
+    let pairs = data.pair_count();
+    let train_pairs: usize = args.get_or("train-pairs", pairs * 2 / 3)?;
+    if train_pairs > pairs {
+        return Err(format!(
+            "--train-pairs {train_pairs} is out of range: {source} holds {pairs} snapshot \
+             pairs, so pick at most {pairs} (default two thirds of them)"
+        ));
+    }
     let (c, h, w) = data.shape();
     println!(
-        "training on {} of {} pairs from {} ({c} ch, {h}x{w}) with {ranks} ranks, \
-         {} epochs, {} + {}",
-        train_pairs,
-        data.pair_count(),
-        source,
+        "training on {train_pairs} of {pairs} pairs from {source} ({c} ch, {h}x{w}) with \
+         {ranks} ranks, {} epochs, {} + {}",
         cfg.epochs,
         strategy.label(),
         cfg.prediction.label()
@@ -189,9 +201,18 @@ pub fn train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuilds a [`ParallelInference`] from a model directory.
+/// Rebuilds a [`ParallelInference`] from a model directory. A checkpoint
+/// that cannot roll out is an `Err` here, before any rank runs.
 pub(crate) fn load_fleet(dir: &Path) -> Result<(ModelMeta, ParallelInference), String> {
     let meta = ModelMeta::load(dir)?;
+    if !meta.strategy.supports_rollout() {
+        return Err(format!(
+            "the model in {} was trained with {}, whose output lacks the boundary ring, \
+             so it cannot roll out — retrain with --strategy zero-pad, neighbor-pad or deconv",
+            dir.display(),
+            meta.strategy.label()
+        ));
+    }
     let n_ranks = meta.partition.rank_count();
     let weights: Vec<Vec<f64>> = (0..n_ranks)
         .map(|r| {
@@ -332,33 +353,6 @@ pub fn infer(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Nearest-rank percentile of an ascending-sorted latency list, or `None`
-/// when the list is empty — a `--requests 0` run must report "n/a", not
-/// panic on the `len() - 1` underflow.
-///
-/// The index rule is [`pde_telemetry::nearest_rank`] — the same one the
-/// histogram quantile uses — so a p99.9 printed by serve-bench and a
-/// p99.9 scraped from `pdeml_request_latency_us` pick the same sample.
-pub(crate) fn percentile(sorted_ms: &[f64], p: f64) -> Option<f64> {
-    if sorted_ms.is_empty() {
-        return None;
-    }
-    let idx = pde_telemetry::nearest_rank(sorted_ms.len() as u64, p / 100.0) as usize;
-    Some(sorted_ms[idx.min(sorted_ms.len() - 1)])
-}
-
-/// Console rendering of an optional latency: `12.34` or `n/a`.
-pub(crate) fn fmt_ms(v: Option<f64>) -> String {
-    v.map_or_else(|| "n/a".into(), |v| format!("{v:.2}"))
-}
-
-/// Parses `--transport` (default: the in-process channel mesh).
-pub(crate) fn transport_from_args(args: &Args) -> Result<pde_commsim::TransportKind, String> {
-    use pde_commsim::TransportKind;
-    args.get("transport")
-        .map_or(Ok(TransportKind::default()), TransportKind::parse)
-}
-
 /// Parses `--threads-per-rank`; an explicit budget is rejected, never
 /// clamped, when it is 0 or exceeds the machine's cores.
 fn threads_per_rank_from_args(args: &Args) -> Result<Option<usize>, String> {
@@ -377,245 +371,6 @@ fn threads_per_rank_from_args(args: &Args) -> Result<Option<usize>, String> {
         ));
     }
     Ok(Some(t))
-}
-
-/// Brings up the telemetry exporter on `--metrics-addr`, if given.
-pub(crate) fn start_exporter(
-    args: &Args,
-    health: &std::sync::Arc<pde_telemetry::health::HealthModel>,
-) -> Result<Option<pde_telemetry::exporter::Exporter>, String> {
-    let Some(addr) = args.get("metrics-addr") else {
-        return Ok(None);
-    };
-    let exporter = pde_telemetry::exporter::serve(addr, health.clone())
-        .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
-    println!(
-        "metrics: http://{}/metrics (also /healthz, /readyz)",
-        exporter.local_addr()
-    );
-    Ok(Some(exporter))
-}
-
-/// Sleeps out `--hold-ms` (so a scraper can catch the endpoint after the
-/// run) and then stops the exporter thread.
-pub(crate) fn hold_and_stop_exporter(
-    exporter: &mut Option<pde_telemetry::exporter::Exporter>,
-    hold_ms: u64,
-) {
-    if hold_ms > 0 && exporter.is_some() {
-        println!("holding metrics endpoint for {hold_ms} ms…");
-        std::thread::sleep(std::time::Duration::from_millis(hold_ms));
-    }
-    if let Some(e) = exporter.as_mut() {
-        e.shutdown();
-    }
-}
-
-/// `pdeml serve-bench` — the smoke drive for the persistent engine: N
-/// requests through one warm [`InferEngine`] (threads + models resident),
-/// printing requests/sec with p50/p99/p99.9 latency, under whatever faults,
-/// kills and observers the flags arm. Its numbers are a sanity readout; the
-/// measured ones are `BENCHMARK.json`'s `rollout_*` workloads.
-///
-/// `--quick` trains the tiny test net on the built-in dataset with the
-/// zero-padding strategy — the communication-free configuration, so warm
-/// requests are also steady-state allocation-free (reported per request).
-///
-/// `--metrics-addr` brings up the std-only telemetry exporter for the run
-/// (live `/metrics`, `/healthz`, `/readyz`); `--flight-dir` arms the flight
-/// recorder, which dumps a Chrome-trace + metrics snapshot whenever a
-/// request breaks `--slo-ms` or a rank panics.
-pub fn serve_bench(args: &Args) -> Result<(), String> {
-    use pde_telemetry::health::HealthModel;
-    use std::sync::Arc;
-
-    let requests: usize = args.get_or("requests", 32)?;
-    let steps: usize = args.get_or("steps", 2)?;
-    let policy = halo_policy_from_args(args)?;
-    let transport = transport_from_args(args)?;
-    let trace_path = args.get("trace").map(PathBuf::from);
-    let flight_dir = args.get("flight-dir").map(PathBuf::from);
-    if trace_path.is_some() && flight_dir.is_some() {
-        return Err(
-            "--trace and --flight-dir are mutually exclusive (both own the global trace session)"
-                .into(),
-        );
-    }
-    let slo_ms: f64 = args.get_or("slo-ms", 0.0)?;
-    let hold_ms: u64 = args.get_or("hold-ms", 0)?;
-    let self_heal = crate::fleet::self_heal_from_args(args, policy)?;
-    let kill_spec = args.get("kill-rank-at");
-
-    // Exporter and health model come up before any training/loading so a
-    // scraper pointed at --metrics-addr sees /healthz from the start.
-    let health = Arc::new(HealthModel::new());
-    pde_telemetry::collect_counter(
-        "pdeml_trace_dropped_spans_total",
-        "Trace spans dropped to per-thread ring overflow",
-        pde_trace::dropped_spans_total,
-    );
-    let mut exporter = start_exporter(args, &health)?;
-
-    let (inf, initial, source) = crate::fleet::fleet_from_args(args, "serve-bench", 4)?;
-    let inf = inf.with_halo_policy(policy);
-    let ranks = inf.partition().rank_count();
-    let fault_plan = crate::fleet::fault_plan_from_args(args, policy, ranks)?;
-    // `--kill-rank-at RANK:REQUEST[:STEP]` — the deterministic chaos plan:
-    // that rank's serving thread dies at that point, and the self-healing
-    // engine must respawn it and re-serve the batch.
-    let chaos_plan = match kill_spec {
-        Some(spec) => Some(pde_commsim::ChaosPlan::parse_for(
-            &format!("kill:{spec}"),
-            ranks,
-        )?),
-        None => None,
-    };
-    let threads_per_rank = threads_per_rank_from_args(args)?;
-    let (c, h, w) = initial.shape();
-    println!(
-        "serve-bench: {requests} requests x {steps} steps on {source} \
-         ({c} ch, {h}x{w}, {ranks} ranks, {} transport)",
-        transport.label()
-    );
-    println!(
-        "kernel path {}, {} kernel thread(s) per rank",
-        pde_tensor::kernel_path().label(),
-        pde_tensor::pool::resolve_budget(threads_per_rank, ranks)
-    );
-
-    // Warm: one engine, resident model, one unmeasured warm-up request to
-    // pay residency costs (thread spawn, model restore, scratch sizing) —
-    // which also registers every live telemetry series before the measured
-    // loop, keeping the hot path allocation-free.
-    let mut engine_cfg = EngineConfig::new(ranks).with_transport(transport);
-    engine_cfg.threads_per_rank = threads_per_rank;
-    if let Some(plan) = fault_plan {
-        engine_cfg = engine_cfg.with_fault_plan(plan);
-    }
-    if self_heal {
-        engine_cfg = engine_cfg.with_self_heal();
-    }
-    if let Some(plan) = chaos_plan {
-        engine_cfg = engine_cfg.with_chaos_plan(plan);
-    }
-    let mut engine = InferEngine::with_config(engine_cfg);
-    engine.register("serve", inf).expect("register serve model");
-    engine
-        .rollout("serve", &initial, steps)
-        .map_err(|e| format!("cannot serve this rollout: {e}"))?;
-
-    // Health checks read state the engine already maintains; they stay live
-    // through the run and the --hold-ms window.
-    crate::fleet::register_engine_health(&health, "world_poisoned", std::slice::from_ref(&engine));
-    crate::fleet::register_halo_fallback_check(&health);
-
-    let mut flight = match &flight_dir {
-        Some(dir) => Some(
-            FlightRecorder::new(dir)
-                .map_err(|e| format!("cannot arm flight recorder in {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let handle = trace_path.as_ref().map(|_| pde_trace::begin());
-    let lost_before: u64 = engine.traffic().iter().map(|t| t.halos_lost).sum();
-    let mut warm_ms = Vec::with_capacity(requests);
-    let mut last = None;
-    let warm_t0 = std::time::Instant::now();
-    for _ in 0..requests {
-        let t = std::time::Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.rollout("serve", &initial, steps)
-        }));
-        match outcome {
-            Ok(Ok(r)) => {
-                let ms = t.elapsed().as_secs_f64() * 1e3;
-                if slo_ms > 0.0 && ms > slo_ms {
-                    if let Some(f) = flight.as_mut() {
-                        let dump = f
-                            .trip("slo-exceeded")
-                            .map_err(|e| format!("flight dump failed: {e}"))?;
-                        println!(
-                            "flight: request took {ms:.2} ms (SLO {slo_ms} ms) — \
-                             {} events -> {}",
-                            dump.events,
-                            dump.trace_path.display()
-                        );
-                    }
-                }
-                warm_ms.push(ms);
-                last = Some(r);
-            }
-            Ok(Err(e)) => return Err(format!("cannot serve this rollout: {e}")),
-            Err(payload) => {
-                // A rank died mid-request. Dump the flight ring, report the
-                // (now failing) health model and bail — the bench numbers
-                // would be meaningless.
-                let reason = pde_ml_core::flight::classify_panic(payload.as_ref());
-                if let Some(f) = flight.as_mut() {
-                    if let Ok(dump) = f.trip(reason) {
-                        println!("flight: {reason} — dump at {}", dump.trace_path.display());
-                    }
-                }
-                print!("{}", health.report().describe());
-                hold_and_stop_exporter(&mut exporter, hold_ms);
-                return Err(format!(
-                    "warm loop aborted after {} requests: rank panic classified as '{reason}'",
-                    warm_ms.len()
-                ));
-            }
-        }
-    }
-    let warm_s = warm_t0.elapsed().as_secs_f64();
-    let lost_after: u64 = engine.traffic().iter().map(|t| t.halos_lost).sum();
-    let halo_lost_per_request = (lost_after - lost_before) as f64 / requests.max(1) as f64;
-    // `last` is None on a 0-request run — every per-request statistic below
-    // degrades to "n/a" instead of panicking.
-    let steady_allocs: Option<u64> = last
-        .as_ref()
-        .map(|r| r.rank_perf.iter().map(|p| p.allocs).max().unwrap_or(0));
-    if let (Some(h), Some(path)) = (handle, trace_path.as_ref()) {
-        let trace = h.finish();
-        match &last {
-            Some(last) => {
-                let rows = pde_ml_core::observe::rollout_metrics(&trace, last);
-                write_trace(&trace, &rows, path)?;
-            }
-            None => println!("(no requests ran — skipping trace {})", path.display()),
-        }
-    }
-
-    warm_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let warm_rps = requests as f64 / warm_s;
-    println!(
-        "warm: {requests} requests in {warm_s:.3} s — {warm_rps:.1} req/s, \
-         p50 {} ms, p99 {} ms, p99.9 {} ms, {} steady-state allocs/request",
-        fmt_ms(percentile(&warm_ms, 50.0)),
-        fmt_ms(percentile(&warm_ms, 99.0)),
-        fmt_ms(percentile(&warm_ms, 99.9)),
-        steady_allocs.map_or_else(|| "n/a".into(), |a| a.to_string())
-    );
-    let final_health = health.report();
-    println!(
-        "health: {} ({:.4} halos lost per warm request)",
-        final_health.overall.as_str(),
-        halo_lost_per_request
-    );
-    if self_heal {
-        println!(
-            "self-heal: {} rank respawn(s) during the warm loop",
-            engine.respawned_ranks().len()
-        );
-    }
-    if let Some(f) = &flight {
-        println!(
-            "flight recorder: {} dump(s) in {}",
-            f.trips(),
-            f.dir().display()
-        );
-    }
-
-    hold_and_stop_exporter(&mut exporter, hold_ms);
-    Ok(())
 }
 
 /// `pdeml scale` — calibrate the cost model on this machine and print the
@@ -685,55 +440,96 @@ pub fn info() -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentile_of_empty_list_is_none_not_a_panic() {
-        // Regression: `(len - 1)` underflowed on an empty list, so a
-        // `--requests 0` serve-bench panicked before reporting anything.
-        assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(percentile(&[], 99.9), None);
+    /// `pdeml train --quick FLAGS…` fails with a hint naming the flag,
+    /// before any rank trains, and does not panic.
+    fn assert_train_refused(flags: &[&str], hint: &str) {
+        let argv: Vec<String> = ["--quick"]
+            .iter()
+            .chain(flags)
+            .map(|s| s.to_string())
+            .collect();
+        let args = Args::parse(&argv).unwrap();
+        let err = std::panic::catch_unwind(|| train(&args))
+            .unwrap_or_else(|_| panic!("train {flags:?} panicked"))
+            .unwrap_err();
+        assert!(err.starts_with(&format!("{} ", flags[0])), "{err}");
+        assert!(err.contains(hint), "{err}");
     }
 
     #[test]
-    fn percentile_picks_nearest_rank() {
-        let ms = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&ms, 0.0), Some(1.0));
-        assert_eq!(percentile(&ms, 50.0), Some(3.0));
-        assert_eq!(percentile(&ms, 100.0), Some(4.0));
-        assert_eq!(percentile(&[7.5], 99.9), Some(7.5));
+    fn zero_ranks_is_refused_with_a_hint() {
+        assert_train_refused(&["--ranks", "0"], "at least 1 (default 4)");
     }
 
     #[test]
-    fn percentile_and_histogram_quantile_share_one_rule() {
-        // Regression for the percentile dedup: serve-bench's list
-        // percentile and the telemetry histogram quantile used to carry
-        // two hand-rolled nearest-rank implementations; both now route
-        // through pde_telemetry::nearest_rank. Samples stay below 2^k=32,
-        // the histogram's exact-bucket region, so the two must agree
-        // EXACTLY on every quantile — any future drift in either rule
-        // breaks this test.
-        let hist = pde_telemetry::histogram(
-            "pdeml_test_percentile_dedup_us",
-            "percentile dedup regression fixture",
-        );
-        let samples: Vec<u64> = vec![1, 2, 3, 5, 8, 13, 21, 21, 30, 31];
-        for &s in &samples {
-            hist.record(s);
-        }
-        let sorted: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
-        let snap = hist.snapshot();
-        for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
-            let list = percentile(&sorted, p).unwrap();
-            let hist_q = snap.quantile(p / 100.0).unwrap();
-            assert_eq!(
-                list, hist_q as f64,
-                "p{p}: list percentile and histogram quantile diverged"
-            );
+    fn zero_window_is_refused_with_a_hint() {
+        assert_train_refused(&["--window", "0"], "at least 1 (default 1)");
+    }
+
+    #[test]
+    fn a_learning_rate_that_is_not_positive_and_finite_is_refused() {
+        for lr in ["0", "-0.5", "NaN", "inf"] {
+            assert_train_refused(&["--lr", lr], "positive, finite step size");
         }
     }
 
     #[test]
-    fn missing_latencies_render_as_na() {
-        assert_eq!(fmt_ms(None), "n/a");
-        assert_eq!(fmt_ms(Some(12.345)), "12.35");
+    fn more_train_pairs_than_the_data_holds_is_refused() {
+        // The quick dataset is 8 snapshots, so 7 pairs.
+        assert_train_refused(&["--train-pairs", "999"], "pick at most 7");
+    }
+
+    /// A hand-written `meta.txt` every case below breaks in one line.
+    const GOOD_META: &str = "\
+format = pdeml-meta-v1
+channels = 4,6,4
+kernel = 3
+leak = 0.01
+strategy = neighbor-pad
+prediction = absolute
+window = 1
+global_h = 16
+global_w = 16
+py = 2
+px = 2
+norm_scales = 1.0,2.0,3.0,4.0
+";
+
+    #[test]
+    fn checkpoints_that_cannot_roll_out_are_errors_not_panics() {
+        assert!(ModelMeta::parse(GOOD_META).is_ok(), "the fixture parses");
+        // (key, hand-edited value, what the error must name)
+        let cases = [
+            ("strategy", "inner-crop", "cannot roll out"),
+            ("py", "0", "has no ranks"),
+            ("px", "0", "has no ranks"),
+            ("global_h", "1", "cannot feed a 2x2 process grid"),
+            ("window", "0", "window"),
+            ("window", "2", "8 input channels"),
+            ("norm_scales", "1.0,2.0,3.0", "3 channels"),
+            ("norm_scales", "1.0,0.0,3.0,4.0", "positive and finite"),
+            ("norm_scales", "1.0,inf,3.0,4.0", "positive and finite"),
+            ("channels", "4", "one layer or more"),
+            ("channels", "4,0,4", "zero-width"),
+            ("kernel", "4", "not odd"),
+            ("leak", "1.5", "leak"),
+        ];
+        let dir = std::env::temp_dir().join(format!("pdeml_bad_meta_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (key, value, reason) in cases {
+            let meta: String = GOOD_META
+                .lines()
+                .map(|line| match line.split_once(" = ") {
+                    Some((k, _)) if k == key => format!("{key} = {value}\n"),
+                    _ => format!("{line}\n"),
+                })
+                .collect();
+            std::fs::write(dir.join("meta.txt"), meta).unwrap();
+            let err = std::panic::catch_unwind(|| load_fleet(&dir).map(|_| ()))
+                .unwrap_or_else(|_| panic!("{key} = {value} panicked the reader"))
+                .unwrap_err();
+            assert!(err.contains(reason), "{key} = {value}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

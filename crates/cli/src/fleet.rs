@@ -1,7 +1,7 @@
-//! What the three serving commands (`serve`, `serve-bench`, `world-node`)
+//! What the commands that roll a fleet out (`serve`, `world-node`, `infer`)
 //! share before their first request: the fleet they serve, the argument
-//! guards that keep a doomed configuration from starting, and the health
-//! checks over the engines they run.
+//! guards that keep a doomed configuration from starting, and `serve`'s
+//! health checks over the engines it runs.
 
 use crate::args::Args;
 use crate::meta::ModelMeta;
@@ -29,13 +29,12 @@ pub(crate) fn quick_fleet(
     Ok((inf, data.snapshot(0).clone()))
 }
 
-/// The fleet `serve` and `serve-bench` run: with `--quick` the
-/// communication-free (zero-pad) quick fleet over `quick_ranks` ranks,
-/// otherwise the `--model` checkpoint with the last `--data` snapshot as
-/// the initial state. The third element names the source for the header.
+/// The fleet `serve` runs: with `--quick` the communication-free
+/// (zero-pad) quick fleet over `quick_ranks` ranks, otherwise the `--model`
+/// checkpoint with the last `--data` snapshot as the initial state. The
+/// third element names the source for the header.
 pub(crate) fn fleet_from_args(
     args: &Args,
-    cmd: &str,
     quick_ranks: usize,
 ) -> Result<(ParallelInference, Tensor3, String), String> {
     if args.flag("quick") {
@@ -45,7 +44,7 @@ pub(crate) fn fleet_from_args(
     let model_dir = PathBuf::from(args.require("model")?);
     let data_path = PathBuf::from(args.require("data")?);
     let (meta, inf) = crate::commands::load_fleet(&model_dir)?;
-    require_window_1(cmd, &model_dir, &meta)?;
+    require_window_1("serve", &model_dir, &meta)?;
     let data = pde_euler::DataSet::load(&data_path)
         .map_err(|e| format!("cannot load {}: {e}", data_path.display()))?;
     let initial = data.snapshot(data.len() - 1).clone();
@@ -87,43 +86,16 @@ pub(crate) fn fault_plan_from_args(
     FaultPlan::parse_for(spec, ranks).map(Some)
 }
 
-/// Reads `--self-heal`, refusing configurations that cannot end well: a
-/// scheduled `--kill-rank-at` nobody would heal, and healing under the
-/// strict halo policy, which has no fallback strips to serve the
-/// kill-to-respawn gap with.
-pub(crate) fn self_heal_from_args(args: &Args, policy: HaloPolicy) -> Result<bool, String> {
-    let self_heal = args.flag("self-heal");
-    if args.get("kill-rank-at").is_some() && !self_heal {
-        return Err(
-            "--kill-rank-at kills a rank mid-batch, which only ends well with --self-heal \
-             (otherwise the world poisons or hangs)"
-                .into(),
-        );
-    }
-    if self_heal && !matches!(policy, HaloPolicy::Degrade { .. }) {
-        return Err(
-            "--self-heal serves the kill-to-respawn gap with fallback halos, which needs \
-             --halo-policy zero-fill or last-known"
-                .into(),
-        );
-    }
-    Ok(self_heal)
-}
-
-/// Registers the two checks every engine-backed server needs, over state
+/// Registers `serve`'s two checks over its sub-world engines, reading state
 /// the engines already maintain, evaluated live at each probe:
 ///
-/// * `poisoned_check` — failed once a rank panic has poisoned every engine's
-///   world, degraded while some engines still serve;
+/// * `sub_worlds_alive` — failed once a rank panic has poisoned every
+///   sub-world, degraded while some sub-worlds still serve;
 /// * `ranks_alive` — failed while any rank of any engine is dead; a
 ///   self-healed world reads ok again without re-registration.
-pub(crate) fn register_engine_health(
-    health: &HealthModel,
-    poisoned_check: &'static str,
-    engines: &[InferEngine],
-) {
+pub(crate) fn register_engine_health(health: &HealthModel, engines: &[InferEngine]) {
     let poisoned: Vec<_> = engines.iter().map(InferEngine::poisoned_flag).collect();
-    health.register(poisoned_check, move || {
+    health.register("sub_worlds_alive", move || {
         let dead = poisoned
             .iter()
             .filter(|p| p.load(Ordering::Acquire))
@@ -152,35 +124,5 @@ pub(crate) fn register_engine_health(
             }
         }
         CheckStatus::Ok
-    });
-}
-
-/// Registers `halo_fallback_rate`: degraded once more than half of all
-/// timed halo receives fell back to zero-fill or stale strips.
-pub(crate) fn register_halo_fallback_check(health: &HealthModel) {
-    // The same registry entries core::infer/commsim record into — the
-    // lookup is idempotent by name.
-    let attempts = pde_telemetry::counter(
-        "pdeml_halo_recv_attempts_total",
-        "Timed halo receives attempted, per rank",
-    );
-    let zero = pde_telemetry::counter(
-        "pdeml_halos_zero_filled_total",
-        "Lost halos replaced with zeros, per rank",
-    );
-    let stale = pde_telemetry::counter(
-        "pdeml_halos_stale_total",
-        "Lost halos replaced with the previous step's strip, per rank",
-    );
-    health.register("halo_fallback_rate", move || {
-        let total = attempts.total();
-        let fell_back = zero.total() + stale.total();
-        if total > 0 && fell_back * 2 > total {
-            CheckStatus::Degraded(format!(
-                "{fell_back}/{total} halo receives fell back to zero-fill/stale"
-            ))
-        } else {
-            CheckStatus::Ok
-        }
     });
 }

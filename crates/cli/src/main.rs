@@ -4,7 +4,7 @@
 //! pdeml simulate --grid 64 --snapshots 120 --out run.pdeds
 //! pdeml train    --data run.pdeds --ranks 4 --epochs 20 --out model/
 //! pdeml infer    --data run.pdeds --model model/ --steps 10 --out rollout.csv
-//! pdeml serve-bench --quick --requests 32
+//! pdeml serve    --quick --addr 127.0.0.1:8080
 //! pdeml scale    --grid 128
 //! pdeml info
 //! ```
@@ -36,13 +36,6 @@ USAGE:
                  [--halo-policy strict|zero-fill|last-known] [--halo-timeout-ms N]
                  [--fault drop:SRC-DST|loss:RATE:SEED|delay:SRC-DST:MS]
                  [--trace OUT.json]
-  pdeml serve-bench [--quick | --data FILE --model DIR] [--requests N] [--steps K]
-                 [--transport channel|tcp]
-                 [--halo-policy strict|zero-fill|last-known] [--halo-timeout-ms N]
-                 [--fault drop:SRC-DST|loss:RATE:SEED|delay:SRC-DST:MS]
-                 [--self-heal] [--kill-rank-at RANK:REQUEST[:STEP]]
-                 [--metrics-addr HOST:PORT] [--slo-ms N] [--flight-dir DIR]
-                 [--hold-ms N] [--threads-per-rank T] [--trace OUT.json]
   pdeml serve    [--quick | --data FILE --model DIR] [--addr HOST:PORT]
                  [--sub-worlds N] [--ranks-per-world R] [--queue-depth N]
                  [--slo-ms N] [--transport channel|tcp]
@@ -60,20 +53,21 @@ USAGE:
   pdeml info
 
 `--quick` trains the tiny test net on a built-in dataset (no --data/--out).
+Counts (`--ranks`, `--window`, `--requests`, and serve's sizes and
+`--access-log-sample`) are at least 1; `--lr` is positive and finite.
 `serve` is the HTTP inference front end for one model: it splits one world
 into `--sub-worlds` independent sub-worlds of `--ranks-per-world` ranks
 behind a bounded request queue of `--queue-depth` with SLO-aware admission
 control (shed requests get 429/503, and count on
-pdeml_requests_rejected_total{reason=}); each of the three sizes is at
-least 1. POST /v1/rollout serves a window
-of states; GET /v1/example prints a ready-to-POST body. Every rollout
+pdeml_requests_rejected_total{reason=}). POST /v1/rollout serves a window
+of states; GET /v1/example prints a ready-to-POST body; /metrics, /healthz
+and /readyz answer on the same port. Every rollout
 response echoes X-PDEML-Request-Id and a Server-Timing phase split
 (queue/dispatch/rollout); `--access-log PATH` appends one JSON line per
-sampled request and `--trace-out PATH` writes a request-id-tagged Chrome
-trace on shutdown.
-`serve-bench` drives N requests through one warm in-process engine and
-prints a latency readout; `--transport tcp` keeps every rank in-process but
-moves all messages over loopback sockets.
+sampled request (1-in-N with `--access-log-sample N`) and `--trace-out
+PATH` writes a request-id-tagged Chrome trace on shutdown.
+`--transport tcp` keeps every rank in-process but moves all messages over
+loopback sockets.
 `world-node --launch` runs an N-rank world as N OS processes over localhost
 TCP (rank 0 stays in the driver process) and verifies the rollouts bitwise
 against the in-process channel transport; `--trace-dir DIR` makes every
@@ -83,20 +77,18 @@ Performance numbers (latency under load, warm vs cold, channel vs TCP) come
 from `bash benchmark/run.sh`, not from these commands.
 `--trace OUT.json` records a per-rank timeline (Chrome trace format; open in
 Perfetto or chrome://tracing) and prints a per-rank metrics table.
-`--metrics-addr` serves live Prometheus metrics plus /healthz and /readyz
-while serve-bench runs; `--hold-ms` keeps the endpoint up after the run so a
-scraper can catch it. `--flight-dir` arms the flight recorder: on a request
-over `--slo-ms` (or a rank panic) a Chrome-trace + metrics dump is written
-there. `--self-heal` makes worlds survive a dead rank: the supervisor (or, in
-multi-process mode, the launcher) detects it, respawns the rank, rebuilds the
+`world-node --launch --metrics-addr` serves live Prometheus metrics plus
+/healthz and /readyz from the launcher; `--hold-ms` keeps the endpoint up after
+the run so a scraper can catch it. `--self-heal` makes the world survive a
+dead rank: the launcher detects it, respawns the rank process, rebuilds the
 mesh under a fresh generation epoch and re-serves the batch — `--kill-rank-at`
 injects exactly that failure deterministically (needs a degrade halo policy).
 `world-node --restore DIR` loads the fleet from a `pdeml train` checkpoint
 directory instead of retraining it — respawned replacement ranks restore
 from the same files, shrinking the recovery window to a weight load.
-`--flight-dir` and `--trace` are mutually exclusive. `--threads-per-rank`
-caps each rank's kernel worker pool (default: cores / ranks; see also the
-PDEML_THREADS_PER_RANK and PDEML_KERNEL=scalar|simd environment variables).
+`--threads-per-rank` caps each training rank's kernel worker pool (default:
+cores / ranks; see also the PDEML_THREADS_PER_RANK and
+PDEML_KERNEL=scalar|simd environment variables).
 
 Run `pdeml <command>` with no flags to see that command's defaults.";
 
@@ -117,7 +109,6 @@ fn main() -> ExitCode {
         "simulate" => commands::simulate(&parsed),
         "train" => commands::train(&parsed),
         "infer" => commands::infer(&parsed),
-        "serve-bench" => commands::serve_bench(&parsed),
         "serve" => serve::serve(&parsed),
         "world-node" => node::world_node(&parsed),
         "scale" => commands::scale(&parsed),

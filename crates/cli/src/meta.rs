@@ -64,7 +64,10 @@ impl ModelMeta {
         s
     }
 
-    /// Parses the `meta.txt` format.
+    /// Parses the `meta.txt` format. A hand-edited file that could not
+    /// rebuild a fleet (an empty or oversized process grid, window 0, a
+    /// norm that does not feed the network, an architecture `ArchSpec::build`
+    /// refuses) is an `Err` naming the key, never a panic further on.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut kv = BTreeMap::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -111,19 +114,45 @@ impl ModelMeta {
             .split(',')
             .map(|v| v.trim().parse().map_err(|_| "bad norm scale".to_string()))
             .collect::<Result<_, _>>()?;
-        Ok(Self {
-            arch,
-            strategy,
-            prediction,
-            window: parse_usize("window")?,
-            partition: GridPartition::new(
-                parse_usize("global_h")?,
-                parse_usize("global_w")?,
-                parse_usize("py")?,
-                parse_usize("px")?,
-            ),
-            norm: ChannelNorm::from_scales(norm_scales),
-        })
+        let window = parse_usize("window")?;
+        let (h, w) = (parse_usize("global_h")?, parse_usize("global_w")?);
+        let (py, px) = (parse_usize("py")?, parse_usize("px")?);
+        let fed = norm_scales.len() * window;
+        let refused = if arch.channels.len() < 2 || arch.channels.contains(&0) {
+            format!(
+                "meta channels {:?}: need one layer or more, none zero-width",
+                arch.channels
+            )
+        } else if arch.kernel.is_multiple_of(2) {
+            format!("meta kernel {} is not odd", arch.kernel)
+        } else if !(0.0..1.0).contains(&arch.leak) {
+            format!("meta leak {} is outside [0, 1)", arch.leak)
+        } else if py == 0 || px == 0 {
+            format!("meta process grid {py}x{px} has no ranks")
+        } else if h < py || w < px {
+            format!("meta grid {h}x{w} cannot feed a {py}x{px} process grid")
+        } else if window == 0 {
+            "meta window 0: an input stacks at least one snapshot".into()
+        } else if !norm_scales.iter().all(|s| s.is_finite() && *s > 0.0) {
+            format!("meta norm_scales {norm_scales:?} must be positive and finite")
+        } else if fed != arch.in_channels() {
+            format!(
+                "meta norm_scales covers {} channels, so window {window} feeds {fed} input \
+                 channels, but the network takes {}",
+                norm_scales.len(),
+                arch.in_channels()
+            )
+        } else {
+            return Ok(Self {
+                arch,
+                strategy,
+                prediction,
+                window,
+                partition: GridPartition::new(h, w, py, px),
+                norm: ChannelNorm::from_scales(norm_scales),
+            });
+        };
+        Err(refused)
     }
 
     /// Writes `meta.txt` into the model directory.
@@ -161,9 +190,13 @@ pub fn mode_from_str(s: &str) -> Result<PredictionMode, String> {
 mod tests {
     use super::*;
 
+    /// A window-2 model over 4-channel states, so its input is 8 channels
+    /// wide (as `pdeml train --window 2` builds it).
     fn sample() -> ModelMeta {
+        let mut arch = ArchSpec::paper();
+        arch.channels[0] = 8;
         ModelMeta {
-            arch: ArchSpec::paper(),
+            arch,
             strategy: PaddingStrategy::NeighborPad,
             prediction: PredictionMode::Residual,
             window: 2,

@@ -25,10 +25,12 @@
 //! timeline with a process group per rank.
 
 use crate::args::Args;
-use crate::commands::{halo_policy_from_args, hold_and_stop_exporter, start_exporter};
-use crate::fleet::{fault_plan_from_args, quick_fleet, require_window_1, self_heal_from_args};
+use crate::commands::halo_policy_from_args;
+use crate::fleet::{fault_plan_from_args, quick_fleet, require_window_1};
 use pde_commsim::{connect_tcp_world, record_recovery, CartComm, TrafficReport};
 use pde_ml_core::prelude::*;
+use pde_telemetry::exporter::Exporter;
+use pde_telemetry::health::{CheckStatus, HealthModel};
 use pde_tensor::Tensor3;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -604,6 +606,61 @@ fn verify_against_channel(
     Ok(())
 }
 
+/// Reads `--self-heal`, refusing configurations that cannot end well: a
+/// scheduled `--kill-rank-at` nobody would heal, and healing under the
+/// strict halo policy, which has no fallback strips to serve the
+/// kill-to-respawn gap with.
+fn self_heal_from_args(args: &Args, policy: HaloPolicy) -> Result<bool, String> {
+    let self_heal = args.flag("self-heal");
+    if args.get("kill-rank-at").is_some() && !self_heal {
+        return Err(
+            "--kill-rank-at kills a rank mid-batch, which only ends well with --self-heal \
+             (otherwise the world poisons or hangs)"
+                .into(),
+        );
+    }
+    if self_heal && !matches!(policy, HaloPolicy::Degrade { .. }) {
+        return Err(
+            "--self-heal serves the kill-to-respawn gap with fallback halos, which needs \
+             --halo-policy zero-fill or last-known"
+                .into(),
+        );
+    }
+    Ok(self_heal)
+}
+
+/// Brings up the telemetry exporter on `--metrics-addr`, if given.
+fn start_exporter(args: &Args, health: &Arc<HealthModel>) -> Result<Option<Exporter>, String> {
+    let Some(addr) = args.get("metrics-addr") else {
+        return Ok(None);
+    };
+    let exporter = pde_telemetry::exporter::serve(addr, health.clone())
+        .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
+    println!(
+        "metrics: http://{}/metrics (also /healthz, /readyz)",
+        exporter.local_addr()
+    );
+    Ok(Some(exporter))
+}
+
+/// Sleeps out `--hold-ms` (so a scraper can catch the endpoint after the
+/// run) and then stops the exporter thread.
+fn hold_and_stop_exporter(exporter: &mut Option<Exporter>, hold_ms: u64) {
+    if hold_ms > 0 && exporter.is_some() {
+        println!("holding metrics endpoint for {hold_ms} ms…");
+        std::thread::sleep(Duration::from_millis(hold_ms));
+    }
+    if let Some(e) = exporter.as_mut() {
+        e.shutdown();
+    }
+}
+
+/// `--requests`, the size of the lockstep batch every rank serves; the
+/// world gathers request 0's trajectory, so there must be one.
+fn requests_from_args(args: &Args) -> Result<usize, String> {
+    args.count("requests", 8, "lockstep requests every rank serves")
+}
+
 /// One member process of a world (`--rank R --peers …`).
 ///
 /// Self-healing extras: `--self-heal` turns on the per-request membership
@@ -617,7 +674,7 @@ fn worker(args: &Args) -> Result<(), String> {
         .parse()
         .map_err(|_| "--rank: not a rank index".to_string())?;
     let peers = parse_peers(args.require("peers")?)?;
-    let requests: usize = args.get_or("requests", 8)?;
+    let requests = requests_from_args(args)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
     let fault_plan = fault_plan_from_args(args, policy, peers.len())?;
@@ -689,14 +746,11 @@ fn worker(args: &Args) -> Result<(), String> {
 
 /// The orchestrator: N-rank world as N OS processes on localhost.
 fn launch(args: &Args) -> Result<(), String> {
-    use pde_telemetry::health::HealthModel;
-    use std::sync::Arc;
-
     let n: usize = args.get_or("ranks", 4)?;
     if n < 2 {
         return Err("--launch needs --ranks >= 2 (one process per rank)".into());
     }
-    let requests: usize = args.get_or("requests", 8)?;
+    let requests = requests_from_args(args)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
     let fault_plan = fault_plan_from_args(args, policy, n)?;
@@ -763,9 +817,9 @@ fn launch(args: &Args) -> Result<(), String> {
         let flag = recovering.clone();
         health.register("membership", move || {
             if flag.load(Ordering::Acquire) {
-                pde_telemetry::health::CheckStatus::Degraded("respawning dead ranks".into())
+                CheckStatus::Degraded("respawning dead ranks".into())
             } else {
-                pde_telemetry::health::CheckStatus::Ok
+                CheckStatus::Ok
             }
         });
     }
@@ -957,6 +1011,19 @@ fn launch(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_requests_is_refused_with_a_hint_before_the_rendezvous() {
+        // A batch of 0 requests leaves no request-0 trajectory to gather.
+        let argv: Vec<String> = "--rank 0 --peers 127.0.0.1:1,127.0.0.1:2 \
+                                 --connect-timeout-ms 1 --requests 0"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let err = world_node(&Args::parse(&argv).unwrap()).unwrap_err();
+        assert!(err.starts_with("--requests 0 is out of range"), "{err}");
+        assert!(err.contains("at least 1 (default 8)"), "{err}");
+    }
 
     #[test]
     fn peers_parse_and_reject_garbage() {

@@ -48,7 +48,7 @@ use std::time::Instant;
 /// in a trace dump — all three carry the same id.
 struct AccessLog {
     file: Mutex<std::fs::File>,
-    /// Keep 1-in-`sample` requests (1 = log everything).
+    /// Keep 1-in-`sample` requests (1 = log everything; at least 1).
     sample: u64,
     seq: AtomicU64,
 }
@@ -62,7 +62,7 @@ impl AccessLog {
             .map_err(|e| format!("cannot open access log {path}: {e}"))?;
         Ok(AccessLog {
             file: Mutex::new(file),
-            sample: sample.max(1),
+            sample,
             seq: AtomicU64::new(0),
         })
     }
@@ -142,7 +142,7 @@ fn build_scheduler(
     let ranks = inf.partition().rank_count();
     let world = World::new(ranks * sub_worlds).with_transport(transport);
     let engines = InferEngine::over_sub_worlds(world, sub_worlds)?;
-    crate::fleet::register_engine_health(health, "sub_worlds_alive", &engines);
+    crate::fleet::register_engine_health(health, &engines);
     let sched = Scheduler::new(engines, cfg.with_health(health.clone()));
     sched
         .register("serve", inf.clone())
@@ -150,51 +150,38 @@ fn build_scheduler(
     Ok(sched)
 }
 
-/// Reads one of `serve`'s sizing flags, refusing 0: no sub-world, no rank
-/// or no queue slot can serve anything, so that is a typo, not a setting.
-fn sizing_flag(args: &Args, name: &str, default: usize, what: &str) -> Result<usize, String> {
-    match args.get_or(name, default)? {
-        0 => Err(format!(
-            "--{name} 0 leaves nothing to serve with: it is the number of {what}, at least 1 \
-             (default {default})"
-        )),
-        n => Ok(n),
-    }
-}
-
 /// `pdeml serve` — the HTTP server.
 pub fn serve(args: &Args) -> Result<(), String> {
-    let sub_worlds = sizing_flag(
-        args,
-        "sub-worlds",
-        2,
-        "worlds serving requests side by side",
-    )?;
-    let ranks_per_world = sizing_flag(
-        args,
+    let sub_worlds = args.count("sub-worlds", 2, "worlds serving requests side by side")?;
+    let ranks_per_world = args.count(
         "ranks-per-world",
         2,
         "ranks each sub-world splits the grid over",
     )?;
-    let queue_depth = sizing_flag(
-        args,
+    let queue_depth = args.count(
         "queue-depth",
         32,
         "admitted requests that may wait for a sub-world",
     )?;
     let slo_ms: u64 = args.get_or("slo-ms", 0)?;
-    let transport = crate::commands::transport_from_args(args)?;
+    let transport = args
+        .get("transport")
+        .map_or(Ok(TransportKind::default()), TransportKind::parse)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
     let access_log = match args.get("access-log") {
         Some(path) => {
-            let sample: u64 = args.get_or("access-log-sample", 1)?;
-            Some(AccessLog::open(path, sample)?)
+            let sample = args.count(
+                "access-log-sample",
+                1,
+                "requests each logged line stands for",
+            )?;
+            Some(AccessLog::open(path, sample as u64)?)
         }
         None => None,
     };
     let trace_out = args.get("trace-out").map(str::to_string);
 
-    let (inf, initial, source) = crate::fleet::fleet_from_args(args, "serve", ranks_per_world)?;
+    let (inf, initial, source) = crate::fleet::fleet_from_args(args, ranks_per_world)?;
     let ranks = inf.partition().rank_count();
     let mut cfg = SchedulerConfig::default().with_queue_depth(queue_depth);
     if slo_ms > 0 {
@@ -247,9 +234,14 @@ pub fn serve(args: &Args) -> Result<(), String> {
     listener.run(move |request| server.route(request));
     println!("shutdown requested; scheduler drained");
     if let (Some(path), Some(handle)) = (trace_out, trace) {
-        let json = handle.finish().chrome_json();
-        std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote trace {path}");
+        let trace = handle.finish();
+        std::fs::write(&path, trace.chrome_json())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!(
+            "wrote trace {path}: {} events ({} dropped to ring overflow)",
+            trace.events.len(),
+            trace.total_dropped()
+        );
     }
     Ok(())
 }
@@ -681,12 +673,17 @@ mod tests {
         );
     }
 
-    /// `pdeml serve --quick FLAG 0` fails before training, with a hint.
+    /// `pdeml serve FLAG 0` fails with a hint before it opens the access
+    /// log or loads a model (there is none: without `--quick` or `--model`
+    /// the first step past the flags would fail on its own).
     fn assert_zero_refused(flag: &str, default: usize) {
-        let argv = ["--quick", flag, "0"].map(String::from);
+        let log = std::env::temp_dir().join(format!("pdeml_zero_{}.jsonl", std::process::id()));
+        let log = log.to_string_lossy();
+        let argv = ["--access-log", &log, flag, "0"].map(String::from);
         let err = serve(&Args::parse(&argv).unwrap()).unwrap_err();
+        assert!(!std::path::Path::new(&*log).exists(), "{err}");
         assert!(
-            err.starts_with(&format!("{flag} 0 leaves nothing to serve")),
+            err.starts_with(&format!("{flag} 0 is out of range")),
             "{err}"
         );
         assert!(
@@ -708,6 +705,11 @@ mod tests {
     #[test]
     fn zero_queue_depth_is_refused_with_a_hint() {
         assert_zero_refused("--queue-depth", 32);
+    }
+
+    #[test]
+    fn zero_access_log_sample_is_refused_with_a_hint() {
+        assert_zero_refused("--access-log-sample", 1);
     }
 
     #[test]

@@ -98,3 +98,26 @@ fn worker_mode_rejects_bad_rank_and_peer_specs() {
         .expect("spawn pdeml");
     assert!(!out.status.success(), "a 1-peer world is not a world");
 }
+
+#[test]
+fn launch_refuses_zero_requests_before_spawning_the_world() {
+    let out = pdeml()
+        .args(["world-node", "--launch", "--ranks", "2", "--requests", "0"])
+        .output()
+        .expect("spawn pdeml");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("--requests 0 is out of range") && !stderr.contains("panicked at"),
+        "stderr:\n{stderr}"
+    );
+    assert!(
+        !stdout.contains("launched as OS processes"),
+        "nothing may be spawned:\n{stdout}"
+    );
+}

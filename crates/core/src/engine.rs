@@ -412,11 +412,6 @@ impl InferEngine {
         &self.respawned
     }
 
-    /// Cumulative per-rank traffic snapshots of the engine's world.
-    pub fn traffic(&self) -> Vec<TrafficReport> {
-        self.world.traffic()
-    }
-
     /// Registered model names, sorted.
     pub fn model_names(&self) -> Vec<&str> {
         self.models.keys().map(String::as_str).collect()
@@ -517,7 +512,7 @@ impl InferEngine {
 
     /// [`InferEngine::rollout_from_history`] carrying a serving request id:
     /// every span the request causes on the rank threads is stamped with
-    /// `req_id` (greppable as `"req":N` in a trace or flight dump), and the
+    /// `req_id` (greppable as `"req":N` in a trace), and the
     /// returned [`EnginePhases`] splits its latency into driver-side
     /// dispatch vs rank-side rollout time.
     pub fn rollout_from_history_traced(

@@ -44,7 +44,6 @@ pub mod arch;
 pub mod baseline;
 pub mod data;
 pub mod engine;
-pub mod flight;
 pub mod infer;
 mod live;
 pub mod metrics;
@@ -62,7 +61,6 @@ pub mod prelude {
     pub use crate::baseline::{BaselineOutcome, DataParallelTrainer};
     pub use crate::data::SubdomainDataset;
     pub use crate::engine::{EngineConfig, EngineError, EnginePhases, InferEngine};
-    pub use crate::flight::{FlightDump, FlightRecorder};
     pub use crate::infer::{
         HaloFallback, HaloPolicy, InferError, ParallelInference, RankRolloutState, RejectReason,
         RolloutResult,

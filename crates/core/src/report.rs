@@ -9,10 +9,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The artifact directory every example, bench and flight-recorder dump
-/// writes under: `$PDEML_RESULTS_DIR`, or `results/` (relative to the
-/// working directory) when unset. One env knob, so CI runs and sandboxed
-/// runs never collide on a hard-coded path. The directory is created.
+/// The artifact directory every example and bench writes under:
+/// `$PDEML_RESULTS_DIR`, or `results/` (relative to the working directory)
+/// when unset. One env knob, so CI runs and sandboxed runs never collide
+/// on a hard-coded path. The directory is created.
 pub fn results_dir() -> io::Result<PathBuf> {
     let dir = std::env::var_os("PDEML_RESULTS_DIR")
         .map(PathBuf::from)

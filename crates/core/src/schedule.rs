@@ -182,7 +182,7 @@ struct SchedState {
 
 impl SchedState {
     /// Rolling p99.9 over the latency window, via the shared nearest-rank
-    /// rule — the same index the serve-bench percentile would report.
+    /// rule — the same index a histogram quantile would report.
     fn p999_ms(&self) -> Option<u64> {
         if self.latencies_ms.is_empty() {
             return None;
@@ -282,9 +282,8 @@ impl Scheduler {
             work: Condvar::new(),
         });
         // Dispatchers join the trace session active on the constructing
-        // thread (a `--trace-out` whole-run capture, or an armed flight
-        // recorder), so request spans from their engines' rank jobs are
-        // collected. No-op when tracing is off.
+        // thread (a `--trace-out` whole-run capture), so request spans from
+        // their engines' rank jobs are collected. No-op when tracing is off.
         let trace_session = pde_trace::session();
         let workers = engines
             .into_iter()

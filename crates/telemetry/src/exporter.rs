@@ -1,7 +1,8 @@
 //! The metrics exporter: `/metrics`, `/healthz`, `/readyz` on a background
-//! thread, for processes whose main job is something else (`serve-bench`,
-//! `world-node`). All of the HTTP is [`crate::http`]; this file is the
-//! thread and its shutdown. A scrape every few seconds from one or two
+//! thread, for a process whose main job is something else (`pdeml
+//! world-node --launch`; `pdeml serve` answers the same routes on its own
+//! listener). All of the HTTP is [`crate::http`]; this file is the thread
+//! and its shutdown. A scrape every few seconds from one or two
 //! collectors is the design load.
 
 use crate::health::HealthModel;

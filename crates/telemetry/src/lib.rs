@@ -14,9 +14,8 @@
 //!   (p50/p99/p99.9) with relative error bounded by `1/2^(k+1)`; snapshots
 //!   are plain vectors that merge by elementwise addition, and
 //!   `merge(a, b)` is *exactly* the histogram of the union of the samples;
-//! * scrape-time collector callbacks ([`collect_counter`] /
-//!   [`collect_gauge`]) for values maintained elsewhere (e.g.
-//!   `pde_trace::dropped_spans_total`).
+//! * labeled counter families ([`counter_with_label`]), one series per
+//!   label value under a single header.
 //!
 //! The registry renders the Prometheus text exposition format
 //! ([`render_prometheus`]); [`http`] is the workspace's one std-only HTTP
@@ -47,9 +46,10 @@ pub const DEFAULT_SUB_BITS: u32 = 5;
 /// The nearest-rank index rule shared by every percentile in the stack:
 /// for `count` sorted samples, quantile `q` (in `[0, 1]`) is the sample at
 /// index `round((count - 1) * q)`. [`HistogramSnapshot::quantile`] and the
-/// CLI's exact-list percentile both call this, so a latency reported from
-/// a sorted vector and one reported from a histogram agree on which sample
-/// they mean (the histogram then coarsens it to its bucket's midpoint).
+/// scheduler's exact-window p99.9 both call this, so a latency reported
+/// from a sorted vector and one reported from a histogram agree on which
+/// sample they mean (the histogram then coarsens it to its bucket's
+/// midpoint).
 pub fn nearest_rank(count: u64, q: f64) -> u64 {
     (count.saturating_sub(1) as f64 * q.clamp(0.0, 1.0)).round() as u64
 }
@@ -317,8 +317,8 @@ impl HistogramSnapshot {
         1.0 / (1u64 << (self.k + 1)) as f64
     }
 
-    /// Nearest-rank quantile (`q` in `[0, 1]`), same rank rule as the
-    /// serve-bench percentile: the sample at sorted index
+    /// Nearest-rank quantile (`q` in `[0, 1]`), by [`nearest_rank`]: the
+    /// sample at sorted index
     /// `round((count-1) * q)`, reported as its bucket's midpoint. `None`
     /// when the histogram is empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
@@ -355,12 +355,6 @@ enum Metric {
         label_value: &'static str,
         counter: &'static Counter,
     },
-    Collected {
-        name: &'static str,
-        help: &'static str,
-        kind: &'static str,
-        read: Box<dyn Fn() -> u64 + Send + Sync>,
-    },
 }
 
 impl Metric {
@@ -370,7 +364,6 @@ impl Metric {
             Metric::Gauge(g) => g.name,
             Metric::Histogram(h) => h.name,
             Metric::CounterSeries { family, .. } => family,
-            Metric::Collected { name, .. } => name,
         }
     }
 
@@ -380,7 +373,6 @@ impl Metric {
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "summary",
             Metric::CounterSeries { .. } => "labeled counter",
-            Metric::Collected { kind, .. } => kind,
         }
     }
 }
@@ -548,44 +540,6 @@ pub fn counter_with_label(
     c
 }
 
-/// Registers a scrape-time counter: `read` is evaluated on every render.
-/// For monotonic values maintained outside the registry. Idempotent by
-/// name (a second registration is ignored).
-pub fn collect_counter(
-    name: &'static str,
-    help: &'static str,
-    read: impl Fn() -> u64 + Send + Sync + 'static,
-) {
-    collect(name, help, "counter", Box::new(read));
-}
-
-/// Registers a scrape-time gauge. See [`collect_counter`].
-pub fn collect_gauge(
-    name: &'static str,
-    help: &'static str,
-    read: impl Fn() -> u64 + Send + Sync + 'static,
-) {
-    collect(name, help, "gauge", Box::new(read));
-}
-
-fn collect(
-    name: &'static str,
-    help: &'static str,
-    kind: &'static str,
-    read: Box<dyn Fn() -> u64 + Send + Sync>,
-) {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    if reg.iter().any(|m| m.name() == name) {
-        return;
-    }
-    reg.push(Metric::Collected {
-        name,
-        help,
-        kind,
-        read,
-    });
-}
-
 /// Renders every registered metric in the Prometheus text exposition
 /// format (v0.0.4): `# HELP` + `# TYPE` per family, the driver shard as the
 /// unlabeled base series, and one `{rank="N"}` series per rank shard that
@@ -656,15 +610,6 @@ pub fn render_prometheus() -> String {
                 }
                 out.push_str(&format!("{}_sum {}\n", h.name, snap.sum));
                 out.push_str(&format!("{}_count {}\n", h.name, snap.count));
-            }
-            Metric::Collected {
-                name,
-                help,
-                kind,
-                read,
-            } => {
-                header(&mut out, name, help, kind);
-                out.push_str(&format!("{name} {}\n", read()));
             }
         }
     }
@@ -756,6 +701,32 @@ mod tests {
         assert_eq!(nearest_rank(1000, 0.999), 998); // round(999 * 0.999)
         assert_eq!(nearest_rank(4, -3.0), 0, "q clamps into [0, 1]");
         assert_eq!(nearest_rank(4, 7.0), 3);
+    }
+
+    #[test]
+    fn percentile_and_histogram_quantile_share_one_rule() {
+        // The sorted-list percentile (`sorted[nearest_rank(n, q)]`) and the
+        // histogram quantile route through one rule. Samples stay below
+        // 2^k = 32, the histogram's exact-bucket region, so the two must
+        // agree EXACTLY on every quantile — any drift in either breaks this.
+        let hist = histogram(
+            "pdeml_test_percentile_dedup_us",
+            "percentile dedup regression fixture",
+        );
+        let sorted: Vec<u64> = vec![1, 2, 3, 5, 8, 13, 21, 21, 30, 31];
+        assert!(sorted.iter().all(|&s| s < 1 << DEFAULT_SUB_BITS));
+        for &s in &sorted {
+            hist.record(s);
+        }
+        let snap = hist.snapshot();
+        let n = sorted.len() as u64;
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(
+                snap.quantile(q),
+                Some(sorted[nearest_rank(n, q) as usize]),
+                "q {q}: list percentile and histogram quantile diverged"
+            );
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub struct TraceEvent {
     /// field rather than a distinct event type: every existing span keeps
     /// its name/category/args and merely gains attribution, so one grep
     /// for `"req":N` pulls a request's whole cross-rank story out of a
-    /// flight dump (DESIGN.md §4k).
+    /// trace (DESIGN.md §4k).
     pub req: u64,
 }
 
@@ -135,16 +135,6 @@ pub struct TraceEvent {
 
 /// Session ids start at 1; 0 means "no session" everywhere.
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
-/// Process-lifetime total of ring-overflow drops across all sessions — the
-/// live counterpart of the per-session `dropped_by_rank` accounting, so a
-/// metrics scrape can watch drops accumulate while a trace is still armed.
-static DROPPED_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Spans dropped to ring overflow since process start (all sessions).
-/// Monotonic; exported as the `pdeml_trace_dropped_spans_total` metric.
-pub fn dropped_spans_total() -> u64 {
-    DROPPED_TOTAL.load(Ordering::Relaxed)
-}
 /// Shared time origin so all threads report on one comparable axis.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -190,7 +180,6 @@ impl Ring {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.cap;
             self.dropped += 1;
-            DROPPED_TOTAL.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -385,8 +374,8 @@ pub fn leave() {
 /// Tags subsequent events on this thread with a serving request id
 /// (0 clears the tag). The serving engine brackets each request's rank
 /// work with this, so every span a request causes — steps, halo waits,
-/// GEMMs — carries its [`TraceEvent::req`] and a trace or flight dump can
-/// be grepped down to one request. Cost: one thread-local write.
+/// GEMMs — carries its [`TraceEvent::req`] and a trace can be grepped
+/// down to one request. Cost: one thread-local write.
 #[inline]
 pub fn set_request(id: u64) {
     REQ.with(|r| r.set(id));

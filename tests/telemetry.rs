@@ -11,7 +11,7 @@
 //! * the **serving stack**: the std-only exporter answers `/metrics` and
 //!   the health endpoints over a real TCP socket, the warm engine's latency
 //!   histogram tracks externally measured request latencies, and a dead
-//!   peer in a persistent world produces a valid flight-recorder dump.
+//!   peer in a persistent world poisons it and is counted on `/metrics`.
 //!
 //! Only one test here drives engine rollouts — the process-global
 //! `pdeml_request_latency_us` series must hold exactly that test's
@@ -36,7 +36,7 @@ fn unique_name(prefix: &str) -> &'static str {
 }
 
 /// Nearest-rank quantile over sorted samples — the same rank rule
-/// `HistogramSnapshot::quantile` and the serve-bench percentile use.
+/// `HistogramSnapshot::quantile` uses (`pde_telemetry::nearest_rank`).
 fn oracle_quantile(sorted: &[u64], q: f64) -> u64 {
     let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[rank]
@@ -246,15 +246,11 @@ fn engine_latency_histogram_tracks_measured_requests() {
 }
 
 /// A dead peer in a 4-rank persistent world: the survivors observe
-/// `Disconnected`, the driver's propagated panic classifies as `peer-dead`,
-/// and the flight recorder writes a dump that is a valid Chrome-trace
-/// envelope plus a metrics snapshot recording the rank panic.
+/// `Disconnected`, the panic that reaches the caller names the dead peer,
+/// the world is poisoned, and the registry counts the panic on rank 2's
+/// shard — the evidence an operator scrapes from `/metrics`.
 #[test]
-fn dead_peer_produces_valid_flight_dump() {
-    let dir = std::env::temp_dir().join(format!("pdeml_flight_e2e_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut flight = FlightRecorder::new(&dir).expect("arm flight recorder");
-
+fn dead_peer_poisons_the_world_and_counts_the_rank_panic() {
     let mut world = pde_commsim::World::new(4).spawn_persistent();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         world.run(|mut ctx| {
@@ -269,26 +265,22 @@ fn dead_peer_produces_valid_flight_dump() {
     let payload = outcome.expect_err("the rank panic must propagate to the driver");
     assert!(world.is_poisoned());
 
-    // Rank 0's propagated panic mentions the disconnected sender.
-    let reason = pde_ml_core::flight::classify_panic(payload.as_ref());
-    assert_eq!(reason, "peer-dead");
+    // Rank 0's propagated panic names the disconnected sender.
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("");
+    assert!(
+        ["dead", "disconnected", "Disconnected"]
+            .iter()
+            .any(|word| message.contains(word)),
+        "the payload should name a dead or disconnected peer: {message:?}"
+    );
 
-    let dump = flight.trip(reason).expect("flight dump");
-    assert!(dump.trace_path.exists());
-    let name = dump.trace_path.file_name().unwrap().to_string_lossy();
-    assert!(
-        name.starts_with("flight-") && name.contains("peer-dead"),
-        "{name}"
-    );
-    let json = std::fs::read_to_string(&dump.trace_path).unwrap();
-    assert!(
-        json.contains("\"traceEvents\""),
-        "dump is a Chrome-trace envelope"
-    );
-    let prom = std::fs::read_to_string(&dump.metrics_path).unwrap();
+    let prom = pde_telemetry::render_prometheus();
     assert!(
         prom.contains("pdeml_rank_panics_total{rank=\"2\"}"),
-        "metrics snapshot records the rank-2 panic:\n{prom}"
+        "the registry records the rank-2 panic:\n{prom}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

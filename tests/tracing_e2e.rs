@@ -314,6 +314,6 @@ fn request_id_follows_from_scheduler_submit_to_rank_spans_in_the_trace() {
     assert!(
         json.lines()
             .any(|l| l.contains(&needle) && l.contains("\"ph\":\"X\"")),
-        "flight/trace dumps must be greppable by request id"
+        "trace dumps must be greppable by request id"
     );
 }
