@@ -69,9 +69,21 @@ impl Args {
     /// queue slots leave nothing to do, so 0 is a typo, not a setting: it
     /// is refused with a hint naming `what` is counted, never clamped.
     pub fn count(&self, name: &str, default: usize, what: &str) -> Result<usize, String> {
+        self.at_least(name, default, 1, what)
+    }
+
+    /// A count option that must be at least `min` — [`Args::count`] for
+    /// counts whose smallest workable value is above 1.
+    pub fn at_least(
+        &self,
+        name: &str,
+        default: usize,
+        min: usize,
+        what: &str,
+    ) -> Result<usize, String> {
         match self.get_or(name, default)? {
-            0 => Err(format!(
-                "--{name} 0 is out of range: it is the number of {what}, at least 1 \
+            n if n < min => Err(format!(
+                "--{name} {n} is out of range: it is the number of {what}, at least {min} \
                  (default {default})"
             )),
             n => Ok(n),

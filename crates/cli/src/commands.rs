@@ -15,11 +15,7 @@ use std::path::{Path, PathBuf};
 
 /// Finishes a `--trace` session: writes the Chrome-trace JSON (openable in
 /// Perfetto / `chrome://tracing`) and prints the per-rank metrics table.
-fn write_trace(
-    trace: &pde_trace::Trace,
-    rows: &[pde_trace::RankMetrics],
-    path: &Path,
-) -> Result<(), String> {
+fn write_trace(trace: &pde_trace::Trace, path: &Path) -> Result<(), String> {
     std::fs::write(path, trace.chrome_json())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!(
@@ -29,15 +25,15 @@ fn write_trace(
         trace.total_dropped(),
         path.display()
     );
-    print!("{}", pde_trace::metrics::format_table(rows));
+    print!("{}", pde_trace::metrics::format_table(&trace.summarize()));
     Ok(())
 }
 
 /// `pdeml simulate` — run the linearized-Euler solver and persist the
 /// snapshots.
 pub fn simulate(args: &Args) -> Result<(), String> {
-    let grid: usize = args.get_or("grid", 64)?;
-    let snapshots: usize = args.get_or("snapshots", 120)?;
+    let grid = args.at_least("grid", 64, 4, "cells along each side of the grid")?;
+    let snapshots = args.at_least("snapshots", 120, 2, "snapshots recorded (a pair is two)")?;
     let out = PathBuf::from(args.require("out")?);
     let boundary = match args.get("boundary").unwrap_or("outflow") {
         "outflow" => Boundary::Outflow,
@@ -144,9 +140,7 @@ pub fn train(args: &Args) -> Result<(), String> {
         .train_view(&data, train_pairs, ranks)
         .map_err(|e| e.to_string())?;
     if let (Some(h), Some(path)) = (handle, trace_path.as_ref()) {
-        let trace = h.finish();
-        let rows = pde_ml_core::observe::train_metrics(&trace, &outcome);
-        write_trace(&trace, &rows, path)?;
+        write_trace(&h.finish(), path)?;
     }
     println!(
         "done in {:.1}s; mean final loss {:.3}; bytes communicated during training: {}",
@@ -294,9 +288,7 @@ pub fn infer(args: &Args) -> Result<(), String> {
         .rollout_from_history(&history, steps)
         .map_err(|e| format!("cannot serve this rollout: {e}"))?;
     if let (Some(h), Some(path)) = (handle, trace_path.as_ref()) {
-        let trace = h.finish();
-        let rows = pde_ml_core::observe::rollout_metrics(&trace, &rollout);
-        write_trace(&trace, &rows, path)?;
+        write_trace(&h.finish(), path)?;
     }
     println!("boundary bytes exchanged: {}", rollout.total_bytes());
     if rollout.degraded() {
@@ -376,9 +368,11 @@ fn threads_per_rank_from_args(args: &Args) -> Result<Option<usize>, String> {
 /// `pdeml scale` — calibrate the cost model on this machine and print the
 /// strong/weak scaling projections.
 pub fn scale(args: &Args) -> Result<(), String> {
-    let grid: usize = args.get_or("grid", 96)?;
-    let epochs: usize = args.get_or("epochs", 2)?;
-    let cores: usize = args.get_or("cores", 64)?;
+    // The smallest calibration run is grid / 8 cells wide, and the solver
+    // needs at least 4.
+    let grid = args.at_least("grid", 96, 32, "cells along each side of the global grid")?;
+    let epochs = args.count("epochs", 2, "calibration epochs per subproblem")?;
+    let cores = args.count("cores", 64, "cores of the projected machine")?;
     let arch = ArchSpec::paper();
     let mut cfg = TrainConfig::paper();
     cfg.epochs = epochs;
@@ -440,20 +434,22 @@ pub fn info() -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// `pdeml train --quick FLAGS…` fails with a hint naming the flag,
-    /// before any rank trains, and does not panic.
-    fn assert_train_refused(flags: &[&str], hint: &str) {
-        let argv: Vec<String> = ["--quick"]
-            .iter()
-            .chain(flags)
-            .map(|s| s.to_string())
-            .collect();
+    /// `pdeml <command> FLAGS…` fails with a hint naming its first flag,
+    /// before any work starts, and does not panic.
+    fn assert_refused(command: fn(&Args) -> Result<(), String>, flags: &[&str], hint: &str) {
+        let argv: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
         let args = Args::parse(&argv).unwrap();
-        let err = std::panic::catch_unwind(|| train(&args))
-            .unwrap_or_else(|_| panic!("train {flags:?} panicked"))
+        let err = std::panic::catch_unwind(|| command(&args))
+            .unwrap_or_else(|_| panic!("{flags:?} panicked"))
             .unwrap_err();
         assert!(err.starts_with(&format!("{} ", flags[0])), "{err}");
         assert!(err.contains(hint), "{err}");
+    }
+
+    /// `pdeml train --quick FLAGS…` is refused (see [`assert_refused`]).
+    fn assert_train_refused(flags: &[&str], hint: &str) {
+        let flags: Vec<&str> = flags.iter().copied().chain(["--quick"]).collect();
+        assert_refused(train, &flags, hint);
     }
 
     #[test]
@@ -477,6 +473,50 @@ mod tests {
     fn more_train_pairs_than_the_data_holds_is_refused() {
         // The quick dataset is 8 snapshots, so 7 pairs.
         assert_train_refused(&["--train-pairs", "999"], "pick at most 7");
+    }
+
+    /// Where `simulate` would write if a refusal let it through.
+    const NO_OUT: &str = "/nonexistent/pdeml-refused.pdeds";
+
+    #[test]
+    fn a_grid_below_four_cells_is_refused() {
+        assert_refused(
+            simulate,
+            &["--grid", "3", "--out", NO_OUT],
+            "at least 4 (default 64)",
+        );
+    }
+
+    #[test]
+    fn fewer_than_two_snapshots_is_refused() {
+        assert_refused(
+            simulate,
+            &["--snapshots", "1", "--grid", "8", "--out", NO_OUT],
+            "at least 2 (default 120)",
+        );
+    }
+
+    #[test]
+    fn a_scale_grid_below_32_is_refused() {
+        assert_refused(scale, &["--grid", "16"], "at least 32 (default 96)");
+    }
+
+    #[test]
+    fn zero_scale_epochs_is_refused() {
+        assert_refused(
+            scale,
+            &["--epochs", "0", "--grid", "32"],
+            "at least 1 (default 2)",
+        );
+    }
+
+    #[test]
+    fn zero_scale_cores_is_refused() {
+        assert_refused(
+            scale,
+            &["--cores", "0", "--grid", "32", "--epochs", "1"],
+            "at least 1 (default 64)",
+        );
     }
 
     /// A hand-written `meta.txt` every case below breaks in one line.

@@ -53,8 +53,10 @@ USAGE:
   pdeml info
 
 `--quick` trains the tiny test net on a built-in dataset (no --data/--out).
-Counts (`--ranks`, `--window`, `--requests`, and serve's sizes and
-`--access-log-sample`) are at least 1; `--lr` is positive and finite.
+Counts (`--ranks`, `--window`, `--requests`, serve's sizes and
+`--access-log-sample`, scale's `--epochs` and `--cores`) are at least 1,
+`simulate --grid` at least 4 and `--snapshots` at least 2, `scale --grid`
+at least 32; `--lr` is positive and finite.
 `serve` is the HTTP inference front end for one model: it splits one world
 into `--sub-worlds` independent sub-worlds of `--ranks-per-world` ranks
 behind a bounded request queue of `--queue-depth` with SLO-aware admission
@@ -76,7 +78,8 @@ DIR/merged_trace.json, one timeline with a process group per rank.
 Performance numbers (latency under load, warm vs cold, channel vs TCP) come
 from `bash benchmark/run.sh`, not from these commands.
 `--trace OUT.json` records a per-rank timeline (Chrome trace format; open in
-Perfetto or chrome://tracing) and prints a per-rank metrics table.
+Perfetto or chrome://tracing) and prints per rank what the trace saw:
+events, busy ms per category, bytes sent, halos lost, events dropped.
 `world-node --launch --metrics-addr` serves live Prometheus metrics plus
 /healthz and /readyz from the launcher; `--hold-ms` keeps the endpoint up after
 the run so a scraper can catch it. `--self-heal` makes the world survive a

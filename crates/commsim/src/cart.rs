@@ -226,7 +226,6 @@ impl CartComm {
     ) -> Option<HaloRecv> {
         use pde_trace::{names, Category};
         let src = self.neighbor(dir)?;
-        crate::live::halo_recv_attempts().inc(self.comm.rank());
         let mut span = pde_trace::span_args(Category::Comm, names::HALO_RECV, src as u64, 0);
         Some(
             match self.comm.recv_timeout(src, encode_tag(tag, dir), timeout) {
@@ -236,7 +235,6 @@ impl CartComm {
                 }
                 Err(RecvError::Timeout) => {
                     self.comm.stats().note_halo_lost();
-                    crate::live::halos_lost().inc(self.comm.rank());
                     pde_trace::instant(Category::Comm, names::HALO_LOST, src as u64, 0);
                     HaloRecv::Lost
                 }

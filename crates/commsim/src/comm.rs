@@ -321,10 +321,9 @@ impl Comm {
         s.msgs_sent.fetch_add(1, Ordering::Relaxed);
         s.values_sent
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        crate::live::sends().inc(self.rank);
         crate::live::send_bytes().add(self.rank, data.len() as u64 * 8);
-        // Traced bytes must mirror `values_sent` exactly (×8): the metrics
-        // registry asserts the two accountings agree per rank.
+        // Traced bytes must mirror `values_sent` exactly (×8):
+        // `tests/pipeline.rs` asserts the two ledgers agree per rank.
         pde_trace::instant(
             pde_trace::Category::Comm,
             pde_trace::names::SEND,
@@ -353,14 +352,12 @@ impl Comm {
         }
     }
 
-    /// Counts one matched receive on both the per-rank [`CommStats`] and
-    /// the live telemetry series.
+    /// Counts one matched receive on the per-rank [`CommStats`].
     #[inline]
     fn note_received(&self) {
         self.stats[self.rank]
             .msgs_received
             .fetch_add(1, Ordering::Relaxed);
-        crate::live::recvs().inc(self.rank);
     }
 
     fn take_pending(&mut self, src: usize, tag: Tag) -> Option<Message> {
@@ -547,7 +544,6 @@ impl Comm {
         if n == 1 {
             return;
         }
-        crate::live::barriers().inc(self.rank);
         let _span = pde_trace::span(pde_trace::Category::Comm, pde_trace::names::BARRIER);
         let mut round = 1usize;
         let mut round_idx = 0u32;
@@ -632,41 +628,6 @@ impl Comm {
             None
         }
     }
-
-    /// Gathers every rank's buffer on every rank.
-    pub fn allgather(&mut self, data: &[f64]) -> Vec<Vec<f64>> {
-        let gathered = self.gather(0, data);
-        // Flatten with a length header so a single broadcast suffices.
-        if self.rank == 0 {
-            let parts = gathered.expect("gather on root");
-            let mut flat =
-                Vec::with_capacity(1 + parts.len() + parts.iter().map(Vec::len).sum::<usize>());
-            flat.push(parts.len() as f64);
-            for p in &parts {
-                flat.push(p.len() as f64);
-            }
-            for p in &parts {
-                flat.extend_from_slice(p);
-            }
-            let flat = self.broadcast(0, flat);
-            unflatten(&flat)
-        } else {
-            let flat = self.broadcast(0, Vec::new());
-            unflatten(&flat)
-        }
-    }
-}
-
-fn unflatten(flat: &[f64]) -> Vec<Vec<f64>> {
-    let n = flat[0] as usize;
-    let lens: Vec<usize> = (0..n).map(|i| flat[1 + i] as usize).collect();
-    let mut out = Vec::with_capacity(n);
-    let mut offset = 1 + n;
-    for len in lens {
-        out.push(flat[offset..offset + len].to_vec());
-        offset += len;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -794,27 +755,6 @@ mod tests {
                 vec![1.0, 2.0],
                 "{kind:?}: same-(src, tag) messages must stay FIFO"
             );
-        }
-    }
-
-    #[test]
-    fn allgather_everywhere() {
-        let out = World::new(3).run(|mut comm| comm.allgather(&[comm.rank() as f64; 2]));
-        for r in &out {
-            assert_eq!(r, &vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0]]);
-        }
-    }
-
-    #[test]
-    fn allgather_handles_unequal_lengths() {
-        let out = World::new(3).run(|mut comm| {
-            let mine = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.allgather(&mine)
-        });
-        for r in &out {
-            assert_eq!(r[0].len(), 1);
-            assert_eq!(r[1].len(), 2);
-            assert_eq!(r[2].len(), 3);
         }
     }
 

@@ -7,7 +7,7 @@
 //! Point-to-point sends are buffered (a send never blocks), receives match
 //! on `(source, tag)` with an out-of-order pending queue — the semantics of
 //! `MPI_Send`/`MPI_Recv` with eager buffering. Collectives (barrier,
-//! broadcast, reduce, allreduce, gather, allgather) are built on top of the
+//! broadcast, reduce, allreduce, gather) are built on top of the
 //! point-to-point layer, exactly as a small MPI implementation would.
 //!
 //! [`cart::CartComm`] adds the 2-D Cartesian topology and the neighbor halo

@@ -671,7 +671,6 @@ impl PersistentWorld {
             .next_gen
             .checked_add(n)
             .expect("generation counter overflow");
-        crate::live::generations().add(pde_telemetry::DRIVER, n as u64);
         first
     }
 
@@ -796,7 +795,6 @@ impl PersistentWorld {
                             slot.comm = None;
                             slot.state = None;
                         }
-                        crate::live::mailbox_depth().add(label, -1);
                         let _ = done.send((rank, out));
                     });
                 // SAFETY: the job borrows `f` (and `done_tx` clones), which
@@ -811,7 +809,6 @@ impl PersistentWorld {
                 let job: Job = unsafe {
                     std::mem::transmute::<Box<dyn FnOnce(&mut RankSlot) + Send + '_>, Job>(job)
                 };
-                crate::live::mailbox_depth().add(label, 1);
                 mailbox
                     .send(job)
                     .expect("persistent rank worker is running");

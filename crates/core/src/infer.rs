@@ -1034,15 +1034,11 @@ fn exchange_phase(
     tag: u32,
     degrade: Option<&mut Degrade<'_>>,
 ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
-    let rank = cart.comm().rank();
-    crate::live::halo_bytes_out().add(rank, strip_bytes(&to_neg) + strip_bytes(&to_pos));
     let Some(degrade) = degrade else {
-        let got = match axis {
+        return match axis {
             Axis::X => cart.exchange_x(to_neg, to_pos, tag),
             Axis::Y => cart.exchange_y(to_neg, to_pos, tag),
         };
-        crate::live::halo_bytes_in().add(rank, strip_bytes(&got.0) + strip_bytes(&got.1));
-        return got;
     };
     let dirs = match axis {
         Axis::X => {
@@ -1070,11 +1066,6 @@ fn exchange_phase(
     (from_neg, from_pos)
 }
 
-/// Payload bytes of an optional halo strip (8 per f64 value).
-fn strip_bytes(strip: &Option<Vec<f64>>) -> u64 {
-    strip.as_ref().map_or(0, |v| v.len() as u64 * 8)
-}
-
 /// Last strip successfully received from each of the four neighbors (the
 /// [`HaloFallback::LastKnown`] source), indexed like [`Direction::ALL`].
 #[derive(Clone, Debug, Default)]
@@ -1094,7 +1085,6 @@ fn resolve_halo(
     let cache = &mut degrade.cache.strips[dir.index()];
     match recv {
         HaloRecv::Ok(buf) => {
-            crate::live::halo_bytes_in().add(comm.rank(), buf.len() as u64 * 8);
             if degrade.fallback == HaloFallback::LastKnown {
                 *cache = Some(buf.clone());
             }
@@ -1103,12 +1093,10 @@ fn resolve_halo(
         HaloRecv::Lost => match (degrade.fallback, cache) {
             (HaloFallback::LastKnown, Some(buf)) => {
                 comm.stats().note_halo_stale();
-                crate::live::halos_stale().inc(comm.rank());
                 Some(buf.clone())
             }
             _ => {
                 comm.stats().note_halo_zero_filled();
-                crate::live::halos_zero_filled().inc(comm.rank());
                 None
             }
         },

@@ -18,8 +18,6 @@
 //! * [`baseline`] — the Viviani-style data-parallel weight-averaging
 //!   trainer the paper contrasts against (global allreduce every step);
 //! * [`metrics`] — per-field accuracy reports (MAPE, RMSE, L∞, Pearson);
-//! * [`observe`] — merges collected [`pde_trace`] traces with the runtime's
-//!   perf/traffic counters into per-rank metrics rows;
 //! * [`report`] — tiny CSV emission for the experiment harnesses.
 //!
 //! ## Quickstart
@@ -48,7 +46,8 @@ pub mod infer;
 mod live;
 pub mod metrics;
 pub mod norm;
-pub mod observe;
+#[cfg(test)]
+mod observe;
 pub mod padding;
 mod placement;
 pub mod report;

@@ -1,8 +1,8 @@
-//! Live-metric handles for the training/inference layer.
+//! Live-metric handles for the serving layer.
 //!
 //! Same pattern as commsim's: each accessor registers once (lock +
-//! allocation) and caches the `&'static` handle, so the hot path — halo
-//! assembly inside a rollout step, the per-request latency recording — is
+//! allocation) and caches the `&'static` handle, so the hot path — the
+//! per-request latency and phase recording, the admission rejections — is
 //! relaxed atomics only and stays on the zero-alloc request path.
 
 use crate::infer::RejectReason;
@@ -10,34 +10,9 @@ use pde_telemetry::{live_metric, Counter};
 use std::sync::OnceLock;
 
 live_metric!(
-    pub(crate) counter halo_bytes_out,
-    "pdeml_halo_bytes_out_total",
-    "Halo strip bytes posted to neighbors, per rank"
-);
-live_metric!(
-    pub(crate) counter halo_bytes_in,
-    "pdeml_halo_bytes_in_total",
-    "Halo strip bytes received from neighbors, per rank"
-);
-live_metric!(
-    pub(crate) counter halos_zero_filled,
-    "pdeml_halos_zero_filled_total",
-    "Lost halos replaced with zeros, per rank"
-);
-live_metric!(
-    pub(crate) counter halos_stale,
-    "pdeml_halos_stale_total",
-    "Lost halos replaced with the previous step's strip, per rank"
-);
-live_metric!(
     pub(crate) counter requests,
     "pdeml_requests_total",
     "Rollout requests served by the warm engine"
-);
-live_metric!(
-    pub(crate) counter train_epochs,
-    "pdeml_train_epochs_total",
-    "Training epochs completed"
 );
 
 /// Requests the scheduler refused, one series per admission gate:
@@ -56,20 +31,6 @@ pub(crate) fn requests_rejected(reason: RejectReason) -> &'static Counter {
         pde_telemetry::counter_with_label("pdeml_requests_rejected_total", HELP, "reason", label)
     })
 }
-
-live_metric!(
-    /// Requests currently executing on some sub-world (admitted, not finished).
-    pub(crate) gauge requests_inflight,
-    "pdeml_requests_inflight",
-    "Requests currently executing on a sub-world"
-);
-
-live_metric!(
-    /// Requests admitted but not yet picked up by a sub-world dispatcher.
-    pub(crate) gauge request_queue_depth,
-    "pdeml_request_queue_depth",
-    "Admitted requests waiting for an idle sub-world"
-);
 
 live_metric!(
     /// Warm-engine per-request latency in microseconds. Driver-recorded, so a

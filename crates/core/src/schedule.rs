@@ -396,7 +396,6 @@ impl Scheduler {
             submitted_at: Instant::now(),
             tx,
         });
-        crate::live::request_queue_depth().set(DRIVER, st.queue.len() as i64);
         drop(st);
         self.shared.work.notify_one();
         Ok(Ticket { id, rx })
@@ -441,8 +440,6 @@ fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
                     break Work::Register(reg);
                 }
                 if let Some(req) = st.queue.pop_front() {
-                    crate::live::request_queue_depth().set(DRIVER, st.queue.len() as i64);
-                    crate::live::requests_inflight().add(DRIVER, 1);
                     break Work::Req(req);
                 }
                 if st.shutdown {
@@ -489,7 +486,6 @@ fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
                 let served = result.is_ok();
                 {
                     let mut st = shared.state.lock().unwrap();
-                    crate::live::requests_inflight().add(DRIVER, -1);
                     if served {
                         while st.latencies_ms.len() >= LATENCY_WINDOW {
                             st.latencies_ms.pop_front();

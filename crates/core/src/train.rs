@@ -370,7 +370,6 @@ impl TrainSession {
     ) -> f64 {
         use pde_trace::{names, Category};
         let mut epoch_span = pde_trace::span_args(Category::Train, names::EPOCH, epoch as u64, 0);
-        crate::live::train_epochs().inc(pde_telemetry::DRIVER);
         self.opt.set_learning_rate(cfg.rate(epoch));
         ds.fill_epoch_order(cfg.shuffle, cfg.seed, epoch, &mut self.order);
         let mut sum = 0.0;

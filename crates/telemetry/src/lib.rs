@@ -39,7 +39,7 @@ pub const RANK_SHARDS: usize = 32;
 /// base series instead of a `rank="N"` one.
 pub const DRIVER: usize = usize::MAX;
 
-/// Default sub-bucket bits for [`histogram`]: 32 linear sub-buckets per
+/// Sub-bucket bits of every registered [`histogram`]: 32 linear sub-buckets per
 /// power of two, i.e. quantile relative error ≤ 1/64 (~1.6%).
 pub const DEFAULT_SUB_BITS: u32 = 5;
 
@@ -89,11 +89,6 @@ impl Counter {
         Counter { name, help, cells }
     }
 
-    /// Metric name as rendered.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Adds 1 on `rank`'s shard (use [`DRIVER`] off the rank threads).
     #[inline]
     pub fn inc(&self, rank: usize) {
@@ -115,22 +110,14 @@ impl Counter {
     pub fn total(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
-
-    /// Plain-value snapshot of every shard (`RANK_SHARDS` rank cells then
-    /// the driver cell). Two snapshots merge by elementwise addition.
-    pub fn values(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Gauge
 // ---------------------------------------------------------------------------
 
-/// A signed instantaneous value sharded per rank (queue depths, aliveness).
+/// A signed instantaneous value sharded per rank (kernel throughput, thread
+/// budgets). `set` is one relaxed store on the caller's shard.
 pub struct Gauge {
     name: &'static str,
     help: &'static str,
@@ -143,31 +130,15 @@ impl Gauge {
         Gauge { name, help, cells }
     }
 
-    /// Metric name as rendered.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Sets `rank`'s shard to `v`.
     #[inline]
     pub fn set(&self, rank: usize, v: i64) {
         self.cells[shard_of(rank)].0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `d` (may be negative) to `rank`'s shard.
-    #[inline]
-    pub fn add(&self, rank: usize, d: i64) {
-        self.cells[shard_of(rank)].0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value of `rank`'s shard.
     pub fn get(&self, rank: usize) -> i64 {
         self.cells[shard_of(rank)].0.load(Ordering::Relaxed)
-    }
-
-    /// Sum over all shards.
-    pub fn total(&self) -> i64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -236,11 +207,6 @@ impl Histogram {
         }
     }
 
-    /// Metric name as rendered.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -288,16 +254,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Empty snapshot with sub-bucket bits `k` (for accumulation).
-    pub fn empty(k: u32) -> Self {
-        HistogramSnapshot {
-            k,
-            buckets: vec![0; bucket_count(k)],
-            count: 0,
-            sum: 0,
-        }
-    }
-
     /// Folds `other` in. Panics if the two histograms used different
     /// sub-bucket resolutions (their buckets would not line up).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -465,15 +421,9 @@ pub fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
     g
 }
 
-/// Registers (or finds) the histogram `name` with the default resolution
-/// ([`DEFAULT_SUB_BITS`]). See [`counter`].
+/// Registers (or finds) the histogram `name` with [`DEFAULT_SUB_BITS`]
+/// sub-bucket bits (quantile relative error ≤ 1/64). See [`counter`].
 pub fn histogram(name: &'static str, help: &'static str) -> &'static Histogram {
-    histogram_with_bits(name, help, DEFAULT_SUB_BITS)
-}
-
-/// Registers (or finds) the histogram `name` with `2^k` sub-buckets per
-/// power-of-two range (quantile relative error ≤ `1/2^(k+1)`).
-pub fn histogram_with_bits(name: &'static str, help: &'static str, k: u32) -> &'static Histogram {
     let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(m) = reg.iter().find(|m| m.name() == name) {
         match m {
@@ -484,7 +434,7 @@ pub fn histogram_with_bits(name: &'static str, help: &'static str, k: u32) -> &'
             ),
         }
     }
-    let h: &'static Histogram = Box::leak(Box::new(Histogram::new(name, help, k)));
+    let h: &'static Histogram = Box::leak(Box::new(Histogram::new(name, help, DEFAULT_SUB_BITS)));
     reg.push(Metric::Histogram(h));
     h
 }

@@ -29,25 +29,12 @@ live_metric!(
     "pdeml_kernel_threads_active",
     "Configured intra-rank kernel thread budget per rank"
 );
-live_metric!(
-    counter flops_total,
-    "pdeml_kernel_flops_total",
-    "Floating-point operations issued by the GEMM kernels"
-);
-live_metric!(
-    counter time_ns_total,
-    "pdeml_kernel_time_ns_total",
-    "Wall-clock nanoseconds spent inside the GEMM driver"
-);
 
 /// Publishes one GEMM driver invocation. The gauge stores whole GFLOP/s:
 /// `flops / ns` is exact in those units (1e9 cancels).
 pub(crate) fn record_kernel(flops: u64, ns: u64) {
-    let r = rank();
-    flops_total().add(r, flops);
-    time_ns_total().add(r, ns);
     if let Some(gflops) = flops.checked_div(ns) {
-        gflops_gauge().set(r, gflops as i64);
+        gflops_gauge().set(rank(), gflops as i64);
     }
 }
 
@@ -73,7 +60,5 @@ mod tests {
             text.contains("pdeml_kernel_threads_active"),
             "thread gauge missing:\n{text}"
         );
-        assert!(flops_total().total() >= 2_000_000_000);
-        assert!(time_ns_total().total() >= 1_000_000_000);
     }
 }

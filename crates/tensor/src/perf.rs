@@ -127,16 +127,6 @@ pub fn snapshot() -> PerfCounters {
     }
 }
 
-/// Resets this thread's counters to zero.
-pub fn reset() {
-    FLOPS.with(|c| c.set(0));
-    GEMM_CALLS.with(|c| c.set(0));
-    BYTES_PACKED.with(|c| c.set(0));
-    KERNEL_NS.with(|c| c.set(0));
-    SIMD_CALLS.with(|c| c.set(0));
-    ALLOCS.with(|c| c.set(0));
-}
-
 /// A [`System`]-backed global allocator that counts allocations per thread.
 ///
 /// Installed as the workspace's `#[global_allocator]` by this crate, so every
@@ -249,9 +239,9 @@ mod tests {
 
     #[test]
     fn counters_are_thread_local() {
-        reset();
+        let before = snapshot();
         record_gemm(100, 8, 10, true);
-        let main_thread = snapshot();
+        let main_thread = snapshot().since(&before);
         let other = std::thread::spawn(|| snapshot().flops).join().unwrap();
         assert_eq!(main_thread.flops, 100);
         assert_eq!(other, 0, "a fresh thread starts with zeroed counters");

@@ -536,8 +536,8 @@ impl Trace {
         chrome::chrome_trace_json_for_pid(&self.events, pid)
     }
 
-    /// Aggregates events into per-rank metrics (span time per category,
-    /// traced send bytes, comm wait time, halo outcomes).
+    /// Aggregates events into per-rank metrics (busy time per category,
+    /// traced sends and their bytes, lost halos, dropped events).
     pub fn summarize(&self) -> Vec<RankMetrics> {
         metrics::summarize(&self.events, &self.dropped_by_rank)
     }

@@ -1,14 +1,14 @@
-//! Metrics registry: per-rank aggregation of trace events, merged with the
-//! counters other crates already maintain (`pde_tensor::perf::PerfCounters`,
-//! commsim's `TrafficReport`). This crate stays dependency-free, so the
-//! merged fields are plain `u64`s and the glue that copies them in lives
-//! where both sides are visible (`pde-ml-core`).
+//! Per-rank aggregation of trace events: the `--trace` summary table.
+//!
+//! Each row holds only what the trace itself knows — event counts, span
+//! coverage per category and the `send` / `halo_lost` instants. The
+//! runtime's own ledgers stay where they are kept: traffic in commsim's
+//! `TrafficReport`, compute in `pde_tensor::perf::PerfCounters`.
 
 use crate::{names, Category, Kind, TraceEvent, DRIVER_RANK};
 use std::collections::HashMap;
 
-/// One rank's merged observability record: span timings derived from the
-/// trace plus externally merged perf/traffic counters.
+/// One rank's trace-derived record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankMetrics {
     pub rank: u32,
@@ -16,10 +16,6 @@ pub struct RankMetrics {
     pub events: u64,
     /// Events lost to ring overflow (0 in a lossless capture).
     pub dropped: u64,
-    /// Total span microseconds per [`Category`] (indexed by `Category::index`).
-    /// Nested spans each contribute their own duration, so this can exceed
-    /// wall clock (an `epoch` span contains its `batch` spans).
-    pub span_us: [u64; Category::COUNT],
     /// Wall-clock microseconds with at least one open span of the category
     /// (interval union, indexed by `Category::index`): nested spans do not
     /// double-count, so this never exceeds the rank's wall time. This is
@@ -27,64 +23,14 @@ pub struct RankMetrics {
     pub busy_us: [u64; Category::COUNT],
     /// `send` events counted from the trace.
     pub traced_sends: u64,
-    /// Payload bytes summed over traced `send` events. Satellite invariant:
-    /// must equal the runtime's own `bytes_sent` accounting per rank.
+    /// Payload bytes summed over traced `send` events; equals the runtime's
+    /// own `bytes_sent` per rank in a lossless capture (`tests/pipeline.rs`).
     pub traced_bytes_sent: u64,
-    /// Microseconds spent blocked inside `recv`/`halo_recv` spans (interval
-    /// union — a timed `halo_recv` wrapping an inner `recv` counts once).
-    pub recv_wait_us: u64,
-    /// Microseconds spent inside `barrier` spans.
-    pub barrier_wait_us: u64,
     /// `halo_lost` point events observed in the trace.
     pub traced_halos_lost: u64,
-    /// `halo_peer_dead` point events observed in the trace.
-    pub traced_peer_dead: u64,
-
-    // --- merged from pde_tensor::perf::PerfCounters ---
-    pub flops: u64,
-    pub gemm_calls: u64,
-    pub bytes_packed: u64,
-    pub allocs: u64,
-
-    // --- merged from commsim's TrafficReport / RankResult ---
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub msgs_received: u64,
-    pub halos_lost: u64,
-    pub halos_zero_filled: u64,
-    pub halos_stale: u64,
 }
 
 impl RankMetrics {
-    /// Copies in the per-rank compute counters (field order matches
-    /// `PerfCounters`: flops, gemm_calls, bytes_packed, allocs).
-    pub fn merge_perf(&mut self, flops: u64, gemm_calls: u64, bytes_packed: u64, allocs: u64) {
-        self.flops = flops;
-        self.gemm_calls = gemm_calls;
-        self.bytes_packed = bytes_packed;
-        self.allocs = allocs;
-    }
-
-    /// Copies in the per-rank traffic counters (field order matches
-    /// `TrafficReport`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn merge_traffic(
-        &mut self,
-        msgs_sent: u64,
-        bytes_sent: u64,
-        msgs_received: u64,
-        halos_lost: u64,
-        halos_zero_filled: u64,
-        halos_stale: u64,
-    ) {
-        self.msgs_sent = msgs_sent;
-        self.bytes_sent = bytes_sent;
-        self.msgs_received = msgs_received;
-        self.halos_lost = halos_lost;
-        self.halos_zero_filled = halos_zero_filled;
-        self.halos_stale = halos_stale;
-    }
-
     /// Wall-clock time with at least one open span of the category, in
     /// seconds (see [`RankMetrics::busy_us`]; nesting does not double-count).
     pub fn seconds_in(&self, cat: Category) -> f64 {
@@ -119,7 +65,6 @@ fn union_us(mut ivals: Vec<(u64, u64)>) -> u64 {
 pub fn summarize(events: &[TraceEvent], dropped_by_rank: &HashMap<u32, u64>) -> Vec<RankMetrics> {
     let mut by_rank: HashMap<u32, RankMetrics> = HashMap::new();
     let mut cat_ivals: HashMap<(u32, usize), Vec<(u64, u64)>> = HashMap::new();
-    let mut wait_ivals: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
     for ev in events {
         let m = by_rank.entry(ev.rank).or_insert_with(|| RankMetrics {
             rank: ev.rank,
@@ -127,40 +72,22 @@ pub fn summarize(events: &[TraceEvent], dropped_by_rank: &HashMap<u32, u64>) -> 
         });
         m.events += 1;
         match ev.kind {
-            Kind::Span => {
-                m.span_us[ev.cat.index()] += ev.dur_us;
-                let ival = (ev.ts_us, ev.ts_us + ev.dur_us);
-                cat_ivals
-                    .entry((ev.rank, ev.cat.index()))
-                    .or_default()
-                    .push(ival);
-                match ev.name {
-                    names::RECV | names::HALO_RECV => {
-                        wait_ivals.entry(ev.rank).or_default().push(ival)
-                    }
-                    names::BARRIER => m.barrier_wait_us += ev.dur_us,
-                    _ => {}
-                }
-            }
+            Kind::Span => cat_ivals
+                .entry((ev.rank, ev.cat.index()))
+                .or_default()
+                .push((ev.ts_us, ev.ts_us + ev.dur_us)),
             Kind::Instant => match ev.name {
                 names::SEND => {
                     m.traced_sends += 1;
                     m.traced_bytes_sent += ev.a1;
                 }
                 names::HALO_LOST => m.traced_halos_lost += 1,
-                names::HALO_PEER_DEAD => m.traced_peer_dead += 1,
                 _ => {}
             },
         }
     }
     for ((rank, cat), ivals) in cat_ivals {
         by_rank.get_mut(&rank).expect("rank seen above").busy_us[cat] = union_us(ivals);
-    }
-    for (rank, ivals) in wait_ivals {
-        by_rank
-            .get_mut(&rank)
-            .expect("rank seen above")
-            .recv_wait_us = union_us(ivals);
     }
     for (&rank, &dropped) in dropped_by_rank {
         by_rank
@@ -260,21 +187,18 @@ mod tests {
         assert_eq!(r0.rank, 0);
         assert_eq!(r0.traced_sends, 2);
         assert_eq!(r0.traced_bytes_sent, 64);
-        assert_eq!(r0.recv_wait_us, 250);
-        assert_eq!(r0.barrier_wait_us, 100);
-        assert_eq!(r0.span_us[Category::Comm.index()], 350);
         assert_eq!(r0.busy_us[Category::Comm.index()], 350);
-        assert_eq!(r0.span_us[Category::Train.index()], 900);
+        assert_eq!(r0.busy_us[Category::Train.index()], 900);
         let r1 = &rows[1];
         assert_eq!(r1.traced_halos_lost, 1);
-        assert_eq!(r1.recv_wait_us, 40);
+        assert_eq!(r1.busy_us[Category::Comm.index()], 40);
     }
 
     #[test]
     fn nested_spans_do_not_double_count_busy_time() {
         // An epoch [0, 1000) containing two batches, and a timed halo_recv
-        // [0, 60) wrapping its inner recv [5, 45): `span_us` keeps the raw
-        // per-span sums, `busy_us` / `recv_wait_us` report wall coverage.
+        // [0, 60) wrapping its inner recv [5, 45): `busy_us` reports wall
+        // coverage, not the sum of the span durations.
         let events = [
             span_ev(0, Category::Train, names::EPOCH, 0, 1000),
             span_ev(0, Category::Train, names::BATCH, 10, 400),
@@ -284,11 +208,9 @@ mod tests {
         ];
         let rows = summarize(&events, &HashMap::new());
         let m = &rows[0];
-        assert_eq!(m.span_us[Category::Train.index()], 1900);
         assert_eq!(m.busy_us[Category::Train.index()], 1000);
         assert_eq!(m.seconds_in(Category::Train), 1e-3);
         assert_eq!(m.busy_us[Category::Comm.index()], 60);
-        assert_eq!(m.recv_wait_us, 60);
         // Disjoint intervals still sum exactly.
         assert_eq!(union_us(vec![(10, 20), (30, 40)]), 20);
         // Touching intervals merge without a gap or overlap error.

@@ -16,7 +16,6 @@
 //! (`$PDEML_RESULTS_DIR`, default `results/`).
 
 use pde_euler::dataset::paper_dataset;
-use pde_ml_core::observe;
 use pde_ml_core::prelude::*;
 use std::time::Duration;
 
@@ -61,7 +60,6 @@ fn main() {
     let rollout = inf.rollout(data.snapshot(train_pairs), steps).unwrap();
     let trace = handle.finish();
 
-    let rows = observe::rollout_metrics(&trace, &rollout);
     let path =
         pde_ml_core::report::results_path("trace_degraded_rollout.json").expect("results dir");
     std::fs::write(&path, trace.chrome_json()).expect("write trace");
@@ -79,5 +77,5 @@ fn main() {
         trace.ranks().len(),
         trace.total_dropped()
     );
-    println!("{}", pde_trace::metrics::format_table(&rows));
+    println!("{}", pde_trace::metrics::format_table(&trace.summarize()));
 }

@@ -194,11 +194,12 @@ fn gradient_clipping_keeps_training_stable_at_high_rate() {
 
 #[test]
 fn trace_and_runtime_byte_accounting_agree_per_rank() {
-    // Satellite invariant: the byte counts reconstructed purely from `send`
-    // events in the trace must equal the runtime's own `CommStats`-derived
-    // accounting (`TrainOutcome::total_bytes_sent`, `TrafficReport`) —
-    // rank by rank, not just in aggregate. A lossless capture is a
-    // precondition (dropped events would silently undercount).
+    // The byte and message counts reconstructed purely from `send` events
+    // in the trace (`Trace::summarize`) must equal the runtime's own
+    // `CommStats` ledger (`TrainOutcome`, `TrafficReport`) — rank by rank,
+    // not just in aggregate. A lossless capture is a precondition (dropped
+    // events would silently undercount).
+    use pde_trace::Category;
     let data = paper_dataset(16, 8);
     let arch = ArchSpec::tiny();
 
@@ -213,7 +214,7 @@ fn trace_and_runtime_byte_accounting_agree_per_rank() {
     .expect("training");
     let trace = handle.finish();
     assert_eq!(trace.total_dropped(), 0, "training trace lost events");
-    let rows = pde_ml_core::observe::train_metrics(&trace, &outcome);
+    let rows = trace.summarize();
     for r in &outcome.rank_results {
         let m = rows
             .iter()
@@ -224,7 +225,17 @@ fn trace_and_runtime_byte_accounting_agree_per_rank() {
             "rank {}: trace vs TrainOutcome bytes during training",
             r.rank
         );
+        assert_eq!(
+            m.traced_sends, r.msgs_sent,
+            "rank {}: trace vs TrainOutcome message count during training",
+            r.rank
+        );
         assert_eq!(m.traced_bytes_sent, 0, "training must stay silent");
+        assert!(
+            m.busy_us[Category::Train.index()] > 0,
+            "rank {}: no train spans",
+            r.rank
+        );
     }
     assert_eq!(outcome.total_bytes_sent(), 0);
 
@@ -234,7 +245,7 @@ fn trace_and_runtime_byte_accounting_agree_per_rank() {
     let rollout = inf.rollout(data.snapshot(6), 3).unwrap();
     let trace = handle.finish();
     assert_eq!(trace.total_dropped(), 0, "rollout trace lost events");
-    let rows = pde_ml_core::observe::rollout_metrics(&trace, &rollout);
+    let rows = trace.summarize();
     let mut traced_total = 0u64;
     for (rank, t) in rollout.traffic.iter().enumerate() {
         assert!(t.bytes_sent > 0, "rank {rank} should exchange halos");
@@ -249,6 +260,10 @@ fn trace_and_runtime_byte_accounting_agree_per_rank() {
         assert_eq!(
             m.traced_sends, t.msgs_sent,
             "rank {rank}: trace vs TrafficReport message count"
+        );
+        assert!(
+            m.busy_us[Category::Infer.index()] > 0,
+            "rank {rank}: no infer spans"
         );
         traced_total += m.traced_bytes_sent;
     }

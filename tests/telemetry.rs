@@ -11,11 +11,14 @@
 //! * the **serving stack**: the std-only exporter answers `/metrics` and
 //!   the health endpoints over a real TCP socket, the warm engine's latency
 //!   histogram tracks externally measured request latencies, and a dead
-//!   peer in a persistent world poisons it and is counted on `/metrics`.
+//!   peer in a persistent world poisons it and is counted on `/metrics`;
+//! * the **documentation**: every family the workspace exports is named in
+//!   README.md's family table.
 //!
-//! Only one test here drives engine rollouts — the process-global
-//! `pdeml_request_latency_us` series must hold exactly that test's
-//! requests for its quantile assertions to be meaningful.
+//! The engine records every request into the process-global
+//! `pdeml_request_latency_us`, so the tests that drive engine rollouts log
+//! each request's measured wall time in [`ENGINE_REQUESTS_US`] under its
+//! lock: the histogram then holds exactly the logged requests.
 
 use pde_ml_core::prelude::*;
 use pde_telemetry::health::{CheckStatus, HealthModel};
@@ -24,7 +27,15 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Wall time (µs) of every engine request this binary has driven.
+static ENGINE_REQUESTS_US: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+/// Holds the engine-request log for a whole test (see the module docs).
+fn engine_requests() -> MutexGuard<'static, Vec<u64>> {
+    ENGINE_REQUESTS_US.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A fresh `&'static` metric name per call: the registry is process-global
 /// and append-only, so tests (and every proptest case) register under
@@ -107,19 +118,19 @@ fn concurrent_rank_threads_keep_totals_exact() {
             s.spawn(move || {
                 for i in 0..OPS {
                     c.inc(rank);
-                    g.add(rank, if i % 2 == 0 { 3 } else { -1 });
+                    g.set(rank, i as i64);
                     h.record(i);
                 }
             });
         }
     });
     assert_eq!(c.total(), THREADS as u64 * OPS);
-    // Ranks below RANK_SHARDS own their shard exclusively: exact per rank.
+    // Ranks below RANK_SHARDS own their shard exclusively: exact per rank,
+    // and no rank's gauge store lands on another rank's shard.
     for rank in 0..THREADS {
         assert_eq!(c.get(rank), OPS);
+        assert_eq!(g.get(rank), OPS as i64 - 1);
     }
-    // Per thread: OPS/2 increments of +3 and OPS/2 of -1.
-    assert_eq!(g.total(), THREADS as i64 * (OPS as i64 / 2) * 2);
     assert_eq!(h.count(), THREADS as u64 * OPS);
     assert_eq!(h.snapshot().sum, THREADS as u64 * (OPS * (OPS - 1) / 2));
 }
@@ -211,12 +222,19 @@ fn engine_latency_histogram_tracks_measured_requests() {
         "pdeml_requests_total",
         "Rollout requests served by the warm engine",
     );
+    let mut measured_us = engine_requests();
     let count_before = hist.count();
     let served_before = requests_total.total();
+    // The histogram holds exactly the logged requests, so its quantiles
+    // are comparable with the measured ones.
+    assert_eq!(
+        count_before,
+        measured_us.len() as u64,
+        "latency histogram holds a request nobody measured"
+    );
 
     let mut engine = InferEngine::new(4);
     engine.register("telemetry", inf).unwrap();
-    let mut measured_us = Vec::with_capacity(REQUESTS);
     for _ in 0..REQUESTS {
         let t = std::time::Instant::now();
         engine.rollout("telemetry", &initial, 2).expect("rollout");
@@ -226,9 +244,6 @@ fn engine_latency_histogram_tracks_measured_requests() {
     assert_eq!(hist.count() - count_before, REQUESTS as u64);
     assert_eq!(requests_total.total() - served_before, REQUESTS as u64);
 
-    // No other test in this binary drives rollouts, so the histogram holds
-    // exactly these requests and quantiles are comparable.
-    assert_eq!(count_before, 0, "latency histogram must start empty");
     let snap = hist.snapshot();
     measured_us.sort_unstable();
     let p50 = snap.quantile(0.5).expect("non-empty");
@@ -282,5 +297,81 @@ fn dead_peer_poisons_the_world_and_counts_the_rank_panic() {
     assert!(
         prom.contains("pdeml_rank_panics_total{rank=\"2\"}"),
         "the registry records the rank-2 panic:\n{prom}"
+    );
+}
+
+/// Every `pdeml_*` family the workspace exports is named in README.md's
+/// family table. A quick train, a NeighborPad engine rollout and one
+/// `queue_full` rejection register the families those paths own (plus
+/// whatever the other tests here registered); test fixtures
+/// (`pdeml_test_*`) are exempt.
+#[test]
+fn every_exported_family_is_documented() {
+    const README: &str = include_str!("../README.md");
+    let data = pde_euler::dataset::paper_dataset(16, 8);
+    let arch = ArchSpec::tiny();
+    let outcome = ParallelTrainer::new(
+        arch.clone(),
+        PaddingStrategy::NeighborPad,
+        TrainConfig::quick_test(),
+    )
+    .train_view(&data, 6, 4)
+    .expect("quick training");
+    let inf = ParallelInference::from_outcome(arch, PaddingStrategy::NeighborPad, &outcome);
+
+    {
+        let mut measured_us = engine_requests();
+        let mut engine = InferEngine::new(4);
+        engine.register("families", inf.clone()).unwrap();
+        let t = std::time::Instant::now();
+        engine
+            .rollout("families", data.snapshot(0), 2)
+            .expect("rollout");
+        measured_us.push(t.elapsed().as_micros() as u64);
+    }
+
+    // A depth-0 queue refuses every submission at admission: no rank runs.
+    let sched = Scheduler::new(
+        vec![InferEngine::new(4)],
+        SchedulerConfig::default().with_queue_depth(0),
+    );
+    sched.register("families", inf).unwrap();
+    let refused = sched
+        .submit("families", std::slice::from_ref(data.snapshot(0)), 1)
+        .unwrap_err();
+    assert_eq!(
+        refused,
+        InferError::Rejected {
+            reason: RejectReason::QueueFull
+        }
+    );
+
+    let prom = pde_telemetry::render_prometheus();
+    let families: Vec<&str> = prom
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .filter(|name| name.starts_with("pdeml_") && !name.starts_with("pdeml_test_"))
+        .collect();
+    for family in [
+        "pdeml_requests_total",
+        "pdeml_requests_rejected_total",
+        "pdeml_request_dispatch_us",
+        "pdeml_request_rollout_us",
+        "pdeml_kernel_threads_active",
+    ] {
+        assert!(families.contains(&family), "{family} not exported:\n{prom}");
+    }
+    assert!(
+        prom.contains("pdeml_comm_send_bytes_total{rank="),
+        "a NeighborPad rollout sends halo bytes:\n{prom}"
+    );
+    let undocumented: Vec<&str> = families
+        .into_iter()
+        .filter(|family| !README.contains(&format!("| `{family}` |")))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "exported but missing from README.md's family table: {undocumented:?}"
     );
 }
