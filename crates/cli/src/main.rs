@@ -108,6 +108,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The kernel layer reads these lazily, mid-run, and panics on a bad
+    // value; refuse it here, before any command starts work.
+    if let Err(e) = pde_tensor::gemm::env_kernel_path().and(pde_tensor::pool::env_thread_budget()) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let result = match cmd.as_str() {
         "simulate" => commands::simulate(&parsed),
         "train" => commands::train(&parsed),

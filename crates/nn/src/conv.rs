@@ -258,13 +258,12 @@ impl Layer for Conv2d {
             .leak
             .map_or(String::new(), |slope| format!(" + LeakyReLU(eps={slope})"));
         format!(
-            "{}: Conv2d({}→{}, {}x{}, stride={}, pad={}){act} [{} params]",
+            "{}: Conv2d({}→{}, {}x{}, pad={}){act} [{} params]",
             self.name,
             self.spec.in_c,
             self.spec.out_c,
             self.spec.kh,
             self.spec.kw,
-            self.spec.stride,
             self.spec.pad,
             self.param_count()
         )

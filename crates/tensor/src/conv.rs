@@ -7,15 +7,16 @@
 //! is its pinned name without an activation — and the two backward passes).
 //! All share [`Conv2dSpec`].
 //!
-//! The fast path is **zero-lowering**: at stride 1 a run of output columns
-//! reads a run of input columns, so all three passes read `x` / `grad_out`
+//! The fast path is **zero-lowering**: a run of output columns reads a run
+//! of input columns, so all three passes read `x` / `grad_out`
 //! in place and never build a column matrix — no im2col panel, no
 //! transposing pack, no col2im scatter. What they keep from the
 //! im2col + GEMM formulation they replace is its arithmetic, element for
 //! element (the accumulation-order contract of [`crate::gemm`], restated per
 //! pass on the three entry points and in `DESIGN.md` §4c), so every result
-//! is bit-for-bit what `im2col` + `gemm*` (+ `col2im`) over whole matrices
-//! gives — `tests/kernel_paths.rs` asserts it with `to_bits()`.
+//! is bit-for-bit what `im2col` + the scalar `gemm*` oracle (+ `col2im`)
+//! over whole matrices gives — `tests/kernel_paths.rs` asserts it with
+//! `to_bits()`.
 //!
 //! Two passes also carry an **epilogue**, so that a network's LeakyReLU
 //! costs no pass over memory of its own: the forward write-back that
@@ -31,20 +32,18 @@
 //! layout does not cover (`kw > 8` in the weight gradient). `pad > 0` is
 //! served by the same kernels — forward and weight gradient through a
 //! zero-bordered copy of one sample (1× the activation, where a column
-//! matrix is `kh·kw`×), input gradient through lane masks.
-//! `stride ≠ 1`, which no network in the workspace builds, takes the
-//! whole-matrix `im2col`/`col2im` + `gemm*` route.
+//! matrix is `kh·kw`×), input gradient through lane masks. Every
+//! convolution is stride 1, as every layer of the paper's network is.
 
 use crate::gemm::{
-    gemm, gemm_nt, gemm_tn, grown, kernel_path, pack_a, record_product, scalar_direct_tile, CView,
-    KernelPath, Trans, KC, MR, NR,
+    gemm_tn, grown, kernel_path, pack_a, record_product, CView, KernelPath, KC, MR, NR,
 };
-use crate::im2col::{col2im, im2col, ConvGeom};
+use crate::im2col::{col2im, ConvGeom};
 use crate::pool;
 use crate::Tensor4;
 use std::time::Instant;
 
-/// Static description of a convolution layer's arithmetic.
+/// Static description of a convolution layer's arithmetic (stride 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Conv2dSpec {
     /// Input channels.
@@ -55,27 +54,24 @@ pub struct Conv2dSpec {
     pub kh: usize,
     /// Kernel width.
     pub kw: usize,
-    /// Stride in both directions.
-    pub stride: usize,
     /// Symmetric zero padding on every side.
     pub pad: usize,
 }
 
 impl Conv2dSpec {
-    /// Square-kernel, stride-1 spec.
+    /// Square-kernel spec.
     pub fn square(in_c: usize, out_c: usize, k: usize, pad: usize) -> Self {
         Self {
             in_c,
             out_c,
             kh: k,
             kw: k,
-            stride: 1,
             pad,
         }
     }
 
     /// "Same" convolution: output spatial dims equal input dims (requires an
-    /// odd kernel and stride 1).
+    /// odd kernel).
     ///
     /// # Panics
     /// If the kernel is even-sized.
@@ -92,7 +88,6 @@ impl Conv2dSpec {
             w,
             kh: self.kh,
             kw: self.kw,
-            stride: self.stride,
             pad: self.pad,
         }
     }
@@ -164,14 +159,14 @@ pub fn conv2d(input: &Tensor4, weight: &Tensor4, bias: &[f64], spec: &Conv2dSpec
                     for kj in 0..spec.kw {
                         let wv = weight[(oc, ic, ki, kj)];
                         for oi in 0..oh {
-                            let ii = (oi * spec.stride + ki) as isize - spec.pad as isize;
+                            let ii = (oi + ki) as isize - spec.pad as isize;
                             if ii < 0 || ii >= h as isize {
                                 continue;
                             }
                             let x_row = &x_plane[ii as usize * w..(ii as usize + 1) * w];
                             let y_row = &mut y_plane[oi * ow..(oi + 1) * ow];
                             for (oj, yv) in y_row.iter_mut().enumerate() {
-                                let jj = (oj * spec.stride + kj) as isize - spec.pad as isize;
+                                let jj = (oj + kj) as isize - spec.pad as isize;
                                 if jj >= 0 && jj < w as isize {
                                     *yv += wv * x_row[jj as usize];
                                 }
@@ -232,7 +227,7 @@ fn even_part(n: usize, max: usize) -> usize {
     n.div_ceil(n.div_ceil(max).max(1)).max(1)
 }
 
-/// How the stride-1 forward and weight-gradient kernels see one sample:
+/// How the forward and weight-gradient kernels see one sample:
 /// channel planes of `rows × ld` values — the sample itself at `pad == 0`,
 /// its zero-bordered copy otherwise — in which tap `(ki, kj)` of output
 /// `(oi, oj)` is element `(oi + ki, oj + kj)`.
@@ -332,7 +327,7 @@ fn forward_panel_rows(path: KernelPath, out_c: usize) -> usize {
 /// completes an output element, so a fused layer stores its activation once
 /// and its pre-activation never. The weight matrix is packed once
 /// ([`pack_a`]), a tap-offset table `off[(c,ki,kj)] = c·H·W + ki·W + kj`
-/// stands in for the column matrix, and the GEMM register tile reads B row
+/// stands in for the column matrix, and a direct register tile reads B row
 /// `p` of output row `oi` at `x[off[p] + oi·W + oj ..]`.
 ///
 /// **Order contract:** each output element is `bias`, then per [`KC`] block
@@ -364,24 +359,6 @@ pub fn conv2d_forward_into(
     if n == 0 {
         return;
     }
-    if g.stride != 1 {
-        // Per sample: (out_c × rows) · (rows × n_cols) += into (out_c × n_cols).
-        let mut cols = vec![0.0; rows * n_cols];
-        for s in 0..n {
-            im2col(input.sample(s), &g, &mut cols);
-            let y = out.sample_mut(s);
-            for (oc, row) in y.chunks_exact_mut(n_cols).enumerate() {
-                row.fill(bias.get(oc).copied().unwrap_or(0.0));
-            }
-            gemm(out_c, rows, n_cols, weight.as_slice(), &cols, y);
-            if let Some(slope) = leak {
-                for z in y {
-                    *z = leaky_relu(slope, *z);
-                }
-            }
-        }
-        return;
-    }
 
     let t0 = Instant::now();
     let path = kernel_path();
@@ -392,16 +369,7 @@ pub fn conv2d_forward_into(
         padded,
     } = scratch;
     let mr = forward_panel_rows(path, out_c);
-    pack_a(
-        path,
-        Trans::N,
-        out_c,
-        rows,
-        weight.as_slice(),
-        rows,
-        mr,
-        weights,
-    );
+    pack_a(path, out_c, rows, weight.as_slice(), mr, weights);
     let wp: &[f64] = weights;
     let off = grown(taps, rows);
     for (row, off) in off.chunks_exact_mut(g.kw.max(1)).enumerate() {
@@ -471,6 +439,45 @@ pub fn leaky_relu_grad(slope: f64, x: f64, grad: f64) -> f64 {
     } else {
         grad
     }
+}
+
+/// The portable forward kernel's register tile: `MR` rows × `nr ≤ NR`
+/// columns, one `mul_add` chain per element from 0.0 over `kc` shared steps,
+/// `ap` a [`pack_a`] panel and B read in place — `b_row(p)` is B's row `p`
+/// from the tile's first column on (at least `nr` long), addressed through
+/// the tap table.
+#[inline(always)]
+fn scalar_direct_tile<'a>(
+    ap: &[f64],
+    kc: usize,
+    b_row: impl Fn(usize) -> &'a [f64],
+    nr: usize,
+) -> [[f64; NR]; MR] {
+    let mut acc = [[0.0f64; NR]; MR];
+    let a_cols = ap.chunks_exact(MR).take(kc).enumerate();
+    if nr == NR {
+        // Fixed-size operands: the tile update unrolls into straight-line
+        // packed FMA.
+        for (p, a_col) in a_cols {
+            let a_col: &[f64; MR] = a_col.try_into().unwrap();
+            let b_row: &[f64; NR] = b_row(p)[..NR].try_into().unwrap();
+            for r in 0..MR {
+                for j in 0..NR {
+                    acc[r][j] = a_col[r].mul_add(b_row[j], acc[r][j]);
+                }
+            }
+        }
+    } else {
+        for (p, a_col) in a_cols {
+            let b_row = &b_row(p)[..nr];
+            for r in 0..MR {
+                for (j, &bv) in b_row.iter().enumerate() {
+                    acc[r][j] = a_col[r].mul_add(bv, acc[r][j]);
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// The portable forward kernel: [`crate::simd::conv_fwd_rows_512`]'s chain
@@ -544,8 +551,7 @@ unsafe fn conv_fwd_rows(
 /// Gradient of the loss w.r.t. the convolution *input*.
 ///
 /// `grad_out` has the forward-output shape; the result has the forward-input
-/// shape `(n, in_c, h, w)` (which must be supplied because stride/padding
-/// make the inverse ambiguous).
+/// shape `(n, in_c, in_h, in_w)`.
 pub fn conv2d_backward_input(
     grad_out: &Tensor4,
     weight: &Tensor4,
@@ -574,7 +580,7 @@ pub fn conv2d_backward_input(
 /// ascending row order `(ki, kj)`, skipping padding. Bit-identical, and
 /// elements are independent, so (sample, row band) pairs are the pool's
 /// chunks. (`out_c >` [`KC`] would split `t` into block chains; such a layer
-/// takes the whole-matrix route, like `stride ≠ 1`.)
+/// takes the whole-matrix route: [`gemm_tn`] then `col2im`.)
 pub fn conv2d_backward_input_into(
     grad_out: &Tensor4,
     weight: &Tensor4,
@@ -640,7 +646,7 @@ fn backward_input(
     if n == 0 {
         return;
     }
-    if g.stride != 1 || out_c > KC {
+    if out_c > KC {
         // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
         let mut cols = vec![0.0; rows * n_cols];
         let mut plain = vec![0.0; dst.len() / n];
@@ -857,64 +863,56 @@ pub fn conv2d_backward_weight(
     let group = even_part(out_c, BWD_WEIGHT_GROUP);
     let groups = out_c.div_ceil(group);
     let run = even_part(g.kh, BWD_WEIGHT_ROWS);
-    let mut cols = Vec::new();
     for s in 0..n {
         let go = grad_out.sample(s);
-        if g.stride != 1 {
-            // grad_W (out_c × rows) += grad_out_s (out_c × n_cols) · cols_sᵀ.
-            cols.resize(rows * n_cols, 0.0);
-            im2col(input.sample(s), &g, &mut cols);
-            gemm_nt(out_c, n_cols, rows, go, &cols, grad_weight.as_mut_slice());
-        } else {
-            let t0 = Instant::now();
-            let x = planes.view(&g, input.sample(s), &mut scratch.padded);
-            let gw = CView::new(grad_weight.as_mut_slice(), rows);
-            pool::run(g.c * groups, &|tile| {
-                let (c, oc0) = (tile / groups, tile % groups * group);
-                let x = &x[c * planes.rows * planes.ld..][..planes.rows * planes.ld];
-                let group = group.min(out_c - oc0);
-                for ki0 in (0..g.kh).step_by(run) {
-                    let run = run.min(g.kh - ki0);
-                    let gw_col = (c * g.kh + ki0) * g.kw;
-                    // SAFETY: this chunk alone updates the weights of input
-                    // channel `c`, output channels `oc0..oc0+group`; `x` is
-                    // that channel's plane in the `planes` layout; AVX-512
-                    // is feature-checked at path selection.
-                    unsafe {
-                        match path {
-                            #[cfg(target_arch = "x86_64")]
-                            KernelPath::Avx512 if g.kw <= 8 => crate::simd::conv_bwd_weight_512(
-                                x,
-                                planes.ld,
-                                ki0,
-                                run,
-                                go,
-                                oc0,
-                                group,
-                                (oh, ow),
-                                g.kw,
-                                gw,
-                                gw_col,
-                            ),
-                            _ => conv_bwd_weight_tile(
-                                x,
-                                planes.ld,
-                                ki0,
-                                run,
-                                go,
-                                oc0,
-                                group,
-                                (oh, ow),
-                                g.kw,
-                                gw,
-                                gw_col,
-                            ),
-                        }
+        let t0 = Instant::now();
+        let x = planes.view(&g, input.sample(s), &mut scratch.padded);
+        let gw = CView::new(grad_weight.as_mut_slice(), rows);
+        pool::run(g.c * groups, &|tile| {
+            let (c, oc0) = (tile / groups, tile % groups * group);
+            let x = &x[c * planes.rows * planes.ld..][..planes.rows * planes.ld];
+            let group = group.min(out_c - oc0);
+            for ki0 in (0..g.kh).step_by(run) {
+                let run = run.min(g.kh - ki0);
+                let gw_col = (c * g.kh + ki0) * g.kw;
+                // SAFETY: this chunk alone updates the weights of input
+                // channel `c`, output channels `oc0..oc0+group`; `x` is
+                // that channel's plane in the `planes` layout; AVX-512
+                // is feature-checked at path selection.
+                unsafe {
+                    match path {
+                        #[cfg(target_arch = "x86_64")]
+                        KernelPath::Avx512 if g.kw <= 8 => crate::simd::conv_bwd_weight_512(
+                            x,
+                            planes.ld,
+                            ki0,
+                            run,
+                            go,
+                            oc0,
+                            group,
+                            (oh, ow),
+                            g.kw,
+                            gw,
+                            gw_col,
+                        ),
+                        _ => conv_bwd_weight_tile(
+                            x,
+                            planes.ld,
+                            ki0,
+                            run,
+                            go,
+                            oc0,
+                            group,
+                            (oh, ow),
+                            g.kw,
+                            gw,
+                            gw_col,
+                        ),
                     }
                 }
-            });
-            record_product(t0, 1, out_c, n_cols, rows, 0);
-        }
+            }
+        });
+        record_product(t0, 1, out_c, n_cols, rows, 0);
         add_plane_sums(go, n_cols, grad_bias);
     }
 }
@@ -1059,20 +1057,13 @@ mod tests {
     #[test]
     fn im2col_path_matches_direct() {
         let mut scratch = ConvScratch::new();
-        for &(in_c, out_c, k, pad, stride, h, w) in &[
-            (1usize, 1usize, 3usize, 1usize, 1usize, 5usize, 5usize),
-            (4, 6, 5, 2, 1, 8, 8),
-            (3, 2, 3, 0, 1, 6, 7),
-            (2, 4, 3, 1, 2, 9, 9),
+        for &(in_c, out_c, k, pad, h, w) in &[
+            (1usize, 1usize, 3usize, 1usize, 5usize, 5usize),
+            (4, 6, 5, 2, 8, 8),
+            (3, 2, 3, 0, 6, 7),
+            (2, 4, 3, 1, 9, 9),
         ] {
-            let spec = Conv2dSpec {
-                in_c,
-                out_c,
-                kh: k,
-                kw: k,
-                stride,
-                pad,
-            };
+            let spec = Conv2dSpec::square(in_c, out_c, k, pad);
             let x = det_t4(2, in_c, h, w, 10 + k as u64);
             let wt = det_t4(out_c, in_c, k, k, 20 + k as u64);
             let b = det(out_c, 30);

@@ -5,15 +5,16 @@
 //! used by CPU deep-learning frameworks. `col2im` is its adjoint and is the
 //! core of the lowered input-gradient pass.
 //!
-//! The convolution passes in [`crate::conv`] no longer lower anything at
-//! stride 1: they read the activation in place and only keep this
-//! formulation's arithmetic. What remains here is the whole-matrix form, in
-//! three roles: the oracle the equivalence tests build their reference from
-//! (`im2col` + `gemm*` (+ `col2im`) defines what "bit-identical" means), the
-//! `stride ≠ 1` route of the three passes, and the lowering-bandwidth row of
-//! the benchmark. [`ConvGeom`] is the geometry all of them share.
+//! The convolution passes in [`crate::conv`] no longer lower anything: they
+//! read the activation in place and only keep this formulation's
+//! arithmetic. What remains here is the whole-matrix form, in three roles:
+//! the oracle the equivalence tests build their reference from (`im2col` +
+//! the scalar `gemm*` oracle (+ `col2im`) defines what "bit-identical"
+//! means), the input gradient of a layer with more than 256 output channels
+//! (`col2im`), and the lowering-bandwidth row of the benchmark. [`ConvGeom`]
+//! is the geometry all of them share; every convolution is stride 1.
 
-/// Geometry of a 2-D convolution over one sample.
+/// Geometry of a stride-1 2-D convolution over one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConvGeom {
     /// Input channels.
@@ -26,8 +27,6 @@ pub struct ConvGeom {
     pub kh: usize,
     /// Kernel width.
     pub kw: usize,
-    /// Stride (same in both directions).
-    pub stride: usize,
     /// Symmetric zero padding applied on every side.
     pub pad: usize,
 }
@@ -42,7 +41,7 @@ impl ConvGeom {
     #[inline]
     pub fn out_h(&self) -> usize {
         self.validate();
-        (self.h + 2 * self.pad - self.kh) / self.stride + 1
+        self.h + 2 * self.pad - self.kh + 1
     }
 
     /// Output width.
@@ -52,7 +51,7 @@ impl ConvGeom {
     #[inline]
     pub fn out_w(&self) -> usize {
         self.validate();
-        (self.w + 2 * self.pad - self.kw) / self.stride + 1
+        self.w + 2 * self.pad - self.kw + 1
     }
 
     /// Number of rows of the column matrix (`c * kh * kw`).
@@ -70,7 +69,6 @@ impl ConvGeom {
     /// Validates that the geometry produces at least one output pixel.
     #[inline]
     pub fn validate(&self) {
-        assert!(self.stride >= 1, "ConvGeom: stride must be >= 1");
         assert!(
             self.h + 2 * self.pad >= self.kh && self.w + 2 * self.pad >= self.kw,
             "ConvGeom: kernel {}x{} larger than padded input {}x{}",
@@ -85,12 +83,10 @@ impl ConvGeom {
     /// `None` when that row is padding.
     #[inline]
     fn input_row(&self, oi: usize, ki: usize) -> Option<usize> {
-        (oi * self.stride + ki)
-            .checked_sub(self.pad)
-            .filter(|&ii| ii < self.h)
+        (oi + ki).checked_sub(self.pad).filter(|&ii| ii < self.h)
     }
 
-    /// For tap column `kj` at stride 1: the contiguous run of output columns
+    /// For tap column `kj`: the contiguous run of output columns
     /// `oj_lo..oj_hi` whose input column `jj = oj + kj - pad` lies in
     /// `[0, w)` — every other output column reads padding.
     fn valid_run(&self, kj: usize, ow: usize) -> (usize, usize) {
@@ -120,27 +116,12 @@ pub fn im2col(input: &[f64], g: &ConvGeom, cols: &mut [f64]) {
                 let row = (c * g.kh + ki) * g.kw + kj;
                 let out_row = &mut cols[row * n_cols..(row + 1) * n_cols];
                 let input_row = |oi| Some(&plane[g.input_row(oi, ki)? * g.w..][..g.w]);
-                let rows = out_row.chunks_exact_mut(ow).zip(0..oh);
-                if g.stride != 1 {
-                    for (dst, oi) in rows {
-                        let Some(src_row) = input_row(oi) else {
-                            dst.fill(0.0);
-                            continue;
-                        };
-                        for (d, oj) in dst.iter_mut().zip(0..ow) {
-                            let jj = (oj * g.stride + kj).checked_sub(g.pad);
-                            *d = jj.and_then(|jj| src_row.get(jj)).copied().unwrap_or(0.0);
-                        }
-                    }
-                    continue;
-                }
-                // Stride 1 (every conv layer in the paper's network): for a
-                // fixed tap, valid output columns form one contiguous run
-                // `a..b`, so each output row is zeros / one bulk copy / zeros
-                // — vector moves instead of a branch per element.
+                // For a fixed tap, valid output columns form one contiguous
+                // run `a..b`, so each output row is zeros / one bulk copy /
+                // zeros — vector moves instead of a branch per element.
                 let (a, b) = g.valid_run(kj, ow);
                 let src0 = (a + kj).saturating_sub(g.pad).min(g.w);
-                for (dst, oi) in rows {
+                for (dst, oi) in out_row.chunks_exact_mut(ow).zip(0..oh) {
                     let Some(src_row) = input_row(oi) else {
                         dst.fill(0.0);
                         continue;
@@ -175,8 +156,8 @@ pub fn col2im(cols: &[f64], g: &ConvGeom, output: &mut [f64]) {
             for kj in 0..g.kw {
                 let row = (c * g.kh + ki) * g.kw + kj;
                 let in_row = &cols[row * n_cols..(row + 1) * n_cols];
-                // Same contiguous-run structure as the im2col fast path: at
-                // stride 1 the scatter is one dense `+=` sweep per row.
+                // Same contiguous-run structure as `im2col`: the scatter is
+                // one dense `+=` sweep per row.
                 let (a, b) = g.valid_run(kj, ow);
                 let dst0 = (a + kj).saturating_sub(g.pad).min(g.w);
                 for (src, oi) in in_row.chunks_exact(ow).zip(0..oh) {
@@ -184,15 +165,6 @@ pub fn col2im(cols: &[f64], g: &ConvGeom, output: &mut [f64]) {
                         continue;
                     };
                     let dst_row = &mut plane[ii * g.w..][..g.w];
-                    if g.stride != 1 {
-                        for (&s, oj) in src.iter().zip(0..ow) {
-                            let jj = (oj * g.stride + kj).checked_sub(g.pad);
-                            if let Some(d) = jj.and_then(|jj| dst_row.get_mut(jj)) {
-                                *d += s;
-                            }
-                        }
-                        continue;
-                    }
                     for (d, &s) in dst_row[dst0..][..b - a].iter_mut().zip(&src[a..b]) {
                         *d += s;
                     }
@@ -214,7 +186,6 @@ mod tests {
             w: 16,
             kh: 5,
             kw: 5,
-            stride: 1,
             pad: 2,
         };
         assert_eq!((g.out_h(), g.out_w()), (16, 16));
@@ -230,7 +201,6 @@ mod tests {
             w: 7,
             kh: 3,
             kw: 3,
-            stride: 1,
             pad: 0,
         };
         assert_eq!((g.out_h(), g.out_w()), (4, 5));
@@ -238,14 +208,13 @@ mod tests {
 
     #[test]
     fn im2col_identity_kernel_geometry() {
-        // 1×1 kernel, stride 1, no pad: cols == input.
+        // 1×1 kernel, no pad: cols == input.
         let g = ConvGeom {
             c: 2,
             h: 3,
             w: 3,
             kh: 1,
             kw: 1,
-            stride: 1,
             pad: 0,
         };
         let input: Vec<f64> = (0..18).map(|x| x as f64).collect();
@@ -263,7 +232,6 @@ mod tests {
             w: 3,
             kh: 2,
             kw: 2,
-            stride: 1,
             pad: 0,
         };
         let input = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
@@ -285,7 +253,6 @@ mod tests {
             w: 2,
             kh: 3,
             kw: 3,
-            stride: 1,
             pad: 1,
         };
         let input = vec![1.0, 2.0, 3.0, 4.0];
@@ -307,7 +274,6 @@ mod tests {
             w: 5,
             kh: 3,
             kw: 3,
-            stride: 1,
             pad: 1,
         };
         let x: Vec<f64> = (0..g.c * g.h * g.w)
@@ -326,25 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn stride_two_geometry_and_values() {
-        let g = ConvGeom {
-            c: 1,
-            h: 4,
-            w: 4,
-            kh: 2,
-            kw: 2,
-            stride: 2,
-            pad: 0,
-        };
-        assert_eq!((g.out_h(), g.out_w()), (2, 2));
-        let input: Vec<f64> = (0..16).map(|x| x as f64).collect();
-        let mut cols = vec![0.0; 4 * 4];
-        im2col(&input, &g, &mut cols);
-        // Tap (0,0) picks the even-even positions.
-        assert_eq!(&cols[0..4], &[0.0, 2.0, 8.0, 10.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "larger than padded input")]
     fn out_dims_reject_oversized_kernel() {
         let g = ConvGeom {
@@ -353,7 +300,6 @@ mod tests {
             w: 9,
             kh: 5,
             kw: 5,
-            stride: 1,
             pad: 0,
         };
         let _ = g.out_h();
@@ -368,7 +314,6 @@ mod tests {
             w: 2,
             kh: 5,
             kw: 5,
-            stride: 1,
             pad: 0,
         };
         g.validate();

@@ -4,8 +4,8 @@
 //! rest of the workspace.
 //!
 //! The crate deliberately offers a small set of *fixed-rank* types instead of
-//! a fully general N-dimensional array (matrix products take flat row-major
-//! slices, see [`gemm`]):
+//! a fully general N-dimensional array (the reference matrix products take
+//! flat row-major slices, see [`gemm`]):
 //!
 //! * [`Grid2`] — a scalar field on a 2-D structured grid (solver state),
 //! * [`Tensor3`] — one sample in `(C, H, W)` layout (a multi-channel snapshot),
@@ -15,12 +15,13 @@
 //! against flat slices so the optimizer can vectorize them. Shape mismatches
 //! panic — in a numeric kernel a silent broadcast is a bug, not a feature.
 //!
-//! Convolution support lives in [`conv`] (direct and im2col-based forward,
-//! plus the input/weight backward passes used by `pde-nn`), padding/cropping
-//! in [`pad`].
+//! Convolution support lives in [`conv`] (a direct loop-nest reference and
+//! the zero-lowering forward, input-gradient and weight-gradient passes used
+//! by `pde-nn`), padding/cropping in [`pad`]. The passes are checked bit for
+//! bit against [`im2col`] + the scalar [`gemm`] oracle over whole matrices.
 //!
-//! The kernel layer is two-level: a runtime-selected [`KernelPath`]
-//! (explicit AVX-512 intrinsics or the portable scalar tile —
+//! The conv kernels are two-level: a runtime-selected [`KernelPath`]
+//! (explicit AVX-512 intrinsics or the portable scalar tiles —
 //! `PDEML_KERNEL` selects, see [`gemm`]) times an intra-rank thread budget
 //! ([`pool`], `PDEML_THREADS_PER_RANK`). All combinations produce
 //! bit-identical results; only throughput changes.

@@ -4,8 +4,8 @@
 //! Training in this workspace is one OS thread per rank
 //! ([`pde-commsim`]'s `World`), so thread-local counters give exact
 //! *per-rank* attribution with no synchronization on the hot path. The
-//! kernels in [`crate::gemm`] record FLOPs, call counts and packing traffic
-//! here; the global allocator is wrapped by [`CountingAlloc`] so the
+//! convolution passes and the reference products in [`crate::gemm`] record
+//! FLOPs, call counts and packing traffic here; the global allocator is wrapped by [`CountingAlloc`] so the
 //! training loop can *prove* it performs zero steady-state allocations.
 //!
 //! Typical use:
@@ -63,19 +63,18 @@ pub struct PerfCounters {
     /// forward / input-gradient pass (the whole mini-batch) and one per
     /// sample of a weight-gradient pass.
     pub gemm_calls: u64,
-    /// Bytes copied into kernel layout: the packed A (and, where a path
-    /// packs it, B) panels of a GEMM; for a convolution pass only its
-    /// re-laid-out weights — the passes read activations in place, so no
-    /// lowered or transposed copy of them is counted (or made).
+    /// Bytes copied into kernel layout: a convolution pass's re-laid-out
+    /// weights — the passes read activations in place, so no lowered or
+    /// transposed copy of them is counted (or made). The reference GEMM
+    /// packs nothing.
     pub bytes_packed: u64,
-    /// Wall-clock nanoseconds spent inside those products: packing +
-    /// micro-kernels — for a convolution pass the weight re-layout, the
-    /// zero-bordered sample copy of a padded layer and the kernels; there is
-    /// no lowering left to include — with time on pool worker threads the
-    /// product fanned out to counted once (it blocks until every chunk
+    /// Wall-clock nanoseconds spent inside those products — for a
+    /// convolution pass the weight re-layout, the zero-bordered sample copy
+    /// of a padded layer and the kernels — with time on pool worker threads
+    /// the pass fanned out to counted once (it blocks until every chunk
     /// completes).
     pub kernel_ns: u64,
-    /// GEMM driver calls that ran an explicit-SIMD kernel path.
+    /// Products that ran an explicit-SIMD kernel path.
     pub simd_calls: u64,
     /// Heap allocations observed on this thread (alloc + realloc +
     /// alloc_zeroed), counted by [`CountingAlloc`].

@@ -50,28 +50,33 @@ pub fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// `PDEML_THREADS_PER_RANK`, parsed once per process.
+/// `PDEML_THREADS_PER_RANK` (`None` = unset), or a one-line hint when it is
+/// non-numeric or zero — silently clamping a typo would hide a
+/// misconfiguration. Front ends call this up front to refuse a bad value
+/// before any work starts; the budget lookups panic with the same hint.
+pub fn env_thread_budget() -> Result<Option<usize>, String> {
+    let Ok(raw) = std::env::var("PDEML_THREADS_PER_RANK") else {
+        return Ok(None);
+    };
+    match raw.parse::<usize>() {
+        Ok(0) => Err("PDEML_THREADS_PER_RANK=0 would disable the kernels; \
+                      set 1 for single-threaded or unset it"
+            .to_string()),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!(
+            "PDEML_THREADS_PER_RANK={raw:?} is not a thread count; \
+             set a positive integer (e.g. 1) or unset it"
+        )),
+    }
+}
+
+/// [`env_thread_budget`], once per process.
 ///
 /// # Panics
-/// On a non-numeric or zero value — silently clamping a typo would hide a
-/// misconfiguration.
+/// On a value [`env_thread_budget`] refuses.
 fn env_budget() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("PDEML_THREADS_PER_RANK").ok()?;
-        let n: usize = raw.parse().unwrap_or_else(|_| {
-            panic!(
-                "PDEML_THREADS_PER_RANK={raw:?} is not a thread count; \
-                 set a positive integer (e.g. 1) or unset it"
-            )
-        });
-        assert!(
-            n >= 1,
-            "PDEML_THREADS_PER_RANK=0 would disable the kernels; \
-             set 1 for single-threaded or unset it"
-        );
-        Some(n)
-    })
+    *ENV.get_or_init(|| env_thread_budget().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Sets this thread's kernel thread budget (total threads including the

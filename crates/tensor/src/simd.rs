@@ -1,35 +1,26 @@
-//! Explicit AVX-512 micro-kernels for the GEMM driver and the convolution
-//! passes (`x86_64` only), selected at runtime by [`crate::gemm`]; a CPU
-//! without AVX-512 runs the portable kernels of [`crate::gemm`] and
-//! [`crate::conv`].
+//! Explicit AVX-512 kernels for the three convolution passes (`x86_64`
+//! only), selected at runtime by [`crate::gemm::kernel_path`]; a CPU without
+//! AVX-512 runs the portable kernels of [`crate::conv`].
 //!
-//! Row-major B (`Trans::N`) is consumed *in place* ("direct-B"): profiling
-//! showed packing B costs as much as all the FMA work at this workspace's
-//! shapes (m ≤ 16), so the micro-kernel reads 16-column B rows straight from
-//! the operand and only A is packed. One `8 × 16` tile (16 zmm accumulators)
-//! serves full and edge columns alike through lane masks; `m ≤ 4` shapes run
-//! it at 4 rows so the register file is not wasted on zero padding (the old
-//! scalar `small_m` cliff, ISSUE 6 satellite 1). The three convolution
-//! passes live here too: the forward pass *is* that tile (at 8, 6 or 4 rows)
-//! with B rows addressed through a tap-offset table and an optional
-//! LeakyReLU in its last write-back, and the two gradient passes have
-//! register tiles of their own ([`conv_bwd_input_rows_512`],
-//! [`conv_bwd_weight_512`]) that read `grad_out` / `x` in place.
-//!
-//! Transposed B (`Trans::T`) keeps the packed-strip scheme — packing *is*
-//! the transpose — with SIMD kernels consuming one `NR`-interleaved strip
-//! per step.
+//! The forward pass is one direct register tile ([`direct_tile_512`]): the
+//! packed weights times 16-column rows of the input read in place through a
+//! tap-offset table — only the weights are packed — with lane masks for
+//! edge columns, at 8, 6 or 4 rows so the register file is not wasted on
+//! zero padding, and an optional LeakyReLU in its last write-back. The two
+//! gradient passes have register tiles of their own
+//! ([`conv_bwd_input_rows_512`], [`conv_bwd_weight_512`]) that read
+//! `grad_out` / `x` in place.
 //!
 //! **Bitwise contract with the scalar path:** every output element is
 //! accumulated from 0.0 in an ascending chain of fused multiply-adds and
-//! added into its destination exactly once per KC block — the same chain
-//! the scalar micro-kernel executes — so scalar and SIMD paths (and every
-//! tile width) produce bit-identical results. `tests/kernel_paths.rs`
-//! asserts exact equality.
+//! added into its destination exactly once per KC block — the chain the
+//! portable kernels and the scalar oracle in [`crate::gemm`] execute — so
+//! scalar and SIMD paths (and every tile width) produce bit-identical
+//! results. `tests/kernel_paths.rs` asserts exact equality.
 //!
 //! Outputs are addressed through a [`CView`] (raw base pointer, valid
 //! length, row stride) rather than `&mut` slices, so concurrent pool chunks
-//! — which own disjoint column ranges or row bands of the same buffer —
+//! — which own disjoint row bands or weight tiles of the same buffer —
 //! never materialize overlapping mutable references. Every kernel states its
 //! stride / offset contract under `# Safety` and `debug_assert!`s the first
 //! and last element of each operand it may touch, so the test profile (debug
@@ -87,7 +78,7 @@ unsafe fn transpose8x8(r: [__m512d; 8]) -> [__m512d; 8] {
     ]
 }
 
-/// Vectorized A packing for one *full* 8-row `Trans::N` panel: rows
+/// Vectorized A packing for one *full* 8-row panel: rows
 /// `i0..i0+8`, shared columns `p0..p0+kc` of the row-major matrix `a`
 /// (row stride `lda`), written `p`-major into `panel` (element `(p, r)` at
 /// `p*8 + r`). 8×8 blocks transpose in registers; the `kc % 8` tail falls
@@ -147,7 +138,7 @@ pub(crate) unsafe fn pack_a8_n_512(
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512: direct-B tile (GEMM Trans::N and the convolution forward pass)
+// AVX-512: the direct tile of the convolution forward pass
 // ---------------------------------------------------------------------------
 
 /// Lane masks of a tile's two zmm halves when its first `nr ∈ 1..=16`
@@ -159,12 +150,12 @@ fn tile_masks(nr: usize) -> (__mmask8, __mmask8) {
     (m as __mmask8, (m >> 8) as __mmask8)
 }
 
-/// How a direct tile leaves its block sum `acc` in C. The GEMM accumulates
-/// ([`WriteBack::ADD`]); the convolution forward pass starts an output row
-/// from its bias on the first KC block and applies the layer's LeakyReLU on
-/// the last (one and the same block when all taps fit in [`KC`]).
+/// How a direct tile leaves its block sum `acc` in C: the forward pass
+/// starts an output row from its bias on the first KC block, adds onto it on
+/// later ones, and applies the layer's LeakyReLU on the last (one and the
+/// same block when all taps fit in [`KC`]).
 #[derive(Clone, Copy)]
-pub(crate) struct WriteBack<'a> {
+struct WriteBack<'a> {
     /// `None`: `C + acc`. `Some(v)`: `v[r] + acc` for tile row `r` (0.0 where
     /// `v` is shorter than the tile), C not read.
     init: Option<&'a [f64]>,
@@ -173,18 +164,10 @@ pub(crate) struct WriteBack<'a> {
     leak: Option<f64>,
 }
 
-impl WriteBack<'_> {
-    pub(crate) const ADD: Self = Self {
-        init: None,
-        leak: None,
-    };
-}
-
 /// The direct-B register tile: `MR` rows × up to [`TILE_512`] columns, one
 /// FMA chain per element from 0.0 over `kc` shared steps, B read in place.
-/// `b_row(p)` is the address of B's element `(p, j0)` — `b + p·ldb + j0` for
-/// the GEMM, `x + off[p] + oi·ld_x + j0` for the convolution forward pass —
-/// and `masks` select the live columns (all sixteen, `FULL`, for a full
+/// `b_row(p)` is the address of B's element `(p, j0)` —
+/// `x + off[p] + oi·ld_x + j0` in the convolution forward pass — and `masks` select the live columns (all sixteen, `FULL`, for a full
 /// tile), so edge tiles run the same code with no scalar remainder and no
 /// out-of-bounds touch. `wb` says how the sums reach C.
 ///
@@ -208,7 +191,7 @@ unsafe fn direct_tile_512<const MR: usize, const FULL: bool>(
 ) {
     debug_assert!(ap.len() >= kc * MR && mr_eff <= MR);
     // A full tile's masks are compile-time all-ones, which turns every
-    // masked access below into a plain one (worth 3–7 % on the bare GEMM).
+    // masked access below into a plain one.
     debug_assert!(!FULL || (m0, m1) == (0xFF, 0xFF));
     let (m0, m1) = if FULL { (0xFF, 0xFF) } else { (m0, m1) };
     let mut acc0 = [_mm512_setzero_pd(); MR];
@@ -302,149 +285,12 @@ unsafe fn direct_tile_mr_512(
     }
 }
 
-/// Direct-B sweep of C columns `j_lo..j_hi` for one KC block on the AVX-512
-/// path: 16-wide tiles, the last one masked. `mr` is the packed panel height
-/// (8, or 4 for small-`m` shapes).
-///
-/// # Safety
-/// Requires AVX-512F; `abuf` holds `ceil(m/mr)` packed `kc × mr` panels.
-/// Stride contract: `b` starts at B's block row with rows `ldb` apart, C
-/// rows are `c.ld` apart, and the last elements touched are
-/// `b[(kc−1)·ldb + j_hi − 1]` and `c[(m−1)·c.ld + j_hi − 1]` — both must be
-/// in bounds (`debug_assert!`ed); the caller owns C columns `j_lo..j_hi`
-/// exclusively.
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn direct_block_512(
-    abuf: &[f64],
-    mr: usize,
-    m: usize,
-    kc: usize,
-    b: &[f64],
-    ldb: usize,
-    c: CView,
-    j_lo: usize,
-    j_hi: usize,
-) {
-    debug_assert!(kc == 0 || (kc - 1) * ldb + j_hi <= b.len());
-    debug_assert!(c.holds(m, j_hi));
-    let m_panels = m.div_ceil(mr);
-    for j0 in (j_lo..j_hi).step_by(TILE_512) {
-        let masks = tile_masks(TILE_512.min(j_hi - j0));
-        let b0 = b.as_ptr().wrapping_add(j0);
-        for ip in 0..m_panels {
-            let ap = &abuf[ip * kc * mr..][..kc * mr];
-            let (i0, mr_eff) = (ip * mr, mr.min(m - ip * mr));
-            // SAFETY: the tile's live columns end at `j_hi` and its rows
-            // below `m`, inside the block bounds asserted above.
-            unsafe {
-                let cp = c.ptr.add(i0 * c.ld + j0);
-                let b_row = |p: usize| b0.wrapping_add(p * ldb);
-                direct_tile_mr_512(mr, ap, kc, b_row, masks, cp, c.ld, mr_eff, WriteBack::ADD);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// AVX-512: packed-strip kernel (Trans::T)
-// ---------------------------------------------------------------------------
-
-/// Packed-strip tile on AVX-512: `MR` rows × one NR=8-wide packed strip
-/// (one zmm load per shared step). Edge columns use a masked C
-/// read-modify-write; the zero-padded strip keeps dead accumulator lanes
-/// at exactly 0.0.
-///
-/// # Safety
-/// Requires AVX-512F; `ap` is a `kc × MR` panel, `strip` a `kc × 8` packed
-/// strip (both `debug_assert!`ed). Stride contract: C rows are `c.ld` apart
-/// and the tile updates `c[(i0+r)·c.ld + j0 .. +nr_eff]` for `r < mr_eff`,
-/// so `(i0+mr_eff−1)·c.ld + j0+nr_eff ≤ c.len` (`debug_assert!`ed); the
-/// caller owns that tile exclusively.
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn packed_micro_512<const MR: usize>(
-    ap: &[f64],
-    strip: &[f64],
-    kc: usize,
-    c: CView,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    debug_assert!(ap.len() >= kc * MR && strip.len() >= kc * 8);
-    debug_assert!(c.holds(i0 + mr_eff, j0 + nr_eff));
-    let mut acc = [_mm512_setzero_pd(); MR];
-    let mut a = ap.as_ptr();
-    let mut bp = strip.as_ptr();
-    for _ in 0..kc {
-        // SAFETY: panel and strip both hold kc steps.
-        unsafe {
-            let bv = _mm512_loadu_pd(bp);
-            for r in 0..MR {
-                let av = _mm512_set1_pd(*a.add(r));
-                acc[r] = _mm512_fmadd_pd(av, bv, acc[r]);
-            }
-            a = a.add(MR);
-            bp = bp.add(8);
-        }
-    }
-    if nr_eff == 8 {
-        for r in 0..mr_eff {
-            // SAFETY: full-width owned C tile, inside `c` (asserted above).
-            unsafe {
-                let cp = c.ptr.add((i0 + r) * c.ld + j0);
-                _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), acc[r]));
-            }
-        }
-    } else {
-        let mask: __mmask8 = (1u16 << nr_eff).wrapping_sub(1) as __mmask8;
-        for r in 0..mr_eff {
-            // SAFETY: masked lanes stay within the owned C edge.
-            unsafe {
-                let cp = c.ptr.add((i0 + r) * c.ld + j0);
-                let prev = _mm512_maskz_loadu_pd(mask, cp);
-                _mm512_mask_storeu_pd(cp, mask, _mm512_add_pd(prev, acc[r]));
-            }
-        }
-    }
-}
-
-/// Panel-height dispatch for [`packed_micro_512`].
-///
-/// # Safety
-/// As [`packed_micro_512`]; `mr` must be 8 or 4 and match `ap`'s layout.
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn packed_strip_512(
-    ap: &[f64],
-    mr: usize,
-    strip: &[f64],
-    kc: usize,
-    c: CView,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    debug_assert!(mr == 8 || mr == 4);
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        if mr == 8 {
-            packed_micro_512::<8>(ap, strip, kc, c, i0, j0, mr_eff, nr_eff);
-        } else {
-            packed_micro_512::<4>(ap, strip, kc, c, i0, j0, mr_eff, nr_eff);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512: convolution passes, activations read in place (stride 1)
+// AVX-512: convolution passes, activations read in place
 // ---------------------------------------------------------------------------
 
 /// Convolution forward over output rows `oi_lo..oi_hi` of one sample: the
-/// [`direct_tile_512`] GEMM tile with B row `p` read at
+/// [`direct_tile_512`] register tile with B row `p` read at
 /// `x[off[p] + oi·ld_x + oj ..]` instead of out of a lowered column matrix.
 /// Per output element: `bias`, then per KC block of taps `p` ascending one
 /// FMA chain from 0.0, added once — the chain `gemm` runs on `im2col`'s
@@ -629,7 +475,7 @@ unsafe fn store_grad_512(p: *mut f64, live: __mmask8, v: __m512d, leak: Option<f
 }
 
 /// Convolution input gradient over input rows `ii_lo..ii_hi` of one sample
-/// (stride 1, any padding): every element is computed once, in registers,
+/// (any padding): every element is computed once, in registers,
 /// and written once — no column gradient, no scatter. See
 /// [`conv_bwd_input_tile_512`] for the per-element order.
 ///

@@ -1,12 +1,13 @@
-//! Scalar-vs-SIMD equivalence for the GEMM kernel layer, and equivalence of
-//! the zero-lowering convolution passes with the im2col + GEMM products they
-//! replaced.
+//! Equivalence of the zero-lowering convolution passes, on every kernel
+//! path and thread budget, with the im2col + GEMM products they replaced.
 //!
-//! The contract (see `DESIGN.md` §4c) is *bitwise*: every kernel path
-//! accumulates each C element from 0.0 per KC block in ascending-p order
-//! with one fused multiply-add chain, so scalar and AVX-512 produce
-//! identical bit patterns — not merely close ones. These tests force each
-//! path in turn over odd sizes and edge tiles and compare with `==`.
+//! The contract (see `DESIGN.md` §4c) is *bitwise*: every pass keeps, per
+//! output element, the chain the scalar `gemm*` oracle runs on the whole
+//! column matrix — one fused multiply-add chain from 0.0 per KC block in
+//! ascending order, added into the destination once — so scalar and
+//! AVX-512 kernels at any thread budget produce identical bit patterns, not
+//! merely close ones. These tests force each path in turn over odd
+//! geometries and tile edges and compare with `to_bits()`.
 //!
 //! `force_kernel_path` is process-global, so every test that touches it
 //! holds [`PATH_LOCK`] and restores the default before releasing it.
@@ -16,9 +17,6 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 
 static PATH_LOCK: Mutex<()> = Mutex::new(());
-
-/// `gemm` / `gemm_tn` / `gemm_nt` all share this signature.
-type GemmFn = fn(usize, usize, usize, &[f64], &[f64], &mut [f64]);
 
 /// Deterministic fill in [-1, 1) — same generator as the unit suite.
 fn det_fill(buf: &mut [f64], seed: u64) {
@@ -31,133 +29,6 @@ fn det_fill(buf: &mut [f64], seed: u64) {
     }
 }
 
-/// The best non-scalar path this machine supports, if any.
-fn simd_path() -> Option<KernelPath> {
-    supported_paths()
-        .into_iter()
-        .rfind(|p| *p != KernelPath::Scalar)
-}
-
-/// Runs `op` under the forced `path` and returns the C it produced.
-fn run_forced(
-    path: KernelPath,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-    op: GemmFn,
-) -> Vec<f64> {
-    let mut c = vec![0.0; m * n];
-    det_fill(&mut c, 0xC0FFEE); // accumulate into a non-zero C
-    force_kernel_path(Some(path));
-    op(m, k, n, a, b, &mut c);
-    c
-}
-
-/// Asserts scalar and SIMD paths agree bitwise on one (m, k, n) shape for
-/// all three transpose variants. No-op on machines without SIMD support.
-fn check_shape(m: usize, k: usize, n: usize) {
-    let Some(simd) = simd_path() else { return };
-    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let variants: [(&str, GemmFn, usize, usize); 3] = [
-        ("gemm", gemm, m * k, k * n),
-        ("gemm_tn", gemm_tn, k * m, k * n),
-        ("gemm_nt", gemm_nt, m * k, n * k),
-    ];
-    for (name, op, a_len, b_len) in variants {
-        let mut a = vec![0.0; a_len];
-        let mut b = vec![0.0; b_len];
-        det_fill(&mut a, 1 + (m * 31 + k * 7 + n) as u64);
-        det_fill(&mut b, 2 + (m * 17 + k * 3 + n) as u64);
-        let c_scalar = run_forced(KernelPath::Scalar, m, k, n, &a, &b, op);
-        let c_simd = run_forced(simd, m, k, n, &a, &b, op);
-        force_kernel_path(None);
-        let mismatches = c_scalar
-            .iter()
-            .zip(&c_simd)
-            .filter(|(x, y)| x.to_bits() != y.to_bits())
-            .count();
-        assert_eq!(
-            mismatches,
-            0,
-            "{name} {m}x{k}x{n}: scalar and {} paths disagree bitwise \
-             at {mismatches} of {} elements",
-            simd.label(),
-            m * n
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random odd sizes, biased small so edge tiles (m % MR, n % NR/TILE,
-    /// the m <= 4 panel path) dominate the sweep.
-    #[test]
-    fn scalar_vs_simd_bitwise_on_random_shapes(
-        m in 1usize..=21,
-        k in 1usize..=70,
-        n in 1usize..=50,
-    ) {
-        check_shape(m, k, n);
-    }
-}
-
-/// Hand-picked shapes: every micro-tile remainder class, the m <= 4 edge
-/// path, KC-crossing depths and NC-crossing widths.
-#[test]
-fn scalar_vs_simd_bitwise_on_edge_tiles() {
-    for &(m, k, n) in &[
-        (1, 1, 1),      // degenerate
-        (1, 300, 17),   // single row, k crosses KC = 256
-        (3, 64, 16),    // m < MR
-        (4, 100, 4096), // layer-3-like small-m wide-n
-        (5, 33, 9),     // m = MR + 1 (partial second panel)
-        (8, 64, 16),    // exact AVX-512 tile rows
-        (9, 300, 33),   // partial 8-row panel + KC crossing + masked n
-        (12, 50, 15),   // n < TILE_512, masked both halves
-        (16, 150, 47),  // layer-2-like with ragged n
-        (17, 257, 31),  // everything ragged, KC + 1
-        (6, 40, 300),   // n crosses NC = 256 (column-chunk path)
-    ] {
-        check_shape(m, k, n);
-    }
-}
-
-/// A thread budget > 1 must be bit-for-bit identical to budget 1: chunks
-/// only partition C's columns, they never change any element's accumulation
-/// order. The budget is thread-local, so this test needs no cross-test
-/// serialization beyond the kernel-path lock. (Convolution passes, which
-/// chunk by sample and column panel, are covered per budget below.)
-#[test]
-fn threaded_matches_unthreaded_bitwise() {
-    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    force_kernel_path(None);
-    // n > NC = 256 exercises column chunks; k > KC the block chain inside
-    // each chunk.
-    for &(m, k, n) in &[(9usize, 70usize, 333usize), (16, 300, 600)] {
-        let mut a = vec![0.0; m * k];
-        let mut b = vec![0.0; k * n];
-        det_fill(&mut a, 21);
-        det_fill(&mut b, 22);
-        pde_tensor::pool::set_thread_budget(1);
-        let mut c_1t = vec![0.0; m * n];
-        gemm(m, k, n, &a, &b, &mut c_1t);
-        pde_tensor::pool::set_thread_budget(4);
-        let mut c_4t = vec![0.0; m * n];
-        gemm(m, k, n, &a, &b, &mut c_4t);
-        pde_tensor::pool::set_thread_budget(1);
-        assert!(
-            c_1t.iter()
-                .zip(&c_4t)
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "budget 4 disagrees with budget 1 on {m}x{k}x{n} under {}",
-            kernel_path().label()
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Convolution passes: activations read in place vs the whole-matrix reference
 // ---------------------------------------------------------------------------
@@ -166,7 +37,8 @@ fn threaded_matches_unthreaded_bitwise() {
 // build no column matrix. The reference below does what they replaced —
 // materialise a sample's whole column matrix, then one product over all of it
 // — out of the public pieces (`im2col` + `gemm`; `gemm_tn` + `col2im`;
-// `im2col` + `gemm_nt`). Equality is `to_bits()`: register tile, lane masks,
+// `im2col` + `gemm_nt`), the scalar oracle products, which have one path
+// and no threads. Equality is `to_bits()`: register tile, lane masks,
 // row bands, kernel path and thread budget must all be invisible in the
 // result, which pins each pass's per-element order — the forward's KC blocks
 // over taps (`rows > 256`), the input gradient's tap order, the weight
@@ -271,15 +143,13 @@ impl ConvCase {
         (y, gi, gw, gb)
     }
 
-    /// Every (path, budget) pair against the whole-matrix reference, the
-    /// reference itself computed once per path (reference products are
-    /// bitwise path- and budget-independent by the GEMM-level tests above).
+    /// Every (path, budget) pair against the whole-matrix reference, which
+    /// is computed once: the oracle products ignore both.
     fn check(&self, paths: &[KernelPath], budgets: &[usize]) {
         let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let want = self.reference();
         for &path in paths {
             force_kernel_path(Some(path));
-            pde_tensor::pool::set_thread_budget(1);
-            let want = self.reference();
             for &budget in budgets {
                 pde_tensor::pool::set_thread_budget(budget);
                 let got = self.run(&mut ConvScratch::new());
@@ -325,37 +195,25 @@ fn supported_paths() -> Vec<KernelPath> {
         .collect()
 }
 
-fn conv_spec(in_c: usize, out_c: usize, k: usize, pad: usize, stride: usize) -> Conv2dSpec {
-    Conv2dSpec {
-        in_c,
-        out_c,
-        kh: k,
-        kw: k,
-        stride,
-        pad,
-    }
-}
-
 /// The blocking regimes by hand: exactly one KC block of output positions,
 /// one tile more than that, three blocks with a ragged last one (same-padded
-/// and strided too), `rows > KC` taps, a layer smaller than one block, and a
-/// single output position.
+/// too), `rows > KC` taps, a layer smaller than one block, a single output
+/// position, and `out_c > KC` (the input gradient's whole-matrix route).
 #[test]
 fn conv_passes_match_whole_matrix_on_edge_geometries() {
-    for &(in_c, out_c, k, pad, stride, h, w, batch) in &[
-        (
-            11usize, 5usize, 5usize, 0usize, 1usize, 20usize, 20usize, 2usize,
-        ), // 256 output positions = KC
-        (11, 5, 5, 0, 1, 20, 21, 2), // 272 = KC + 16: second block is one tile
-        (11, 9, 5, 0, 1, 28, 28, 3), // 576 = 256 + 256 + 64
-        (11, 4, 5, 2, 1, 23, 25, 2), // 575 with padding rows and columns
-        (11, 6, 5, 2, 2, 47, 49, 2), // stride 2 (whole-matrix route): 24 x 25 = 600
-        (29, 3, 3, 1, 1, 26, 27, 1), // 3x3, rows = 261 > KC taps, 702 positions
-        (4, 6, 5, 0, 1, 16, 16, 4),  // the toy layer: 144 < KC, one block
-        (3, 17, 3, 0, 2, 9, 7, 2),   // 12 positions, out_c > 16, stride 2
-        (2, 2, 5, 0, 1, 5, 5, 3),    // a single output position
+    for &(in_c, out_c, k, pad, h, w, batch) in &[
+        (11usize, 5usize, 5usize, 0usize, 20usize, 20usize, 2usize), // 256 output positions = KC
+        (11, 5, 5, 0, 20, 21, 2), // 272 = KC + 16: second block is one tile
+        (11, 9, 5, 0, 28, 28, 3), // 576 = 256 + 256 + 64
+        (11, 4, 5, 2, 23, 25, 2), // 575 with padding rows and columns
+        (11, 6, 5, 2, 24, 25, 2), // 600 = 256 + 256 + 88, padded
+        (29, 3, 3, 1, 26, 27, 1), // 3x3, rows = 261 > KC taps, 702 positions
+        (4, 6, 5, 0, 16, 16, 4),  // the toy layer: 144 < KC, one block
+        (3, 17, 3, 0, 6, 5, 2),   // 12 positions, out_c > 16
+        (2, 2, 5, 0, 5, 5, 3),    // a single output position
+        (2, 260, 3, 1, 7, 6, 2),  // out_c > KC
     ] {
-        ConvCase::new(conv_spec(in_c, out_c, k, pad, stride), batch, h, w)
+        ConvCase::new(Conv2dSpec::square(in_c, out_c, k, pad), batch, h, w)
             .check(&supported_paths(), &[1, 2, 3]);
     }
 }
@@ -373,18 +231,17 @@ proptest! {
         out_c in 1usize..=9,
         k in prop::sample::select(vec![1usize, 3, 5]),
         same_pad in 0usize..2,
-        stride in 1usize..=2,
         h in 5usize..=14,
         w in 5usize..=14,
         batch in 1usize..=3,
     ) {
         let (in_c, k, h, w) = if many_blocks == 1 {
-            (in_c + 10, 5, 2 * h + stride * 8, 2 * w + stride * 8)
+            (in_c + 10, 5, 2 * h + 8, 2 * w + 8)
         } else {
             (in_c, k, h, w)
         };
         let pad = same_pad * (k / 2);
-        ConvCase::new(conv_spec(in_c, out_c, k, pad, stride), batch, h, w)
+        ConvCase::new(Conv2dSpec::square(in_c, out_c, k, pad), batch, h, w)
             .check(&supported_paths(), &[1, 2, 3]);
     }
 }
@@ -422,7 +279,7 @@ fn conv_passes_match_whole_matrix_on_table1_layers() {
 fn conv_passes_match_whole_matrix_on_tile_edges() {
     let paths = supported_paths();
     let check = |in_c, out_c, k: usize, pad, h, w| {
-        ConvCase::new(conv_spec(in_c, out_c, k, pad, 1), 2, h, w).check(&paths, &[1, 2, 3]);
+        ConvCase::new(Conv2dSpec::square(in_c, out_c, k, pad), 2, h, w).check(&paths, &[1, 2, 3]);
     };
     for ow in [1usize, 15, 16, 17, 33] {
         check(3, 5, 3, 0, 6, ow + 2);
@@ -446,7 +303,6 @@ fn conv_passes_match_whole_matrix_on_tile_edges() {
             out_c: 3,
             kh,
             kw,
-            stride: 1,
             pad: 0,
         };
         ConvCase::new(spec, 2, kh + 3, kw + 17).check(&paths, &[1, 2]);
@@ -549,7 +405,7 @@ fn conv_passes_stop_at_the_end_of_their_inputs() {
         (3, 1, 6, 17),
         (7, 0, 8, 23),
     ] {
-        let case = ConvCase::new(conv_spec(2, 3, k, pad, 1), 2, h, w);
+        let case = ConvCase::new(Conv2dSpec::square(2, 3, k, pad), 2, h, w);
         let want = case.run(&mut ConvScratch::new());
         let (x, grad_out) = (
             guarded::Guarded::copy_of(&case.x),
@@ -709,31 +565,30 @@ impl ConvCase {
 /// dimension of 400 > KC = 256 (two blocks: the activation belongs to the
 /// second only — a pre-activation that changes sign between them would
 /// otherwise be scaled twice or not at all), every forward panel height, and
-/// the whole-matrix routes (stride 2).
+/// the input gradient's whole-matrix route (`out_c > KC`).
 #[test]
 fn conv_epilogues_match_unfused_on_edge_geometries() {
     let paths = supported_paths();
-    for &(in_c, out_c, k, pad, stride, h, w, batch) in &[
-        (
-            11usize, 5usize, 5usize, 0usize, 1usize, 20usize, 20usize, 2usize,
-        ),
-        (11, 4, 5, 2, 1, 23, 25, 2), // pad = k/2
-        (16, 6, 5, 0, 1, 9, 21, 2),  // 400 taps: two KC blocks, 6-row panel
-        (16, 7, 5, 2, 1, 8, 19, 1),  // 400 taps, padded, 8-row panel, ragged
-        (29, 3, 3, 1, 1, 26, 27, 1), // 261 taps
-        (4, 6, 5, 0, 1, 16, 16, 4),  // the toy layer
-        (11, 6, 5, 2, 2, 47, 49, 2), // stride 2
-        (2, 2, 5, 0, 1, 5, 5, 3),    // a single output position
-        (3, 5, 3, 1, 1, 6, 33, 2),   // two full tiles and one column
+    for &(in_c, out_c, k, pad, h, w, batch) in &[
+        (11usize, 5usize, 5usize, 0usize, 20usize, 20usize, 2usize),
+        (11, 4, 5, 2, 23, 25, 2), // pad = k/2
+        (16, 6, 5, 0, 9, 21, 2),  // 400 taps: two KC blocks, 6-row panel
+        (16, 7, 5, 2, 8, 19, 1),  // 400 taps, padded, 8-row panel, ragged
+        (29, 3, 3, 1, 26, 27, 1), // 261 taps
+        (4, 6, 5, 0, 16, 16, 4),  // the toy layer
+        (11, 6, 5, 2, 24, 25, 2), // 600 positions, padded
+        (2, 2, 5, 0, 5, 5, 3),    // a single output position
+        (3, 5, 3, 1, 6, 33, 2),   // two full tiles and one column
+        (2, 260, 3, 1, 7, 6, 2),  // out_c > KC
     ] {
-        ConvCase::new(conv_spec(in_c, out_c, k, pad, stride), batch, h, w).check_epilogues(
+        ConvCase::new(Conv2dSpec::square(in_c, out_c, k, pad), batch, h, w).check_epilogues(
             0.01,
             &paths,
             &[1, 2, 3],
         );
     }
     for out_c in [4usize, 5, 6, 7, 8, 12, 16] {
-        ConvCase::new(conv_spec(3, out_c, 3, 1, 1), 2, 7, 21).check_epilogues(
+        ConvCase::new(Conv2dSpec::square(3, out_c, 3, 1), 2, 7, 21).check_epilogues(
             0.3,
             &paths,
             &[1, 2, 3],
@@ -756,7 +611,7 @@ proptest! {
         slope in prop::sample::select(vec![0.01f64, 0.2, 0.99]),
     ) {
         let pad = same_pad * (k / 2);
-        ConvCase::new(conv_spec(in_c, out_c, k, pad, 1), batch, h, w)
+        ConvCase::new(Conv2dSpec::square(in_c, out_c, k, pad), batch, h, w)
             .check_epilogues(slope, &supported_paths(), &[1, 2, 3]);
     }
 }
@@ -781,7 +636,7 @@ fn conv_epilogues_stop_at_the_end_of_the_activation() {
         (3, 1, 6, 17),
         (7, 0, 8, 23),
     ] {
-        let case = ConvCase::new(conv_spec(2, 3, k, pad, 1), 2, h, w);
+        let case = ConvCase::new(Conv2dSpec::square(2, 3, k, pad), 2, h, w);
         let mut x = case.x.clone();
         plant_specials(&mut x);
         let (weight, spec, slope) = (&case.weight, &case.spec, 0.01);

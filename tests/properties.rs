@@ -36,9 +36,8 @@ fn naive_gemm(
     }
 }
 
-/// Dimensions stressing the packed kernel's edge handling: values around and
-/// below the MR=4 / NR=8 micro-tile, never a multiple of either by luck
-/// alone, and the degenerate 1s.
+/// Dimensions either side of the products' 32-column chunk, small powers of
+/// two and their neighbours, and the degenerate 1s.
 fn arb_dim() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![1usize, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 31, 33])
 }
@@ -50,8 +49,8 @@ fn arb_mat(len: usize) -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The packed register-tiled `gemm` matches the naive triple loop on
-    /// arbitrary (non-tile-divisible) shapes, accumulating into non-zero C.
+    /// The scalar `gemm` matches the naive triple loop on arbitrary shapes,
+    /// accumulating into non-zero C.
     #[test]
     fn packed_gemm_matches_naive(
         m in arb_dim(),
@@ -200,7 +199,7 @@ proptest! {
         prop_assert_eq!(crop_tensor4(&padded, t, b, l, r), x);
     }
 
-    /// The GEMM and direct convolution paths agree on random geometry.
+    /// The fast and direct convolution paths agree on random geometry.
     #[test]
     fn conv_paths_agree(
         in_c in 1usize..4,
@@ -213,7 +212,7 @@ proptest! {
     ) {
         use pde_tensor::conv::{conv2d, conv2d_im2col, ConvScratch};
         use pde_tensor::Conv2dSpec;
-        let spec = Conv2dSpec { in_c, out_c, kh: k, kw: k, stride: 1, pad };
+        let spec = Conv2dSpec::square(in_c, out_c, k, pad);
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut next = move || {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;

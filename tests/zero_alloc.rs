@@ -5,7 +5,7 @@
 //! `pde-tensor` installs a counting `#[global_allocator]`
 //! ([`pde_tensor::perf::CountingAlloc`]), so the assertion below is not a
 //! code-review claim but a measurement: after one warm-up epoch has grown
-//! every buffer (packed GEMM panels, im2col scratch, ping-pong activation
+//! every buffer (packed conv weights and tap tables, activation
 //! workspace, cached inputs, optimizer moments, batch tensors, epoch
 //! order), a full further epoch — forward, loss, backward, gradient
 //! clipping, optimizer step, for every mini-batch — performs **zero** heap
@@ -100,51 +100,60 @@ fn many_epochs_stay_allocation_free() {
     );
 }
 
-/// The threaded kernel path stays allocation-free on the submitting thread
+/// The threaded conv passes stay allocation-free on the submitting thread
 /// once warm: publishing a job to the worker pool is a pointer store plus a
-/// condvar signal, chunk claiming is an atomic fetch-add, and the scratch
-/// each executing thread uses — its packed-B buffer, and its im2col column
-/// panel when a convolution fans out — is thread-local and grown during
+/// condvar signal, chunk claiming is an atomic fetch-add, and each pass's
+/// scratch (packed weights, tap table, zero-bordered sample) is grown during
 /// warm-up. The allocation counters are thread-local, so this measures the
-/// driver thread exactly; worker-side scratch is covered by the warm-up
-/// pass touching every worker once (chunks outnumber threads).
+/// driver thread exactly; the warm-up also touches every worker once
+/// (chunks outnumber threads).
 #[test]
-fn threaded_gemm_steady_state_allocates_nothing_on_driver() {
-    use pde_tensor::conv::{conv2d_im2col_into, ConvScratch};
+fn threaded_conv_passes_allocate_nothing_on_driver() {
+    use pde_tensor::conv::{
+        conv2d_backward_input_leaky, conv2d_backward_weight, conv2d_forward_into, ConvScratch,
+    };
     use pde_tensor::{Conv2dSpec, Tensor4};
-    let (m, k, n) = (16, 150, 320); // n > NC: column chunks
-    let a = vec![0.5; m * k];
-    let b = vec![0.25; k * n];
-    let mut c = vec![0.0; m * n];
-    // Eight samples of a 6 -> 16 channel 5x5 layer: (sample, panel) chunks.
-    let spec = Conv2dSpec::square(6, 16, 5, 0);
-    let x = Tensor4::full(8, 6, 20, 24, 0.25);
+    // Eight 40-row samples of a same-padded 6 -> 16 channel 5x5 layer: two
+    // 32-row bands a sample (the forward pass fans out per bordered
+    // sample), (sample, band) and (channel, output group) chunks.
+    let spec = Conv2dSpec::same(6, 16, 5);
+    let x = Tensor4::full(8, 6, 40, 24, 0.25);
     let w = Tensor4::full(16, 6, 5, 5, 0.5);
+    let grad_out = Tensor4::full(8, 16, 40, 24, -0.125);
     let mut scratch = ConvScratch::new();
     let mut y = Tensor4::zeros(0, 0, 0, 0);
+    let mut act = x.clone();
+    let mut gw = Tensor4::zeros(16, 6, 5, 5);
+    let mut gb = vec![0.0; 16];
+    let mut passes = || {
+        conv2d_forward_into(&x, &w, &[], &spec, Some(0.01), &mut scratch, &mut y);
+        conv2d_backward_weight(&x, &grad_out, &spec, &mut gw, &mut gb, &mut scratch);
+        act.as_mut_slice().copy_from_slice(x.as_slice());
+        conv2d_backward_input_leaky(&grad_out, &w, &spec, 0.01, &mut scratch, &mut act);
+    };
 
     pde_tensor::pool::set_thread_budget(3);
-    // Warm-up: spawns the pool, grows packed-A/B scratch and the column
-    // panel on every thread (8 chunks over 3 threads → each worker runs at
-    // least one).
+    // Warm-up: spawns the pool and grows every scratch buffer.
     for _ in 0..2 {
-        conv2d_im2col_into(&x, &w, &[], &spec, &mut scratch, &mut y);
-        pde_tensor::gemm(m, k, n, &a, &b, &mut c);
+        passes();
     }
-
     let before = perf::snapshot();
     for _ in 0..3 {
-        conv2d_im2col_into(&x, &w, &[], &spec, &mut scratch, &mut y);
-        // Single wide-n product: the column-chunk path.
-        pde_tensor::gemm(m, k, n, &a, &b, &mut c);
+        passes();
     }
     let spent = perf::snapshot().since(&before);
     pde_tensor::pool::set_thread_budget(1);
 
-    assert!(spent.gemm_calls >= 6, "the loop should have hit the driver");
+    // Forward and input gradient book one call a pass, the weight gradient
+    // one a sample.
+    assert_eq!(
+        spent.gemm_calls,
+        3 * (1 + 8 + 1),
+        "every pass should have run"
+    );
     assert_eq!(
         spent.allocs, 0,
-        "threaded steady-state GEMM performed {} driver-side heap allocations",
+        "threaded steady-state conv passes performed {} driver-side heap allocations",
         spent.allocs
     );
 }
