@@ -122,6 +122,7 @@ pub fn train(args: &Args) -> Result<(), String> {
         ));
     }
     let (c, h, w) = data.shape();
+    crate::fleet::ranks_fit_grid("ranks", ranks, h, w)?;
     println!(
         "training on {train_pairs} of {pairs} pairs from {source} ({c} ch, {h}x{w}) with \
          {ranks} ranks, {} epochs, {} + {}",

@@ -11,6 +11,17 @@ use pde_tensor::Tensor3;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
+/// Side of the built-in quick dataset's square grid.
+const QUICK_GRID: usize = 16;
+
+/// Refuses `--FLAG N` ranks that an `h × w` grid cannot be split over,
+/// before any training starts.
+pub(crate) fn ranks_fit_grid(flag: &str, ranks: usize, h: usize, w: usize) -> Result<(), String> {
+    GridPartition::try_for_ranks(h, w, ranks)
+        .map(drop)
+        .map_err(|e| format!("--{flag} {ranks} is out of range: {e}"))
+}
+
 /// Deterministically trains the built-in quick fleet: paper dataset, tiny
 /// arch, fixed seed. Same binary + same inputs ⇒ bitwise-identical weights
 /// wherever it runs, which is what lets every process of a multi-process
@@ -20,7 +31,7 @@ pub(crate) fn quick_fleet(
     ranks: usize,
     strategy: PaddingStrategy,
 ) -> Result<(ParallelInference, Tensor3), String> {
-    let data = pde_euler::dataset::paper_dataset(16, 8);
+    let data = pde_euler::dataset::paper_dataset(QUICK_GRID, 8);
     let arch = ArchSpec::tiny();
     let outcome = ParallelTrainer::new(arch.clone(), strategy, TrainConfig::quick_test())
         .train_view(&data, 6, ranks)
@@ -38,6 +49,7 @@ pub(crate) fn fleet_from_args(
     quick_ranks: usize,
 ) -> Result<(ParallelInference, Tensor3, String), String> {
     if args.flag("quick") {
+        ranks_fit_grid("ranks-per-world", quick_ranks, QUICK_GRID, QUICK_GRID)?;
         let (inf, initial) = quick_fleet(quick_ranks, PaddingStrategy::ZeroPad)?;
         return Ok((inf, initial, "built-in 16x16 paper pulse (--quick)".into()));
     }

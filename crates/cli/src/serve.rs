@@ -307,11 +307,26 @@ impl Server {
         let total_us = ingress.elapsed().as_micros() as u64;
         let status = match result {
             Ok(rollout) => {
-                let _ = writeln!(reply, "steps {}", rollout.states.len() - 1);
-                for state in &rollout.states {
-                    encode_state_into(&mut reply, state);
+                // A finite input can still drive the networks out of range
+                // (1e308 overflows): such a trajectory is not an answer.
+                let non_finite = rollout
+                    .states
+                    .iter()
+                    .position(|s| !s.as_slice().iter().all(|v| v.is_finite()));
+                if let Some(step) = non_finite {
+                    let _ = writeln!(
+                        reply,
+                        "step {step} of the rollout holds a NaN or infinite value — the \
+                         input is outside what the model was trained on"
+                    );
+                    "422 Unprocessable Content"
+                } else {
+                    let _ = writeln!(reply, "steps {}", rollout.states.len() - 1);
+                    for state in &rollout.states {
+                        encode_state_into(&mut reply, state);
+                    }
+                    "200 OK"
                 }
-                "200 OK"
             }
             Err(e) => {
                 let _ = writeln!(reply, "{e}");
@@ -621,6 +636,42 @@ mod tests {
                     "{response}"
                 );
             }
+            let response = exchange(addr, &post(&body));
+            assert!(status_line(&response).contains("200"), "{response}");
+            let response = exchange(addr, b"GET /readyz HTTP/1.1\r\n\r\n");
+            assert!(status_line(&response).contains("200"), "{response}");
+        });
+    }
+
+    #[test]
+    fn non_finite_input_is_a_400_and_a_non_finite_rollout_a_422() {
+        let post = |body: &str| {
+            format!(
+                "POST /v1/rollout HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes()
+        };
+        on_serve_listener(|_, addr| {
+            let example = exchange(addr, b"GET /v1/example HTTP/1.1\r\n\r\n");
+            let body = example.split_once("\r\n\r\n").unwrap().1.to_string();
+            // The example body with every value of its state set to `v`.
+            let filled = |v: &str| {
+                let (head, state) = body.split_once("state ").unwrap();
+                let dims: Vec<&str> = state.split_whitespace().take(3).collect();
+                let n: usize = dims.iter().map(|d| d.parse::<usize>().unwrap()).product();
+                format!("{head}state {} {}\n", dims.join(" "), vec![v; n].join(" "))
+            };
+            for v in ["NaN", "inf", "-inf"] {
+                let response = exchange(addr, &post(&filled(v)));
+                assert!(status_line(&response).contains("400"), "{v}: {response}");
+                assert!(response.contains("NaN or infinite"), "{v}: {response}");
+            }
+            // Finite, but far outside the training data: the networks
+            // overflow and every predicted value is NaN.
+            let response = exchange(addr, &post(&filled("1e308")));
+            assert!(status_line(&response).contains("422"), "{response}");
+            assert!(response.contains("step 1 of the rollout"), "{response}");
             let response = exchange(addr, &post(&body));
             assert!(status_line(&response).contains("200"), "{response}");
             let response = exchange(addr, b"GET /readyz HTTP/1.1\r\n\r\n");

@@ -6,7 +6,7 @@
 //! [`ArchSpec::tiny`] is a shrunken variant for fast tests at small grids.
 
 use crate::padding::PaddingStrategy;
-use pde_nn::init::{init_conv, Init};
+use pde_nn::init::init_conv;
 use pde_nn::{Conv2d, ConvTranspose2d, ReLu, Sequential};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -146,13 +146,7 @@ impl ArchSpec {
                 Conv2d::new(pde_tensor::Conv2dSpec::square(io[0], io[1], self.kernel, 0))
             }
             .named(&format!("conv{}", l + 1));
-            init_conv(
-                &mut conv,
-                Init::KaimingUniform {
-                    neg_slope: self.leak,
-                },
-                &mut rng,
-            );
+            init_conv(&mut conv, self.leak, &mut rng);
             let hidden = l + 1 < n;
             if hidden && self.leak > 0.0 {
                 conv = conv.leaky(self.leak);

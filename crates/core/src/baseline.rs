@@ -137,7 +137,7 @@ impl DataParallelTrainer {
                         let pred = net.forward(&x, true);
                         let (l, grad) = loss.value_and_grad(&pred, &y);
                         net.backward_params(&grad);
-                        opt.step(&mut net.param_groups());
+                        opt.step_visit(&mut net);
                         sum += l;
                         batches += 1;
                     }

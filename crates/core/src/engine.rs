@@ -905,6 +905,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_history_is_refused_before_any_rank_runs() {
+        let (data, inf) = trained(PaddingStrategy::NeighborPad, 4);
+        let mut engine = InferEngine::new(4);
+        engine.register("m", inf.clone()).unwrap();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = data.snapshot(0).clone();
+            bad.as_mut_slice()[517] = v;
+            let expected = InferError::NonFiniteState { state: 0 };
+            assert_eq!(
+                inf.validate_request(std::slice::from_ref(&bad), 2),
+                Err(expected.clone())
+            );
+            assert_eq!(engine.rollout("m", &bad, 2).err(), Some(expected.clone()));
+            assert_eq!(inf.rollout(&bad, 2).err(), Some(expected));
+        }
+        // The refused requests left the resident ranks as they were.
+        let served = engine.rollout("m", data.snapshot(0), 2).unwrap();
+        assert_eq!(
+            served.states,
+            inf.rollout(data.snapshot(0), 2).unwrap().states
+        );
+    }
+
+    #[test]
     fn degraded_warm_rollouts_match_cold_under_seeded_loss() {
         let plan = FaultPlan::loss_rate(0.3, 0xFA_117);
         let policy = HaloPolicy::Degrade {

@@ -49,6 +49,13 @@ pub enum InferError {
         /// Channels of the offending state.
         got: usize,
     },
+    /// A history state holds a NaN or an infinity. The networks would carry
+    /// it into every value of the rollout, so the request is refused before
+    /// any rank job runs.
+    NonFiniteState {
+        /// Index of the first such state in the history, oldest first.
+        state: usize,
+    },
     /// The step count cannot be served at all: the trajectory it asks for —
     /// `steps + 1` states of the model's shape — is not addressable
     /// (`steps + 1` overflows, or its values exceed `isize::MAX` bytes).
@@ -129,6 +136,11 @@ impl std::fmt::Display for InferError {
                 "model was trained with a time window of {expected} state(s) but {got} were \
                  supplied — pass exactly {expected} consecutive states (oldest first) to \
                  rollout_from_history"
+            ),
+            InferError::NonFiniteState { state } => write!(
+                f,
+                "history state {state} holds a NaN or infinite value — pass finite field \
+                 values"
             ),
             InferError::StepsOutOfRange { steps } => write!(
                 f,
@@ -423,7 +435,7 @@ impl ParallelInference {
                 got: history.len(),
             });
         }
-        for state in history {
+        for (k, state) in history.iter().enumerate() {
             if (state.h(), state.w()) != (self.part.global_h(), self.part.global_w()) {
                 return Err(InferError::ShapeMismatch {
                     expected: (self.part.global_h(), self.part.global_w()),
@@ -435,6 +447,9 @@ impl ParallelInference {
                     expected: self.norm.channels(),
                     got: state.c(),
                 });
+            }
+            if !state.as_slice().iter().all(|v| v.is_finite()) {
+                return Err(InferError::NonFiniteState { state: k });
             }
         }
         Ok(())

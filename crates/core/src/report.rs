@@ -57,13 +57,6 @@ impl Csv {
         self.row(&cells.iter().map(|v| format!("{v}")).collect::<Vec<_>>());
     }
 
-    /// Appends a labelled row: first column a string, the rest floats.
-    pub fn row_labelled(&mut self, label: &str, cells: &[f64]) {
-        let mut v = vec![label.to_string()];
-        v.extend(cells.iter().map(|x| format!("{x}")));
-        self.row(&v);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -138,13 +131,6 @@ mod tests {
         let s = c.to_string_csv();
         assert!(s.contains("\"a,b\""));
         assert!(s.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn labelled_rows() {
-        let mut c = Csv::new(&["field", "mape"]);
-        c.row_labelled("pressure", &[1.25]);
-        assert!(c.to_string_csv().contains("pressure,1.25"));
     }
 
     #[test]

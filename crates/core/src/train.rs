@@ -20,10 +20,10 @@ use crate::padding::PaddingStrategy;
 use pde_commsim::World;
 use pde_domain::GridPartition;
 use pde_euler::dataset::{DataSet, DataSetView};
-use pde_nn::loss::{Huber, Loss, Mae, Mape, Mse};
+use pde_nn::loss::{Loss, Mape, Mse};
 use pde_nn::optim::{Adam, Optimizer, RmsProp, Sgd};
 use pde_nn::serialize::snapshot;
-use pde_nn::{Layer, LrSchedule, Sequential};
+use pde_nn::{Layer, Sequential};
 use pde_tensor::{perf, PerfCounters, Tensor4};
 use std::time::Instant;
 
@@ -99,13 +99,6 @@ pub enum LossKind {
     },
     /// Mean squared error.
     Mse,
-    /// Mean absolute error.
-    Mae,
-    /// Huber loss.
-    Huber {
-        /// Quadratic/linear transition point.
-        delta: f64,
-    },
 }
 
 impl LossKind {
@@ -114,8 +107,6 @@ impl LossKind {
         match *self {
             LossKind::Mape { floor } => Box::new(Mape::new(floor)),
             LossKind::Mse => Box::new(Mse),
-            LossKind::Mae => Box::new(Mae),
-            LossKind::Huber { delta } => Box::new(Huber::new(delta)),
         }
     }
 
@@ -124,8 +115,6 @@ impl LossKind {
         match self {
             LossKind::Mape { .. } => "MAPE",
             LossKind::Mse => "MSE",
-            LossKind::Mae => "MAE",
-            LossKind::Huber { .. } => "Huber",
         }
     }
 }
@@ -137,10 +126,8 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Base learning rate.
+    /// Learning rate.
     pub lr: f64,
-    /// Optional schedule overriding `lr` per epoch.
-    pub schedule: Option<LrSchedule>,
     /// Optimizer family.
     pub optimizer: OptimizerKind,
     /// Loss function.
@@ -180,7 +167,6 @@ impl TrainConfig {
             epochs: 50,
             batch_size: 16,
             lr: 1e-3,
-            schedule: None,
             optimizer: OptimizerKind::Adam,
             loss: LossKind::Mape { floor: 1e-3 },
             shuffle: true,
@@ -212,9 +198,10 @@ impl TrainConfig {
         }
     }
 
-    /// Effective learning rate for an epoch.
-    pub fn rate(&self, epoch: usize) -> f64 {
-        self.schedule.as_ref().map_or(self.lr, |s| s.rate(epoch))
+    /// Learning rate for an epoch: `lr` for every epoch, because the paper
+    /// trains at a constant rate.
+    pub fn rate(&self, _epoch: usize) -> f64 {
+        self.lr
     }
 
     /// Sanity checks. 0 epochs is legal — a smoke run that returns the
@@ -541,7 +528,7 @@ impl ParallelTrainer {
                 c * self.config.window
             )));
         }
-        let part = GridPartition::for_ranks(h, w, n_ranks);
+        let part = GridPartition::try_for_ranks(h, w, n_ranks).map_err(TrainError::Geometry)?;
         check_geometry(&part, &self.arch, self.strategy)?;
         // The first usable sample needs window-1 snapshots of history, so
         // the requested range loses its first pairs when it starts too
@@ -828,6 +815,19 @@ mod tests {
             TrainConfig::quick_test(),
         );
         assert_eq!(t.train_view(&d, 0, 2).unwrap_err(), TrainError::EmptyData);
+    }
+
+    #[test]
+    fn more_ranks_than_the_grid_can_feed_is_a_geometry_error() {
+        let t = ParallelTrainer::new(
+            ArchSpec::tiny(),
+            PaddingStrategy::ZeroPad,
+            TrainConfig::quick_test(),
+        );
+        assert_eq!(
+            t.train(&data(), 17).unwrap_err(),
+            TrainError::Geometry("a 16x16 grid cannot feed a 1x17 process grid".into())
+        );
     }
 
     #[test]

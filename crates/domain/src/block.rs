@@ -55,11 +55,6 @@ impl Block {
         i >= self.i0 && i < self.i1() && j >= self.j0 && j < self.j1()
     }
 
-    /// True when the blocks share at least one cell.
-    pub fn intersects(&self, other: &Block) -> bool {
-        self.i0 < other.i1() && other.i0 < self.i1() && self.j0 < other.j1() && other.j0 < self.j1()
-    }
-
     /// Grows the block by `halo` cells on every side, clipped to the global
     /// `gh × gw` grid. Returns the clipped block plus the [`Margins`] that
     /// fell outside and must be padded.
@@ -117,31 +112,6 @@ mod tests {
         assert!(b.contains(5, 7));
         assert!(!b.contains(6, 3));
         assert!(!b.contains(2, 8));
-    }
-
-    #[test]
-    fn intersection_detection() {
-        let a = Block {
-            i0: 0,
-            j0: 0,
-            h: 4,
-            w: 4,
-        };
-        let b = Block {
-            i0: 3,
-            j0: 3,
-            h: 4,
-            w: 4,
-        };
-        let c = Block {
-            i0: 4,
-            j0: 0,
-            h: 2,
-            w: 4,
-        };
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
     }
 
     #[test]

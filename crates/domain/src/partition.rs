@@ -42,16 +42,31 @@ impl GridPartition {
     /// Picks a near-square process grid for `n_ranks` and builds the
     /// partition. Prefers `py * px == n_ranks` with `py ≤ px` and the two
     /// as close as possible (4 → 2×2, 8 → 2×4, 64 → 8×8).
+    ///
+    /// # Panics
+    /// Where [`GridPartition::try_for_ranks`] returns an error.
     pub fn for_ranks(h: usize, w: usize, n_ranks: usize) -> Self {
-        assert!(n_ranks >= 1, "GridPartition: need at least one rank");
-        let mut py = (n_ranks as f64).sqrt() as usize;
-        while py >= 1 {
-            if n_ranks.is_multiple_of(py) {
-                return Self::new(h, w, py, n_ranks / py);
-            }
-            py -= 1;
+        Self::try_for_ranks(h, w, n_ranks).unwrap_or_else(|e| panic!("GridPartition: {e}"))
+    }
+
+    /// [`GridPartition::for_ranks`], returning an error instead of
+    /// panicking when `n_ranks` is 0 or the `h × w` grid has fewer rows or
+    /// columns than the process grid it picks.
+    pub fn try_for_ranks(h: usize, w: usize, n_ranks: usize) -> Result<Self, String> {
+        if n_ranks == 0 {
+            return Err("need at least one rank".into());
         }
-        unreachable!("py = 1 always divides n_ranks");
+        let py = (1..=n_ranks.isqrt())
+            .rev()
+            .find(|&py| n_ranks.is_multiple_of(py))
+            .expect("py = 1 always divides n_ranks");
+        let px = n_ranks / py;
+        if h < py || w < px {
+            return Err(format!(
+                "a {h}x{w} grid cannot feed a {py}x{px} process grid"
+            ));
+        }
+        Ok(Self { h, w, py, px })
     }
 
     /// Global grid height.
@@ -204,5 +219,17 @@ mod tests {
     #[should_panic(expected = "cannot feed")]
     fn rejects_oversubscribed_grid() {
         let _ = GridPartition::new(2, 8, 4, 1);
+    }
+
+    #[test]
+    fn try_for_ranks_reports_what_for_ranks_would_panic_on() {
+        assert_eq!(
+            GridPartition::try_for_ranks(16, 16, 17),
+            Err("a 16x16 grid cannot feed a 1x17 process grid".into())
+        );
+        assert_eq!(
+            GridPartition::try_for_ranks(16, 16, 0),
+            Err("need at least one rank".into())
+        );
     }
 }

@@ -144,8 +144,8 @@ pub struct SolverConfig {
 }
 
 impl SolverConfig {
-    /// The paper's configuration at a reduced default resolution; use
-    /// `with_resolution(256, 256)` for the full-scale setup.
+    /// The paper's configuration at an `nx × ny` resolution (the paper's
+    /// full-scale setup is `paper(256, 256)`).
     pub fn paper(nx: usize, ny: usize) -> Self {
         Self {
             background: Background::paper(),
@@ -155,13 +155,6 @@ impl SolverConfig {
             cfl: 0.45,
             scheme: TimeScheme::SspRk2,
         }
-    }
-
-    /// Replaces the resolution.
-    pub fn with_resolution(mut self, nx: usize, ny: usize) -> Self {
-        self.nx = nx;
-        self.ny = ny;
-        self
     }
 
     /// Stable time step from the CFL condition.
@@ -220,7 +213,7 @@ mod tests {
     #[test]
     fn dt_scales_inversely_with_resolution() {
         let c = SolverConfig::paper(64, 64);
-        let fine = c.with_resolution(128, 128);
+        let fine = SolverConfig::paper(128, 128);
         assert!((c.dt() / fine.dt() - 2.0).abs() < 1e-12);
     }
 

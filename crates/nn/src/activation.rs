@@ -1,7 +1,8 @@
 //! Elementwise activation layers.
 //!
-//! The paper uses leaky ReLU with ε = 0.01 (its Eq. (2)); plain ReLU and
-//! tanh are provided for the activation ablation.
+//! The paper uses leaky ReLU with ε = 0.01 (its Eq. (2)); plain ReLU is the
+//! stage `ArchSpec::build` adds after each hidden conv of a `leak == 0`
+//! spec, whose activation cannot be fused into the conv.
 
 use crate::layer::{InputGrad, Layer, ParamGroup};
 use pde_tensor::conv::{leaky_relu, leaky_relu_grad};
@@ -175,87 +176,6 @@ impl Layer for ReLu {
     }
 }
 
-/// Hyperbolic tangent activation.
-pub struct Tanh {
-    cached_output: Option<Tensor4>,
-}
-
-impl Tanh {
-    /// New tanh layer.
-    pub fn new() -> Self {
-        Self {
-            cached_output: None,
-        }
-    }
-}
-
-impl Default for Tanh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(input, train, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let mut grad_in = Tensor4::zeros(0, 0, 0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        let (n, c, h, w) = input.shape();
-        out.resize(n, c, h, w);
-        for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *o = x.tanh();
-        }
-        if train {
-            match &mut self.cached_output {
-                Some(t) => t.copy_from(out),
-                None => self.cached_output = Some(out.clone()),
-            }
-        }
-    }
-
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("Tanh::backward before forward");
-        assert_eq!(
-            out.shape(),
-            grad_out.shape(),
-            "Tanh::backward: shape mismatch"
-        );
-        let (n, c, h, w) = grad_out.shape();
-        grad_in.resize(n, c, h, w);
-        for ((gi, &go), &yv) in grad_in
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_out.as_slice())
-            .zip(out.as_slice())
-        {
-            *gi = go * (1.0 - yv * yv);
-        }
-    }
-
-    fn zero_grad(&mut self) {}
-    fn param_groups(&mut self) -> Vec<ParamGroup<'_>> {
-        Vec::new()
-    }
-    fn param_count(&self) -> usize {
-        0
-    }
-    fn describe(&self) -> String {
-        "Tanh".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,23 +206,6 @@ mod tests {
         assert_eq!(y.as_slice(), &[0.0, 4.0]);
         let g = l.backward(&t(&[5.0, 5.0]));
         assert_eq!(g.as_slice(), &[0.0, 5.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_matches_finite_difference() {
-        let mut l = Tanh::new();
-        let x = t(&[-0.7, 0.0, 0.3, 1.2]);
-        let _ = l.forward(&x, true);
-        let g = l.backward(&t(&[1.0, 1.0, 1.0, 1.0]));
-        let eps = 1e-6;
-        for k in 0..4 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[k] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[k] -= eps;
-            let fd = (xp.as_slice()[k].tanh() - xm.as_slice()[k].tanh()) / (2.0 * eps);
-            assert!((fd - g.as_slice()[k]).abs() < 1e-8);
-        }
     }
 
     #[test]

@@ -108,11 +108,11 @@ fn perturb(net: &mut dyn Layer, k: usize, delta: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::{LeakyReLu, Tanh};
+    use crate::activation::LeakyReLu;
     use crate::conv::Conv2d;
     use crate::deconv::ConvTranspose2d;
-    use crate::init::{init_conv, Init};
-    use crate::loss::{Huber, Mae, Mape, Mse};
+    use crate::init::init_conv;
+    use crate::loss::{Mape, Mse};
     use crate::sequential::Sequential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -121,8 +121,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut c1 = Conv2d::same(2, 3, 3);
         let mut c2 = Conv2d::same(3, 2, 3);
-        init_conv(&mut c1, Init::KaimingUniform { neg_slope: 0.01 }, &mut rng);
-        init_conv(&mut c2, Init::KaimingUniform { neg_slope: 0.01 }, &mut rng);
+        init_conv(&mut c1, 0.01, &mut rng);
+        init_conv(&mut c2, 0.01, &mut rng);
         Sequential::new()
             .push(c1)
             .push(LeakyReLu::paper_default())
@@ -132,19 +132,14 @@ mod tests {
     fn data(seed: u64) -> (Tensor4, Tensor4) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = Tensor4::from_fn(2, 2, 5, 5, |_, _, _, _| rng.gen_range(-1.0..1.0));
-        // Keep targets away from pred to avoid |p-t|=0 kinks in MAE/MAPE.
+        // Keep targets away from pred to avoid MAPE's |p-t|=0 kink.
         let t = Tensor4::from_fn(2, 2, 5, 5, |_, _, _, _| rng.gen_range(1.5..2.5));
         (x, t)
     }
 
     #[test]
     fn conv_stack_gradients_pass_for_all_losses() {
-        let losses: Vec<Box<dyn Loss>> = vec![
-            Box::new(Mse),
-            Box::new(Mae),
-            Box::new(Mape::default()),
-            Box::new(Huber::new(0.37)),
-        ];
+        let losses: Vec<Box<dyn Loss>> = vec![Box::new(Mse), Box::new(Mape::default())];
         let (x, t) = data(11);
         for loss in &losses {
             let mut net = seeded_net(5);
@@ -159,18 +154,6 @@ mod tests {
                 r.worst_numeric
             );
         }
-    }
-
-    #[test]
-    fn tanh_stack_gradients_pass() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut c1 = Conv2d::same(1, 2, 3);
-        init_conv(&mut c1, Init::XavierUniform, &mut rng);
-        let mut net = Sequential::new().push(c1).push(Tanh::new());
-        let x = Tensor4::from_fn(1, 1, 4, 4, |_, _, i, j| ((i * 4 + j) as f64).sin());
-        let t = Tensor4::full(1, 2, 4, 4, 0.7);
-        let r = check_network_gradients(&mut net, &Mse, &x, &t, 1e-5, 3);
-        assert!(r.passes(1e-6), "max rel err {}", r.max_rel_err);
     }
 
     /// A transpose conv with seeded random weights/bias (the zero default
@@ -191,16 +174,11 @@ mod tests {
         // End-to-end §III approach-4 shape: unpadded conv shrinks 6→4, the
         // transpose conv restores 4→6 — so the deconv backward is checked
         // *through* upstream layers, not just in isolation.
-        let losses: Vec<Box<dyn Loss>> = vec![
-            Box::new(Mse),
-            Box::new(Mae),
-            Box::new(Mape::default()),
-            Box::new(Huber::new(0.37)),
-        ];
+        let losses: Vec<Box<dyn Loss>> = vec![Box::new(Mse), Box::new(Mape::default())];
         for loss in &losses {
             let mut rng = StdRng::seed_from_u64(21);
             let mut c1 = Conv2d::new(pde_tensor::Conv2dSpec::square(2, 3, 3, 0));
-            init_conv(&mut c1, Init::KaimingUniform { neg_slope: 0.2 }, &mut rng);
+            init_conv(&mut c1, 0.2, &mut rng);
             let mut net = Sequential::new()
                 .push(c1)
                 .push(LeakyReLu::new(0.2))
@@ -230,8 +208,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(31);
             let mut c1 = Conv2d::same(2, 3, 3);
             let mut c2 = Conv2d::same(3, 2, 3);
-            init_conv(&mut c1, Init::KaimingUniform { neg_slope: slope }, &mut rng);
-            init_conv(&mut c2, Init::KaimingUniform { neg_slope: slope }, &mut rng);
+            init_conv(&mut c1, slope, &mut rng);
+            init_conv(&mut c2, slope, &mut rng);
             let mut net = Sequential::new()
                 .push(c1)
                 .push(LeakyReLu::new(slope))
@@ -256,7 +234,7 @@ mod tests {
         // derivative cannot hide behind mostly-positive activations here.
         let mut rng = StdRng::seed_from_u64(41);
         let mut c1 = Conv2d::same(2, 3, 3);
-        init_conv(&mut c1, Init::KaimingUniform { neg_slope: 0.3 }, &mut rng);
+        init_conv(&mut c1, 0.3, &mut rng);
         for b in c1.bias_mut() {
             *b = -10.0;
         }
@@ -295,17 +273,17 @@ mod tests {
         let _ = net.backward(&g);
         // Instead of corrupting internals (no API for that — by design),
         // emulate a broken analytic gradient by comparing against a shifted
-        // loss: gradcheck against MAE while backprop ran with MSE.
+        // loss: gradcheck against MAPE while backprop ran with MSE.
         let analytic: Vec<f64> = net
             .param_groups()
             .iter()
             .flat_map(|gr| gr.grad.to_vec())
             .collect();
-        let r = check_network_gradients(&mut net, &Mae, &x, &t, 1e-5, 29);
-        // The MAE check passes internally (it redoes its own backward), so
+        let r = check_network_gradients(&mut net, &Mape::default(), &x, &t, 1e-5, 29);
+        // The MAPE check passes internally (it redoes its own backward), so
         // instead verify the two gradients genuinely differ — guarding the
         // premise of the main tests.
-        let mae_analytic: Vec<f64> = net
+        let mape_analytic: Vec<f64> = net
             .param_groups()
             .iter()
             .flat_map(|gr| gr.grad.to_vec())
@@ -313,9 +291,9 @@ mod tests {
         assert!(r.passes(1e-5));
         let diff: f64 = analytic
             .iter()
-            .zip(&mae_analytic)
+            .zip(&mape_analytic)
             .map(|(a, b)| (a - b).abs())
             .sum();
-        assert!(diff > 1e-6, "MSE and MAE gradients should differ");
+        assert!(diff > 1e-6, "MSE and MAPE gradients should differ");
     }
 }

@@ -1,135 +1,33 @@
 //! Weight initialization.
 //!
-//! Kaiming initialization (He et al.) is the correct scheme for
-//! (leaky-)ReLU networks like the paper's; Xavier/Glorot is included for
-//! tanh stacks and ablations. All initializers are deterministic given a
-//! seed, which is what makes the "parallel == sequential per-subdomain"
-//! equivalence tests of `pde-ml-core` possible.
+//! Kaiming-uniform initialization (He et al.) is the scheme for
+//! (leaky-)ReLU networks like the paper's. It is deterministic given a
+//! seeded RNG, which is what makes the "parallel == sequential
+//! per-subdomain" equivalence tests of `pde-ml-core` possible.
 
 use crate::conv::Conv2d;
-use crate::layer::Layer;
-use crate::sequential::Sequential;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-/// Initialization scheme for convolution weights.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Init {
-    /// He-uniform with gain for leaky ReLU slope `a`:
-    /// `U(-b, b)` with `b = gain * sqrt(3 / fan_in)`, `gain = sqrt(2/(1+a²))`.
-    KaimingUniform {
-        /// Negative-side slope of the following activation.
-        neg_slope: f64,
-    },
-    /// He-normal, `N(0, gain² / fan_in)`.
-    KaimingNormal {
-        /// Negative-side slope of the following activation.
-        neg_slope: f64,
-    },
-    /// Glorot-uniform, `U(-b, b)` with `b = sqrt(6 / (fan_in + fan_out))`.
-    XavierUniform,
-    /// Glorot-normal, `N(0, 2 / (fan_in + fan_out))`.
-    XavierNormal,
-}
-
-impl Init {
-    fn bound_or_std(&self, fan_in: usize, fan_out: usize) -> (bool, f64) {
-        match *self {
-            Init::KaimingUniform { neg_slope } => {
-                let gain = (2.0 / (1.0 + neg_slope * neg_slope)).sqrt();
-                (true, gain * (3.0 / fan_in as f64).sqrt())
-            }
-            Init::KaimingNormal { neg_slope } => {
-                let gain = (2.0 / (1.0 + neg_slope * neg_slope)).sqrt();
-                (false, gain / (fan_in as f64).sqrt())
-            }
-            Init::XavierUniform => (true, (6.0 / (fan_in + fan_out) as f64).sqrt()),
-            Init::XavierNormal => (false, (2.0 / (fan_in + fan_out) as f64).sqrt()),
-        }
-    }
-}
-
-/// Standard normal via Box–Muller (keeps us off `rand_distr`).
-fn normal(rng: &mut StdRng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.gen();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
-}
-
-/// Initializes one convolution layer in place. Biases are zeroed.
-pub fn init_conv(layer: &mut Conv2d, scheme: Init, rng: &mut StdRng) {
+/// Initializes one convolution layer in place with He-uniform weights for
+/// a following leaky ReLU of slope `neg_slope`: `U(-b, b)` with
+/// `b = gain * sqrt(3 / fan_in)`, `gain = sqrt(2/(1+a²))`. Biases are
+/// zeroed.
+pub fn init_conv(layer: &mut Conv2d, neg_slope: f64, rng: &mut StdRng) {
     let spec = *layer.spec();
     let fan_in = spec.in_c * spec.kh * spec.kw;
-    let fan_out = spec.out_c * spec.kh * spec.kw;
-    let (uniform, scale) = scheme.bound_or_std(fan_in, fan_out);
+    let gain = (2.0 / (1.0 + neg_slope * neg_slope)).sqrt();
+    let bound = gain * (3.0 / fan_in as f64).sqrt();
     for w in layer.weight_mut().as_mut_slice() {
-        *w = if uniform {
-            rng.gen_range(-scale..scale)
-        } else {
-            scale * normal(rng)
-        };
+        *w = rng.gen_range(-bound..bound);
     }
     layer.bias_mut().fill(0.0);
-}
-
-/// Initializes every [`Conv2d`] found in a network built by
-/// [`crate::sequential::Sequential`] by re-seeding a fresh RNG from `seed`.
-///
-/// Non-conv layers are skipped. This is the entry point used by
-/// `pde-ml-core` so that rank `r` can deterministically derive its network
-/// from `(global_seed, r)`.
-pub fn init_sequential_convs(net: &mut Sequential, scheme: Init, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // We cannot downcast Box<dyn Layer>, so Sequential construction for
-    // conv nets goes through `build_conv_stack` below, or callers init
-    // layers before pushing. To still offer whole-net init we regenerate
-    // weights through the param-group interface, applying the conv fan-in
-    // heuristic per group: weight groups get the scheme, bias groups zero.
-    // Fan-in is recovered from the group length and the following
-    // convention: weight groups of a Conv2d have length out_c*in_c*kh*kw
-    // and are always followed by their bias group of length out_c.
-    let mut groups = net.param_groups();
-    let mut i = 0;
-    while i < groups.len() {
-        if groups[i].name == "weight" && i + 1 < groups.len() && groups[i + 1].name == "bias" {
-            let out_c = groups[i + 1].param.len();
-            let w_len = groups[i].param.len();
-            assert!(
-                w_len.is_multiple_of(out_c),
-                "init: inconsistent conv group lengths"
-            );
-            let fan_in = w_len / out_c;
-            // The kernel area is not recoverable from group lengths, so the
-            // Xavier fan_out is approximated by fan_in here. Kaiming (the
-            // default for this crate's leaky-ReLU nets) only uses fan_in and
-            // is exact. Callers needing exact Xavier should init each Conv2d
-            // with `init_conv` before pushing it into the stack.
-            let (uniform, scale) = scheme.bound_or_std(fan_in, fan_in);
-            for w in groups[i].param.iter_mut() {
-                *w = if uniform {
-                    rng.gen_range(-scale..scale)
-                } else {
-                    scale * normal(&mut rng)
-                };
-            }
-            groups[i + 1].param.fill(0.0);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::LeakyReLu;
-    use pde_tensor::stats;
+    use rand::SeedableRng;
 
     fn seeded() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -138,11 +36,7 @@ mod tests {
     #[test]
     fn kaiming_uniform_respects_bound() {
         let mut l = Conv2d::same(4, 6, 5);
-        init_conv(
-            &mut l,
-            Init::KaimingUniform { neg_slope: 0.01 },
-            &mut seeded(),
-        );
+        init_conv(&mut l, 0.01, &mut seeded());
         let fan_in = 4 * 5 * 5;
         let gain = (2.0f64 / (1.0 + 0.0001)).sqrt();
         let bound = gain * (3.0 / fan_in as f64).sqrt();
@@ -153,29 +47,11 @@ mod tests {
     }
 
     #[test]
-    fn kaiming_normal_std_is_plausible() {
-        let mut l = Conv2d::same(8, 16, 5);
-        init_conv(
-            &mut l,
-            Init::KaimingNormal { neg_slope: 0.0 },
-            &mut seeded(),
-        );
-        let fan_in = (8 * 5 * 5) as f64;
-        let expect = (2.0 / fan_in).sqrt();
-        let measured = stats::std_dev(l.weight().as_slice());
-        assert!(
-            (measured - expect).abs() < 0.2 * expect,
-            "std {measured} far from expected {expect}"
-        );
-        assert!(stats::mean(l.weight().as_slice()).abs() < 0.05 * expect * 10.0);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let mut a = Conv2d::same(2, 3, 3);
         let mut b = Conv2d::same(2, 3, 3);
-        init_conv(&mut a, Init::XavierUniform, &mut seeded());
-        init_conv(&mut b, Init::XavierUniform, &mut seeded());
+        init_conv(&mut a, 0.01, &mut seeded());
+        init_conv(&mut b, 0.01, &mut seeded());
         assert_eq!(a.weight(), b.weight());
     }
 
@@ -183,56 +59,8 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = Conv2d::same(2, 3, 3);
         let mut b = Conv2d::same(2, 3, 3);
-        init_conv(&mut a, Init::XavierUniform, &mut StdRng::seed_from_u64(1));
-        init_conv(&mut b, Init::XavierUniform, &mut StdRng::seed_from_u64(2));
+        init_conv(&mut a, 0.01, &mut StdRng::seed_from_u64(1));
+        init_conv(&mut b, 0.01, &mut StdRng::seed_from_u64(2));
         assert_ne!(a.weight(), b.weight());
-    }
-
-    #[test]
-    fn sequential_init_fills_all_convs() {
-        let mut net = Sequential::new()
-            .push(Conv2d::same(1, 2, 3))
-            .push(LeakyReLu::paper_default())
-            .push(Conv2d::same(2, 1, 3));
-        init_sequential_convs(&mut net, Init::KaimingUniform { neg_slope: 0.01 }, 7);
-        let groups = net.param_groups();
-        // Both weight groups non-zero, both bias groups zero.
-        assert!(groups[0].param.iter().any(|&w| w != 0.0));
-        assert!(groups[2].param.iter().any(|&w| w != 0.0));
-        assert!(groups[1].param.iter().all(|&b| b == 0.0));
-        assert!(groups[3].param.iter().all(|&b| b == 0.0));
-    }
-
-    #[test]
-    fn sequential_init_deterministic() {
-        let build = || {
-            Sequential::new()
-                .push(Conv2d::same(2, 4, 3))
-                .push(LeakyReLu::paper_default())
-                .push(Conv2d::same(4, 2, 3))
-        };
-        let mut a = build();
-        let mut b = build();
-        init_sequential_convs(&mut a, Init::KaimingNormal { neg_slope: 0.01 }, 99);
-        init_sequential_convs(&mut b, Init::KaimingNormal { neg_slope: 0.01 }, 99);
-        let ga = a
-            .param_groups()
-            .iter()
-            .flat_map(|g| g.param.to_vec())
-            .collect::<Vec<_>>();
-        let gb = b
-            .param_groups()
-            .iter()
-            .flat_map(|g| g.param.to_vec())
-            .collect::<Vec<_>>();
-        assert_eq!(ga, gb);
-    }
-
-    #[test]
-    fn normal_sampler_moments() {
-        let mut rng = seeded();
-        let xs: Vec<f64> = (0..20000).map(|_| normal(&mut rng)).collect();
-        assert!(stats::mean(&xs).abs() < 0.03);
-        assert!((stats::std_dev(&xs) - 1.0).abs() < 0.03);
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! Design notes:
 //! * All parameters and gradients are exposed as flat `&mut [f64]` groups via
-//!   [`Layer::param_groups`]; optimizers keep per-group state keyed by the
-//!   (stable) group order.
-//! * A training step is `forward → loss → backward → optimizer.step`. A
+//!   [`Layer::param_groups`] and [`Layer::visit_param_groups`]; optimizers
+//!   keep per-group state keyed by the (stable) group order.
+//! * A training step is `forward → loss → backward → optimizer.step_visit`. A
 //!   layer used on its own caches what its `backward` needs; inside a
 //!   [`Sequential`] the stack owns every activation once and lends it to the
 //!   layers, which write their gradients over it (see [`Layer`],
@@ -29,16 +29,14 @@ pub mod gradcheck;
 pub mod init;
 pub mod layer;
 pub mod loss;
-pub mod lr;
 pub mod optim;
 pub mod sequential;
 pub mod serialize;
 
-pub use activation::{LeakyReLu, ReLu, Tanh};
+pub use activation::{LeakyReLu, ReLu};
 pub use conv::Conv2d;
 pub use deconv::ConvTranspose2d;
 pub use layer::{InputGrad, Layer, ParamGroup};
-pub use loss::{Huber, Loss, Mae, Mape, Mse};
-pub use lr::LrSchedule;
-pub use optim::{Adam, AdamW, Optimizer, OptimizerState, RmsProp, Sgd};
+pub use loss::{Loss, Mape, Mse};
+pub use optim::{Adam, Optimizer, OptimizerState, RmsProp, Sgd};
 pub use sequential::Sequential;

@@ -1,8 +1,8 @@
 //! Loss functions with analytic gradients.
 //!
 //! The paper trains with MAPE (its Eq. (7)) and argues it beats MSE when
-//! field magnitudes differ by orders of magnitude; both are here, plus MAE
-//! and Huber for the loss ablation (experiment X4 in DESIGN.md).
+//! field magnitudes differ by orders of magnitude; MSE is here for that
+//! loss ablation (experiment X4 in DESIGN.md).
 
 use pde_tensor::Tensor4;
 
@@ -12,16 +12,16 @@ pub trait Loss: Send + Sync {
     /// Loss value alone (no gradient allocation).
     fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64;
 
-    /// Loss value and `dL/d(pred)` in one pass.
-    fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4);
+    /// Loss value and `dL/d(pred)` in one pass, the gradient written into a
+    /// caller-owned tensor (resized in place) — the allocation-free path
+    /// used by the training loop.
+    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64;
 
-    /// [`Loss::value_and_grad`] writing the gradient into a caller-owned
-    /// tensor (resized in place) — the allocation-free path used by the
-    /// training loop. The default falls back to the allocating variant.
-    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
-        let (v, g) = self.value_and_grad(pred, target);
-        grad.copy_from(&g);
-        v
+    /// [`Loss::value_and_grad_into`] into a freshly allocated gradient.
+    fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
+        let mut grad = Tensor4::zeros(0, 0, 0, 0);
+        let v = self.value_and_grad_into(pred, target, &mut grad);
+        (v, grad)
     }
 
     /// Short name for reports.
@@ -53,12 +53,6 @@ impl Loss for Mse {
             / m
     }
 
-    fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
-        let mut grad = Tensor4::zeros(0, 0, 0, 0);
-        let v = self.value_and_grad_into(pred, target, &mut grad);
-        (v, grad)
-    }
-
     fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
         check(pred, target, "Mse");
         let m = pred.len() as f64;
@@ -80,52 +74,6 @@ impl Loss for Mse {
 
     fn name(&self) -> &'static str {
         "MSE"
-    }
-}
-
-/// Mean absolute error `1/m Σ |p-t|`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Mae;
-
-impl Loss for Mae {
-    fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64 {
-        check(pred, target, "Mae");
-        let m = pred.len() as f64;
-        pred.as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(p, t)| (p - t).abs())
-            .sum::<f64>()
-            / m
-    }
-
-    fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
-        let mut grad = Tensor4::zeros(0, 0, 0, 0);
-        let v = self.value_and_grad_into(pred, target, &mut grad);
-        (v, grad)
-    }
-
-    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
-        check(pred, target, "Mae");
-        let m = pred.len() as f64;
-        let (n, c, h, w) = pred.shape();
-        grad.resize(n, c, h, w);
-        let mut loss = 0.0;
-        for ((g, &p), &t) in grad
-            .as_mut_slice()
-            .iter_mut()
-            .zip(pred.as_slice())
-            .zip(target.as_slice())
-        {
-            let d = p - t;
-            loss += d.abs();
-            *g = d.signum() / m;
-        }
-        loss / m
-    }
-
-    fn name(&self) -> &'static str {
-        "MAE"
     }
 }
 
@@ -172,12 +120,6 @@ impl Loss for Mape {
         100.0 * s / m
     }
 
-    fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
-        let mut grad = Tensor4::zeros(0, 0, 0, 0);
-        let v = self.value_and_grad_into(pred, target, &mut grad);
-        (v, grad)
-    }
-
     fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
         check(pred, target, "Mape");
         let m = pred.len() as f64;
@@ -200,86 +142,6 @@ impl Loss for Mape {
 
     fn name(&self) -> &'static str {
         "MAPE"
-    }
-}
-
-/// Huber loss: quadratic inside `|p-t| ≤ delta`, linear outside.
-#[derive(Clone, Copy, Debug)]
-pub struct Huber {
-    /// Transition point between the quadratic and linear regimes.
-    pub delta: f64,
-}
-
-impl Huber {
-    /// Huber loss with the given transition point.
-    ///
-    /// # Panics
-    /// If `delta` is not strictly positive.
-    pub fn new(delta: f64) -> Self {
-        assert!(delta > 0.0, "Huber: delta must be > 0");
-        Self { delta }
-    }
-}
-
-impl Default for Huber {
-    fn default() -> Self {
-        Self::new(1.0)
-    }
-}
-
-impl Loss for Huber {
-    fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64 {
-        check(pred, target, "Huber");
-        let m = pred.len() as f64;
-        let d = self.delta;
-        pred.as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(p, t)| {
-                let e = (p - t).abs();
-                if e <= d {
-                    0.5 * e * e
-                } else {
-                    d * (e - 0.5 * d)
-                }
-            })
-            .sum::<f64>()
-            / m
-    }
-
-    fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
-        let mut grad = Tensor4::zeros(0, 0, 0, 0);
-        let v = self.value_and_grad_into(pred, target, &mut grad);
-        (v, grad)
-    }
-
-    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
-        check(pred, target, "Huber");
-        let m = pred.len() as f64;
-        let d = self.delta;
-        let (n, c, h, w) = pred.shape();
-        grad.resize(n, c, h, w);
-        let mut loss = 0.0;
-        for ((g, &p), &t) in grad
-            .as_mut_slice()
-            .iter_mut()
-            .zip(pred.as_slice())
-            .zip(target.as_slice())
-        {
-            let e = p - t;
-            if e.abs() <= d {
-                loss += 0.5 * e * e;
-                *g = e / m;
-            } else {
-                loss += d * (e.abs() - 0.5 * d);
-                *g = d * e.signum() / m;
-            }
-        }
-        loss / m
-    }
-
-    fn name(&self) -> &'static str {
-        "Huber"
     }
 }
 
@@ -338,38 +200,24 @@ mod tests {
             assert_eq!(l.value(&x, &x), 0.0, "{}", l.name());
             let (v, g) = l.value_and_grad(&x, &x);
             assert_eq!(v, 0.0);
-            // Gradient at the minimum may be a subgradient (MAE/MAPE) but
-            // must be finite.
+            // Gradient at the minimum may be a subgradient (MAPE) but must
+            // be finite.
             assert!(g.as_slice().iter().all(|x| x.is_finite()));
         }
     }
 
     fn losses() -> Vec<Box<dyn Loss>> {
-        vec![
-            Box::new(Mse),
-            Box::new(Mae),
-            Box::new(Mape::default()),
-            Box::new(Huber::default()),
-        ]
+        vec![Box::new(Mse), Box::new(Mape::default())]
     }
 
     #[test]
     fn gradients_match_finite_differences() {
-        // Keep predictions away from the |p-t|=0 and |p-t|=delta kinks.
+        // Keep predictions away from MAPE's |p-t|=0 kink.
         let pred = t(&[1.4, -0.7, 2.4, 0.9]);
         let target = t(&[1.0, -1.0, 0.5, 1.2]);
         for l in losses() {
             fd_check(l.as_ref(), &pred, &target, 1e-5);
         }
-    }
-
-    #[test]
-    fn huber_transitions_to_linear() {
-        let l = Huber::new(1.0);
-        // |e| = 3 > delta → delta*(|e| - delta/2) = 1*(3-0.5) = 2.5.
-        assert!((l.value(&t(&[3.0]), &t(&[0.0])) - 2.5).abs() < 1e-12);
-        // |e| = 0.5 ≤ delta → 0.5*e² = 0.125.
-        assert!((l.value(&t(&[0.5]), &t(&[0.0])) - 0.125).abs() < 1e-12);
     }
 
     #[test]

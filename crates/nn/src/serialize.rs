@@ -237,23 +237,6 @@ pub fn read_checkpoint(
         .map_err(LoadError::Mismatch)
 }
 
-/// Saves a checkpoint (parameters + optimizer state) to a file.
-pub fn save_checkpoint(net: &mut dyn Layer, opt: &dyn Optimizer, path: &Path) -> io::Result<()> {
-    let mut buf = Vec::new();
-    write_checkpoint(net, opt, &mut buf)?;
-    fs::write(path, buf)
-}
-
-/// Loads a checkpoint from a file. See [`read_checkpoint`].
-pub fn load_checkpoint(
-    net: &mut dyn Layer,
-    opt: &mut dyn Optimizer,
-    path: &Path,
-) -> Result<(), LoadError> {
-    let data = fs::read(path)?;
-    read_checkpoint(net, opt, &mut data.as_slice())
-}
-
 /// Saves the network's parameters to a file.
 pub fn save_params(net: &mut dyn Layer, path: &Path) -> io::Result<()> {
     let mut buf = Vec::new();
@@ -299,7 +282,7 @@ mod tests {
     use super::*;
     use crate::activation::LeakyReLu;
     use crate::conv::Conv2d;
-    use crate::init::{init_conv, Init};
+    use crate::init::init_conv;
     use crate::sequential::Sequential;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -308,8 +291,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut c1 = Conv2d::same(2, 4, 3);
         let mut c2 = Conv2d::same(4, 2, 3);
-        init_conv(&mut c1, Init::KaimingUniform { neg_slope: 0.01 }, &mut rng);
-        init_conv(&mut c2, Init::KaimingUniform { neg_slope: 0.01 }, &mut rng);
+        init_conv(&mut c1, 0.01, &mut rng);
+        init_conv(&mut c2, 0.01, &mut rng);
         Sequential::new()
             .push(c1)
             .push(LeakyReLu::paper_default())
@@ -358,7 +341,7 @@ mod tests {
             let y = net.forward(&x, true);
             let (_, grad) = loss.value_and_grad(&y, &target);
             net.backward(&grad);
-            opt.step(&mut net.param_groups());
+            opt.step_visit(net);
         };
         for _ in 0..3 {
             step(&mut a, &mut opt_a);

@@ -11,7 +11,7 @@
 //! [`PATH_LOCK`] while it runs kernels.
 
 use pde_nn::gradcheck::check_network_gradients;
-use pde_nn::init::{init_conv, Init};
+use pde_nn::init::init_conv;
 use pde_nn::{Conv2d, Layer, LeakyReLu, Mse, ReLu, Sequential};
 use pde_tensor::{force_kernel_path, Conv2dSpec, KernelPath, Tensor4};
 use rand::rngs::StdRng;
@@ -55,11 +55,7 @@ fn stages(
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     for (l, io) in channels.windows(2).enumerate() {
         let mut conv = Conv2d::new(Conv2dSpec::square(io[0], io[1], k, pad));
-        init_conv(
-            &mut conv,
-            Init::KaimingUniform { neg_slope: slope },
-            &mut rng,
-        );
+        init_conv(&mut conv, slope, &mut rng);
         for b in conv.bias_mut() {
             *b = rng.gen_range(-0.2..0.2);
         }
@@ -292,11 +288,7 @@ fn gradcheck_passes_through_a_fused_three_stage_net() {
     }
     // Every pre-activation negative, and the activation last in the stack.
     let mut conv = Conv2d::same(2, 3, 3);
-    init_conv(
-        &mut conv,
-        Init::KaimingUniform { neg_slope: 0.3 },
-        &mut StdRng::seed_from_u64(41),
-    );
+    init_conv(&mut conv, 0.3, &mut StdRng::seed_from_u64(41));
     conv.bias_mut().fill(-10.0);
     let mut net = Sequential::new().push(conv.leaky(0.3));
     let x = random(1, 2, 5, 5, 42);

@@ -108,13 +108,6 @@ impl Grid2 {
         &self.data[i * self.w..(i + 1) * self.w]
     }
 
-    /// One row as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.h);
-        &mut self.data[i * self.w..(i + 1) * self.w]
-    }
-
     /// Extracts the rectangle with top-left corner `(i0, j0)` and shape
     /// `(sh, sw)`.
     ///
@@ -176,15 +169,6 @@ impl Grid2 {
     /// Maximum absolute value (0 for an empty grid).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
-    }
-
-    /// Minimum and maximum values. Returns `(0, 0)` for an empty grid.
-    pub fn min_max(&self) -> (f64, f64) {
-        self.data
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
-                (lo.min(x), hi.max(x))
-            })
     }
 
     /// L2 norm of the difference with `other`, normalized by point count.
@@ -263,7 +247,6 @@ mod tests {
     #[test]
     fn min_max_and_max_abs() {
         let g = Grid2::from_vec(1, 4, vec![-3.0, 0.0, 2.0, 1.0]);
-        assert_eq!(g.min_max(), (-3.0, 2.0));
         assert_eq!(g.max_abs(), 3.0);
     }
 

@@ -31,7 +31,6 @@ fn main() {
         epochs: 40,
         batch_size: 8,
         lr: 2e-3,
-        schedule: None,
         optimizer: OptimizerKind::Adam,
         loss: LossKind::Mape { floor: 1e-3 },
         shuffle: true,
