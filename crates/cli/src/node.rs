@@ -82,7 +82,8 @@ fn fleet_from_args(
         None => quick_fleet(n_ranks, PaddingStrategy::NeighborPad)?,
         Some(dir) => {
             let dir = std::path::Path::new(dir);
-            let (meta, inf) = crate::commands::load_fleet(dir)?;
+            let (meta, inf) = crate::commands::load_fleet(dir)
+                .map_err(|e| format!("--restore {}: {e}", dir.display()))?;
             if meta.partition.rank_count() != n_ranks {
                 return Err(format!(
                     "--restore {}: checkpoint is partitioned over {} ranks but this world has \
@@ -92,7 +93,8 @@ fn fleet_from_args(
                     meta.partition.rank_count()
                 ));
             }
-            require_window_1("world-node", dir, &meta)?;
+            require_window_1("world-node", dir, &meta)
+                .map_err(|e| format!("--restore {}: {e}", dir.display()))?;
             let (gh, gw) = (meta.partition.global_h(), meta.partition.global_w());
             if gh != gw {
                 return Err(format!(
@@ -117,8 +119,8 @@ struct WorldRun {
     /// Stitched global states of request 0: `[initial, pred_1, …, pred_K]`.
     states: Vec<Tensor3>,
     /// Per-rank traffic deltas of request 0 (the snapshot window matches
-    /// [`ParallelInference::rollout_from_history`]'s: reset + steps +
-    /// quiesce, alignment barriers excluded).
+    /// [`ParallelInference::rollout_from_history`]'s: steps + quiesce,
+    /// alignment barriers excluded).
     traffic: Vec<TrafficReport>,
 }
 
@@ -438,7 +440,6 @@ fn run_rank(
     let history = [initial.clone()];
     inf.validate_request(&history, opts.steps)
         .map_err(|e| e.to_string())?;
-    let locals = inf.scatter_history(&history);
     let mut st = inf.rank_state(rank);
     if opts.self_heal && !st.quiesces() {
         return Err(
@@ -499,7 +500,7 @@ fn run_rank(
             cart.comm_mut()
                 .set_generation(epoch_base(epoch) | (req as u32 + 1));
             let t0 = Instant::now();
-            let served = st.serve_request(&mut cart, &locals[rank], steps, &mut trajectory, |_| {});
+            let served = st.serve_request(&mut cart, &history, steps, &mut trajectory, |_| {});
             if let Some((reqs, lat)) = live_requests {
                 reqs.inc(pde_telemetry::DRIVER);
                 lat.record(t0.elapsed().as_micros() as u64);
@@ -520,7 +521,7 @@ fn run_rank(
         break;
     }
 
-    // Gather request-0 evidence at rank 0: flattened normalized trajectory
+    // Gather request-0 evidence at rank 0: flattened physical trajectory
     // plus the traffic delta. Collectives are fault-exempt, so this works
     // under any injected plan.
     let flat: Vec<f64> = req0_traj
@@ -744,6 +745,19 @@ fn worker(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The launcher's child processes, by rank. Dropping the table kills and
+/// reaps every child still in it, so an early return never leaves orphans.
+struct Children(Vec<(usize, std::process::Child)>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for (_, child) in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// The orchestrator: N-rank world as N OS processes on localhost.
 fn launch(args: &Args) -> Result<(), String> {
     let n: usize = args.get_or("ranks", 4)?;
@@ -789,6 +803,9 @@ fn launch(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
+    // Rank 0's fleet, loaded (or trained) before any child exists: every
+    // check that can refuse the run happens before the first spawn.
+    let (initial, inf) = fleet_from_args(args, n, policy, fault_plan.as_ref())?;
 
     // The smoke-scrape contract: both series exist (at zero) from the
     // moment the exporter is up, even before the first request lands.
@@ -886,20 +903,17 @@ fn launch(args: &Args) -> Result<(), String> {
 
     // RefCell: the respawn callback (running inside rank 0's request loop)
     // swaps replacement children into the same table the final reap reads.
-    let children: std::cell::RefCell<Vec<(usize, std::process::Child)>> =
-        std::cell::RefCell::new(Vec::with_capacity(n - 1));
+    let children = std::cell::RefCell::new(Children(Vec::with_capacity(n - 1)));
     for rank in 1..n {
         let kill = kill_rank_at.and_then(|(r, req)| (r == rank).then_some(req));
-        children
-            .borrow_mut()
-            .push((rank, spawn_rank(rank, &addrs, None, kill)?));
+        let child = spawn_rank(rank, &addrs, None, kill)?;
+        children.borrow_mut().0.push((rank, child));
     }
     println!(
         "world-node: ranks 1..{n} launched as OS processes, rank 0 in-process; \
          {requests} requests x {steps} steps over localhost TCP"
     );
 
-    let (initial, inf) = fleet_from_args(args, n, policy, fault_plan.as_ref())?;
     if self_heal {
         if let Some(dir) = args.get("restore") {
             println!("self-heal: respawned ranks restore weights from {dir} (no retrain)");
@@ -913,6 +927,7 @@ fn launch(args: &Args) -> Result<(), String> {
         let mut table = children.borrow_mut();
         for &d in dead {
             let slot = table
+                .0
                 .iter_mut()
                 .find(|(r, _)| *r == d)
                 .ok_or_else(|| format!("dead rank {d} is not one of my children"))?;
@@ -951,7 +966,7 @@ fn launch(args: &Args) -> Result<(), String> {
     // Reap the children before judging the run: their exit codes are part
     // of the verdict, and a failed rendezvous must not leave orphans.
     let mut child_failures = Vec::new();
-    for (rank, mut child) in children.into_inner() {
+    for (rank, mut child) in std::mem::take(&mut children.into_inner().0) {
         if run.is_err() {
             let _ = child.kill();
         }

@@ -17,6 +17,9 @@ use std::time::Duration;
 /// receiver immediately regardless.
 const ALIVENESS_SLICE: Duration = Duration::from_millis(10);
 
+/// Parked messages a [`Comm`] holds without growing its pending queue.
+const PENDING_RESERVE: usize = 8;
+
 /// Message tag (same role as an MPI tag: disambiguates concurrent streams).
 pub type Tag = u32;
 
@@ -180,6 +183,7 @@ pub struct Comm {
     /// [`RecvError::Disconnected`] (a dead peer) from
     /// [`RecvError::Timeout`] (a lost message).
     transport: Box<dyn Transport>,
+    /// Arrivals parked until a receive matches them, in arrival order.
     pending: Vec<Message>,
     stats: Arc<Vec<CommStats>>,
     /// Decides delivery, loss or delay per message.
@@ -217,7 +221,10 @@ impl Comm {
             rank,
             size,
             transport,
-            pending: Vec::new(),
+            // Room for the strips a halo step can park (a y-strip that
+            // overtakes the x-strip awaited first), so a warm request's
+            // receives never allocate, whatever order its strips arrive in.
+            pending: Vec::with_capacity(PENDING_RESERVE),
             stats,
             fault_fn,
             gen: 0,

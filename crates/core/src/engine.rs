@@ -36,6 +36,7 @@ use pde_commsim::{
 use pde_domain::GridPartition;
 use pde_tensor::{PerfCounters, Tensor3};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// How to build an [`InferEngine`]: rank count plus an optional fault plan
 /// for the engine's world (the plan applies to *every* request, exactly as
@@ -105,11 +106,13 @@ impl EngineConfig {
 }
 
 /// Where one request's engine latency went, in microseconds: the rank jobs
-/// themselves (`rollout_us` — reset + steps + quiesce, wall time of the
+/// themselves (`rollout_us` — ingest + steps + quiesce, wall time of the
 /// world's job round) vs everything the driver did around them
-/// (`dispatch_us` — validation, scatter, generation allocation,
-/// stitch/transpose). Queue wait is the scheduler's to measure; together
-/// the three phases are the request's [`crate::schedule::RequestPhases`].
+/// (`dispatch_us` — validation, generation allocation, and the gather of
+/// each result state; normalization and denormalization happen on the
+/// ranks, inside `rollout_us`). Queue wait is the scheduler's to measure;
+/// together the three phases are the request's
+/// [`crate::schedule::RequestPhases`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnginePhases {
     /// Driver-side work around the rank jobs, per request.
@@ -233,12 +236,6 @@ impl Layout {
 struct EngineRankState {
     cart: CartComm,
     models: BTreeMap<String, crate::infer::RankRolloutState>,
-    /// Resident trajectory buffer handed to
-    /// [`crate::infer::RankRolloutState::serve_request`] — kept across
-    /// requests so a steady-state warm request measures zero
-    /// [`PerfCounters::allocs`] (for a communication-free model; sends
-    /// inherently allocate payloads).
-    trajectory: Vec<Tensor3>,
 }
 
 /// Whether rank states registered under a self-healing engine should mask
@@ -295,6 +292,12 @@ pub struct InferEngine {
     request_base: usize,
     /// Every rank this engine's supervisor brought back, in heal order.
     respawned: Vec<usize>,
+    /// One request's trajectory buffers per rank, lent to the rank for the
+    /// next request and handed back, filled, in its job result — so a warm
+    /// request neither allocates nor copies its states twice. The lock is
+    /// held only to swap the buffers in or out, never across a serve, so a
+    /// rank that panics mid-request loses its buffers, not the slot.
+    trajectories: Vec<Mutex<Vec<Tensor3>>>,
 }
 
 impl InferEngine {
@@ -373,6 +376,7 @@ impl InferEngine {
         world.run(|_ctx| pde_tensor::pool::set_thread_budget(budget));
         InferEngine {
             layout: Layout::new(world.size()),
+            trajectories: (0..world.size()).map(|_| Mutex::default()).collect(),
             world,
             models: BTreeMap::new(),
             chaos: cfg.chaos,
@@ -440,7 +444,6 @@ impl InferEngine {
                 *ctx.state() = Some(Box::new(EngineRankState {
                     cart,
                     models: BTreeMap::new(),
-                    trajectory: Vec::new(),
                 }));
             }
             let rank = ctx.rank();
@@ -574,9 +577,6 @@ impl InferEngine {
         // Rank-job wall time, accumulated across self-heal retries so the
         // dispatch phase (total minus rollout) never goes negative.
         let mut rollout_clock_us: u64 = 0;
-        // [request][rank][slot] normalized local windows.
-        let scattered: Vec<Vec<Vec<Tensor3>>> =
-            histories.iter().map(|h| inf.scatter_history(h)).collect();
         let chaos = self.chaos.clone();
         let request_base = self.request_base;
         // With self-healing on, a rank death mid-batch triggers supervisor
@@ -591,23 +591,27 @@ impl InferEngine {
             let base = self.world.alloc_generations(histories.len() as u32);
             let serve = |mut ctx: RankContext<'_>| {
                 let rank = ctx.rank();
-                let EngineRankState {
-                    cart,
-                    models,
-                    trajectory,
-                } = resident(&mut ctx);
+                let EngineRankState { cart, models } = resident(&mut ctx);
                 let st = models
                     .get_mut(name)
                     .expect("driver checked the registry before submitting");
-                let mut per_request = Vec::with_capacity(scattered.len());
-                for (i, request) in scattered.iter().enumerate() {
+                // The first request fills the lent buffers; the rest of a
+                // batch find the slot empty and allocate their own.
+                let mut lent = std::mem::take(
+                    &mut *self.trajectories[rank]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                let mut per_request = Vec::with_capacity(histories.len());
+                for (i, history) in histories.iter().enumerate() {
                     // Everything this request records on this rank thread —
                     // steps, halo assembly, comm waits, kernels — carries
                     // its serving id (0 = untraced, the tag stays unset).
                     pde_trace::set_request(req_ids.get(i).copied().unwrap_or(0));
                     cart.comm_mut().set_generation(base + i as u32);
+                    let mut trajectory = std::mem::take(&mut lent);
                     let window =
-                        st.serve_request(cart, &request[rank], n_steps, trajectory, |step| {
+                        st.serve_request(cart, history, n_steps, &mut trajectory, |step| {
                             if let Some(plan) = &chaos {
                                 if plan.should_kill(rank, request_base + i, step) {
                                     panic!(
@@ -617,9 +621,7 @@ impl InferEngine {
                                 }
                             }
                         });
-                    // Cloned after the window closed, so the copy handed to
-                    // the driver is not billed to the request.
-                    per_request.push((trajectory.clone(), window));
+                    per_request.push((trajectory, window));
                 }
                 pde_trace::set_request(0);
                 per_request
@@ -667,7 +669,6 @@ impl InferEngine {
                     *ctx.state() = Some(Box::new(EngineRankState {
                         cart,
                         models: model_states,
-                        trajectory: Vec::new(),
                     }));
                 } else {
                     // Survivor: resident nets and scratch stay; only the
@@ -710,6 +711,10 @@ impl InferEngine {
                 traffic,
                 rank_perf,
             });
+            // Lend the buffers back; a batch keeps only its last request's.
+            for (slot, trajectory) in self.trajectories.iter().zip(rank_histories) {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = trajectory;
+            }
         }
         // One latency sample per request: the batch's wall time split
         // evenly (requests in a batch complete together, so each "saw" the

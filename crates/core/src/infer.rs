@@ -20,8 +20,8 @@ use crate::train::{PredictionMode, TrainOutcome};
 use pde_commsim::{
     CartComm, Comm, Direction, FaultPlan, HaloRecv, TrafficReport, TransportKind, World,
 };
-use pde_domain::halo::{pack_cols, pack_rows, place_rows};
-use pde_domain::{gather, scatter, GridPartition};
+use pde_domain::halo::{pack_cols, PaddedView};
+use pde_domain::{gather, scatter, Block, GridPartition};
 use pde_nn::serialize::restore;
 use pde_nn::{Layer, Sequential};
 use pde_tensor::{perf, PerfCounters, Tensor3, Tensor4};
@@ -233,9 +233,11 @@ pub struct RolloutResult {
     /// Per-rank traffic and halo-resilience counters during the rollout.
     pub traffic: Vec<TrafficReport>,
     /// Per-rank compute counters (FLOPs, GEMM calls, heap allocations)
-    /// measured on each rank thread over the rollout loop — reset/steps
-    /// only, excluding model construction. `allocs` is how the zero-alloc
-    /// suite observes that a warm engine request stays off the heap.
+    /// measured on each rank thread over the rollout loop — steps and
+    /// quiesce only, excluding model construction, the ingest of the
+    /// history and the trajectory buffers' growth. `allocs` is how the
+    /// zero-alloc suite observes that a warm engine request stays off the
+    /// heap.
     pub rank_perf: Vec<PerfCounters>,
 }
 
@@ -448,7 +450,7 @@ impl ParallelInference {
                     got: state.c(),
                 });
             }
-            if !state.as_slice().iter().all(|v| v.is_finite()) {
+            if !all_finite(state.as_slice()) {
                 return Err(InferError::NonFiniteState { state: k });
             }
         }
@@ -457,8 +459,9 @@ impl ParallelInference {
 
     /// Scatters a (validated) global history into per-rank normalized local
     /// histories, oldest first — the networks operate in normalized space.
-    /// Public so a multi-process world node can cut its own rank's slice
-    /// from a shared global history.
+    /// No rollout driver calls it: each rank reads its own block in
+    /// [`RankRolloutState::serve_request`]. It is the input of
+    /// [`RankRolloutState::reset`], for probes that drive steps by hand.
     pub fn scatter_history(&self, history: &[Tensor3]) -> Vec<Vec<Tensor3>> {
         let mut acc: Vec<Vec<Tensor3>> = vec![Vec::new(); self.part.rank_count()];
         for g in history {
@@ -474,41 +477,52 @@ impl ParallelInference {
 
     /// Builds rank `rank`'s resident rollout machine: the restored network
     /// plus history ring, halo caches and scratch tensors sized for that
-    /// rank's block. The serving engine keeps these alive across requests;
-    /// the one-shot rollout below builds one per call.
+    /// rank's block, and the block and channel scales it reads requests and
+    /// writes trajectories with. The serving engine keeps these alive across
+    /// requests; the one-shot rollout below builds one per call.
     pub fn rank_state(&self, rank: usize) -> RankRolloutState {
         let mut net = self.arch.build_for(self.strategy, 0);
         restore(&mut net, &self.weights[rank]);
-        let block = self.part.block_of_rank(rank);
         RankRolloutState::new(
             net,
             self.window,
             self.strategy.input_halo(self.arch.halo()),
             self.halo_policy,
             self.prediction,
-            self.norm.channels(),
-            block.h,
-            block.w,
+            self.norm.scales(),
+            self.part.block_of_rank(rank),
         )
     }
 
-    /// Stitches per-rank normalized step outputs back into global physical
-    /// states: `states[0]` is the caller's own initial state, `states[k]`
-    /// the gathered, denormalized prediction after `k` steps. Public so a
-    /// multi-process driver can reassemble gathered rank trajectories.
+    /// Gathers per-rank physical trajectories (rank order, as
+    /// [`RankRolloutState::serve_request`] writes them) into global states:
+    /// `states[k]` is the gather of every rank's `k`-th block, so
+    /// `states[0]` is `initial`, the request's newest history state, again.
+    /// A pure copy, each value written once — the ranks already
+    /// denormalized. Public so a multi-process driver can reassemble
+    /// gathered rank trajectories.
     pub fn stitch_states(
         &self,
         initial: &Tensor3,
         histories: &[Vec<Tensor3>],
         n_steps: usize,
     ) -> Vec<Tensor3> {
-        let mut states = Vec::with_capacity(n_steps.checked_add(1).expect(STEPS_VALIDATED));
-        states.push(initial.clone());
-        for k in 1..=n_steps {
-            let step_locals: Vec<Tensor3> = histories.iter().map(|h| h[k].clone()).collect();
-            states.push(self.norm.denormalize3(&gather(&step_locals, &self.part)));
-        }
-        states
+        assert_eq!(
+            initial.shape(),
+            (
+                self.norm.channels(),
+                self.part.global_h(),
+                self.part.global_w()
+            ),
+            "stitch_states: initial is not a state of this model"
+        );
+        let states = n_steps.checked_add(1).expect(STEPS_VALIDATED);
+        (0..states)
+            .map(|k| {
+                let blocks: Vec<&Tensor3> = histories.iter().map(|h| &h[k]).collect();
+                gather(&blocks, &self.part)
+            })
+            .collect()
     }
 
     /// Runs an `n_steps` autonomous rollout from `initial` with one thread
@@ -541,7 +555,6 @@ impl ParallelInference {
         self.validate_request(history, n_steps)?;
         let initial = history.last().expect("window >= 1");
         let part = self.part;
-        let per_rank_history = self.scatter_history(history);
 
         let mut world = World::new(part.rank_count()).with_transport(self.transport);
         if let Some(plan) = &self.fault_plan {
@@ -553,7 +566,7 @@ impl ParallelInference {
             let mut trajectory = Vec::new();
             let window = self.rank_state(rank).serve_request(
                 &mut cart,
-                &per_rank_history[rank],
+                history,
                 n_steps,
                 &mut trajectory,
                 |_| {},
@@ -661,26 +674,34 @@ pub struct RequestWindow {
 /// made into a value you can keep, test, and reuse.
 ///
 /// Owns the rank's restored [`Sequential`], its window history ring, the
-/// per-slot last-known [`HaloCache`]s, and resident input/output scratch
-/// tensors. [`RankRolloutState::reset`] rewinds it to a new initial
-/// history; each [`RankRolloutState::step`] advances one prediction step
-/// (halo exchange → forward pass → ring rotation). Communication goes
-/// through the [`CartComm`] the *caller* owns, so one communicator can
-/// serve several resident models on the same rank.
+/// per-slot last-known [`HaloCache`]s, resident input/output scratch
+/// tensors, and the rank's [`Block`] plus the channel scales.
+/// [`RankRolloutState::serve_request`] reads its block of the caller's
+/// global physical history into the ring, normalizing on the way in, and
+/// writes each prediction back out denormalized, so the driver only copies.
+/// Each [`RankRolloutState::step`] advances one prediction step (halo
+/// exchange → forward pass → ring rotation) in normalized space.
+/// Communication goes through the [`CartComm`] the *caller* owns, so one
+/// communicator can serve several resident models on the same rank.
 ///
-/// The step path is engineered to stay off the heap once warm: the input
-/// is assembled straight into a resident `Tensor4`, the forward pass uses
-/// the network's ping-pong workspace, and the prediction overwrites the
-/// ring's oldest buffer in place. With a communication-free strategy
-/// (`halo == 0`, e.g. zero-padding) a warm step performs **zero**
-/// allocations; with halo exchange the transported strips still allocate
-/// (payloads travel through channels by value).
+/// The step path is engineered to stay off the heap once warm: each window
+/// slot is assembled, halo frame included, straight into its slot of a
+/// resident `Tensor4`, the forward pass uses the network's ping-pong
+/// workspace, and the prediction overwrites the ring's oldest buffer in
+/// place. With a communication-free strategy (`halo == 0`, e.g.
+/// zero-padding) a warm step performs **zero** allocations; with halo
+/// exchange only the strips it sends allocate (payloads travel through
+/// channels by value).
 pub struct RankRolloutState {
     net: Sequential,
     window: usize,
     halo: usize,
     policy: HaloPolicy,
     prediction: PredictionMode,
+    /// The global cells this rank owns.
+    block: Block,
+    /// Per-channel normalization scales (see [`ChannelNorm`]).
+    scales: Vec<f64>,
     /// Last `window` local states in normalized space, oldest first. Ring
     /// storage: `step` rotates it and overwrites the freed buffer.
     recent: Vec<Tensor3>,
@@ -702,26 +723,28 @@ pub struct RankRolloutState {
 }
 
 impl RankRolloutState {
-    /// Builds the machine for a `c × h × w` local block. `net` must already
-    /// hold the rank's weights.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the machine for `block` of a state with one channel per entry
+    /// of `scales` (the model's [`ChannelNorm::scales`]). `net` must
+    /// already hold the rank's weights.
     pub fn new(
         net: Sequential,
         window: usize,
         halo: usize,
         policy: HaloPolicy,
         prediction: PredictionMode,
-        c: usize,
-        h: usize,
-        w: usize,
+        scales: &[f64],
+        block: Block,
     ) -> Self {
         assert!(window >= 1, "RankRolloutState: window must be >= 1");
+        let (c, h, w) = (scales.len(), block.h, block.w);
         Self {
             net,
             window,
             halo,
             policy,
             prediction,
+            block,
+            scales: scales.to_vec(),
             recent: (0..window).map(|_| Tensor3::zeros(c, h, w)).collect(),
             caches: vec![HaloCache::default(); window],
             input: Tensor4::zeros(1, window * c, h + 2 * halo, w + 2 * halo),
@@ -751,9 +774,12 @@ impl RankRolloutState {
         self.recent.last().expect("window >= 1")
     }
 
-    /// Rewinds to a new request: copies the `window` local history states
-    /// (normalized, oldest first) into the ring and forgets all last-known
-    /// halo strips. Allocation-free: the ring buffers are reused.
+    /// Rewinds to a new request from *local* states: copies the `window`
+    /// history states (this rank's blocks, normalized, oldest first — what
+    /// [`ParallelInference::scatter_history`] cuts) into the ring and
+    /// forgets all last-known halo strips. Allocation-free: the ring
+    /// buffers are reused. [`RankRolloutState::serve_request`] does the
+    /// same from the global physical history.
     ///
     /// # Panics
     /// If the history length or any state's shape does not match — the
@@ -775,6 +801,48 @@ impl RankRolloutState {
                 .as_mut_slice()
                 .copy_from_slice(state.as_slice());
         }
+        self.forget_halos();
+    }
+
+    /// Rewinds to a new request from the caller's *global* physical
+    /// history: writes this rank's block of every state into the ring,
+    /// each value multiplied by `1 / scale` of its channel (the arithmetic
+    /// of [`ChannelNorm::normalize3`]), and forgets all last-known halo
+    /// strips.
+    ///
+    /// # Panics
+    /// As [`RankRolloutState::reset`], if the history does not fit.
+    fn ingest(&mut self, history: &[Tensor3]) {
+        assert_eq!(
+            history.len(),
+            self.window,
+            "RankRolloutState::serve_request: history length"
+        );
+        for (ring, global) in self.recent.iter_mut().zip(history) {
+            assert!(
+                global.c() == self.scales.len()
+                    && self.block.i1() <= global.h()
+                    && self.block.j1() <= global.w(),
+                "RankRolloutState::serve_request: a {:?} state does not hold this rank's block",
+                global.shape()
+            );
+            for (ch, scale) in self.scales.iter().enumerate() {
+                let inv = 1.0 / scale;
+                for (i, dst) in ring
+                    .channel_mut(ch)
+                    .chunks_exact_mut(self.block.w)
+                    .enumerate()
+                {
+                    for (d, x) in dst.iter_mut().zip(block_row(global, &self.block, ch, i)) {
+                        *d = x * inv;
+                    }
+                }
+            }
+        }
+        self.forget_halos();
+    }
+
+    fn forget_halos(&mut self) {
         for cache in &mut self.caches {
             *cache = HaloCache::default();
         }
@@ -792,20 +860,27 @@ impl RankRolloutState {
     }
 
     /// Serves one request on this rank — the protocol every driver (cold
-    /// rollout, warm engine, multi-process world node) runs:
-    /// [`reset`](Self::reset) to `history`, `n_steps` ×
-    /// [`step`](Self::step), then the quiesce barrier (fault-exempt and
-    /// dead-tolerant, like every collective) when [`Self::quiesces`].
+    /// rollout, warm engine, multi-process world node) runs: read this
+    /// rank's block of the caller's global physical `history` (the
+    /// validated request, oldest first) into the ring, normalized;
+    /// `n_steps` × [`step`](Self::step); then the quiesce barrier
+    /// (fault-exempt and dead-tolerant, like every collective) when
+    /// [`Self::quiesces`].
     ///
-    /// `trajectory` receives the `n_steps + 1` local states, initial first.
-    /// It is the caller's buffer, regrown only when the step count or the
-    /// local shape changes, so a warm caller that keeps it resident serves
+    /// `trajectory` receives the `n_steps + 1` local states in physical
+    /// units: `trajectory[0]` is the rank's block of the newest history
+    /// state, copied, and `trajectory[k]` the prediction after `k` steps,
+    /// denormalized (`v · scale`, as [`ChannelNorm::denormalize3`]). So
+    /// [`ParallelInference::stitch_states`] only gathers. It is the
+    /// caller's buffer, regrown only when the step count or the local shape
+    /// changes, so a warm caller that lends the same buffers back serves
     /// without touching the heap. `before_step(step)` runs at the top of
     /// every step; the engine injects chaos kills there.
     ///
     /// The returned [`RequestWindow`] spans steps + barrier and nothing
-    /// else: `reset` and the buffer regrow sit before it, so a steady-state
-    /// request on a communication-free model measures zero allocations.
+    /// else: the ingest, the buffer regrow and `trajectory[0]` sit before
+    /// it, so a steady-state request on a communication-free model measures
+    /// zero allocations.
     pub fn serve_request(
         &mut self,
         cart: &mut CartComm,
@@ -814,24 +889,35 @@ impl RankRolloutState {
         trajectory: &mut Vec<Tensor3>,
         mut before_step: impl FnMut(usize),
     ) -> RequestWindow {
-        self.reset(history);
+        self.ingest(history);
         let (c, h, w) = self.latest().shape();
         let states = n_steps.checked_add(1).expect(STEPS_VALIDATED);
         if trajectory.len() != states || trajectory.first().map(Tensor3::shape) != Some((c, h, w)) {
             *trajectory = (0..states).map(|_| Tensor3::zeros(c, h, w)).collect();
         }
+        let initial = history.last().expect("window >= 1");
+        for ch in 0..c {
+            for (i, dst) in trajectory[0]
+                .channel_mut(ch)
+                .chunks_exact_mut(w)
+                .enumerate()
+            {
+                dst.copy_from_slice(block_row(initial, &self.block, ch, i));
+            }
+        }
         let traffic0 = cart.comm().stats().report();
         let perf0 = perf::snapshot();
-        trajectory[0]
-            .as_mut_slice()
-            .copy_from_slice(self.latest().as_slice());
         let window = self.window;
         for step in 0..n_steps {
             before_step(step);
-            let next = self.step(cart, (step * window) as u32);
-            trajectory[step + 1]
-                .as_mut_slice()
-                .copy_from_slice(next.as_slice());
+            self.step(cart, (step * window) as u32);
+            let next = self.latest();
+            for (ch, scale) in self.scales.iter().enumerate() {
+                let dst = trajectory[step + 1].channel_mut(ch);
+                for (d, v) in dst.iter_mut().zip(next.channel(ch)) {
+                    *d = v * scale;
+                }
+            }
         }
         if self.quiesces() {
             cart.comm_mut().barrier();
@@ -866,7 +952,7 @@ impl RankRolloutState {
             if self.halo == 0 {
                 dst.copy_from_slice(state.as_slice());
             } else {
-                let padded = assemble_halo_input_with(
+                assemble_halo_into(
                     cart,
                     state,
                     self.halo,
@@ -874,8 +960,8 @@ impl RankRolloutState {
                     self.policy,
                     self.survive_dead,
                     &mut self.caches[slot],
+                    dst,
                 );
-                dst.copy_from_slice(padded.as_slice());
             }
         }
         self.net.forward_into(&self.input, false, &mut self.output);
@@ -924,7 +1010,9 @@ pub fn assemble_halo_input(
     )
 }
 
-/// Assembles one rank's padded input by the two-phase halo exchange.
+/// Assembles one rank's padded input by the two-phase halo exchange into a
+/// fresh tensor — the allocating form of the assembly
+/// [`RankRolloutState::step`] runs in place, into its input slot.
 /// Physical-boundary halo cells stay zero (`PadMode::Zeros`, consistent
 /// with training-input construction).
 ///
@@ -960,10 +1048,41 @@ pub fn assemble_halo_input_with(
     cache: &mut HaloCache,
 ) -> Tensor3 {
     let (c, h, w) = local.shape();
+    let mut padded = Tensor3::zeros(c, h + 2 * halo, w + 2 * halo);
+    assemble_halo_into(
+        cart,
+        local,
+        halo,
+        step,
+        policy,
+        survive_dead,
+        cache,
+        padded.as_mut_slice(),
+    );
+    padded
+}
+
+/// The body of [`assemble_halo_input_with`], writing into `padded`, the
+/// storage of a `(c, h+2halo, w+2halo)` tensor. Every value of it is
+/// written each call: the interior from `local`, the halo frame zeroed and
+/// then overwritten by whatever strips arrive.
+#[allow(clippy::too_many_arguments)]
+fn assemble_halo_into(
+    cart: &mut CartComm,
+    local: &Tensor3,
+    halo: usize,
+    step: u32,
+    policy: HaloPolicy,
+    survive_dead: bool,
+    cache: &mut HaloCache,
+    padded: &mut [f64],
+) {
+    let (c, h, w) = local.shape();
     assert!(
         halo <= h && halo <= w,
         "assemble_halo_input: halo {halo} exceeds local {h}x{w}"
     );
+    let mut padded = PaddedView::new(padded, c, h + 2 * halo, w + 2 * halo);
     let _span = pde_trace::span_args(
         pde_trace::Category::Infer,
         pde_trace::names::ASSEMBLE,
@@ -979,8 +1098,7 @@ pub fn assemble_halo_input_with(
             cache,
         }),
     };
-    let mut padded = Tensor3::zeros(c, h + 2 * halo, w + 2 * halo);
-    padded.set_window(halo, halo, local);
+    padded.fill_interior(local, halo);
 
     use Direction::*;
     // Phase 1: x-axis (column strips from the raw interior).
@@ -991,20 +1109,18 @@ pub fn assemble_halo_input_with(
     let (from_left, from_right) =
         exchange_phase(cart, Axis::X, to_left, to_right, step * 2, degrade.as_mut());
     if let Some(buf) = from_left {
-        let strip = Tensor3::from_vec(c, h, halo, buf);
-        padded.set_window(halo, 0, &strip);
+        padded.place_cols(halo, 0, h, halo, &buf);
     }
     if let Some(buf) = from_right {
-        let strip = Tensor3::from_vec(c, h, halo, buf);
-        padded.set_window(halo, w + halo, &strip);
+        padded.place_cols(halo, w + halo, h, halo, &buf);
     }
 
     // Phase 2: y-axis (row strips from the partially padded tensor — they
     // carry the freshly received x-halos, which become the corners; a
     // zero-filled x-halo therefore propagates zeros into the corner it
     // feeds, exactly as if that corner were a physical boundary).
-    let to_down = cart.neighbor(Down).map(|_| pack_rows(&padded, halo, halo));
-    let to_up = cart.neighbor(Up).map(|_| pack_rows(&padded, h, halo));
+    let to_down = cart.neighbor(Down).map(|_| padded.pack_rows(halo, halo));
+    let to_up = cart.neighbor(Up).map(|_| padded.pack_rows(h, halo));
     let (from_down, from_up) = exchange_phase(
         cart,
         Axis::Y,
@@ -1014,12 +1130,26 @@ pub fn assemble_halo_input_with(
         degrade.as_mut(),
     );
     if let Some(buf) = from_down {
-        place_rows(&mut padded, 0, halo, &buf);
+        padded.place_rows(0, halo, &buf);
     }
     if let Some(buf) = from_up {
-        place_rows(&mut padded, h + halo, halo, &buf);
+        padded.place_rows(h + halo, halo, &buf);
     }
-    padded
+}
+
+/// Row `i` of channel `ch` of `block`, read from a global state.
+fn block_row<'a>(global: &'a Tensor3, block: &Block, ch: usize, i: usize) -> &'a [f64] {
+    let start = (block.i0 + i) * global.w() + block.j0;
+    &global.channel(ch)[start..start + block.w]
+}
+
+/// Whether every value is finite. The fold over a chunk has no early exit,
+/// so it vectorizes where a short-circuiting `all` does not; the scan still
+/// stops at the first chunk that holds a NaN or an infinity.
+fn all_finite(values: &[f64]) -> bool {
+    values
+        .chunks(4096)
+        .all(|chunk| chunk.iter().fold(true, |ok, v| ok & v.is_finite()))
 }
 
 /// The axis one exchange phase runs along.

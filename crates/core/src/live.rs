@@ -41,8 +41,8 @@ live_metric!(
 );
 
 // Phase breakdown of the total request latency (DESIGN.md §4k): the time a
-// request spent admitted-but-waiting, the driver-side scatter/stitch around
-// the rank jobs, and the rank jobs themselves. queue_wait is recorded by
+// request spent admitted-but-waiting, the driver-side validation and gather
+// around the rank jobs, and the rank jobs themselves. queue_wait is recorded by
 // the scheduler's dispatcher, the other two by the engine — so direct
 // engine callers still populate dispatch/rollout.
 
@@ -55,14 +55,14 @@ live_metric!(
 
 live_metric!(
     /// Driver-side request handling outside the rank jobs: history validation,
-    /// scatter, generation allocation, stitch/transpose (µs).
+    /// generation allocation, the gather of each result state (µs).
     pub(crate) histogram request_dispatch_us,
     "pdeml_request_dispatch_us",
     "Driver-side dispatch work around the rank jobs, microseconds"
 );
 
 live_metric!(
-    /// Rank-job wall time of the request: reset + steps + quiesce (µs).
+    /// Rank-job wall time of the request: ingest + steps + quiesce (µs).
     pub(crate) histogram request_rollout_us,
     "pdeml_request_rollout_us",
     "Rank-side rollout wall time per request, microseconds"

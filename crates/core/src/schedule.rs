@@ -88,9 +88,9 @@ impl std::fmt::Display for RequestId {
 pub struct RequestPhases {
     /// Admission to dispatcher pickup.
     pub queue_us: u64,
-    /// Driver-side scatter/stitch and bookkeeping around the rank jobs.
+    /// Driver-side validation, gather and bookkeeping around the rank jobs.
     pub dispatch_us: u64,
-    /// Rank-job wall time (reset + steps + quiesce).
+    /// Rank-job wall time (ingest + steps + quiesce).
     pub rollout_us: u64,
 }
 

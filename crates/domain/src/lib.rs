@@ -24,10 +24,11 @@ pub mod halo;
 pub mod partition;
 
 pub use block::{Block, Margins};
-pub use halo::{pack_cols, pack_rows, place_cols, place_rows};
+pub use halo::{pack_cols, PaddedView};
 pub use partition::GridPartition;
 
 use pde_tensor::Tensor3;
+use std::borrow::Borrow;
 
 /// Slices a global snapshot into per-rank interior tensors, rank order.
 pub fn scatter(global: &Tensor3, part: &GridPartition) -> Vec<Tensor3> {
@@ -36,30 +37,45 @@ pub fn scatter(global: &Tensor3, part: &GridPartition) -> Vec<Tensor3> {
         .collect()
 }
 
-/// Reassembles per-rank interior tensors into a global snapshot — the
-/// inverse of [`scatter`].
+/// Reassembles per-rank interior tensors (owned or borrowed, rank order)
+/// into a global snapshot — the inverse of [`scatter`]. The snapshot is
+/// built in row-major order from the ranks' row segments, so each value is
+/// written exactly once.
 ///
 /// # Panics
 /// If the tensor list does not match the partition (count, shapes,
 /// channel counts).
-pub fn gather(locals: &[Tensor3], part: &GridPartition) -> Tensor3 {
+pub fn gather<T: Borrow<Tensor3>>(locals: &[T], part: &GridPartition) -> Tensor3 {
     assert_eq!(
         locals.len(),
         part.rank_count(),
         "gather: wrong number of local tensors"
     );
     assert!(!locals.is_empty(), "gather: empty input");
-    let c = locals[0].c();
-    let mut global = Tensor3::zeros(c, part.global_h(), part.global_w());
+    let c = locals[0].borrow().c();
     for (local, b) in locals.iter().zip(part.blocks()) {
         assert_eq!(
-            local.shape(),
+            local.borrow().shape(),
             (c, b.h, b.w),
             "gather: rank tensor shape does not match its block"
         );
-        global.set_window(b.i0, b.j0, local);
     }
-    global
+    let (gh, gw) = (part.global_h(), part.global_w());
+    let mut data = Vec::with_capacity(c * gh * gw);
+    for ch in 0..c {
+        // One process-grid row of ranks covers a band of whole global rows.
+        for band in locals.chunks(part.px()) {
+            let rows = band[0].borrow().h();
+            for i in 0..rows {
+                for local in band {
+                    let local = local.borrow();
+                    let w = local.w();
+                    data.extend_from_slice(&local.channel(ch)[i * w..(i + 1) * w]);
+                }
+            }
+        }
+    }
+    Tensor3::from_vec(c, gh, gw, data)
 }
 
 #[cfg(test)]
@@ -84,6 +100,16 @@ mod tests {
         assert_eq!(locals[0].shape(), (1, 4, 7));
         assert_eq!(locals[1].shape(), (1, 3, 7));
         assert_eq!(locals[1][(0, 0, 0)], 28.0); // row 4 starts at 4*7
+    }
+
+    #[test]
+    fn gather_of_borrowed_blocks_round_trips_uneven_splits() {
+        // 7 rows over 2 bands (4 + 3), 16 columns over 3 (6 + 5 + 5).
+        let part = GridPartition::new(7, 16, 2, 3);
+        let global = Tensor3::from_fn(2, 7, 16, |c, i, j| (c * 1000 + i * 16 + j) as f64);
+        let locals = scatter(&global, &part);
+        let borrowed: Vec<&Tensor3> = locals.iter().collect();
+        assert_eq!(gather(&borrowed, &part), global);
     }
 
     #[test]

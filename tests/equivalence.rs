@@ -9,7 +9,7 @@ use pde_euler::dataset::paper_dataset;
 use pde_ml_core::prelude::*;
 use pde_ml_core::train::train_rank;
 use pde_nn::serialize::restore;
-use pde_tensor::assert_slice_close;
+use pde_tensor::{assert_slice_close, Tensor3};
 
 #[test]
 fn parallel_training_equals_isolated_per_rank_training() {
@@ -176,6 +176,57 @@ fn windowed_rollout_matches_reference() {
             2 * 2 * steps,
             "per-rank message count with window 2"
         );
+    }
+}
+
+/// Every value of `a` equals the one of `b` bit for bit.
+fn assert_bits_eq(a: &[Tensor3], b: &[Tensor3], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: state count");
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.shape(), y.shape(), "{what}: state {k} shape");
+        let same = x
+            .as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(u, v)| u.to_bits() == v.to_bits());
+        assert!(same, "{what}: state {k} differs bitwise");
+    }
+}
+
+#[test]
+fn warm_windowed_engine_equals_cold_and_reference_bitwise() {
+    // A window-2 model through the warm engine: every rank reads its block
+    // of both history states into its ring. A 2×2 grid and an uneven 1×3
+    // one (16 columns → 6/5/5), two requests with different histories on
+    // the same resident state, each equal to the cold rollout and to the
+    // thread-free oracle bit for bit.
+    let data = paper_dataset(16, 12);
+    let mut arch = ArchSpec::tiny();
+    arch.channels[0] = 8; // 2 snapshots × 4 fields
+    let mut cfg = TrainConfig::quick_test();
+    cfg.window = 2;
+    for (ranks, layout) in [(4, (2, 2)), (3, (1, 3))] {
+        let outcome = ParallelTrainer::new(arch.clone(), PaddingStrategy::NeighborPad, cfg.clone())
+            .train(&data, ranks)
+            .expect("windowed training");
+        assert_eq!((outcome.partition.py(), outcome.partition.px()), layout);
+        let inf =
+            ParallelInference::from_outcome(arch.clone(), PaddingStrategy::NeighborPad, &outcome);
+        let mut engine = InferEngine::new(ranks);
+        engine.register("w2", inf.clone()).unwrap();
+        for start in [5, 2] {
+            let history = [
+                data.snapshot(start).clone(),
+                data.snapshot(start + 1).clone(),
+            ];
+            let what = format!("{ranks} ranks, history {start}");
+            let warm = engine.rollout_from_history("w2", &history, 3).unwrap();
+            let cold = inf.rollout_from_history(&history, 3).unwrap();
+            let oracle = inf.reference_rollout_from_history(&history, 3);
+            assert_bits_eq(&warm.states, &cold.states, &format!("{what}: warm vs cold"));
+            assert_bits_eq(&warm.states, &oracle, &format!("{what}: warm vs oracle"));
+            assert_eq!(warm.states[0], history[1], "{what}: state 0 is the newest");
+        }
     }
 }
 

@@ -202,6 +202,43 @@ fn second_warm_engine_request_allocates_nothing_on_rank_threads() {
     }
 }
 
+/// With halo exchange, a warm engine request allocates exactly the strips
+/// its ranks send and nothing else: the padded input of every step is
+/// assembled in place, received strips are placed without a copy, and the
+/// trajectory buffers are lent back between requests. On a 2×2 grid every
+/// rank sends one x and one y strip a step, so 3 steps cost each rank 6
+/// allocations — one per message in its traffic report.
+#[test]
+fn warm_halo_request_allocates_only_its_send_strips() {
+    let data = paper_dataset(16, 8);
+    let arch = ArchSpec::tiny();
+    let strategy = PaddingStrategy::NeighborPad;
+    let outcome = ParallelTrainer::new(arch.clone(), strategy, TrainConfig::quick_test())
+        .train(&data, 4)
+        .unwrap();
+    let inf = ParallelInference::from_outcome(arch, strategy, &outcome);
+    let mut engine = InferEngine::new(4);
+    engine.register("m", inf).unwrap();
+    let steps = 3;
+    engine.rollout("m", data.snapshot(0), steps).unwrap();
+
+    for request in 1..4 {
+        let r = engine.rollout("m", data.snapshot(request), steps).unwrap();
+        for (rank, (p, t)) in r.rank_perf.iter().zip(&r.traffic).enumerate() {
+            assert_eq!(
+                t.msgs_sent,
+                2 * steps as u64,
+                "rank {rank}: two strips a step"
+            );
+            assert_eq!(
+                p.allocs, t.msgs_sent,
+                "request {request} rank {rank}: {} allocations for {} strips sent",
+                p.allocs, t.msgs_sent
+            );
+        }
+    }
+}
+
 /// Serves `handler` on an ephemeral port for the duration of `check`, which
 /// gets the address and the listener's buffer pool.
 fn on_listener(
