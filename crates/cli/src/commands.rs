@@ -375,16 +375,19 @@ pub fn scale(args: &Args) -> Result<(), String> {
     let epochs = args.count("epochs", 2, "calibration epochs per subproblem")?;
     let cores = args.count("cores", 64, "cores of the projected machine")?;
     let arch = ArchSpec::paper();
-    let mut cfg = TrainConfig::paper();
-    cfg.epochs = epochs;
+    // One rank on one kernel thread: the per-core cost the model scales.
+    let cfg = TrainConfig {
+        epochs,
+        threads_per_rank: Some(1),
+        ..TrainConfig::paper()
+    };
     println!("calibrating on {grid}x{grid} subproblems ({epochs} epochs each)…");
+    let trainer = ParallelTrainer::new(arch, PaddingStrategy::ZeroPad, cfg);
     let mut samples = Vec::new();
     for &side in &[grid / 8, grid / 4, grid / 2] {
         let data = pde_euler::dataset::paper_dataset(side, 10);
-        let out = SequentialTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg.clone())
-            .train(&data, 8)
-            .map_err(|e| e.to_string())?;
-        samples.push(((side * side) as f64, out.seconds / epochs as f64));
+        let out = trainer.train_view(&data, 8, 1).map_err(|e| e.to_string())?;
+        samples.push(((side * side) as f64, out.wall_seconds / epochs as f64));
     }
     let cost = CostModel::calibrate(&samples);
     println!(

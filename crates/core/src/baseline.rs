@@ -15,17 +15,21 @@
 //! per batch, and after every batch the weights are averaged with a global
 //! allreduce. The per-rank traffic counters expose the communication cost
 //! (O(P · weights) per step) that the paper's scheme avoids entirely.
+//!
+//! It runs the scheme's own rank body and batch loop
+//! ([`crate::train::TrainSession`]), so it honours every [`TrainConfig`]
+//! field the scheme does; what it owns is only what defines it: the 1×1
+//! partition every rank replicates from a shared init, the fixed pair
+//! order, the averaging step, and the ragged-tail rounds.
 
 use crate::arch::ArchSpec;
-use crate::data::SubdomainDataset;
 use crate::norm::ChannelNorm;
 use crate::padding::PaddingStrategy;
-use crate::train::{check_geometry, fit_norm, TrainConfig, TrainError};
-use pde_commsim::World;
+use crate::train::{RankResult, TrainConfig, TrainError, TrainRun};
 use pde_domain::GridPartition;
 use pde_euler::dataset::DataSet;
-use pde_nn::serialize::snapshot;
-use pde_nn::Layer;
+use pde_nn::serialize::{restore, snapshot};
+use pde_nn::Sequential;
 use std::time::Instant;
 
 /// Result of a baseline run.
@@ -37,8 +41,9 @@ pub struct BaselineOutcome {
     pub epoch_losses: Vec<f64>,
     /// Wall-clock seconds end to end.
     pub wall_seconds: f64,
-    /// Per-rank traffic counters.
-    pub traffic: Vec<pde_commsim::TrafficReport>,
+    /// Per-rank results, rank order: each replica's own epoch losses,
+    /// allreduce traffic and kernel counters.
+    pub rank_results: Vec<RankResult>,
     /// Channel normalization the replicas were trained in.
     pub norm: ChannelNorm,
 }
@@ -46,7 +51,7 @@ pub struct BaselineOutcome {
 impl BaselineOutcome {
     /// Total bytes all ranks pushed through the allreduce.
     pub fn total_bytes(&self) -> u64 {
-        self.traffic.iter().map(|t| t.bytes_sent).sum()
+        self.rank_results.iter().map(|r| r.bytes_sent).sum()
     }
 }
 
@@ -79,95 +84,62 @@ impl DataParallelTrainer {
         n_train_pairs: usize,
         n_ranks: usize,
     ) -> Result<BaselineOutcome, TrainError> {
-        if n_train_pairs == 0 || n_train_pairs > data.pair_count() {
-            return Err(TrainError::EmptyData);
-        }
-        if n_train_pairs < n_ranks {
-            return Err(TrainError::Geometry(format!(
-                "data-parallel baseline: {n_train_pairs} pairs cannot be chunked over \
-                 {n_ranks} ranks"
-            )));
-        }
+        let t0 = Instant::now();
         let (_, h, w) = data.shape();
         // Full-domain network: a 1×1 "partition".
         let part = GridPartition::new(h, w, 1, 1);
-        check_geometry(&part, &self.arch, self.strategy)?;
-
-        let arch = &self.arch;
-        let strategy = self.strategy;
         let cfg = &self.config;
-        let norm = fit_norm(cfg, &data.view(0, n_train_pairs), arch);
-        let norm_ref = &norm;
-        let t0 = Instant::now();
-        let (results, traffic) = World::new(n_ranks).run_with_stats(|mut comm| {
-            let rank = comm.rank();
-            // Chunk the time steps: rank r gets pairs r, r+P, r+2P, …
-            // (interleaved so every rank sees the whole trajectory's
-            // dynamics — contiguous chunks would bias early ranks to the
-            // initial transient).
-            let my_pairs: Vec<usize> = (rank..n_train_pairs).step_by(n_ranks).collect();
-            let view = data.view(0, n_train_pairs);
-            let full = SubdomainDataset::build(&view, &part, 0, arch.halo(), strategy, norm_ref);
-            // Every replica starts from the SAME init (seed is shared).
-            let mut net = arch.build_for(strategy, cfg.seed);
-            let loss = cfg.loss.build();
-            let mut opt = cfg.optimizer.build(cfg.lr);
-            let inv_p = 1.0 / comm.size() as f64;
+        let run = TrainRun::new(&self.arch, self.strategy, cfg, data, n_train_pairs, part)?;
+        if n_ranks == 0 || run.count < n_ranks {
+            return Err(TrainError::Geometry(format!(
+                "data-parallel baseline: {} pairs cannot be chunked over {n_ranks} ranks",
+                run.count
+            )));
+        }
+        let rank_results = run.train_ranks(n_ranks, |comm, session, net, ds, epoch| {
+            // Chunk the time steps: rank r trains pairs r, r+P, r+2P, …
+            // in this fixed order (interleaved so every rank sees the whole
+            // trajectory's dynamics — contiguous chunks would bias early
+            // ranks to the initial transient).
+            let (rank, p) = (comm.rank(), comm.size());
+            let pairs: Vec<usize> = (rank..ds.len()).step_by(p).collect();
+            let inv_p = 1.0 / p as f64;
+            // Global weight averaging — the baseline's defining (and
+            // costly) step.
+            let mut average = |net: &mut Sequential| {
+                let mut summed = comm.allreduce_sum(&snapshot(net));
+                for v in &mut summed {
+                    *v *= inv_p;
+                }
+                restore(net, &summed);
+            };
+            let loss = session.run_order(net, ds, &pairs, cfg, epoch, &mut average);
             // Collectives must run the same number of times on every rank
             // or the allreduce deadlocks. Rank 0 always has the largest
             // shard, so its batch count is the global round count; ranks
             // that run out of batches still contribute their current
             // (unchanged) weights to the average — the convention
             // synchronous data-parallel frameworks use for ragged tails.
-            let batch_size = cfg.batch_size.max(1);
-            let rounds = n_train_pairs.div_ceil(n_ranks).div_ceil(batch_size);
-            let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-            for epoch in 0..cfg.epochs {
-                opt.set_learning_rate(cfg.rate(epoch));
-                let mut sum = 0.0;
-                let mut batches = 0usize;
-                for round in 0..rounds {
-                    let chunk_start = round * batch_size;
-                    if chunk_start < my_pairs.len() {
-                        let chunk =
-                            &my_pairs[chunk_start..(chunk_start + batch_size).min(my_pairs.len())];
-                        net.zero_grad();
-                        let x = full.inputs().select(chunk);
-                        let y = full.targets().select(chunk);
-                        let pred = net.forward(&x, true);
-                        let (l, grad) = loss.value_and_grad(&pred, &y);
-                        net.backward_params(&grad);
-                        opt.step_visit(&mut net);
-                        sum += l;
-                        batches += 1;
-                    }
-                    // Global weight averaging — the baseline's defining
-                    // (and costly) step. Executed by EVERY rank each round.
-                    let mine = snapshot(&mut net);
-                    let summed = comm.allreduce_sum(&mine);
-                    let averaged: Vec<f64> = summed.iter().map(|v| v * inv_p).collect();
-                    pde_nn::serialize::restore(&mut net, &averaged);
-                }
-                epoch_losses.push(sum / batches.max(1) as f64);
+            let rounds = ds.len().div_ceil(p).div_ceil(cfg.batch_size);
+            for _ in pairs.len().div_ceil(cfg.batch_size)..rounds {
+                average(net);
             }
-            (snapshot(&mut net), epoch_losses)
+            loss
         });
 
-        let n_epochs = self.config.epochs;
-        let mut epoch_losses = vec![0.0; n_epochs];
-        for (_, losses) in &results {
-            for (e, l) in losses.iter().enumerate() {
-                epoch_losses[e] += l / results.len() as f64;
+        let mut epoch_losses = vec![0.0; cfg.epochs];
+        for r in &rank_results {
+            for (e, l) in r.epoch_losses.iter().enumerate() {
+                epoch_losses[e] += l / rank_results.len() as f64;
             }
         }
-        // All replicas end identical (same init, same averaged updates) —
-        // modulo ranks having one batch more or fewer; take rank 0's.
+        // Every replica ends with the same averaged weights; take rank 0's.
         Ok(BaselineOutcome {
-            weights: results[0].0.clone(),
+            weights: rank_results[0].weights.clone(),
             epoch_losses,
             wall_seconds: t0.elapsed().as_secs_f64(),
-            traffic,
-            norm,
+            rank_results,
+            norm: run.norm,
         })
     }
 }
@@ -195,7 +167,7 @@ mod tests {
         let params = ArchSpec::tiny().param_count() as u64;
         // Rank 0 receives P−1 reduce contributions and sends P−1 broadcast
         // copies per allreduce; others send 1 and receive 1.
-        let r1_bytes = out.traffic[1].bytes_sent;
+        let r1_bytes = out.rank_results[1].bytes_sent;
         assert_eq!(r1_bytes, 2 /*batch*/ * params * 8);
     }
 
@@ -211,6 +183,9 @@ mod tests {
             .train(&d, 8, 2)
             .unwrap();
         assert_eq!(out.weights.len(), arch.param_count());
+        for r in &out.rank_results {
+            assert_eq!(r.weights, out.weights, "rank {} diverged", r.rank);
+        }
         assert!(out.epoch_losses.iter().all(|l| l.is_finite()));
     }
 
@@ -239,5 +214,19 @@ mod tests {
             TrainConfig::quick_test(),
         );
         assert!(matches!(t.train(&d, 2, 4), Err(TrainError::Geometry(_))));
+    }
+
+    #[test]
+    fn window_the_architecture_cannot_read_is_refused() {
+        // The tiny arch reads 4 channels: one snapshot, not a window of 2.
+        let cfg = TrainConfig {
+            window: 2,
+            ..TrainConfig::quick_test()
+        };
+        let t = DataParallelTrainer::new(ArchSpec::tiny(), PaddingStrategy::ZeroPad, cfg);
+        assert!(matches!(
+            t.train(&data(), 8, 2),
+            Err(TrainError::Geometry(_))
+        ));
     }
 }

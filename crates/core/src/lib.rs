@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::norm::ChannelNorm;
     pub use crate::padding::PaddingStrategy;
     pub use crate::schedule::{RequestId, RequestPhases, Scheduler, SchedulerConfig, Ticket};
-    pub use crate::train::{ParallelTrainer, SequentialTrainer, TrainConfig, TrainOutcome};
+    pub use crate::train::{ParallelTrainer, TrainConfig, TrainOutcome};
     pub use pde_commsim::{FaultPlan, TrafficReport};
     pub use pde_domain::GridPartition;
 }

@@ -1,5 +1,5 @@
-//! Training: the paper's communication-free parallel scheme plus the
-//! single-network sequential reference.
+//! Training: the paper's communication-free parallel scheme, and the one
+//! rank body and batch loop every trainer in the workspace runs.
 //!
 //! §III, training: "decompose each individual training data set into
 //! smaller sections and feed each subsection into an independent neural
@@ -11,13 +11,16 @@
 //! subdomain, each builds its own network, dataset shard, loss and
 //! optimizer, and never communicates. The per-rank traffic counters are
 //! returned so harnesses (and tests) can *prove* the zero-communication
-//! property rather than assert it rhetorically.
+//! property rather than assert it rhetorically. The data-parallel baseline
+//! ([`crate::baseline`]) runs the same rank body and batch loop, with its
+//! own pair order and a weight average after every step; the single-network
+//! `T(1)` reference is `ParallelTrainer` at one rank.
 
 use crate::arch::ArchSpec;
 use crate::data::SubdomainDataset;
 use crate::norm::ChannelNorm;
 use crate::padding::PaddingStrategy;
-use pde_commsim::World;
+use pde_commsim::{Comm, World};
 use pde_domain::GridPartition;
 use pde_euler::dataset::{DataSet, DataSetView};
 use pde_nn::loss::{Loss, Mape, Mse};
@@ -148,7 +151,8 @@ pub struct TrainConfig {
     /// (1 = the paper's single-state formulation). The architecture's
     /// `in_channels` must equal `N_FIELDS · window`.
     pub window: usize,
-    /// Master seed: rank `r` derives its init/shuffle seed as `seed + r`.
+    /// Master seed: it seeds the epoch shuffle as is, and the network
+    /// trained on partition block `b` starts from init seed `seed + b`.
     pub seed: u64,
     /// Intra-rank kernel thread budget (None = `PDEML_THREADS_PER_RANK`
     /// env, else `max(1, cores / n_ranks)`). Validated against the
@@ -343,7 +347,8 @@ impl TrainSession {
         }
     }
 
-    /// One pass over the shard; returns the mean per-batch loss.
+    /// One pass over the shard in this epoch's order (seeded shuffle, or
+    /// identity); returns the mean per-batch loss.
     ///
     /// The session must be used with the same network and dataset across
     /// epochs (the optimizer's moment state is keyed to the parameter-group
@@ -355,13 +360,33 @@ impl TrainSession {
         cfg: &TrainConfig,
         epoch: usize,
     ) -> f64 {
+        // Taken out for the loop and put back: the buffer keeps its capacity.
+        let mut order = std::mem::take(&mut self.order);
+        ds.fill_epoch_order(cfg.shuffle, cfg.seed, epoch, &mut order);
+        let loss = self.run_order(net, ds, &order, cfg, epoch, |_| {});
+        self.order = order;
+        loss
+    }
+
+    /// The batch loop: one pass over the samples of `ds` in `order`, in
+    /// mini-batches of `cfg.batch_size`; returns the mean per-batch loss.
+    /// `after_step` runs after every optimizer step — nothing for the
+    /// paper's scheme, the weight average for the data-parallel baseline.
+    pub(crate) fn run_order(
+        &mut self,
+        net: &mut Sequential,
+        ds: &SubdomainDataset,
+        order: &[usize],
+        cfg: &TrainConfig,
+        epoch: usize,
+        mut after_step: impl FnMut(&mut Sequential),
+    ) -> f64 {
         use pde_trace::{names, Category};
         let mut epoch_span = pde_trace::span_args(Category::Train, names::EPOCH, epoch as u64, 0);
         self.opt.set_learning_rate(cfg.rate(epoch));
-        ds.fill_epoch_order(cfg.shuffle, cfg.seed, epoch, &mut self.order);
         let mut sum = 0.0;
         let mut batches = 0usize;
-        let mut cursor = ds.batch_cursor(&self.order, cfg.batch_size);
+        let mut cursor = ds.batch_cursor(order, cfg.batch_size);
         while cursor.next_into(&mut self.x, &mut self.y) {
             let _batch_span =
                 pde_trace::span_args(Category::Train, names::BATCH, batches as u64, 0);
@@ -378,6 +403,7 @@ impl TrainSession {
                 }
             }
             self.opt.step_visit(net);
+            after_step(net);
             sum += l;
             batches += 1;
         }
@@ -386,9 +412,9 @@ impl TrainSession {
     }
 }
 
-/// The inner optimization loop shared by every trainer in the workspace.
-///
-/// Returns the mean loss per epoch.
+/// Trains `net` on `ds` for `cfg.epochs` epochs on the calling thread —
+/// the epochs a trainer's rank runs, without the rank. Returns the mean
+/// loss per epoch.
 pub fn train_network(net: &mut Sequential, ds: &SubdomainDataset, cfg: &TrainConfig) -> Vec<f64> {
     let mut session = TrainSession::new(cfg);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
@@ -447,7 +473,7 @@ pub fn train_rank(
 ) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(
         cfg.window, 1,
-        "train_rank: use train_rank_windowed for window > 1"
+        "train_rank: window > 1 trains through ParallelTrainer with TrainConfig::window"
     );
     let norm = fit_norm(cfg, view, arch);
     let ds = SubdomainDataset::build_with_mode(
@@ -495,59 +521,114 @@ impl ParallelTrainer {
 
     /// Trains on **all** pairs of `data` with `n_ranks` ranks.
     pub fn train(&self, data: &DataSet, n_ranks: usize) -> Result<TrainOutcome, TrainError> {
-        self.train_pairs_range(data, 0, data.pair_count(), n_ranks)
+        self.train_view(data, data.pair_count(), n_ranks)
     }
 
-    /// Trains on the first `n_train_pairs` pairs with `n_ranks` ranks.
+    /// Trains on the first `n_train_pairs` pairs with `n_ranks` ranks. At
+    /// one rank this is the whole-domain network, the `T(1)` of the
+    /// strong-scaling study.
     pub fn train_view(
         &self,
         data: &DataSet,
         n_train_pairs: usize,
         n_ranks: usize,
     ) -> Result<TrainOutcome, TrainError> {
-        self.train_pairs_range(data, 0, n_train_pairs, n_ranks)
+        let t0 = Instant::now();
+        let (_, h, w) = data.shape();
+        let part = GridPartition::try_for_ranks(h, w, n_ranks).map_err(TrainError::Geometry)?;
+        let cfg = &self.config;
+        let run = TrainRun::new(&self.arch, self.strategy, cfg, data, n_train_pairs, part)?;
+        let rank_results = run.train_ranks(n_ranks, |_, session, net, ds, epoch| {
+            session.run_epoch(net, ds, cfg, epoch)
+        });
+        Ok(TrainOutcome {
+            rank_results,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            partition: run.part,
+            norm: run.norm,
+            prediction: cfg.prediction,
+            window: cfg.window,
+        })
     }
+}
 
-    fn train_pairs_range(
-        &self,
-        data: &DataSet,
-        start: usize,
-        count: usize,
-        n_ranks: usize,
-    ) -> Result<TrainOutcome, TrainError> {
-        if count == 0 || start + count > data.pair_count() {
+/// One validated training run, shared by every trainer: the pairs of
+/// `data` the ranks train on, the partition whose blocks they train, and
+/// the normalization fitted on those pairs.
+pub(crate) struct TrainRun<'a> {
+    arch: &'a ArchSpec,
+    strategy: PaddingStrategy,
+    cfg: &'a TrainConfig,
+    data: &'a DataSet,
+    /// First trainable pair: the first `window - 1` pairs are history only.
+    start: usize,
+    /// Number of trainable pairs, from `start`.
+    pub(crate) count: usize,
+    pub(crate) part: GridPartition,
+    pub(crate) norm: ChannelNorm,
+}
+
+impl<'a> TrainRun<'a> {
+    /// Runs the checks every trainer shares before any thread starts —
+    /// the architecture reads `cfg.window` snapshots of `data`, `part` can
+    /// host it, and pairs `0..n_pairs` leave at least one with a full
+    /// history — and fits the normalization.
+    pub(crate) fn new(
+        arch: &'a ArchSpec,
+        strategy: PaddingStrategy,
+        cfg: &'a TrainConfig,
+        data: &'a DataSet,
+        n_pairs: usize,
+        part: GridPartition,
+    ) -> Result<Self, TrainError> {
+        if n_pairs == 0 || n_pairs > data.pair_count() {
             return Err(TrainError::EmptyData);
         }
-        let (c, h, w) = data.shape();
-        if self.arch.in_channels() != c * self.config.window {
+        let (c, _, _) = data.shape();
+        if arch.in_channels() != c * cfg.window {
             return Err(TrainError::Geometry(format!(
                 "architecture expects {} input channels but window {} over {c}-channel \
                  snapshots provides {}",
-                self.arch.in_channels(),
-                self.config.window,
-                c * self.config.window
+                arch.in_channels(),
+                cfg.window,
+                c * cfg.window
             )));
         }
-        let part = GridPartition::try_for_ranks(h, w, n_ranks).map_err(TrainError::Geometry)?;
-        check_geometry(&part, &self.arch, self.strategy)?;
-        // The first usable sample needs window-1 snapshots of history, so
-        // the requested range loses its first pairs when it starts too
-        // early.
-        let end = start + count;
-        let start = start.max(self.config.window - 1);
-        if start >= end {
+        check_geometry(&part, arch, strategy)?;
+        let start = cfg.window - 1;
+        if start >= n_pairs {
             return Err(TrainError::EmptyData);
         }
-        let count = end - start;
-
-        let t0 = Instant::now();
-        let world = World::new(n_ranks);
-        let arch = &self.arch;
-        let strategy = self.strategy;
-        let cfg = &self.config;
+        let count = n_pairs - start;
         let norm = fit_norm(cfg, &data.view(start, count), arch);
-        let norm_ref = &norm;
-        let results = world.run(|comm| {
+        Ok(Self {
+            arch,
+            strategy,
+            cfg,
+            data,
+            start,
+            count,
+            part,
+            norm,
+        })
+    }
+
+    /// The rank body of every trainer: runs `n_ranks` ranks, each on its
+    /// own thread, and returns their results in rank order.
+    ///
+    /// Rank `r` trains block `r mod blocks` of the partition from init seed
+    /// `cfg.seed + block`: one block per rank for the paper's scheme, and
+    /// for the baseline one block every rank replicates from a shared
+    /// init. `run_epoch(comm, session, net, shard, epoch)` runs one epoch
+    /// and returns its mean loss.
+    pub(crate) fn train_ranks<E>(&self, n_ranks: usize, run_epoch: E) -> Vec<RankResult>
+    where
+        E: Fn(&mut Comm, &mut TrainSession, &mut Sequential, &SubdomainDataset, usize) -> f64
+            + Sync,
+    {
+        let blocks = self.part.rank_count();
+        let cfg = self.cfg;
+        World::new(n_ranks).run(|mut comm| {
             let rank = comm.rank();
             crate::placement::start_on_own_cpu(rank);
             // Install this rank's kernel thread budget before any GEMM/conv
@@ -558,23 +639,31 @@ impl ParallelTrainer {
             ));
             let rank_t0 = Instant::now();
             let perf0 = perf::snapshot();
+            let block = rank % blocks;
             // Build the rank's shard straight from (shared) memory — the
             // paper's "training data are directly fed into the network from
             // the memory".
             let ds = crate::data::build_windowed(
-                data,
-                start,
-                count,
-                &part,
-                rank,
-                arch.halo(),
-                strategy,
-                norm_ref,
+                self.data,
+                self.start,
+                self.count,
+                &self.part,
+                block,
+                self.arch.halo(),
+                self.strategy,
+                &self.norm,
                 cfg.prediction,
                 cfg.window,
             );
-            let mut net = arch.build_for(strategy, cfg.seed + rank as u64);
-            let epoch_losses = train_network(&mut net, &ds, cfg);
+            let mut net = self.arch.build_for(self.strategy, cfg.seed + block as u64);
+            // The session's batch buffers are freed before the results are
+            // built.
+            let epoch_losses = {
+                let mut session = TrainSession::new(cfg);
+                (0..cfg.epochs)
+                    .map(|epoch| run_epoch(&mut comm, &mut session, &mut net, &ds, epoch))
+                    .collect()
+            };
             RankResult {
                 rank,
                 weights: snapshot(&mut net),
@@ -584,94 +673,6 @@ impl ParallelTrainer {
                 bytes_sent: comm.stats().bytes_sent(),
                 perf: perf::snapshot().since(&perf0),
             }
-        });
-        Ok(TrainOutcome {
-            rank_results: results,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            partition: part,
-            norm,
-            prediction: cfg.prediction,
-            window: cfg.window,
-        })
-    }
-}
-
-/// Result of a sequential (single-network) training run.
-pub struct SequentialOutcome {
-    /// The trained full-domain network.
-    pub net: Sequential,
-    /// Mean training loss per epoch.
-    pub epoch_losses: Vec<f64>,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// Channel normalization the network was trained in.
-    pub norm: ChannelNorm,
-    /// Prediction mode the network was trained for.
-    pub prediction: PredictionMode,
-    /// Input time-window width the network was trained with.
-    pub window: usize,
-}
-
-/// The single-network reference: the whole domain as one "subdomain"
-/// trained by one process — the `T(1)` of the strong-scaling study.
-pub struct SequentialTrainer {
-    arch: ArchSpec,
-    strategy: PaddingStrategy,
-    config: TrainConfig,
-}
-
-impl SequentialTrainer {
-    /// New trainer.
-    pub fn new(arch: ArchSpec, strategy: PaddingStrategy, config: TrainConfig) -> Self {
-        arch.validate();
-        config.validate();
-        Self {
-            arch,
-            strategy,
-            config,
-        }
-    }
-
-    /// Trains on pairs `0..n_train_pairs`.
-    pub fn train(
-        &self,
-        data: &DataSet,
-        n_train_pairs: usize,
-    ) -> Result<SequentialOutcome, TrainError> {
-        if n_train_pairs == 0 || n_train_pairs > data.pair_count() {
-            return Err(TrainError::EmptyData);
-        }
-        let (_, h, w) = data.shape();
-        let part = GridPartition::new(h, w, 1, 1);
-        check_geometry(&part, &self.arch, self.strategy)?;
-        let t0 = Instant::now();
-        let start = self.config.window - 1;
-        if start >= n_train_pairs {
-            return Err(TrainError::EmptyData);
-        }
-        let view = data.view(start, n_train_pairs - start);
-        let norm = fit_norm(&self.config, &view, &self.arch);
-        let ds = crate::data::build_windowed(
-            data,
-            start,
-            n_train_pairs - start,
-            &part,
-            0,
-            self.arch.halo(),
-            self.strategy,
-            &norm,
-            self.config.prediction,
-            self.config.window,
-        );
-        let mut net = self.arch.build_for(self.strategy, self.config.seed);
-        let epoch_losses = train_network(&mut net, &ds, &self.config);
-        Ok(SequentialOutcome {
-            net,
-            epoch_losses,
-            seconds: t0.elapsed().as_secs_f64(),
-            norm,
-            prediction: self.config.prediction,
-            window: self.config.window,
         })
     }
 }
@@ -759,25 +760,30 @@ mod tests {
     }
 
     #[test]
-    fn sequential_trainer_runs() {
+    fn one_rank_run_trains_the_whole_domain() {
+        // T(1) of the strong-scaling study: one rank, one kernel thread.
         let d = data();
-        let mut out = SequentialTrainer::new(
-            ArchSpec::tiny(),
-            PaddingStrategy::ZeroPad,
-            TrainConfig::quick_test(),
-        )
-        .train(&d, 5)
-        .unwrap();
-        assert_eq!(out.epoch_losses.len(), 2);
-        assert!(out.seconds > 0.0);
+        let cfg = TrainConfig {
+            threads_per_rank: Some(1),
+            ..TrainConfig::quick_test()
+        };
+        let arch = ArchSpec::tiny();
+        let out = ParallelTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg.clone())
+            .train_view(&d, 5, 1)
+            .unwrap();
+        assert_eq!(out.rank_results.len(), 1);
+        assert_eq!(out.rank_results[0].epoch_losses.len(), 2);
+        assert!(out.wall_seconds > 0.0);
         assert!(
             !out.norm.is_identity(),
             "paper config normalizes by default"
         );
+        let mut net = arch.build_for(PaddingStrategy::ZeroPad, cfg.seed);
+        pde_nn::serialize::restore(&mut net, &out.rank_results[0].weights);
         let x = out
             .norm
             .normalize4(&pde_tensor::Tensor4::from_sample(d.snapshot(0)));
-        assert_eq!(out.net.forward(&x, false).shape(), (1, 4, 16, 16));
+        assert_eq!(net.forward(&x, false).shape(), (1, 4, 16, 16));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn l2_error(a: &EulerState, b: &EulerState) -> f64 {
 mod tests {
     use super::*;
     use crate::bc::Boundary;
-    use crate::config::{Background, Domain, TimeScheme};
+    use crate::config::{Background, Domain};
     use crate::ic::InitialCondition;
     use crate::solver::EulerSolver;
 
@@ -72,7 +72,6 @@ mod tests {
             nx: n,
             ny: n,
             cfl: 0.4,
-            scheme: TimeScheme::SspRk2,
         }
     }
 

@@ -115,17 +115,6 @@ impl Domain {
     }
 }
 
-/// Time-integration scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimeScheme {
-    /// Forward Euler (first order; only for tests/diagnostics).
-    Euler1,
-    /// Strong-stability-preserving RK2 (Heun).
-    SspRk2,
-    /// Classical fourth-order Runge–Kutta.
-    Rk4,
-}
-
 /// Complete numerical configuration of one solver run.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -139,8 +128,6 @@ pub struct SolverConfig {
     pub ny: usize,
     /// CFL number (≤ 1 for stability of the Rusanov scheme).
     pub cfl: f64,
-    /// Time scheme.
-    pub scheme: TimeScheme,
 }
 
 impl SolverConfig {
@@ -153,7 +140,6 @@ impl SolverConfig {
             nx,
             ny,
             cfl: 0.45,
-            scheme: TimeScheme::SspRk2,
         }
     }
 

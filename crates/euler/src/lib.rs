@@ -35,7 +35,7 @@ pub mod solver;
 pub mod state;
 
 pub use bc::Boundary;
-pub use config::{Background, Domain, SolverConfig, TimeScheme};
+pub use config::{Background, Domain, SolverConfig};
 pub use dataset::{DataSet, SnapshotRecorder};
 pub use ic::InitialCondition;
 pub use solver::EulerSolver;

@@ -1,7 +1,7 @@
 //! The finite-volume solver: spatial residual + Runge–Kutta time stepping.
 
 use crate::bc::{Boundary, Edge};
-use crate::config::{SolverConfig, TimeScheme};
+use crate::config::SolverConfig;
 use crate::flux::{rusanov_x, rusanov_y, Q};
 use crate::ic::InitialCondition;
 use crate::state::{EulerState, N_FIELDS};
@@ -161,41 +161,17 @@ impl EulerSolver {
         out
     }
 
-    /// Advances one CFL-stable time step.
+    /// Advances one CFL-stable time step with SSP-RK2 (Heun).
     pub fn step(&mut self) {
         let dt = self.dt();
         let q0 = self.state.clone();
-        match self.config.scheme {
-            TimeScheme::Euler1 => {
-                let k = self.rhs(&q0);
-                self.state.axpy(dt, &k);
-            }
-            TimeScheme::SspRk2 => {
-                // Heun / SSP-RK2: q1 = q + dt f(q); q ← ½q + ½(q1 + dt f(q1)).
-                let k1 = self.rhs(&q0);
-                let mut q1 = q0.clone();
-                q1.axpy(dt, &k1);
-                let k2 = self.rhs(&q1);
-                q1.axpy(dt, &k2);
-                self.state = EulerState::lincomb(0.5, &q0, 0.5, &q1);
-            }
-            TimeScheme::Rk4 => {
-                let k1 = self.rhs(&q0);
-                let mut q = q0.clone();
-                q.axpy(0.5 * dt, &k1);
-                let k2 = self.rhs(&q);
-                q = q0.clone();
-                q.axpy(0.5 * dt, &k2);
-                let k3 = self.rhs(&q);
-                q = q0.clone();
-                q.axpy(dt, &k3);
-                let k4 = self.rhs(&q);
-                self.state.axpy(dt / 6.0, &k1);
-                self.state.axpy(dt / 3.0, &k2);
-                self.state.axpy(dt / 3.0, &k3);
-                self.state.axpy(dt / 6.0, &k4);
-            }
-        }
+        // q1 = q + dt f(q); q ← ½q + ½(q1 + dt f(q1)).
+        let k1 = self.rhs(&q0);
+        let mut q1 = q0.clone();
+        q1.axpy(dt, &k1);
+        let k2 = self.rhs(&q1);
+        q1.axpy(dt, &k2);
+        self.state = EulerState::lincomb(0.5, &q0, 0.5, &q1);
         self.time += dt;
         self.steps += 1;
     }
@@ -222,20 +198,19 @@ mod tests {
     use crate::config::{Background, Domain};
     use crate::state::{IDX_P, IDX_RHO};
 
-    fn unit_config(n: usize, scheme: TimeScheme) -> SolverConfig {
+    fn unit_config(n: usize) -> SolverConfig {
         SolverConfig {
             background: Background::unit(),
             domain: Domain::unit(),
             nx: n,
             ny: n,
             cfl: 0.4,
-            scheme,
         }
     }
 
     #[test]
     fn quiescent_state_stays_quiescent() {
-        let cfg = unit_config(16, TimeScheme::SspRk2);
+        let cfg = unit_config(16);
         let mut s = EulerSolver::new(cfg, Boundary::Outflow, &InitialCondition::Quiescent);
         s.run(20);
         assert_eq!(s.state().max_abs(), 0.0);
@@ -249,7 +224,7 @@ mod tests {
         // it reflects with inverted phase, so decay is partial — energy
         // leaves only through the upwind part of the numerical flux. Assert
         // bounded, decaying behaviour rather than full absorption.
-        let cfg = unit_config(32, TimeScheme::SspRk2);
+        let cfg = unit_config(32);
         let ic = InitialCondition::GaussianPulse {
             x0: 0.5,
             y0: 0.5,
@@ -272,7 +247,7 @@ mod tests {
     fn absorbing_boundary_removes_nearly_all_energy() {
         // The characteristic absorbing condition should let the pulse exit:
         // after two domain-crossing times almost nothing remains.
-        let cfg = unit_config(32, TimeScheme::SspRk2);
+        let cfg = unit_config(32);
         let bg = cfg.background;
         let ic = InitialCondition::GaussianPulse {
             x0: 0.5,
@@ -292,7 +267,7 @@ mod tests {
 
     #[test]
     fn periodic_mass_is_conserved() {
-        let cfg = unit_config(24, TimeScheme::SspRk2);
+        let cfg = unit_config(24);
         let ic = InitialCondition::GaussianPulse {
             x0: 0.5,
             y0: 0.5,
@@ -317,7 +292,7 @@ mod tests {
 
     #[test]
     fn periodic_energy_never_grows() {
-        let cfg = unit_config(24, TimeScheme::SspRk2);
+        let cfg = unit_config(24);
         let ic = InitialCondition::GaussianPulse {
             x0: 0.5,
             y0: 0.5,
@@ -347,7 +322,7 @@ mod tests {
             amplitude: 0.4,
         };
         let run = |b: Boundary| {
-            let cfg = unit_config(32, TimeScheme::SspRk2);
+            let cfg = unit_config(32);
             let bg = cfg.background;
             let mut s = EulerSolver::new(cfg, b, &ic);
             s.run_until(1.5);
@@ -369,7 +344,7 @@ mod tests {
     #[test]
     fn symmetric_pulse_preserves_symmetry() {
         // A centered pulse on a symmetric domain must stay mirror-symmetric.
-        let cfg = unit_config(20, TimeScheme::SspRk2);
+        let cfg = unit_config(20);
         let ic = InitialCondition::GaussianPulse {
             x0: 0.5,
             y0: 0.5,
@@ -398,17 +373,16 @@ mod tests {
 
     #[test]
     fn all_time_schemes_run_stably() {
-        for scheme in [TimeScheme::Euler1, TimeScheme::SspRk2, TimeScheme::Rk4] {
-            let cfg = unit_config(16, scheme);
-            let ic = InitialCondition::GaussianPulse {
-                x0: 0.5,
-                y0: 0.5,
-                half_width: 0.15,
-                amplitude: 0.5,
-            };
-            let mut s = EulerSolver::new(cfg, Boundary::Outflow, &ic);
-            s.run(50);
-            assert!(s.state().max_abs() < 10.0, "{scheme:?} unstable");
-        }
+        // SSP-RK2 is the solver's one time scheme.
+        let cfg = unit_config(16);
+        let ic = InitialCondition::GaussianPulse {
+            x0: 0.5,
+            y0: 0.5,
+            half_width: 0.15,
+            amplitude: 0.5,
+        };
+        let mut s = EulerSolver::new(cfg, Boundary::Outflow, &ic);
+        s.run(50);
+        assert!(s.state().max_abs() < 10.0, "SSP-RK2 unstable");
     }
 }

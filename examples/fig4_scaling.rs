@@ -59,14 +59,22 @@ fn main() {
     //    rank sequentially removes any time-sharing distortion.)
     // ---------------------------------------------------------------
     println!("calibrating per-rank cost (sequential single-rank runs):");
+    // One rank on one kernel thread: the per-core cost the model scales.
+    let trainer = ParallelTrainer::new(
+        arch.clone(),
+        strategy,
+        TrainConfig {
+            threads_per_rank: Some(1),
+            ..config.clone()
+        },
+    );
     let mut samples = Vec::new();
     for &side in &[grid / 8, grid / 4, grid / 2] {
         let data = paper_dataset(side, snapshots);
-        let trainer = SequentialTrainer::new(arch.clone(), strategy, config.clone());
         let secs = trainer
-            .train(&data, snapshots - 2)
+            .train_view(&data, snapshots - 2, 1)
             .expect("calibration run")
-            .seconds;
+            .wall_seconds;
         let cells = side * side;
         let per_epoch = secs / epochs as f64;
         println!("  {side:>4}x{side:<4} ({cells:>6} cells): {per_epoch:.4} s/epoch");

@@ -7,7 +7,7 @@
 
 use pde_euler::dataset::paper_dataset;
 use pde_ml_core::prelude::*;
-use pde_ml_core::train::train_rank;
+use pde_ml_core::train::{train_rank, PredictionMode};
 use pde_nn::serialize::restore;
 use pde_tensor::{assert_slice_close, Tensor3};
 
@@ -75,24 +75,84 @@ fn halo_exchange_rollout_equals_global_window_rollout() {
     }
 }
 
+/// True when `a` and `b` hold the same values bit for bit (`-0.0` and
+/// `0.0`, or two NaNs, are different here).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 #[test]
-fn one_rank_parallel_equals_sequential_trainer() {
-    // P = 1 must reduce to the sequential trainer exactly (same seed paths).
+fn one_rank_baseline_equals_parallel_trainer() {
+    // With one rank the weight average is the identity and the baseline's
+    // fixed pair order is the unshuffled epoch order, so the Viviani
+    // baseline must train exactly the network the scheme's P = 1 run
+    // trains — whatever the prediction mode and clipping.
     let data = paper_dataset(16, 8);
     let arch = ArchSpec::tiny();
-    let cfg = TrainConfig::quick_test();
-    let par = ParallelTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg.clone())
-        .train_view(&data, 6, 1)
-        .expect("parallel");
-    let mut seq = SequentialTrainer::new(arch, PaddingStrategy::ZeroPad, cfg)
-        .train(&data, 6)
-        .expect("sequential");
-    assert_eq!(par.rank_results[0].epoch_losses, seq.epoch_losses);
-    assert_eq!(
-        par.rank_results[0].weights,
-        pde_nn::serialize::snapshot(&mut seq.net)
+    let mut differing = Vec::new();
+    for prediction in [PredictionMode::Absolute, PredictionMode::Residual] {
+        for grad_clip in [None, Some(1e-3)] {
+            let cfg = TrainConfig {
+                shuffle: false,
+                prediction,
+                grad_clip,
+                ..TrainConfig::quick_test()
+            };
+            let par = ParallelTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg.clone())
+                .train_view(&data, 6, 1)
+                .expect("parallel");
+            let base = DataParallelTrainer::new(arch.clone(), PaddingStrategy::ZeroPad, cfg)
+                .train(&data, 6, 1)
+                .expect("baseline");
+            let rank = &par.rank_results[0];
+            if !same_bits(&base.weights, &rank.weights)
+                || !same_bits(&base.epoch_losses, &rank.epoch_losses)
+                || base.norm != par.norm
+            {
+                differing.push(format!("{prediction:?} with clip {grad_clip:?}"));
+            }
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "the one-rank baseline trains a different network for: {differing:?}"
     );
-    assert_eq!(par.norm, seq.norm);
+}
+
+/// FNV-1a over the bits of the weights, then the epoch losses.
+fn digest(weights: &[f64], losses: &[f64]) -> u64 {
+    weights
+        .iter()
+        .chain(losses)
+        .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn baseline_weights_and_losses_are_pinned() {
+    // Experiment X2's baseline, to the bit: 9 pairs in batches of 2 leave
+    // ragged tails at both rank counts (rank 0 has one batch more than
+    // the last rank), so the rounds where a rank only joins the average
+    // are pinned too.
+    let data = paper_dataset(16, 10);
+    let cfg = TrainConfig {
+        batch_size: 2,
+        ..TrainConfig::quick_test()
+    };
+    let trainer = DataParallelTrainer::new(ArchSpec::tiny(), PaddingStrategy::ZeroPad, cfg);
+    let got: Vec<(usize, u64)> = [2, 4]
+        .into_iter()
+        .map(|ranks| {
+            let out = trainer.train(&data, 9, ranks).expect("baseline");
+            (ranks, digest(&out.weights, &out.epoch_losses))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [(2, 0x12b4_9b0a_9e6d_5018), (4, 0x8071_ca22_f552_27f6)],
+        "(ranks, digest) pairs"
+    );
 }
 
 #[test]
