@@ -18,14 +18,14 @@ use std::path::{Path, PathBuf};
 fn write_trace(trace: &pde_trace::Trace, path: &Path) -> Result<(), String> {
     std::fs::write(path, trace.chrome_json())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!(
+    outln!(
         "trace: {} events over {} rank tracks ({} dropped to ring overflow) -> {}",
         trace.events.len(),
         trace.ranks().len(),
         trace.total_dropped(),
         path.display()
     );
-    print!("{}", pde_trace::metrics::format_table(&trace.summarize()));
+    out!("{}", pde_trace::metrics::format_table(&trace.summarize()));
     Ok(())
 }
 
@@ -42,13 +42,13 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         "absorbing" => Boundary::Absorbing,
         other => return Err(format!("unknown boundary '{other}'")),
     };
-    println!("simulating {grid}x{grid} linearized Euler, {snapshots} snapshots, {boundary:?} BCs…");
+    outln!("simulating {grid}x{grid} linearized Euler, {snapshots} snapshots, {boundary:?} BCs…");
     let cfg = SolverConfig::paper(grid, grid);
     let data =
         SnapshotRecorder::new(cfg, boundary, &InitialCondition::paper_pulse(), 1).record(snapshots);
     data.save(&out)
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!(
+    outln!(
         "wrote {} ({} snapshots, dt = {:.3e} s, {} bytes)",
         out.display(),
         data.len(),
@@ -123,14 +123,14 @@ pub fn train(args: &Args) -> Result<(), String> {
     }
     let (c, h, w) = data.shape();
     crate::fleet::ranks_fit_grid("ranks", ranks, h, w)?;
-    println!(
+    outln!(
         "training on {train_pairs} of {pairs} pairs from {source} ({c} ch, {h}x{w}) with \
          {ranks} ranks, {} epochs, {} + {}",
         cfg.epochs,
         strategy.label(),
         cfg.prediction.label()
     );
-    println!(
+    outln!(
         "kernel path {}, {} kernel thread(s) per rank",
         pde_tensor::kernel_path().label(),
         pde_tensor::pool::resolve_budget(cfg.threads_per_rank, ranks)
@@ -143,14 +143,14 @@ pub fn train(args: &Args) -> Result<(), String> {
     if let (Some(h), Some(path)) = (handle, trace_path.as_ref()) {
         write_trace(&h.finish(), path)?;
     }
-    println!(
+    outln!(
         "done in {:.1}s; mean final loss {:.3}; bytes communicated during training: {}",
         outcome.wall_seconds,
         outcome.mean_final_loss(),
         outcome.total_bytes_sent()
     );
     for r in &outcome.rank_results {
-        println!(
+        outln!(
             "  rank {:>3}: {:.2} GFLOP/s over {:.1}s ({} GEMM calls, {:.2e} FLOPs, \
              {} hot-path allocations)",
             r.rank,
@@ -162,7 +162,7 @@ pub fn train(args: &Args) -> Result<(), String> {
         );
     }
     let total_flops: u64 = outcome.rank_results.iter().map(|r| r.perf.flops).sum();
-    println!(
+    outln!(
         "  aggregate: {:.2} GFLOP/s across {ranks} ranks ({:.2e} FLOPs total)",
         total_flops as f64 / outcome.wall_seconds.max(1e-12) / 1e9,
         total_flops as f64
@@ -188,7 +188,7 @@ pub fn train(args: &Args) -> Result<(), String> {
         save_params(&mut net, &path)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
-    println!(
+    outln!(
         "model written to {}/ (meta.txt + {} rank checkpoints)",
         out_dir.display(),
         ranks
@@ -273,7 +273,7 @@ pub fn infer(args: &Args) -> Result<(), String> {
             meta.window
         ));
     }
-    println!(
+    outln!(
         "rolling out {steps} steps from snapshot {start} with {} ranks ({} + {}, window {})",
         meta.partition.rank_count(),
         meta.strategy.label(),
@@ -291,9 +291,9 @@ pub fn infer(args: &Args) -> Result<(), String> {
     if let (Some(h), Some(path)) = (handle, trace_path.as_ref()) {
         write_trace(&h.finish(), path)?;
     }
-    println!("boundary bytes exchanged: {}", rollout.total_bytes());
+    outln!("boundary bytes exchanged: {}", rollout.total_bytes());
     if rollout.degraded() {
-        println!(
+        outln!(
             "degraded halos: {} lost ({} zero-filled, {} stale-reused) — per rank:",
             rollout.total_halos_lost(),
             rollout
@@ -305,14 +305,16 @@ pub fn infer(args: &Args) -> Result<(), String> {
         );
         for (rank, t) in rollout.traffic.iter().enumerate() {
             if t.degraded() {
-                println!(
+                outln!(
                     "  rank {rank:>3}: {} lost, {} zero-filled, {} stale",
-                    t.halos_lost, t.halos_zero_filled, t.halos_stale
+                    t.halos_lost,
+                    t.halos_zero_filled,
+                    t.halos_stale
                 );
             }
         }
     } else if policy != HaloPolicy::Strict {
-        println!("no halos lost (all strips arrived within the timeout)");
+        outln!("no halos lost (all strips arrived within the timeout)");
     }
 
     // Compare against the solver where reference snapshots exist.
@@ -322,12 +324,12 @@ pub fn infer(args: &Args) -> Result<(), String> {
             .map(|s| data.snapshot(start + s).clone())
             .collect();
         let curve = rollout_error_curve(&rollout.states[..=available], &reference);
-        println!("mean-RMSE vs solver per step:");
+        outln!("mean-RMSE vs solver per step:");
         for (s, e) in curve.iter().enumerate() {
-            println!("  step {s}: {e:.4e}");
+            outln!("  step {s}: {e:.4e}");
         }
-        println!("single-step per-field errors:");
-        print!(
+        outln!("single-step per-field errors:");
+        out!(
             "{}",
             format_error_table(&field_errors(&rollout.states[1], &reference[1], 1e-3))
         );
@@ -338,10 +340,10 @@ pub fn infer(args: &Args) -> Result<(), String> {
             }
             csv.write_to(Path::new(out))
                 .map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("wrote {out}");
+            outln!("wrote {out}");
         }
     } else {
-        println!("(no reference snapshots beyond the start point — skipping error report)");
+        outln!("(no reference snapshots beyond the start point — skipping error report)");
     }
     Ok(())
 }
@@ -381,7 +383,7 @@ pub fn scale(args: &Args) -> Result<(), String> {
         threads_per_rank: Some(1),
         ..TrainConfig::paper()
     };
-    println!("calibrating on {grid}x{grid} subproblems ({epochs} epochs each)…");
+    outln!("calibrating on {grid}x{grid} subproblems ({epochs} epochs each)…");
     let trainer = ParallelTrainer::new(arch, PaddingStrategy::ZeroPad, cfg);
     let mut samples = Vec::new();
     for &side in &[grid / 8, grid / 4, grid / 2] {
@@ -390,21 +392,22 @@ pub fn scale(args: &Args) -> Result<(), String> {
         samples.push(((side * side) as f64, out.wall_seconds / epochs as f64));
     }
     let cost = CostModel::calibrate(&samples);
-    println!(
+    outln!(
         "fitted cost: {:.3e} s/cell/epoch + {:.3e} s overhead\n",
-        cost.rate_s_per_cell, cost.overhead_s
+        cost.rate_s_per_cell,
+        cost.overhead_s
     );
     let ranks = [1usize, 2, 4, 8, 16, 32, 64];
-    println!("strong scaling, {cores}-core machine, {grid}x{grid} global grid:");
-    print!(
+    outln!("strong scaling, {cores}-core machine, {grid}x{grid} global grid:");
+    out!(
         "{}",
         format_scaling_table(&strong_scaling(&cost, grid * grid, epochs, &ranks, cores))
     );
-    println!(
+    outln!(
         "\nweak scaling, {} cells per rank:",
         (grid / 8) * (grid / 8)
     );
-    print!(
+    out!(
         "{}",
         format_scaling_table(&weak_scaling(
             &cost,
@@ -419,18 +422,18 @@ pub fn scale(args: &Args) -> Result<(), String> {
 
 /// `pdeml info` — version and the Table-I architecture.
 pub fn info() -> Result<(), String> {
-    println!(
+    outln!(
         "pdeml {} — reproduction of 'Parallel Machine Learning of PDEs' (PDSEC 2021)",
         env!("CARGO_PKG_VERSION")
     );
     let arch = ArchSpec::paper();
-    println!(
+    outln!(
         "\nTable I architecture ({} parameters):",
         arch.param_count()
     );
-    print!("{}", arch.table());
-    println!("\npadding strategies: zero-pad | neighbor-pad | inner-crop | deconv");
-    println!("prediction modes:   absolute | residual");
+    out!("{}", arch.table());
+    outln!("\npadding strategies: zero-pad | neighbor-pad | inner-crop | deconv");
+    outln!("prediction modes:   absolute | residual");
     Ok(())
 }
 

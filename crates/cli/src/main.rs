@@ -10,8 +10,13 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (`--key value` pairs) to keep the
-//! dependency tree at zero beyond the workspace crates.
+//! dependency tree at zero beyond the workspace crates. Command output goes
+//! through the one writer in [`out`]; `print!` and `println!` are refused.
 
+#![deny(clippy::print_stdout)]
+
+#[macro_use]
+mod out;
 mod args;
 mod commands;
 mod fleet;
@@ -123,7 +128,7 @@ fn main() -> ExitCode {
         "scale" => commands::scale(&parsed),
         "info" => commands::info(),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),

@@ -398,7 +398,7 @@ fn membership_round(
                 flag.store(false, Ordering::Release);
             }
         }
-        println!(
+        outln!(
             "self-heal: respawned rank(s) {dead:?} at epoch {epoch}; restarting the batch",
             epoch = *epoch
         );
@@ -637,7 +637,7 @@ fn start_exporter(args: &Args, health: &Arc<HealthModel>) -> Result<Option<Expor
     };
     let exporter = pde_telemetry::exporter::serve(addr, health.clone())
         .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
-    println!(
+    outln!(
         "metrics: http://{}/metrics (also /healthz, /readyz)",
         exporter.local_addr()
     );
@@ -648,7 +648,7 @@ fn start_exporter(args: &Args, health: &Arc<HealthModel>) -> Result<Option<Expor
 /// run) and then stops the exporter thread.
 fn hold_and_stop_exporter(exporter: &mut Option<Exporter>, hold_ms: u64) {
     if hold_ms > 0 && exporter.is_some() {
-        println!("holding metrics endpoint for {hold_ms} ms…");
+        outln!("holding metrics endpoint for {hold_ms} ms…");
         std::thread::sleep(Duration::from_millis(hold_ms));
     }
     if let Some(e) = exporter.as_mut() {
@@ -723,19 +723,19 @@ fn worker(args: &Args) -> Result<(), String> {
     if let Some((dir, handle)) = trace {
         pde_trace::set_thread_rank(pde_trace::DRIVER_RANK);
         let path = write_trace_shard(&dir, rank, handle)?;
-        println!(
+        outln!(
             "world-node rank {rank}: wrote trace shard {}",
             path.display()
         );
     }
     match run {
         None => {
-            println!("world-node rank {rank}: served {requests} lockstep requests x {steps} steps");
+            outln!("world-node rank {rank}: served {requests} lockstep requests x {steps} steps");
             Ok(())
         }
         Some(run) => {
             verify_against_channel(&inf, &initial, steps, &run)?;
-            println!(
+            outln!(
                 "world-node rank 0: {} ranks over TCP — rollouts bitwise-equal to the channel \
                  transport, per-rank traffic counters identical",
                 peers.len()
@@ -909,14 +909,14 @@ fn launch(args: &Args) -> Result<(), String> {
         let child = spawn_rank(rank, &addrs, None, kill)?;
         children.borrow_mut().0.push((rank, child));
     }
-    println!(
+    outln!(
         "world-node: ranks 1..{n} launched as OS processes, rank 0 in-process; \
          {requests} requests x {steps} steps over localhost TCP"
     );
 
     if self_heal {
         if let Some(dir) = args.get("restore") {
-            println!("self-heal: respawned ranks restore weights from {dir} (no retrain)");
+            outln!("self-heal: respawned ranks restore weights from {dir} (no retrain)");
         }
     }
     // Rank 0's respawn half of the membership protocol: reap each corpse
@@ -933,10 +933,10 @@ fn launch(args: &Args) -> Result<(), String> {
                 .ok_or_else(|| format!("dead rank {d} is not one of my children"))?;
             match slot.1.wait() {
                 Ok(status) if status.code() == Some(KILL_EXIT) => {
-                    println!("self-heal: rank {d} died on schedule (chaos kill), respawning");
+                    outln!("self-heal: rank {d} died on schedule (chaos kill), respawning");
                 }
-                Ok(status) => println!("self-heal: rank {d} died with {status}, respawning"),
-                Err(e) => println!("self-heal: rank {d} corpse unreapable ({e}), respawning"),
+                Ok(status) => outln!("self-heal: rank {d} died with {status}, respawning"),
+                Err(e) => outln!("self-heal: rank {d} corpse unreapable ({e}), respawning"),
             }
             slot.1 = spawn_rank(d, fresh, Some(epoch), None)?;
         }
@@ -993,13 +993,13 @@ fn launch(args: &Args) -> Result<(), String> {
                 }
                 // A chaos-killed rank dies before its dump; the merge
                 // carries on with whoever made it to disk.
-                Err(_) => println!("trace: no shard from rank {rank} ({})", path.display()),
+                Err(_) => outln!("trace: no shard from rank {rank} ({})", path.display()),
             }
         }
         let merged_path = dir.join("merged_trace.json");
         std::fs::write(&merged_path, pde_trace::merge_chrome_shards(&shards))
             .map_err(|e| format!("cannot write {}: {e}", merged_path.display()))?;
-        println!(
+        outln!(
             "trace: merged {found}/{n} shard(s) into {} (open in ui.perfetto.dev)",
             merged_path.display()
         );
@@ -1014,7 +1014,7 @@ fn launch(args: &Args) -> Result<(), String> {
         ));
     }
     verify_against_channel(&inf, &initial, steps, &run)?;
-    println!(
+    outln!(
         "verify: rollouts bitwise-equal to the channel transport, per-rank traffic \
          counters identical"
     );

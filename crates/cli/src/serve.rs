@@ -206,7 +206,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
 
     let listener = Listener::bind(addr).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-    println!(
+    outln!(
         "serving on http://{} — model 'serve' from {source} \
          ({sub_worlds} sub-world(s) x {ranks} ranks, {} transport, \
          queue {queue_depth}, slo {})",
@@ -218,7 +218,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             "off".into()
         }
     );
-    println!("POST /v1/rollout (GET /v1/example for a request body); /metrics /healthz /readyz; POST /shutdown to stop");
+    outln!("POST /v1/rollout (GET /v1/example for a request body); /metrics /healthz /readyz; POST /shutdown to stop");
 
     let server = Server {
         sched,
@@ -232,12 +232,12 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // dropping the server's scheduler then joins its dispatchers after the
     // queue drains.
     listener.run(move |request| server.route(request));
-    println!("shutdown requested; scheduler drained");
+    outln!("shutdown requested; scheduler drained");
     if let (Some(path), Some(handle)) = (trace_out, trace) {
         let trace = handle.finish();
         std::fs::write(&path, trace.chrome_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        outln!(
             "wrote trace {path}: {} events ({} dropped to ring overflow)",
             trace.events.len(),
             trace.total_dropped()

@@ -312,7 +312,10 @@ impl World {
         T: Send,
         F: Fn(Comm) -> T + Send + Sync,
     {
-        let mut pw = self.clone().spawn_persistent();
+        let labels = (0..self.size).collect();
+        let mut pw = self
+            .clone()
+            .spawn_persistent_labeled(labels, ONE_SHOT_THREADS);
         let out = pw.run(|mut ctx| {
             let comm = ctx.take_comm().expect("fresh world has a resident comm");
             f(comm)
@@ -403,7 +406,7 @@ impl World {
     /// scratch buffers) survives between jobs instead of being rebuilt.
     pub fn spawn_persistent(self) -> PersistentWorld {
         let labels = (0..self.size).collect();
-        self.spawn_persistent_labeled(labels)
+        self.spawn_persistent_labeled(labels, RESIDENT_THREADS)
     }
 
     /// Partitions this world into disjoint rank groups and spawns one
@@ -458,7 +461,7 @@ impl World {
                     fault_plan: self.fault_plan.clone(),
                     transport: self.transport,
                 }
-                .spawn_persistent_labeled(group.clone())
+                .spawn_persistent_labeled(group.clone(), RESIDENT_THREADS)
             })
             .collect())
     }
@@ -484,9 +487,14 @@ impl World {
     }
 
     /// Shared spawn body: `labels[local_rank]` is the global rank id used
-    /// for thread names and live telemetry attribution, while the `Comm`s
-    /// (and everything built on them) see only local ranks `0..size`.
-    fn spawn_persistent_labeled(self, labels: Vec<usize>) -> PersistentWorld {
+    /// for thread names (`<threads>-<label>`) and live telemetry
+    /// attribution, while the `Comm`s (and everything built on them) see
+    /// only local ranks `0..size`.
+    fn spawn_persistent_labeled(
+        self,
+        labels: Vec<usize>,
+        threads: &'static str,
+    ) -> PersistentWorld {
         let n = self.size;
         assert_eq!(labels.len(), n, "one label per rank");
         let stats: Arc<Vec<CommStats>> = Arc::new((0..n).map(|_| CommStats::default()).collect());
@@ -497,13 +505,21 @@ impl World {
         for comm in comms {
             let (tx, rx) = mpsc::channel::<Job>();
             let rank = comm.rank();
-            workers.push(spawn_rank_worker(rank, n, labels[rank], Some(comm), rx));
+            workers.push(spawn_rank_worker(
+                threads,
+                rank,
+                n,
+                labels[rank],
+                Some(comm),
+                rx,
+            ));
             mailboxes.push(tx);
         }
         PersistentWorld {
             spec: self,
             size: n,
             labels,
+            threads,
             mailboxes,
             workers,
             stats,
@@ -514,11 +530,22 @@ impl World {
     }
 }
 
-/// Spawns one persistent rank worker thread around a fresh [`RankSlot`].
-/// Used at world birth (with the rank's comm resident) and by
-/// [`PersistentWorld::respawn`] (with an empty slot — the replacement comm
-/// arrives via the reinit job).
+/// Thread-name prefix of a resident world's rank workers
+/// (`pdeml-rank-<label>`), respawns included.
+const RESIDENT_THREADS: &str = "pdeml-rank";
+
+/// Thread-name prefix of the ranks of a one-shot [`World::run`]
+/// (`pdeml-job-<rank>`). A finished run's threads can still be listed by
+/// the OS for a moment after they are joined; the distinct name keeps them
+/// out of any count of a resident engine's rank threads.
+const ONE_SHOT_THREADS: &str = "pdeml-job";
+
+/// Spawns one persistent rank worker thread, named `<threads>-<label>`,
+/// around a fresh [`RankSlot`]. Used at world birth (with the rank's comm
+/// resident) and by [`PersistentWorld::respawn`] (with an empty slot — the
+/// replacement comm arrives via the reinit job).
 fn spawn_rank_worker(
+    threads: &'static str,
     rank: usize,
     size: usize,
     label: usize,
@@ -532,7 +559,7 @@ fn spawn_rank_worker(
         state: None,
     };
     std::thread::Builder::new()
-        .name(format!("pdeml-rank-{label}"))
+        .name(format!("{threads}-{label}"))
         .spawn(move || {
             // Tag the thread so live telemetry (kernel gauges)
             // shards per rank even when no trace session is active.
@@ -638,6 +665,8 @@ pub struct PersistentWorld {
     /// `labels[local_rank]` = global rank id (identity unless this world
     /// came out of [`World::split`]); used for thread names and telemetry.
     labels: Vec<usize>,
+    /// Thread-name prefix of the rank workers, kept for respawns.
+    threads: &'static str,
     mailboxes: Vec<mpsc::Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<Vec<CommStats>>,
@@ -879,7 +908,7 @@ impl PersistentWorld {
         for &r in &dead {
             let (tx, rx) = mpsc::channel::<Job>();
             self.mailboxes[r] = tx; // old sender drops: old worker exits
-            let fresh = spawn_rank_worker(r, self.size, self.labels[r], None, rx);
+            let fresh = spawn_rank_worker(self.threads, r, self.size, self.labels[r], None, rx);
             let old = std::mem::replace(&mut self.workers[r], fresh);
             let _ = old.join();
         }
@@ -1381,6 +1410,40 @@ mod tests {
             got
         });
         assert_eq!(out, vec![2.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn one_shot_and_resident_worlds_name_their_threads_apart() {
+        let name = || std::thread::current().name().map(str::to_string);
+        let names = |prefix: &str, labels: &[usize]| -> Vec<Option<String>> {
+            labels
+                .iter()
+                .map(|l| Some(format!("{prefix}-{l}")))
+                .collect()
+        };
+        assert_eq!(
+            World::new(2).run(|_comm| name()),
+            names("pdeml-job", &[0, 1])
+        );
+        let (out, _) = World::new(2).run_with_stats(|_comm| name());
+        assert_eq!(out, names("pdeml-job", &[0, 1]));
+
+        let mut pw = World::new(2).spawn_persistent();
+        assert_eq!(pw.run(|_ctx| name()), names("pdeml-rank", &[0, 1]));
+        // A respawned rank keeps the resident name.
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pw.run(|ctx| assert_ne!(ctx.rank(), 1, "chaos"));
+        }));
+        assert!(boom.is_err());
+        pw.respawn(|mut ctx, comm, _was_dead| {
+            let _old = ctx.take_comm();
+            ctx.put_comm(comm);
+        });
+        assert_eq!(pw.run(|_ctx| name()), names("pdeml-rank", &[0, 1]));
+
+        // Sub-worlds name their ranks by global label.
+        let mut subs = World::new(4).split_even(2).unwrap();
+        assert_eq!(subs[1].run(|_ctx| name()), names("pdeml-rank", &[2, 3]));
     }
 
     #[test]

@@ -81,15 +81,16 @@ impl EulerState {
         }
     }
 
-    /// Packs the state into a 4-channel tensor `(p, ρ, u, v)`.
+    /// Packs the state into a 4-channel tensor `(p, ρ, u, v)`, copying each
+    /// field once.
     pub fn to_tensor(&self) -> Tensor3 {
         self.validate();
-        Tensor3::from_channels(&[
-            self.p.clone(),
-            self.rho.clone(),
-            self.u.clone(),
-            self.v.clone(),
-        ])
+        let (ny, nx) = self.shape();
+        let mut data = Vec::with_capacity(N_FIELDS * ny * nx);
+        for f in 0..N_FIELDS {
+            data.extend_from_slice(self.field(f).as_slice());
+        }
+        Tensor3::from_vec(N_FIELDS, ny, nx, data)
     }
 
     /// Unpacks a 4-channel tensor back into a state.
@@ -108,28 +109,6 @@ impl EulerState {
             u: t.channel_grid(IDX_U),
             v: t.channel_grid(IDX_V),
         }
-    }
-
-    /// `self += alpha * other` on every field (used by RK stages).
-    pub fn axpy(&mut self, alpha: f64, other: &EulerState) {
-        self.p.axpy(alpha, &other.p);
-        self.rho.axpy(alpha, &other.rho);
-        self.u.axpy(alpha, &other.u);
-        self.v.axpy(alpha, &other.v);
-    }
-
-    /// Linear combination `a*x + b*y` (fresh allocation).
-    pub fn lincomb(a: f64, x: &EulerState, b: f64, y: &EulerState) -> EulerState {
-        assert_eq!(x.shape(), y.shape(), "EulerState::lincomb: shape mismatch");
-        let mut out = x.clone();
-        for idx in 0..N_FIELDS {
-            let xo = out.field_mut(idx).as_mut_slice();
-            let yv = y.field(idx).as_slice();
-            for (o, &yy) in xo.iter_mut().zip(yv) {
-                *o = a * *o + b * yy;
-            }
-        }
-        out
     }
 
     /// Largest absolute perturbation over all fields.
@@ -180,19 +159,6 @@ mod tests {
         assert_eq!(FIELD_NAMES[IDX_RHO], "density");
         assert_eq!(FIELD_NAMES[IDX_U], "velocity_x");
         assert_eq!(FIELD_NAMES[IDX_V], "velocity_y");
-    }
-
-    #[test]
-    fn lincomb_matches_axpy() {
-        let mut a = EulerState::zeros(2, 2);
-        a.p[(0, 0)] = 1.0;
-        let mut b = EulerState::zeros(2, 2);
-        b.p[(0, 0)] = 2.0;
-        let l = EulerState::lincomb(0.5, &a, 0.25, &b);
-        assert_eq!(l.p[(0, 0)], 1.0);
-        let mut c = a.clone();
-        c.axpy(1.0, &b);
-        assert_eq!(c.p[(0, 0)], 3.0);
     }
 
     #[test]

@@ -81,30 +81,6 @@ impl Tensor3 {
         Tensor3::from_vec(total_c, h, w, data)
     }
 
-    /// Stacks per-channel grids into one tensor.
-    ///
-    /// # Panics
-    /// If the grids do not all share one shape, or `grids` is empty.
-    pub fn from_channels(grids: &[Grid2]) -> Self {
-        assert!(!grids.is_empty(), "Tensor3::from_channels: no channels");
-        let (h, w) = grids[0].shape();
-        let mut data = Vec::with_capacity(grids.len() * h * w);
-        for g in grids {
-            assert_eq!(
-                g.shape(),
-                (h, w),
-                "Tensor3::from_channels: inconsistent channel shapes"
-            );
-            data.extend_from_slice(g.as_slice());
-        }
-        Self {
-            c: grids.len(),
-            h,
-            w,
-            data,
-        }
-    }
-
     /// Number of channels.
     #[inline]
     pub fn c(&self) -> usize {
@@ -288,7 +264,7 @@ mod tests {
     fn channel_round_trip() {
         let g0 = Grid2::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
         let g1 = Grid2::from_fn(3, 4, |i, j| -((i * 4 + j) as f64));
-        let t = Tensor3::from_channels(&[g0.clone(), g1.clone()]);
+        let t = Tensor3::from_vec(2, 3, 4, [g0.as_slice(), g1.as_slice()].concat());
         assert_eq!(t.shape(), (2, 3, 4));
         assert_eq!(t.channel_grid(0), g0);
         assert_eq!(t.channel_grid(1), g1);
@@ -336,11 +312,5 @@ mod tests {
         let t = Tensor3::from_fn(2, 2, 2, |c, i, j| (c * 4 + i * 2 + j) as f64);
         assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
         assert_eq!(t[(1, 0, 1)], 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent channel shapes")]
-    fn from_channels_rejects_mixed_shapes() {
-        let _ = Tensor3::from_channels(&[Grid2::zeros(2, 2), Grid2::zeros(3, 2)]);
     }
 }

@@ -1,4 +1,4 @@
-//! Proof that the training and serving hot paths are allocation-free after
+//! Proof that the solver, training and serving hot paths are allocation-free after
 //! warm-up, and that the HTTP listener's buffer pool stays within its
 //! bounds.
 //!
@@ -14,6 +14,7 @@
 
 use pde_domain::GridPartition;
 use pde_euler::dataset::paper_dataset;
+use pde_euler::{Boundary, EulerSolver, InitialCondition, SolverConfig};
 use pde_ml_cli::wire::encode_state_into;
 use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::data::SubdomainDataset;
@@ -98,6 +99,31 @@ fn many_epochs_stay_allocation_free() {
         "epochs 1..5 performed {} heap allocations",
         spent.allocs
     );
+}
+
+/// The data generator is allocation-free too: `EulerSolver::new` sizes the
+/// padded planes, the stage state and the flux lines, so a warm step under
+/// any boundary family only reads and writes them.
+#[test]
+fn warm_solver_step_allocates_nothing() {
+    for boundary in [
+        Boundary::Outflow,
+        Boundary::Periodic,
+        Boundary::Reflective,
+        Boundary::Absorbing,
+    ] {
+        let cfg = SolverConfig::paper(24, 20);
+        let mut solver = EulerSolver::new(cfg, boundary, &InitialCondition::paper_pulse());
+        solver.step();
+        let before = perf::snapshot();
+        solver.run(3);
+        let spent = perf::snapshot().since(&before);
+        assert_eq!(
+            spent.allocs, 0,
+            "{boundary:?}: three warm solver steps performed {} heap allocations",
+            spent.allocs
+        );
+    }
 }
 
 /// The threaded conv passes stay allocation-free on the submitting thread
