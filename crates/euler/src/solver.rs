@@ -337,17 +337,17 @@ mod tests {
         let pw = nx + 2;
         let (dx, dy) = cfg.domain.cell_size(nx, ny);
         let bg = cfg.background;
-        let q_at = |i: usize, j: usize| -> crate::flux::Q {
+        let padded_cell = |i: usize, j: usize| -> crate::flux::Q {
             std::array::from_fn(|f| sweep.padded[f][i * pw + j])
         };
         let mut out = EulerState::zeros(ny, nx);
         for i in 1..=ny {
             for j in 1..=nx {
-                let qc = q_at(i, j);
-                let f_left = rusanov_x(&q_at(i, j - 1), &qc, &bg, bg.max_speed_x());
-                let f_right = rusanov_x(&qc, &q_at(i, j + 1), &bg, bg.max_speed_x());
-                let g_down = rusanov_y(&q_at(i - 1, j), &qc, &bg, bg.max_speed_y());
-                let g_up = rusanov_y(&qc, &q_at(i + 1, j), &bg, bg.max_speed_y());
+                let qc = padded_cell(i, j);
+                let f_left = rusanov_x(&padded_cell(i, j - 1), &qc, &bg, bg.max_speed_x());
+                let f_right = rusanov_x(&qc, &padded_cell(i, j + 1), &bg, bg.max_speed_x());
+                let g_down = rusanov_y(&padded_cell(i - 1, j), &qc, &bg, bg.max_speed_y());
+                let g_up = rusanov_y(&qc, &padded_cell(i + 1, j), &bg, bg.max_speed_y());
                 for f in 0..N_FIELDS {
                     out.field_mut(f)[(i - 1, j - 1)] =
                         -(f_right[f] - f_left[f]) / dx - (g_up[f] - g_down[f]) / dy;
