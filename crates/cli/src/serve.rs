@@ -15,8 +15,12 @@
 //! yields `200` with `steps`/`state` lines for the rollout (initial state
 //! included), written into the listener's pooled reply buffer, or a typed
 //! failure: `400` malformed request (a step count whose answer would exceed
-//! the response bound among them), `404` unknown model, `429` shed by
-//! admission (queue full / SLO breach), `503` unhealthy. `GET /v1/example`
+//! the response bound among them, and a state holding a NaN or an
+//! infinity), `404` unknown model, `422` a rollout that is not finite, `429`
+//! shed by admission (queue full / SLO breach), `503` unhealthy. The
+//! networks serve in `f32`, so a finite state whose normalized values lie
+//! past `f32::MAX` (≈ 3.4e38) is such a `422`, naming step 1: it narrows to
+//! infinity on the way in. `GET /v1/example`
 //! returns a ready-to-POST request body for the registered model;
 //! `POST /shutdown` stops the server (for CI).
 //!
@@ -308,7 +312,8 @@ impl Server {
         let status = match result {
             Ok(rollout) => {
                 // A finite input can still drive the networks out of range
-                // (1e308 overflows): such a trajectory is not an answer.
+                // (1e308 overflows; past f32::MAX, normalized, the serving
+                // networks see infinity): such a trajectory is not an answer.
                 let non_finite = rollout
                     .states
                     .iter()
@@ -668,10 +673,16 @@ mod tests {
                 assert!(response.contains("NaN or infinite"), "{v}: {response}");
             }
             // Finite, but far outside the training data: the networks
-            // overflow and every predicted value is NaN.
-            let response = exchange(addr, &post(&filled("1e308")));
-            assert!(status_line(&response).contains("422"), "{response}");
-            assert!(response.contains("step 1 of the rollout"), "{response}");
+            // overflow and every predicted value is NaN. Past f32's range
+            // the serving networks' input itself narrows to infinity.
+            for v in ["1e308", "1e39", "-1e39"] {
+                let response = exchange(addr, &post(&filled(v)));
+                assert!(status_line(&response).contains("422"), "{v}: {response}");
+                assert!(
+                    response.contains("step 1 of the rollout"),
+                    "{v}: {response}"
+                );
+            }
             let response = exchange(addr, &post(&body));
             assert!(status_line(&response).contains("200"), "{response}");
             let response = exchange(addr, b"GET /readyz HTTP/1.1\r\n\r\n");

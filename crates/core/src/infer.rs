@@ -23,7 +23,7 @@ use pde_commsim::{
 use pde_domain::halo::{pack_cols, PaddedView};
 use pde_domain::{gather, scatter, Block, GridPartition};
 use pde_nn::serialize::restore;
-use pde_nn::{Layer, Sequential};
+use pde_nn::{Sequential, ServingNet};
 use pde_tensor::{perf, PerfCounters, Tensor3, Tensor4};
 use std::time::{Duration, Instant};
 
@@ -475,16 +475,25 @@ impl ParallelInference {
         acc
     }
 
-    /// Builds rank `rank`'s resident rollout machine: the restored network
-    /// plus history ring, halo caches and scratch tensors sized for that
-    /// rank's block, and the block and channel scales it reads requests and
-    /// writes trajectories with. The serving engine keeps these alive across
-    /// requests; the one-shot rollout below builds one per call.
-    pub fn rank_state(&self, rank: usize) -> RankRolloutState {
+    /// Rank `rank`'s network in its serving form: the trained `f64`
+    /// weights restored, then converted to `f32` and packed once
+    /// ([`ServingNet`]). Every rollout path — warm engine, cold rollout,
+    /// world node, the references — runs its forward passes through one.
+    pub fn serving_net(&self, rank: usize) -> ServingNet {
         let mut net = self.arch.build_for(self.strategy, 0);
         restore(&mut net, &self.weights[rank]);
+        ServingNet::new(&net)
+    }
+
+    /// Builds rank `rank`'s resident rollout machine: the serving network
+    /// ([`ParallelInference::serving_net`]) plus history ring, halo caches
+    /// and scratch tensors sized for that rank's block, and the block and
+    /// channel scales it reads requests and writes trajectories with. The
+    /// serving engine keeps these alive across requests; the one-shot
+    /// rollout below builds one per call.
+    pub fn rank_state(&self, rank: usize) -> RankRolloutState {
         RankRolloutState::new(
-            net,
+            self.serving_net(rank),
             self.window,
             self.strategy.input_halo(self.arch.halo()),
             self.halo_policy,
@@ -613,15 +622,10 @@ impl ParallelInference {
         let part = self.part;
         let halo = self.strategy.input_halo(self.arch.halo());
         let mode = self.strategy.boundary_pad_mode();
-        let mut nets: Vec<Sequential> = self
-            .weights
-            .iter()
-            .map(|w| {
-                let mut n = self.arch.build_for(self.strategy, 0);
-                restore(&mut n, w);
-                n
-            })
+        let mut nets: Vec<ServingNet> = (0..part.rank_count())
+            .map(|r| self.serving_net(r))
             .collect();
+        let mut y = Tensor4::zeros(0, 0, 0, 0);
         let mut recent: Vec<Tensor3> = history.iter().map(|g| self.norm.normalize3(g)).collect();
         let mut states = vec![history.last().expect("history").clone()];
         for _ in 0..n_steps {
@@ -634,9 +638,8 @@ impl ParallelInference {
                         .collect();
                     let refs: Vec<&Tensor3> = padded.iter().collect();
                     let input = Tensor3::concat_channels(&refs);
-                    let y = nets[r]
-                        .forward(&Tensor4::from_sample(&input), false)
-                        .sample_tensor(0);
+                    nets[r].forward_into(&Tensor4::from_sample(&input), &mut y);
+                    let y = y.sample_tensor(0);
                     match self.prediction {
                         PredictionMode::Absolute => y,
                         PredictionMode::Residual => {
@@ -673,7 +676,7 @@ pub struct RequestWindow {
 /// One rank's resident rollout machine — the old ~150-line rollout closure
 /// made into a value you can keep, test, and reuse.
 ///
-/// Owns the rank's restored [`Sequential`], its window history ring, the
+/// Owns the rank's [`ServingNet`], its window history ring, the
 /// per-slot last-known [`HaloCache`]s, resident input/output scratch
 /// tensors, and the rank's [`Block`] plus the channel scales.
 /// [`RankRolloutState::serve_request`] reads its block of the caller's
@@ -687,13 +690,14 @@ pub struct RequestWindow {
 /// The step path is engineered to stay off the heap once warm: each window
 /// slot is assembled, halo frame included, straight into its slot of a
 /// resident `Tensor4`, the forward pass uses the network's ping-pong
-/// workspace, and the prediction overwrites the ring's oldest buffer in
+/// workspace (narrowing the input to `f32` and widening the output back on
+/// the way), and the prediction overwrites the ring's oldest buffer in
 /// place. With a communication-free strategy (`halo == 0`, e.g.
 /// zero-padding) a warm step performs **zero** allocations; with halo
 /// exchange only the strips it sends allocate (payloads travel through
 /// channels by value).
 pub struct RankRolloutState {
-    net: Sequential,
+    net: ServingNet,
     window: usize,
     halo: usize,
     policy: HaloPolicy,
@@ -724,10 +728,10 @@ pub struct RankRolloutState {
 
 impl RankRolloutState {
     /// Builds the machine for `block` of a state with one channel per entry
-    /// of `scales` (the model's [`ChannelNorm::scales`]). `net` must
-    /// already hold the rank's weights.
+    /// of `scales` (the model's [`ChannelNorm::scales`]). `net` is the
+    /// rank's network in its serving form.
     pub fn new(
-        net: Sequential,
+        net: ServingNet,
         window: usize,
         halo: usize,
         policy: HaloPolicy,
@@ -964,7 +968,7 @@ impl RankRolloutState {
                 );
             }
         }
-        self.net.forward_into(&self.input, false, &mut self.output);
+        self.net.forward_into(&self.input, &mut self.output);
         // Rotate the ring: the oldest state's buffer becomes the slot the
         // new prediction is written into.
         self.recent.rotate_left(1);
@@ -1262,8 +1266,9 @@ fn resolve_halo(
 
 /// Single-network rollout over the whole domain (no decomposition): the
 /// reference used by the Fig.-3 accuracy study and the P = 1 scaling point.
+/// Runs `net`'s serving form ([`ServingNet`]), as every rollout does.
 pub fn single_network_rollout(
-    net: &mut Sequential,
+    net: &Sequential,
     arch: &ArchSpec,
     strategy: PaddingStrategy,
     norm: &ChannelNorm,
@@ -1278,6 +1283,8 @@ pub fn single_network_rollout(
     );
     let halo = strategy.input_halo(arch.halo());
     let mode = strategy.boundary_pad_mode();
+    let mut serving = ServingNet::new(net);
+    let mut y = Tensor4::zeros(0, 0, 0, 0);
     let mut normalized = vec![norm.normalize3(initial)];
     let mut states = vec![initial.clone()];
     for _ in 0..n_steps {
@@ -1287,9 +1294,8 @@ pub fn single_network_rollout(
         } else {
             pde_tensor::pad::pad_tensor3(cur, halo, halo, halo, halo, mode)
         };
-        let y = net
-            .forward(&Tensor4::from_sample(&input), false)
-            .sample_tensor(0);
+        serving.forward_into(&Tensor4::from_sample(&input), &mut y);
+        let y = y.sample_tensor(0);
         let next = match prediction {
             PredictionMode::Absolute => y,
             PredictionMode::Residual => {
@@ -1429,7 +1435,7 @@ mod tests {
         let mut net = inf.arch.build(false, 0);
         restore(&mut net, &inf.weights[0]);
         let single = single_network_rollout(
-            &mut net,
+            &net,
             &inf.arch,
             PaddingStrategy::NeighborPad,
             &inf.norm,

@@ -5,6 +5,7 @@
 //! spec, whose activation cannot be fused into the conv.
 
 use crate::layer::{InputGrad, Layer, ParamGroup};
+use crate::serving::ServingStage;
 use pde_tensor::conv::{leaky_relu, leaky_relu_grad};
 use pde_tensor::Tensor4;
 
@@ -124,6 +125,10 @@ impl Layer for LeakyReLu {
     fn describe(&self) -> String {
         format!("LeakyReLU(eps={})", self.epsilon)
     }
+
+    fn serving_stages(&self, stages: &mut Vec<ServingStage>) {
+        stages.push(ServingStage::activation(self.epsilon));
+    }
 }
 
 /// Plain rectified linear unit (ε = 0 special case).
@@ -173,6 +178,9 @@ impl Layer for ReLu {
     }
     fn describe(&self) -> String {
         "ReLU".into()
+    }
+    fn serving_stages(&self, stages: &mut Vec<ServingStage>) {
+        self.0.serving_stages(stages);
     }
 }
 

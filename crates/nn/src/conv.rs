@@ -10,9 +10,10 @@
 
 use crate::activation::leaky_backward_in_place;
 use crate::layer::{InputGrad, Layer, ParamGroup};
+use crate::serving::ServingStage;
 use pde_tensor::conv::{
     conv2d_backward_input_into, conv2d_backward_input_leaky, conv2d_backward_weight,
-    conv2d_forward_into, ConvScratch,
+    conv2d_forward_into, ConvForward, ConvScratch,
 };
 use pde_tensor::{Conv2dSpec, Tensor4};
 
@@ -267,6 +268,11 @@ impl Layer for Conv2d {
             self.spec.pad,
             self.param_count()
         )
+    }
+
+    fn serving_stages(&self, stages: &mut Vec<ServingStage>) {
+        let conv = ConvForward::new(self.spec, &self.weight, &self.bias, self.leak);
+        stages.push(ServingStage::conv(conv));
     }
 }
 

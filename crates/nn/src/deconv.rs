@@ -18,6 +18,7 @@
 //! spatial extent by `k − 1` in each direction.
 
 use crate::layer::{Layer, ParamGroup};
+use crate::serving::ServingStage;
 use pde_tensor::conv::{
     conv2d_backward_input_into, conv2d_backward_weight, conv2d_im2col_into, ConvScratch,
 };
@@ -242,6 +243,16 @@ impl Layer for ConvTranspose2d {
             self.conv_spec.kw,
             self.param_count()
         )
+    }
+
+    /// Served in `f64` on the widened activation: the Deconv strategy is an
+    /// ablation, and this is its only layer without an `f32` kernel.
+    fn serving_stages(&self, stages: &mut Vec<ServingStage>) {
+        let mut copy = Self::new(self.in_channels(), self.out_channels(), self.kernel());
+        copy.weight.copy_from(&self.weight);
+        copy.bias.clone_from(&self.bias);
+        copy.name.clone_from(&self.name);
+        stages.push(ServingStage::widened(Box::new(copy)));
     }
 }
 

@@ -1,5 +1,6 @@
 //! The [`Layer`] trait: forward/backward building blocks.
 
+use crate::serving::ServingStage;
 use pde_tensor::Tensor4;
 
 /// One learnable parameter group of a layer, paired with its gradient.
@@ -151,6 +152,16 @@ pub trait Layer: Send {
 
     /// Short human-readable description used in model summaries.
     fn describe(&self) -> String;
+
+    /// Appends this layer's serving form — its forward pass in `f32`, from
+    /// its current weights — to a [`crate::ServingNet`]'s stages.
+    ///
+    /// # Panics
+    /// By default: a layer type that serves says how.
+    fn serving_stages(&self, stages: &mut Vec<ServingStage>) {
+        let _ = stages;
+        panic!("{} has no serving form", self.describe());
+    }
 }
 
 #[cfg(test)]

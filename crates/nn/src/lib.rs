@@ -19,6 +19,8 @@
 //!   [`Sequential`] the stack owns every activation once and lends it to the
 //!   layers, which write their gradients over it (see [`Layer`],
 //!   [`Sequential`] and `DESIGN.md` §4c).
+//! * Serving runs the trained weights in `f32`: [`ServingNet`] converts and
+//!   packs them once and keeps its own activations (see [`serving`]).
 //! * Nothing here is thread-aware: parallelism happens one level up, where
 //!   each MPI-like rank owns one whole network (the paper's scheme).
 
@@ -32,6 +34,7 @@ pub mod loss;
 pub mod optim;
 pub mod sequential;
 pub mod serialize;
+pub mod serving;
 
 pub use activation::{LeakyReLu, ReLu};
 pub use conv::Conv2d;
@@ -40,3 +43,4 @@ pub use layer::{InputGrad, Layer, ParamGroup};
 pub use loss::{Loss, Mape, Mse};
 pub use optim::{Adam, Optimizer, OptimizerState, RmsProp, Sgd};
 pub use sequential::Sequential;
+pub use serving::{ServingNet, ServingStage};

@@ -2,6 +2,7 @@
 
 use crate::activation::leaky_backward_in_place;
 use crate::layer::{InputGrad, Layer, ParamGroup};
+use crate::serving::ServingStage;
 use pde_tensor::Tensor4;
 
 fn empty() -> Tensor4 {
@@ -283,6 +284,12 @@ impl Layer for Sequential {
             self.layers.len(),
             self.param_count()
         )
+    }
+
+    fn serving_stages(&self, stages: &mut Vec<ServingStage>) {
+        for l in &self.layers {
+            l.serving_stages(stages);
+        }
     }
 }
 

@@ -26,6 +26,10 @@
 //! activation it is overwriting ([`conv2d_backward_input_leaky`]). Each is
 //! the unfused result followed by the elementwise function, bit for bit.
 //!
+//! The forward pass also runs in `f32`, for serving: [`ConvForward`] is the
+//! same body generic over [`Real`], with its weights converted and packed
+//! once (see `crate::real`).
+//!
 //! Each pass has two kernels with the identical chain: an AVX-512 one in
 //! [`crate::simd`] and a portable `f64::mul_add` one here, which is the
 //! [`KernelPath::Scalar`] route and the general case for shapes the vector
@@ -40,6 +44,7 @@ use crate::gemm::{
 };
 use crate::im2col::{col2im, ConvGeom};
 use crate::pool;
+use crate::real::Real;
 use crate::Tensor4;
 use std::time::Instant;
 
@@ -200,14 +205,15 @@ const BWD_INPUT_TILES: (usize, usize) = (4, 6);
 /// zero-bordered copy. All three grow once, to sizes set by the layer's
 /// geometry and never by the batch size (a few KiB to a few tens of KiB at
 /// the paper's shapes, against the 1 MiB column panel this replaced).
-#[derive(Default, Clone)]
-pub struct ConvScratch {
-    weights: Vec<f64>,
+/// `T` is the element type of the passes it serves (`f64` for training).
+#[derive(Clone, Default)]
+pub struct ConvScratch<T = f64> {
+    weights: Vec<T>,
     taps: Vec<usize>,
-    padded: Vec<f64>,
+    padded: Vec<T>,
 }
 
-impl ConvScratch {
+impl<T: Real> ConvScratch<T> {
     /// New empty scratch (its buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
@@ -216,7 +222,7 @@ impl ConvScratch {
     /// Bytes of workspace this scratch holds (its capacity, not just the
     /// part the last call used).
     pub fn bytes(&self) -> usize {
-        (self.weights.capacity() + self.padded.capacity()) * std::mem::size_of::<f64>()
+        (self.weights.capacity() + self.padded.capacity()) * std::mem::size_of::<T>()
             + self.taps.capacity() * std::mem::size_of::<usize>()
     }
 }
@@ -247,7 +253,7 @@ impl Planes {
 
     /// One sample in this layout: `sample` itself without padding, else its
     /// copy into `buf` with a `pad`-wide zero border around every channel.
-    fn view<'a>(&self, g: &ConvGeom, sample: &'a [f64], buf: &'a mut Vec<f64>) -> &'a [f64] {
+    fn view<'a, T: Real>(&self, g: &ConvGeom, sample: &'a [T], buf: &'a mut Vec<T>) -> &'a [T] {
         if g.pad == 0 {
             return sample;
         }
@@ -260,14 +266,14 @@ impl Planes {
             // Top border + left border of the first row, then per row the
             // values followed by its right border and the next row's left
             // border, then what is left of the bottom border.
-            dst[..border].fill(0.0);
+            dst[..border].fill(T::ZERO);
             let mut at = border;
             for row in src.chunks_exact(g.w) {
                 dst[at..at + g.w].copy_from_slice(row);
-                dst[at + g.w..at + self.ld].fill(0.0);
+                dst[at + g.w..at + self.ld].fill(T::ZERO);
                 at += self.ld;
             }
-            dst[at..].fill(0.0);
+            dst[at..].fill(T::ZERO);
         }
         dst
     }
@@ -325,7 +331,7 @@ fn forward_panel_rows(path: KernelPath, out_c: usize) -> usize {
 /// negative-side slope `s` for `Some(s)` — `z` for `z ≥ 0`, else `s·z`,
 /// exactly `pde-nn`'s `LeakyReLu::forward` — applied in the write-back that
 /// completes an output element, so a fused layer stores its activation once
-/// and its pre-activation never. The weight matrix is packed once
+/// and its pre-activation never. The weight matrix is packed once per call
 /// ([`pack_a`]), a tap-offset table `off[(c,ki,kj)] = c·H·W + ki·W + kj`
 /// stands in for the column matrix, and a direct register tile reads B row
 /// `p` of output row `oi` at `x[off[p] + oi·W + oj ..]`.
@@ -335,7 +341,8 @@ fn forward_panel_rows(path: KernelPath, out_c: usize) -> usize {
 /// block, added once — `gemm`'s chain on `im2col`'s matrix, so the results
 /// are bit-identical to it — and `act` of that, on the last block only.
 /// Elements are independent of each other, so (sample, row band) pairs are
-/// the pool's chunks.
+/// the pool's chunks. [`ConvForward`] runs the same body at any [`Real`]
+/// precision on weights packed once.
 pub fn conv2d_forward_into(
     input: &Tensor4,
     weight: &Tensor4,
@@ -352,25 +359,67 @@ pub fn conv2d_forward_into(
         "conv2d: bias length"
     );
     let (n, _, h, w) = input.shape();
-    let g = spec.geom(h, w);
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let (rows, n_cols, out_c) = (g.col_rows(), g.col_cols(), spec.out_c);
-    out.resize(n, out_c, oh, ow);
+    let (oh, ow) = spec.out_dims(h, w);
+    out.resize(n, spec.out_c, oh, ow);
     if n == 0 {
         return;
     }
-
     let t0 = Instant::now();
     let path = kernel_path();
-    let planes = Planes::of(&g);
+    let mr = forward_panel_rows(path, spec.out_c);
+    let rows = spec.in_c * spec.kh * spec.kw;
     let ConvScratch {
         weights,
         taps,
         padded,
     } = scratch;
-    let mr = forward_panel_rows(path, out_c);
-    pack_a(path, out_c, rows, weight.as_slice(), mr, weights);
-    let wp: &[f64] = weights;
+    pack_a(spec.out_c, rows, weight.as_slice(), mr, weights);
+    let packed = Packed { path, mr, weights };
+    let dims = (n, h, w);
+    forward_packed(
+        packed,
+        spec,
+        bias,
+        leak,
+        input.as_slice(),
+        dims,
+        taps,
+        padded,
+        out.as_mut_slice(),
+    );
+    let packed_bytes = spec.out_c.div_ceil(mr) * mr * rows * std::mem::size_of::<f64>();
+    record_product(t0, n, spec.out_c, rows, oh * ow, packed_bytes);
+}
+
+/// Weights in the layout the forward kernel of `path` reads.
+#[derive(Clone, Copy)]
+struct Packed<'a, T> {
+    path: KernelPath,
+    mr: usize,
+    weights: &'a [T],
+}
+
+/// The forward pass on packed weights, the one body both precisions run:
+/// `x` holds `n` samples of `in_c × h × w`, `y` (exactly `n·out_c·oh·ow`
+/// long) receives the output.
+#[allow(clippy::too_many_arguments)]
+fn forward_packed<T: Real>(
+    packed: Packed<'_, T>,
+    spec: &Conv2dSpec,
+    bias: &[T],
+    leak: Option<T>,
+    x: &[T],
+    (n, h, w): (usize, usize, usize),
+    taps: &mut Vec<usize>,
+    padded: &mut Vec<T>,
+    y: &mut [T],
+) {
+    let g = spec.geom(h, w);
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let (rows, n_cols, out_c) = (g.col_rows(), g.col_cols(), spec.out_c);
+    assert_eq!(x.len(), n * g.c * h * w, "conv2d: input length");
+    assert_eq!(y.len(), n * out_c * n_cols, "conv2d: output length");
+    let planes = Planes::of(&g);
     let off = grown(taps, rows);
     for (row, off) in off.chunks_exact_mut(g.kw.max(1)).enumerate() {
         let (c, ki) = (row / g.kh, row % g.kh);
@@ -380,9 +429,15 @@ pub fn conv2d_forward_into(
     }
     let off: &[usize] = off;
 
+    let Packed {
+        path,
+        mr,
+        weights: wp,
+    } = packed;
+    let sample_len = g.c * h * w;
     let bands = oh.div_ceil(ROW_BAND);
-    let y = CView::new(out.as_mut_slice(), n_cols);
-    let run_band = |s: usize, x: &[f64], band: usize| {
+    let y = CView::new(y, n_cols);
+    let run_band = |s: usize, x: &[T], band: usize| {
         let (oi_lo, oi_hi) = (band * ROW_BAND, ((band + 1) * ROW_BAND).min(oh));
         let y = y.at(s * out_c * n_cols);
         // SAFETY: this chunk alone writes output rows `oi_lo..oi_hi` of
@@ -392,7 +447,7 @@ pub fn conv2d_forward_into(
         unsafe {
             match path {
                 #[cfg(target_arch = "x86_64")]
-                KernelPath::Avx512 => crate::simd::conv_fwd_rows_512(
+                KernelPath::Avx512 => T::FWD_ROWS_512(
                     wp, mr, out_c, off, x, planes.ld, bias, leak, y, ow, oi_lo, oi_hi,
                 ),
                 _ => conv_fwd_rows(
@@ -401,18 +456,132 @@ pub fn conv2d_forward_into(
             }
         }
     };
+    let sample = |s: usize| &x[s * sample_len..][..sample_len];
     if g.pad == 0 {
         pool::run(n * bands, &|i| {
-            run_band(i / bands, input.sample(i / bands), i % bands)
+            run_band(i / bands, sample(i / bands), i % bands)
         });
     } else {
         // One zero-bordered sample at a time, its bands fanned out.
         for s in 0..n {
-            let x = planes.view(&g, input.sample(s), padded);
+            let x = planes.view(&g, sample(s), padded);
             pool::run(bands, &|band| run_band(s, x, band));
         }
     }
-    record_product(t0, n, out_c, rows, n_cols, out_c.div_ceil(mr) * mr * rows);
+}
+
+/// One convolution layer's forward pass at precision `T`, for a network
+/// that only runs forward: the weights and bias are converted from `f64`
+/// ([`Real::from_f64`], round to nearest) and packed for the kernel path
+/// once, at construction, and [`ConvForward::forward`] runs
+/// [`conv2d_forward_into`]'s body and order contract at `T`. At `T = f64`
+/// it is bit for bit [`conv2d_forward_into`]; at `f32` every path and tile
+/// width gives the same bits as the scalar `f32::mul_add` chain.
+pub struct ConvForward<T: Real> {
+    spec: Conv2dSpec,
+    leak: Option<T>,
+    bias: Vec<T>,
+    /// Row-major `out_c × (in_c·kh·kw)`, kept to repack after a kernel-path
+    /// switch ([`crate::force_kernel_path`]).
+    weight: Vec<T>,
+    path: KernelPath,
+    mr: usize,
+    scratch: ConvScratch<T>,
+}
+
+impl<T: Real> ConvForward<T> {
+    /// Converts and packs a layer: `weight` of shape `(out_c, in_c, kh,
+    /// kw)`, `bias` one value per output channel (or empty), `leak` the
+    /// fused LeakyReLU's slope, if any.
+    ///
+    /// # Panics
+    /// If `weight` or `bias` does not fit `spec`.
+    pub fn new(spec: Conv2dSpec, weight: &Tensor4, bias: &[f64], leak: Option<f64>) -> Self {
+        spec.check_weights(weight);
+        assert!(
+            bias.is_empty() || bias.len() == spec.out_c,
+            "conv2d: bias length"
+        );
+        let mut layer = Self {
+            spec,
+            leak: leak.map(T::from_f64),
+            bias: bias.iter().map(|&b| T::from_f64(b)).collect(),
+            weight: weight.as_slice().iter().map(|&v| T::from_f64(v)).collect(),
+            path: kernel_path(),
+            mr: 0,
+            scratch: ConvScratch::new(),
+        };
+        layer.pack(layer.path);
+        layer
+    }
+
+    fn pack(&mut self, path: KernelPath) {
+        let rows = self.spec.in_c * self.spec.kh * self.spec.kw;
+        self.path = path;
+        self.mr = forward_panel_rows(path, self.spec.out_c);
+        let packed = &mut self.scratch.weights;
+        pack_a(self.spec.out_c, rows, &self.weight, self.mr, packed);
+    }
+
+    /// The layer's convolution spec.
+    pub fn spec(&self) -> &Conv2dSpec {
+        &self.spec
+    }
+
+    /// The fused LeakyReLU's slope, if the layer has one.
+    pub fn leak(&self) -> Option<T> {
+        self.leak
+    }
+
+    /// Runs the layer on `n` samples of `in_c × h × w` values in `input`,
+    /// writing the `n × out_c × oh × ow` output to the front of `out` (which
+    /// grows, never shrinks, so a resident buffer stops allocating once it
+    /// has held the largest output). Returns `(oh, ow)`.
+    ///
+    /// # Panics
+    /// If `input` is not `n · in_c · h · w` long, or the kernel does not fit.
+    pub fn forward(
+        &mut self,
+        input: &[T],
+        (n, h, w): (usize, usize, usize),
+        out: &mut Vec<T>,
+    ) -> (usize, usize) {
+        let (oh, ow) = self.spec.out_dims(h, w);
+        let y = grown(out, n * self.spec.out_c * oh * ow);
+        if n == 0 {
+            return (oh, ow);
+        }
+        let t0 = Instant::now();
+        let path = kernel_path();
+        if path != self.path {
+            self.pack(path);
+        }
+        let ConvScratch {
+            weights,
+            taps,
+            padded,
+        } = &mut self.scratch;
+        let packed = Packed {
+            path,
+            mr: self.mr,
+            weights,
+        };
+        let (spec, bias) = (&self.spec, &self.bias);
+        forward_packed(
+            packed,
+            spec,
+            bias,
+            self.leak,
+            input,
+            (n, h, w),
+            taps,
+            padded,
+            y,
+        );
+        let rows = spec.in_c * spec.kh * spec.kw;
+        record_product(t0, n, spec.out_c, rows, oh * ow, 0);
+        (oh, ow)
+    }
 }
 
 /// LeakyReLU with negative-side slope `slope`, the one definition every
@@ -420,8 +589,8 @@ pub fn conv2d_forward_into(
 /// comparison is `≥`, so −0.0 and +0.0 pass through and NaN takes the
 /// product.
 #[inline]
-pub fn leaky_relu(slope: f64, z: f64) -> f64 {
-    if z >= 0.0 {
+pub fn leaky_relu<T: Real>(slope: T, z: T) -> T {
+    if z >= T::ZERO {
         z
     } else {
         slope * z
@@ -447,20 +616,20 @@ pub fn leaky_relu_grad(slope: f64, x: f64, grad: f64) -> f64 {
 /// from the tile's first column on (at least `nr` long), addressed through
 /// the tap table.
 #[inline(always)]
-fn scalar_direct_tile<'a>(
-    ap: &[f64],
+fn scalar_direct_tile<'a, T: Real>(
+    ap: &[T],
     kc: usize,
-    b_row: impl Fn(usize) -> &'a [f64],
+    b_row: impl Fn(usize) -> &'a [T],
     nr: usize,
-) -> [[f64; NR]; MR] {
-    let mut acc = [[0.0f64; NR]; MR];
+) -> [[T; NR]; MR] {
+    let mut acc = [[T::ZERO; NR]; MR];
     let a_cols = ap.chunks_exact(MR).take(kc).enumerate();
     if nr == NR {
         // Fixed-size operands: the tile update unrolls into straight-line
         // packed FMA.
         for (p, a_col) in a_cols {
-            let a_col: &[f64; MR] = a_col.try_into().unwrap();
-            let b_row: &[f64; NR] = b_row(p)[..NR].try_into().unwrap();
+            let a_col: &[T; MR] = a_col.try_into().unwrap();
+            let b_row: &[T; NR] = b_row(p)[..NR].try_into().unwrap();
             for r in 0..MR {
                 for j in 0..NR {
                     acc[r][j] = a_col[r].mul_add(b_row[j], acc[r][j]);
@@ -480,27 +649,27 @@ fn scalar_direct_tile<'a>(
     acc
 }
 
-/// The portable forward kernel: [`crate::simd::conv_fwd_rows_512`]'s chain
-/// and epilogue on `MR × NR` tiles of `f64::mul_add`.
+/// The portable forward kernel: the AVX-512 `conv_fwd_rows_512`'s chain and
+/// epilogue on `MR × NR` tiles of [`Real::mul_add`].
 ///
 /// # Safety
-/// As [`crate::simd::conv_fwd_rows_512`] without the CPU requirement: `wp`
+/// As the AVX-512 `conv_fwd_rows_512` without the CPU requirement: `wp`
 /// is packed at panel height `mr == MR`; `off` is ascending and the reads
 /// span `x[off[0] + oi_lo·ld_x]` ..= `x[off[k−1] + (oi_hi−1)·ld_x + ow−1]`
 /// (slice-indexed, so checked); the caller owns columns
 /// `oi_lo·ow .. oi_hi·ow` of every channel of `y` exclusively, ending at
 /// `y[(out_c−1)·y.ld + oi_hi·ow − 1]` (`debug_assert!`ed).
 #[allow(clippy::too_many_arguments)]
-unsafe fn conv_fwd_rows(
-    wp: &[f64],
+unsafe fn conv_fwd_rows<T: Real>(
+    wp: &[T],
     mr: usize,
     out_c: usize,
     off: &[usize],
-    x: &[f64],
+    x: &[T],
     ld_x: usize,
-    bias: &[f64],
-    leak: Option<f64>,
-    y: CView,
+    bias: &[T],
+    leak: Option<T>,
+    y: CView<T>,
     ow: usize,
     oi_lo: usize,
     oi_hi: usize,
@@ -532,7 +701,7 @@ unsafe fn conv_fwd_rows(
                             let at = (i0 + r) * y.ld + oi * ow + j0;
                             std::slice::from_raw_parts_mut(y.ptr.add(at), nr)
                         };
-                        let b = bias.get(i0 + r).copied().unwrap_or(0.0);
+                        let b = bias.get(i0 + r).copied().unwrap_or(T::ZERO);
                         for (dst, &v) in row.iter_mut().zip(acc) {
                             let z = if p0 == 0 { b } else { *dst } + v;
                             *dst = leak.map_or(z, |slope| leaky_relu(slope, z));
@@ -716,7 +885,7 @@ fn backward_input(
             }
         }
     });
-    record_product(t0, n, rows, out_c, n_cols, wt.len());
+    record_product(t0, n, rows, out_c, n_cols, std::mem::size_of_val(wt));
 }
 
 /// The lanes `lo..hi` of an `nr`-wide input-gradient tile whose tap column

@@ -16,6 +16,7 @@
 //! the input gradient of a layer with more than [`KC`] output channels.
 
 use crate::perf;
+use crate::real::Real;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -130,22 +131,25 @@ pub fn kernel_path() -> KernelPath {
 /// An output operand as the conv kernels see it: base pointer, elements
 /// valid from it, row stride. A raw pointer because concurrent pool chunks
 /// own disjoint parts of the same buffer; `len` lets every kernel
-/// `debug_assert!` the last element it may touch.
+/// `debug_assert!` the last element it may touch. Public only because the
+/// sealed [`crate::Real`] names it; nothing outside this crate can build
+/// one.
+#[doc(hidden)]
 #[derive(Clone, Copy)]
-pub(crate) struct CView {
-    pub(crate) ptr: *mut f64,
+pub struct CView<T = f64> {
+    pub(crate) ptr: *mut T,
     pub(crate) len: usize,
     pub(crate) ld: usize,
 }
 
 // SAFETY: a `CView` only describes memory; every use site that shares one
 // across pool chunks documents the disjoint region each chunk writes.
-unsafe impl Send for CView {}
-unsafe impl Sync for CView {}
+unsafe impl<T: Send> Send for CView<T> {}
+unsafe impl<T: Sync> Sync for CView<T> {}
 
-impl CView {
+impl<T> CView<T> {
     /// A view of all of `c` with row stride `ld`.
-    pub(crate) fn new(c: &mut [f64], ld: usize) -> Self {
+    pub(crate) fn new(c: &mut [T], ld: usize) -> Self {
         Self {
             ptr: c.as_mut_ptr(),
             len: c.len(),
@@ -185,17 +189,9 @@ pub(crate) fn grown<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T
 /// Packs the row-major `m × k` weights into `buf` as `mr`-row panels, KC
 /// block after KC block: block `p0` starts at `ceil(m/mr)·mr·p0`, its panel
 /// `ip` at `ip·kc·mr` with element `(p, r)` at `p·mr + r`, the last panel
-/// zero-padded. Full 8-row panels on the AVX-512 path transpose in
-/// registers ([`crate::simd::pack_a8_n_512`]) into the same layout. `buf`
-/// grows (exactly) to the largest operand it has seen.
-pub(crate) fn pack_a(
-    path: KernelPath,
-    m: usize,
-    k: usize,
-    a: &[f64],
-    mr: usize,
-    buf: &mut Vec<f64>,
-) {
+/// zero-padded. Pure data movement, the same on every path. `buf` grows
+/// (exactly) to the largest operand it has seen.
+pub(crate) fn pack_a<T: Real>(m: usize, k: usize, a: &[T], mr: usize, buf: &mut Vec<T>) {
     let m_panels = m.div_ceil(mr);
     let buf = grown(buf, m_panels * mr * k);
     for p0 in (0..k).step_by(KC) {
@@ -204,17 +200,8 @@ pub(crate) fn pack_a(
         for (ip, panel) in block.chunks_exact_mut(kc * mr).enumerate() {
             let i0 = ip * mr;
             let mr_eff = mr.min(m - i0);
-            #[cfg(target_arch = "x86_64")]
-            if path == KernelPath::Avx512 && mr_eff == 8 {
-                // SAFETY: AVX-512 is the selected (detected) path and the
-                // panel is full, so all 8 source rows exist.
-                unsafe { crate::simd::pack_a8_n_512(a, k, i0, p0, kc, panel) };
-                continue;
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            let _ = path;
             if mr_eff < mr {
-                panel.fill(0.0);
+                panel.fill(T::ZERO);
             }
             for r in 0..mr_eff {
                 let row = &a[(i0 + r) * k + p0..][..kc];
@@ -228,18 +215,19 @@ pub(crate) fn pack_a(
 
 /// Books a conv pass in [`crate::perf`] as the product it replaced —
 /// `samples` multiplications of `m × k` by `k × n` that started at `t0` and
-/// packed `packed_elems` values — as one GEMM call and one trace instant.
+/// packed `packed_bytes` bytes of weights — as one GEMM call and one trace
+/// instant.
 pub(crate) fn record_product(
     t0: Instant,
     samples: usize,
     m: usize,
     k: usize,
     n: usize,
-    packed_elems: usize,
+    packed_bytes: usize,
 ) {
     perf::record_gemm(
         (2 * samples * m * k * n) as u64,
-        (packed_elems * std::mem::size_of::<f64>()) as u64,
+        packed_bytes as u64,
         t0.elapsed().as_nanos() as u64,
         kernel_path() != KernelPath::Scalar,
     );

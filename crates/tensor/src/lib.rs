@@ -11,9 +11,11 @@
 //! * [`Tensor3`] — one sample in `(C, H, W)` layout (a multi-channel snapshot),
 //! * [`Tensor4`] — a batch in `(N, C, H, W)` layout (the NN workhorse).
 //!
-//! Everything is `f64`, contiguous, and row-major; hot kernels are written
-//! against flat slices so the optimizer can vectorize them. Shape mismatches
-//! panic — in a numeric kernel a silent broadcast is a bug, not a feature.
+//! Every container is `f64`, contiguous, and row-major (the convolution
+//! forward pass also runs on `f32` slices, for serving — see [`real`]);
+//! hot kernels are written against flat slices so the optimizer can
+//! vectorize them. Shape mismatches panic — in a numeric kernel a silent
+//! broadcast is a bug, not a feature.
 //!
 //! Convolution support lives in [`conv`] (a direct loop-nest reference and
 //! the zero-lowering forward, input-gradient and weight-gradient passes used
@@ -34,16 +36,20 @@ mod live;
 pub mod pad;
 pub mod perf;
 pub mod pool;
+pub mod real;
 mod simd;
 pub mod stats;
 pub mod tensor3;
 pub mod tensor4;
 
-pub use conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_im2col, Conv2dSpec};
+pub use conv::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_im2col, Conv2dSpec, ConvForward,
+};
 pub use gemm::{force_kernel_path, gemm, gemm_nt, gemm_tn, kernel_path, KernelPath};
 pub use grid::Grid2;
 pub use pad::PadMode;
 pub use perf::PerfCounters;
+pub use real::Real;
 pub use tensor3::Tensor3;
 pub use tensor4::Tensor4;
 

@@ -2,11 +2,13 @@
 //! only), selected at runtime by [`crate::gemm::kernel_path`]; a CPU without
 //! AVX-512 runs the portable kernels of [`crate::conv`].
 //!
-//! The forward pass is one direct register tile ([`direct_tile_512`]): the
-//! packed weights times 16-column rows of the input read in place through a
-//! tap-offset table — only the weights are packed — with lane masks for
-//! edge columns, at 8, 6 or 4 rows so the register file is not wasted on
-//! zero padding, and an optional LeakyReLU in its last write-back. The two
+//! The forward pass is one direct register tile, written once
+//! (`forward_512!`) and built at f64 ([`double`], training) and f32
+//! ([`single`], serving): the packed weights times two-vector rows of the
+//! input (16 columns at f64, 32 at f32) read in place through a tap-offset
+//! table — only the weights are packed — with lane masks for edge columns,
+//! at 8, 6 or 4 rows so the register file is not wasted on zero padding,
+//! and an optional LeakyReLU in its last write-back. The two
 //! gradient passes have register tiles of their own
 //! ([`conv_bwd_input_rows_512`], [`conv_bwd_weight_512`]) that read
 //! `grad_out` / `x` in place.
@@ -34,333 +36,338 @@ use crate::gemm::{CView, KC};
 use crate::im2col::ConvGeom;
 use std::arch::x86_64::*;
 
-/// Columns per full AVX-512 direct tile (two zmm vectors).
-pub(crate) const TILE_512: usize = 16;
+/// The AVX-512 forward kernel at element type `T`: [`double`]'s and
+/// [`single`]'s `conv_fwd_rows_512`, reached through
+/// [`crate::real::Real`].
+pub(crate) type FwdRows512<T> = unsafe fn(
+    &[T],
+    usize,
+    usize,
+    &[usize],
+    &[T],
+    usize,
+    &[T],
+    Option<T>,
+    CView<T>,
+    usize,
+    usize,
+    usize,
+);
 
 // ---------------------------------------------------------------------------
-// AVX-512: packing
+// AVX-512: the direct tile of the convolution forward pass, at f64 and f32
 // ---------------------------------------------------------------------------
 
-/// Transposes one 8×8 block held in registers (row r, element p → output
-/// vector p, lane r): unpack pairs, then two `permutex2var` rounds.
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn transpose8x8(r: [__m512d; 8]) -> [__m512d; 8] {
-    let t0 = _mm512_unpacklo_pd(r[0], r[1]);
-    let t1 = _mm512_unpackhi_pd(r[0], r[1]);
-    let t2 = _mm512_unpacklo_pd(r[2], r[3]);
-    let t3 = _mm512_unpackhi_pd(r[2], r[3]);
-    let t4 = _mm512_unpacklo_pd(r[4], r[5]);
-    let t5 = _mm512_unpackhi_pd(r[4], r[5]);
-    let t6 = _mm512_unpacklo_pd(r[6], r[7]);
-    let t7 = _mm512_unpackhi_pd(r[6], r[7]);
-    let idx_lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
-    let idx_hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
-    let u0 = _mm512_permutex2var_pd(t0, idx_lo, t2);
-    let u1 = _mm512_permutex2var_pd(t1, idx_lo, t3);
-    let u2 = _mm512_permutex2var_pd(t0, idx_hi, t2);
-    let u3 = _mm512_permutex2var_pd(t1, idx_hi, t3);
-    let u4 = _mm512_permutex2var_pd(t4, idx_lo, t6);
-    let u5 = _mm512_permutex2var_pd(t5, idx_lo, t7);
-    let u6 = _mm512_permutex2var_pd(t4, idx_hi, t6);
-    let u7 = _mm512_permutex2var_pd(t5, idx_hi, t7);
-    let idx_l = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
-    let idx_h = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
-    [
-        _mm512_permutex2var_pd(u0, idx_l, u4),
-        _mm512_permutex2var_pd(u1, idx_l, u5),
-        _mm512_permutex2var_pd(u2, idx_l, u6),
-        _mm512_permutex2var_pd(u3, idx_l, u7),
-        _mm512_permutex2var_pd(u0, idx_h, u4),
-        _mm512_permutex2var_pd(u1, idx_h, u5),
-        _mm512_permutex2var_pd(u2, idx_h, u6),
-        _mm512_permutex2var_pd(u3, idx_h, u7),
-    ]
-}
+/// The forward pass's direct tile and row loop, written once over an
+/// element type `$t` and its 512-bit vector (`$lanes` lanes, `$mask` masks,
+/// the `_pd` or `_ps` intrinsics) and built twice below: [`double`] for
+/// training, [`single`] for serving. A tile is two vectors wide, so 16
+/// columns at f64 and 32 at f32; the chain per output element is the same
+/// at both widths.
+macro_rules! forward_512 {
+    ($module:ident, $t:ty, $vec:ty, $mask:ty, $lanes:literal,
+     $setzero:ident, $set1:ident, $loadu:ident, $storeu:ident,
+     $fmadd:ident, $add:ident, $mask_mul:ident, $cmp:ident) => {
+        pub(crate) mod $module {
+            use super::*;
 
-/// Vectorized A packing for one *full* 8-row panel: rows
-/// `i0..i0+8`, shared columns `p0..p0+kc` of the row-major matrix `a`
-/// (row stride `lda`), written `p`-major into `panel` (element `(p, r)` at
-/// `p*8 + r`). 8×8 blocks transpose in registers; the `kc % 8` tail falls
-/// back to scalar stores. Pure data movement — bit-identical to the scalar
-/// packer.
-///
-/// # Safety
-/// Requires AVX-512F. All 8 source rows must exist
-/// (`(i0+7)·lda + p0 + kc ≤ a.len()`) and `panel` must hold at least
-/// `kc * 8` elements; both are `debug_assert!`ed.
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn pack_a8_n_512(
-    a: &[f64],
-    lda: usize,
-    i0: usize,
-    p0: usize,
-    kc: usize,
-    panel: &mut [f64],
-) {
-    debug_assert!(panel.len() >= kc * 8);
-    debug_assert!((i0 + 7) * lda + p0 + kc <= a.len());
-    // SAFETY: in bounds by the assertion above.
-    let base = unsafe { a.as_ptr().add(i0 * lda + p0) };
-    let out = panel.as_mut_ptr();
-    let mut p = 0;
-    while p + 8 <= kc {
-        // SAFETY: rows i0..i0+8, columns p0+p..p0+p+8 are in bounds.
-        unsafe {
-            let rows = [
-                _mm512_loadu_pd(base.add(p)),
-                _mm512_loadu_pd(base.add(lda + p)),
-                _mm512_loadu_pd(base.add(2 * lda + p)),
-                _mm512_loadu_pd(base.add(3 * lda + p)),
-                _mm512_loadu_pd(base.add(4 * lda + p)),
-                _mm512_loadu_pd(base.add(5 * lda + p)),
-                _mm512_loadu_pd(base.add(6 * lda + p)),
-                _mm512_loadu_pd(base.add(7 * lda + p)),
-            ];
-            let cols = transpose8x8(rows);
-            _mm512_storeu_pd(out.add(p * 8), cols[0]);
-            _mm512_storeu_pd(out.add((p + 1) * 8), cols[1]);
-            _mm512_storeu_pd(out.add((p + 2) * 8), cols[2]);
-            _mm512_storeu_pd(out.add((p + 3) * 8), cols[3]);
-            _mm512_storeu_pd(out.add((p + 4) * 8), cols[4]);
-            _mm512_storeu_pd(out.add((p + 5) * 8), cols[5]);
-            _mm512_storeu_pd(out.add((p + 6) * 8), cols[6]);
-            _mm512_storeu_pd(out.add((p + 7) * 8), cols[7]);
-        }
-        p += 8;
-    }
-    while p < kc {
-        for r in 0..8 {
-            panel[p * 8 + r] = a[(i0 + r) * lda + p0 + p];
-        }
-        p += 1;
-    }
-}
+            /// Columns per full direct tile (two vectors).
+            pub(crate) const TILE: usize = 2 * $lanes;
+            /// Both halves' mask when every lane is live.
+            const ALL: $mask = <$mask>::MAX;
 
-// ---------------------------------------------------------------------------
-// AVX-512: the direct tile of the convolution forward pass
-// ---------------------------------------------------------------------------
-
-/// Lane masks of a tile's two zmm halves when its first `nr ∈ 1..=16`
-/// columns are live.
-#[inline]
-fn tile_masks(nr: usize) -> (__mmask8, __mmask8) {
-    debug_assert!((1..=TILE_512).contains(&nr));
-    let m = (1u32 << nr) - 1;
-    (m as __mmask8, (m >> 8) as __mmask8)
-}
-
-/// How a direct tile leaves its block sum `acc` in C: the forward pass
-/// starts an output row from its bias on the first KC block, adds onto it on
-/// later ones, and applies the layer's LeakyReLU on the last (one and the
-/// same block when all taps fit in [`KC`]).
-#[derive(Clone, Copy)]
-struct WriteBack<'a> {
-    /// `None`: `C + acc`. `Some(v)`: `v[r] + acc` for tile row `r` (0.0 where
-    /// `v` is shorter than the tile), C not read.
-    init: Option<&'a [f64]>,
-    /// `Some(s)`: store `z` for `z ≥ 0`, else `s·z` (NaN takes the product,
-    /// as `if z >= 0.0 { z } else { s * z }` does), `z` being the sum above.
-    leak: Option<f64>,
-}
-
-/// The direct-B register tile: `MR` rows × up to [`TILE_512`] columns, one
-/// FMA chain per element from 0.0 over `kc` shared steps, B read in place.
-/// `b_row(p)` is the address of B's element `(p, j0)` —
-/// `x + off[p] + oi·ld_x + j0` in the convolution forward pass — and `masks` select the live columns (all sixteen, `FULL`, for a full
-/// tile), so edge tiles run the same code with no scalar remainder and no
-/// out-of-bounds touch. `wb` says how the sums reach C.
-///
-/// # Safety
-/// Requires AVX-512F; `ap` holds a `kc × MR` panel (`debug_assert!`ed).
-/// For every `p < kc` the live columns of `b_row(p)` must be readable, and
-/// the live columns of `c + r·ldc` for `r < mr_eff` must be exclusively
-/// owned and writable; the block-level callers `debug_assert!` both ranges.
-#[inline]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_tile_512<const MR: usize, const FULL: bool>(
-    ap: &[f64],
-    kc: usize,
-    b_row: impl Fn(usize) -> *const f64,
-    (m0, m1): (__mmask8, __mmask8),
-    c: *mut f64,
-    ldc: usize,
-    mr_eff: usize,
-    wb: WriteBack,
-) {
-    debug_assert!(ap.len() >= kc * MR && mr_eff <= MR);
-    // A full tile's masks are compile-time all-ones, which turns every
-    // masked access below into a plain one.
-    debug_assert!(!FULL || (m0, m1) == (0xFF, 0xFF));
-    let (m0, m1) = if FULL { (0xFF, 0xFF) } else { (m0, m1) };
-    let mut acc0 = [_mm512_setzero_pd(); MR];
-    let mut acc1 = [_mm512_setzero_pd(); MR];
-    let mut a = ap.as_ptr();
-    for p in 0..kc {
-        // SAFETY: masked lanes touch no memory, live ones are readable
-        // (caller contract); the upper half is skipped outright when dead,
-        // so no masked-out load sits on a page the tile never reaches.
-        // `ap` holds `kc` steps of `MR`; the r-loop unrolls (MR is const).
-        unsafe {
-            let bp = b_row(p);
-            let bv0 = _mm512_maskz_loadu_pd(m0, bp);
-            let bv1 = if m1 != 0 {
-                _mm512_maskz_loadu_pd(m1, bp.wrapping_add(8))
-            } else {
-                _mm512_setzero_pd()
-            };
-            for r in 0..MR {
-                let av = _mm512_set1_pd(*a.add(r));
-                acc0[r] = _mm512_fmadd_pd(av, bv0, acc0[r]);
-                acc1[r] = _mm512_fmadd_pd(av, bv1, acc1[r]);
+            /// Lane masks of a tile's two halves when its first
+            /// `nr ∈ 1..=TILE` columns are live.
+            #[inline]
+            pub(crate) fn tile_masks(nr: usize) -> ($mask, $mask) {
+                debug_assert!((1..=TILE).contains(&nr));
+                let m = (1u64 << nr) - 1;
+                (m as $mask, (m >> $lanes) as $mask)
             }
-            a = a.add(MR);
-        }
-    }
-    let leaky = |z: __m512d| match wb.leak {
-        Some(s) => {
-            let not_ge = _mm512_cmp_pd_mask::<_CMP_NGE_UQ>(z, _mm512_setzero_pd());
-            _mm512_mask_mul_pd(z, not_ge, _mm512_set1_pd(s), z)
-        }
-        None => z,
-    };
-    for r in 0..mr_eff {
-        // SAFETY: masked read-modify-write (or plain write) of the owned C
-        // tile's live columns (caller contract).
-        unsafe {
-            let cp = c.add(r * ldc);
-            let (prev0, prev1) = match wb.init {
-                Some(v) => {
-                    let v = _mm512_set1_pd(v.get(r).copied().unwrap_or(0.0));
-                    (v, v)
-                }
-                None => (
-                    _mm512_maskz_loadu_pd(m0, cp),
-                    if m1 != 0 {
-                        _mm512_maskz_loadu_pd(m1, cp.add(8))
-                    } else {
-                        _mm512_setzero_pd()
-                    },
-                ),
-            };
-            _mm512_mask_storeu_pd(cp, m0, leaky(_mm512_add_pd(prev0, acc0[r])));
-            if m1 != 0 {
-                _mm512_mask_storeu_pd(cp.add(8), m1, leaky(_mm512_add_pd(prev1, acc1[r])));
+
+            /// How a direct tile leaves its block sum `acc` in C: the forward
+            /// pass starts an output row from its bias on the first KC block,
+            /// adds onto it on later ones, and applies the layer's LeakyReLU
+            /// on the last (one and the same block when all taps fit in
+            /// [`KC`]).
+            #[derive(Clone, Copy)]
+            struct WriteBack<'a> {
+                /// `None`: `C + acc`. `Some(v)`: `v[r] + acc` for tile row
+                /// `r` (0.0 where `v` is shorter than the tile), C not read.
+                init: Option<&'a [$t]>,
+                /// `Some(s)`: store `z` for `z ≥ 0`, else `s·z` (NaN takes
+                /// the product, as `if z >= 0.0 { z } else { s * z }` does),
+                /// `z` being the sum above.
+                leak: Option<$t>,
             }
-        }
-    }
-}
 
-/// Panel-height dispatch for [`direct_tile_512`].
-///
-/// # Safety
-/// As [`direct_tile_512`]; `mr` must be 8, 6 or 4 and match `ap`'s layout.
-/// Full tiles (all sixteen columns live) take the `FULL` instantiation.
-#[inline]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn direct_tile_mr_512(
-    mr: usize,
-    ap: &[f64],
-    kc: usize,
-    b_row: impl Fn(usize) -> *const f64,
-    masks: (__mmask8, __mmask8),
-    c: *mut f64,
-    ldc: usize,
-    mr_eff: usize,
-    wb: WriteBack,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        match (mr, masks == (0xFF, 0xFF)) {
-            (8, true) => direct_tile_512::<8, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
-            (8, _) => direct_tile_512::<8, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
-            (6, true) => direct_tile_512::<6, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
-            (6, _) => direct_tile_512::<6, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
-            (4, true) => direct_tile_512::<4, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
-            (4, _) => direct_tile_512::<4, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb),
-            _ => unreachable!("direct tiles are 8, 6 or 4 rows high"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512: convolution passes, activations read in place
-// ---------------------------------------------------------------------------
-
-/// Convolution forward over output rows `oi_lo..oi_hi` of one sample: the
-/// [`direct_tile_512`] register tile with B row `p` read at
-/// `x[off[p] + oi·ld_x + oj ..]` instead of out of a lowered column matrix.
-/// Per output element: `bias`, then per KC block of taps `p` ascending one
-/// FMA chain from 0.0, added once — the chain `gemm` runs on `im2col`'s
-/// matrix — and, with `leak = Some(s)`, LeakyReLU(`s`) of that sum in the
-/// last block's write-back, so the pre-activation never reaches memory.
-///
-/// # Safety
-/// Requires AVX-512F. `wp` is [`crate::gemm::pack_a`]'s packing of the
-/// `out_c × off.len()` weight matrix at panel height `mr ∈ {4, 6, 8}` (length
-/// `debug_assert!`ed). Offset contract: `off` is ascending, so the reads
-/// span `x[off[0] + oi_lo·ld_x]` ..= `x[off[k−1] + (oi_hi−1)·ld_x + ow−1]`,
-/// which must lie inside `x`. `y` is the sample's `out_c × (oh·ow)` output
-/// with channel stride `y.ld`; the caller owns columns
-/// `oi_lo·ow .. oi_hi·ow` of every channel exclusively, the last of them
-/// being `y[(out_c−1)·y.ld + oi_hi·ow − 1]`. All three ends are
-/// `debug_assert!`ed.
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn conv_fwd_rows_512(
-    wp: &[f64],
-    mr: usize,
-    out_c: usize,
-    off: &[usize],
-    x: &[f64],
-    ld_x: usize,
-    bias: &[f64],
-    leak: Option<f64>,
-    y: CView,
-    ow: usize,
-    oi_lo: usize,
-    oi_hi: usize,
-) {
-    let k = off.len();
-    let m_panels = out_c.div_ceil(mr);
-    if k == 0 || ow == 0 || oi_lo >= oi_hi {
-        return;
-    }
-    debug_assert!(wp.len() >= m_panels * mr * k);
-    debug_assert!(off.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(off[k - 1] + (oi_hi - 1) * ld_x + ow <= x.len());
-    debug_assert!(y.holds(out_c, oi_hi * ow));
-    for oi in oi_lo..oi_hi {
-        for j0 in (0..ow).step_by(TILE_512) {
-            let masks = tile_masks(TILE_512.min(ow - j0));
-            let x0 = x.as_ptr().wrapping_add(oi * ld_x + j0);
-            for ip in 0..m_panels {
-                let (i0, mr_eff) = (ip * mr, mr.min(out_c - ip * mr));
-                for p0 in (0..k).step_by(KC) {
-                    let kc = KC.min(k - p0);
-                    let ap = &wp[m_panels * mr * p0 + ip * kc * mr..][..kc * mr];
-                    let off = &off[p0..p0 + kc];
-                    let wb = WriteBack {
-                        init: (p0 == 0).then(|| bias.get(i0..).unwrap_or(&[])),
-                        leak: leak.filter(|_| p0 + kc == k),
-                    };
-                    // SAFETY: live columns `j0..` of output row `oi` for
-                    // channels `i0..i0+mr_eff`, and the taps they read, all
-                    // inside the ranges asserted above.
+            /// The direct-B register tile: `MR` rows × up to [`TILE`]
+            /// columns, one FMA chain per element from 0.0 over `kc` shared
+            /// steps, B read in place. `b_row(p)` is the address of B's
+            /// element `(p, j0)` — `x + off[p] + oi·ld_x + j0` in the
+            /// convolution forward pass — and `masks` select the live
+            /// columns (all of them, `FULL`, for a full tile; `TWO` when the
+            /// second half has any), so edge tiles run the same code with no
+            /// scalar remainder, no out-of-bounds touch, and no FMA spent on
+            /// a dead half. `wb` says how the sums reach C.
+            ///
+            /// # Safety
+            /// Requires AVX-512F; `ap` holds a `kc × MR` panel
+            /// (`debug_assert!`ed). For every `p < kc` the live columns of
+            /// `b_row(p)` must be readable, and the live columns of
+            /// `c + r·ldc` for `r < mr_eff` must be exclusively owned and
+            /// writable; the block-level callers `debug_assert!` both ranges.
+            #[inline]
+            #[target_feature(enable = "avx512f")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn direct_tile<const MR: usize, const FULL: bool, const TWO: bool>(
+                ap: &[$t],
+                kc: usize,
+                b_row: impl Fn(usize) -> *const $t,
+                (m0, m1): ($mask, $mask),
+                c: *mut $t,
+                ldc: usize,
+                mr_eff: usize,
+                wb: WriteBack,
+            ) {
+                debug_assert!(ap.len() >= kc * MR && mr_eff <= MR);
+                // A full tile's masks are compile-time all-ones, which turns
+                // every masked access below into a plain one.
+                debug_assert!(!FULL || (m0, m1) == (ALL, ALL));
+                debug_assert!(TWO == (m1 != 0));
+                let (m0, m1) = if FULL { (ALL, ALL) } else { (m0, m1) };
+                let mut acc0 = [$setzero(); MR];
+                let mut acc1 = [$setzero(); MR];
+                let mut a = ap.as_ptr();
+                for p in 0..kc {
+                    // SAFETY: masked lanes touch no memory, live ones are
+                    // readable (caller contract); a dead upper half is not
+                    // loaded at all, so no masked-out load sits on a page
+                    // the tile never reaches. `ap` holds `kc` steps of `MR`;
+                    // the r-loop unrolls (MR is const).
                     unsafe {
-                        let yp = y.ptr.add(i0 * y.ld + oi * ow + j0);
-                        let b_row = |p: usize| x0.wrapping_add(*off.get_unchecked(p));
-                        direct_tile_mr_512(mr, ap, kc, b_row, masks, yp, y.ld, mr_eff, wb);
+                        let bp = b_row(p);
+                        let bv0 = $loadu(m0, bp);
+                        let bv1 = if TWO {
+                            $loadu(m1, bp.wrapping_add($lanes))
+                        } else {
+                            $setzero()
+                        };
+                        for r in 0..MR {
+                            let av = $set1(*a.add(r));
+                            acc0[r] = $fmadd(av, bv0, acc0[r]);
+                            if TWO {
+                                acc1[r] = $fmadd(av, bv1, acc1[r]);
+                            }
+                        }
+                        a = a.add(MR);
+                    }
+                }
+                let leaky = |z: $vec| match wb.leak {
+                    Some(s) => {
+                        let not_ge = $cmp::<_CMP_NGE_UQ>(z, $setzero());
+                        $mask_mul(z, not_ge, $set1(s), z)
+                    }
+                    None => z,
+                };
+                for r in 0..mr_eff {
+                    // SAFETY: masked read-modify-write (or plain write) of
+                    // the owned C tile's live columns (caller contract).
+                    unsafe {
+                        let cp = c.add(r * ldc);
+                        let (prev0, prev1) = match wb.init {
+                            Some(v) => {
+                                let v = $set1(v.get(r).copied().unwrap_or(0.0));
+                                (v, v)
+                            }
+                            None => (
+                                $loadu(m0, cp),
+                                if TWO {
+                                    $loadu(m1, cp.add($lanes))
+                                } else {
+                                    $setzero()
+                                },
+                            ),
+                        };
+                        $storeu(cp, m0, leaky($add(prev0, acc0[r])));
+                        if TWO {
+                            $storeu(cp.add($lanes), m1, leaky($add(prev1, acc1[r])));
+                        }
+                    }
+                }
+            }
+
+            /// Panel-height and live-half dispatch for [`direct_tile`].
+            ///
+            /// # Safety
+            /// As [`direct_tile`]; `mr` must be 8, 6 or 4 and match `ap`'s
+            /// layout.
+            #[inline]
+            #[target_feature(enable = "avx512f")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn direct_tile_mr(
+                mr: usize,
+                ap: &[$t],
+                kc: usize,
+                b_row: impl Fn(usize) -> *const $t,
+                masks: ($mask, $mask),
+                c: *mut $t,
+                ldc: usize,
+                mr_eff: usize,
+                wb: WriteBack,
+            ) {
+                let (full, two) = (masks == (ALL, ALL), masks.1 != 0);
+                // SAFETY: forwarded caller contract.
+                unsafe {
+                    match (mr, full, two) {
+                        (8, true, _) => {
+                            direct_tile::<8, true, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (8, _, true) => {
+                            direct_tile::<8, false, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (8, ..) => {
+                            direct_tile::<8, false, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (6, true, _) => {
+                            direct_tile::<6, true, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (6, _, true) => {
+                            direct_tile::<6, false, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (6, ..) => {
+                            direct_tile::<6, false, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (4, true, _) => {
+                            direct_tile::<4, true, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (4, _, true) => {
+                            direct_tile::<4, false, true>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        (4, ..) => {
+                            direct_tile::<4, false, false>(ap, kc, b_row, masks, c, ldc, mr_eff, wb)
+                        }
+                        _ => unreachable!("direct tiles are 8, 6 or 4 rows high"),
+                    }
+                }
+            }
+
+            /// Convolution forward over output rows `oi_lo..oi_hi` of one
+            /// sample: the [`direct_tile`] register tile with B row `p` read
+            /// at `x[off[p] + oi·ld_x + oj ..]` instead of out of a lowered
+            /// column matrix. Per output element: `bias`, then per KC block
+            /// of taps `p` ascending one FMA chain from 0.0, added once — the
+            /// chain `gemm` runs on `im2col`'s matrix — and, with
+            /// `leak = Some(s)`, LeakyReLU(`s`) of that sum in the last
+            /// block's write-back, so the pre-activation never reaches
+            /// memory.
+            ///
+            /// # Safety
+            /// Requires AVX-512F. `wp` is [`crate::gemm::pack_a`]'s packing
+            /// of the `out_c × off.len()` weight matrix at panel height
+            /// `mr ∈ {4, 6, 8}` (length `debug_assert!`ed). Offset contract:
+            /// `off` is ascending, so the reads span
+            /// `x[off[0] + oi_lo·ld_x]` ..= `x[off[k−1] + (oi_hi−1)·ld_x + ow−1]`,
+            /// which must lie inside `x`. `y` is the sample's
+            /// `out_c × (oh·ow)` output with channel stride `y.ld`; the
+            /// caller owns columns `oi_lo·ow .. oi_hi·ow` of every channel
+            /// exclusively, the last of them being
+            /// `y[(out_c−1)·y.ld + oi_hi·ow − 1]`. All three ends are
+            /// `debug_assert!`ed.
+            #[target_feature(enable = "avx512f")]
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn conv_fwd_rows_512(
+                wp: &[$t],
+                mr: usize,
+                out_c: usize,
+                off: &[usize],
+                x: &[$t],
+                ld_x: usize,
+                bias: &[$t],
+                leak: Option<$t>,
+                y: CView<$t>,
+                ow: usize,
+                oi_lo: usize,
+                oi_hi: usize,
+            ) {
+                let k = off.len();
+                let m_panels = out_c.div_ceil(mr);
+                if k == 0 || ow == 0 || oi_lo >= oi_hi {
+                    return;
+                }
+                debug_assert!(wp.len() >= m_panels * mr * k);
+                debug_assert!(off.windows(2).all(|w| w[0] < w[1]));
+                debug_assert!(off[k - 1] + (oi_hi - 1) * ld_x + ow <= x.len());
+                debug_assert!(y.holds(out_c, oi_hi * ow));
+                for oi in oi_lo..oi_hi {
+                    for j0 in (0..ow).step_by(TILE) {
+                        let masks = tile_masks(TILE.min(ow - j0));
+                        let x0 = x.as_ptr().wrapping_add(oi * ld_x + j0);
+                        for ip in 0..m_panels {
+                            let (i0, mr_eff) = (ip * mr, mr.min(out_c - ip * mr));
+                            for p0 in (0..k).step_by(KC) {
+                                let kc = KC.min(k - p0);
+                                let ap = &wp[m_panels * mr * p0 + ip * kc * mr..][..kc * mr];
+                                let off = &off[p0..p0 + kc];
+                                let wb = WriteBack {
+                                    init: (p0 == 0).then(|| bias.get(i0..).unwrap_or(&[])),
+                                    leak: leak.filter(|_| p0 + kc == k),
+                                };
+                                // SAFETY: live columns `j0..` of output row
+                                // `oi` for channels `i0..i0+mr_eff`, and the
+                                // taps they read, all inside the ranges
+                                // asserted above.
+                                unsafe {
+                                    let yp = y.ptr.add(i0 * y.ld + oi * ow + j0);
+                                    let b_row = |p: usize| x0.wrapping_add(*off.get_unchecked(p));
+                                    direct_tile_mr(mr, ap, kc, b_row, masks, yp, y.ld, mr_eff, wb);
+                                }
+                            }
+                        }
                     }
                 }
             }
         }
-    }
+    };
 }
 
-/// Input-gradient register tile: [`TILE_512`] input columns `jj0..` of row
+forward_512!(
+    double,
+    f64,
+    __m512d,
+    __mmask8,
+    8,
+    _mm512_setzero_pd,
+    _mm512_set1_pd,
+    _mm512_maskz_loadu_pd,
+    _mm512_mask_storeu_pd,
+    _mm512_fmadd_pd,
+    _mm512_add_pd,
+    _mm512_mask_mul_pd,
+    _mm512_cmp_pd_mask
+);
+
+forward_512!(
+    single,
+    f32,
+    __m512,
+    __mmask16,
+    16,
+    _mm512_setzero_ps,
+    _mm512_set1_ps,
+    _mm512_maskz_loadu_ps,
+    _mm512_mask_storeu_ps,
+    _mm512_fmadd_ps,
+    _mm512_add_ps,
+    _mm512_mask_mul_ps,
+    _mm512_cmp_ps_mask
+);
+
+// ---------------------------------------------------------------------------
+// AVX-512: the gradient passes, activations read in place
+// ---------------------------------------------------------------------------
+
+/// Input-gradient register tile: [`double::TILE`] input columns `jj0..` of row
 /// `ii` × `TI` input channels. Two register sets: `t`, one tap's FMA chain
 /// from 0.0 over `oc` ascending of `W[oc,ic,ki,kj]·go[oc, ii+pad−ki,
 /// jj+pad−kj]`, and the running sum the finished `t` is added to, taps in
@@ -438,7 +445,7 @@ unsafe fn conv_bwd_input_tile_512<const TI: usize>(
             }
         }
     }
-    let (s0, s1) = tile_masks(nr);
+    let (s0, s1) = double::tile_masks(nr);
     for (i, s) in sum.iter().enumerate().take(ic_eff) {
         // SAFETY: the tile's `nr` owned columns of channel `ic0 + i`.
         unsafe {
@@ -509,8 +516,8 @@ pub(crate) unsafe fn conv_bwd_input_rows_512(
     debug_assert!(go.len() == out_c * oh * ow);
     debug_assert!(gin.ld == g.h * g.w && gin.holds(g.c, ii_hi * g.w));
     for ii in ii_lo..ii_hi {
-        for jj0 in (0..g.w).step_by(TILE_512) {
-            let nr = TILE_512.min(g.w - jj0);
+        for jj0 in (0..g.w).step_by(double::TILE) {
+            let nr = double::TILE.min(g.w - jj0);
             for (tile, ic0) in (0..g.c).step_by(ti).enumerate() {
                 let ic_eff = ti.min(g.c - ic0);
                 // SAFETY: tile `tile`'s weights, the whole of `go`, and

@@ -47,7 +47,7 @@ fn det_fill(buf: &mut [f64], seed: u64) {
 
 use pde_tensor::conv::{
     conv2d_backward_input_into, conv2d_backward_input_leaky, conv2d_backward_weight,
-    conv2d_forward_into, conv2d_im2col_into, ConvScratch,
+    conv2d_forward_into, conv2d_im2col_into, ConvForward, ConvScratch,
 };
 use pde_tensor::im2col::{col2im, im2col};
 use pde_tensor::{Conv2dSpec, Tensor4};
@@ -143,16 +143,80 @@ impl ConvCase {
         (y, gi, gw, gb)
     }
 
+    /// The forward pass at f32 as its order contract states it, one output
+    /// element at a time: the bias, then per block of [`KC`] taps
+    /// `(c, ki, kj)` ascending one `f32::mul_add` chain from 0.0 (a tap in
+    /// the zero border reads 0.0), added once, then LeakyReLU(`leak`) of the
+    /// sum. Input, weights and bias are the case's values rounded to f32.
+    fn forward_chain_f32(&self, leak: Option<f32>) -> Vec<f32> {
+        let (n, c, h, w) = self.x.shape();
+        let Conv2dSpec {
+            out_c, kh, kw, pad, ..
+        } = self.spec;
+        let (oh, ow) = self.spec.out_dims(h, w);
+        let x = |s: usize, ch: usize, i: usize, j: usize| {
+            let (i, j) = (i.wrapping_sub(pad), j.wrapping_sub(pad));
+            if i < h && j < w {
+                self.x.as_slice()[((s * c + ch) * h + i) * w + j] as f32
+            } else {
+                0.0
+            }
+        };
+        let taps = c * kh * kw;
+        let weight = |oc: usize, p: usize| self.weight.as_slice()[oc * taps + p] as f32;
+        let mut y = Vec::with_capacity(n * out_c * oh * ow);
+        for s in 0..n {
+            for oc in 0..out_c {
+                for (oi, oj) in (0..oh).flat_map(|oi| (0..ow).map(move |oj| (oi, oj))) {
+                    let mut z = self.bias[oc] as f32;
+                    for p0 in (0..taps).step_by(KC) {
+                        let mut acc = 0.0f32;
+                        for p in p0..(p0 + KC).min(taps) {
+                            let (ch, ki, kj) = (p / (kh * kw), p / kw % kh, p % kw);
+                            acc = weight(oc, p).mul_add(x(s, ch, oi + ki, oj + kj), acc);
+                        }
+                        z += acc;
+                    }
+                    y.push(match leak {
+                        Some(slope) if z < 0.0 || z.is_nan() => slope * z,
+                        _ => z,
+                    });
+                }
+            }
+        }
+        y
+    }
+
     /// Every (path, budget) pair against the whole-matrix reference, which
-    /// is computed once: the oracle products ignore both.
+    /// is computed once: the oracle products ignore both. The forward pass
+    /// is also run at both precisions of [`ConvForward`] — packed once, so
+    /// the path switches below repack it — against the same reference at
+    /// f64 and against the scalar f32 chain ([`ConvCase::forward_chain_f32`])
+    /// at f32, with and without the fused activation.
     fn check(&self, paths: &[KernelPath], budgets: &[usize]) {
         let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let want = self.reference();
+        let slope = 0.01f32;
+        let want_f32 = [None, Some(slope)].map(|leak| self.forward_chain_f32(leak));
+        let mut at_f64 = ConvForward::<f64>::new(self.spec, &self.weight, &self.bias, None);
+        let mut at_f32 = [None, Some(slope)].map(|leak| {
+            ConvForward::<f32>::new(self.spec, &self.weight, &self.bias, leak.map(f64::from))
+        });
+        let x_f32: Vec<f32> = self.x.as_slice().iter().map(|&v| v as f32).collect();
+        let (n, _, h, w) = self.x.shape();
         for &path in paths {
             force_kernel_path(Some(path));
             for &budget in budgets {
                 pde_tensor::pool::set_thread_budget(budget);
                 let got = self.run(&mut ConvScratch::new());
+                let mut y = Vec::new();
+                at_f64.forward(self.x.as_slice(), (n, h, w), &mut y);
+                assert_same_bits("ConvForward<f64>", &y, &want.0, self, path);
+                for (layer, want) in at_f32.iter_mut().zip(&want_f32) {
+                    let mut y = Vec::new();
+                    layer.forward(&x_f32, (n, h, w), &mut y);
+                    assert_same_bits_f32("ConvForward<f32>", &y, want, self, path);
+                }
                 pde_tensor::pool::set_thread_budget(1);
                 for (what, a, b) in [
                     ("forward", &got.0, &want.0),
@@ -271,7 +335,8 @@ fn conv_passes_match_whole_matrix_on_table1_layers() {
 }
 
 /// The new kernels' own edges, one axis at a time around a small base layer:
-/// output widths either side of the 16-column tile, kernel widths up to the
+/// output widths either side of the 16- and 32-column tiles (f64 and f32)
+/// and their one-vector halves, kernel widths up to the
 /// 8-lane tap load and past it (9 takes the portable weight-gradient kernel
 /// on every path), channel counts around the 4/6/8-row tiles and the
 /// 4-channel weight-gradient group, each unpadded and same-padded.
@@ -281,7 +346,9 @@ fn conv_passes_match_whole_matrix_on_tile_edges() {
     let check = |in_c, out_c, k: usize, pad, h, w| {
         ConvCase::new(Conv2dSpec::square(in_c, out_c, k, pad), 2, h, w).check(&paths, &[1, 2, 3]);
     };
-    for ow in [1usize, 15, 16, 17, 33] {
+    // Either side of the 16-column f64 tile and its 8-column half, and of
+    // the 32-column f32 tile and its 16-column half.
+    for ow in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 65] {
         check(3, 5, 3, 0, 6, ow + 2);
         check(3, 5, 3, 1, 6, ow);
     }
@@ -335,21 +402,24 @@ mod guarded {
     const PROT_READ_WRITE: i32 = 1 | 2;
     const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
 
-    pub struct Guarded {
+    /// Values copied to the end of a mapping whose next page is
+    /// inaccessible, wrapped in a container `C` built over them.
+    pub struct Guarded<C> {
         map: *mut c_void,
         map_len: usize,
         /// Never dropped: its storage belongs to the mapping, not the heap.
-        tensor: ManuallyDrop<Tensor4>,
+        value: ManuallyDrop<C>,
     }
 
-    impl Guarded {
-        pub fn copy_of(t: &Tensor4) -> Self {
-            let bytes = t.len() * 8;
+    impl<C> Guarded<C> {
+        pub fn copy_of<T: Copy>(values: &[T], wrap: impl FnOnce(Vec<T>) -> C) -> Self {
+            let bytes = std::mem::size_of_val(values);
             let map_len = bytes.div_ceil(PAGE) * PAGE + PAGE;
             // SAFETY: a fresh private mapping; the values go at the end of
-            // its accessible part (8-byte aligned: `bytes` is a multiple of
-            // 8), the page after them is made inaccessible, and the Vec
-            // built over them is never dropped or grown.
+            // its accessible part (aligned for `T`: `bytes` is a multiple of
+            // its size, the guard page a multiple of every alignment), the
+            // page after them is made inaccessible, and the Vec built over
+            // them is never dropped or grown.
             unsafe {
                 let map = mmap(
                     std::ptr::null_mut(),
@@ -362,40 +432,45 @@ mod guarded {
                 assert!(!map.is_null() && map as isize != -1, "mmap failed");
                 let guard = (map as *mut u8).add(map_len - PAGE);
                 assert_eq!(mprotect(guard.cast(), PAGE, PROT_NONE), 0, "mprotect");
-                let data = guard.sub(bytes).cast::<f64>();
-                std::ptr::copy_nonoverlapping(t.as_slice().as_ptr(), data, t.len());
-                let (n, c, h, w) = t.shape();
-                let values = Vec::from_raw_parts(data, t.len(), t.len());
+                let data = guard.sub(bytes).cast::<T>();
+                std::ptr::copy_nonoverlapping(values.as_ptr(), data, values.len());
+                let values = Vec::from_raw_parts(data, values.len(), values.len());
                 Self {
                     map,
                     map_len,
-                    tensor: ManuallyDrop::new(Tensor4::from_vec(n, c, h, w, values)),
+                    value: ManuallyDrop::new(wrap(values)),
                 }
             }
         }
 
-        pub fn tensor(&self) -> &Tensor4 {
-            &self.tensor
+        pub fn get(&self) -> &C {
+            &self.value
         }
 
         /// For passes that write in place; resizing would leave the mapping.
-        pub fn tensor_mut(&mut self) -> &mut Tensor4 {
-            &mut self.tensor
+        pub fn get_mut(&mut self) -> &mut C {
+            &mut self.value
         }
     }
 
-    impl Drop for Guarded {
+    /// A guarded copy of `t`.
+    pub fn tensor(t: &Tensor4) -> Guarded<Tensor4> {
+        let (n, c, h, w) = t.shape();
+        Guarded::copy_of(t.as_slice(), |v| Tensor4::from_vec(n, c, h, w, v))
+    }
+
+    impl<C> Drop for Guarded<C> {
         fn drop(&mut self) {
-            // SAFETY: the mapping made in `copy_of`; `tensor` is not dropped.
+            // SAFETY: the mapping made in `copy_of`; `value` is not dropped.
             unsafe { munmap(self.map, self.map_len) };
         }
     }
 }
 
 /// No pass reads past the end of `x` or `grad_out`: the weight gradient's
-/// 8-lane tap load (`kw` lanes live), the forward's last 16-column tile and
-/// the input gradient's shifted row loads all end exactly at the buffers'
-/// last element, which here is followed by an inaccessible page.
+/// 8-lane tap load (`kw` lanes live), the forward's last 16-column tile (32
+/// at f32) and the input gradient's shifted row loads all end exactly at the
+/// buffers' last element, which here is followed by an inaccessible page.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn conv_passes_stop_at_the_end_of_their_inputs() {
@@ -407,14 +482,18 @@ fn conv_passes_stop_at_the_end_of_their_inputs() {
     ] {
         let case = ConvCase::new(Conv2dSpec::square(2, 3, k, pad), 2, h, w);
         let want = case.run(&mut ConvScratch::new());
-        let (x, grad_out) = (
-            guarded::Guarded::copy_of(&case.x),
-            guarded::Guarded::copy_of(&case.grad_out),
-        );
+        let want_f32 = case.forward_chain_f32(None);
+        let (x, grad_out) = (guarded::tensor(&case.x), guarded::tensor(&case.grad_out));
+        let x_f32: Vec<f32> = case.x.as_slice().iter().map(|&v| v as f32).collect();
+        let x_f32 = guarded::Guarded::copy_of(&x_f32, |v| v);
         for path in supported_paths() {
             force_kernel_path(Some(path));
-            let got = case.run_on(x.tensor(), grad_out.tensor(), &mut ConvScratch::new());
+            let got = case.run_on(x.get(), grad_out.get(), &mut ConvScratch::new());
             assert!(got == want, "{} differs on guarded inputs", path.label());
+            let mut layer = ConvForward::<f32>::new(case.spec, &case.weight, &case.bias, None);
+            let mut y = Vec::new();
+            layer.forward(x_f32.get(), (2, h, w), &mut y);
+            assert_same_bits_f32("guarded f32 forward", &y, &want_f32, &case, path);
         }
         force_kernel_path(None);
     }
@@ -489,6 +568,15 @@ fn leaky_backward(slope: f64, x: f64, grad: f64) -> f64 {
     } else {
         grad
     }
+}
+
+/// The shared-dimension block of the accumulation-order contract
+/// (`pde_tensor::gemm`'s `KC`), restated for the f32 reference chain.
+const KC: usize = 256;
+
+fn assert_same_bits_f32(what: &str, got: &[f32], want: &[f32], case: &ConvCase, path: KernelPath) {
+    let wide = |v: &[f32]| v.iter().map(|&v| f64::from(v)).collect::<Vec<_>>();
+    assert_same_bits(what, &wide(got), &wide(want), case, path);
 }
 
 fn assert_same_bits(what: &str, got: &[f64], want: &[f64], case: &ConvCase, path: KernelPath) {
@@ -658,10 +746,10 @@ fn conv_epilogues_stop_at_the_end_of_the_activation() {
         );
         for path in supported_paths() {
             force_kernel_path(Some(path));
-            let mut act = guarded::Guarded::copy_of(&x);
+            let mut act = guarded::tensor(&x);
             let mut y = Tensor4::zeros(0, 0, 0, 0);
             conv2d_forward_into(
-                act.tensor(),
+                act.get(),
                 weight,
                 &case.bias,
                 spec,
@@ -682,11 +770,11 @@ fn conv_epilogues_stop_at_the_end_of_the_activation() {
                 spec,
                 slope,
                 scratch,
-                act.tensor_mut(),
+                act.get_mut(),
             );
             assert_same_bits(
                 "guarded masked input gradient",
-                act.tensor().as_slice(),
+                act.get().as_slice(),
                 want.as_slice(),
                 &case,
                 path,

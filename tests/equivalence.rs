@@ -512,3 +512,118 @@ fn window_one_windowed_api_matches_plain_rollout() {
         assert_eq!(x, y);
     }
 }
+
+/// The partitions the decomposition-invariance tests serve on: uneven ones
+/// by hand (18 columns over 4 ranks are 5/5/4/4, over 5 ranks 4/4/4/3/3),
+/// plus four drawn from a fixed xorshift stream. Every block is at least
+/// the tiny network's halo (2 cells) wide, so each strip a rank sends is
+/// its own values.
+fn partitions_of_18() -> Vec<(usize, usize)> {
+    let mut picked = vec![(1, 2), (3, 1), (1, 4), (2, 5), (3, 3)];
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    while picked.len() < 9 {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let layout = (1 + (s % 4) as usize, 1 + (s / 4 % 6) as usize);
+        if layout != (1, 1) && layout.0 * layout.1 <= 12 && !picked.contains(&layout) {
+            picked.push(layout);
+        }
+    }
+    picked
+}
+
+/// A P = 1 outcome's one weight set, served on a `py × px` partition: every
+/// rank gets the same network.
+fn served_on(
+    outcome: &TrainOutcome,
+    arch: &ArchSpec,
+    (py, px): (usize, usize),
+) -> ParallelInference {
+    let part = outcome.partition;
+    ParallelInference::with_window(
+        arch.clone(),
+        PaddingStrategy::NeighborPad,
+        pde_domain::GridPartition::new(part.global_h(), part.global_w(), py, px),
+        vec![outcome.rank_results[0].weights.clone(); py * px],
+        outcome.norm.clone(),
+        outcome.prediction,
+        outcome.window,
+    )
+}
+
+/// Decomposition invariance (ROADMAP 4(a)): one weight set served on any
+/// partition — uneven ones included — equals the P = 1 reference bit for
+/// bit, on the cold path and the warm engine, over channels and over TCP.
+/// A kernel that sums differently at a block edge (an edge-lane tile, a
+/// remainder path) would put a different value at the seams and fail here.
+#[test]
+fn one_weight_set_serves_every_partition_bitwise() {
+    use pde_commsim::TransportKind::Tcp;
+    let data = paper_dataset(18, 10);
+    let arch = ArchSpec::tiny();
+    let outcome = ParallelTrainer::new(
+        arch.clone(),
+        PaddingStrategy::NeighborPad,
+        TrainConfig::quick_test(),
+    )
+    .train(&data, 1)
+    .expect("one-rank training");
+    let initial = data.snapshot(4).clone();
+    let reference = served_on(&outcome, &arch, (1, 1)).reference_rollout(&initial, 3);
+    for layout in partitions_of_18() {
+        let inf = served_on(&outcome, &arch, layout);
+        let ranks = layout.0 * layout.1;
+        let what = |path: &str| format!("{layout:?} {path}");
+        let cold = inf.rollout(&initial, 3).unwrap();
+        assert_bits_eq(&cold.states, &reference, &what("cold"));
+        let cold_tcp = inf
+            .clone()
+            .with_transport(Tcp)
+            .rollout(&initial, 3)
+            .unwrap();
+        assert_bits_eq(&cold_tcp.states, &reference, &what("cold over TCP"));
+        for config in [
+            EngineConfig::new(ranks),
+            EngineConfig::new(ranks).with_transport(Tcp),
+        ] {
+            let transport = config.transport;
+            let mut engine = InferEngine::with_config(config);
+            engine.register("m", inf.clone()).unwrap();
+            let warm = engine.rollout("m", &initial, 3).unwrap();
+            assert_bits_eq(
+                &warm.states,
+                &reference,
+                &what(&format!("warm, {transport:?}")),
+            );
+        }
+    }
+}
+
+/// Decomposition invariance for a window-2 model: both history slots are
+/// exchanged and assembled per step, and the result is still the P = 1
+/// reference's, cold and warm.
+#[test]
+fn one_window_two_weight_set_serves_every_partition_bitwise() {
+    let data = paper_dataset(18, 12);
+    let mut arch = ArchSpec::tiny();
+    arch.channels[0] = 8; // 2 snapshots × 4 fields
+    let cfg = TrainConfig {
+        window: 2,
+        ..TrainConfig::quick_test()
+    };
+    let outcome = ParallelTrainer::new(arch.clone(), PaddingStrategy::NeighborPad, cfg)
+        .train(&data, 1)
+        .expect("one-rank windowed training");
+    let history = [data.snapshot(5).clone(), data.snapshot(6).clone()];
+    let reference = served_on(&outcome, &arch, (1, 1)).reference_rollout_from_history(&history, 3);
+    for layout in [(1, 3), (2, 2), (3, 5)] {
+        let inf = served_on(&outcome, &arch, layout);
+        let cold = inf.rollout_from_history(&history, 3).unwrap();
+        assert_bits_eq(&cold.states, &reference, &format!("{layout:?} cold"));
+        let mut engine = InferEngine::new(layout.0 * layout.1);
+        engine.register("w2", inf).unwrap();
+        let warm = engine.rollout_from_history("w2", &history, 3).unwrap();
+        assert_bits_eq(&warm.states, &reference, &format!("{layout:?} warm"));
+    }
+}
