@@ -6,11 +6,16 @@
 //! neighboring subdomains (paper §III: "input data for neighboring
 //! processes are overlapping") — during *training* that halo is read
 //! directly from the stored global snapshot, so no communication happens.
+//!
+//! A [`SubdomainDataset`] is a view: it borrows the snapshots and cuts,
+//! pads and normalizes a mini-batch from them only when
+//! [`BatchCursor::next_into`] asks for it, so a rank holds its batch and
+//! never a copy of its share of the data.
 
 use crate::norm::ChannelNorm;
 use crate::padding::PaddingStrategy;
 use crate::train::PredictionMode;
-use pde_domain::{Block, GridPartition};
+use pde_domain::{Block, GridPartition, Margins};
 use pde_euler::dataset::{DataSet, DataSetView};
 use pde_tensor::pad::pad_tensor3;
 use pde_tensor::{PadMode, Tensor3, Tensor4};
@@ -47,85 +52,46 @@ pub fn extract_target(snapshot: &Tensor3, block: &Block, crop: usize) -> Tensor3
     )
 }
 
-/// Builds a *time-windowed* per-rank dataset directly from a [`DataSet`]:
-/// sample `k` has input channels `[q(t_{k-w+1}), …, q(t_k)]` (oldest first,
-/// each cut to the rank's input region) and target `q(t_{k+1})` on the
-/// rank's target region. With `window == 1` this equals
-/// [`SubdomainDataset::build_with_mode`] over the same pair range.
+/// One rank's training set, read in place from the global snapshots:
+/// sample `k` of a view starting at snapshot `s` has input channels
+/// `[q(t_{s+k−w+1}), …, q(t_{s+k})]` (oldest first, each cut to the rank's
+/// input region) and target `q(t_{s+k+1})` — or, for
+/// [`PredictionMode::Residual`], `q(t_{s+k+1}) − q(t_{s+k})` — on its
+/// target region, all in normalized space. The shard keeps only the
+/// geometry, the window, the inverse scales and the mode.
 ///
-/// This is the cheap step toward the temporal connectivity the paper's §V
-/// leaves to future work (recurrent/LSTM layers): the network sees a short
-/// history instead of a single state.
-///
-/// `start..start+count` indexes supervised pairs; the first usable sample
-/// needs `window - 1` snapshots of history, so `start ≥ window - 1` is
-/// required.
-#[allow(clippy::too_many_arguments)]
-pub fn build_windowed(
-    data: &DataSet,
+/// A filled batch holds, bit for bit, what the copying construction
+/// `extract_input → normalize3 → concat_channels` and
+/// `extract_target → normalize3 (→ axpy(−1, base))` gives: every value is
+/// the same single product `v · (1 / scale)`, out-of-domain margins are the
+/// zero pad times that factor, and the residual is the same difference of
+/// two such products.
+pub struct SubdomainDataset<'a> {
+    data: &'a DataSet,
+    /// Global index of sample 0's newest input snapshot.
     start: usize,
     count: usize,
-    part: &GridPartition,
-    rank: usize,
-    arch_halo: usize,
-    strategy: PaddingStrategy,
-    norm: &ChannelNorm,
-    prediction: PredictionMode,
-    window: usize,
-) -> SubdomainDataset {
-    assert!(window >= 1, "build_windowed: window must be >= 1");
-    assert!(count >= 1, "build_windowed: empty range");
-    assert!(
-        start + 1 >= window,
-        "build_windowed: pair {start} lacks {window}-snapshot history"
-    );
-    assert!(
-        start + count <= data.pair_count(),
-        "build_windowed: range exceeds dataset"
-    );
-    let block = part.block_of_rank(rank);
-    let halo = strategy.input_halo(arch_halo);
-    let crop = strategy.target_crop(arch_halo);
-    let mode = strategy.boundary_pad_mode();
-    let mut inputs = Vec::with_capacity(count);
-    let mut targets = Vec::with_capacity(count);
-    for k in start..start + count {
-        let history: Vec<Tensor3> = (k + 1 - window..=k)
-            .map(|s| norm.normalize3(&extract_input(data.snapshot(s), &block, halo, mode)))
-            .collect();
-        let refs: Vec<&Tensor3> = history.iter().collect();
-        inputs.push(Tensor3::concat_channels(&refs));
-        let mut target = norm.normalize3(&extract_target(data.snapshot(k + 1), &block, crop));
-        if prediction == PredictionMode::Residual {
-            let base = norm.normalize3(&extract_target(data.snapshot(k), &block, crop));
-            target.axpy(-1.0, &base);
-        }
-        targets.push(target);
-    }
-    SubdomainDataset {
-        inputs: Tensor4::stack(&inputs),
-        targets: Tensor4::stack(&targets),
-        block,
-        halo,
-    }
-}
-
-/// The assembled training set of one rank: stacked inputs and targets.
-pub struct SubdomainDataset {
-    inputs: Tensor4,
-    targets: Tensor4,
     block: Block,
     halo: usize,
+    crop: usize,
+    /// The part of the input region inside the grid …
+    inside: Block,
+    /// … and the cells around it that the zero pad supplies.
+    margins: Margins,
+    window: usize,
+    /// `1 / scale` per snapshot channel.
+    inv: Vec<f64>,
+    prediction: PredictionMode,
 }
 
-impl SubdomainDataset {
+impl<'a> SubdomainDataset<'a> {
     /// Builds the dataset for `rank` from a view of supervised pairs,
     /// mapping inputs and targets into normalized space with `norm`.
     ///
     /// `arch_halo` is the architecture's one-sided shrink
     /// ([`crate::arch::ArchSpec::halo`]).
     pub fn build(
-        view: &DataSetView<'_>,
+        view: &DataSetView<'a>,
         part: &GridPartition,
         rank: usize,
         arch_halo: usize,
@@ -147,7 +113,7 @@ impl SubdomainDataset {
     /// for [`PredictionMode::Residual`] the supervised target is the
     /// normalized increment `q(t+1) − q(t)` on the rank's target region.
     pub fn build_with_mode(
-        view: &DataSetView<'_>,
+        view: &DataSetView<'a>,
         part: &GridPartition,
         rank: usize,
         arch_halo: usize,
@@ -155,39 +121,75 @@ impl SubdomainDataset {
         norm: &ChannelNorm,
         prediction: PredictionMode,
     ) -> Self {
-        assert!(!view.is_empty(), "SubdomainDataset: empty pair view");
+        Self::build_windowed(view, part, rank, arch_halo, strategy, norm, prediction, 1)
+    }
+
+    /// The one constructor: [`SubdomainDataset::build_with_mode`] with a
+    /// *time window* of `window` snapshots per input (1 = the paper's
+    /// single-state formulation).
+    ///
+    /// This is the cheap step toward the temporal connectivity the paper's
+    /// §V leaves to future work (recurrent/LSTM layers): the network sees a
+    /// short history instead of a single state. The view's first input
+    /// needs `window − 1` snapshots of history before it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build_windowed(
+        view: &DataSetView<'a>,
+        part: &GridPartition,
+        rank: usize,
+        arch_halo: usize,
+        strategy: PaddingStrategy,
+        norm: &ChannelNorm,
+        prediction: PredictionMode,
+        window: usize,
+    ) -> Self {
+        assert!(window >= 1, "SubdomainDataset: window must be >= 1");
+        let (data, start) = (view.dataset(), view.start());
+        assert!(
+            start + 1 >= window,
+            "SubdomainDataset: pair {start} lacks {window}-snapshot history"
+        );
+        let (c, gh, gw) = data.shape();
+        assert_eq!(
+            norm.channels(),
+            c,
+            "SubdomainDataset: norm channel count mismatch"
+        );
+        // The fill writes the zero pad itself.
+        assert_eq!(strategy.boundary_pad_mode(), PadMode::Zeros);
         let block = part.block_of_rank(rank);
         let halo = strategy.input_halo(arch_halo);
         let crop = strategy.target_crop(arch_halo);
-        let mode = strategy.boundary_pad_mode();
-        let mut inputs = Vec::with_capacity(view.len());
-        let mut targets = Vec::with_capacity(view.len());
-        for k in 0..view.len() {
-            let (x, y) = view.pair(k);
-            inputs.push(norm.normalize3(&extract_input(x, &block, halo, mode)));
-            let mut target = norm.normalize3(&extract_target(y, &block, crop));
-            if prediction == PredictionMode::Residual {
-                let base = norm.normalize3(&extract_target(x, &block, crop));
-                target.axpy(-1.0, &base);
-            }
-            targets.push(target);
-        }
+        assert!(
+            block.h > 2 * crop && block.w > 2 * crop,
+            "SubdomainDataset: crop {crop} consumes the {}x{} block",
+            block.h,
+            block.w
+        );
+        let (inside, margins) = block.extended(halo, gh, gw);
         Self {
-            inputs: Tensor4::stack(&inputs),
-            targets: Tensor4::stack(&targets),
+            data,
+            start,
+            count: view.len(),
             block,
             halo,
+            crop,
+            inside,
+            margins,
+            window,
+            inv: norm.scales().iter().map(|s| 1.0 / s).collect(),
+            prediction,
         }
     }
 
     /// Number of supervised pairs.
     pub fn len(&self) -> usize {
-        self.inputs.n()
+        self.count
     }
 
     /// True when there are no pairs (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.inputs.n() == 0
+        self.count == 0
     }
 
     /// The rank's interior block.
@@ -198,16 +200,6 @@ impl SubdomainDataset {
     /// The input halo width in use.
     pub fn halo(&self) -> usize {
         self.halo
-    }
-
-    /// All inputs, stacked `(n, c, h+2halo, w+2halo)`.
-    pub fn inputs(&self) -> &Tensor4 {
-        &self.inputs
-    }
-
-    /// All targets, stacked `(n, c, h−2crop, w−2crop)`.
-    pub fn targets(&self) -> &Tensor4 {
-        &self.targets
     }
 
     /// Mini-batch index order for one epoch: a seeded shuffle when
@@ -230,20 +222,10 @@ impl SubdomainDataset {
         }
     }
 
-    /// Cuts `order` into `(input, target)` mini-batches of at most
-    /// `batch_size` samples.
-    pub fn batches(&self, order: &[usize], batch_size: usize) -> Vec<(Tensor4, Tensor4)> {
-        assert!(batch_size >= 1, "batches: batch_size must be >= 1");
-        order
-            .chunks(batch_size)
-            .map(|idx| (self.inputs.select(idx), self.targets.select(idx)))
-            .collect()
-    }
-
     /// Lazy mini-batch iterator over `order`: each call to
     /// [`BatchCursor::next_into`] fills two caller-owned tensors instead of
     /// allocating a fresh pair per batch.
-    pub fn batch_cursor<'a>(&'a self, order: &'a [usize], batch_size: usize) -> BatchCursor<'a> {
+    pub fn batch_cursor<'c>(&'c self, order: &'c [usize], batch_size: usize) -> BatchCursor<'c> {
         assert!(batch_size >= 1, "batch_cursor: batch_size must be >= 1");
         BatchCursor {
             ds: self,
@@ -252,25 +234,87 @@ impl SubdomainDataset {
         }
     }
 
-    /// Copies the samples named by `idx` into two reusable batch tensors,
-    /// resizing them in place (allocation-free once grown).
+    /// Cuts the samples named by `idx` out of the snapshots into two
+    /// reusable batch tensors, resizing them in place (allocation-free once
+    /// grown).
     pub fn fill_batch(&self, idx: &[usize], x: &mut Tensor4, y: &mut Tensor4) {
-        let (n, ci, hi, wi) = self.inputs.shape();
-        let (_, ct, ht, wt) = self.targets.shape();
-        x.resize(idx.len(), ci, hi, wi);
-        y.resize(idx.len(), ct, ht, wt);
+        let c = self.inv.len();
+        let block = &self.block;
+        let (th, tw) = (block.h - 2 * self.crop, block.w - 2 * self.crop);
+        let (hi, wi) = (block.h + 2 * self.halo, block.w + 2 * self.halo);
+        x.resize(idx.len(), self.window * c, hi, wi);
+        y.resize(idx.len(), c, th, tw);
         for (i, &s) in idx.iter().enumerate() {
-            assert!(s < n, "fill_batch: sample index {s} out of range (n={n})");
-            x.sample_mut(i).copy_from_slice(self.inputs.sample(s));
-            y.sample_mut(i).copy_from_slice(self.targets.sample(s));
+            assert!(
+                s < self.count,
+                "fill_batch: sample index {s} out of range (n={})",
+                self.count
+            );
+            let now = self.start + s;
+            for (t, slot) in x.sample_mut(i).chunks_exact_mut(c * hi * wi).enumerate() {
+                let snap = self.data.snapshot(now + 1 + t - self.window);
+                for (ch, dst) in slot.chunks_exact_mut(hi * wi).enumerate() {
+                    self.fill_input_plane(dst, snap.channel(ch), self.inv[ch]);
+                }
+            }
+            let (base, next) = self.data.pair(now);
+            let gw = next.w();
+            for (ch, dst) in y.sample_mut(i).chunks_exact_mut(th * tw).enumerate() {
+                let inv = self.inv[ch];
+                let (base, next) = (base.channel(ch), next.channel(ch));
+                for (r, row) in dst.chunks_exact_mut(tw).enumerate() {
+                    let at = (block.i0 + self.crop + r) * gw + block.j0 + self.crop;
+                    let next = &next[at..at + tw];
+                    match self.prediction {
+                        PredictionMode::Absolute => scale_row(row, next, inv),
+                        // `axpy(−1, base)` on two normalized rows: the same
+                        // two products, subtracted.
+                        PredictionMode::Residual => {
+                            let base = &base[at..at + tw];
+                            for ((d, &v), &u) in row.iter_mut().zip(next).zip(base) {
+                                *d = v * inv - u * inv;
+                            }
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    /// One channel of one input: the rows of the input region that lie in
+    /// the grid, scaled, framed by the zero pad.
+    fn fill_input_plane(&self, dst: &mut [f64], src: &[f64], inv: f64) {
+        let (inside, m) = (&self.inside, &self.margins);
+        let (_, _, gw) = self.data.shape();
+        let width = m.left + inside.w + m.right;
+        // The zero pad, normalized like every other value.
+        let zero = 0.0 * inv;
+        let (top, rest) = dst.split_at_mut(m.top * width);
+        let (rows, bottom) = rest.split_at_mut(inside.h * width);
+        top.fill(zero);
+        bottom.fill(zero);
+        for (r, row) in rows.chunks_exact_mut(width).enumerate() {
+            let at = (inside.i0 + r) * gw + inside.j0;
+            let (left, rest) = row.split_at_mut(m.left);
+            let (body, right) = rest.split_at_mut(inside.w);
+            left.fill(zero);
+            right.fill(zero);
+            scale_row(body, &src[at..at + inside.w], inv);
+        }
+    }
+}
+
+/// `dst[j] = src[j] · inv`: the product `normalize3` forms.
+fn scale_row(dst: &mut [f64], src: &[f64], inv: f64) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = v * inv;
     }
 }
 
 /// Walks an epoch's index order in mini-batch chunks, filling reusable
 /// tensors. Created by [`SubdomainDataset::batch_cursor`].
 pub struct BatchCursor<'a> {
-    ds: &'a SubdomainDataset,
+    ds: &'a SubdomainDataset<'a>,
     rest: &'a [usize],
     batch_size: usize,
 }
@@ -343,6 +387,143 @@ mod tests {
         );
     }
 
+    /// Every sample of `sd` in `order`, one `next_into` batch at a time.
+    fn batches_of(
+        sd: &SubdomainDataset<'_>,
+        order: &[usize],
+        bs: usize,
+    ) -> Vec<(Tensor4, Tensor4)> {
+        let mut cursor = sd.batch_cursor(order, bs);
+        let (mut x, mut y) = (Tensor4::zeros(0, 0, 0, 0), Tensor4::zeros(0, 0, 0, 0));
+        let mut out = Vec::new();
+        while cursor.next_into(&mut x, &mut y) {
+            out.push((x.clone(), y.clone()));
+        }
+        out
+    }
+
+    /// The copying construction the shard replaced: sample `k` of `view`
+    /// cut with `extract_input`/`extract_target`, normalized with
+    /// `normalize3`, the window concatenated and the residual taken with
+    /// `axpy(−1, ·)`.
+    #[allow(clippy::too_many_arguments)]
+    fn copied_sample(
+        view: &DataSetView<'_>,
+        k: usize,
+        block: &Block,
+        halo: usize,
+        crop: usize,
+        norm: &ChannelNorm,
+        prediction: PredictionMode,
+        window: usize,
+    ) -> (Tensor3, Tensor3) {
+        let data = view.dataset();
+        let now = view.global_index(k);
+        let history: Vec<Tensor3> = (now + 1 - window..=now)
+            .map(|s| {
+                norm.normalize3(&extract_input(
+                    data.snapshot(s),
+                    block,
+                    halo,
+                    PadMode::Zeros,
+                ))
+            })
+            .collect();
+        let input = Tensor3::concat_channels(&history.iter().collect::<Vec<_>>());
+        let mut target = norm.normalize3(&extract_target(data.snapshot(now + 1), block, crop));
+        if prediction == PredictionMode::Residual {
+            let base = norm.normalize3(&extract_target(data.snapshot(now), block, crop));
+            target.axpy(-1.0, &base);
+        }
+        (input, target)
+    }
+
+    fn bits(t: &Tensor4) -> Vec<u64> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn views_equal_the_copying_construction_bit_for_bit() {
+        // An uneven 40×36 grid in a 3×3 partition: 14/13/13 rows by 12
+        // columns, so corner, edge and interior ranks all differ in shape.
+        let cfg = pde_euler::SolverConfig::paper(40, 36);
+        let data = pde_euler::dataset::SnapshotRecorder::new(
+            cfg,
+            pde_euler::Boundary::Outflow,
+            &pde_euler::InitialCondition::paper_pulse(),
+            1,
+        )
+        .record(10);
+        let (_, gh, gw) = data.shape();
+        let part = GridPartition::new(gh, gw, 3, 3);
+        // Starts at pair 1 so window 2 has its history; 8 samples in
+        // batches of 3 end on a ragged batch of 2.
+        let view = data.view(1, 8);
+        let norm = ChannelNorm::fit(&view);
+        let arch_halo = 2;
+        for strategy in PaddingStrategy::ALL {
+            for window in [1, 2] {
+                for prediction in [PredictionMode::Absolute, PredictionMode::Residual] {
+                    for rank in 0..part.rank_count() {
+                        let how =
+                            format!("{strategy:?}, window {window}, {prediction:?}, rank {rank}");
+                        let sd = SubdomainDataset::build_windowed(
+                            &view, &part, rank, arch_halo, strategy, &norm, prediction, window,
+                        );
+                        let block = part.block_of_rank(rank);
+                        let (halo, crop) = (
+                            strategy.input_halo(arch_halo),
+                            strategy.target_crop(arch_halo),
+                        );
+                        let order = sd.epoch_order(true, 7, 1);
+                        let batches = batches_of(&sd, &order, 3);
+                        assert_eq!(batches.len(), 3, "{how}");
+                        for ((x, y), idx) in batches.iter().zip(order.chunks(3)) {
+                            let (inputs, targets): (Vec<_>, Vec<_>) = idx
+                                .iter()
+                                .map(|&k| {
+                                    copied_sample(
+                                        &view, k, &block, halo, crop, &norm, prediction, window,
+                                    )
+                                })
+                                .unzip();
+                            let (want_x, want_y) =
+                                (Tensor4::stack(&inputs), Tensor4::stack(&targets));
+                            assert_eq!(x.shape(), want_x.shape(), "{how}");
+                            assert_eq!(y.shape(), want_y.shape(), "{how}");
+                            assert!(bits(x) == bits(&want_x), "inputs differ: {how}");
+                            assert!(bits(y) == bits(&want_y), "targets differ: {how}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn building_a_shard_costs_the_same_allocations_at_any_pair_count() {
+        let data = paper_dataset(16, 65);
+        let part = GridPartition::new(16, 16, 2, 2);
+        let norm = ChannelNorm::fit(&data.view(0, 64));
+        let allocs = |count: usize| {
+            let view = data.view(0, count);
+            let before = pde_tensor::perf::snapshot().allocs;
+            let sd = SubdomainDataset::build_with_mode(
+                &view,
+                &part,
+                0,
+                2,
+                PaddingStrategy::NeighborPad,
+                &norm,
+                PredictionMode::Residual,
+            );
+            let spent = pde_tensor::perf::snapshot().allocs - before;
+            assert_eq!(sd.len(), count);
+            spent
+        };
+        assert_eq!(allocs(4), allocs(64));
+    }
+
     #[test]
     fn dataset_shapes_per_strategy() {
         let (ds, part) = setup();
@@ -362,8 +543,9 @@ mod tests {
                 &ChannelNorm::identity(4),
             );
             assert_eq!(sd.len(), 5);
-            assert_eq!(sd.inputs().shape(), (5, 4, in_hw, in_hw), "{strategy:?}");
-            assert_eq!(sd.targets().shape(), (5, 4, tgt_hw, tgt_hw), "{strategy:?}");
+            let all = batches_of(&sd, &sd.epoch_order(false, 0, 0), 5);
+            assert_eq!(all[0].0.shape(), (5, 4, in_hw, in_hw), "{strategy:?}");
+            assert_eq!(all[0].1.shape(), (5, 4, tgt_hw, tgt_hw), "{strategy:?}");
         }
     }
 
@@ -381,7 +563,9 @@ mod tests {
         );
         // Rank 0's input right halo equals rank 1's interior left columns.
         let b1 = part.block_of_rank(1);
-        let x0 = sd0.inputs().sample_tensor(0);
+        let (mut x, mut y) = (Tensor4::zeros(0, 0, 0, 0), Tensor4::zeros(0, 0, 0, 0));
+        sd0.fill_batch(&[0], &mut x, &mut y);
+        let x0 = x.sample_tensor(0);
         let snap = ds.snapshot(0);
         // x0 spans rows -2..10, cols -2..10 (clamped+padded to 12×12 with
         // interior offset (2,2)); its columns 10..12 are global cols 8..10.
@@ -430,7 +614,7 @@ mod tests {
             &ChannelNorm::identity(4),
         );
         let order = sd.epoch_order(false, 0, 0);
-        let batches = sd.batches(&order, 3);
+        let batches = batches_of(&sd, &order, 3);
         assert_eq!(batches.len(), 3); // 3 + 3 + 1
         assert_eq!(batches[0].0.n(), 3);
         assert_eq!(batches[2].0.n(), 1);
@@ -443,16 +627,23 @@ mod tests {
         let ds = paper_dataset(16, 9); // 8 pairs
         let part = GridPartition::new(16, 16, 2, 2);
         let (train, _) = ds.chronological_split(7);
-        let sd = SubdomainDataset::build(
-            &train,
-            &part,
-            2,
-            2,
-            PaddingStrategy::ZeroPad,
-            &ChannelNorm::identity(4),
-        );
+        let norm = ChannelNorm::fit(&train);
+        let sd = SubdomainDataset::build(&train, &part, 2, 2, PaddingStrategy::ZeroPad, &norm);
         let order = sd.epoch_order(true, 11, 2);
-        let eager = sd.batches(&order, 3);
+        // The eager batches: each sample copied out on its own, then stacked.
+        let block = part.block_of_rank(2);
+        let eager: Vec<(Tensor4, Tensor4)> = order
+            .chunks(3)
+            .map(|idx| {
+                let (xs, ys): (Vec<_>, Vec<_>) = idx
+                    .iter()
+                    .map(|&k| {
+                        copied_sample(&train, k, &block, 0, 0, &norm, PredictionMode::Absolute, 1)
+                    })
+                    .unzip();
+                (Tensor4::stack(&xs), Tensor4::stack(&ys))
+            })
+            .collect();
         let mut cursor = sd.batch_cursor(&order, 3);
         let mut x = Tensor4::zeros(0, 0, 0, 0);
         let mut y = Tensor4::zeros(0, 0, 0, 0);

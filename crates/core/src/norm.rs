@@ -44,16 +44,19 @@ impl ChannelNorm {
     /// Fits per-channel scales as the maximum absolute value over all
     /// snapshots touched by the training view (inputs and targets), floored
     /// at `1e-12` so an identically zero channel maps through unchanged.
+    ///
+    /// Each snapshot is scanned once, although all but the first and last
+    /// are both an input and a target: a maximum of absolute values is
+    /// exact and independent of order, so the scales are those of a
+    /// per-pair scan.
     pub fn fit(view: &DataSetView<'_>) -> Self {
         assert!(!view.is_empty(), "ChannelNorm::fit: empty view");
-        let c = view.pair(0).0.c();
-        let mut scales = vec![0.0f64; c];
-        for k in 0..view.len() {
-            let (x, y) = view.pair(k);
+        let start = view.start();
+        let snapshots = &view.dataset().snapshots()[start..=start + view.len()];
+        let mut scales = vec![0.0f64; snapshots[0].c()];
+        for snap in snapshots {
             for (ch, s) in scales.iter_mut().enumerate() {
-                let mx = x.channel(ch).iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                let my = y.channel(ch).iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                *s = s.max(mx).max(my);
+                *s = snap.channel(ch).iter().fold(*s, |m, v| m.max(v.abs()));
             }
         }
         for s in &mut scales {
@@ -165,6 +168,33 @@ mod tests {
         );
         let normed = n.normalize3(data.snapshot(3));
         assert!(normed.max_abs() <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn fit_scans_each_snapshot_once_with_the_scales_of_a_per_pair_scan() {
+        let data = paper_dataset(16, 10);
+        for (start, count) in [(0, 9), (2, 5), (4, 1)] {
+            let view = data.view(start, count);
+            // The per-pair reference: every interior snapshot is read twice.
+            let mut want = [0.0f64; 4];
+            for k in 0..view.len() {
+                let (x, y) = view.pair(k);
+                for (ch, s) in want.iter_mut().enumerate() {
+                    let mx = x.channel(ch).iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                    let my = y.channel(ch).iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                    *s = s.max(mx).max(my);
+                }
+            }
+            let got = ChannelNorm::fit(&view);
+            for (ch, (g, w)) in got.scales().iter().zip(want).enumerate() {
+                let w = if w < 1e-12 { 1.0 } else { w };
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "view {start}+{count}, channel {ch}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use pde_euler::dataset::{DataSet, DataSetView};
 use pde_nn::loss::{Loss, Mape, Mse};
 use pde_nn::optim::{Adam, Optimizer, RmsProp, Sgd};
 use pde_nn::serialize::snapshot;
-use pde_nn::{Layer, Sequential};
+use pde_nn::{InputGrad, Layer, Sequential};
 use pde_tensor::{perf, PerfCounters, Tensor4};
 use std::time::Instant;
 
@@ -356,7 +356,7 @@ impl TrainSession {
     pub fn run_epoch(
         &mut self,
         net: &mut Sequential,
-        ds: &SubdomainDataset,
+        ds: &SubdomainDataset<'_>,
         cfg: &TrainConfig,
         epoch: usize,
     ) -> f64 {
@@ -375,7 +375,7 @@ impl TrainSession {
     pub(crate) fn run_order(
         &mut self,
         net: &mut Sequential,
-        ds: &SubdomainDataset,
+        ds: &SubdomainDataset<'_>,
         order: &[usize],
         cfg: &TrainConfig,
         epoch: usize,
@@ -391,11 +391,14 @@ impl TrainSession {
             let _batch_span =
                 pde_trace::span_args(Category::Train, names::BATCH, batches as u64, 0);
             net.zero_grad();
-            net.forward_into(&self.x, true, &mut self.pred);
+            // In a chain the network reads the batch in place instead of
+            // copying it, and its backward skips the gradient w.r.t. the
+            // batch, which nothing reads (the next fill overwrites it).
+            net.forward_chain(&self.x, &mut self.pred);
             let l = self
                 .loss
                 .value_and_grad_into(&self.pred, &self.y, &mut self.grad);
-            net.backward_params(&self.grad);
+            net.backward_chain(&mut self.x, &self.grad, InputGrad::Skip);
             if let Some(max_norm) = cfg.grad_clip {
                 let norm = pde_nn::optim::gradient_norm_of(net);
                 if norm > max_norm {
@@ -415,7 +418,11 @@ impl TrainSession {
 /// Trains `net` on `ds` for `cfg.epochs` epochs on the calling thread —
 /// the epochs a trainer's rank runs, without the rank. Returns the mean
 /// loss per epoch.
-pub fn train_network(net: &mut Sequential, ds: &SubdomainDataset, cfg: &TrainConfig) -> Vec<f64> {
+pub fn train_network(
+    net: &mut Sequential,
+    ds: &SubdomainDataset<'_>,
+    cfg: &TrainConfig,
+) -> Vec<f64> {
     let mut session = TrainSession::new(cfg);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
@@ -623,7 +630,7 @@ impl<'a> TrainRun<'a> {
     /// and returns its mean loss.
     pub(crate) fn train_ranks<E>(&self, n_ranks: usize, run_epoch: E) -> Vec<RankResult>
     where
-        E: Fn(&mut Comm, &mut TrainSession, &mut Sequential, &SubdomainDataset, usize) -> f64
+        E: Fn(&mut Comm, &mut TrainSession, &mut Sequential, &SubdomainDataset<'_>, usize) -> f64
             + Sync,
     {
         let blocks = self.part.rank_count();
@@ -640,13 +647,11 @@ impl<'a> TrainRun<'a> {
             let rank_t0 = Instant::now();
             let perf0 = perf::snapshot();
             let block = rank % blocks;
-            // Build the rank's shard straight from (shared) memory — the
-            // paper's "training data are directly fed into the network from
-            // the memory".
-            let ds = crate::data::build_windowed(
-                self.data,
-                self.start,
-                self.count,
+            // The rank's shard reads its batches straight from the shared
+            // snapshots — the paper's "training data are directly fed into
+            // the network from the memory".
+            let ds = SubdomainDataset::build_windowed(
+                &self.data.view(self.start, self.count),
                 &self.part,
                 block,
                 self.arch.halo(),

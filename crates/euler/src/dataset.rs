@@ -11,11 +11,15 @@ use crate::config::SolverConfig;
 use crate::ic::InitialCondition;
 use crate::solver::EulerSolver;
 use pde_tensor::Tensor3;
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 /// Magic bytes of the on-disk dataset format (v1).
 const DATASET_MAGIC: &[u8; 8] = b"PDEDS\0\0\x01";
+
+/// Values [`DataSet::read_from`] decodes per read (64 KiB of bytes).
+const READ_CHUNK_VALUES: usize = 8192;
 
 /// A time-ordered sequence of 4-channel snapshots from one simulation.
 #[derive(Clone, Debug)]
@@ -113,15 +117,24 @@ impl DataSet {
             *d = u64::from_le_bytes(b8) as usize;
         }
         let [n, c, h, w] = dims;
-        if n < 2 || c == 0 || h == 0 || w == 0 || c * h * w > (1 << 31) {
+        let len = [c, h, w].iter().try_fold(1usize, |a, &d| a.checked_mul(d));
+        if n < 2 || len.is_none_or(|len| len == 0 || len > 1 << 31) {
             return Err(bad("implausible dataset dimensions"));
         }
-        let mut snapshots = Vec::with_capacity(n);
+        // Values arrive in fixed-size chunks, decoded straight into each
+        // snapshot's buffer: only one chunk of raw bytes is ever resident.
+        // The snapshot list grows as snapshots arrive, so a header that
+        // claims more than the file holds ends in a read error.
+        let mut chunk = vec![0u8; READ_CHUNK_VALUES * 8];
+        let mut snapshots = Vec::new();
         for _ in 0..n {
             let mut data = vec![0.0f64; c * h * w];
-            for v in &mut data {
-                r.read_exact(&mut b8)?;
-                *v = f64::from_le_bytes(b8);
+            for values in data.chunks_mut(READ_CHUNK_VALUES) {
+                let bytes = &mut chunk[..values.len() * 8];
+                r.read_exact(bytes)?;
+                for (v, b) in values.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+                }
             }
             snapshots.push(Tensor3::from_vec(c, h, w, data));
         }
@@ -138,10 +151,10 @@ impl DataSet {
         std::fs::write(path, buf)
     }
 
-    /// Loads from a file.
+    /// Loads from a file, streaming it: the snapshots are decoded as the
+    /// bytes arrive, so the file is never resident next to them.
     pub fn load(path: &Path) -> io::Result<DataSet> {
-        let data = std::fs::read(path)?;
-        DataSet::read_from(&mut data.as_slice())
+        DataSet::read_from(&mut BufReader::new(File::open(path)?))
     }
 
     /// A view over the contiguous pair range `start..start + count`.
@@ -225,6 +238,16 @@ impl<'a> DataSetView<'a> {
     /// Global snapshot index of the view's `k`-th input.
     pub fn global_index(&self, k: usize) -> usize {
         self.start + k
+    }
+
+    /// The dataset the view reads.
+    pub fn dataset(&self) -> &'a DataSet {
+        self.data
+    }
+
+    /// Global index of the view's first input snapshot.
+    pub fn start(&self) -> usize {
+        self.start
     }
 }
 
@@ -375,6 +398,24 @@ mod tests {
         ds.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() / 3);
         assert!(DataSet::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn load_rejects_a_header_that_overstates_the_file() {
+        let header = |dims: [u64; 4]| {
+            let mut buf = DATASET_MAGIC.to_vec();
+            buf.extend_from_slice(&1e-3f64.to_le_bytes());
+            for d in dims {
+                buf.extend_from_slice(&d.to_le_bytes());
+            }
+            buf.extend_from_slice(&[0u8; 64]);
+            buf
+        };
+        // More snapshots than any file holds, and a product of dimensions
+        // past `usize`: both are errors, neither a panic or an allocation.
+        for dims in [[1 << 62, 4, 8, 8], [2, 1 << 32, 1 << 32, 4]] {
+            assert!(DataSet::read_from(&mut header(dims).as_slice()).is_err());
+        }
     }
 
     #[test]

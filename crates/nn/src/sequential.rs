@@ -23,10 +23,12 @@ fn empty() -> Tensor4 {
 /// `i`'s fused LeakyReLU mask when it has one ([`InputGrad::Leaky`]) — which
 /// is then layer `i`'s `grad_out`. So a step holds one buffer per layer
 /// boundary and no gradient buffers, and one backward consumes one forward.
-/// The only copy made is of the network input, which the caller owns and may
-/// change before `backward`. Inference ping-pongs through the first two
-/// buffers. Everything grows once and is then reused, so both passes are
-/// allocation-free after warm-up.
+/// The network input is the caller's: [`Layer::forward_chain`] reads it in
+/// place and [`Layer::backward_chain`] gets it back (a training loop passes
+/// [`InputGrad::Skip`], as nothing reads the gradient w.r.t. the batch);
+/// only the standalone `forward_into(train)` copies it, for `backward_into`.
+/// Inference ping-pongs through the first two buffers. Everything grows once
+/// and is then reused, so both passes are allocation-free after warm-up.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     /// `acts[i]`: layer `i`'s output (training), or the ping-pong pair
@@ -34,8 +36,7 @@ pub struct Sequential {
     /// has a fused activation, whose backward the stack then resolves itself
     /// on a kept copy `acts[len − 1]`.
     acts: Vec<Tensor4>,
-    /// Copy of the last training input, for `backward_into` /
-    /// [`Sequential::backward_params`].
+    /// Copy of the last standalone training input, for `backward_into`.
     input: Tensor4,
     /// Whether the activations of a training forward are waiting for their
     /// backward.
@@ -94,16 +95,6 @@ impl Sequential {
         }
         s.push_str(&format!("] total params: {}\n", self.param_count()));
         s
-    }
-
-    /// The backward pass of a training step: [`Layer::backward_into`] minus
-    /// the gradient w.r.t. the network input, which training never reads —
-    /// the first layer's input-gradient pass is skipped, parameter gradients
-    /// are exactly `backward_into`'s.
-    pub fn backward_params(&mut self, grad_out: &Tensor4) {
-        let mut input = std::mem::replace(&mut self.input, empty());
-        self.backward_chain(&mut input, grad_out, InputGrad::Skip);
-        self.input = input;
     }
 
     /// Both forward passes. Layer `i` reads `input` or slot `i − 1` and

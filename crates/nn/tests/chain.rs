@@ -12,7 +12,7 @@
 
 use pde_nn::gradcheck::check_network_gradients;
 use pde_nn::init::init_conv;
-use pde_nn::{Conv2d, Layer, LeakyReLu, Mse, ReLu, Sequential};
+use pde_nn::{Conv2d, InputGrad, Layer, LeakyReLu, Mse, ReLu, Sequential};
 use pde_tensor::{force_kernel_path, Conv2dSpec, KernelPath, Tensor4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -251,15 +251,19 @@ fn nested_stacks_equal_the_flat_one() {
 }
 
 #[test]
-fn backward_params_leaves_the_parameter_gradients_of_backward_into() {
+fn chain_with_skipped_input_grad_leaves_the_parameter_gradients_of_backward_into() {
+    // The training step: the stack reads the caller's batch in place and
+    // skips the gradient w.r.t. it.
     on_every_path_and_budget(|how| {
         for fused in [true, false] {
             let x = random(2, 4, 20, 19, 23);
             let mut net = stack(stages(&[4, 6, 16, 6, 4], 5, 0, 0.01, fused, 25));
             let want = chain_step(&mut net, &x);
             net.zero_grad();
-            let out = net.forward(&x, true);
-            net.backward_params(&out);
+            let (mut batch, mut out) = (x.clone(), Tensor4::zeros(0, 0, 0, 0));
+            net.forward_chain(&batch, &mut out);
+            assert!(bits(out.as_slice()) == want.out, "fused {fused} ({how})");
+            net.backward_chain(&mut batch, &out, InputGrad::Skip);
             assert!(
                 param_grads(net.layers_mut().iter_mut()) == want.param_grads,
                 "fused {fused} ({how})"

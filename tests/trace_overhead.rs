@@ -11,7 +11,7 @@
 //! plain `Copy` structs pushed into a preallocated ring).
 
 use pde_domain::GridPartition;
-use pde_euler::dataset::paper_dataset;
+use pde_euler::dataset::{paper_dataset, DataSet};
 use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::data::SubdomainDataset;
 use pde_ml_core::norm::ChannelNorm;
@@ -19,24 +19,24 @@ use pde_ml_core::padding::PaddingStrategy;
 use pde_ml_core::train::{TrainConfig, TrainSession};
 use pde_tensor::perf;
 
-fn session_fixture() -> (
-    SubdomainDataset,
-    TrainConfig,
-    pde_nn::Sequential,
-    TrainSession,
-) {
+/// The dataset, config, network and session of the fixture; the shard
+/// borrows the dataset, so [`shard`] builds it in the test.
+fn session_fixture() -> (DataSet, TrainConfig, pde_nn::Sequential, TrainSession) {
     let data = paper_dataset(16, 9);
+    let mut cfg = TrainConfig::quick_test();
+    cfg.batch_size = 4;
+    let net = ArchSpec::tiny().build_for(STRATEGY, cfg.seed);
+    let session = TrainSession::new(&cfg);
+    (data, cfg, net, session)
+}
+
+const STRATEGY: PaddingStrategy = PaddingStrategy::NeighborPad;
+
+fn shard(data: &DataSet) -> SubdomainDataset<'_> {
     let part = GridPartition::new(16, 16, 2, 2);
     let (train, _) = data.chronological_split(7);
     let norm = ChannelNorm::fit(&train);
-    let strategy = PaddingStrategy::NeighborPad;
-    let arch = ArchSpec::tiny();
-    let ds = SubdomainDataset::build(&train, &part, 0, arch.halo(), strategy, &norm);
-    let mut cfg = TrainConfig::quick_test();
-    cfg.batch_size = 4;
-    let net = arch.build_for(strategy, cfg.seed);
-    let session = TrainSession::new(&cfg);
-    (ds, cfg, net, session)
+    SubdomainDataset::build(&train, &part, 0, ArchSpec::tiny().halo(), STRATEGY, &norm)
 }
 
 #[test]
@@ -45,7 +45,8 @@ fn disabled_tracing_keeps_the_instrumented_epoch_allocation_free() {
     // this thread): the added span/instant call sites must not reintroduce
     // a single allocation into the steady-state epoch.
     assert!(!pde_trace::enabled(), "test assumes no ambient session");
-    let (ds, cfg, mut net, mut session) = session_fixture();
+    let (data, cfg, mut net, mut session) = session_fixture();
+    let ds = shard(&data);
 
     let warm = session.run_epoch(&mut net, &ds, &cfg, 0);
     assert!(warm.is_finite());
@@ -68,7 +69,8 @@ fn enabled_tracing_allocates_only_the_ring_not_per_event() {
     // With a session active, the first recorded event allocates the
     // per-thread ring once; after a warm-up epoch, further epochs record
     // thousands of events with zero additional heap allocations.
-    let (ds, cfg, mut net, mut session) = session_fixture();
+    let (data, cfg, mut net, mut session) = session_fixture();
+    let ds = shard(&data);
     let handle = pde_trace::begin();
 
     // Warm-up: grows the training buffers AND the trace ring.

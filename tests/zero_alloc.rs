@@ -6,8 +6,8 @@
 //! ([`pde_tensor::perf::CountingAlloc`]), so the assertion below is not a
 //! code-review claim but a measurement: after one warm-up epoch has grown
 //! every buffer (packed conv weights and tap tables, activation
-//! workspace, cached inputs, optimizer moments, batch tensors, epoch
-//! order), a full further epoch — forward, loss, backward, gradient
+//! workspace, optimizer moments, batch tensors, epoch order), a full
+//! further epoch — forward, loss, backward, gradient
 //! clipping, optimizer step, for every mini-batch — performs **zero** heap
 //! allocations. The counters are thread-local, so the probe is exact for
 //! this test thread regardless of what other tests do in parallel.
@@ -21,7 +21,7 @@ use pde_ml_core::data::SubdomainDataset;
 use pde_ml_core::norm::ChannelNorm;
 use pde_ml_core::padding::PaddingStrategy;
 use pde_ml_core::prelude::{InferEngine, ParallelInference, ParallelTrainer};
-use pde_ml_core::train::{TrainConfig, TrainSession};
+use pde_ml_core::train::{PredictionMode, TrainConfig, TrainSession};
 use pde_telemetry::http::{BufferPool, Listener, Request, Response, MAX_POOLED_CAPACITY};
 use pde_tensor::{perf, Tensor3};
 use std::io::{Read, Write};
@@ -97,6 +97,53 @@ fn many_epochs_stay_allocation_free() {
     assert_eq!(
         spent.allocs, 0,
         "epochs 1..5 performed {} heap allocations",
+        spent.allocs
+    );
+}
+
+/// The shard fills every batch from the snapshots in place — window slots,
+/// zero-pad margins and residual targets included — so a warm epoch over a
+/// two-snapshot window on a NeighborPad corner rank allocates nothing.
+#[test]
+fn windowed_residual_epoch_on_a_corner_rank_allocates_nothing() {
+    let data = paper_dataset(16, 9);
+    let part = GridPartition::new(16, 16, 2, 2);
+    // Pair 0 is history only; 7 samples at batch 4 end on a ragged batch.
+    let view = data.view(1, 7);
+    let norm = ChannelNorm::fit(&view);
+    let strategy = PaddingStrategy::NeighborPad;
+    let mut arch = ArchSpec::tiny();
+    arch.channels[0] = 2 * norm.channels();
+    let mut cfg = TrainConfig::quick_test();
+    cfg.prediction = PredictionMode::Residual;
+    cfg.window = 2;
+    cfg.batch_size = 4;
+    let ds = SubdomainDataset::build_windowed(
+        &view,
+        &part,
+        0,
+        arch.halo(),
+        strategy,
+        &norm,
+        cfg.prediction,
+        cfg.window,
+    );
+
+    let mut net = arch.build_for(strategy, cfg.seed);
+    let mut session = TrainSession::new(&cfg);
+    let _ = session.run_epoch(&mut net, &ds, &cfg, 0);
+
+    let before = perf::snapshot();
+    let loss = session.run_epoch(&mut net, &ds, &cfg, 1);
+    let spent = perf::snapshot().since(&before);
+    assert!(loss.is_finite());
+    assert!(
+        spent.gemm_calls > 0,
+        "the epoch should have run the kernels"
+    );
+    assert_eq!(
+        spent.allocs, 0,
+        "steady-state windowed epoch performed {} heap allocations",
         spent.allocs
     );
 }
