@@ -101,8 +101,10 @@ pub(crate) fn fault_plan_from_args(
 /// Registers `serve`'s two checks over its sub-world engines, reading state
 /// the engines already maintain, evaluated live at each probe:
 ///
-/// * `sub_worlds_alive` — failed once a rank panic has poisoned every
-///   sub-world, degraded while some sub-worlds still serve;
+/// * `sub_worlds_alive` — failed once every sub-world is poisoned (a panic
+///   the engine could not heal: a registration, or a heal's own rebuild),
+///   degraded while some sub-worlds still serve; a rank death that heals
+///   never trips it;
 /// * `ranks_alive` — failed while any rank of any engine is dead; a
 ///   self-healed world reads ok again without re-registration.
 pub(crate) fn register_engine_health(health: &HealthModel, engines: &[InferEngine]) {
@@ -116,7 +118,7 @@ pub(crate) fn register_engine_health(health: &HealthModel, engines: &[InferEngin
             return CheckStatus::Ok;
         }
         let why = format!(
-            "a rank panic poisoned {dead} of {} world(s)",
+            "an unhealed panic poisoned {dead} of {} world(s)",
             poisoned.len()
         );
         if dead < poisoned.len() {

@@ -811,7 +811,7 @@ fn launch(args: &Args) -> Result<(), String> {
     // moment the exporter is up, even before the first request lands.
     let panic_counter = pde_telemetry::counter(
         "pdeml_rank_panics_total",
-        "Rank jobs that panicked (world poisons), per rank",
+        "Rank jobs that panicked, per rank",
     );
     pde_telemetry::counter(
         "pdeml_requests_total",

@@ -457,7 +457,7 @@ mod tests {
     fn exchange_timeout_reports_lost_and_counts_it() {
         use crate::world::FaultPlan;
         let plan = FaultPlan::drop_edge(0, 1);
-        let (out, traffic) = World::new(2).with_fault_plan(plan).run_with_stats(|comm| {
+        let out = World::new(2).with_fault_plan(plan).run(|comm| {
             let rank = comm.rank();
             let mut cart = CartComm::new(comm, 1, 2, false);
             let strip = vec![rank as f64; 3];
@@ -473,13 +473,13 @@ mod tests {
             // finishing early would otherwise turn rank 1's in-progress
             // timeout into PeerDead. (Collectives are fault-exempt.)
             cart.comm_mut().barrier();
-            got.unwrap()
+            (got.unwrap(), cart.comm().stats().report())
         });
         // The 1→0 edge is healthy; the 0→1 edge drops.
-        assert_eq!(out[0], HaloRecv::Ok(vec![1.0; 3]));
-        assert_eq!(out[1], HaloRecv::Lost);
-        assert_eq!(traffic[0].halos_lost, 0);
-        assert_eq!(traffic[1].halos_lost, 1);
+        assert_eq!(out[0].0, HaloRecv::Ok(vec![1.0; 3]));
+        assert_eq!(out[1].0, HaloRecv::Lost);
+        assert_eq!(out[0].1.halos_lost, 0);
+        assert_eq!(out[1].1.halos_lost, 1);
     }
 
     #[test]

@@ -33,11 +33,11 @@
 //! distinct: an inbox only disconnects when every peer has dropped its
 //! handle, and buffered messages are still drained first.
 //!
-//! Worlds self-heal: a [`supervise::Supervisor`] detects dead ranks on a
-//! [`PersistentWorld`], respawns them ([`PersistentWorld::respawn`]) and
-//! rebuilds the communicator mesh under a fresh generation epoch, while a
-//! seeded [`supervise::ChaosPlan`] (`kill:RANK:REQUEST[:STEP]`) schedules
-//! deterministic rank deaths to prove it.
+//! Worlds self-heal: [`PersistentWorld::respawn`] brings a
+//! [`PersistentWorld`]'s dead ranks back, rebuilds the communicator mesh
+//! under a fresh generation epoch and reports the gap
+//! ([`supervise::RecoveryReport`]), while a [`supervise::ChaosPlan`] of
+//! [`supervise::KillSpec`]s schedules deterministic rank deaths to prove it.
 
 //!
 //! The mechanism moving messages is pluggable: everything above the
@@ -57,7 +57,7 @@ pub mod world;
 
 pub use cart::{CartComm, Direction, HaloRecv};
 pub use comm::{Comm, CommStats, Message, RecvError, Tag, TrafficReport};
-pub use supervise::{record_recovery, ChaosPlan, KillSpec, RecoveryReport, Supervisor};
+pub use supervise::{record_recovery, ChaosPlan, KillSpec, RecoveryReport};
 pub use tcp::{connect_tcp_world, TcpTransport};
 pub use transport::{ChannelTransport, Transport};
 pub use world::{FaultAction, FaultPlan, PersistentWorld, RankContext, TransportKind, World};

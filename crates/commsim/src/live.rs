@@ -16,7 +16,7 @@ live_metric!(
 live_metric!(
     pub(crate) counter rank_panics,
     "pdeml_rank_panics_total",
-    "Rank jobs that panicked (world poisons), per rank"
+    "Rank jobs that panicked, per rank"
 );
 live_metric!(
     pub(crate) counter respawns,

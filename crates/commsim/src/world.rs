@@ -11,13 +11,14 @@
 //!   tagging ([`Comm::set_generation`]).
 
 use crate::comm::{Comm, CommStats, FaultFn, Message, Tag, TrafficReport};
+use crate::supervise::{record_recovery, RecoveryReport};
 use crate::transport::ChannelTransport;
 use crossbeam::channel::{unbounded, Sender};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the fault plan does to a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -290,38 +291,26 @@ impl World {
     /// Runs `f` once per rank on its own OS thread and returns the per-rank
     /// results ordered by rank. Panics in any rank propagate (after all
     /// other ranks have been joined or have panicked themselves).
-    pub fn run<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Comm) -> T + Send + Sync,
-    {
-        self.run_with_stats(f).0
-    }
-
-    /// Runs and additionally returns the per-rank [`TrafficReport`]s
-    /// observed during the run.
     ///
     /// This is a thin one-job wrapper over [`World::spawn_persistent`]: the
     /// world is spawned, the closure runs once per rank as the single job
     /// (each rank's `Comm` is taken out of its slot, so it drops — and its
     /// aliveness flag clears — the moment `f` returns, exactly like the
     /// original thread-per-run model), and the world is torn down. All
-    /// fault-injection and tracing machinery rides along unchanged.
-    pub fn run_with_stats<T, F>(&self, f: F) -> (Vec<T>, Vec<TrafficReport>)
+    /// fault-injection and tracing machinery rides along unchanged; a
+    /// closure that wants its rank's traffic returns `comm.stats().report()`.
+    pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Comm) -> T + Send + Sync,
     {
         let labels = (0..self.size).collect();
-        let mut pw = self
-            .clone()
-            .spawn_persistent_labeled(labels, ONE_SHOT_THREADS);
-        let out = pw.run(|mut ctx| {
-            let comm = ctx.take_comm().expect("fresh world has a resident comm");
-            f(comm)
-        });
-        let traffic = pw.traffic();
-        (out, traffic)
+        self.clone()
+            .spawn_persistent_labeled(labels, ONE_SHOT_THREADS)
+            .run(|mut ctx| {
+                let comm = ctx.take_comm().expect("fresh world has a resident comm");
+                f(comm)
+            })
     }
 
     /// Builds the per-rank communicators (channel mesh, stats, aliveness
@@ -578,7 +567,7 @@ fn spawn_rank_worker(
 }
 
 /// A job shipped to one rank worker. Lifetime-erased: see the safety
-/// argument in [`PersistentWorld::run_at`].
+/// argument in [`PersistentWorld::run_collect`].
 type Job = Box<dyn FnOnce(&mut RankSlot) + Send + 'static>;
 
 /// One rank worker's residency: its communicator (until a job takes it —
@@ -725,24 +714,14 @@ impl PersistentWorld {
     /// ordered by rank. Panics in any rank propagate (after all ranks have
     /// reported), and a panicked job kills its rank — comm and state are
     /// dropped so peers observe `Disconnected` — leaving the world unusable
-    /// (subsequent runs panic).
+    /// (subsequent runs panic). This is [`PersistentWorld::run_collect`]
+    /// plus poison-and-propagate.
     pub fn run<T, F>(&mut self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(RankContext<'_>) -> T + Send + Sync,
     {
         let gen = self.alloc_generations(1);
-        self.run_at(gen, f)
-    }
-
-    /// Like [`PersistentWorld::run`] but at an explicitly reserved
-    /// generation (from [`PersistentWorld::alloc_generations`]) — the entry
-    /// point for jobs that manage a range of generations internally.
-    pub fn run_at<T, F>(&mut self, gen: u32, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(RankContext<'_>) -> T + Send + Sync,
-    {
         let results = self.run_collect(gen, f);
         self.unwrap_or_poison(results)
     }
@@ -767,14 +746,15 @@ impl PersistentWorld {
         out
     }
 
-    /// The non-poisoning job primitive: runs `f` once per rank at `gen` and
-    /// returns every rank's outcome — `Err` carries the rank's caught panic
-    /// payload instead of resuming it on the driver. A panicked rank is
-    /// still a *dead* rank (its comm and state are dropped, peers observe
-    /// `Disconnected`), but the world stays usable so a supervisor can
-    /// inspect [`PersistentWorld::dead_ranks`] and
-    /// [`PersistentWorld::respawn`] it instead of tearing everything down.
-    /// [`PersistentWorld::run_at`] is this plus poison-and-propagate.
+    /// The job primitive: runs `f` once per rank at `gen` (reserved with
+    /// [`PersistentWorld::alloc_generations`]; a job that serves several
+    /// requests reserves one generation each and switches between them
+    /// itself) and returns every rank's outcome — `Err` carries the rank's
+    /// caught panic payload instead of resuming it on the driver. A
+    /// panicked rank is still a *dead* rank (its comm and state are
+    /// dropped, peers observe `Disconnected`), but the world stays usable
+    /// so the caller can [`PersistentWorld::respawn`] it instead of tearing
+    /// everything down.
     pub fn run_collect<T, F>(&mut self, gen: u32, f: F) -> Vec<std::thread::Result<T>>
     where
         T: Send,
@@ -786,7 +766,7 @@ impl PersistentWorld {
         );
         assert!(
             gen < self.next_gen,
-            "run_at: generation {gen} was never reserved (next is {})",
+            "run_collect: generation {gen} was never reserved (next is {})",
             self.next_gen
         );
         // Propagate the submitting thread's trace session (if any) into
@@ -871,10 +851,12 @@ impl PersistentWorld {
             .collect()
     }
 
-    /// Rebuilds a world with dead ranks back to full strength and returns
-    /// the ranks that were respawned (empty when nothing was dead).
+    /// Rebuilds a world with dead ranks back to full strength and reports
+    /// what it did — `None` when nothing was dead.
     ///
-    /// The sequence, per the membership-recovery protocol (DESIGN §4i):
+    /// The sequence, per the membership-recovery protocol (DESIGN §4i; the
+    /// ezmpc synchronizer's Start/Next/Abort epoch handshake is the
+    /// reference shape):
     ///
     /// 1. every dead rank gets a **new thread slot**: its mailbox is
     ///    replaced (the old worker — which survived the job panic; only its
@@ -889,7 +871,10 @@ impl PersistentWorld {
     ///    state is gone and must be restored from checkpoints) or survived
     ///    (state intact, but any structure embedding the old comm must be
     ///    rebuilt around the new one);
-    /// 4. aliveness flags are re-armed and the poison flag cleared.
+    /// 4. aliveness flags are re-armed and the poison flag cleared;
+    /// 5. the gap from detection to the rebuilt mesh is recorded on the
+    ///    `pdeml_rank_respawns_total` / `pdeml_recovery_ms` series
+    ///    ([`crate::supervise::record_recovery`]).
     ///
     /// `reinit` must install the comm (via [`RankContext::put_comm`] or
     /// inside [`RankContext::state`]) and must **not** communicate: the
@@ -897,14 +882,15 @@ impl PersistentWorld {
     /// its old communicator, which is certain only once all reinit jobs
     /// completed (survivors dropping old comms momentarily re-clears their
     /// shared aliveness flags — step 4 is what settles them).
-    pub fn respawn<F>(&mut self, reinit: F) -> Vec<usize>
+    pub fn respawn<F>(&mut self, reinit: F) -> Option<RecoveryReport>
     where
         F: Fn(RankContext<'_>, Comm, bool) + Send + Sync,
     {
         let dead = self.dead_ranks();
         if dead.is_empty() {
-            return dead;
+            return None;
         }
+        let start = Instant::now();
         for &r in &dead {
             let (tx, rx) = mpsc::channel::<Job>();
             self.mailboxes[r] = tx; // old sender drops: old worker exits
@@ -938,7 +924,12 @@ impl PersistentWorld {
             flag.store(true, Ordering::Release);
         }
         self.unwrap_or_poison(results);
-        dead
+        let elapsed = start.elapsed();
+        record_recovery(&dead, elapsed);
+        Some(RecoveryReport {
+            respawned: dead,
+            elapsed,
+        })
     }
 
     /// Cumulative per-rank traffic snapshots since the world was spawned.
@@ -971,13 +962,14 @@ mod tests {
 
     #[test]
     fn stats_are_collected_per_rank() {
-        let (_, traffic) = World::new(3).run_with_stats(|mut c| {
+        let traffic = World::new(3).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 0, vec![1.0, 2.0, 3.0]);
             } else if c.rank() == 1 {
                 let _ = c.recv(0, 0);
             }
             c.barrier();
+            c.stats().report()
         });
         // Payload bytes + barrier messages (which are empty).
         assert_eq!(traffic[0].bytes_sent, 24);
@@ -1223,13 +1215,13 @@ mod tests {
     }
 
     #[test]
-    fn run_at_serves_multiple_generations_in_one_job() {
+    fn run_collect_serves_multiple_generations_in_one_job() {
         // A batched job: K requests back-to-back inside one submission,
         // each at its own generation (the engine's batching pattern).
         let k = 3u32;
         let mut pw = World::new(2).spawn_persistent();
         let base = pw.alloc_generations(k);
-        let out = pw.run_at(base, move |mut ctx| {
+        let out = pw.run_collect(base, move |mut ctx| {
             let mut sum = 0.0;
             for i in 0..k {
                 ctx.comm().set_generation(base + i);
@@ -1243,7 +1235,7 @@ mod tests {
             }
             sum
         });
-        assert_eq!(out[1], 3.0); // 0 + 1 + 2
+        assert_eq!(out[1].as_ref().ok(), Some(&3.0)); // 0 + 1 + 2
     }
 
     #[test]
@@ -1292,28 +1284,29 @@ mod tests {
             World::new(2)
                 .with_transport(kind)
                 .with_fault_plan(plan)
-                .run_with_stats(|mut c| {
-                    if c.rank() == 0 {
+                .run(|mut c| {
+                    let survivors: Vec<u32> = if c.rank() == 0 {
                         for tag in 0..16 {
                             c.send(1, tag, vec![tag as f64; 3]);
                         }
-                        c.barrier();
                         Vec::new()
                     } else {
-                        let survivors: Vec<u32> = (0..16)
+                        (0..16)
                             .filter(|&tag| {
                                 c.recv_timeout(0, tag, Duration::from_millis(200)).is_ok()
                             })
-                            .collect();
-                        c.barrier();
-                        survivors
-                    }
+                            .collect()
+                    };
+                    c.barrier();
+                    (survivors, c.stats().report())
                 })
         };
-        let (out_ch, traffic_ch) = run(TransportKind::Channel);
-        let (out_tcp, traffic_tcp) = run(TransportKind::Tcp);
-        assert_eq!(out_ch[1], out_tcp[1], "identical seeded loss pattern");
-        assert_eq!(traffic_ch, traffic_tcp, "identical traffic counters");
+        let ch = run(TransportKind::Channel);
+        let tcp = run(TransportKind::Tcp);
+        assert_eq!(ch[1].0, tcp[1].0, "identical seeded loss pattern");
+        for (a, b) in ch.iter().zip(&tcp) {
+            assert_eq!(a.1, b.1, "identical traffic counters");
+        }
     }
 
     #[test]
@@ -1394,7 +1387,7 @@ mod tests {
             let _old = ctx.take_comm(); // survivors drop their old-mesh comm
             ctx.put_comm(comm);
         });
-        assert_eq!(revived, vec![1]);
+        assert_eq!(revived.map(|r| r.respawned), Some(vec![1]));
         assert!(pw.dead_ranks().is_empty(), "alive flags must be re-armed");
 
         // The healed world serves a normal ring job again.
@@ -1425,8 +1418,6 @@ mod tests {
             World::new(2).run(|_comm| name()),
             names("pdeml-job", &[0, 1])
         );
-        let (out, _) = World::new(2).run_with_stats(|_comm| name());
-        assert_eq!(out, names("pdeml-job", &[0, 1]));
 
         let mut pw = World::new(2).spawn_persistent();
         assert_eq!(pw.run(|_ctx| name()), names("pdeml-rank", &[0, 1]));
@@ -1453,7 +1444,7 @@ mod tests {
         let revived = pw.respawn(|_ctx, _comm, _was_dead| {
             panic!("reinit must not run when nothing is dead");
         });
-        assert!(revived.is_empty());
+        assert!(revived.is_none());
     }
 
     #[test]
@@ -1535,33 +1526,32 @@ mod tests {
         // 4-rank world) must observe exactly the loss pattern of a plain
         // 2-rank world — fault decisions hash group-LOCAL ranks.
         let job = |mut c: Comm| {
-            if c.rank() == 0 {
+            let got: Vec<u32> = if c.rank() == 0 {
                 for tag in 0..16 {
                     c.send(1, tag, vec![tag as f64; 3]);
                 }
-                c.barrier();
                 Vec::new()
             } else {
-                let got: Vec<u32> = (0..16)
+                (0..16)
                     .filter(|&tag| c.recv_timeout(0, tag, Duration::from_millis(200)).is_ok())
-                    .collect();
-                c.barrier();
-                got
-            }
+                    .collect()
+            };
+            c.barrier();
+            (got, c.stats().report())
         };
         let plan = FaultPlan::loss_rate(0.5, 0xD1CE);
-        let (serial, serial_traffic) = World::new(2)
-            .with_fault_plan(plan.clone())
-            .run_with_stats(job);
+        let serial = World::new(2).with_fault_plan(plan.clone()).run(job);
         let mut subs = World::new(4).with_fault_plan(plan).split_even(2).unwrap();
         for pw in &mut subs {
             let out = pw.run(|mut ctx| {
                 let comm = ctx.take_comm().expect("fresh sub-world comm");
                 job(comm)
             });
-            assert_eq!(out[1], serial[1], "sub-world loss pattern == serial");
+            assert_eq!(out[1].0, serial[1].0, "sub-world loss pattern == serial");
             let traffic = pw.traffic();
-            assert_eq!(traffic, serial_traffic, "identical traffic counters");
+            for (sub, (_, serial)) in traffic.iter().zip(&serial) {
+                assert_eq!(sub, serial, "identical traffic counters");
+            }
         }
     }
 
@@ -1606,7 +1596,7 @@ mod tests {
             let _old = ctx.take_comm();
             ctx.put_comm(comm);
         });
-        assert_eq!(revived, vec![1]);
+        assert_eq!(revived.map(|r| r.respawned), Some(vec![1]));
         let out = a.run(|mut ctx| {
             let peer = 1 - ctx.rank();
             let rank = ctx.rank();

@@ -30,8 +30,8 @@ use crate::infer::{HaloPolicy, InferError, ParallelInference, RolloutResult};
 use crate::padding::PaddingStrategy;
 use crate::train::TrainOutcome;
 use pde_commsim::{
-    CartComm, ChaosPlan, FaultPlan, PersistentWorld, RankContext, Supervisor, TrafficReport,
-    TransportKind, World,
+    CartComm, ChaosPlan, FaultPlan, PersistentWorld, RankContext, TrafficReport, TransportKind,
+    World,
 };
 use pde_domain::GridPartition;
 use pde_tensor::{PerfCounters, Tensor3};
@@ -56,14 +56,10 @@ pub struct EngineConfig {
     /// ([`TransportKind::Channel`] by default; [`TransportKind::Tcp`] routes
     /// every message through localhost sockets).
     pub transport: TransportKind,
-    /// Deterministic kill schedule injected at step boundaries
-    /// (`kill:RANK:REQUEST[:STEP]`, request indices counted across the
-    /// engine's lifetime). Each kill fires exactly once.
+    /// Deterministic kill schedule injected at step boundaries (request
+    /// indices counted across the engine's lifetime). Each kill fires
+    /// exactly once, and the engine heals it like any rank death.
     pub chaos: Option<ChaosPlan>,
-    /// When set, a rank death during a request triggers supervisor
-    /// recovery (respawn + checkpoint restore + mesh rebuild) and the
-    /// batch retries on the healed world, instead of poisoning the engine.
-    pub self_heal: bool,
 }
 
 impl EngineConfig {
@@ -75,7 +71,6 @@ impl EngineConfig {
             threads_per_rank: None,
             transport: TransportKind::default(),
             chaos: None,
-            self_heal: false,
         }
     }
 
@@ -91,16 +86,9 @@ impl EngineConfig {
         self
     }
 
-    /// Schedules deterministic rank kills (usually paired with
-    /// [`EngineConfig::with_self_heal`] so the engine survives them).
+    /// Schedules deterministic rank kills, which the engine heals.
     pub fn with_chaos_plan(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
-        self
-    }
-
-    /// Turns on supervisor recovery for rank deaths during serving.
-    pub fn with_self_heal(mut self) -> Self {
-        self.self_heal = true;
         self
     }
 }
@@ -117,7 +105,7 @@ impl EngineConfig {
 pub struct EnginePhases {
     /// Driver-side work around the rank jobs, per request.
     pub dispatch_us: u64,
-    /// Rank-job wall time, per request (summed across self-heal retries).
+    /// Rank-job wall time, per request (summed across heal retries).
     pub rollout_us: u64,
 }
 
@@ -238,12 +226,17 @@ struct EngineRankState {
     models: BTreeMap<String, crate::infer::RankRolloutState>,
 }
 
-/// Whether rank states registered under a self-healing engine should mask
-/// a dead neighbor during the respawn gap (only meaningful under
-/// [`HaloPolicy::Degrade`] — Strict receives block without classifying the
-/// peer).
-fn survive_dead(self_heal: bool, inf: &ParallelInference) -> bool {
-    self_heal && matches!(inf.halo_policy(), HaloPolicy::Degrade { .. })
+/// A resident rank state for `blueprint` on `rank`. Under
+/// [`HaloPolicy::Degrade`] a survivor masks a dead neighbor (fallback
+/// strip) until the heal discards the attempt; under Strict the survivors
+/// die with it, and the heal respawns the whole world.
+fn resident_state(blueprint: &ParallelInference, rank: usize) -> crate::infer::RankRolloutState {
+    let mut st = blueprint.rank_state(rank);
+    st.set_survive_dead(matches!(
+        blueprint.halo_policy(),
+        HaloPolicy::Degrade { .. }
+    ));
+    st
 }
 
 /// Borrows the rank-resident state out of a job context. Panics only on
@@ -285,12 +278,10 @@ pub struct InferEngine {
     layout: Layout,
     /// Deterministic kill schedule (see [`EngineConfig::chaos`]).
     chaos: Option<ChaosPlan>,
-    /// Supervisor recovery on rank death (see [`EngineConfig::self_heal`]).
-    self_heal: bool,
     /// Requests served across the engine's lifetime — the request index a
     /// [`ChaosPlan`] kill matches against.
     request_base: usize,
-    /// Every rank this engine's supervisor brought back, in heal order.
+    /// Every rank this engine's heals brought back, in heal order.
     respawned: Vec<usize>,
     /// One request's trajectory buffers per rank, lent to the rank for the
     /// next request and handed back, filled, in its job result — so a warm
@@ -320,9 +311,9 @@ impl InferEngine {
     /// Builds an engine over an already spawned world — the entry point for
     /// serving over [`pde_commsim::World::split`] sub-worlds, where the
     /// caller partitioned one big world and hands each piece its own
-    /// engine. Only `cfg.threads_per_rank`, `cfg.chaos` and `cfg.self_heal`
-    /// apply here; the world itself (rank count, fault plan, transport) was
-    /// fixed when it was spawned. The default kernel budget assumes this
+    /// engine. Only `cfg.threads_per_rank` and `cfg.chaos` apply here; the
+    /// world itself (rank count, fault plan, transport) was fixed when it
+    /// was spawned. The default kernel budget assumes this
     /// world has the machine to itself; sub-worlds that share it come from
     /// [`InferEngine::over_sub_worlds`].
     pub fn from_world(world: PersistentWorld, cfg: EngineConfig) -> Self {
@@ -380,7 +371,6 @@ impl InferEngine {
             world,
             models: BTreeMap::new(),
             chaos: cfg.chaos,
-            self_heal: cfg.self_heal,
             request_base: 0,
             respawned: Vec::new(),
         }
@@ -391,8 +381,8 @@ impl InferEngine {
         self.world.size()
     }
 
-    /// True once any request panicked a rank (the world refuses further
-    /// jobs).
+    /// True once a job the engine cannot heal panicked — a registration, or
+    /// a heal's own rebuild: the world refuses further jobs.
     pub fn is_poisoned(&self) -> bool {
         self.world.is_poisoned()
     }
@@ -409,7 +399,7 @@ impl InferEngine {
         self.world.alive_flags()
     }
 
-    /// Ranks this engine's supervisor has respawned so far, in heal order
+    /// Ranks this engine's heals have respawned so far, in heal order
     /// (a rank healed twice appears twice). Unlike the process-global
     /// `pdeml_rank_respawns_total` series, this counts only this engine.
     pub fn respawned_ranks(&self) -> &[usize] {
@@ -434,7 +424,6 @@ impl InferEngine {
     /// transport was configured once via [`EngineConfig::with_fault_plan`].
     pub fn register(&mut self, name: &str, inf: ParallelInference) -> Result<(), EngineError> {
         let (py, px) = self.layout.admit(name, inf.partition())?;
-        let mask_dead = survive_dead(self.self_heal, &inf);
         self.world.run(|mut ctx| {
             if ctx.state().is_none() {
                 let comm = ctx
@@ -447,14 +436,8 @@ impl InferEngine {
                 }));
             }
             let rank = ctx.rank();
-            let ers = resident(&mut ctx);
-            let mut st = inf.rank_state(rank);
-            // Under a supervisor, surviving ranks serve the kill-to-respawn
-            // gap degraded (dead neighbor → fallback strip) instead of
-            // treating the death as fatal; meaningless under Strict, where
-            // the blocked receive never classifies the peer at all.
-            st.set_survive_dead(mask_dead);
-            ers.models.insert(name.to_string(), st);
+            let st = resident_state(&inf, rank);
+            resident(&mut ctx).models.insert(name.to_string(), st);
         });
         self.models.insert(name.to_string(), inf);
         Ok(())
@@ -574,20 +557,21 @@ impl InferEngine {
             return Ok((Vec::new(), EnginePhases::default()));
         }
         let request_clock = std::time::Instant::now();
-        // Rank-job wall time, accumulated across self-heal retries so the
+        // Rank-job wall time, accumulated across heal retries so the
         // dispatch phase (total minus rollout) never goes negative.
         let mut rollout_clock_us: u64 = 0;
         let chaos = self.chaos.clone();
         let request_base = self.request_base;
-        // With self-healing on, a rank death mid-batch triggers supervisor
-        // recovery (respawn + checkpoint restore + mesh rebuild) and the
-        // whole batch retries at fresh generations. The retry is clean —
-        // chaos kills fire once, `reset` clears rings and caches, and fault
-        // decisions are generation-independent — so a recovered batch is
-        // bitwise what a never-killed world would have served.
+        // A rank death mid-batch heals the world (respawn + checkpoint
+        // restore + mesh rebuild) and the whole batch retries at fresh
+        // generations. The retry is clean — chaos kills fire once, `reset`
+        // clears rings and caches, and fault decisions are
+        // generation-independent — so a recovered batch is bitwise what a
+        // never-killed world would have served.
         const MAX_SERVE_ATTEMPTS: usize = 3;
-        let mut outs = None;
-        for attempt in 0..MAX_SERVE_ATTEMPTS {
+        let mut attempts = 0;
+        let outs: Vec<_> = loop {
+            attempts += 1;
             let base = self.world.alloc_generations(histories.len() as u32);
             let serve = |mut ctx: RankContext<'_>| {
                 let rank = ctx.rank();
@@ -626,25 +610,14 @@ impl InferEngine {
                 pde_trace::set_request(0);
                 per_request
             };
-            if !self.self_heal {
-                // The pre-supervisor path: a rank death poisons the world
-                // and the panic propagates to the driver.
-                let rank_clock = std::time::Instant::now();
-                outs = Some(self.world.run_at(base, serve));
-                rollout_clock_us += rank_clock.elapsed().as_micros() as u64;
-                break;
-            }
             let rank_clock = std::time::Instant::now();
             let results = self.world.run_collect(base, serve);
             rollout_clock_us += rank_clock.elapsed().as_micros() as u64;
             if results.iter().all(std::result::Result::is_ok) {
-                outs = Some(
-                    results
-                        .into_iter()
-                        .map(|r| r.expect("checked Ok above"))
-                        .collect(),
-                );
-                break;
+                break results
+                    .into_iter()
+                    .map(|r| r.expect("checked Ok above"))
+                    .collect();
             }
             drop(results); // survivors' degraded partials are discarded
             let models = &self.models;
@@ -652,7 +625,7 @@ impl InferEngine {
                 .layout
                 .fixed()
                 .expect("a served request implies at least one registration");
-            let healed = Supervisor::heal(&mut self.world, |mut ctx, comm, was_dead| {
+            let healed = self.world.respawn(|mut ctx, comm, was_dead| {
                 let rank = ctx.rank();
                 let cart = CartComm::new(comm, py, px, false);
                 if was_dead || ctx.state().is_none() {
@@ -660,16 +633,11 @@ impl InferEngine {
                     // model from its driver-side blueprint — weights come
                     // back through the same checkpoint-restore path that
                     // loaded them at registration.
-                    let mut model_states = BTreeMap::new();
-                    for (model_name, blueprint) in models {
-                        let mut st = blueprint.rank_state(rank);
-                        st.set_survive_dead(survive_dead(true, blueprint));
-                        model_states.insert(model_name.clone(), st);
-                    }
-                    *ctx.state() = Some(Box::new(EngineRankState {
-                        cart,
-                        models: model_states,
-                    }));
+                    let models = models
+                        .iter()
+                        .map(|(name, blueprint)| (name.clone(), resident_state(blueprint, rank)))
+                        .collect();
+                    *ctx.state() = Some(Box::new(EngineRankState { cart, models }));
                 } else {
                     // Survivor: resident nets and scratch stay; only the
                     // communicator is from the torn-down mesh and must be
@@ -678,18 +646,14 @@ impl InferEngine {
                     ers.cart = cart;
                 }
             });
-            if let Some(report) = &healed {
-                self.respawned.extend(&report.respawned);
+            let Some(report) = healed else {
+                return Err(InferError::Recovering { attempts });
+            };
+            self.respawned.extend(report.respawned);
+            if attempts == MAX_SERVE_ATTEMPTS {
+                return Err(InferError::Recovering { attempts });
             }
-            if healed.is_none() || attempt + 1 == MAX_SERVE_ATTEMPTS {
-                return Err(InferError::Recovering {
-                    attempts: attempt + 1,
-                });
-            }
-        }
-        let outs = outs.ok_or(InferError::Recovering {
-            attempts: MAX_SERVE_ATTEMPTS,
-        })?;
+        };
 
         // Transpose [rank][request] → one RolloutResult per request.
         let mut per_rank: Vec<_> = outs.into_iter().map(Vec::into_iter).collect();

@@ -718,9 +718,10 @@ pub struct RankRolloutState {
     input: Tensor4,
     /// Resident network output.
     output: Tensor4,
-    /// When set (by a self-healing engine), a dead neighbor degrades like a
-    /// lost strip instead of panicking — the supervisor is about to respawn
-    /// the peer, so the gap is temporary. Default `false`: in an
+    /// When set (by the engine, which heals every rank death, or by
+    /// `world-node --self-heal`), a dead neighbor degrades like a lost
+    /// strip instead of panicking — the peer is about to be respawned, so
+    /// the gap is temporary. Default `false`: in an
     /// unrecovered world a dead rank's subdomain is gone for good and
     /// serving past it would silently corrupt results.
     survive_dead: bool,

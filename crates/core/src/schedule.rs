@@ -176,7 +176,8 @@ struct SchedState {
     /// most [`LATENCY_WINDOW`] of them.
     latencies_ms: VecDeque<u64>,
     shutdown: bool,
-    /// Dispatchers still alive (a panicked engine retires its dispatcher).
+    /// Dispatchers still alive (a panic that escapes an engine retires its
+    /// dispatcher).
     live_workers: usize,
 }
 
@@ -429,8 +430,10 @@ enum Work {
 
 /// One sub-world's serving loop: drain registrations first, then serve
 /// queued requests until shutdown (the queue is drained before exit). A
-/// panicked request poisons this engine's world only — the dispatcher
-/// retires and the remaining sub-worlds keep serving.
+/// rank death inside a request heals in the engine (respawn, then retry)
+/// and never reaches the dispatcher; a panic that does — on the driver
+/// side, or in a heal's own rebuild — retires this dispatcher only, and the
+/// remaining sub-worlds keep serving.
 fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
     loop {
         let work = {
@@ -471,8 +474,8 @@ fn dispatcher(idx: usize, mut engine: InferEngine, shared: Arc<Shared>) {
                 let (result, engine_phases) = match outcome {
                     Ok(Ok((r, p))) => (Ok(r), p),
                     Ok(Err(e)) => (Err(e), Default::default()),
-                    // The panic already killed the rank and poisoned the
-                    // engine's world; the requester gets a typed error.
+                    // The panic escaped the engine's heal; the requester
+                    // gets a typed error and this dispatcher retires.
                     Err(_) => (
                         Err(InferError::Recovering { attempts: 1 }),
                         Default::default(),

@@ -12,7 +12,7 @@ use crate::ic::InitialCondition;
 use crate::solver::EulerSolver;
 use pde_tensor::Tensor3;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes of the on-disk dataset format (v1).
@@ -141,14 +141,17 @@ impl DataSet {
         Ok(DataSet::new(snapshots, dt))
     }
 
-    /// Saves to a file (creating parent directories).
+    /// Saves to a file (creating parent directories), streaming the
+    /// snapshots through a buffered writer so the file's bytes are never
+    /// resident next to them. The final flush's error is returned, not
+    /// dropped with the writer.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut buf = Vec::new();
-        self.write_to(&mut buf)?;
-        std::fs::write(path, buf)
+        let mut w = BufWriter::new(File::create(path)?);
+        self.write_to(&mut w)?;
+        w.flush()
     }
 
     /// Loads from a file, streaming it: the snapshots are decoded as the

@@ -70,16 +70,6 @@ impl EulerSolver {
         &self.state
     }
 
-    /// Replaces the state (used by restart tests).
-    pub fn set_state(&mut self, s: EulerState) {
-        assert_eq!(
-            s.shape(),
-            (self.config.ny, self.config.nx),
-            "set_state: shape mismatch"
-        );
-        self.state = s;
-    }
-
     /// The stable time step currently in use.
     pub fn dt(&self) -> f64 {
         self.config.dt()

@@ -41,13 +41,6 @@ impl NetworkModel {
         self.latency_s + self.per_byte_s * bytes as f64
     }
 
-    /// Time of a halo exchange round: the *critical path* of the two-phase
-    /// protocol is two sequential p2p messages (x then y), independent of
-    /// rank count (all edges proceed concurrently).
-    pub fn halo_exchange(&self, x_bytes: usize, y_bytes: usize) -> f64 {
-        self.p2p(x_bytes) + self.p2p(y_bytes)
-    }
-
     /// Time of an allreduce of `bytes` over `p` ranks: binomial-tree reduce
     /// plus binomial-tree broadcast, `2·⌈log₂ p⌉` message steps on the
     /// critical path.
@@ -87,11 +80,5 @@ mod tests {
         let n = NetworkModel::ideal();
         assert_eq!(n.p2p(1 << 20), 0.0);
         assert_eq!(n.allreduce(1 << 20, 64), 0.0);
-    }
-
-    #[test]
-    fn halo_critical_path_is_two_messages() {
-        let n = NetworkModel::new(5e-6, 0.0);
-        assert!((n.halo_exchange(100, 100) - 1e-5).abs() < 1e-15);
     }
 }

@@ -193,7 +193,7 @@ mod tests {
             .describe()
             .contains("failed ranks_alive: dead ranks: 2"));
 
-        // Supervisor respawns rank 2 and re-arms the shared flag.
+        // A respawn brings rank 2 back and re-arms the shared flag.
         flags[2].store(true, Ordering::Release);
         assert!(m.live() && m.ready(), "healed world must read Ok again");
         assert_eq!(m.report().overall, Health::Healthy);

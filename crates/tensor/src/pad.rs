@@ -146,45 +146,6 @@ pub fn crop_tensor4(t: &Tensor4, top: usize, bottom: usize, left: usize, right: 
     out
 }
 
-/// Accumulates the gradient of a padding op: adds each padded-position
-/// gradient back onto the interior source position it was read from.
-///
-/// This is the exact adjoint of [`pad_tensor4_asym`]: zero-padding drops
-/// halo gradients, replicate/reflect route them to the border cells they
-/// replicated.
-pub fn pad_backward_tensor4(
-    grad_padded: &Tensor4,
-    top: usize,
-    bottom: usize,
-    left: usize,
-    right: usize,
-    mode: PadMode,
-) -> Tensor4 {
-    let (n, c, oh, ow) = grad_padded.shape();
-    assert!(
-        oh > top + bottom && ow > left + right,
-        "pad_backward: inconsistent margins"
-    );
-    let (h, w) = (oh - top - bottom, ow - left - right);
-    let mut out = Tensor4::zeros(n, c, h, w);
-    for s in 0..n {
-        for ch in 0..c {
-            let src = &grad_padded.sample(s)[ch * oh * ow..(ch + 1) * oh * ow];
-            let dst = &mut out.sample_mut(s)[ch * h * w..(ch + 1) * h * w];
-            for i in 0..oh {
-                let si = src_index(i as isize - top as isize, h, mode);
-                for j in 0..ow {
-                    let sj = src_index(j as isize - left as isize, w, mode);
-                    if let (Some(a), Some(b)) = (si, sj) {
-                        dst[a * w + b] += src[i * ow + j];
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,35 +204,6 @@ mod tests {
                 assert_eq!(
                     p.channel_grid(c),
                     pad_grid(&t.channel_grid(c), 1, 1, 2, 0, mode)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pad_backward_is_adjoint_of_pad() {
-        // <pad(x), y> == <x, pad_backward(y)> for all x, y — checked on a basis.
-        let (n, c, h, w) = (1, 1, 3, 3);
-        let (t_, b_, l_, r_) = (2, 1, 1, 2);
-        for mode in [PadMode::Zeros, PadMode::Replicate, PadMode::Reflect] {
-            for k in 0..h * w {
-                let mut x = Tensor4::zeros(n, c, h, w);
-                x.as_mut_slice()[k] = 1.0;
-                let px = pad_tensor4_asym(&x, t_, b_, l_, r_, mode);
-                let y = Tensor4::from_fn(n, c, h + t_ + b_, w + l_ + r_, |_, _, i, j| {
-                    ((i * 31 + j * 7) % 13) as f64 - 6.0
-                });
-                let lhs: f64 = px
-                    .as_slice()
-                    .iter()
-                    .zip(y.as_slice())
-                    .map(|(a, b)| a * b)
-                    .sum();
-                let by = pad_backward_tensor4(&y, t_, b_, l_, r_, mode);
-                let rhs = by.as_slice()[k];
-                assert!(
-                    (lhs - rhs).abs() < 1e-12,
-                    "adjoint mismatch mode={mode:?} k={k}"
                 );
             }
         }

@@ -153,19 +153,6 @@ impl Tensor3 {
         Grid2::from_vec(self.h, self.w, self.channel(ch).to_vec())
     }
 
-    /// Overwrites one channel from a [`Grid2`].
-    ///
-    /// # Panics
-    /// If the grid shape differs from `(h, w)`.
-    pub fn set_channel(&mut self, ch: usize, g: &Grid2) {
-        assert_eq!(
-            g.shape(),
-            (self.h, self.w),
-            "Tensor3::set_channel: shape mismatch"
-        );
-        self.channel_mut(ch).copy_from_slice(g.as_slice());
-    }
-
     /// Extracts the spatial window `(i0..i0+sh, j0..j0+sw)` across all
     /// channels.
     ///

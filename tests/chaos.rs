@@ -1,20 +1,22 @@
 //! Chaos harness: deterministic kill-and-recover for self-healing worlds.
 //!
-//! A [`ChaosPlan`] schedules rank deaths (`kill:RANK:REQUEST[:STEP]`) the
-//! way a [`FaultPlan`] schedules message loss — seeded, reproducible, and
-//! injected at step boundaries. These tests drive the full recovery loop
-//! on BOTH transports: a rank dies mid-batch, the supervisor respawns it,
-//! the engine rebuilds the mesh under a fresh generation epoch and
-//! re-serves, and the final rollouts must be **bitwise identical** to a
-//! world that never lost anyone. Recovery must also be observable (the
-//! `pdeml_rank_respawns_total` / `pdeml_recovery_ms` series) and bounded
-//! in time — a heal that quietly hangs is worse than a crash.
+//! A [`ChaosPlan`] schedules rank deaths ([`KillSpec`]s) the way a
+//! [`FaultPlan`] schedules message loss — reproducible, and injected at
+//! step boundaries. These tests drive the full recovery loop on BOTH
+//! transports: a rank dies mid-batch, the engine respawns it, rebuilds the
+//! mesh under a fresh generation epoch and re-serves, and the final
+//! rollouts must be **bitwise identical** to a world that never lost
+//! anyone. Healing is every engine's one answer to a rank death, so the
+//! engines here are built exactly as `pdeml serve` builds them. Recovery
+//! must also be observable (the `pdeml_rank_respawns_total` /
+//! `pdeml_recovery_ms` series) and bounded in time — a heal that quietly
+//! hangs is worse than a crash.
 //!
 //! The telemetry registry is process-global and tests in this binary run
 //! concurrently, so every metrics assertion is a *delta* (or a ≥ bound),
 //! never an absolute equality.
 
-use pde_commsim::{test_timeout, ChaosPlan, Supervisor, TransportKind, World};
+use pde_commsim::{test_timeout, ChaosPlan, KillSpec, TransportKind, World};
 use pde_ml_core::prelude::*;
 use pde_telemetry::health::{ranks_alive_check, CheckStatus, Health, HealthModel};
 use std::time::{Duration, Instant};
@@ -36,6 +38,16 @@ fn trained_fleet(policy: HaloPolicy) -> (pde_euler::DataSet, ParallelInference) 
     (data, inf)
 }
 
+/// A plan killing `rank` once, at `step` of the engine's `request`-th
+/// request.
+fn kill(rank: usize, request: usize, step: usize) -> ChaosPlan {
+    ChaosPlan::new(vec![KillSpec {
+        rank,
+        request,
+        step,
+    }])
+}
+
 fn degrade_last_known() -> HaloPolicy {
     HaloPolicy::Degrade {
         timeout: test_timeout(),
@@ -55,22 +67,29 @@ fn assert_bitwise(a: &RolloutResult, b: &RolloutResult, what: &str) {
     }
 }
 
-/// The tentpole property, once per transport: kill rank 2 during request 1,
-/// heal, and every request the caller observes — including the retried one
-/// — is bitwise what a never-killed world serves.
-fn kill_and_recover_is_bitwise(transport: TransportKind) {
-    let (data, inf) = trained_fleet(degrade_last_known());
+/// The tentpole property, once per transport: kill rank 2 during request 1
+/// (at `step`), heal, and every request the caller observes — including
+/// the retried one — is bitwise what a never-killed world serves. Under a
+/// degrade policy the survivors mask the dead rank and only it respawns;
+/// under [`HaloPolicy::Strict`] its neighbors die on their blocked
+/// receives, theirs on theirs, and the heal brings back `respawned`, the
+/// whole world.
+fn kill_and_recover_is_bitwise(
+    transport: TransportKind,
+    policy: HaloPolicy,
+    step: usize,
+    respawned: &[usize],
+) {
+    let (data, inf) = trained_fleet(policy);
     let initial = data.snapshot(0).clone();
 
     let mut reference = InferEngine::with_config(EngineConfig::new(4).with_transport(transport));
     reference.register("m", inf.clone()).unwrap();
 
-    let plan = ChaosPlan::parse_for("kill:2:1", 4).unwrap();
     let mut chaotic = InferEngine::with_config(
         EngineConfig::new(4)
             .with_transport(transport)
-            .with_chaos_plan(plan)
-            .with_self_heal(),
+            .with_chaos_plan(kill(2, 1, step)),
     );
     chaotic.register("m", inf).unwrap();
 
@@ -109,8 +128,8 @@ fn kill_and_recover_is_bitwise(transport: TransportKind) {
     // which also respawn rank 2), so it only bounds from below.
     assert_eq!(
         chaotic.respawned_ranks(),
-        [2],
-        "exactly one rank-2 respawn on the {transport:?} engine"
+        respawned,
+        "exactly one heal on the {transport:?} engine"
     );
     assert!(
         reference.respawned_ranks().is_empty(),
@@ -140,12 +159,22 @@ fn kill_and_recover_is_bitwise(transport: TransportKind) {
 
 #[test]
 fn kill_and_recover_is_bitwise_on_the_channel_transport() {
-    kill_and_recover_is_bitwise(TransportKind::Channel);
+    kill_and_recover_is_bitwise(TransportKind::Channel, degrade_last_known(), 0, &[2]);
 }
 
 #[test]
 fn kill_and_recover_is_bitwise_on_the_tcp_transport() {
-    kill_and_recover_is_bitwise(TransportKind::Tcp);
+    kill_and_recover_is_bitwise(TransportKind::Tcp, degrade_last_known(), 0, &[2]);
+}
+
+#[test]
+fn a_strict_kill_heals_bitwise_on_the_channel_transport() {
+    kill_and_recover_is_bitwise(TransportKind::Channel, HaloPolicy::Strict, 1, &[0, 1, 2, 3]);
+}
+
+#[test]
+fn a_strict_kill_heals_bitwise_on_the_tcp_transport() {
+    kill_and_recover_is_bitwise(TransportKind::Tcp, HaloPolicy::Strict, 1, &[0, 1, 2, 3]);
 }
 
 #[test]
@@ -157,39 +186,10 @@ fn a_mid_rollout_kill_heals_too() {
     let initial = data.snapshot(0).clone();
     let reference = inf.rollout(&initial, 3).unwrap();
 
-    let plan = ChaosPlan::parse_for("kill:1:0:1", 4).unwrap();
-    let mut engine =
-        InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(plan).with_self_heal());
+    let mut engine = InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(kill(1, 0, 1)));
     engine.register("m", inf).unwrap();
     let got = engine.rollout("m", &initial, 3).unwrap();
     assert_bitwise(&got, &reference, "mid-rollout kill");
-}
-
-#[test]
-fn chaos_without_self_heal_kills_the_world() {
-    // The control: the same kill with healing off must behave like any
-    // rank panic — the request fails and the world is poisoned, because an
-    // unrecovered dead rank's subdomain is simply gone.
-    let (data, inf) = trained_fleet(degrade_last_known());
-    let initial = data.snapshot(0).clone();
-    let plan = ChaosPlan::parse_for("kill:2:0", 4).unwrap();
-    let mut engine = InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(plan));
-    engine.register("m", inf).unwrap();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.rollout("m", &initial, 2)
-    }));
-    assert!(
-        outcome.is_err(),
-        "an unhealed chaos kill must propagate as a rank panic"
-    );
-    assert!(engine.is_poisoned(), "and poison the world");
-    let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.rollout("m", &initial, 2)
-    }));
-    assert!(
-        again.is_err(),
-        "later requests must be refused, not served degraded"
-    );
 }
 
 #[test]
@@ -202,15 +202,14 @@ fn repeated_kills_exhaust_the_retry_budget() {
     let initial = data.snapshot(0).clone();
     let plan = ChaosPlan::new(
         (0..3)
-            .map(|_| pde_commsim::KillSpec {
+            .map(|_| KillSpec {
                 rank: 2,
                 request: 0,
                 step: 0,
             })
             .collect(),
     );
-    let mut engine =
-        InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(plan).with_self_heal());
+    let mut engine = InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(plan));
     engine.register("m", inf.clone()).unwrap();
     let err = match engine.rollout("m", &initial, 2) {
         Ok(_) => panic!("must give up, not serve"),
@@ -235,7 +234,7 @@ fn repeated_kills_exhaust_the_retry_budget() {
 fn health_model_tracks_kill_detect_respawn_end_to_end() {
     // The operator's view of a heal, on the raw world layer: ranks_alive
     // goes Ok → Failed("dead ranks: 2") → Ok as a rank dies and the
-    // supervisor brings it back, with no re-registration.
+    // respawn brings it back, with no re-registration.
     let mut world = World::new(4).spawn_persistent();
     let health = HealthModel::new();
     health.register("ranks_alive", ranks_alive_check(world.alive_flags()));
@@ -256,10 +255,11 @@ fn health_model_tracks_kill_detect_respawn_end_to_end() {
         CheckStatus::Failed(why) if why.contains("dead ranks: 2")
     ));
 
-    let healed = Supervisor::heal(&mut world, |mut ctx, comm, _was_dead| {
-        ctx.put_comm(comm);
-    })
-    .expect("a world with a corpse must heal");
+    let healed = world
+        .respawn(|mut ctx, comm, _was_dead| {
+            ctx.put_comm(comm);
+        })
+        .expect("a world with a corpse must heal");
     assert_eq!(healed.respawned, vec![2]);
     assert_eq!(
         health.report().overall,
@@ -282,16 +282,15 @@ fn health_model_tracks_kill_detect_respawn_end_to_end() {
 
 #[test]
 fn chaos_plan_is_deterministic_across_runs() {
-    // Two engines built from the same spec string observe the same kill at
-    // the same point — the reproducibility contract that makes a chaos
+    // Two engines built from the same plan observe the same kill at the
+    // same point — the reproducibility contract that makes a chaos
     // failure debuggable.
     let (data, inf) = trained_fleet(degrade_last_known());
     let initial = data.snapshot(0).clone();
     let mut runs = Vec::new();
     for _ in 0..2 {
-        let plan = ChaosPlan::parse_for("kill:3:1", 4).unwrap();
         let mut engine =
-            InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(plan).with_self_heal());
+            InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(kill(3, 1, 0)));
         engine.register("m", inf.clone()).unwrap();
         let mut states = Vec::new();
         for _ in 0..2 {
@@ -301,5 +300,36 @@ fn chaos_plan_is_deterministic_across_runs() {
     }
     for (req, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
         assert_bitwise(a, b, &format!("replayed chaos run, request {req}"));
+    }
+}
+
+#[test]
+fn a_scheduled_engine_heals_a_rank_death_and_keeps_serving() {
+    // `pdeml serve`'s shape: a scheduler over an engine built with no
+    // option beyond the kill, health-gated on its ranks. The kill during
+    // request 1 heals inside the engine, so the dispatcher never retires,
+    // admission never sheds `Unhealthy`, and every request is bitwise what
+    // a never-killed engine serves.
+    let (data, inf) = trained_fleet(HaloPolicy::Strict);
+    let initial = data.snapshot(0).clone();
+    let mut reference = InferEngine::new(4);
+    reference.register("m", inf.clone()).unwrap();
+
+    let engine = InferEngine::with_config(EngineConfig::new(4).with_chaos_plan(kill(1, 1, 0)));
+    let health = std::sync::Arc::new(HealthModel::new());
+    health.register("ranks_alive", ranks_alive_check(engine.alive_flags()));
+    let sched = Scheduler::new(vec![engine], SchedulerConfig::default().with_health(health));
+    sched.register("m", inf).unwrap();
+    for request in 0..3 {
+        let want = reference.rollout("m", &initial, 2).unwrap();
+        let ticket = match sched.submit("m", std::slice::from_ref(&initial), 2) {
+            Ok(ticket) => ticket,
+            Err(e) => panic!("request {request} was shed: {e}"),
+        };
+        let got = match ticket.wait() {
+            Ok(got) => got,
+            Err(e) => panic!("request {request} failed: {e}"),
+        };
+        assert_bitwise(&got, &want, &format!("scheduled request {request}"));
     }
 }

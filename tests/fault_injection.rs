@@ -59,15 +59,16 @@ fn lost_halo_is_reported_lost_not_dead() {
     // missing strip as Lost (recoverable), NOT PeerDead, and the loss must
     // land in the stats. The healthy 1→0 direction stays Ok.
     let plan = FaultPlan::drop_edge(0, 1);
-    let (out, traffic) = World::new(2).with_fault_plan(plan).run_with_stats(|comm| {
+    let out = World::new(2).with_fault_plan(plan).run(|comm| {
         let rank = comm.rank();
         let mut cart = CartComm::new(comm, 1, 2, false);
-        timed_x_exchange(&mut cart, vec![rank as f64; 6], 7)
+        let got = timed_x_exchange(&mut cart, vec![rank as f64; 6], 7);
+        (got, cart.comm().stats().report())
     });
-    assert_eq!(out[0], HaloRecv::Ok(vec![1.0; 6]), "1→0 edge is healthy");
-    assert_eq!(out[1], HaloRecv::Lost, "0→1 edge drops — lost, not dead");
-    assert_eq!(traffic[1].halos_lost, 1);
-    assert_eq!(traffic[0].halos_lost, 0);
+    assert_eq!(out[0].0, HaloRecv::Ok(vec![1.0; 6]), "1→0 edge is healthy");
+    assert_eq!(out[1].0, HaloRecv::Lost, "0→1 edge drops — lost, not dead");
+    assert_eq!(out[1].1.halos_lost, 1);
+    assert_eq!(out[0].1.halos_lost, 0);
 }
 
 #[test]
@@ -130,45 +131,44 @@ fn last_known_fallback_reuses_exact_prior_step_strip() {
         }
     });
     let halo = 2;
-    let (out, traffic) = World::new(2)
-        .with_fault_plan(plan)
-        .run_with_stats(move |comm| {
-            let rank = comm.rank();
-            let mut cart = CartComm::new(comm, 1, 2, false);
-            let mut cache = HaloCache::default();
-            let state = |step: usize| {
-                Tensor3::from_fn(2, 4, 4, |c, i, j| {
-                    (1000 * step + 100 * rank + 10 * c + i + j) as f64 + 0.5
-                })
-            };
-            // A short timeout is safe: the degraded assembler synchronizes
-            // between sends and receives, so every delivered strip is
-            // already inboxed when the timed receive runs — the timeout is
-            // only ever waited out for the genuinely dropped message.
-            let timeout = std::time::Duration::from_millis(100);
-            let padded: Vec<Tensor3> = (0..2)
-                .map(|step| {
-                    assemble_halo_input_with(
-                        &mut cart,
-                        &state(step),
-                        halo,
-                        step as u32,
-                        HaloPolicy::Degrade {
-                            timeout,
-                            fallback: HaloFallback::LastKnown,
-                        },
-                        false,
-                        &mut cache,
-                    )
-                })
-                .collect();
-            cart.comm_mut().barrier();
-            padded
-        });
+    let out = World::new(2).with_fault_plan(plan).run(move |comm| {
+        let rank = comm.rank();
+        let mut cart = CartComm::new(comm, 1, 2, false);
+        let mut cache = HaloCache::default();
+        let state = |step: usize| {
+            Tensor3::from_fn(2, 4, 4, |c, i, j| {
+                (1000 * step + 100 * rank + 10 * c + i + j) as f64 + 0.5
+            })
+        };
+        // A short timeout is safe: the degraded assembler synchronizes
+        // between sends and receives, so every delivered strip is
+        // already inboxed when the timed receive runs — the timeout is
+        // only ever waited out for the genuinely dropped message.
+        let timeout = std::time::Duration::from_millis(100);
+        let padded: Vec<Tensor3> = (0..2)
+            .map(|step| {
+                assemble_halo_input_with(
+                    &mut cart,
+                    &state(step),
+                    halo,
+                    step as u32,
+                    HaloPolicy::Degrade {
+                        timeout,
+                        fallback: HaloFallback::LastKnown,
+                    },
+                    false,
+                    &mut cache,
+                )
+            })
+            .collect();
+        cart.comm_mut().barrier();
+        (padded, cart.comm().stats().report())
+    });
     // Rank 1's left halo block (rows halo.., cols 0..halo) at step 1 must
     // equal the step-0 block bitwise — the cached strip, reused.
-    let step0_left = out[1][0].window(halo, 0, 4, halo);
-    let step1_left = out[1][1].window(halo, 0, 4, halo);
+    let (padded, traffic) = &out[1];
+    let step0_left = padded[0].window(halo, 0, 4, halo);
+    let step1_left = padded[1].window(halo, 0, 4, halo);
     assert!(
         step0_left.as_slice().iter().any(|&v| v != 0.0),
         "step 0 strip arrived (sanity)"
@@ -179,9 +179,9 @@ fn last_known_fallback_reuses_exact_prior_step_strip() {
         "LastKnown must reuse the prior strip bitwise"
     );
     // And the substitution is accounted as stale, not zero-filled.
-    assert_eq!(traffic[1].halos_lost, 1);
-    assert_eq!(traffic[1].halos_stale, 1);
-    assert_eq!(traffic[1].halos_zero_filled, 0);
+    assert_eq!(traffic.halos_lost, 1);
+    assert_eq!(traffic.halos_stale, 1);
+    assert_eq!(traffic.halos_zero_filled, 0);
 }
 
 #[test]
@@ -306,18 +306,19 @@ fn delayed_exchange_strip_arrives_ok_at_the_halo_layer() {
     // delayed 20 ms. With a generous receive timeout the strip classifies
     // as Ok, carrying the payload intact.
     let plan = FaultPlan::delay_edge(0, 1, std::time::Duration::from_millis(20));
-    let (out, traffic) = World::new(2).with_fault_plan(plan).run_with_stats(|comm| {
+    let out = World::new(2).with_fault_plan(plan).run(|comm| {
         let rank = comm.rank();
         let mut cart = CartComm::new(comm, 1, 2, false);
-        timed_x_exchange(&mut cart, vec![rank as f64 + 0.25; 6], 11)
+        let got = timed_x_exchange(&mut cart, vec![rank as f64 + 0.25; 6], 11);
+        (got, cart.comm().stats().report())
     });
     assert_eq!(
-        out[1],
+        out[1].0,
         HaloRecv::Ok(vec![0.25; 6]),
         "delayed strip is Ok, not Lost, with its payload intact"
     );
-    assert_eq!(out[0], HaloRecv::Ok(vec![1.25; 6]));
-    assert_eq!(traffic[0].halos_lost + traffic[1].halos_lost, 0);
+    assert_eq!(out[0].0, HaloRecv::Ok(vec![1.25; 6]));
+    assert_eq!(out[0].1.halos_lost + out[1].1.halos_lost, 0);
 }
 
 #[test]
@@ -350,17 +351,16 @@ fn healthy_world_with_fault_plan_noise_everywhere_else_is_unaffected() {
 #[test]
 fn dropped_message_is_counted_as_sent_but_never_received() {
     let plan = FaultPlan::drop_edge(0, 1);
-    let (_, traffic) = World::new(2)
-        .with_fault_plan(plan)
-        .run_with_stats(|mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 9, vec![1.0, 2.0]);
-            } else {
-                let r = comm.recv_timeout(0, 9, std::time::Duration::from_millis(30));
-                assert!(r.is_err());
-            }
-            comm.barrier();
-        });
+    let traffic = World::new(2).with_fault_plan(plan).run(|mut comm| {
+        if comm.rank() == 0 {
+            comm.send(1, 9, vec![1.0, 2.0]);
+        } else {
+            let r = comm.recv_timeout(0, 9, std::time::Duration::from_millis(30));
+            assert!(r.is_err());
+        }
+        comm.barrier();
+        comm.stats().report()
+    });
     assert_eq!(
         traffic[0].msgs_sent,
         1 + 1,
