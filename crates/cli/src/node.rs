@@ -997,11 +997,15 @@ fn launch(args: &Args) -> Result<(), String> {
             }
         }
         let merged_path = dir.join("merged_trace.json");
-        std::fs::write(&merged_path, pde_trace::merge_chrome_shards(&shards))
+        let merged = pde_trace::merge_chrome_shards(&shards);
+        std::fs::write(&merged_path, &merged.json)
             .map_err(|e| format!("cannot write {}: {e}", merged_path.display()))?;
         outln!(
-            "trace: merged {found}/{n} shard(s) into {} (open in ui.perfetto.dev)",
-            merged_path.display()
+            "trace: merged {found}/{n} shard(s) into {}: kept {} event(s), dropped {} cut \
+             short (open in ui.perfetto.dev)",
+            merged_path.display(),
+            merged.kept,
+            merged.dropped
         );
     }
     let run = run?.expect("rank 0 gathers the world run");

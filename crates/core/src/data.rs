@@ -8,9 +8,12 @@
 //! directly from the stored global snapshot, so no communication happens.
 //!
 //! A [`SubdomainDataset`] is a view: it borrows the snapshots and cuts,
-//! pads and normalizes a mini-batch from them only when
-//! [`BatchCursor::next_into`] asks for it, so a rank holds its batch and
-//! never a copy of its share of the data.
+//! pads and normalizes a mini-batch from them only when asked, so a rank
+//! never holds a copy of its share of the data. The trainer asks for the
+//! inputs alone ([`BatchCursor::next_inputs`]); its loss reads each target
+//! from the snapshots as it goes, so a training batch is its input and the
+//! network's prediction. [`BatchCursor::next_into`] fills a target batch
+//! too, through the same target body.
 
 use crate::norm::ChannelNorm;
 use crate::padding::PaddingStrategy;
@@ -223,8 +226,8 @@ impl<'a> SubdomainDataset<'a> {
     }
 
     /// Lazy mini-batch iterator over `order`: each call to
-    /// [`BatchCursor::next_into`] fills two caller-owned tensors instead of
-    /// allocating a fresh pair per batch.
+    /// [`BatchCursor::next_inputs`] or [`BatchCursor::next_into`] fills
+    /// caller-owned tensors instead of allocating fresh ones per batch.
     pub fn batch_cursor<'c>(&'c self, order: &'c [usize], batch_size: usize) -> BatchCursor<'c> {
         assert!(batch_size >= 1, "batch_cursor: batch_size must be >= 1");
         BatchCursor {
@@ -238,47 +241,107 @@ impl<'a> SubdomainDataset<'a> {
     /// reusable batch tensors, resizing them in place (allocation-free once
     /// grown).
     pub fn fill_batch(&self, idx: &[usize], x: &mut Tensor4, y: &mut Tensor4) {
+        self.fill_inputs(idx, x);
+        self.fill_targets(idx, y);
+    }
+
+    /// The input half of [`SubdomainDataset::fill_batch`].
+    fn fill_inputs(&self, idx: &[usize], x: &mut Tensor4) {
         let c = self.inv.len();
         let block = &self.block;
-        let (th, tw) = (block.h - 2 * self.crop, block.w - 2 * self.crop);
         let (hi, wi) = (block.h + 2 * self.halo, block.w + 2 * self.halo);
         x.resize(idx.len(), self.window * c, hi, wi);
-        y.resize(idx.len(), c, th, tw);
-        for (i, &s) in idx.iter().enumerate() {
-            assert!(
-                s < self.count,
-                "fill_batch: sample index {s} out of range (n={})",
-                self.count
-            );
-            let now = self.start + s;
-            for (t, slot) in x.sample_mut(i).chunks_exact_mut(c * hi * wi).enumerate() {
+        for (&s, sample) in idx
+            .iter()
+            .zip(x.as_mut_slice().chunks_exact_mut(self.window * c * hi * wi))
+        {
+            let now = self.newest_input(s);
+            for (t, slot) in sample.chunks_exact_mut(c * hi * wi).enumerate() {
                 let snap = self.data.snapshot(now + 1 + t - self.window);
                 for (ch, dst) in slot.chunks_exact_mut(hi * wi).enumerate() {
                     self.fill_input_plane(dst, snap.channel(ch), self.inv[ch]);
                 }
             }
-            let (base, next) = self.data.pair(now);
-            let gw = next.w();
-            for (ch, dst) in y.sample_mut(i).chunks_exact_mut(th * tw).enumerate() {
+        }
+    }
+
+    /// The target half of [`SubdomainDataset::fill_batch`].
+    fn fill_targets(&self, idx: &[usize], y: &mut Tensor4) {
+        let (n, c, th, tw) = self.target_shape(idx.len());
+        y.resize(n, c, th, tw);
+        self.zip_targets(idx, y, |d, t| *d = t);
+    }
+
+    /// The shape of a target batch of `n` samples.
+    fn target_shape(&self, n: usize) -> (usize, usize, usize, usize) {
+        let (h, w) = (self.block.h - 2 * self.crop, self.block.w - 2 * self.crop);
+        (n, self.inv.len(), h, w)
+    }
+
+    /// The one target body. Pairs every element of `dst` — a target batch
+    /// of the samples `idx`, in element order — with its target, cut from
+    /// the snapshots, and hands both to `each`: [`fill_batch`] stores the
+    /// target, the trainer's fused loss runs the loss over the prediction
+    /// it holds there.
+    ///
+    /// A target is `v · (1 / scale)` of the next snapshot on the target
+    /// region, or for [`PredictionMode::Residual`] that product minus the
+    /// same product of the current snapshot.
+    ///
+    /// [`fill_batch`]: SubdomainDataset::fill_batch
+    pub(crate) fn zip_targets(
+        &self,
+        idx: &[usize],
+        dst: &mut Tensor4,
+        mut each: impl FnMut(&mut f64, f64),
+    ) {
+        let (n, c, th, tw) = self.target_shape(idx.len());
+        assert_eq!(
+            dst.shape(),
+            (n, c, th, tw),
+            "zip_targets: the batch is not target-shaped"
+        );
+        let (i0, j0) = (self.block.i0 + self.crop, self.block.j0 + self.crop);
+        let (_, _, gw) = self.data.shape();
+        for (&s, sample) in idx
+            .iter()
+            .zip(dst.as_mut_slice().chunks_exact_mut(c * th * tw))
+        {
+            let (base, next) = self.data.pair(self.newest_input(s));
+            for (ch, plane) in sample.chunks_exact_mut(th * tw).enumerate() {
                 let inv = self.inv[ch];
                 let (base, next) = (base.channel(ch), next.channel(ch));
-                for (r, row) in dst.chunks_exact_mut(tw).enumerate() {
-                    let at = (block.i0 + self.crop + r) * gw + block.j0 + self.crop;
+                for (r, row) in plane.chunks_exact_mut(tw).enumerate() {
+                    let at = (i0 + r) * gw + j0;
                     let next = &next[at..at + tw];
                     match self.prediction {
-                        PredictionMode::Absolute => scale_row(row, next, inv),
+                        PredictionMode::Absolute => {
+                            for (d, &v) in row.iter_mut().zip(next) {
+                                each(d, v * inv);
+                            }
+                        }
                         // `axpy(−1, base)` on two normalized rows: the same
                         // two products, subtracted.
                         PredictionMode::Residual => {
                             let base = &base[at..at + tw];
                             for ((d, &v), &u) in row.iter_mut().zip(next).zip(base) {
-                                *d = v * inv - u * inv;
+                                each(d, v * inv - u * inv);
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Global index of sample `s`'s newest input snapshot.
+    fn newest_input(&self, s: usize) -> usize {
+        assert!(
+            s < self.count,
+            "fill_batch: sample index {s} out of range (n={})",
+            self.count
+        );
+        self.start + s
     }
 
     /// One channel of one input: the rows of the input region that lie in
@@ -319,18 +382,29 @@ pub struct BatchCursor<'a> {
     batch_size: usize,
 }
 
-impl BatchCursor<'_> {
-    /// Fills `x`/`y` with the next mini-batch; `false` when exhausted.
-    /// The final batch may be smaller than `batch_size` (the tensors are
-    /// resized to match, which shrinks within retained capacity).
-    pub fn next_into(&mut self, x: &mut Tensor4, y: &mut Tensor4) -> bool {
+impl<'a> BatchCursor<'a> {
+    /// Fills `x` with the inputs of the next mini-batch and returns its
+    /// sample indices; `None` when exhausted. The final batch may be
+    /// smaller than `batch_size` (the tensor is resized to match, which
+    /// shrinks within retained capacity).
+    pub fn next_inputs(&mut self, x: &mut Tensor4) -> Option<&'a [usize]> {
         if self.rest.is_empty() {
-            return false;
+            return None;
         }
         let take = self.batch_size.min(self.rest.len());
         let (idx, rest) = self.rest.split_at(take);
         self.rest = rest;
-        self.ds.fill_batch(idx, x, y);
+        self.ds.fill_inputs(idx, x);
+        Some(idx)
+    }
+
+    /// Fills `x`/`y` with the next mini-batch's inputs and targets; `false`
+    /// when exhausted.
+    pub fn next_into(&mut self, x: &mut Tensor4, y: &mut Tensor4) -> bool {
+        let Some(idx) = self.next_inputs(x) else {
+            return false;
+        };
+        self.ds.fill_targets(idx, y);
         true
     }
 }

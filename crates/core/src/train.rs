@@ -120,6 +120,33 @@ impl LossKind {
             LossKind::Mse => "MSE",
         }
     }
+
+    /// [`loss_in_place`] with this loss: one match on the kind a batch, so
+    /// the per-element body is a static call.
+    fn in_place(&self, ds: &SubdomainDataset<'_>, idx: &[usize], pred: &mut Tensor4) -> f64 {
+        match *self {
+            LossKind::Mape { floor } => loss_in_place(&Mape::new(floor), ds, idx, pred),
+            LossKind::Mse => loss_in_place(&Mse, ds, idx, pred),
+        }
+    }
+}
+
+/// The loss of the network output `pred` against the targets of the
+/// samples `idx`, each target cut from the snapshots as the loss reaches
+/// it, with `dL/d(pred)` written over `pred`. The same element order,
+/// running sum and per-element body as [`Loss::value_and_grad_into`]
+/// against [`SubdomainDataset::fill_batch`]'s targets, so the same bits,
+/// without a target or gradient batch.
+fn loss_in_place(
+    loss: &impl Loss,
+    ds: &SubdomainDataset<'_>,
+    idx: &[usize],
+    pred: &mut Tensor4,
+) -> f64 {
+    let m = pred.len() as f64;
+    let mut sum = 0.0;
+    ds.zip_targets(idx, pred, |p, t| loss.term_and_grad(p, t, m, &mut sum));
+    loss.finish(sum, m)
 }
 
 /// Hyperparameters of one training run.
@@ -313,9 +340,9 @@ impl TrainOutcome {
     }
 }
 
-/// Reusable state of the training hot loop: the optimizer, the loss, and
-/// every buffer a per-batch step touches (epoch order, the two mini-batch
-/// tensors, prediction, loss gradient).
+/// Reusable state of the training hot loop: the optimizer, the loss, the
+/// epoch order and the two tensors a batch is — its input, and the
+/// network's prediction, which the loss overwrites with its gradient.
 ///
 /// All buffers grow monotonically: after the first epoch has warmed them —
 /// together with the network's own workspace and the optimizer's moment
@@ -324,26 +351,22 @@ impl TrainOutcome {
 /// [`pde_tensor::perf`]).
 pub struct TrainSession {
     opt: Box<dyn Optimizer>,
-    loss: Box<dyn Loss>,
+    loss: LossKind,
     order: Vec<usize>,
     x: Tensor4,
-    y: Tensor4,
     pred: Tensor4,
-    grad: Tensor4,
 }
 
 impl TrainSession {
-    /// Builds the optimizer/loss from `cfg` and empty (capacity-0) buffers.
+    /// Builds the optimizer from `cfg` and empty (capacity-0) buffers.
     pub fn new(cfg: &TrainConfig) -> Self {
         cfg.validate();
         Self {
             opt: cfg.optimizer.build(cfg.lr),
-            loss: cfg.loss.build(),
+            loss: cfg.loss,
             order: Vec::new(),
             x: Tensor4::zeros(0, 0, 0, 0),
-            y: Tensor4::zeros(0, 0, 0, 0),
             pred: Tensor4::zeros(0, 0, 0, 0),
-            grad: Tensor4::zeros(0, 0, 0, 0),
         }
     }
 
@@ -387,7 +410,7 @@ impl TrainSession {
         let mut sum = 0.0;
         let mut batches = 0usize;
         let mut cursor = ds.batch_cursor(order, cfg.batch_size);
-        while cursor.next_into(&mut self.x, &mut self.y) {
+        while let Some(idx) = cursor.next_inputs(&mut self.x) {
             let _batch_span =
                 pde_trace::span_args(Category::Train, names::BATCH, batches as u64, 0);
             net.zero_grad();
@@ -395,10 +418,10 @@ impl TrainSession {
             // copying it, and its backward skips the gradient w.r.t. the
             // batch, which nothing reads (the next fill overwrites it).
             net.forward_chain(&self.x, &mut self.pred);
-            let l = self
-                .loss
-                .value_and_grad_into(&self.pred, &self.y, &mut self.grad);
-            net.backward_chain(&mut self.x, &self.grad, InputGrad::Skip);
+            // The loss reads the targets from the snapshots and leaves the
+            // gradient where the prediction was.
+            let l = self.loss.in_place(ds, idx, &mut self.pred);
+            net.backward_chain(&mut self.x, &self.pred, InputGrad::Skip);
             if let Some(max_norm) = cfg.grad_clip {
                 let norm = pde_nn::optim::gradient_norm_of(net);
                 if norm > max_norm {
@@ -839,6 +862,116 @@ mod tests {
             t.train(&data(), 17).unwrap_err(),
             TrainError::Geometry("a 16x16 grid cannot feed a 1x17 process grid".into())
         );
+    }
+
+    /// Every parameter and its gradient, as bits, in group order.
+    fn params_and_grads(net: &mut Sequential) -> Vec<u64> {
+        let mut out = Vec::new();
+        net.visit_param_groups(&mut |g| {
+            out.extend(g.param.iter().chain(g.grad).map(|v| v.to_bits()));
+        });
+        out
+    }
+
+    /// The batch loop with a filled target batch and a separate gradient:
+    /// `next_into` + `value_and_grad_into` + `backward_chain`, then the
+    /// optimizer step. Returns the mean loss and each step's parameters and
+    /// gradients.
+    fn unfused_epoch(
+        net: &mut Sequential,
+        ds: &SubdomainDataset<'_>,
+        order: &[usize],
+        cfg: &TrainConfig,
+    ) -> (f64, Vec<Vec<u64>>) {
+        let mut opt = cfg.optimizer.build(cfg.lr);
+        let loss = cfg.loss.build();
+        let empty = || Tensor4::zeros(0, 0, 0, 0);
+        let (mut x, mut y, mut pred, mut grad) = (empty(), empty(), empty(), empty());
+        let (mut sum, mut steps) = (0.0, Vec::new());
+        let mut cursor = ds.batch_cursor(order, cfg.batch_size);
+        while cursor.next_into(&mut x, &mut y) {
+            net.zero_grad();
+            net.forward_chain(&x, &mut pred);
+            sum += loss.value_and_grad_into(&pred, &y, &mut grad);
+            net.backward_chain(&mut x, &grad, InputGrad::Skip);
+            opt.step_visit(net);
+            steps.push(params_and_grads(net));
+        }
+        (sum / steps.len() as f64, steps)
+    }
+
+    #[test]
+    fn fused_loss_trains_the_bits_of_a_filled_target_batch() {
+        // An uneven 40×36 grid in a 3×3 split: rank 0 is a corner, rank 1
+        // an edge and rank 4 the interior, each a different block shape.
+        let cfg = pde_euler::SolverConfig::paper(40, 36);
+        let data = pde_euler::dataset::SnapshotRecorder::new(
+            cfg,
+            pde_euler::Boundary::Outflow,
+            &pde_euler::InitialCondition::paper_pulse(),
+            1,
+        )
+        .record(10);
+        let (_, gh, gw) = data.shape();
+        let part = GridPartition::new(gh, gw, 3, 3);
+        // Pair 0 is history for window 2; 8 samples at batch 3 end on a
+        // ragged batch of 2.
+        let view = data.view(1, 8);
+        let norm = ChannelNorm::fit(&view);
+        for strategy in PaddingStrategy::ALL {
+            for window in [1, 2] {
+                for prediction in [PredictionMode::Absolute, PredictionMode::Residual] {
+                    for loss in [LossKind::Mape { floor: 1e-3 }, LossKind::Mse] {
+                        for rank in [0, 1, 4] {
+                            let how = format!(
+                                "{strategy:?}, window {window}, {prediction:?}, {}, rank {rank}",
+                                loss.label()
+                            );
+                            let mut arch = ArchSpec::tiny();
+                            arch.channels[0] = window * norm.channels();
+                            let cfg = TrainConfig {
+                                batch_size: 3,
+                                loss,
+                                prediction,
+                                window,
+                                ..TrainConfig::quick_test()
+                            };
+                            let ds = SubdomainDataset::build_windowed(
+                                &view,
+                                &part,
+                                rank,
+                                arch.halo(),
+                                strategy,
+                                &norm,
+                                prediction,
+                                window,
+                            );
+                            let order = ds.epoch_order(true, 7, 1);
+
+                            let mut net = arch.build_for(strategy, cfg.seed);
+                            let mut fused_steps = Vec::new();
+                            let fused = TrainSession::new(&cfg).run_order(
+                                &mut net,
+                                &ds,
+                                &order,
+                                &cfg,
+                                0,
+                                |net| fused_steps.push(params_and_grads(net)),
+                            );
+                            let mut net = arch.build_for(strategy, cfg.seed);
+                            let (unfused, steps) = unfused_epoch(&mut net, &ds, &order, &cfg);
+
+                            assert_eq!(steps.len(), 3, "{how}");
+                            assert_eq!(fused.to_bits(), unfused.to_bits(), "loss: {how}");
+                            for (b, (a, b_)) in fused_steps.iter().zip(&steps).enumerate() {
+                                assert!(a == b_, "batch {b} parameters or gradients: {how}");
+                            }
+                            assert_eq!(fused_steps.len(), steps.len(), "{how}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

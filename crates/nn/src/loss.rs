@@ -8,14 +8,51 @@ use pde_tensor::Tensor4;
 
 /// A scalar loss over `(prediction, target)` batches with an analytic
 /// gradient w.r.t. the prediction.
+///
+/// A loss is one per-element body, [`Loss::term_and_grad`], and the
+/// scale [`Loss::finish`] puts on the sum of its terms. Every other method
+/// runs that body over a batch in element order with one running sum, so
+/// the trainer's fused loss — which cuts each target from the snapshots
+/// and writes the gradient over the prediction — gets the same bits as
+/// [`Loss::value_and_grad_into`] on a filled target batch.
 pub trait Loss: Send + Sync {
+    /// The per-element body: adds the term of prediction `*p` against
+    /// target `t` to `sum` and overwrites `*p` with `dL/dp`, for a batch of
+    /// `m` elements.
+    fn term_and_grad(&self, p: &mut f64, t: f64, m: f64, sum: &mut f64);
+
+    /// The loss of a batch of `m` elements whose terms add up to `sum`.
+    fn finish(&self, sum: f64, m: f64) -> f64;
+
+    /// Short name for reports.
+    fn name(&self) -> &'static str;
+
     /// Loss value alone (no gradient allocation).
-    fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64;
+    fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64 {
+        check(pred, target, self.name());
+        let m = pred.len() as f64;
+        let mut sum = 0.0;
+        for (&p, &t) in pred.as_slice().iter().zip(target.as_slice()) {
+            // The gradient lands in a copy and is dropped.
+            let mut g = p;
+            self.term_and_grad(&mut g, t, m, &mut sum);
+        }
+        self.finish(sum, m)
+    }
 
     /// Loss value and `dL/d(pred)` in one pass, the gradient written into a
-    /// caller-owned tensor (resized in place) — the allocation-free path
-    /// used by the training loop.
-    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64;
+    /// caller-owned tensor (resized in place): `pred` copied into `grad`,
+    /// then the per-element body over it.
+    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
+        check(pred, target, self.name());
+        let m = pred.len() as f64;
+        grad.copy_from(pred);
+        let mut sum = 0.0;
+        for (g, &t) in grad.as_mut_slice().iter_mut().zip(target.as_slice()) {
+            self.term_and_grad(g, t, m, &mut sum);
+        }
+        self.finish(sum, m)
+    }
 
     /// [`Loss::value_and_grad_into`] into a freshly allocated gradient.
     fn value_and_grad(&self, pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
@@ -23,9 +60,6 @@ pub trait Loss: Send + Sync {
         let v = self.value_and_grad_into(pred, target, &mut grad);
         (v, grad)
     }
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 fn check(pred: &Tensor4, target: &Tensor4, what: &str) {
@@ -42,34 +76,15 @@ fn check(pred: &Tensor4, target: &Tensor4, what: &str) {
 pub struct Mse;
 
 impl Loss for Mse {
-    fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64 {
-        check(pred, target, "Mse");
-        let m = pred.len() as f64;
-        pred.as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / m
+    #[inline]
+    fn term_and_grad(&self, p: &mut f64, t: f64, m: f64, sum: &mut f64) {
+        let d = *p - t;
+        *sum += d * d;
+        *p = 2.0 * d / m;
     }
 
-    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
-        check(pred, target, "Mse");
-        let m = pred.len() as f64;
-        let (n, c, h, w) = pred.shape();
-        grad.resize(n, c, h, w);
-        let mut loss = 0.0;
-        for ((g, &p), &t) in grad
-            .as_mut_slice()
-            .iter_mut()
-            .zip(pred.as_slice())
-            .zip(target.as_slice())
-        {
-            let d = p - t;
-            loss += d * d;
-            *g = 2.0 * d / m;
-        }
-        loss / m
+    fn finish(&self, sum: f64, m: f64) -> f64 {
+        sum / m
     }
 
     fn name(&self) -> &'static str {
@@ -108,36 +123,16 @@ impl Default for Mape {
 }
 
 impl Loss for Mape {
-    fn value(&self, pred: &Tensor4, target: &Tensor4) -> f64 {
-        check(pred, target, "Mape");
-        let m = pred.len() as f64;
-        let s: f64 = pred
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(p, t)| (p - t).abs() / t.abs().max(self.floor))
-            .sum();
-        100.0 * s / m
+    #[inline]
+    fn term_and_grad(&self, p: &mut f64, t: f64, m: f64, sum: &mut f64) {
+        let denom = t.abs().max(self.floor);
+        let d = *p - t;
+        *sum += d.abs() / denom;
+        *p = 100.0 * d.signum() / (denom * m);
     }
 
-    fn value_and_grad_into(&self, pred: &Tensor4, target: &Tensor4, grad: &mut Tensor4) -> f64 {
-        check(pred, target, "Mape");
-        let m = pred.len() as f64;
-        let (n, c, h, w) = pred.shape();
-        grad.resize(n, c, h, w);
-        let mut loss = 0.0;
-        for ((g, &p), &t) in grad
-            .as_mut_slice()
-            .iter_mut()
-            .zip(pred.as_slice())
-            .zip(target.as_slice())
-        {
-            let denom = t.abs().max(self.floor);
-            let d = p - t;
-            loss += d.abs() / denom;
-            *g = 100.0 * d.signum() / (denom * m);
-        }
-        100.0 * loss / m
+    fn finish(&self, sum: f64, m: f64) -> f64 {
+        100.0 * sum / m
     }
 
     fn name(&self) -> &'static str {

@@ -143,47 +143,93 @@ pub fn chrome_trace_json_for_pid(events: &[TraceEvent], pid: u64) -> String {
     out
 }
 
+/// A merged Chrome trace and what the merge did with the shards' rows.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MergedTrace {
+    /// The Chrome Trace Event document.
+    pub json: String,
+    /// Event rows spliced in (metadata rows included).
+    pub kept: usize,
+    /// Partial rows left out: the row a truncated shard was cut inside.
+    pub dropped: usize,
+}
+
 /// Merges per-process Chrome-trace shards — each produced by
 /// [`chrome_trace_json_for_pid`] with a distinct pid — into one Chrome
 /// Trace Event file. Shards already share a time axis (each process stamps
 /// microseconds from its own trace epoch, which for a lockstep world start
-/// within the rendezvous window), so the merge is a pure splice of each
-/// shard's `traceEvents` array: no event is re-parsed, re-stamped, or
-/// dropped, and merged event count == the sum of shard event counts.
+/// within the rendezvous window), so the merge is a splice of each shard's
+/// event rows: no event is re-stamped, and for whole shards the merged
+/// event count is the sum of the shard event counts.
 ///
-/// Shards that are empty or not in the exporter's format are skipped
-/// rather than corrupting the output.
-pub fn merge_chrome_shards<S: AsRef<str>>(shards: &[S]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
+/// The exporter writes one row a line after the envelope's `[`. A shard
+/// cut short — its process died while writing it — keeps every row it
+/// holds whole; the row the cut went through is dropped and counted.
+/// Shards without the envelope's `[` contribute nothing.
+pub fn merge_chrome_shards<S: AsRef<str>>(shards: &[S]) -> MergedTrace {
+    let mut json = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let (mut kept, mut dropped) = (0, 0);
     for shard in shards {
         let shard = shard.as_ref();
-        // The exporter's envelope is fixed: everything between the first
-        // '[' and the last ']' is the comma-separated event list.
         let Some(open) = shard.find('[') else {
             continue;
         };
-        let Some(close) = shard.rfind(']') else {
-            continue;
-        };
-        if close <= open {
-            continue;
+        for line in shard[open + 1..].lines() {
+            let row = line.strip_suffix(',').unwrap_or(line);
+            // Blank lines and the envelope's closing `]}` are not rows.
+            if row.is_empty() || row.starts_with(']') {
+                continue;
+            }
+            if !is_whole_object(row) {
+                dropped += 1;
+                continue;
+            }
+            if kept > 0 {
+                json.push(',');
+            }
+            json.push('\n');
+            json.push_str(row);
+            kept += 1;
         }
-        let inner = shard[open + 1..close].trim();
-        if inner.is_empty() {
-            continue;
-        }
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(inner);
     }
-    out.push_str("\n]}\n");
-    out
+    json.push_str("\n]}\n");
+    MergedTrace {
+        json,
+        kept,
+        dropped,
+    }
+}
+
+/// Whether `row` is one whole JSON object: it opens with `{`, and its
+/// braces outside strings close for the first time at its last byte.
+fn is_whole_object(row: &str) -> bool {
+    if !row.starts_with('{') {
+        return false;
+    }
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    for (i, b) in row.bytes().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1 == row.len();
+                }
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -260,7 +306,7 @@ mod tests {
             ],
             1,
         );
-        let merged = merge_chrome_shards(&[shard0.as_str(), shard1.as_str()]);
+        let merged = merge_chrome_shards(&[shard0.as_str(), shard1.as_str()]).json;
         assert!(merged.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(merged.trim_end().ends_with("]}"));
         // Spans + instants survive the splice, still under their pids.
@@ -280,9 +326,67 @@ mod tests {
         let good = chrome_trace_json_for_pid(&[ev(0, Kind::Span, names::RECV)], 2);
         let empty = chrome_trace_json_for_pid(&[], 5);
         let merged = merge_chrome_shards(&[good.as_str(), "not json at all", "", empty.as_str()]);
+        assert_eq!(merged.dropped, 0);
+        let merged = merged.json;
         assert!(merged.contains("\"ph\":\"X\""));
         // The empty shard still contributes its process metadata rows.
         assert!(merged.contains("\"pdeml proc 5\""));
         assert_eq!(merged.matches('{').count(), merged.matches('}').count());
+    }
+
+    #[test]
+    fn a_shard_cut_at_any_byte_keeps_exactly_its_whole_rows() {
+        let whole = chrome_trace_json_for_pid(&[ev(0, Kind::Span, names::RECV)], 0);
+        let mut tagged = ev(1, Kind::Span, names::STEP);
+        tagged.req = 9;
+        let events = [tagged, ev(1, Kind::Instant, names::HALO_LOST)];
+        let cut = chrome_trace_json_for_pid(&events, 1);
+        // The rows of the shard that gets cut, each with the byte offsets
+        // where it starts and ends (its separating comma excluded).
+        let start = cut.find('[').unwrap() + 1;
+        let rows: Vec<(usize, usize, &str)> = cut[start..]
+            .lines()
+            .scan(start, |at, line| {
+                let from = *at;
+                *at += line.len() + 1;
+                let row = line.trim_end_matches(',');
+                Some((from, from + row.len(), row))
+            })
+            .filter(|(_, _, row)| row.starts_with('{'))
+            .collect();
+        assert_eq!(
+            rows.len(),
+            6,
+            "process meta (2), rank 1 meta (2), events (2)"
+        );
+        let whole_rows = merge_chrome_shards(&[whole.as_str()]).kept;
+        for at in 0..=cut.len() {
+            let merged = merge_chrome_shards(&[whole.as_str(), &cut[..at]]);
+            let complete: Vec<&str> = rows
+                .iter()
+                .filter(|&&(_, end, _)| end <= at)
+                .map(|&(_, _, row)| row)
+                .collect();
+            let started = rows.iter().any(|&(from, end, _)| from < at && at < end);
+            let json = &merged.json;
+            assert_eq!(merged.kept, whole_rows + complete.len(), "cut at {at}");
+            assert_eq!(merged.dropped, usize::from(started), "cut at {at}");
+            // The merged rows are the whole shard's, then the cut shard's
+            // complete rows, in order.
+            let body = &json[json.find('[').unwrap() + 1..];
+            let merged_rows: Vec<&str> = body
+                .lines()
+                .map(|l| l.trim_end_matches(','))
+                .filter(|l| l.starts_with('{'))
+                .collect();
+            assert_eq!(merged_rows[whole_rows..], complete[..], "cut at {at}");
+            assert_eq!(
+                json.matches('{').count(),
+                json.matches('}').count(),
+                "cut at {at}: unbalanced braces"
+            );
+            assert!(!json.contains(",\n]"), "cut at {at}: trailing comma");
+            assert!(json.ends_with("\n]}\n"), "cut at {at}");
+        }
     }
 }

@@ -24,7 +24,7 @@
 mod chrome;
 pub mod metrics;
 
-pub use chrome::{chrome_trace_json, chrome_trace_json_for_pid, merge_chrome_shards};
+pub use chrome::{chrome_trace_json, chrome_trace_json_for_pid, merge_chrome_shards, MergedTrace};
 pub use metrics::RankMetrics;
 
 use std::cell::{Cell, RefCell};

@@ -193,7 +193,7 @@ fn merged_trace_keeps_every_shard_event_under_its_pid_and_parses() {
     let (s0, n0) = shard(0, 3);
     let (s1, n1) = shard(1, 2);
     let (s2, n2) = shard(2, 4);
-    let merged = pde_trace::merge_chrome_shards(&[s0.as_str(), s1.as_str(), s2.as_str()]);
+    let merged = pde_trace::merge_chrome_shards(&[s0.as_str(), s1.as_str(), s2.as_str()]).json;
 
     assert_valid_json(&merged);
     assert!(
@@ -226,12 +226,12 @@ fn merged_trace_keeps_every_shard_event_under_its_pid_and_parses() {
 fn merge_order_does_not_drop_events_and_single_shard_round_trips() {
     let (s0, n0) = shard(4, 2);
     let (s1, n1) = shard(5, 3);
-    let ab = pde_trace::merge_chrome_shards(&[s0.as_str(), s1.as_str()]);
-    let ba = pde_trace::merge_chrome_shards(&[s1.as_str(), s0.as_str()]);
+    let ab = pde_trace::merge_chrome_shards(&[s0.as_str(), s1.as_str()]).json;
+    let ba = pde_trace::merge_chrome_shards(&[s1.as_str(), s0.as_str()]).json;
     assert_eq!(event_rows(&ab).count(), event_rows(&ba).count());
     assert_valid_json(&ba);
     // A single-shard merge is still a valid document with all its events.
-    let solo = pde_trace::merge_chrome_shards(&[s0.as_str()]);
+    let solo = pde_trace::merge_chrome_shards(&[s0.as_str()]).json;
     assert_valid_json(&solo);
     assert_eq!(event_rows(&solo).count(), n0);
     assert_eq!(event_rows(&ab).count(), n0 + n1);

@@ -6,8 +6,8 @@
 //! ([`pde_tensor::perf::CountingAlloc`]), so the assertion below is not a
 //! code-review claim but a measurement: after one warm-up epoch has grown
 //! every buffer (packed conv weights and tap tables, activation
-//! workspace, optimizer moments, batch tensors, epoch order), a full
-//! further epoch — forward, loss, backward, gradient
+//! workspace, optimizer moments, the batch's input and prediction, epoch
+//! order), a full further epoch — forward, loss, backward, gradient
 //! clipping, optimizer step, for every mini-batch — performs **zero** heap
 //! allocations. The counters are thread-local, so the probe is exact for
 //! this test thread regardless of what other tests do in parallel.
@@ -21,7 +21,7 @@ use pde_ml_core::data::SubdomainDataset;
 use pde_ml_core::norm::ChannelNorm;
 use pde_ml_core::padding::PaddingStrategy;
 use pde_ml_core::prelude::{InferEngine, ParallelInference, ParallelTrainer};
-use pde_ml_core::train::{PredictionMode, TrainConfig, TrainSession};
+use pde_ml_core::train::{LossKind, PredictionMode, TrainConfig, TrainSession};
 use pde_telemetry::http::{BufferPool, Listener, Request, Response, MAX_POOLED_CAPACITY};
 use pde_tensor::{perf, Tensor3};
 use std::io::{Read, Write};
@@ -29,6 +29,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
+/// A warm epoch of the product's batch loop allocates nothing under either
+/// loss: the inputs are cut into the session's batch tensor, and the loss
+/// reads each target from the snapshots and writes its gradient over the
+/// prediction, so neither needs a buffer of its own.
 #[test]
 fn training_epoch_after_warmup_allocates_nothing() {
     let data = paper_dataset(16, 9); // 8 supervised pairs
@@ -39,35 +43,40 @@ fn training_epoch_after_warmup_allocates_nothing() {
     let arch = ArchSpec::tiny();
     let ds = SubdomainDataset::build(&train, &part, 0, arch.halo(), strategy, &norm);
 
-    let mut cfg = TrainConfig::quick_test();
-    // Exercise the clipping branch too: with a tiny max-norm it fires on
-    // (essentially) every step.
-    cfg.grad_clip = Some(1e-6);
-    // 7 samples at batch 4 → a full batch then a ragged 3-sample one, so the
-    // shrink-regrow path of the reusable tensors is covered as well.
-    cfg.batch_size = 4;
+    for loss in [LossKind::Mape { floor: 1e-3 }, LossKind::Mse] {
+        let mut cfg = TrainConfig::quick_test();
+        cfg.loss = loss;
+        // Exercise the clipping branch too: with a tiny max-norm it fires
+        // on (essentially) every step.
+        cfg.grad_clip = Some(1e-6);
+        // 7 samples at batch 4 → a full batch then a ragged 3-sample one,
+        // so the shrink-regrow path of the reusable tensors is covered as
+        // well.
+        cfg.batch_size = 4;
 
-    let mut net = arch.build_for(strategy, cfg.seed);
-    let mut session = TrainSession::new(&cfg);
+        let mut net = arch.build_for(strategy, cfg.seed);
+        let mut session = TrainSession::new(&cfg);
 
-    // Warm-up: grows every buffer on this thread.
-    let warm = session.run_epoch(&mut net, &ds, &cfg, 0);
-    assert!(warm.is_finite());
+        // Warm-up: grows every buffer on this thread.
+        let warm = session.run_epoch(&mut net, &ds, &cfg, 0);
+        assert!(warm.is_finite());
 
-    let before = perf::snapshot();
-    let loss = session.run_epoch(&mut net, &ds, &cfg, 1);
-    let spent = perf::snapshot().since(&before);
+        let before = perf::snapshot();
+        let loss = session.run_epoch(&mut net, &ds, &cfg, 1);
+        let spent = perf::snapshot().since(&before);
 
-    assert!(loss.is_finite());
-    assert!(
-        spent.gemm_calls > 0,
-        "the epoch should have exercised the GEMM kernels"
-    );
-    assert_eq!(
-        spent.allocs, 0,
-        "steady-state epoch performed {} heap allocations",
-        spent.allocs
-    );
+        let name = cfg.loss.label();
+        assert!(loss.is_finite(), "{name}");
+        assert!(
+            spent.gemm_calls > 0,
+            "{name}: the epoch should have exercised the GEMM kernels"
+        );
+        assert_eq!(
+            spent.allocs, 0,
+            "{name}: steady-state epoch performed {} heap allocations",
+            spent.allocs
+        );
+    }
 }
 
 /// The same property holds across several epochs and with shuffling off —
