@@ -1,7 +1,8 @@
 //! A rank count the grid cannot be split over is refused at its flag:
 //! exit 1 with a one-line hint naming the flag, never a panic inside the
-//! partitioner. A `world-node --launch` checkpoint that cannot be loaded
-//! is refused the same way, before any rank process exists.
+//! partitioner, and so is a block the network would shrink to nothing. A
+//! `world-node --launch` checkpoint that cannot be loaded is refused the
+//! same way, before any rank process exists.
 
 use std::process::Command;
 
@@ -67,6 +68,28 @@ fn world_node_launch_refuses_a_bad_restore_before_spawning_any_rank() {
     assert!(
         !stdout.contains("launched as OS processes"),
         "ranks were spawned before the refusal\nstdout:\n{stdout}"
+    );
+    assert!(
+        !stderr.contains("panicked at"),
+        "panicked\nstderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn a_deconv_block_the_network_consumes_exits_1_naming_the_geometry() {
+    // 16×16 over 16 ranks leaves 4×4 blocks, which the tiny net's
+    // convolutions shrink to nothing before the transpose layer could
+    // restore them: refused like inner-crop, not a panic in a rank.
+    let out = Command::new(env!("CARGO_BIN_EXE_pdeml"))
+        .args(["train", "--quick", "--strategy", "deconv", "--ranks", "16"])
+        .output()
+        .expect("spawn pdeml");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let code = out.status.code().unwrap_or(-1);
+    assert_eq!(code, 1, "exit {code}\nstderr:\n{stderr}");
+    assert!(
+        stderr.contains("geometry error: rank 0: deconv needs block > 4x4, got 4x4"),
+        "no hint\nstderr:\n{stderr}"
     );
     assert!(
         !stderr.contains("panicked at"),

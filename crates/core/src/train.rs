@@ -461,10 +461,17 @@ pub fn check_geometry(
     strategy: PaddingStrategy,
 ) -> Result<(), TrainError> {
     let halo = arch.halo();
+    // Both shrink a block by 2·halo inside the network: the Deconv stack's
+    // transpose layer restores the size only after its convolutions ran.
+    let shrinks = matches!(
+        strategy,
+        PaddingStrategy::InnerCrop | PaddingStrategy::Deconv
+    );
     for (r, b) in part.blocks().enumerate() {
-        if strategy == PaddingStrategy::InnerCrop && (b.h <= 2 * halo || b.w <= 2 * halo) {
+        if shrinks && (b.h <= 2 * halo || b.w <= 2 * halo) {
             return Err(TrainError::Geometry(format!(
-                "rank {r}: inner-crop needs block > {0}x{0}, got {1}x{2}",
+                "rank {r}: {} needs block > {1}x{1}, got {2}x{3}",
+                strategy.label(),
                 2 * halo,
                 b.h,
                 b.w
@@ -823,6 +830,26 @@ mod tests {
         assert!(check_geometry(&part, &ArchSpec::tiny(), PaddingStrategy::NeighborPad).is_ok());
         // Paper arch (halo 8) cannot fit 2×2 blocks under NeighborPad.
         assert!(check_geometry(&part, &ArchSpec::paper(), PaddingStrategy::NeighborPad).is_err());
+    }
+
+    #[test]
+    fn geometry_rejects_a_deconv_block_the_convolutions_consume() {
+        // The Deconv stack shrinks a block by 2·halo before its transpose
+        // layer restores it, so it needs what inner-crop needs. 16×16 over
+        // 16 ranks gives 4×4 blocks; the tiny net's halo 2 leaves nothing.
+        let part = GridPartition::for_ranks(16, 16, 16);
+        assert_eq!(
+            check_geometry(&part, &ArchSpec::tiny(), PaddingStrategy::Deconv),
+            Err(TrainError::Geometry(
+                "rank 0: deconv needs block > 4x4, got 4x4".into()
+            ))
+        );
+        let part = GridPartition::for_ranks(16, 16, 4);
+        assert!(check_geometry(&part, &ArchSpec::tiny(), PaddingStrategy::Deconv).is_ok());
+        // The paper net (halo 8) on 16×8 blocks, as `pdeml train --ranks 2`
+        // on a 16² dataset asks for.
+        let part = GridPartition::for_ranks(16, 16, 2);
+        assert!(check_geometry(&part, &ArchSpec::paper(), PaddingStrategy::Deconv).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub(crate) fn leaky_backward_in_place(x_to_grad: &mut Tensor4, grad_out: &Tensor
     assert_eq!(
         x_to_grad.shape(),
         grad_out.shape(),
-        "LeakyReLu::backward: shape mismatch"
+        "LeakyReLU backward: shape mismatch"
     );
     for (x, &go) in x_to_grad.as_mut_slice().iter_mut().zip(grad_out.as_slice()) {
         *x = leaky_relu_grad(slope, *x, go);
@@ -32,7 +32,6 @@ pub(crate) fn leaky_backward_in_place(x_to_grad: &mut Tensor4, grad_out: &Tensor
 /// from the output) and for stacks assembled by hand.
 pub struct LeakyReLu {
     epsilon: f64,
-    cached_input: Option<Tensor4>,
 }
 
 impl LeakyReLu {
@@ -45,10 +44,7 @@ impl LeakyReLu {
             (0.0..1.0).contains(&epsilon),
             "LeakyReLu: epsilon must be in [0, 1)"
         );
-        Self {
-            epsilon,
-            cached_input: None,
-        }
+        Self { epsilon }
     }
 
     /// The paper's default (ε = 0.01).
@@ -63,36 +59,6 @@ impl LeakyReLu {
 }
 
 impl Layer for LeakyReLu {
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(input, train, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let mut grad_in = Tensor4::zeros(0, 0, 0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        if train {
-            self.cached_input
-                .get_or_insert_with(|| Tensor4::zeros(0, 0, 0, 0))
-                .copy_from(input);
-        }
-        self.forward_chain(input, out);
-    }
-
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("LeakyReLu::backward before forward (or forward with train=false)");
-        grad_in.copy_from(input);
-        leaky_backward_in_place(grad_in, grad_out, self.epsilon);
-    }
-
     fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
         let eps = self.epsilon;
         let (n, c, h, w) = input.shape();
@@ -137,10 +103,7 @@ pub struct ReLu(LeakyReLu);
 impl ReLu {
     /// New ReLU.
     pub fn new() -> Self {
-        Self(LeakyReLu {
-            epsilon: 0.0,
-            cached_input: None,
-        })
+        Self(LeakyReLu { epsilon: 0.0 })
     }
 }
 
@@ -151,18 +114,6 @@ impl Default for ReLu {
 }
 
 impl Layer for ReLu {
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
-        self.0.forward(input, train)
-    }
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        self.0.backward(grad_out)
-    }
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        self.0.forward_into(input, train, out);
-    }
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        self.0.backward_into(grad_out, grad_in);
-    }
     fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
         self.0.forward_chain(input, out);
     }
@@ -187,6 +138,7 @@ impl Layer for ReLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sequential;
 
     fn t(vals: &[f64]) -> Tensor4 {
         Tensor4::from_vec(1, 1, 1, vals.len(), vals.to_vec())
@@ -194,14 +146,14 @@ mod tests {
 
     #[test]
     fn leaky_relu_forward_values() {
-        let mut l = LeakyReLu::new(0.1);
+        let mut l = Sequential::new().push(LeakyReLu::new(0.1));
         let y = l.forward(&t(&[-2.0, -0.5, 0.0, 0.5, 2.0]), false);
         assert_eq!(y.as_slice(), &[-0.2, -0.05, 0.0, 0.5, 2.0]);
     }
 
     #[test]
     fn leaky_relu_backward_mask() {
-        let mut l = LeakyReLu::new(0.01);
+        let mut l = Sequential::new().push(LeakyReLu::new(0.01));
         let _ = l.forward(&t(&[-1.0, 0.0, 3.0]), true);
         let g = l.backward(&t(&[1.0, 1.0, 1.0]));
         assert_eq!(g.as_slice(), &[0.01, 1.0, 1.0]);
@@ -209,18 +161,11 @@ mod tests {
 
     #[test]
     fn relu_zeros_negatives() {
-        let mut l = ReLu::new();
+        let mut l = Sequential::new().push(ReLu::new());
         let y = l.forward(&t(&[-3.0, 4.0]), true);
         assert_eq!(y.as_slice(), &[0.0, 4.0]);
         let g = l.backward(&t(&[5.0, 5.0]));
         assert_eq!(g.as_slice(), &[0.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward before forward")]
-    fn backward_without_forward_panics() {
-        let mut l = LeakyReLu::paper_default();
-        let _ = l.backward(&t(&[1.0]));
     }
 
     #[test]

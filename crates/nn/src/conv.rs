@@ -2,13 +2,10 @@
 //! LeakyReLU folded into its write-back), the paper's only parameterized
 //! layer type (Table I uses four of them).
 //!
-//! In a [`crate::Sequential`] the layer holds no activation at all: the
-//! stack lends it its input for both passes ([`Layer::forward_chain`] /
-//! [`Layer::backward_chain`]) and the input gradient is written over that
-//! input. The standalone [`Layer::forward_into`] / [`Layer::backward_into`]
-//! pair copies what it needs and then runs the very same methods.
+//! The layer holds no activation at all: the stack lends it its input for
+//! both passes ([`Layer::forward_chain`] / [`Layer::backward_chain`]) and
+//! the input gradient is written over that input.
 
-use crate::activation::leaky_backward_in_place;
 use crate::layer::{InputGrad, Layer, ParamGroup};
 use crate::serving::ServingStage;
 use pde_tensor::conv::{
@@ -36,12 +33,6 @@ pub struct Conv2d {
     grad_weight: Tensor4,
     grad_bias: Vec<f64>,
     leak: Option<f64>,
-    /// Standalone training only: the input of the last `forward_into`.
-    cached_input: Option<Tensor4>,
-    /// Standalone training of a fused layer only: its output, whose sign the
-    /// layer's own backward needs; `backward_into` takes it and turns it into
-    /// the pre-activation gradient, so one forward serves one backward.
-    cached_output: Option<Tensor4>,
     scratch: ConvScratch,
     name: String,
 }
@@ -58,8 +49,6 @@ impl Conv2d {
             grad_weight: Tensor4::zeros(oc, ic, kh, kw),
             grad_bias: vec![0.0; oc],
             leak: None,
-            cached_input: None,
-            cached_output: None,
             scratch: ConvScratch::new(),
             name: "conv".to_string(),
         }
@@ -129,43 +118,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(input, train, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let mut grad_in = Tensor4::zeros(0, 0, 0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        self.forward_chain(input, out);
-        if train {
-            self.cached_input
-                .get_or_insert_with(|| Tensor4::zeros(0, 0, 0, 0))
-                .copy_from(input);
-            self.cached_output = self.leak.map(|_| out.clone());
-        }
-    }
-
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        const UNARMED: &str = "Conv2d::backward before forward (or forward with train=false)";
-        grad_in.copy_from(self.cached_input.as_ref().expect(UNARMED));
-        match self.leak {
-            None => self.backward_chain(grad_in, grad_out, InputGrad::Plain),
-            Some(slope) => {
-                // Nobody downstream resolves a standalone layer's own
-                // activation: do it here, on the kept copy of the output.
-                let mut grad_z = self.cached_output.take().expect(UNARMED);
-                leaky_backward_in_place(&mut grad_z, grad_out, slope);
-                self.backward_chain(grad_in, &grad_z, InputGrad::Plain);
-            }
-        }
-    }
-
     fn fused_slope(&self) -> Option<f64> {
         self.leak
     }
@@ -279,6 +231,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sequential;
 
     fn det_fill(t: &mut Tensor4, seed: u64) {
         let mut x = seed | 1;
@@ -299,11 +252,11 @@ mod tests {
 
     #[test]
     fn same_conv_preserves_dims() {
-        let mut l = Conv2d::same(2, 3, 5);
+        let mut net = Sequential::new().push(Conv2d::same(2, 3, 5));
         let x = Tensor4::zeros(2, 2, 10, 12);
-        let y = l.forward(&x, false);
+        let y = net.forward(&x, false);
         assert_eq!(y.shape(), (2, 3, 10, 12));
-        assert_eq!(l.out_dims(10, 12), (10, 12));
+        assert_eq!(net.out_dims(10, 12), (10, 12));
     }
 
     #[test]
@@ -312,11 +265,14 @@ mod tests {
         let mut x = Tensor4::zeros(1, 1, 4, 4);
         det_fill(&mut x, 5);
         det_fill(l.weight_mut(), 9);
-        let y = l.forward(&x, true);
-        let _ = l.backward(&y);
+        let mut y = Tensor4::zeros(0, 0, 0, 0);
+        let mut step = |l: &mut Conv2d| {
+            l.forward_chain(&x, &mut y);
+            l.backward_chain(&mut x.clone(), &y, InputGrad::Plain);
+        };
+        step(&mut l);
         let g1 = l.grad_weight().clone();
-        let _ = l.forward(&x, true);
-        let _ = l.backward(&y);
+        step(&mut l);
         // Second backward doubled the accumulation.
         for (a, b) in l.grad_weight().as_slice().iter().zip(g1.as_slice()) {
             assert!((a - 2.0 * b).abs() < 1e-12);
@@ -339,9 +295,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward before forward")]
     fn backward_requires_forward_cache() {
-        let mut l = Conv2d::same(1, 1, 3);
+        let mut net = Sequential::new().push(Conv2d::same(1, 1, 3));
         let x = Tensor4::zeros(1, 1, 4, 4);
-        let y = l.forward(&x, false); // train=false → no cache
-        let _ = l.backward(&y);
+        let y = net.forward(&x, false); // train=false → no input copy
+        let _ = net.backward(&y);
     }
 }

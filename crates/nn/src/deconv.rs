@@ -17,7 +17,7 @@
 //! With stride 1 and no padding, a `k × k` transpose conv *grows* the
 //! spatial extent by `k − 1` in each direction.
 
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::{InputGrad, Layer, ParamGroup};
 use crate::serving::ServingStage;
 use pde_tensor::conv::{
     conv2d_backward_input_into, conv2d_backward_weight, conv2d_im2col_into, ConvScratch,
@@ -36,7 +36,9 @@ pub struct ConvTranspose2d {
     bias: Vec<f64>,
     grad_weight: Tensor4,
     grad_bias: Vec<f64>,
-    cached_input: Option<Tensor4>,
+    /// The input gradient before an upstream fused activation's mask is
+    /// applied ([`InputGrad::Leaky`] only).
+    unmasked: Tensor4,
     scratch: ConvScratch,
     name: String,
 }
@@ -55,7 +57,7 @@ impl ConvTranspose2d {
             bias: vec![0.0; out_c],
             grad_weight: Tensor4::zeros(oc, ic, kh, kw),
             grad_bias: vec![0.0; out_c],
-            cached_input: None,
+            unmasked: Tensor4::zeros(0, 0, 0, 0),
             scratch: ConvScratch::new(),
             name: "deconv".to_string(),
         }
@@ -100,19 +102,7 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
-        let mut out = Tensor4::zeros(0, 0, 0, 0);
-        self.forward_into(input, train, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let mut grad_in = Tensor4::zeros(0, 0, 0, 0);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
+    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
         assert_eq!(
             input.c(),
             self.in_channels(),
@@ -120,12 +110,6 @@ impl Layer for ConvTranspose2d {
             input.c(),
             self.in_channels()
         );
-        if train {
-            match &mut self.cached_input {
-                Some(t) => t.copy_from(input),
-                None => self.cached_input = Some(input.clone()),
-            }
-        }
         let (oh, ow) = self.out_dims(input.h(), input.w());
         // y = Aᵀ x: the conv's input-gradient pass with x in the grad slot.
         conv2d_backward_input_into(
@@ -151,16 +135,13 @@ impl Layer for ConvTranspose2d {
         }
     }
 
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("ConvTranspose2d::backward before forward (or forward with train=false)");
-        // Weight gradient: the adjoint conv's weight pass with roles
-        // swapped — "input" = grad_out (C_out planes), "grad_out" = x.
+    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
+        // Weight gradient first, while `act` still holds the input: the
+        // adjoint conv's weight pass with roles swapped — "input" = grad_out
+        // (C_out planes), "grad_out" = x.
         conv2d_backward_weight(
             grad_out,
-            input,
+            act,
             &self.conv_spec,
             &mut self.grad_weight,
             &mut [],
@@ -175,14 +156,15 @@ impl Layer for ConvTranspose2d {
             }
         }
         // Input gradient: d(Aᵀx)/dx pairs with A — a forward conv.
-        conv2d_im2col_into(
-            grad_out,
-            &self.weight,
-            &[],
-            &self.conv_spec,
-            &mut self.scratch,
-            grad_in,
-        );
+        let (weight, spec, scratch) = (&self.weight, &self.conv_spec, &mut self.scratch);
+        match want {
+            InputGrad::Skip => {}
+            InputGrad::Plain => conv2d_im2col_into(grad_out, weight, &[], spec, scratch, act),
+            InputGrad::Leaky(_) => {
+                conv2d_im2col_into(grad_out, weight, &[], spec, scratch, &mut self.unmasked);
+                want.store(act, &self.unmasked);
+            }
+        }
     }
 
     fn zero_grad(&mut self) {
@@ -275,12 +257,12 @@ mod tests {
 
     #[test]
     fn output_grows_by_kernel_minus_one() {
-        let mut l = ConvTranspose2d::new(3, 2, 5);
+        let mut net = Sequential::new().push(ConvTranspose2d::new(3, 2, 5));
         let x = Tensor4::zeros(2, 3, 8, 6);
-        let y = l.forward(&x, false);
+        let y = net.forward(&x, false);
         assert_eq!(y.shape(), (2, 2, 12, 10));
-        assert_eq!(l.out_dims(8, 6), (12, 10));
-        assert_eq!(l.param_count(), 3 * 2 * 25 + 2);
+        assert_eq!(net.out_dims(8, 6), (12, 10));
+        assert_eq!(net.param_count(), 3 * 2 * 25 + 2);
     }
 
     #[test]
@@ -303,8 +285,8 @@ mod tests {
         let mut x = Tensor4::zeros(1, c2, oh, ow);
         det_fill(&mut x, 6);
 
-        let v = conv.forward(&u, false);
-        let y = tconv.forward(&x, false);
+        let v = Sequential::new().push(conv).forward(&u, false);
+        let y = Sequential::new().push(tconv).forward(&x, false);
         let lhs: f64 = v
             .as_slice()
             .iter()
@@ -331,7 +313,7 @@ mod tests {
         l.weight_mut().as_mut_slice().fill(1.0);
         l.bias_mut()[0] = 0.5;
         let x = Tensor4::full(1, 1, 1, 1, 3.0);
-        let y = l.forward(&x, false);
+        let y = Sequential::new().push(l).forward(&x, false);
         assert_eq!(y.shape(), (1, 1, 2, 2));
         for &v in y.as_slice() {
             assert!((v - 3.5).abs() < 1e-12);
@@ -375,14 +357,5 @@ mod tests {
         let y = net.forward(&x, false);
         assert_eq!(y.shape(), (1, 4, 16, 16));
         assert_eq!(net.out_dims(16, 16), (16, 16));
-    }
-
-    #[test]
-    #[should_panic(expected = "backward before forward")]
-    fn backward_requires_cache() {
-        let mut l = ConvTranspose2d::new(1, 1, 3);
-        let x = Tensor4::zeros(1, 1, 3, 3);
-        let y = l.forward(&x, false);
-        let _ = l.backward(&y);
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::layer::Layer;
 use crate::loss::Loss;
+use crate::sequential::Sequential;
 use pde_tensor::Tensor4;
 
 /// Result of one gradient check.
@@ -40,7 +41,7 @@ impl GradCheckReport {
 ///
 /// Returns a report; callers assert on [`GradCheckReport::passes`].
 pub fn check_network_gradients(
-    net: &mut dyn Layer,
+    net: &mut Sequential,
     loss: &dyn Loss,
     input: &Tensor4,
     target: &Tensor4,
@@ -93,7 +94,7 @@ pub fn check_network_gradients(
 }
 
 /// Adds `delta` to the `k`-th parameter in flattened group order.
-fn perturb(net: &mut dyn Layer, k: usize, delta: f64) {
+fn perturb(net: &mut Sequential, k: usize, delta: f64) {
     let mut offset = 0;
     for g in net.param_groups() {
         if k < offset + g.param.len() {
@@ -173,23 +174,28 @@ mod tests {
     fn deconv_stack_gradients_pass_for_all_losses() {
         // End-to-end §III approach-4 shape: unpadded conv shrinks 6→4, the
         // transpose conv restores 4→6 — so the deconv backward is checked
-        // *through* upstream layers, not just in isolation.
+        // *through* upstream layers, not just in isolation. With the
+        // activation fused into the conv, the transpose conv's backward
+        // applies its mask.
         let losses: Vec<Box<dyn Loss>> = vec![Box::new(Mse), Box::new(Mape::default())];
-        for loss in &losses {
+        for (loss, fused) in losses.iter().flat_map(|l| [(l, false), (l, true)]) {
             let mut rng = StdRng::seed_from_u64(21);
             let mut c1 = Conv2d::new(pde_tensor::Conv2dSpec::square(2, 3, 3, 0));
             init_conv(&mut c1, 0.2, &mut rng);
-            let mut net = Sequential::new()
-                .push(c1)
-                .push(LeakyReLu::new(0.2))
-                .push(seeded_deconv(3, 2, 3, &mut rng));
+            let net = if fused {
+                Sequential::new().push(c1.leaky(0.2))
+            } else {
+                Sequential::new().push(c1).push(LeakyReLu::new(0.2))
+            };
+            let mut net = net.push(seeded_deconv(3, 2, 3, &mut rng));
             let mut rng = StdRng::seed_from_u64(22);
             let x = Tensor4::from_fn(2, 2, 6, 6, |_, _, _, _| rng.gen_range(-1.0..1.0));
             let t = Tensor4::from_fn(2, 2, 6, 6, |_, _, _, _| rng.gen_range(1.5..2.5));
             let r = check_network_gradients(&mut net, loss.as_ref(), &x, &t, 1e-5, 13);
             assert!(
                 r.passes(1e-5),
-                "{} through deconv: max rel err {} at {} (analytic {}, numeric {})",
+                "{} through deconv (fused {fused}): max rel err {} at {} (analytic {}, \
+                 numeric {})",
                 loss.name(),
                 r.max_rel_err,
                 r.worst_index,

@@ -47,47 +47,15 @@ impl InputGrad {
 
 /// A differentiable network building block with explicit backprop.
 ///
-/// The contract has two forms. **Standalone** — the layer keeps what its
-/// backward pass needs:
-/// * `forward` consumes a batch, caches whatever `backward` will need, and
-///   returns the output batch;
-/// * `backward` consumes `dL/d(output)` for the *most recent* forward call
-///   and returns `dL/d(input)`, accumulating parameter gradients internally;
-/// * `zero_grad` clears the accumulated parameter gradients.
-///
-/// **In a chain** — a [`crate::Sequential`] in training owns every
-/// activation once and lends them out: [`Layer::forward_chain`] caches
-/// nothing because the stack keeps `input` alive, and
-/// [`Layer::backward_chain`] gets that input back as `&mut` and writes the
-/// gradient over it. Both have defaults built on the standalone methods, so
-/// a layer that overrides neither still works in a stack; the layers on the
-/// hot path override both, and their standalone methods are thin wrappers
-/// around the same kernels.
-///
-/// Calling `backward` without a preceding `forward` panics.
+/// A layer keeps no activation: whoever runs it — a [`crate::Sequential`],
+/// which owns every activation of a training step once — lends it its
+/// input for both passes. [`Layer::forward_chain`] reads the input in place
+/// and copies nothing; [`Layer::backward_chain`] gets that same input back
+/// as `&mut`, accumulates the parameter gradients and writes the gradient
+/// w.r.t. the input over it. `zero_grad` clears the accumulated parameter
+/// gradients. Only the stack offers standalone `forward` / `backward`
+/// passes, which keep the copy of the input a backward needs.
 pub trait Layer: Send {
-    /// Forward pass. `train` enables gradient caching; inference-only calls
-    /// may pass `false` to skip it.
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4;
-
-    /// Backward pass; returns the gradient w.r.t. the layer input.
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4;
-
-    /// [`Layer::forward`] writing into a caller-owned output tensor, which is
-    /// resized in place — the allocation-free path used by the training
-    /// loop. `out` must not alias `input`. The default falls back to the
-    /// allocating `forward`; layers on the hot path override it.
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        *out = self.forward(input, train);
-    }
-
-    /// [`Layer::backward`] writing into a caller-owned gradient tensor,
-    /// resized in place. `grad_in` must not alias `grad_out`. The default
-    /// falls back to the allocating `backward`.
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        *grad_in = self.backward(grad_out);
-    }
-
     /// The slope of a LeakyReLU this layer applies to its own output inside
     /// its forward pass, when that activation's backward is left to whoever
     /// computes the gradient w.r.t. the output (see [`InputGrad::Leaky`]):
@@ -97,25 +65,19 @@ pub trait Layer: Send {
         None
     }
 
-    /// Training forward inside a chain: the caller keeps `input` unchanged
-    /// until the matching [`Layer::backward_chain`] and hands it back there,
-    /// so the layer need not copy it.
-    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
-        self.forward_into(input, true, out);
-    }
+    /// Forward pass into `out`, resized in place (it must not alias
+    /// `input`). In training the caller keeps `input` unchanged until the
+    /// matching [`Layer::backward_chain`] and hands it back there, so the
+    /// layer need not copy it; inference just drops it.
+    fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4);
 
-    /// Backward inside a chain. `act` holds the input the matching
+    /// Backward pass. `act` holds the input the matching
     /// [`Layer::forward_chain`] read and is overwritten with what `want`
     /// names; `grad_out` is `∂L/∂output` — w.r.t. the pre-activation when
-    /// [`Layer::fused_slope`] is `Some`. Parameter gradients accumulate as in
-    /// `backward`. One call per `forward_chain`: the input is gone after.
-    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
-        match want {
-            // `backward_into` reads the layer's own cache, never `act`.
-            InputGrad::Skip | InputGrad::Plain => self.backward_into(grad_out, act),
-            InputGrad::Leaky(_) => want.store(act, &self.backward(grad_out)),
-        }
-    }
+    /// [`Layer::fused_slope`] is `Some`. Parameter gradients accumulate
+    /// until [`Layer::zero_grad`]. One call per `forward_chain`: the input
+    /// is gone after.
+    fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad);
 
     /// Clears accumulated parameter gradients.
     fn zero_grad(&mut self);

@@ -14,11 +14,12 @@
 //! * All parameters and gradients are exposed as flat `&mut [f64]` groups via
 //!   [`Layer::param_groups`] and [`Layer::visit_param_groups`]; optimizers
 //!   keep per-group state keyed by the (stable) group order.
-//! * A training step is `forward → loss → backward → optimizer.step_visit`. A
-//!   layer used on its own caches what its `backward` needs; inside a
-//!   [`Sequential`] the stack owns every activation once and lends it to the
-//!   layers, which write their gradients over it (see [`Layer`],
-//!   [`Sequential`] and `DESIGN.md` §4c).
+//! * A training step is `forward → loss → backward → optimizer.step_visit`.
+//!   A layer has one pass protocol, [`Layer::forward_chain`] /
+//!   [`Layer::backward_chain`], and keeps no activation: a [`Sequential`]
+//!   owns every activation once and lends it to the layers, which write
+//!   their gradients over it (see [`Layer`], [`Sequential`] and `DESIGN.md`
+//!   §4c).
 //! * Serving runs the trained weights in `f32`: [`ServingNet`] converts and
 //!   packs them once and keeps its own activations (see [`serving`]).
 //! * Nothing here is thread-aware: parallelism happens one level up, where

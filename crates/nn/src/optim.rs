@@ -361,6 +361,7 @@ impl Optimizer for RmsProp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::InputGrad;
     use pde_tensor::Tensor4;
 
     /// Minimal quadratic test harness: minimize 0.5‖x − x*‖².
@@ -425,11 +426,11 @@ mod tests {
     }
 
     impl Layer for QuadLayer {
-        fn forward(&mut self, input: &Tensor4, _train: bool) -> Tensor4 {
-            input.clone()
+        fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
+            out.copy_from(input);
         }
-        fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-            grad_out.clone()
+        fn backward_chain(&mut self, act: &mut Tensor4, grad_out: &Tensor4, want: InputGrad) {
+            want.store(act, grad_out);
         }
         fn zero_grad(&mut self) {}
         fn param_groups(&mut self) -> Vec<ParamGroup<'_>> {

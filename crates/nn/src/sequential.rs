@@ -14,9 +14,9 @@ fn empty() -> Tensor4 {
 /// This is the only composition the paper's architecture needs. The struct
 /// itself implements [`Layer`], so stacks nest.
 ///
-/// **Who owns an activation.** In training the stack does, each exactly
-/// once: `acts[i]` is layer `i`'s output and layer `i + 1`'s input, written
-/// by one [`Layer::forward_chain`] and lent to the next; no layer keeps a
+/// **Who owns an activation.** The stack does, each exactly once:
+/// `acts[i]` is layer `i`'s output and layer `i + 1`'s input, written by
+/// one [`Layer::forward_chain`] and lent to the next; no layer keeps a
 /// copy. The backward pass walks the same buffers the other way and reuses
 /// them: layer `i + 1`'s [`Layer::backward_chain`] overwrites `acts[i]` with
 /// the gradient w.r.t. layer `i`'s output — already multiplied by layer
@@ -26,15 +26,14 @@ fn empty() -> Tensor4 {
 /// The network input is the caller's: [`Layer::forward_chain`] reads it in
 /// place and [`Layer::backward_chain`] gets it back (a training loop passes
 /// [`InputGrad::Skip`], as nothing reads the gradient w.r.t. the batch);
-/// only the standalone `forward_into(train)` copies it, for `backward_into`.
-/// Inference ping-pongs through the first two buffers. Everything grows once
-/// and is then reused, so both passes are allocation-free after warm-up.
+/// only the standalone [`Sequential::forward_into`] with `train` copies it,
+/// for [`Sequential::backward_into`]. Everything grows once and is then
+/// reused, so both passes are allocation-free after warm-up.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// `acts[i]`: layer `i`'s output (training), or the ping-pong pair
-    /// (inference). The last layer writes to the caller's tensor — unless it
-    /// has a fused activation, whose backward the stack then resolves itself
-    /// on a kept copy `acts[len − 1]`.
+    /// `acts[i]`: layer `i`'s output. The last layer writes to the caller's
+    /// tensor — unless it has a fused activation, whose backward the stack
+    /// then resolves itself on a kept copy `acts[len − 1]`.
     acts: Vec<Tensor4>,
     /// Copy of the last standalone training input, for `backward_into`.
     input: Tensor4,
@@ -97,9 +96,43 @@ impl Sequential {
         s
     }
 
-    /// Both forward passes. Layer `i` reads `input` or slot `i − 1` and
-    /// writes slot `i` or `out`; training has a slot per layer, inference
-    /// alternates between two.
+    /// Standalone forward pass: `out` (resized in place) is the stack
+    /// applied to `input`. With `train` the input is copied, so that one
+    /// [`Sequential::backward_into`] may follow.
+    pub fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
+        if train {
+            self.input.copy_from(input);
+        }
+        self.run_forward(input, train, out);
+    }
+
+    /// Standalone backward pass of the last training
+    /// [`Sequential::forward_into`]: accumulates the parameter gradients and
+    /// writes `∂L/∂input` into `grad_in` (resized in place).
+    ///
+    /// # Panics
+    /// Without a training forward since the last backward.
+    pub fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
+        grad_in.copy_from(&self.input);
+        self.backward_chain(grad_in, grad_out, InputGrad::Plain);
+    }
+
+    /// [`Sequential::forward_into`] into a new tensor.
+    pub fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
+        let mut out = empty();
+        self.forward_into(input, train, &mut out);
+        out
+    }
+
+    /// [`Sequential::backward_into`] into a new tensor.
+    pub fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
+        let mut grad_in = empty();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// The forward pass: layer `i` reads `input` or slot `i − 1` and writes
+    /// slot `i` or `out`. `train` only says whether a backward may follow.
     fn run_forward(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
         self.live = train;
         let n = self.layers.len();
@@ -107,16 +140,8 @@ impl Sequential {
             out.copy_from(input);
             return;
         }
-        let keep_last = train && self.layers[n - 1].fused_slope().is_some();
-        let slot = |i: usize| if train { i } else { i % 2 };
-        let slots = if train {
-            n - 1 + usize::from(keep_last)
-        } else {
-            (n - 1).min(2)
-        };
-        if self.acts.len() < slots {
-            self.acts.resize_with(slots, empty);
-        }
+        let keep_last = self.layers[n - 1].fused_slope().is_some();
+        self.acts.resize_with(n - 1 + usize::from(keep_last), empty);
         for (i, l) in self.layers.iter_mut().enumerate() {
             // One span per layer; a0 is the layer index (names allocate, and
             // this path must stay allocation-free), a1 whether it carries a
@@ -127,28 +152,9 @@ impl Sequential {
                 i as u64,
                 l.fused_slope().is_some() as u64,
             );
-            let to_caller = i == n - 1 && !keep_last;
-            // The destination slot leaves `acts` for the call, so that the
-            // source can be borrowed from it.
-            let mut kept = if to_caller {
-                empty()
-            } else {
-                std::mem::replace(&mut self.acts[slot(i)], empty())
-            };
-            let src = if i == 0 {
-                input
-            } else {
-                &self.acts[slot(i - 1)]
-            };
-            let dst = if to_caller { &mut *out } else { &mut kept };
-            if train {
-                l.forward_chain(src, dst);
-            } else {
-                l.forward_into(src, false, dst);
-            }
-            if !to_caller {
-                self.acts[slot(i)] = kept;
-            }
+            let (done, rest) = self.acts.split_at_mut(i);
+            let src = done.last().unwrap_or(input);
+            l.forward_chain(src, rest.first_mut().unwrap_or(&mut *out));
         }
         if keep_last {
             out.copy_from(&self.acts[n - 1]);
@@ -163,30 +169,6 @@ impl Default for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor4, train: bool) -> Tensor4 {
-        let mut out = empty();
-        self.forward_into(input, train, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let mut grad_in = empty();
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Tensor4, train: bool, out: &mut Tensor4) {
-        if train {
-            self.input.copy_from(input);
-        }
-        self.run_forward(input, train, out);
-    }
-
-    fn backward_into(&mut self, grad_out: &Tensor4, grad_in: &mut Tensor4) {
-        grad_in.copy_from(&self.input);
-        self.backward_chain(grad_in, grad_out, InputGrad::Plain);
-    }
-
     fn forward_chain(&mut self, input: &Tensor4, out: &mut Tensor4) {
         self.run_forward(input, true, out);
     }

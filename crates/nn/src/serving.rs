@@ -42,8 +42,8 @@ impl ServingStage {
         Self(Stage::Act(slope as f32))
     }
 
-    /// A stage that runs `layer`'s own `f64` forward pass on the widened
-    /// activation.
+    /// A stage that runs `layer`'s own `f64` forward pass
+    /// ([`Layer::forward_chain`]) on the widened activation.
     pub(crate) fn widened(layer: Box<dyn Layer>) -> Self {
         Self(Stage::Wide(layer))
     }
@@ -110,7 +110,7 @@ impl ServingNet {
                     let [wide_in, wide_out] = &mut self.wide;
                     wide_in.resize(n, c, h, w);
                     widen_into(&src[..len], wide_in.as_mut_slice());
-                    layer.forward_into(wide_in, false, wide_out);
+                    layer.forward_chain(wide_in, wide_out);
                     (_, c, h, w) = wide_out.shape();
                     narrow_into(wide_out.as_slice(), src);
                 }

@@ -5,7 +5,7 @@
 //! writes gradients over the activations they replace. None of that may be
 //! visible in a result: outputs, parameter gradients and the input gradient
 //! must be **bit for bit** what the same layers give when each is run on its
-//! own, caching its own input — on every kernel path and thread budget.
+//! own, on buffers of its own — on every kernel path and thread budget.
 //!
 //! `force_kernel_path` is process-global, so every test here holds
 //! [`PATH_LOCK`] while it runs kernels.
@@ -102,18 +102,35 @@ fn param_grads<'a>(layers: impl Iterator<Item = &'a mut Box<dyn Layer>>) -> Vec<
         .collect()
 }
 
-/// Each layer on its own: it caches its input, its backward returns a fresh
-/// gradient. The loss gradient is the output itself (`L = ½‖y‖²`).
-fn standalone_step(layers: &mut [Box<dyn Layer>], x: &Tensor4) -> Step {
-    let mut act = x.clone();
+/// Each layer on its own, on tensors this loop owns: every input and output
+/// is a fresh buffer, kept until that layer's backward. The layer after a
+/// fused one resolves its activation ([`InputGrad::Leaky`]); the loop
+/// resolves the last layer's. The loss gradient is the output itself
+/// (`L = ½‖y‖²`).
+fn layer_by_layer_step(layers: &mut [Box<dyn Layer>], x: &Tensor4) -> Step {
+    let mut acts = vec![x.clone()];
     for l in layers.iter_mut() {
         l.zero_grad();
-        act = l.forward(&act, true);
+        let mut out = Tensor4::zeros(0, 0, 0, 0);
+        l.forward_chain(acts.last().unwrap(), &mut out);
+        acts.push(out);
     }
-    let out = bits(act.as_slice());
-    let mut grad = act;
-    for l in layers.iter_mut().rev() {
-        grad = l.backward(&grad);
+    let mut grad = acts.pop().unwrap();
+    let out = bits(grad.as_slice());
+    if let Some(slope) = layers.last().unwrap().fused_slope() {
+        let y = grad.clone();
+        InputGrad::Leaky(slope).store(&mut grad, &y);
+    }
+    for i in (0..layers.len()).rev() {
+        let mut act = acts.pop().unwrap();
+        let want = match i {
+            0 => InputGrad::Plain,
+            _ => layers[i - 1]
+                .fused_slope()
+                .map_or(InputGrad::Plain, InputGrad::Leaky),
+        };
+        layers[i].backward_chain(&mut act, &grad, want);
+        grad = act;
     }
     Step {
         out,
@@ -162,10 +179,7 @@ fn fused_forward_equals_conv_then_leaky_relu() {
         for &(channels, k, pad, h, w) in NETS {
             let x = random(2, channels[0], h, w, 7);
             for train in [false, true] {
-                let mut want = x.clone();
-                for l in &mut stages(channels, k, pad, 0.01, false, 3) {
-                    want = l.forward(&want, train);
-                }
+                let want = stack(stages(channels, k, pad, 0.01, false, 3)).forward(&x, train);
                 let got = stack(stages(channels, k, pad, 0.01, true, 3)).forward(&x, train);
                 assert!(
                     bits(got.as_slice()) == bits(want.as_slice()),
@@ -183,8 +197,8 @@ fn chain_equals_the_same_stack_of_standalone_layers() {
             for slope in [0.01, 0.3, 0.0] {
                 let what = format!("{channels:?} k{k} pad{pad} slope {slope} ({how})");
                 let x = random(3, channels[0], h, w, 11);
-                let want = standalone_step(&mut stages(channels, k, pad, slope, false, 5), &x);
-                // The same layers, chained: nothing cached, gradients in place.
+                let want = layer_by_layer_step(&mut stages(channels, k, pad, slope, false, 5), &x);
+                // The same layers, chained: buffers lent, gradients in place.
                 let mut unfused = stack(stages(channels, k, pad, slope, false, 5));
                 assert_same_step(
                     &format!("unfused {what}"),
@@ -200,9 +214,10 @@ fn chain_equals_the_same_stack_of_standalone_layers() {
                 if slope > 0.0 {
                     let mut fused = stack(stages(channels, k, pad, slope, true, 5));
                     assert_same_step(&format!("fused {what}"), &chain_step(&mut fused, &x), &want);
-                    // Fused layers run standalone resolve their own activation.
-                    let alone = standalone_step(&mut stages(channels, k, pad, slope, true, 5), &x);
-                    assert_same_step(&format!("fused standalone {what}"), &alone, &want);
+                    // Fused layers run one by one.
+                    let alone =
+                        layer_by_layer_step(&mut stages(channels, k, pad, slope, true, 5), &x);
+                    assert_same_step(&format!("fused layer by layer {what}"), &alone, &want);
                 }
             }
         }
@@ -221,7 +236,7 @@ fn trailing_activation_is_resolved_by_the_stack() {
             layers.pop();
             layers
         };
-        let want = standalone_step(&mut build(false), &x);
+        let want = layer_by_layer_step(&mut build(false), &x);
         assert_same_step(
             &format!("unfused ({how})"),
             &chain_step(&mut stack(build(false)), &x),
@@ -321,7 +336,12 @@ fn negative_subnormal_preactivation_is_the_documented_difference() {
         conv
     };
     assert_eq!(
-        bits(identity().leaky(0.01).forward(&x, false).as_slice()),
+        bits(
+            Sequential::new()
+                .push(identity().leaky(0.01))
+                .forward(&x, false)
+                .as_slice()
+        ),
         bits(&[-0.0, -unit]),
         "stored activation"
     );

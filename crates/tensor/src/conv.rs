@@ -329,7 +329,7 @@ fn forward_panel_rows(path: KernelPath, out_c: usize) -> usize {
 /// The forward pass, `out = act(bias + W ⋆ input)` with `out` resized in
 /// place: `act` is the identity for `leak = None` and LeakyReLU with
 /// negative-side slope `s` for `Some(s)` — `z` for `z ≥ 0`, else `s·z`,
-/// exactly `pde-nn`'s `LeakyReLu::forward` — applied in the write-back that
+/// exactly `pde-nn`'s `LeakyReLu` layer — applied in the write-back that
 /// completes an output element, so a fused layer stores its activation once
 /// and its pre-activation never. The weight matrix is packed once per call
 /// ([`pack_a`]), a tap-offset table `off[(c,ki,kj)] = c·H·W + ki·W + kj`
@@ -585,7 +585,7 @@ impl<T: Real> ConvForward<T> {
 }
 
 /// LeakyReLU with negative-side slope `slope`, the one definition every
-/// forward epilogue here and `pde-nn`'s standalone layer share: the
+/// forward epilogue here and `pde-nn`'s `LeakyReLu` layer share: the
 /// comparison is `≥`, so −0.0 and +0.0 pass through and NaN takes the
 /// product.
 #[inline]
@@ -770,7 +770,7 @@ pub fn conv2d_backward_input_into(
 /// pre-activation — [`conv2d_backward_input_into`]'s element where
 /// `x ≥ 0`, `leak` times it where `x < 0.0`. The sign is read from the stored
 /// activation, which for `leak > 0` is the pre-activation's (`-0.0` and NaN
-/// are "not negative", as in `pde-nn`'s `LeakyReLu::backward`); each `x` is
+/// are "not negative", as in `pde-nn`'s `LeakyReLu` layer); each `x` is
 /// read once, by the write-back that replaces it, so no second buffer and
 /// no mask pass exist. Run [`conv2d_backward_weight`] first: it needs `x`.
 ///

@@ -549,7 +549,7 @@ fn conv_workspace_is_independent_of_the_batch() {
 // by LeakyReLU, and `conv2d_backward_input_leaky` must be
 // `conv2d_backward_input_into` followed by LeakyReLU's backward on the stored
 // activation — bit for bit, on every path and budget. The comparisons are the
-// standalone layer's (`>=` forward, `<` backward), restated here because this
+// `LeakyReLu` layer's (`>=` forward, `<` backward), restated here because this
 // crate sits below `pde-nn`, whose own suite repeats the check against the
 // real layer. Flipping either comparison, or applying the forward epilogue
 // on a KC block that is not the last, fails these.

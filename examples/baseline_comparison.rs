@@ -20,7 +20,6 @@ use pde_ml_core::metrics::mean_rmse;
 use pde_ml_core::prelude::*;
 use pde_ml_core::report::{results_path, Csv};
 use pde_nn::serialize::restore;
-use pde_nn::Layer;
 use pde_tensor::Tensor4;
 
 fn env_usize(name: &str, default: usize) -> usize {

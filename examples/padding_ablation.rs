@@ -3,9 +3,10 @@
 //! The paper lists four ways to reconcile the conv stack's spatial shrink
 //! with the target size and adopts zero padding and neighbor-data padding;
 //! it argues inner-crop "would limit the usability of the output data".
-//! This harness trains the same architecture under all three implemented
-//! strategies at a fixed budget and reports validation error — quantifying
-//! the trade-off the paper only discusses qualitatively.
+//! This harness trains the same architecture under all four strategies
+//! (de-convolution included) at a fixed budget and reports validation error
+//! — quantifying the trade-off the paper only discusses qualitatively. A
+//! strategy the grid's blocks cannot host is reported as skipped.
 //!
 //! Environment overrides: `GRID`, `SNAPSHOTS`, `EPOCHS`, `RANKS`.
 //!
@@ -19,7 +20,6 @@ use pde_ml_core::metrics::field_errors;
 use pde_ml_core::prelude::*;
 use pde_ml_core::report::{results_path, Csv};
 use pde_nn::serialize::restore;
-use pde_nn::Layer;
 use pde_tensor::Tensor4;
 
 fn env_usize(name: &str, default: usize) -> usize {

@@ -39,7 +39,6 @@ use pde_ml_core::data::{extract_input, extract_target};
 use pde_ml_core::prelude::*;
 use pde_ml_core::report::{results_path, Csv};
 use pde_nn::serialize::restore;
-use pde_nn::Layer;
 use pde_tensor::{stats, Tensor3, Tensor4};
 
 /// Cells on either side of an internal block edge that form the seam band.

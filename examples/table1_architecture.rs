@@ -9,7 +9,7 @@
 
 use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::report::{results_path, Csv};
-use pde_nn::{Conv2d, Layer};
+use pde_nn::{Conv2d, Sequential};
 use pde_tensor::Tensor4;
 use std::time::Instant;
 
@@ -40,7 +40,9 @@ fn main() {
     ]);
 
     for row in arch.layer_rows() {
-        let mut conv = Conv2d::same(row.in_channels, row.out_channels, arch.kernel);
+        // One layer, timed through the stack that owns its activations.
+        let mut conv =
+            Sequential::new().push(Conv2d::same(row.in_channels, row.out_channels, arch.kernel));
         let x = Tensor4::from_fn(batch, row.in_channels, h, w, |_, c, i, j| {
             ((c + i) as f64 * 0.1 + j as f64 * 0.01).sin()
         });

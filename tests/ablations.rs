@@ -7,7 +7,6 @@ use pde_ml_core::data::{extract_input, extract_target, SubdomainDataset};
 use pde_ml_core::metrics::field_errors;
 use pde_ml_core::prelude::*;
 use pde_ml_core::train::{train_network, LossKind, OptimizerKind, TrainConfig};
-use pde_nn::Layer;
 use pde_tensor::Tensor4;
 
 fn fixture() -> (pde_euler::DataSet, GridPartition, ArchSpec) {

@@ -156,6 +156,50 @@ fn baseline_weights_and_losses_are_pinned() {
 }
 
 #[test]
+fn deconv_fleet_is_pinned() {
+    // The Deconv strategy at the shape of its pipeline test: 32², four
+    // ranks, shuffled batches of 8 over 20 pairs (the last batch ragged).
+    // The transpose layer's training passes are in every rank's weights and
+    // losses, its widened serving stage in each state of the cold rollout.
+    let data = paper_dataset(32, 30);
+    let n_train = 20;
+    let arch = ArchSpec::tiny();
+    let cfg = TrainConfig {
+        epochs: 3,
+        batch_size: 8,
+        ..TrainConfig::paper_residual()
+    };
+    let outcome = ParallelTrainer::new(arch.clone(), PaddingStrategy::Deconv, cfg)
+        .train_view(&data, n_train, 4)
+        .expect("training");
+    let ranks: Vec<u64> = outcome
+        .rank_results
+        .iter()
+        .map(|r| digest(&r.weights, &r.epoch_losses))
+        .collect();
+    let inf = ParallelInference::from_outcome(arch, PaddingStrategy::Deconv, &outcome);
+    let rollout = inf.rollout(data.snapshot(n_train), 3).expect("rollout");
+    let states: Vec<f64> = rollout
+        .states
+        .iter()
+        .flat_map(|s| s.as_slice().iter().copied())
+        .collect();
+    assert_eq!(
+        (ranks, digest(&states, &[])),
+        (
+            vec![
+                0x3980_3a69_080d_2387,
+                0xb15b_41b1_a633_199a,
+                0x39dd_5905_51a4_f429,
+                0xf59c_ec77_5e23_2a96
+            ],
+            0xf886_7738_0fb2_03ca
+        ),
+        "(per-rank weight + loss digests, rollout digest)"
+    );
+}
+
+#[test]
 fn weights_survive_serialization_round_trip() {
     // Checkpoint → reload → identical inference, across rank boundaries.
     let data = paper_dataset(16, 8);

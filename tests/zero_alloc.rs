@@ -79,6 +79,37 @@ fn training_epoch_after_warmup_allocates_nothing() {
     }
 }
 
+/// The Deconv stack's transpose layer trains on the activation the stack
+/// lends it, like the convolutions: a warm epoch allocates nothing.
+#[test]
+fn deconv_epoch_after_warmup_allocates_nothing() {
+    let data = paper_dataset(16, 9);
+    let part = GridPartition::new(16, 16, 2, 2);
+    let (train, _) = data.chronological_split(7);
+    let norm = ChannelNorm::fit(&train);
+    let strategy = PaddingStrategy::Deconv;
+    let arch = ArchSpec::tiny();
+    let ds = SubdomainDataset::build(&train, &part, 1, arch.halo(), strategy, &norm);
+
+    let mut cfg = TrainConfig::quick_test();
+    cfg.grad_clip = Some(1e-6);
+    cfg.batch_size = 4;
+    let mut net = arch.build_for(strategy, cfg.seed);
+    let mut session = TrainSession::new(&cfg);
+    assert!(session.run_epoch(&mut net, &ds, &cfg, 0).is_finite());
+
+    let before = perf::snapshot();
+    let loss = session.run_epoch(&mut net, &ds, &cfg, 1);
+    let spent = perf::snapshot().since(&before);
+    assert!(loss.is_finite());
+    assert!(spent.gemm_calls > 0, "the epoch ran no GEMM");
+    assert_eq!(
+        spent.allocs, 0,
+        "steady-state Deconv epoch performed {} heap allocations",
+        spent.allocs
+    );
+}
+
 /// The same property holds across several epochs and with shuffling off —
 /// the order buffer and batch tensors are stable, not just lucky.
 #[test]
